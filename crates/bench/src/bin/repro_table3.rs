@@ -10,6 +10,12 @@
 //! | LandCover batch 1  |  t   |     OOM     |    t    |   OOM   |
 //! | LandCover batch 2  |  t   |     OOM     |   OOM   |   OOM   |
 //!
+//! Every row runs on a session of its own, so its "ours" cell is a **cold**
+//! query: it pays for chunking the large layer's weights into a block
+//! relation, as the paper's single-query numbers do. The last column repeats
+//! that query on the same session, where the weight relation already exists
+//! — the **warm** steady state of a serving session.
+//!
 //! ```sh
 //! cargo run --release -p relserve-bench --bin repro_table3
 //! ```
@@ -48,17 +54,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "udf-centric",
         "tensorflow-like",
         "pytorch-like",
+        "ours (warm)",
     ]);
 
     // ---- Amazon-14k-FC (scaled 1/AMAZON_SCALE) ----
     {
-        let session = InferenceSession::open(table3_amazon_config())?;
         let mut rng = seeded_rng(6);
         let model = zoo::amazon_14k_fc(AMAZON_SCALE, &mut rng)?;
         let model_name = model.name().to_string();
         let features = model.input_shape().num_elements();
-        session.load_model(model)?;
         for batch_size in AMAZON_BATCHES {
+            let session = InferenceSession::open(table3_amazon_config())?;
+            session.load_model(model.clone())?;
             eprintln!("running {model_name} @ batch {batch_size}...");
             let batch = workloads::amazon_batch(batch_size, features, 7);
             let cells = vec![
@@ -76,6 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     &batch,
                     Architecture::DlCentric(RuntimeProfile::pytorch_like()),
                 )?,
+                run_cell(&session, &model_name, &batch, Architecture::Adaptive)?,
             ];
             table.row(&format!("{model_name} / {batch_size}"), &cells);
         }
@@ -83,13 +91,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- LandCover (scaled 1/LANDCOVER_SCALE) ----
     {
-        let session = InferenceSession::open(table3_landcover_config())?;
         let mut rng = seeded_rng(8);
         let model = zoo::landcover(LANDCOVER_SCALE, &mut rng)?;
         let model_name = model.name().to_string();
         let side = model.input_shape().dim(0);
-        session.load_model(model)?;
         for batch_size in LANDCOVER_BATCHES {
+            let session = InferenceSession::open(table3_landcover_config())?;
+            session.load_model(model.clone())?;
             eprintln!("running {model_name} @ batch {batch_size}...");
             let batch = workloads::image_batch(batch_size, side, side, 3, 9);
             let cells = vec![
@@ -107,6 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     &batch,
                     Architecture::DlCentric(RuntimeProfile::pytorch_like()),
                 )?,
+                run_cell(&session, &model_name, &batch, Architecture::Adaptive)?,
             ];
             table.row(&format!("{model_name} / {batch_size}"), &cells);
         }
@@ -117,7 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "expected shape (paper Table 3): only the relation-centric/adaptive column\n\
          completes every row — blocks spill through the buffer pool instead of\n\
          exhausting memory. When everything fits (small batch), dedicated external\n\
-         runtimes are competitive and relation-centric pays chunking overhead."
+         runtimes are competitive and a cold relation-centric query pays chunking\n\
+         overhead; the warm column is the same query once the weight relation exists."
     );
     Ok(())
 }

@@ -9,15 +9,13 @@
 //! would OOM, the layer stays relation-centric instead of failing.
 
 use crate::error::Result;
-use crate::exec::relation_centric::{exec_layer, Flow};
+use crate::exec::relation_centric::{exec_layer, Flow, WeightRelations};
 use crate::exec::{layer_transient_bytes, Output};
 use crate::ir::{InferencePlan, Representation};
 use relserve_nn::Model;
 use relserve_relational::tensor_table::TensorOpStats;
 use relserve_runtime::ExecContext;
-use relserve_storage::BufferPool;
 use relserve_tensor::Tensor;
-use std::sync::Arc;
 
 /// Statistics of one hybrid execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,13 +32,13 @@ pub struct HybridStats {
 
 /// Execute `model` under `plan`'s per-layer representation choices, inside
 /// `ctx`'s admitted slice of the machine (governor lease + kernel budget).
+/// Relation-centric layers join against their weight relation in `weights`.
 #[allow(unused_assignments)] // reservations: assignment *is* the drop-and-replace
 pub fn run(
     model: &Model,
     batch: &Tensor,
     plan: &InferencePlan,
-    pool: &Arc<BufferPool>,
-    block: usize,
+    weights: &WeightRelations,
     ctx: &ExecContext,
 ) -> Result<(Output, HybridStats)> {
     let governor = ctx.governor();
@@ -78,7 +76,6 @@ pub fn run(
         ctx.check_deadline("hybrid.layer")?;
         let rep = reps.get(i).copied().unwrap_or(Representation::UdfCentric);
         let out_shape = layer.output_shape(&shape)?;
-        let tag = format!("hy.l{i}");
         match rep {
             Representation::UdfCentric | Representation::DlCentric => {
                 // Need a dense input. If the flow is blocked, try to
@@ -134,7 +131,7 @@ pub fn run(
                     stats.udf_layers += 1;
                 } else {
                     // Fallback: stay blocked.
-                    flow = exec_layer(layer, flow, pool, block, &par, &tag, &mut stats.rel_stats)?;
+                    flow = exec_layer(model, i, flow, weights, &par, &mut stats.rel_stats)?;
                     live = None;
                     stats.relational_layers += 1;
                     stats.fallbacks += 1;
@@ -142,7 +139,7 @@ pub fn run(
             }
             Representation::RelationCentric => {
                 // Dense→blocked transition releases the dense reservation.
-                flow = exec_layer(layer, flow, pool, block, &par, &tag, &mut stats.rel_stats)?;
+                flow = exec_layer(model, i, flow, weights, &par, &mut stats.rel_stats)?;
                 live = None;
                 stats.relational_layers += 1;
             }
@@ -167,14 +164,13 @@ mod tests {
     use relserve_nn::init::seeded_rng;
     use relserve_nn::zoo;
     use relserve_runtime::MemoryGovernor;
-    use relserve_storage::DiskManager;
+    use relserve_storage::{BufferPool, DiskManager};
     use relserve_tensor::parallel::Parallelism;
+    use std::sync::Arc;
 
-    fn pool(frames: usize) -> Arc<BufferPool> {
-        Arc::new(BufferPool::new(
-            Arc::new(DiskManager::temp().unwrap()),
-            frames,
-        ))
+    fn weights(frames: usize, block: usize) -> WeightRelations {
+        let disk = Arc::new(DiskManager::temp().unwrap());
+        WeightRelations::new(Arc::new(BufferPool::new(disk, frames)), block)
     }
 
     fn ctx(governor: &MemoryGovernor) -> ExecContext {
@@ -190,7 +186,7 @@ mod tests {
             .plan(&model, 12)
             .unwrap();
         let governor = MemoryGovernor::unlimited("db");
-        let (out, stats) = run(&model, &x, &plan, &pool(16), 8, &ctx(&governor)).unwrap();
+        let (out, stats) = run(&model, &x, &plan, &weights(16, 8), &ctx(&governor)).unwrap();
         assert_eq!(stats.udf_layers, 2);
         assert_eq!(stats.relational_layers, 0);
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
@@ -213,7 +209,7 @@ mod tests {
                 || reps.contains(&Representation::UdfCentric)
         );
         let governor = MemoryGovernor::unlimited("db");
-        let (out, _) = run(&model, &x, &plan, &pool(128), 64, &ctx(&governor)).unwrap();
+        let (out, _) = run(&model, &x, &plan, &weights(128, 64), &ctx(&governor)).unwrap();
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-2));
     }
@@ -226,7 +222,7 @@ mod tests {
         // Zero threshold: everything relational.
         let plan = RuleBasedOptimizer::new(0).plan(&model, 9).unwrap();
         let governor = MemoryGovernor::with_budget("db", 64 * 1024); // tiny
-        let (out, stats) = run(&model, &x, &plan, &pool(64), 16, &ctx(&governor)).unwrap();
+        let (out, stats) = run(&model, &x, &plan, &weights(64, 16), &ctx(&governor)).unwrap();
         assert_eq!(stats.udf_layers, 0);
         assert!(stats.relational_layers >= 2);
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
@@ -250,7 +246,7 @@ mod tests {
         // Governor too small to densify the 256×512 hidden activation, so
         // layer 1 must fall back to relation-centric execution.
         let governor = MemoryGovernor::with_budget("db", 16 * 1024);
-        let (out, stats) = run(&model, &x, &plan, &pool(128), 32, &ctx(&governor)).unwrap();
+        let (out, stats) = run(&model, &x, &plan, &weights(128, 32), &ctx(&governor)).unwrap();
         assert!(stats.fallbacks >= 1, "stats: {stats:?}");
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-3));

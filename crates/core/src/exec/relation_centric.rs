@@ -1,24 +1,151 @@
 //! Relation-centric execution: tensor operators lowered onto block relations.
 //!
 //! Each layer's tensor math is executed as relational dataflow over
-//! [`TensorTable`]s (§7.1): weights are chunked into blocks, matmul becomes
-//! a join + aggregation streaming one block-row at a time through the buffer
-//! pool, pointwise convolutions are first spatially rewritten into a matmul
-//! (`F × Kᵀ`), and general convolutions build their im2col patch relation
-//! one image at a time. Activations map over blocks; softmax gathers one
+//! [`TensorTable`]s (§7.1): weights live in the database as block relations
+//! ([`WeightRelations`]: chunked the first time a layer runs here, joined
+//! against by every later query), matmul becomes a join + aggregation
+//! streaming through the buffer pool, pointwise convolutions are first
+//! spatially rewritten into a matmul (`F × Kᵀ`), and general convolutions
+//! build their im2col patch relation one image at a time. Activations map over blocks; softmax gathers one
 //! block-row at a time (it needs whole rows). Because every intermediate
 //! lives behind the buffer pool, working memory is bounded by block-row
 //! stripes — not tensor sizes — which is exactly why this path survives the
 //! Table 3 workloads that OOM everywhere else.
 
 use crate::error::{Error, Result};
+use parking_lot::Mutex;
 use relserve_nn::{Activation, Layer, Model};
 use relserve_relational::tensor_table::TensorOpStats;
 use relserve_relational::TensorTable;
 use relserve_storage::BufferPool;
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{conv, BlockCoord, BlockingSpec, Tensor};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One layer's weight relation: empty until the first query that needs it
+/// has built it. The slot's own lock is held while building, so a racing
+/// query waits for the finished relation instead of building a second one.
+type WeightSlot = Arc<Mutex<Option<Arc<TensorTable>>>>;
+
+/// The persistent weight relations of one database session (§1, §7.1): a
+/// layer's parameters are chunked into a block relation **once**, the first
+/// time that layer executes relation-centrically, and every later query only
+/// joins against it.
+///
+/// A relation is keyed by `(model name, layer index)` and lives as long as
+/// this handle: a loaded model is immutable and the block size is fixed, so
+/// nothing ever invalidates one. Its blocks sit behind the buffer pool, not
+/// on the heap — a relation larger than the pool is spilled once and read
+/// back per join, without further write-back. Building is lazy so that a
+/// model which never runs relation-centric pays nothing. Concurrent queries
+/// share one `Arc<TensorTable>`; the block join only reads it.
+///
+/// The handle also carries the pool and block size every executor needs, so
+/// `relation_centric::run`, `hybrid::run` and the degradation ladder take
+/// this one argument.
+pub struct WeightRelations {
+    pool: Arc<BufferPool>,
+    block: usize,
+    slots: Mutex<HashMap<(String, usize), WeightSlot>>,
+    builds: AtomicU64,
+    reuses: AtomicU64,
+}
+
+impl WeightRelations {
+    /// An empty set of weight relations over `pool`, chunked `block` square.
+    pub fn new(pool: Arc<BufferPool>, block: usize) -> Self {
+        WeightRelations {
+            pool,
+            block,
+            slots: Mutex::new(HashMap::new()),
+            builds: AtomicU64::new(0),
+            reuses: AtomicU64::new(0),
+        }
+    }
+
+    /// The buffer pool weight relations and per-query temporaries live in.
+    pub fn pool(&self) -> &Arc<BufferPool> {
+        &self.pool
+    }
+
+    /// Tensor block side length.
+    pub fn block_size(&self) -> usize {
+        self.block
+    }
+
+    fn spec(&self) -> BlockingSpec {
+        BlockingSpec::square(self.block)
+    }
+
+    /// Weight relations built so far (one per layer that ever executed
+    /// relation-centrically).
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// Layer executions that found their weight relation already built.
+    pub fn reuses(&self) -> u64 {
+        self.reuses.load(Ordering::Relaxed)
+    }
+
+    /// The weight relation of layer `layer` of `model`, building it with
+    /// `build` if this is the first query to need it. `shape` is what the
+    /// layer's `[n, k]` weight matrix must measure: a relation cached under
+    /// the same key with another shape means two different models share a
+    /// name, and is refused rather than joined against.
+    fn get_or_build(
+        &self,
+        model: &str,
+        layer: usize,
+        shape: (usize, usize),
+        build: impl FnOnce(String) -> Result<TensorTable>,
+    ) -> Result<Arc<TensorTable>> {
+        let slot = self
+            .slots
+            .lock()
+            .entry((model.to_string(), layer))
+            .or_default()
+            .clone();
+        // A build that fails or panics leaves the slot empty — nothing
+        // half-built is ever published — and the next query tries again.
+        let mut slot = slot.lock();
+        let table = match &*slot {
+            Some(table) => {
+                self.reuses.fetch_add(1, Ordering::Relaxed);
+                table.clone()
+            }
+            None => {
+                let table = Arc::new(build(format!("{model}.l{layer}.w"))?);
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                *slot = Some(table.clone());
+                table
+            }
+        };
+        if (table.rows(), table.cols()) != shape {
+            return Err(Error::Invalid(format!(
+                "weight relation {:?} is {}x{} but the layer's weights are {}x{}",
+                table.name(),
+                table.rows(),
+                table.cols(),
+                shape.0,
+                shape.1
+            )));
+        }
+        Ok(table)
+    }
+}
+
+impl std::fmt::Debug for WeightRelations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WeightRelations")
+            .field("block", &self.block)
+            .field("builds", &self.builds())
+            .field("reuses", &self.reuses())
+            .finish()
+    }
+}
 
 /// The data flowing between layers during relation-centric execution.
 pub enum Flow {
@@ -225,13 +352,13 @@ fn densify(flow: Flow) -> Result<Tensor> {
     })
 }
 
-fn rows_table(flow: Flow, pool: &Arc<BufferPool>, block: usize, tag: &str) -> Result<TensorTable> {
+fn rows_table(flow: Flow, weights: &WeightRelations, tag: &str) -> Result<TensorTable> {
     Ok(match flow {
         Flow::Rows(t) => t,
         Flow::Dense(t) => {
             let (rows, cols) = t.shape().as_matrix()?;
             let flat = t.reshape([rows, cols])?;
-            TensorTable::from_dense(pool.clone(), tag, &flat, BlockingSpec::square(block))?
+            TensorTable::from_dense(weights.pool.clone(), tag, &flat, weights.spec())?
         }
         Flow::Pixels { .. } => {
             return Err(Error::Invalid(
@@ -241,33 +368,39 @@ fn rows_table(flow: Flow, pool: &Arc<BufferPool>, block: usize, tag: &str) -> Re
     })
 }
 
-/// Execute one model layer relation-centrically. `par` is this layer's
-/// share of the query's admitted kernel budget: block-row stripes of the
-/// matmul join fan out to the kernel pool up to that width.
+/// Execute layer `index` of `model` relation-centrically. `par` is this
+/// layer's share of the query's admitted kernel budget: the output cells of
+/// the matmul join fan out to the kernel pool up to that width. The layer's
+/// weight relation comes from `weights` — chunked on the session's first
+/// such execution (the runtime chunking overhead Table 3 attributes to this
+/// path), looked up ever after.
 pub(crate) fn exec_layer(
-    layer: &Layer,
+    model: &Model,
+    index: usize,
     flow: Flow,
-    pool: &Arc<BufferPool>,
-    block: usize,
+    weights: &WeightRelations,
     par: &Parallelism,
-    tag: &str,
     stats: &mut TensorOpStats,
 ) -> Result<Flow> {
-    match layer {
+    let tag = &format!("l{index}");
+    let pool = &weights.pool;
+    let spec_sq = weights.spec();
+    match &model.layers()[index] {
         Layer::Dense {
             weight,
             bias,
             activation,
         } => {
-            let x = rows_table(flow, pool, block, &format!("{tag}.x"))?;
-            // Chunk the weight matrix into a tensor relation (the runtime
-            // chunking overhead Table 3 attributes to this path).
-            let w = TensorTable::from_dense(
-                pool.clone(),
-                format!("{tag}.w"),
-                weight,
-                BlockingSpec::square(block),
-            )?;
+            let x = rows_table(flow, weights, &format!("{tag}.x"))?;
+            let shape = weight.shape().as_matrix()?;
+            let w = weights.get_or_build(model.name(), index, shape, |name| {
+                Ok(TensorTable::from_dense(
+                    pool.clone(),
+                    name,
+                    weight,
+                    spec_sq,
+                )?)
+            })?;
             let (product, op_stats) = x.matmul_bt_parallel(&w, format!("{tag}.xw"), par)?;
             stats.merge(op_stats);
             let biased = product.add_bias(format!("{tag}.b"), bias)?;
@@ -283,16 +416,19 @@ pub(crate) fn exec_layer(
             bias,
             activation,
         } => {
-            let x = rows_table(flow, pool, block, &format!("{tag}.x"))?;
-            // Chunk the quantized weights into a tensor relation of genuine
-            // i8 blocks — each stored block carries its own per-row scales,
-            // so the buffer pool moves ~4× fewer bytes than the f32 path.
-            let w = TensorTable::from_quantized(
-                pool.clone(),
-                format!("{tag}.w"),
-                weight,
-                BlockingSpec::square(block),
-            )?;
+            let x = rows_table(flow, weights, &format!("{tag}.x"))?;
+            // The weight relation holds genuine i8 blocks — each carries its
+            // own per-row scales, so the buffer pool moves ~4× fewer bytes
+            // than the f32 path.
+            let shape = (weight.rows(), weight.cols());
+            let w = weights.get_or_build(model.name(), index, shape, |name| {
+                Ok(TensorTable::from_quantized(
+                    pool.clone(),
+                    name,
+                    weight,
+                    spec_sq,
+                )?)
+            })?;
             let (product, op_stats) = x.matmul_bt_quant_parallel(&w, format!("{tag}.xw"), par)?;
             stats.merge(op_stats);
             let biased = product.add_bias(format!("{tag}.b"), bias)?;
@@ -318,13 +454,11 @@ pub(crate) fn exec_layer(
             }
             let (n, h, w) = (dims[0], dims[1], dims[2]);
             let (oh, ow) = spec.output_dims(h, w)?;
-            let spec_sq = BlockingSpec::square(block);
-            let (f_table, k_dense, fold_bias) = if spec.is_pointwise() {
+            let fold_bias = spec.is_pointwise();
+            let f_table = if fold_bias {
                 // Spatial rewriting (§7.1): F = pixels+bias column, conv ≡ F×Kᵀ.
                 let f = conv::spatial_rewrite_1x1(&input)?;
-                let ft = TensorTable::from_dense(pool.clone(), format!("{tag}.F"), &f, spec_sq)?;
-                let k = conv::rewrite_kernel_1x1(kernel, bias)?;
-                (ft, k, true)
+                TensorTable::from_dense(pool.clone(), format!("{tag}.F"), &f, spec_sq)?
             } else {
                 // Stream the im2col patch relation one image at a time.
                 let mut builder = RowStreamBuilder::new(
@@ -340,14 +474,27 @@ pub(crate) fn exec_layer(
                     let cols = conv::im2col(&image, spec)?;
                     builder.push_rows(cols.data())?;
                 }
-                let ft = builder.finish()?;
-                let k = kernel
-                    .clone()
-                    .reshape([spec.out_channels, spec.patch_len()])?;
-                (ft, k, false)
+                builder.finish()?
             };
-            let k_table =
-                TensorTable::from_dense(pool.clone(), format!("{tag}.K"), &k_dense, spec_sq)?;
+            // The kernel relation K: the rewritten kernel (bias folded into
+            // its last column) for a pointwise conv, the flattened one
+            // otherwise. It depends on the layer alone.
+            let k_shape = (spec.out_channels, f_table.cols());
+            let k_table = weights.get_or_build(model.name(), index, k_shape, |name| {
+                let k_dense = if fold_bias {
+                    conv::rewrite_kernel_1x1(kernel, bias)?
+                } else {
+                    kernel
+                        .clone()
+                        .reshape([spec.out_channels, spec.patch_len()])?
+                };
+                Ok(TensorTable::from_dense(
+                    pool.clone(),
+                    name,
+                    &k_dense,
+                    spec_sq,
+                )?)
+            })?;
             let (product, op_stats) =
                 f_table.matmul_bt_parallel(&k_table, format!("{tag}.FK"), par)?;
             stats.merge(op_stats);
@@ -370,13 +517,8 @@ pub(crate) fn exec_layer(
                 // densifies one example at a time via block-row streaming.
                 let channels = table.cols();
                 let width = h * w * channels;
-                let mut builder = RowStreamBuilder::new(
-                    pool.clone(),
-                    format!("{tag}.flat"),
-                    n,
-                    width,
-                    BlockingSpec::square(block),
-                );
+                let mut builder =
+                    RowStreamBuilder::new(pool.clone(), format!("{tag}.flat"), n, width, spec_sq);
                 let dense = table.to_dense()?; // [n*h*w, c] — bounded by flatten sites
                 for img in 0..n {
                     let rows = dense.slice2(img * h * w, (img + 1) * h * w, 0, channels)?;
@@ -396,13 +538,13 @@ pub(crate) fn exec_layer(
 }
 
 /// Run a whole model relation-centrically inside `ctx`'s admitted slice of
-/// the machine: each layer's block-row join fans out on the shared kernel
-/// pool, at most the context's granted kernel threads wide.
+/// the machine: each layer's block join fans out on the shared kernel pool,
+/// at most the context's granted kernel threads wide, against the layer's
+/// weight relation in `weights`.
 pub fn run(
     model: &Model,
     batch: &Tensor,
-    pool: &Arc<BufferPool>,
-    block: usize,
+    weights: &WeightRelations,
     ctx: &relserve_runtime::ExecContext,
 ) -> Result<(super::Output, TensorOpStats)> {
     let par = ctx.parallelism();
@@ -411,12 +553,11 @@ pub fn run(
     full_dims.extend_from_slice(model.input_shape().dims());
     let mut flow = Flow::Dense(batch.clone().reshape(full_dims)?);
     let mut stats = TensorOpStats::default();
-    for (i, layer) in model.layers().iter().enumerate() {
+    for i in 0..model.layers().len() {
         // Cooperative deadline check at every block-relation boundary: a
         // timed-out query unwinds here, dropping its context and grant.
         ctx.check_deadline("relation-centric.layer")?;
-        let tag = format!("rc.l{i}");
-        flow = exec_layer(layer, flow, pool, block, &par, &tag, &mut stats)?;
+        flow = exec_layer(model, i, flow, weights, &par, &mut stats)?;
     }
     let output = match flow {
         Flow::Dense(t) => super::Output::Dense(t),
@@ -446,6 +587,10 @@ mod tests {
         ))
     }
 
+    fn weights(frames: usize, block: usize) -> WeightRelations {
+        WeightRelations::new(pool(frames), block)
+    }
+
     fn ctx(threads: usize) -> relserve_runtime::ExecContext {
         relserve_runtime::ExecContext::standalone(
             threads,
@@ -462,7 +607,7 @@ mod tests {
         let mut rng = seeded_rng(80);
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([10, 28], |i| ((i % 11) as f32 - 5.0) * 0.2);
-        let (out, stats) = run(&model, &x, &pool(64), 16, &ctx(2)).unwrap();
+        let (out, stats) = run(&model, &x, &weights(64, 16), &ctx(2)).unwrap();
         let got = out.into_dense().unwrap();
         let expect = model.forward(&x, &serial()).unwrap();
         assert!(got.approx_eq(&expect, 1e-3));
@@ -474,7 +619,7 @@ mod tests {
         let mut rng = seeded_rng(81);
         let model = zoo::landcover(250, &mut rng).unwrap(); // 10x10x3 → 8 kernels
         let x = Tensor::from_fn([2, 10, 10, 3], |i| ((i % 9) as f32 - 4.0) * 0.1);
-        let (out, _) = run(&model, &x, &pool(64), 16, &ctx(2)).unwrap();
+        let (out, _) = run(&model, &x, &weights(64, 16), &ctx(2)).unwrap();
         let got = out.into_dense().unwrap();
         let expect = model
             .forward(&x, &serial())
@@ -489,7 +634,7 @@ mod tests {
         let mut rng = seeded_rng(82);
         let model = zoo::caching_cnn(&mut rng).unwrap();
         let x = Tensor::from_fn([2, 28, 28, 1], |i| ((i % 7) as f32) * 0.1);
-        let (out, _) = run(&model, &x, &pool(256), 32, &ctx(2)).unwrap();
+        let (out, _) = run(&model, &x, &weights(256, 32), &ctx(2)).unwrap();
         let got = out.into_dense().unwrap();
         let expect = model.forward(&x, &serial()).unwrap();
         assert!(
@@ -538,32 +683,63 @@ mod tests {
         let mut rng = seeded_rng(83);
         let model = zoo::fraud_fc_512(&mut rng).unwrap();
         let x = Tensor::from_fn([64, 28], |i| (i % 5) as f32 * 0.1);
-        let p = pool(4); // 256 KiB pool; weights alone are ~57 KiB + activations
-        let (out, _) = run(&model, &x, &p, 8, &ctx(2)).unwrap();
+        let w = weights(4, 8); // 256 KiB pool; weights alone are ~57 KiB + activations
+        let (out, _) = run(&model, &x, &w, &ctx(2)).unwrap();
         let expect = model.forward(&x, &serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-3));
-        assert!(p.stats().evictions > 0, "expected spilling");
+        assert!(w.pool().stats().evictions > 0, "expected spilling");
     }
 
     #[test]
     fn dense_after_pixels_requires_flatten() {
         let mut rng = seeded_rng(84);
-        // Hand-build an invalid flow: dense layer fed pixel-major output.
+        // An invalid model flow: a dense layer fed pixel-major conv output.
         let conv_model = zoo::landcover(500, &mut rng).unwrap();
         let x = Tensor::from_fn([1, 5, 5, 3], |i| i as f32 * 0.01);
-        let p = pool(32);
+        let w = weights(32, 4);
         let mut stats = TensorOpStats::default();
-        let flow = exec_layer(
-            &conv_model.layers()[0],
-            Flow::Dense(x),
-            &p,
-            4,
-            &serial(),
-            "t",
-            &mut stats,
-        )
-        .unwrap();
-        let dense_layer = relserve_nn::Layer::dense(4, 2, Activation::None, &mut rng);
-        assert!(exec_layer(&dense_layer, flow, &p, 4, &serial(), "t2", &mut stats).is_err());
+        let flow = exec_layer(&conv_model, 0, Flow::Dense(x), &w, &serial(), &mut stats).unwrap();
+        let dense_model = Model::new("dense-only", [4])
+            .push(relserve_nn::Layer::dense(4, 2, Activation::None, &mut rng))
+            .unwrap();
+        assert!(exec_layer(&dense_model, 0, flow, &w, &serial(), &mut stats).is_err());
+    }
+
+    #[test]
+    fn weight_relations_build_once_and_refuse_a_name_clash() {
+        let mut rng = seeded_rng(85);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::from_fn([5, 28], |i| (i % 7) as f32 * 0.1);
+        let w = weights(64, 16);
+        let first = run(&model, &x, &w, &ctx(2))
+            .unwrap()
+            .0
+            .into_dense()
+            .unwrap();
+        assert_eq!((w.builds(), w.reuses()), (2, 0));
+        let second = run(&model, &x, &w, &ctx(1))
+            .unwrap()
+            .0
+            .into_dense()
+            .unwrap();
+        assert_eq!((w.builds(), w.reuses()), (2, 2));
+        assert_eq!(first.data(), second.data());
+        // A failed build publishes nothing: the next query builds afresh.
+        let shape = (3, 3);
+        let failed = w.get_or_build("m", 0, shape, |_| Err(Error::Invalid("boom".into())));
+        assert!(failed.is_err());
+        let t = Tensor::from_fn([3, 3], |i| i as f32);
+        let built = w.get_or_build("m", 0, shape, |name| {
+            Ok(TensorTable::from_dense(
+                w.pool().clone(),
+                name,
+                &t,
+                w.spec(),
+            )?)
+        });
+        assert_eq!(built.unwrap().name(), "m.l0.w");
+        assert_eq!(w.builds(), 3);
+        // Same key, different shape: another model is hiding behind the name.
+        assert!(w.get_or_build("m", 0, (4, 3), |_| unreachable!()).is_err());
     }
 }

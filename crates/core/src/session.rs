@@ -8,11 +8,13 @@
 
 use crate::cache::CachedModel;
 use crate::error::{Error, Result};
+use crate::exec::relation_centric::WeightRelations;
 use crate::exec::{dl_centric, hybrid, pipelined, relation_centric, udf_centric, Output};
 use crate::ir::InferencePlan;
 use crate::optimizer::RuleBasedOptimizer;
 use parking_lot::Mutex;
 use relserve_nn::Model;
+use relserve_relational::tensor_table::TensorOpStats;
 use relserve_relational::{Schema, Table, Tuple};
 use relserve_runtime::{
     AdmissionPolicy, Connector, ExecContext, ExternalRuntime, FaultInjector, KernelPool,
@@ -222,6 +224,10 @@ pub struct InferenceOutcome {
     /// The fallback architecture that actually produced the output, when the
     /// primary attempt failed recoverably and the degradation ladder ran.
     pub degraded_to: Option<&'static str>,
+    /// What the query's relation-centric layers did — block pairs joined,
+    /// payload bytes read from and written to the buffer pool. All zero for
+    /// a query that ran no layer relation-centrically.
+    pub rel_stats: TensorOpStats,
 }
 
 impl InferenceOutcome {
@@ -238,6 +244,7 @@ impl std::fmt::Debug for InferenceOutcome {
             .field("elapsed", &self.elapsed)
             .field("architecture", &self.architecture)
             .field("degraded_to", &self.degraded_to)
+            .field("rel_stats", &self.rel_stats)
             .finish()
     }
 }
@@ -267,6 +274,12 @@ pub struct SessionStats {
     pub runtime_retries: u64,
     /// Kernel panics caught and converted to typed errors.
     pub kernel_panics: u64,
+    /// Weight relations chunked into the buffer pool: one per layer that
+    /// has ever executed relation-centrically in this session.
+    pub weight_relation_builds: u64,
+    /// Relation-centric layer executions that joined against an already
+    /// built weight relation instead of chunking the weights again.
+    pub weight_relation_reuses: u64,
 }
 
 impl SessionStats {
@@ -286,6 +299,8 @@ impl SessionStats {
             ("wire_retries", self.wire_retries),
             ("runtime_retries", self.runtime_retries),
             ("kernel_panics", self.kernel_panics),
+            ("weight_relation_builds", self.weight_relation_builds),
+            ("weight_relation_reuses", self.weight_relation_reuses),
         ]
     }
 }
@@ -333,7 +348,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// An in-process RDBMS session serving deep-learning models.
 pub struct InferenceSession {
     config: SessionConfig,
-    pool: Arc<BufferPool>,
+    /// The buffer pool, and on it the weight relations of the loaded models:
+    /// built on first relation-centric use, kept for the session's lifetime.
+    weights: WeightRelations,
     catalog: Catalog,
     governor: MemoryGovernor,
     coordinator: ThreadCoordinator,
@@ -372,7 +389,7 @@ impl InferenceSession {
             coordinator,
             kernel_pool,
             optimizer: RuleBasedOptimizer::new(config.memory_threshold_bytes),
-            pool,
+            weights: WeightRelations::new(pool, config.block_size),
             catalog: Catalog::new(),
             models: Mutex::new(HashMap::new()),
             tables: Mutex::new(HashMap::new()),
@@ -428,12 +445,14 @@ impl InferenceSession {
             wire_retries: self.counters.wire_retries.load(Ordering::Relaxed),
             runtime_retries: self.counters.runtime_retries.load(Ordering::Relaxed),
             kernel_panics: self.counters.kernel_panics.load(Ordering::Relaxed),
+            weight_relation_builds: self.weights.builds(),
+            weight_relation_reuses: self.weights.reuses(),
         }
     }
 
     /// The buffer pool (inspect spill statistics).
     pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
+        self.weights.pool()
     }
 
     /// The session's persistent kernel thread pool (inspect scheduling
@@ -448,7 +467,7 @@ impl InferenceSession {
         if tables.contains_key(name) {
             return Err(Error::AlreadyExists(name.to_string()));
         }
-        let table = Arc::new(Table::create(self.pool.clone(), name, schema));
+        let table = Arc::new(Table::create(self.pool().clone(), name, schema));
         self.catalog.create(
             name,
             StoredObject {
@@ -585,13 +604,13 @@ impl InferenceSession {
         architecture: &Architecture,
         batch_size: usize,
         ctx: &ExecContext,
-    ) -> Result<(Output, Option<InferencePlan>)> {
+    ) -> Result<(Output, Option<InferencePlan>, TensorOpStats)> {
+        let no_rel = TensorOpStats::default();
         match architecture {
-            Architecture::UdfCentric => Ok((udf_centric::run(model, batch, ctx)?, None)),
+            Architecture::UdfCentric => Ok((udf_centric::run(model, batch, ctx)?, None, no_rel)),
             Architecture::RelationCentric => {
-                let (out, _) =
-                    relation_centric::run(model, batch, &self.pool, self.config.block_size, ctx)?;
-                Ok((out, None))
+                let (out, stats) = relation_centric::run(model, batch, &self.weights, ctx)?;
+                Ok((out, None, stats))
             }
             Architecture::DlCentric(profile) => {
                 let runtime =
@@ -628,17 +647,16 @@ impl InferenceSession {
                 self.counters
                     .runtime_retries
                     .fetch_add(stats.runtime_retries, Ordering::Relaxed);
-                Ok((out, None))
+                Ok((out, None, no_rel))
             }
             Architecture::Pipelined { micro_batch } => {
                 let (out, _) = pipelined::run(model, batch, *micro_batch, ctx)?;
-                Ok((out, None))
+                Ok((out, None, no_rel))
             }
             Architecture::Adaptive => {
                 let plan = self.optimizer.plan(model, batch_size)?;
-                let (out, _) =
-                    hybrid::run(model, batch, &plan, &self.pool, self.config.block_size, ctx)?;
-                Ok((out, Some(plan)))
+                let (out, stats) = hybrid::run(model, batch, &plan, &self.weights, ctx)?;
+                Ok((out, Some(plan), stats.rel_stats))
             }
         }
     }
@@ -689,8 +707,8 @@ impl InferenceSession {
                 message: panic_message(payload.as_ref()),
             }))
         });
-        let (output, plan, degraded_to) = match primary {
-            Ok((out, plan)) => (out, plan, None),
+        let (output, plan, rel_stats, degraded_to) = match primary {
+            Ok((out, plan, rel_stats)) => (out, plan, rel_stats, None),
             Err(err)
                 if self.config.degradation
                     && err.is_degradable()
@@ -702,10 +720,9 @@ impl InferenceSession {
                 // and connectors whose wire is down. The deadline still
                 // applies — a timed-out query must not burn a second pass.
                 ctx.check_deadline("degrade.relation-centric")?;
-                let (out, _) =
-                    relation_centric::run(&model, batch, &self.pool, self.config.block_size, &ctx)?;
+                let (out, rel_stats) = relation_centric::run(&model, batch, &self.weights, &ctx)?;
                 self.counters.degradations.fetch_add(1, Ordering::Relaxed);
-                (out, None, Some("relation-centric"))
+                (out, None, rel_stats, Some("relation-centric"))
             }
             Err(err) => return Err(err),
         };
@@ -715,6 +732,7 @@ impl InferenceSession {
             architecture: label,
             plan,
             degraded_to,
+            rel_stats,
         })
     }
 
@@ -815,7 +833,7 @@ impl std::fmt::Debug for InferenceSession {
             .field("models", &self.models.lock().len())
             .field("tables", &self.tables.lock().len())
             .field("db_budget", &self.config.db_memory_bytes)
-            .field("pool_frames", &self.pool.capacity())
+            .field("pool_frames", &self.pool().capacity())
             .finish()
     }
 }
@@ -1100,7 +1118,7 @@ mod tests {
             .unwrap();
         let stats = session.stats();
         let counters = stats.counters();
-        assert_eq!(counters.len(), 10);
+        assert_eq!(counters.len(), 12);
         let admitted = counters
             .iter()
             .find(|(name, _)| *name == "admitted")
@@ -1108,6 +1126,59 @@ mod tests {
             .1;
         assert_eq!(admitted, stats.admitted);
         assert!(admitted >= 1);
+    }
+
+    /// Pages a relation of `weight` chunked `block` square occupies.
+    fn relation_pages(weight: &Tensor, block: usize) -> u64 {
+        use relserve_relational::TensorTable;
+        use relserve_tensor::BlockingSpec;
+        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::temp().unwrap()), 64));
+        let _w = TensorTable::from_dense(pool.clone(), "w", weight, BlockingSpec::square(block))
+            .unwrap();
+        pool.disk().num_pages()
+    }
+
+    #[test]
+    fn weight_relations_are_built_once_and_the_scratch_file_stops_growing() {
+        let session = fraud_session(0);
+        let model = session.model("Fraud-FC-256").unwrap();
+        let weight_pages: u64 = model
+            .layers()
+            .iter()
+            .map(|layer| match layer {
+                relserve_nn::Layer::Dense { weight, .. } => {
+                    relation_pages(weight, session.config().block_size)
+                }
+                other => panic!("Fraud-FC-256 is a dense stack, found {}", other.kind()),
+            })
+            .sum();
+        let batch = Tensor::from_fn([48, 28], |i| (i % 11) as f32 * 0.1 - 0.5);
+        let query = || {
+            let outcome = session
+                .infer_batch("Fraud-FC-256", &batch, Architecture::RelationCentric)
+                .unwrap();
+            assert!(outcome.rel_stats.bytes_written > 0);
+            outcome.predictions().unwrap()
+        };
+        let first = query();
+        let layers = model.layers().len() as u64;
+        assert_eq!(session.stats().weight_relation_builds, layers);
+        let pages_after_first = session.pool().disk().num_pages();
+        // What the first query allocated beyond the weight relations, which
+        // stay: its temporaries, all dropped by now.
+        let temporaries = pages_after_first - weight_pages;
+        assert!(temporaries > 0);
+        for _ in 0..8 {
+            assert_eq!(query(), first);
+        }
+        let stats = session.stats();
+        assert_eq!(stats.weight_relation_builds, layers);
+        assert_eq!(stats.weight_relation_reuses, 8 * layers);
+        let growth = session.pool().disk().num_pages() - pages_after_first;
+        assert!(
+            growth <= temporaries,
+            "scratch file grew {growth} pages over 8 warm queries; one query's temporaries are {temporaries}"
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! thresholds.
 
 use proptest::prelude::*;
+use relserve_core::exec::relation_centric::WeightRelations;
 use relserve_core::exec::{hybrid, pipelined, relation_centric, udf_centric};
-use relserve_core::RuleBasedOptimizer;
+use relserve_core::{Architecture, InferenceSession, RuleBasedOptimizer, SessionConfig};
 use relserve_nn::init::seeded_rng;
+use relserve_nn::quant::quantize_int8;
 use relserve_nn::{Activation, Layer, Model};
 use relserve_runtime::{ExecContext, MemoryGovernor};
 use relserve_storage::{BufferPool, DiskManager};
@@ -35,15 +37,102 @@ fn random_ffnn(features: usize, hiddens: &[usize], classes: usize, seed: u64) ->
         .unwrap()
 }
 
-fn pool(frames: usize) -> Arc<BufferPool> {
-    Arc::new(BufferPool::new(
-        Arc::new(DiskManager::temp().unwrap()),
-        frames,
-    ))
+/// Fresh (empty) weight relations over a scratch pool of `frames` frames.
+fn weights(frames: usize, block: usize) -> WeightRelations {
+    let disk = Arc::new(DiskManager::temp().unwrap());
+    WeightRelations::new(Arc::new(BufferPool::new(disk, frames)), block)
+}
+
+/// A model whose weight relation is a dense `W`, an int8 `W`, or the
+/// rewritten kernel `K` of a pointwise convolution, and its batch width.
+fn cached_relation_model(
+    kind: usize,
+    width: usize,
+    hidden: usize,
+    seed: u64,
+) -> (Model, Vec<usize>) {
+    let ffnn = random_ffnn(width, &[hidden], 3, seed);
+    match kind {
+        0 => (ffnn, vec![width]),
+        1 => (quantize_int8(&ffnn).unwrap().model, vec![width]),
+        _ => {
+            let conv = Layer::conv2d(width, hidden, 1, 1, Activation::Relu, &mut seeded_rng(seed));
+            let model = Model::new("prop-conv", [2, 3, width]).push(conv).unwrap();
+            (model, vec![2, 3, width])
+        }
+    }
+}
+
+/// A session on which `architecture` runs every layer relation-centric:
+/// directly, through the optimizer (a 1-byte operator threshold), or down
+/// the degradation ladder (a database budget no dense layer fits in).
+fn relational_session(
+    path: usize,
+    block: usize,
+    model: &Model,
+) -> (InferenceSession, Architecture) {
+    let config = SessionConfig::builder()
+        .buffer_pool_bytes(2 << 20)
+        .block_size(block)
+        .cores(2)
+        .memory_threshold_bytes(if path == 1 { 1 } else { 1 << 30 })
+        .db_memory_bytes(if path == 2 { 16 } else { 64 << 20 });
+    let session = InferenceSession::open(config.build().unwrap()).unwrap();
+    session.load_model(model.clone()).unwrap();
+    let architecture = match path {
+        0 => Architecture::RelationCentric,
+        1 => Architecture::Adaptive,
+        _ => Architecture::UdfCentric,
+    };
+    (session, architecture)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A query that finds its weight relations already built computes
+    /// exactly what the query that built them did, and what a fresh session
+    /// does: the cache changes when the weights are chunked, never the bits.
+    #[test]
+    fn cached_weight_relation_is_bit_identical_to_a_fresh_one(
+        width in 1usize..14,
+        hidden in 1usize..14,
+        rows_first in 1usize..12,
+        rows_second in 1usize..12,
+        block in 1usize..9,
+        seed in 0u64..1000,
+    ) {
+        for (kind, path) in (0..3).flat_map(|kind| (0..3).map(move |path| (kind, path))) {
+            let (model, row_shape) = cached_relation_model(kind, width, hidden, seed);
+            let batch = |rows: usize| {
+                let mut dims = vec![rows];
+                dims.extend_from_slice(&row_shape);
+                Tensor::from_fn(dims, |i| (((i as u64 * 31 + seed) % 29) as f32 - 14.0) * 0.07)
+            };
+            let (first, second) = (batch(rows_first), batch(rows_second));
+            let (session, architecture) = relational_session(path, block, &model);
+            let query = |session: &InferenceSession, x: &Tensor| {
+                let outcome = session.infer_batch(model.name(), x, architecture.clone()).unwrap();
+                assert_eq!(outcome.degraded_to.is_some(), path == 2, "kind {kind} path {path}");
+                assert!(outcome.rel_stats.joins > 0, "kind {kind} path {path}");
+                outcome.output.into_dense().unwrap()
+            };
+            let built = query(&session, &first);
+            let layers = model.layers().len() as u64;
+            prop_assert_eq!(session.stats().weight_relation_builds, layers);
+            prop_assert_eq!(session.stats().weight_relation_reuses, 0);
+            let other_batch = query(&session, &second);
+            let again = query(&session, &first);
+            prop_assert_eq!(session.stats().weight_relation_builds, layers);
+            prop_assert_eq!(session.stats().weight_relation_reuses, 2 * layers);
+            prop_assert!(built.data() == again.data(), "kind {kind} path {path}: cached != first");
+            let (fresh, _) = relational_session(path, block, &model);
+            prop_assert!(
+                other_batch.data() == query(&fresh, &second).data(),
+                "kind {kind} path {path}: cached != fresh session"
+            );
+        }
+    }
 
     #[test]
     fn relation_centric_matches_udf(
@@ -60,7 +149,7 @@ proptest! {
             .unwrap()
             .into_dense()
             .unwrap();
-        let (rel, _) = relation_centric::run(&model, &x, &pool(64), block, &ctx(2)).unwrap();
+        let (rel, _) = relation_centric::run(&model, &x, &weights(64, block), &ctx(2)).unwrap();
         let rel = rel.into_dense().unwrap();
         prop_assert!(dense.approx_eq(&rel, 1e-3), "max diff {}", dense.max_abs_diff(&rel).unwrap());
     }
@@ -82,7 +171,7 @@ proptest! {
         let plan = RuleBasedOptimizer::new(1usize << threshold_exp)
             .plan(&model, batch)
             .unwrap();
-        let (out, _) = hybrid::run(&model, &x, &plan, &pool(64), 8, &ctx(1)).unwrap();
+        let (out, _) = hybrid::run(&model, &x, &plan, &weights(64, 8), &ctx(1)).unwrap();
         let out = out.into_dense().unwrap();
         prop_assert!(dense.approx_eq(&out, 1e-3));
     }
@@ -118,7 +207,7 @@ proptest! {
             .unwrap()
             .into_dense()
             .unwrap();
-        let (rel, _) = relation_centric::run(&model, &x, &pool(64), 4, &ctx(3)).unwrap();
+        let (rel, _) = relation_centric::run(&model, &x, &weights(64, 4), &ctx(3)).unwrap();
         prop_assert!(dense.approx_eq(&rel.into_dense().unwrap(), 1e-3));
     }
 }

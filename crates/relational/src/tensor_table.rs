@@ -16,20 +16,28 @@
 //! immediately, so the working set is one block-row of partial sums — never
 //! the whole tensor. That is precisely why this path avoids the OOM errors
 //! of Table 3.
+//!
+//! A relation owns its pages: dropping it (or replacing a block) hands them
+//! back to the buffer pool's free list unwritten, so per-query temporaries
+//! cost no file growth and no write-back once they are gone.
 
 use crate::error::{Error, Result};
 use bytes::{Buf, BufMut};
 use relserve_storage::{BlobId, BlobStore, BufferPool};
 use relserve_tensor::parallel::Parallelism;
-use relserve_tensor::quant::{self, QuantizedTensor};
-use relserve_tensor::{BlockCoord, BlockedTensor, BlockingSpec, Tensor};
+use relserve_tensor::quant::{self, QuantizedActivations, QuantizedTensor};
+use relserve_tensor::{BlockCoord, BlockedTensor, BlockingSpec, Tensor, ELEM_BYTES};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Leading magic of an int8 quantized block payload. f32 block payloads
 /// start with the block's row count, which never plausibly reaches this
 /// value, so the two encodings are distinguishable from the first word.
 const QBLOCK_MAGIC: u32 = 0x5138_424B; // "Q8BK"
+
+/// Bytes of an f32 block payload's `[rows u32][cols u32]` header.
+const BLOCK_HEADER: usize = 8;
 
 /// Execution statistics of one relational tensor operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,6 +60,25 @@ impl TensorOpStats {
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
     }
+}
+
+/// Which micro-kernel multiplies one `(activation block, weight block)` pair
+/// of the `A × Bᵀ` block join — the only thing the f32 and the int8 join
+/// differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairKernel {
+    /// f32 blocks through `matmul_bt` (an int8 weight block dequantizes).
+    F32,
+    /// Stored i8 weight blocks through the int8 micro-kernels.
+    Int8,
+}
+
+/// An activation block as its [`PairKernel`] consumes it. The int8 form is
+/// quantized to 7-bit levels **once** and reused across every weight block
+/// sharing its `k` coordinate.
+enum PreparedBlock {
+    F32(Tensor),
+    Int8(QuantizedActivations),
 }
 
 /// A matrix stored as a relation of tensor blocks.
@@ -99,15 +126,28 @@ impl TensorTable {
         Ok(table)
     }
 
-    /// Chunk a dense matrix and store it.
+    /// Chunk a dense matrix and store it, one block at a time: each block's
+    /// payload is encoded straight from the matrix rows it covers, so no
+    /// second copy of the matrix is ever materialized.
     pub fn from_dense(
         pool: Arc<BufferPool>,
         name: impl Into<String>,
         dense: &Tensor,
         spec: BlockingSpec,
     ) -> Result<Self> {
-        let blocked = BlockedTensor::from_dense(dense, spec)?;
-        Self::from_blocked(pool, name, &blocked)
+        let (rows, cols) = dense.shape().as_matrix()?;
+        let mut table = Self::create(pool, name, rows, cols, spec);
+        for rb in 0..spec.row_blocks(rows) {
+            let r0 = rb * spec.block_rows;
+            let r1 = (r0 + spec.block_rows).min(rows);
+            for cb in 0..spec.col_blocks(cols) {
+                let c0 = cb * spec.block_cols;
+                let c1 = (c0 + spec.block_cols).min(cols);
+                let payload = Self::encode_window(dense.data(), cols, r0..r1, c0..c1);
+                table.put_payload(BlockCoord { row: rb, col: cb }, &payload)?;
+            }
+        }
+        Ok(table)
     }
 
     /// Chunk an int8 quantized matrix into quantized block payloads.
@@ -201,33 +241,65 @@ impl TensorTable {
         self.index.keys().copied()
     }
 
-    fn encode_block(block: &Tensor) -> Result<Vec<u8>> {
-        let (r, c) = block.shape().as_matrix()?;
-        let mut buf = Vec::with_capacity(8 + block.num_bytes());
-        buf.put_u32_le(r as u32);
-        buf.put_u32_le(c as u32);
-        for v in block.data() {
-            buf.put_f32_le(*v);
+    /// Serialize the `rows × cols` window of a row-major matrix whose rows
+    /// are `stride` values long: `[rows u32][cols u32][f32 LE × rows·cols]`.
+    fn encode_window(
+        src: &[f32],
+        stride: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> Vec<u8> {
+        let (h, w) = (rows.len(), cols.len());
+        let mut buf = Vec::with_capacity(BLOCK_HEADER + h * w * ELEM_BYTES);
+        buf.put_u32_le(h as u32);
+        buf.put_u32_le(w as u32);
+        buf.resize(BLOCK_HEADER + h * w * ELEM_BYTES, 0);
+        let mut body = buf[BLOCK_HEADER..].chunks_exact_mut(ELEM_BYTES);
+        for r in rows {
+            let row = &src[r * stride + cols.start..r * stride + cols.end];
+            // `row` leads the zip: it runs out first, so no chunk of `body`
+            // is pulled and dropped at a row's end.
+            for (v, dst) in row.iter().zip(&mut body) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
         }
-        Ok(buf)
+        buf
     }
 
-    fn decode_block(mut bytes: &[u8]) -> Result<Tensor> {
-        if bytes.remaining() < 8 {
-            return Err(Error::Codec("block shorter than header".into()));
-        }
-        let r = bytes.get_u32_le() as usize;
-        let c = bytes.get_u32_le() as usize;
-        if bytes.remaining() != r * c * relserve_tensor::ELEM_BYTES {
+    fn encode_block(block: &Tensor) -> Result<Vec<u8>> {
+        let (r, c) = block.shape().as_matrix()?;
+        Ok(Self::encode_window(block.data(), c, 0..r, 0..c))
+    }
+
+    fn decode_f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+        bytes
+            .chunks_exact(ELEM_BYTES)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    /// Decode an f32 block straight out of its pinned pages: the header
+    /// sits in the first chunk, and since header and page size are both
+    /// multiples of four no value straddles two chunks.
+    fn read_f32_block(&self, id: BlobId) -> Result<Tensor> {
+        let len = self.blobs.blob_len(id)?;
+        let mut dims = None;
+        let mut data: Vec<f32> = Vec::with_capacity(len / ELEM_BYTES);
+        self.blobs.read_chunks(id, |mut chunk| {
+            if dims.is_none() {
+                if chunk.remaining() < BLOCK_HEADER {
+                    return Err(Error::Codec("block shorter than header".into()));
+                }
+                dims = Some((chunk.get_u32_le() as usize, chunk.get_u32_le() as usize));
+            }
+            data.extend(Self::decode_f32s(chunk));
+            Ok(())
+        })?;
+        let (r, c) = dims.ok_or_else(|| Error::Codec("block shorter than header".into()))?;
+        let body = len - BLOCK_HEADER;
+        if r.checked_mul(c) != Some(data.len()) || body != data.len() * ELEM_BYTES {
             return Err(Error::Codec(format!(
-                "block body {} B, header implies {} B",
-                bytes.remaining(),
-                r * c * relserve_tensor::ELEM_BYTES
+                "block body {body} B, header implies {r}x{c} values of {ELEM_BYTES} B"
             )));
-        }
-        let mut data = Vec::with_capacity(r * c);
-        for _ in 0..r * c {
-            data.push(bytes.get_f32_le());
         }
         Ok(Tensor::from_vec([r, c], data)?)
     }
@@ -243,11 +315,9 @@ impl TensorTable {
         buf.put_u32_le(r as u32);
         buf.put_u32_le(c as u32);
         for s in block.scales() {
-            buf.put_f32_le(*s);
+            buf.extend_from_slice(&s.to_le_bytes());
         }
-        for q in block.data() {
-            buf.put_i8(*q);
-        }
+        buf.extend(block.data().iter().map(|q| *q as u8));
         buf
     }
 
@@ -259,22 +329,22 @@ impl TensorTable {
         }
         let r = bytes.get_u32_le() as usize;
         let c = bytes.get_u32_le() as usize;
-        if bytes.remaining() != 4 * r + r * c {
+        let expect = r
+            .checked_mul(c)
+            .and_then(|levels| levels.checked_add(r.checked_mul(4)?));
+        if expect != Some(bytes.remaining()) {
             return Err(Error::Codec(format!(
-                "quantized block body {} B, header implies {} B",
+                "quantized block body {} B, header implies {r}x{c} levels plus scales",
                 bytes.remaining(),
-                4 * r + r * c
             )));
         }
-        let mut scales = Vec::with_capacity(r);
-        for _ in 0..r {
-            scales.push(bytes.get_f32_le());
-        }
-        let mut data = Vec::with_capacity(r * c);
-        for _ in 0..r * c {
-            data.push(bytes.get_i8());
-        }
-        Ok(QuantizedTensor::from_parts(r, c, data, scales)?)
+        let (scales, levels) = bytes.split_at(4 * r);
+        Ok(QuantizedTensor::from_parts(
+            r,
+            c,
+            levels.iter().map(|b| *b as i8).collect(),
+            Self::decode_f32s(scales).collect(),
+        )?)
     }
 
     fn payload_is_qblock(mut bytes: &[u8]) -> bool {
@@ -286,24 +356,25 @@ impl TensorTable {
         self.quantized
     }
 
-    /// Insert (or replace) the block at `coord`.
-    pub fn insert_block(&mut self, coord: BlockCoord, block: &Tensor) -> Result<()> {
-        let payload = Self::encode_block(block)?;
-        let id = self.blobs.put(&payload)?;
+    /// Store `payload` as the block at `coord`, releasing any block it
+    /// replaces.
+    fn put_payload(&mut self, coord: BlockCoord, payload: &[u8]) -> Result<()> {
+        let id = self.blobs.put(payload)?;
         if let Some(old) = self.index.insert(coord, id) {
             self.blobs.delete(old)?;
         }
         Ok(())
     }
 
+    /// Insert (or replace) the block at `coord`.
+    pub fn insert_block(&mut self, coord: BlockCoord, block: &Tensor) -> Result<()> {
+        self.put_payload(coord, &Self::encode_block(block)?)
+    }
+
     /// Insert (or replace) an int8 quantized block at `coord`; marks the
     /// relation as quantized.
     pub fn insert_qblock(&mut self, coord: BlockCoord, block: &QuantizedTensor) -> Result<()> {
-        let payload = Self::encode_qblock(block);
-        let id = self.blobs.put(&payload)?;
-        if let Some(old) = self.index.insert(coord, id) {
-            self.blobs.delete(old)?;
-        }
+        self.put_payload(coord, &Self::encode_qblock(block))?;
         self.quantized = true;
         Ok(())
     }
@@ -322,11 +393,15 @@ impl TensorTable {
     /// quantized payload is transparently dequantized so f32 consumers
     /// (`to_dense`, elementwise maps) keep working on quantized relations.
     pub fn get_block(&self, coord: BlockCoord) -> Result<Tensor> {
-        let payload = self.blobs.get(*self.blob_for(coord)?)?;
-        if Self::payload_is_qblock(&payload) {
-            return Ok(Self::decode_qblock(&payload)?.dequantize());
+        let id = *self.blob_for(coord)?;
+        if self.quantized {
+            // A relation marked quantized may still hold f32 blocks.
+            let payload = self.blobs.get(id)?;
+            if Self::payload_is_qblock(&payload) {
+                return Ok(Self::decode_qblock(&payload)?.dequantize());
+            }
         }
-        Self::decode_block(&payload)
+        self.read_f32_block(id)
     }
 
     /// Fetch the int8 quantized block at `coord`; errors if the stored
@@ -433,19 +508,72 @@ impl TensorTable {
         self.matmul_bt_parallel(other, out_name, &Parallelism::serial())
     }
 
-    /// Parallel relation-centric `C = A × Bᵀ`: A's block-rows are split into
-    /// up to `par.threads()` contiguous stripes and the stripes run as
-    /// tasks on the caller's kernel-pool grant. Each worker owns a disjoint
-    /// set of *output* block-rows, so workers only contend on the
-    /// (internally locked) buffer pool for reads and on the output table's
-    /// insert lock when flushing a finished block-row; stats accumulate per
-    /// worker and merge at the end. Peak memory is one block-row of partials
-    /// per worker. With a serial grant this is the serial streaming join.
+    /// Parallel relation-centric `C = A × Bᵀ`, striped over **output
+    /// cells**: the `(a.row_blk, b.row_blk)` grid is cut into up to
+    /// `par.threads()` contiguous runs and the runs execute as tasks on the
+    /// caller's kernel-pool grant, so even a batch of one block-row fans out
+    /// across the weight relation's block-rows. Each worker owns a disjoint
+    /// set of output blocks and walks `k` ascending for each, so every
+    /// output block is accumulated in the same order whatever the thread
+    /// count — results are bit-identical to the serial join. Workers only
+    /// contend on the (internally locked) buffer pool for reads and on the
+    /// output table's insert lock when flushing finished blocks. Peak memory
+    /// is at most one block-row of partials per worker.
+    ///
+    /// The returned stats describe the join's logical work and do not depend
+    /// on the striping: an activation block that two workers both fetch,
+    /// because the cut fell inside its block-row, is counted once.
     pub fn matmul_bt_parallel(
         &self,
         other: &TensorTable,
         out_name: impl Into<String>,
         par: &Parallelism,
+    ) -> Result<(TensorTable, TensorOpStats)> {
+        self.block_join(other, out_name.into(), par, PairKernel::F32)
+    }
+
+    /// Relation-centric **quantized** `C = X × Wᵀ` with `W` stored as int8
+    /// block payloads (see [`TensorTable::from_quantized`]). Single-threaded
+    /// form of [`TensorTable::matmul_bt_quant_parallel`].
+    pub fn matmul_bt_quant(
+        &self,
+        other: &TensorTable,
+        out_name: impl Into<String>,
+    ) -> Result<(TensorTable, TensorOpStats)> {
+        self.matmul_bt_quant_parallel(other, out_name, &Parallelism::serial())
+    }
+
+    /// Parallel relation-centric quantized `C = X × Wᵀ`: the same block join
+    /// as [`TensorTable::matmul_bt_parallel`], but each weight block is
+    /// read as its stored i8 payload (≈4× fewer bytes through the buffer
+    /// pool) and multiplied by the int8 micro-kernels. Each activation block
+    /// is quantized to 7-bit levels **once per worker sweep** and reused
+    /// across every matching weight block; each partial product dequantizes
+    /// into f32 at the kernel epilogue, and the aggregation over the shared
+    /// `k` coordinate stays in f32 — so per-k-block activation scales never
+    /// have to agree across blocks.
+    pub fn matmul_bt_quant_parallel(
+        &self,
+        other: &TensorTable,
+        out_name: impl Into<String>,
+        par: &Parallelism,
+    ) -> Result<(TensorTable, TensorOpStats)> {
+        if !other.quantized {
+            return Err(Error::Plan(format!(
+                "matmul_bt_quant requires an int8 weight relation, but {:?} stores f32 blocks",
+                other.name
+            )));
+        }
+        self.block_join(other, out_name.into(), par, PairKernel::Int8)
+    }
+
+    /// The one parallel `A × Bᵀ` block join behind both public forms.
+    fn block_join(
+        &self,
+        other: &TensorTable,
+        out_name: String,
+        par: &Parallelism,
+        kernel: PairKernel,
     ) -> Result<(TensorTable, TensorOpStats)> {
         if self.cols != other.cols {
             return Err(Error::Tensor(relserve_tensor::Error::ShapeMismatch {
@@ -471,27 +599,17 @@ impl TensorTable {
             other.rows,
             out_spec,
         );
-        // Join index over B: shared k coordinate → B coords carrying it.
-        let mut b_by_col: BTreeMap<usize, Vec<BlockCoord>> = BTreeMap::new();
-        for coord in other.coords() {
-            b_by_col.entry(coord.col).or_default().push(coord);
-        }
-        // A's coords grouped by block-row (index iteration is row-major).
-        let mut row_groups: Vec<(usize, Vec<BlockCoord>)> = Vec::new();
-        for coord in self.coords() {
-            match row_groups.last_mut() {
-                Some((row, group)) if *row == coord.row => group.push(coord),
-                _ => row_groups.push((coord.row, vec![coord])),
-            }
-        }
-        let threads = par.threads().clamp(1, row_groups.len().max(1));
-        let per_stripe = row_groups.len().div_ceil(threads).max(1);
-        let stripes: Vec<&[(usize, Vec<BlockCoord>)]> = row_groups.chunks(per_stripe).collect();
+        // Output cell `i` is block `(i / b_rows, i % b_rows)` of `C`.
+        let cells = self.row_blocks() * other.row_blocks();
+        let threads = par.threads().clamp(1, cells.max(1));
+        let per_stripe = cells.div_ceil(threads).max(1);
+        let stripes = cells.div_ceil(per_stripe);
         let out_lock = Mutex::new(&mut out);
         let results: Vec<Mutex<Option<Result<TensorOpStats>>>> =
-            stripes.iter().map(|_| Mutex::new(None)).collect();
-        par.with_threads(threads).run_stripes(stripes.len(), &|t| {
-            let res = self.matmul_bt_stripe(other, &b_by_col, stripes[t], &out_lock);
+            (0..stripes).map(|_| Mutex::new(None)).collect();
+        par.with_threads(threads).run_stripes(stripes, &|t| {
+            let run = t * per_stripe..((t + 1) * per_stripe).min(cells);
+            let res = self.join_cells(other, run, kernel, &out_lock);
             *results[t].lock().expect("stripe result lock") = Some(res);
         });
         let mut stats = TensorOpStats::default();
@@ -505,45 +623,65 @@ impl TensorTable {
         Ok((out, stats))
     }
 
-    /// One worker's share of the block-row join: compute and flush every
-    /// block-row in `stripe`, returning this worker's stats accumulator.
-    fn matmul_bt_stripe(
+    /// One worker's share of the block join: compute and flush the output
+    /// cells in `run`, returning this worker's stats accumulator. Cells of
+    /// one activation block-row are swept together, so each activation
+    /// block is fetched (and, for int8, quantized) once per sweep.
+    fn join_cells(
         &self,
         other: &TensorTable,
-        b_by_col: &BTreeMap<usize, Vec<BlockCoord>>,
-        stripe: &[(usize, Vec<BlockCoord>)],
+        run: Range<usize>,
+        kernel: PairKernel,
         out: &Mutex<&mut TensorTable>,
     ) -> Result<TensorOpStats> {
         let mut stats = TensorOpStats::default();
-        for (block_row, a_coords) in stripe {
-            let mut partials: BTreeMap<usize, Tensor> = BTreeMap::new();
-            for a_coord in a_coords {
-                let a_block = self.get_block(*a_coord)?;
-                stats.bytes_read += a_block.num_bytes() as u64;
-                let Some(b_coords) = b_by_col.get(&a_coord.col) else {
+        let b_rows = other.row_blocks();
+        let mut cell = run.start;
+        while cell < run.end {
+            let a_row = cell / b_rows;
+            let b_lo = cell % b_rows;
+            let b_hi = (b_lo + (run.end - cell)).min(b_rows);
+            cell += b_hi - b_lo;
+            let mut partials: Vec<Option<Tensor>> = (b_lo..b_hi).map(|_| None).collect();
+            // `k` ascending: the accumulation order of every output block.
+            for k in 0..self.col_blocks() {
+                let a_coord = BlockCoord { row: a_row, col: k };
+                if !self.index.contains_key(&a_coord) {
                     continue;
+                }
+                let a_block = self.get_block(a_coord)?;
+                // Charged to the sweep that starts the block-row, so that the
+                // stats do not depend on where the striping cut it.
+                if b_lo == 0 {
+                    stats.bytes_read += a_block.num_bytes() as u64;
+                }
+                let lhs = match kernel {
+                    PairKernel::F32 => PreparedBlock::F32(a_block),
+                    PairKernel::Int8 => PreparedBlock::Int8(quant::quantize_activations(&a_block)?),
                 };
-                for b_coord in b_coords {
-                    let b_block = other.get_block(*b_coord)?;
-                    stats.bytes_read += b_block.num_bytes() as u64;
-                    let partial = relserve_tensor::matmul::matmul_bt(&a_block, &b_block)?;
+                for (sum, b_row) in partials.iter_mut().zip(b_lo..b_hi) {
+                    let b_coord = BlockCoord { row: b_row, col: k };
+                    if !other.index.contains_key(&b_coord) {
+                        continue;
+                    }
+                    let (partial, weight_bytes) = other.multiply_pair(&lhs, b_coord)?;
+                    stats.bytes_read += weight_bytes;
                     stats.joins += 1;
-                    match partials.get_mut(&b_coord.row) {
+                    match sum {
                         Some(sum) => relserve_tensor::ops::axpy(sum, &partial, 1.0)?,
-                        None => {
-                            partials.insert(b_coord.row, partial);
-                        }
+                        None => *sum = Some(partial),
                     }
                 }
             }
             let mut guard = out.lock().expect("output table lock");
-            for (out_col, block) in partials {
+            for (block, b_row) in partials.into_iter().zip(b_lo..b_hi) {
+                let Some(block) = block else { continue };
                 stats.blocks_out += 1;
                 stats.bytes_written += block.num_bytes() as u64;
                 guard.insert_block(
                     BlockCoord {
-                        row: *block_row,
-                        col: out_col,
+                        row: a_row,
+                        col: b_row,
                     },
                     &block,
                 )?;
@@ -552,144 +690,27 @@ impl TensorTable {
         Ok(stats)
     }
 
-    /// Relation-centric **quantized** `C = X × Wᵀ` with `W` stored as int8
-    /// block payloads (see [`TensorTable::from_quantized`]). Single-threaded
-    /// form of [`TensorTable::matmul_bt_quant_parallel`].
-    pub fn matmul_bt_quant(
-        &self,
-        other: &TensorTable,
-        out_name: impl Into<String>,
-    ) -> Result<(TensorTable, TensorOpStats)> {
-        self.matmul_bt_quant_parallel(other, out_name, &Parallelism::serial())
-    }
-
-    /// Parallel relation-centric quantized `C = X × Wᵀ`: the same block-row
-    /// join as [`TensorTable::matmul_bt_parallel`], but each weight block is
-    /// read as its stored i8 payload (≈4× fewer bytes through the buffer
-    /// pool) and multiplied by the int8 micro-kernels. Each activation block
-    /// is quantized to 7-bit levels **once per block-row sweep** and reused
-    /// across every matching weight block; each partial product dequantizes
-    /// into f32 at the kernel epilogue, and the aggregation over the shared
-    /// `k` coordinate stays in f32 — so per-k-block activation scales never
-    /// have to agree across blocks.
-    pub fn matmul_bt_quant_parallel(
-        &self,
-        other: &TensorTable,
-        out_name: impl Into<String>,
-        par: &Parallelism,
-    ) -> Result<(TensorTable, TensorOpStats)> {
-        if self.cols != other.cols {
-            return Err(Error::Tensor(relserve_tensor::Error::ShapeMismatch {
-                op: "relational matmul_bt_quant",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![other.rows, other.cols],
-            }));
-        }
-        if self.spec.block_cols != other.spec.block_cols {
-            return Err(Error::Plan(format!(
-                "inner blockings differ: {} vs {}",
-                self.spec.block_cols, other.spec.block_cols
-            )));
-        }
-        if !other.quantized {
-            return Err(Error::Plan(format!(
-                "matmul_bt_quant requires an int8 weight relation, but {:?} stores f32 blocks",
-                other.name
-            )));
-        }
-        let out_spec = BlockingSpec {
-            block_rows: self.spec.block_rows,
-            block_cols: other.spec.block_rows,
-        };
-        let mut out = TensorTable::create(
-            self.pool().clone(),
-            out_name,
-            self.rows,
-            other.rows,
-            out_spec,
-        );
-        let mut b_by_col: BTreeMap<usize, Vec<BlockCoord>> = BTreeMap::new();
-        for coord in other.coords() {
-            b_by_col.entry(coord.col).or_default().push(coord);
-        }
-        let mut row_groups: Vec<(usize, Vec<BlockCoord>)> = Vec::new();
-        for coord in self.coords() {
-            match row_groups.last_mut() {
-                Some((row, group)) if *row == coord.row => group.push(coord),
-                _ => row_groups.push((coord.row, vec![coord])),
+    /// `lhs × selfᵀ[coord]` for one weight block of this relation, plus the
+    /// payload bytes the weight block cost to read — for the int8 kernel the
+    /// bytes the i8 payload actually occupies, which is the 4× traffic
+    /// reduction the step-down buys.
+    fn multiply_pair(&self, lhs: &PreparedBlock, coord: BlockCoord) -> Result<(Tensor, u64)> {
+        Ok(match lhs {
+            PreparedBlock::F32(a) => {
+                let b = self.get_block(coord)?;
+                (
+                    relserve_tensor::matmul::matmul_bt(a, &b)?,
+                    b.num_bytes() as u64,
+                )
             }
-        }
-        let threads = par.threads().clamp(1, row_groups.len().max(1));
-        let per_stripe = row_groups.len().div_ceil(threads).max(1);
-        let stripes: Vec<&[(usize, Vec<BlockCoord>)]> = row_groups.chunks(per_stripe).collect();
-        let out_lock = Mutex::new(&mut out);
-        let results: Vec<Mutex<Option<Result<TensorOpStats>>>> =
-            stripes.iter().map(|_| Mutex::new(None)).collect();
-        par.with_threads(threads).run_stripes(stripes.len(), &|t| {
-            let res = self.matmul_bt_quant_stripe(other, &b_by_col, stripes[t], &out_lock);
-            *results[t].lock().expect("stripe result lock") = Some(res);
-        });
-        let mut stats = TensorOpStats::default();
-        for slot in results {
-            let worker_stats = slot
-                .into_inner()
-                .expect("stripe result lock")
-                .expect("stripe task did not run")?;
-            stats.merge(worker_stats);
-        }
-        Ok((out, stats))
-    }
-
-    /// One worker's share of the quantized block-row join.
-    fn matmul_bt_quant_stripe(
-        &self,
-        other: &TensorTable,
-        b_by_col: &BTreeMap<usize, Vec<BlockCoord>>,
-        stripe: &[(usize, Vec<BlockCoord>)],
-        out: &Mutex<&mut TensorTable>,
-    ) -> Result<TensorOpStats> {
-        let mut stats = TensorOpStats::default();
-        for (block_row, a_coords) in stripe {
-            let mut partials: BTreeMap<usize, Tensor> = BTreeMap::new();
-            for a_coord in a_coords {
-                let a_block = self.get_block(*a_coord)?;
-                stats.bytes_read += a_block.num_bytes() as u64;
-                let Some(b_coords) = b_by_col.get(&a_coord.col) else {
-                    continue;
-                };
-                // Quantize this activation block once; every weight block
-                // sharing its k coordinate reuses the levels.
-                let aq = quant::quantize_activations(&a_block)?;
-                for b_coord in b_coords {
-                    let b_block = other.get_qblock(*b_coord)?;
-                    // Count the bytes the i8 payload actually occupies —
-                    // this is the 4× traffic reduction the step-down buys.
-                    stats.bytes_read += b_block.storage_bytes() as u64;
-                    let partial =
-                        quant::qmatmul_prequantized(&aq, &b_block, None, &Parallelism::serial())?;
-                    stats.joins += 1;
-                    match partials.get_mut(&b_coord.row) {
-                        Some(sum) => relserve_tensor::ops::axpy(sum, &partial, 1.0)?,
-                        None => {
-                            partials.insert(b_coord.row, partial);
-                        }
-                    }
-                }
+            PreparedBlock::Int8(aq) => {
+                let b = self.get_qblock(coord)?;
+                (
+                    quant::qmatmul_prequantized(aq, &b, None, &Parallelism::serial())?,
+                    b.storage_bytes() as u64,
+                )
             }
-            let mut guard = out.lock().expect("output table lock");
-            for (out_col, block) in partials {
-                stats.blocks_out += 1;
-                stats.bytes_written += block.num_bytes() as u64;
-                guard.insert_block(
-                    BlockCoord {
-                        row: *block_row,
-                        col: out_col,
-                    },
-                    &block,
-                )?;
-            }
-        }
-        Ok(stats)
+        })
     }
 
     /// Apply `f` to every stored block, producing a new relation (the
@@ -876,28 +897,87 @@ mod tests {
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-3));
     }
 
-    #[test]
-    fn parallel_matmul_bt_matches_serial_any_thread_count() {
-        let x = pattern(13, 10, 12);
-        let w = pattern(9, 10, 13);
-        let p = pool(64);
-        let xt = TensorTable::from_dense(p.clone(), "X", &x, BlockingSpec::square(4)).unwrap();
-        let wt = TensorTable::from_dense(p, "W", &w, BlockingSpec::square(4)).unwrap();
-        let (serial, serial_stats) = xt.matmul_bt(&wt, "C").unwrap();
+    /// The output-cell-striped join against the serial join, f32 or int8:
+    /// bit-identical whatever the thread count, because every output block
+    /// is still accumulated `k` ascending by exactly one worker.
+    fn assert_striped_join_is_bit_identical(x: &Tensor, w: &Tensor, block: usize, int8: bool) {
+        let p = pool(256);
+        let spec = BlockingSpec::square(block);
+        let xt = TensorTable::from_dense(p.clone(), "X", x, spec).unwrap();
+        let wt = if int8 {
+            let q = QuantizedTensor::quantize(w).unwrap();
+            TensorTable::from_quantized(p, "Wq", &q, spec).unwrap()
+        } else {
+            TensorTable::from_dense(p, "W", w, spec).unwrap()
+        };
+        let join = |par: &Parallelism| {
+            if int8 {
+                xt.matmul_bt_quant_parallel(&wt, "C", par).unwrap()
+            } else {
+                xt.matmul_bt_parallel(&wt, "C", par).unwrap()
+            }
+        };
+        let (serial, serial_stats) = join(&Parallelism::serial());
         let expect = serial.to_dense().unwrap();
         for threads in [1, 2, 3, 7, 16] {
             let grant = Parallelism::new(
                 std::sync::Arc::new(relserve_tensor::parallel::SerialRunner),
                 threads,
             );
-            let (c, stats) = xt.matmul_bt_parallel(&wt, "Cp", &grant).unwrap();
-            assert!(
-                c.to_dense().unwrap().approx_eq(&expect, 1e-4),
-                "threads={threads}"
-            );
+            let (c, stats) = join(&grant);
+            let what = format!("int8={int8} threads={threads} x={}", x.shape());
+            assert_eq!(c.to_dense().unwrap().data(), expect.data(), "{what}");
             // Stats describe the same logical work however it is striped.
-            assert_eq!(stats, serial_stats, "threads={threads}");
+            assert_eq!(stats, serial_stats, "{what}");
         }
+    }
+
+    #[test]
+    fn striped_join_matches_serial_any_thread_count() {
+        for int8 in [false, true] {
+            // Ragged edge blocks on every axis.
+            assert_striped_join_is_bit_identical(
+                &pattern(13, 10, 12),
+                &pattern(9, 10, 13),
+                4,
+                int8,
+            );
+            // One activation block-row: all the parallelism is across the
+            // weight relation's block-rows.
+            assert_striped_join_is_bit_identical(
+                &pattern(3, 33, 14),
+                &pattern(29, 33, 15),
+                4,
+                int8,
+            );
+            // Fewer output cells than threads.
+            assert_striped_join_is_bit_identical(&pattern(2, 5, 16), &pattern(3, 5, 17), 8, int8);
+        }
+    }
+
+    #[test]
+    fn one_block_row_fans_out_across_weight_block_rows() {
+        // A batch no taller than a block used to clamp the join to one
+        // stripe; count the tasks the runner is actually handed.
+        struct Counting(std::sync::atomic::AtomicUsize);
+        impl relserve_tensor::parallel::StripeRunner for Counting {
+            fn run_stripes(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+                self.0
+                    .fetch_max(n_tasks, std::sync::atomic::Ordering::Relaxed);
+                (0..n_tasks).for_each(task);
+            }
+            fn max_concurrency(&self) -> usize {
+                8
+            }
+        }
+        let p = pool(64);
+        let spec = BlockingSpec::square(4);
+        let xt = TensorTable::from_dense(p.clone(), "X", &pattern(3, 10, 1), spec).unwrap();
+        let wt = TensorTable::from_dense(p, "W", &pattern(16, 10, 2), spec).unwrap();
+        let runner = std::sync::Arc::new(Counting(Default::default()));
+        xt.matmul_bt_parallel(&wt, "C", &Parallelism::new(runner.clone(), 4))
+            .unwrap();
+        assert_eq!(runner.0.load(std::sync::atomic::Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -913,6 +993,38 @@ mod tests {
         let expect = relserve_tensor::matmul::matmul(&a, &b).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-2));
         assert!(p.stats().evictions > 0);
+    }
+
+    #[test]
+    fn dropped_and_replaced_relations_give_their_pages_back() {
+        let p = pool(8);
+        let t = pattern(40, 40, 3);
+        let spec = BlockingSpec::square(16);
+        let first = TensorTable::from_dense(p.clone(), "t0", &t, spec).unwrap();
+        let pages = p.disk().num_pages();
+        drop(first);
+        // Temporaries of the same shape now live in the freed pages.
+        for i in 0..10 {
+            let mut table = TensorTable::from_dense(p.clone(), format!("t{i}"), &t, spec).unwrap();
+            let coord = BlockCoord { row: 0, col: 0 };
+            table
+                .insert_block(coord, &Tensor::full([16, 16], i as f32))
+                .unwrap();
+            assert_eq!(
+                table.get_block(coord).unwrap(),
+                Tensor::full([16, 16], i as f32)
+            );
+            assert!(
+                table.to_dense().unwrap().slice2(16, 40, 0, 40).unwrap()
+                    == t.slice2(16, 40, 0, 40).unwrap()
+            );
+        }
+        // One spare block: a replacement is written before the old one goes.
+        assert!(
+            p.disk().num_pages() <= pages + 1,
+            "file grew: {pages} -> {}",
+            p.disk().num_pages()
+        );
     }
 
     #[test]
@@ -1003,30 +1115,6 @@ mod tests {
         // total weight traffic strictly below the f32 payload volume.
         let f32_weight_bytes = (w.num_bytes() + 8 * wt.num_blocks()) as u64;
         assert!(stats.bytes_read < x.num_bytes() as u64 + f32_weight_bytes);
-    }
-
-    #[test]
-    fn quantized_join_parallel_matches_serial() {
-        let x = pattern(13, 12, 41);
-        let w = pattern(9, 12, 42);
-        let p = pool(64);
-        let xt = TensorTable::from_dense(p.clone(), "X", &x, BlockingSpec::square(4)).unwrap();
-        let q = QuantizedTensor::quantize(&w).unwrap();
-        let wt = TensorTable::from_quantized(p, "Wq", &q, BlockingSpec::square(4)).unwrap();
-        let (serial, serial_stats) = xt.matmul_bt_quant(&wt, "C").unwrap();
-        let expect = serial.to_dense().unwrap();
-        for threads in [2, 3, 7] {
-            let grant = Parallelism::new(
-                std::sync::Arc::new(relserve_tensor::parallel::SerialRunner),
-                threads,
-            );
-            let (c, stats) = xt.matmul_bt_quant_parallel(&wt, "Cp", &grant).unwrap();
-            assert!(
-                c.to_dense().unwrap().approx_eq(&expect, 1e-4),
-                "threads={threads}"
-            );
-            assert_eq!(stats, serial_stats, "threads={threads}");
-        }
     }
 
     #[test]

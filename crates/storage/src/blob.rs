@@ -87,6 +87,23 @@ impl BlobStore {
 
     /// Read a blob's payload back.
     pub fn get(&self, id: BlobId) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(self.blob_len(id)?);
+        self.read_chunks(id, |chunk| {
+            out.extend_from_slice(chunk);
+            Ok::<(), Error>(())
+        })?;
+        Ok(out)
+    }
+
+    /// Hand a blob's payload to `visit` one page-sized chunk at a time, in
+    /// order, straight out of the pinned pages: every chunk but the last is
+    /// [`PAGE_SIZE`] bytes. Lets a decoder build its result without first
+    /// assembling the payload in a buffer of its own.
+    pub fn read_chunks<E: From<Error>>(
+        &self,
+        id: BlobId,
+        mut visit: impl FnMut(&[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         let meta = {
             let state = self.state.lock();
             state
@@ -95,15 +112,14 @@ impl BlobStore {
                 .cloned()
                 .ok_or(Error::BlobNotFound(id.0))?
         };
-        let mut out = Vec::with_capacity(meta.len);
         let mut remaining = meta.len;
         for pid in &meta.pages {
             let take = remaining.min(PAGE_SIZE);
             let guard = self.pool.fetch(*pid)?;
-            out.extend_from_slice(&guard.read().bytes()[..take]);
+            visit(&guard.read().bytes()[..take])?;
             remaining -= take;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Length of a blob without reading it.
@@ -116,12 +132,34 @@ impl BlobStore {
             .ok_or(Error::BlobNotFound(id.0))
     }
 
-    /// Remove a blob (its pages become dead space; no free-list reclamation).
+    /// Remove a blob and give its pages back to the pool's free list,
+    /// unwritten (a page a reader still pins stays behind as dead space).
+    /// The pages' next owner overwrites them, so the caller must not let a
+    /// delete race a read of the same blob.
     pub fn delete(&self, id: BlobId) -> Result<()> {
-        let mut state = self.state.lock();
-        let meta = state.blobs.remove(&id).ok_or(Error::BlobNotFound(id.0))?;
-        state.bytes_stored -= meta.len as u64;
+        let meta = {
+            let mut state = self.state.lock();
+            let meta = state.blobs.remove(&id).ok_or(Error::BlobNotFound(id.0))?;
+            state.bytes_stored -= meta.len as u64;
+            meta
+        };
+        self.pool.discard_pages(&meta.pages);
         Ok(())
+    }
+}
+
+/// Dropping the store deletes every blob still in it: a temporary relation
+/// returns its pages when it goes out of scope.
+impl Drop for BlobStore {
+    fn drop(&mut self) {
+        let pages: Vec<PageId> = self
+            .state
+            .get_mut()
+            .blobs
+            .drain()
+            .flat_map(|(_, meta)| meta.pages)
+            .collect();
+        self.pool.discard_pages(&pages);
     }
 }
 
@@ -193,6 +231,43 @@ mod tests {
             assert_eq!(&s.get(*id).unwrap(), payload);
         }
         assert!(s.pool().stats().evictions > 0);
+    }
+
+    #[test]
+    fn deleted_and_dropped_blobs_give_their_pages_back() {
+        let s = store(8);
+        let disk = s.pool().disk().clone();
+        let a = s.put(&vec![1u8; 2 * PAGE_SIZE + 5]).unwrap();
+        s.put(&vec![2u8; PAGE_SIZE]).unwrap();
+        assert_eq!(disk.num_pages(), 4);
+        s.delete(a).unwrap();
+        assert_eq!(disk.free_pages(), 3);
+        // A same-sized blob fits in the freed pages: the file does not grow.
+        let b = s.put(&vec![3u8; 2 * PAGE_SIZE + 5]).unwrap();
+        assert_eq!(disk.num_pages(), 4);
+        assert_eq!(s.get(b).unwrap(), vec![3u8; 2 * PAGE_SIZE + 5]);
+        let pool = s.pool().clone();
+        drop(s);
+        assert_eq!(disk.free_pages(), 4);
+        assert_eq!(pool.resident_pages(), 0);
+        assert_eq!(disk.write_count(), 0, "freed dirty pages were written");
+    }
+
+    #[test]
+    fn read_chunks_visits_the_payload_in_page_order() {
+        let s = store(8);
+        let payload: Vec<u8> = (0..PAGE_SIZE * 2 + 9).map(|i| (i % 253) as u8).collect();
+        let id = s.put(&payload).unwrap();
+        let mut lens = Vec::new();
+        let mut seen = Vec::new();
+        s.read_chunks(id, |chunk| {
+            lens.push(chunk.len());
+            seen.extend_from_slice(chunk);
+            Ok::<(), Error>(())
+        })
+        .unwrap();
+        assert_eq!(lens, [PAGE_SIZE, PAGE_SIZE, 9]);
+        assert_eq!(seen, payload);
     }
 
     #[test]

@@ -245,6 +245,30 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Drop `ids` — pages of a deleted relation — without write-back and put
+    /// them on the disk manager's free list. Returns how many were freed. A
+    /// page somebody still pins is skipped and stays allocated as dead
+    /// space: its holder may yet read it, and its id must not be reissued.
+    pub fn discard_pages(&self, ids: &[PageId]) -> usize {
+        let mut inner = self.inner.lock();
+        let PoolInner { frames, order, .. } = &mut *inner;
+        let mut freed = 0;
+        for id in ids {
+            if frames.get(id).is_some_and(|f| f.pin_count > 0) {
+                continue;
+            }
+            frames.remove(id);
+            self.disk.free_page(*id);
+            freed += 1;
+        }
+        if self.policy == EvictionPolicy::Clock {
+            // A freed id may be reissued before the hand next passes its old
+            // entry, which would then alias the new frame.
+            order.retain(|id| frames.contains_key(id));
+        }
+        freed
+    }
+
     fn unpin(&self, id: PageId) {
         let mut inner = self.inner.lock();
         if let Some(frame) = inner.frames.get_mut(&id) {
@@ -374,6 +398,64 @@ mod tests {
         let g2 = p.create_page().unwrap();
         drop(g1);
         drop(g2);
+    }
+
+    #[test]
+    fn discarded_pages_are_never_written_and_their_ids_are_reused() {
+        let p = pool(4);
+        let ids: Vec<PageId> = (0..3)
+            .map(|i| {
+                let g = p.create_page().unwrap();
+                g.write().bytes_mut()[0] = i;
+                g.id()
+            })
+            .collect();
+        assert_eq!(p.discard_pages(&ids), 3);
+        assert_eq!(p.resident_pages(), 0);
+        // The dirty frames are gone, so a flush has nothing of theirs to write.
+        p.flush_all().unwrap();
+        assert_eq!(p.disk().write_count(), 0);
+        let reused: Vec<PageId> = (0..3).map(|_| p.create_page().unwrap().id()).collect();
+        for id in &ids {
+            assert!(reused.contains(id), "{id} was not reused");
+        }
+        assert_eq!(p.disk().num_pages(), 3);
+    }
+
+    #[test]
+    fn discard_frees_spilled_pages_and_skips_pinned_ones() {
+        let p = pool(2);
+        let spilled = p.create_page().unwrap().id();
+        let pinned = p.create_page().unwrap();
+        drop(p.create_page().unwrap()); // evicts `spilled` to disk
+        assert_eq!(p.discard_pages(&[spilled, pinned.id()]), 1);
+        assert_eq!(p.disk().free_pages(), 1);
+        // The pinned page is still there, readable through its guard and by id.
+        pinned.write().bytes_mut()[7] = 9;
+        assert_eq!(p.fetch(pinned.id()).unwrap().read().bytes()[7], 9);
+        assert_eq!(p.create_page().unwrap().id(), spilled);
+    }
+
+    #[test]
+    fn clock_survives_discard_and_reuse() {
+        let p = Arc::new(BufferPool::with_policy(
+            Arc::new(DiskManager::temp().unwrap()),
+            3,
+            EvictionPolicy::Clock,
+        ));
+        for round in 0..20u8 {
+            let ids: Vec<PageId> = (0..3)
+                .map(|_| {
+                    let g = p.create_page().unwrap();
+                    g.write().bytes_mut()[0] = round;
+                    g.id()
+                })
+                .collect();
+            assert_eq!(p.fetch(ids[0]).unwrap().read().bytes()[0], round);
+            assert_eq!(p.discard_pages(&ids[..2]), 2);
+        }
+        assert!(p.inner.lock().order.len() <= p.capacity() + 1);
+        assert!(p.disk().num_pages() <= 3 + 20);
     }
 
     #[test]

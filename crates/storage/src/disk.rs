@@ -11,13 +11,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Allocates and persists pages in a single backing file.
 ///
 /// The disk manager is intentionally dumb: no caching (that is the buffer
-/// pool's job) and no free-list (experiments are append-mostly). It counts
-/// physical reads and writes so benchmarks can report spill traffic.
+/// pool's job). Freed page ids go on a free list and are handed out again
+/// before the file grows, so a workload of short-lived relations runs in a
+/// file of bounded size. It counts physical reads and writes so benchmarks
+/// can report spill traffic.
 #[derive(Debug)]
 pub struct DiskManager {
     file: File,
     path: PathBuf,
     next_page: AtomicU64,
+    /// Ids given back by [`DiskManager::free_page`], reused LIFO.
+    free: Mutex<Vec<PageId>>,
     reads: AtomicU64,
     writes: AtomicU64,
     /// Serializes extension of the file; reads/writes use positioned I/O and
@@ -41,6 +45,7 @@ impl DiskManager {
             file,
             path,
             next_page: AtomicU64::new(len / PAGE_SIZE as u64),
+            free: Mutex::new(Vec::new()),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             grow_lock: Mutex::new(()),
@@ -70,14 +75,31 @@ impl DiskManager {
         &self.path
     }
 
-    /// Allocate a fresh page id (the page exists on disk once first written).
+    /// Allocate a page id: a freed one if any, else a fresh one at the end
+    /// of the file (the page exists on disk once first written). A reused
+    /// id may still hold its previous image on disk; callers overwrite it.
     pub fn allocate_page(&self) -> PageId {
+        if let Some(id) = self.free.lock().pop() {
+            return id;
+        }
         PageId(self.next_page.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Number of pages ever allocated.
+    /// Give `id` back for reuse. The caller must hold no reference to the
+    /// page: its next owner overwrites it.
+    pub fn free_page(&self, id: PageId) {
+        self.free.lock().push(id);
+    }
+
+    /// Number of distinct page ids ever allocated — the file's high-water
+    /// mark in pages; reusing a freed id does not raise it.
     pub fn num_pages(&self) -> u64 {
         self.next_page.load(Ordering::Relaxed)
+    }
+
+    /// Page ids currently on the free list.
+    pub fn free_pages(&self) -> usize {
+        self.free.lock().len()
     }
 
     /// Read a page image from disk.
@@ -157,6 +179,23 @@ mod tests {
         assert_eq!(dm.allocate_page(), PageId(0));
         assert_eq!(dm.allocate_page(), PageId(1));
         assert_eq!(dm.num_pages(), 2);
+    }
+
+    #[test]
+    fn freed_ids_are_reused_before_the_file_grows() {
+        let dm = DiskManager::temp().unwrap();
+        let (a, _b, c) = (dm.allocate_page(), dm.allocate_page(), dm.allocate_page());
+        dm.free_page(a);
+        dm.free_page(c);
+        assert_eq!(dm.free_pages(), 2);
+        let reused = [dm.allocate_page(), dm.allocate_page()];
+        assert!(reused.contains(&a) && reused.contains(&c));
+        assert_eq!(
+            dm.num_pages(),
+            3,
+            "reuse must not raise the high-water mark"
+        );
+        assert_eq!(dm.allocate_page(), PageId(3));
     }
 
     #[test]

@@ -179,3 +179,54 @@ fn dedicated_context_waits_for_full_machine() {
     }
     assert_eq!(coordinator.granted_threads(), 0);
 }
+
+#[test]
+fn racing_first_queries_build_each_weight_relation_once() {
+    // Every thread's first query reaches the session's empty weight-relation
+    // cache at the same moment (the barrier). Exactly one of them may chunk
+    // each layer's weights; the rest must wait for the finished relation —
+    // never join against a half-built one — and all must compute what a
+    // lone caller on a session of its own computes, bit for bit.
+    const RACERS: usize = 6;
+    let mut rng = seeded_rng(92);
+    let model = zoo::fraud_fc_512(&mut rng).unwrap();
+    let layers = model.layers().len() as u64;
+    let x = Tensor::from_fn([40, 28], |i| ((i % 13) as f32 - 6.0) * 0.09);
+
+    let solo = InferenceSession::open(shared_config()).unwrap();
+    solo.load_model(model.clone()).unwrap();
+    let oracle = solo
+        .infer_batch("Fraud-FC-512", &x, Architecture::RelationCentric)
+        .unwrap()
+        .output
+        .into_dense()
+        .unwrap();
+    let forward = model.forward(&x, &Parallelism::serial()).unwrap();
+    assert!(forward.approx_eq(&oracle, 1e-4));
+
+    let session = InferenceSession::open(shared_config()).unwrap();
+    session.load_model(model).unwrap();
+    let barrier = std::sync::Barrier::new(RACERS);
+    let answers: Vec<Tensor> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..RACERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    session
+                        .infer_batch("Fraud-FC-512", &x, Architecture::RelationCentric)
+                        .unwrap()
+                        .output
+                        .into_dense()
+                        .unwrap()
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for answer in &answers {
+        assert_eq!(answer.data(), oracle.data());
+    }
+    let stats = session.stats();
+    assert_eq!(stats.weight_relation_builds, layers);
+    assert_eq!(stats.weight_relation_reuses, (RACERS as u64 - 1) * layers);
+}

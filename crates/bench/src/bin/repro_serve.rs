@@ -105,7 +105,6 @@ fn run_leg(
     let warm_jittered = 6 * cache.min_validations as usize;
     let config = ServeConfig::builder()
         .max_batch_rows(max_batch_rows)
-        .max_batch_delay(Duration::from_millis(2))
         .architecture(architecture())
         .cache(cache)
         .build()
@@ -259,7 +258,6 @@ fn serve_thread_count() -> usize {
 fn connection_scaling_leg(connections: usize, total: usize, clients: usize) -> ScalePoint {
     let config = ServeConfig::builder()
         .max_batch_rows(32)
-        .max_batch_delay(Duration::from_millis(2))
         .architecture(architecture())
         .max_connections(connections + 64)
         .accept_backlog(connections.max(128) as u32)
@@ -347,7 +345,6 @@ struct RecoveryResult {
 fn recovery_leg(total: usize, clients: usize) -> RecoveryResult {
     let config = ServeConfig::builder()
         .max_batch_rows(32)
-        .max_batch_delay(Duration::from_millis(2))
         .architecture(architecture())
         .build()
         .unwrap();
@@ -414,7 +411,6 @@ fn recovery_leg(total: usize, clients: usize) -> RecoveryResult {
             let config = ServeConfig::builder()
                 .bind(addr)
                 .max_batch_rows(32)
-                .max_batch_delay(Duration::from_millis(2))
                 .architecture(architecture())
                 .build()
                 .unwrap();
@@ -515,7 +511,6 @@ fn ladder_leg(
 ) -> LadderLeg {
     let mut builder = ServeConfig::builder()
         .max_batch_rows(32)
-        .max_batch_delay(Duration::from_millis(2))
         .architecture(architecture());
     if with_ladder {
         builder = builder.ladder(
@@ -880,7 +875,7 @@ fn main() {
          \"tolerance_sweep\": [\n{}\n    ]\n  }},\n  \
          \"connection_scaling\": [\n{scaling_json}\n  ],\n  \
          \"pressure_ladder\": {{\n    \
-         \"note\": \"single-core host: clients, pollers and the executor share one core, so absolute latencies are inflated and noisy; compare the two legs relatively\",\n    \
+         \"note\": \"small host (see host_cores): clients, pollers and the executors share its cores, so absolute latencies are inflated and noisy; compare the two legs relatively\",\n    \
          \"model\": \"{LADDER_MODEL}\",\n    \
          \"requests\": {ladder_requests},\n    \"rows_per_request\": {ladder_rows},\n    \
          \"step_rows\": {ladder_step},\n    \

@@ -128,9 +128,7 @@ fn pump(addr: SocketAddr, n: usize) -> (Vec<Vec<u32>>, f64) {
 }
 
 fn serve_config(workers: Option<Vec<SocketAddr>>) -> ServeConfig {
-    let mut builder = ServeConfig::builder()
-        .max_batch_rows(32)
-        .max_batch_delay(Duration::from_millis(2));
+    let mut builder = ServeConfig::builder().max_batch_rows(32);
     if let Some(fleet) = workers {
         builder = builder.workers(fleet);
     }

@@ -1,13 +1,16 @@
 //! Dynamic micro-batcher: coalesces compatible in-flight requests into
 //! fused batches.
 //!
-//! Connection threads [`Batcher::submit`] decoded requests; executor
-//! threads pull a **fused batch** — whole requests of the same
-//! `(model, class, width)` group — once the group reaches
-//! `max_batch_rows` or its oldest member has waited `max_batch_delay`.
-//! The fused batch pays for admission, planning and kernel launch once via
-//! [`InferenceSession::infer_fused`], and each member's predictions are
-//! demultiplexed back to its own connection.
+//! Pollers hand decoded requests to [`Batcher::enqueue`]; executor threads
+//! pull a **fused batch** — whole requests of the same
+//! `(model, class, width)` group, up to `max_batch_rows` — the moment they
+//! are free. There is one flush rule and no timer: an idle executor takes
+//! whatever is queued, so a lone request runs alone at once, and batches
+//! form only from what arrived *while every executor was busy* — batch
+//! size rises with load by itself. The fused batch pays for admission,
+//! planning and kernel launch once via [`InferenceSession::infer_fused`],
+//! and each member's predictions are demultiplexed back to its own
+//! connection, one write per connection per batch.
 //!
 //! Three SLA levers act at flush time:
 //!
@@ -22,6 +25,7 @@
 //!    version.
 
 use crate::cache::{Lookup, SemanticCache};
+use crate::conn::Conn;
 use crate::shard::ShardCoordinator;
 use crate::stats::ServeCounters;
 use crate::wire::{self, ErrorCode, Response};
@@ -32,14 +36,14 @@ use relserve_tensor::Tensor;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where a submission's response goes. Connections hand the batcher their
 /// reactor-side write queue; unit tests hand it a channel.
 #[derive(Clone)]
 pub(crate) enum ResponseSink {
     /// A reactor connection's bounded write queue.
-    Conn(Arc<crate::conn::Conn>),
+    Conn(Arc<Conn>),
     /// An in-process collector (tests).
     #[cfg_attr(not(test), allow(dead_code))]
     Channel(mpsc::Sender<Response>),
@@ -60,19 +64,71 @@ impl Responder {
     /// bounded write queue with write interest armed, and a queue that
     /// would overflow its cap severs the connection instead.
     pub fn send(&self, resp: &Response) {
-        self.counters.responses.fetch_add(1, Ordering::Relaxed);
-        match &self.sink {
+        let mut outbox = Outbox::default();
+        outbox.push(self, resp);
+        outbox.flush(&self.counters);
+    }
+}
+
+/// The responses one fused batch owes, encoded into one buffer per
+/// connection so each connection costs one lock and one `write` per batch.
+/// Per connection, frames keep the order they were pushed in.
+#[derive(Default)]
+struct Outbox {
+    per_conn: Vec<ConnFrames>,
+}
+
+struct ConnFrames {
+    conn: Arc<Conn>,
+    buf: Vec<u8>,
+    frames: u64,
+}
+
+impl Outbox {
+    fn push(&mut self, responder: &Responder, resp: &Response) {
+        responder.counters.responses.fetch_add(1, Ordering::Relaxed);
+        match &responder.sink {
             ResponseSink::Conn(conn) => {
-                let sent = match wire::encode_response(resp) {
-                    Ok(payload) => conn.send_frame(&payload),
-                    Err(_) => false,
+                // A batch spans a handful of connections at most: a scan
+                // beats hashing.
+                let slot = match self
+                    .per_conn
+                    .iter()
+                    .position(|c| Arc::ptr_eq(&c.conn, conn))
+                {
+                    Some(slot) => slot,
+                    None => {
+                        self.per_conn.push(ConnFrames {
+                            conn: Arc::clone(conn),
+                            // One small response fits without regrowth.
+                            buf: Vec::with_capacity(64),
+                            frames: 0,
+                        });
+                        self.per_conn.len() - 1
+                    }
                 };
-                if !sent {
-                    self.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+                let frames = &mut self.per_conn[slot];
+                match wire::encode_response_frame_into(&mut frames.buf, resp) {
+                    Ok(()) => frames.frames += 1,
+                    Err(_) => {
+                        responder
+                            .counters
+                            .wire_errors
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
             ResponseSink::Channel(tx) => {
                 let _ = tx.send(resp.clone());
+            }
+        }
+    }
+
+    /// Deliver every connection's frames with one [`Conn::send_frames`].
+    fn flush(self, counters: &ServeCounters) {
+        for ConnFrames { conn, buf, frames } in self.per_conn {
+            if frames > 0 && !conn.send_frames(buf, frames) {
+                counters.wire_errors.fetch_add(frames, Ordering::Relaxed);
             }
         }
     }
@@ -96,14 +152,13 @@ pub(crate) struct Submission {
     pub guess: Option<u32>,
     /// A shadow submission: its response was already served from the
     /// cache, so it executes only to validate — no second response, no
-    /// completion accounting.
+    /// completion accounting, no share of the backlog ledger.
     pub shadow: bool,
 }
 
 /// Batcher tuning; the server builds this from its `ServeConfig`.
 pub(crate) struct BatcherConfig {
     pub max_batch_rows: usize,
-    pub max_batch_delay: Duration,
     pub architecture: Architecture,
     /// Admission policy per class, indexed by [`Priority::rank`].
     pub admission: [AdmissionPolicy; 3],
@@ -113,26 +168,63 @@ pub(crate) struct BatcherConfig {
     pub ladders: HashMap<String, PressureLadder>,
 }
 
-/// Requests of the same model, class and feature width can fuse.
-type GroupKey = (String, usize, usize);
-
+/// Requests of the same model, class and feature width can fuse. A group
+/// exists only while it holds a request, and its model is the model of its
+/// members: no key is allocated per request.
 struct Group {
-    queue: VecDeque<Submission>,
+    rank: usize,
+    width: usize,
+    /// Rows queued, shadows included (they fill a batch like any other).
     rows: usize,
+    queue: VecDeque<Submission>,
+}
+
+impl Group {
+    fn holds(&self, sub: &Submission) -> bool {
+        self.rank == sub.class.rank()
+            && self.width == sub.width
+            && self.queue.front().is_some_and(|f| f.model == sub.model)
+    }
 }
 
 struct State {
-    groups: HashMap<GroupKey, Group>,
-    /// Buffered rows per class, indexed by rank.
+    groups: Vec<Group>,
+    /// Buffered rows per class, indexed by rank; shadows are not counted.
     class_rows: [usize; 3],
+    /// Executors asleep in [`Batcher::next_batch`], the only threads a
+    /// wake can reach.
+    parked: usize,
     shutdown: bool,
     /// Shutdown was entered through the graceful-drain path: arrivals are
     /// refused with the typed `Draining` code instead of `Overloaded`.
     draining: bool,
 }
 
-/// The shared micro-batching core: connection threads submit, executor
-/// threads drain.
+impl State {
+    /// Executors worth waking now: as many as are parked *and* have a
+    /// batch to take. Zero whenever every executor is busy — each looks at
+    /// the queue again before it parks, so no wake is owed.
+    fn wakes_owed(&self, max_batch_rows: usize) -> usize {
+        if self.parked == 0 {
+            return 0;
+        }
+        let batches: usize = self
+            .groups
+            .iter()
+            .map(|g| g.rows.div_ceil(max_batch_rows))
+            .sum();
+        self.parked.min(batches)
+    }
+}
+
+/// Why [`Batcher::enqueue`] turned a submission away.
+enum Refusal {
+    Draining,
+    ShuttingDown,
+    Backlog(usize),
+}
+
+/// The shared micro-batching core: pollers submit, executor threads drain.
 pub(crate) struct Batcher {
     state: Mutex<State>,
     ready: Condvar,
@@ -156,8 +248,9 @@ impl Batcher {
     ) -> Arc<Self> {
         Arc::new(Batcher {
             state: Mutex::new(State {
-                groups: HashMap::new(),
+                groups: Vec::new(),
                 class_rows: [0; 3],
+                parked: 0,
                 shutdown: false,
                 draining: false,
             }),
@@ -170,106 +263,140 @@ impl Batcher {
         })
     }
 
-    /// Buffer one request for coalescing, or shed it immediately when the
-    /// class backlog is over its cap. The semantic cache is probed *first*:
-    /// a hit answers here on the connection thread — no buffering, no
-    /// admission ticket, no kernel — and only a sampled subset of near-hits
-    /// continue into the batcher as shadow work to keep the error bound
-    /// live.
-    pub fn submit(&self, mut sub: Submission) {
-        let rank = sub.class.rank();
-        if let Some(cache) = self.cache.as_deref() {
-            if !sub.shadow {
-                match cache.lookup(&sub.model, sub.class, sub.rows, sub.width, &sub.data) {
-                    Lookup::Hit {
-                        predictions,
-                        near: _,
-                        validate,
-                    } => {
-                        self.counters.per_class[rank]
-                            .completed
-                            .fetch_add(1, Ordering::Relaxed);
-                        sub.responder.send(&Response::Infer {
-                            id: sub.id,
-                            queue_wait_micros: 0,
-                            cached: true,
-                            model_used: sub.model.clone(),
-                            degraded_to: None,
-                            predictions: predictions.clone(),
-                        });
-                        if !validate {
-                            return;
-                        }
-                        // Shadow-execute this hit to validate the cached
-                        // answer; the client already has its response.
-                        sub.shadow = true;
-                        sub.deadline = None;
-                        sub.guess = predictions.first().copied();
-                    }
-                    Lookup::Miss { guess } => sub.guess = guess,
-                    Lookup::Bypass => {}
-                }
-            }
+    /// Probe the semantic cache for one request. A hit answers here on the
+    /// calling (poller) thread — no buffering, no admission ticket, no
+    /// kernel — and only a sampled subset of near-hits come back as shadow
+    /// work to keep the error bound live. Returns what still has to be
+    /// [`enqueue`](Self::enqueue)d.
+    pub fn cache_front(&self, mut sub: Submission) -> Option<Submission> {
+        let Some(cache) = self.cache.as_deref() else {
+            return Some(sub);
+        };
+        if sub.shadow {
+            return Some(sub);
         }
-        {
-            let mut state = self.state.lock().expect("batcher lock poisoned");
-            if state.shutdown {
-                let draining = state.draining;
-                drop(state);
-                if sub.shadow {
-                    return; // the client was already answered
-                }
-                if draining {
-                    self.counters
-                        .drain
-                        .shed_requests
-                        .fetch_add(1, Ordering::Relaxed);
-                    sub.responder.send(&Response::Error {
-                        id: sub.id,
-                        code: ErrorCode::Draining,
-                        message: "server is draining".into(),
-                    });
-                    return;
-                }
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                self.counters.per_class[rank]
-                    .shed
+        match cache.lookup(&sub.model, sub.class, sub.rows, sub.width, &sub.data) {
+            Lookup::Hit {
+                predictions,
+                near: _,
+                validate,
+            } => {
+                self.counters.per_class[sub.class.rank()]
+                    .completed
                     .fetch_add(1, Ordering::Relaxed);
-                sub.responder.send(&Response::Error {
+                sub.responder.send(&Response::Infer {
                     id: sub.id,
-                    code: ErrorCode::Overloaded,
-                    message: "server is shutting down".into(),
+                    queue_wait_micros: 0,
+                    cached: true,
+                    model_used: sub.model.clone(),
+                    degraded_to: None,
+                    predictions: predictions.clone(),
                 });
-                return;
+                if !validate {
+                    return None;
+                }
+                // Shadow-execute this hit to validate the cached
+                // answer; the client already has its response.
+                sub.shadow = true;
+                sub.deadline = None;
+                sub.guess = predictions.first().copied();
             }
-            if let Some(cap) = self.config.backlog_shed_rows[rank] {
-                if state.class_rows[rank] + sub.rows > cap {
-                    drop(state);
-                    if sub.shadow {
-                        return; // validation is best-effort under pressure
+            Lookup::Miss { guess } => sub.guess = guess,
+            Lookup::Bypass => {}
+        }
+        Some(sub)
+    }
+
+    /// Cache probe, then buffer: what a poller does with a read of one
+    /// request.
+    #[cfg(test)]
+    pub fn submit(&self, sub: Submission) {
+        if let Some(sub) = self.cache_front(sub) {
+            self.enqueue(std::iter::once(sub));
+        }
+    }
+
+    /// Buffer requests for coalescing under one lock acquisition — a poller
+    /// passes every request of one socket read — shedding those whose class
+    /// backlog is over its cap. Wakes only executors that are parked and
+    /// have a batch to take; refusals are answered after the lock drops.
+    pub fn enqueue(&self, subs: impl IntoIterator<Item = Submission>) {
+        let mut refused: Vec<(Submission, Refusal)> = Vec::new();
+        let wakes = {
+            let mut state = self.state.lock().expect("batcher lock poisoned");
+            for sub in subs {
+                let rank = sub.class.rank();
+                if state.shutdown {
+                    let why = if state.draining {
+                        Refusal::Draining
+                    } else {
+                        Refusal::ShuttingDown
+                    };
+                    refused.push((sub, why));
+                    continue;
+                }
+                if let Some(cap) = self.config.backlog_shed_rows[rank] {
+                    if state.class_rows[rank] + sub.rows > cap {
+                        refused.push((sub, Refusal::Backlog(cap)));
+                        continue;
                     }
-                    self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                    self.counters.per_class[rank]
-                        .shed
-                        .fetch_add(1, Ordering::Relaxed);
-                    sub.responder.send(&Response::Error {
-                        id: sub.id,
-                        code: ErrorCode::Overloaded,
-                        message: format!("{} backlog over {cap} buffered rows", sub.class),
-                    });
-                    return;
+                }
+                if !sub.shadow {
+                    state.class_rows[rank] += sub.rows;
+                }
+                match state.groups.iter_mut().find(|g| g.holds(&sub)) {
+                    Some(group) => {
+                        group.rows += sub.rows;
+                        group.queue.push_back(sub);
+                    }
+                    None => state.groups.push(Group {
+                        rank,
+                        width: sub.width,
+                        rows: sub.rows,
+                        queue: VecDeque::from([sub]),
+                    }),
                 }
             }
-            let key = (sub.model.clone(), rank, sub.width);
-            state.class_rows[rank] += sub.rows;
-            let group = state.groups.entry(key).or_insert_with(|| Group {
-                queue: VecDeque::new(),
-                rows: 0,
-            });
-            group.rows += sub.rows;
-            group.queue.push_back(sub);
+            state.wakes_owed(self.config.max_batch_rows)
+        };
+        for _ in 0..wakes {
+            self.ready.notify_one();
         }
-        self.ready.notify_all();
+        for (sub, why) in refused {
+            self.refuse(sub, why);
+        }
+    }
+
+    /// Answer a refused submission. Shadows drop silently: their client
+    /// was already answered, and validation is best-effort under pressure.
+    fn refuse(&self, sub: Submission, why: Refusal) {
+        if sub.shadow {
+            return;
+        }
+        let (code, message) = match why {
+            Refusal::Draining => (ErrorCode::Draining, "server is draining".to_string()),
+            Refusal::ShuttingDown => (ErrorCode::Overloaded, "server is shutting down".to_string()),
+            Refusal::Backlog(cap) => (
+                ErrorCode::Overloaded,
+                format!("{} backlog over {cap} buffered rows", sub.class),
+            ),
+        };
+        if code == ErrorCode::Draining {
+            self.counters
+                .drain
+                .shed_requests
+                .fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.counters.shed.fetch_add(1, Ordering::Relaxed);
+            self.counters.per_class[sub.class.rank()]
+                .shed
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        sub.responder.send(&Response::Error {
+            id: sub.id,
+            code,
+            message,
+        });
     }
 
     /// Wake every executor so it can observe the shutdown flag and drain.
@@ -289,7 +416,7 @@ impl Batcher {
             state.shutdown = true;
             state.draining = true;
             state.class_rows = [0; 3];
-            state.groups.drain().flat_map(|(_, g)| g.queue).collect()
+            state.groups.drain(..).flat_map(|g| g.queue).collect()
         };
         self.ready.notify_all();
         let mut shed = 0u64;
@@ -319,96 +446,55 @@ impl Batcher {
         }
     }
 
-    /// Block until a group is ready (full, aged out, or shutdown), then pop
-    /// whole requests up to `max_batch_rows`. `None` ends the executor.
+    /// The flush rule: a free executor takes the highest-priority, oldest
+    /// non-empty group at once — whole requests up to `max_batch_rows` —
+    /// and parks only when nothing is queued. `None` (shutdown with an
+    /// empty buffer) ends the executor.
     fn next_batch(&self) -> Option<FusedWork> {
         let mut state = self.state.lock().expect("batcher lock poisoned");
         loop {
-            let now = Instant::now();
-            if let Some(key) = self.pick_ready(&state, now) {
-                return Some(self.pop_batch(&mut state, &key));
+            if let Some(idx) = pick_group(&state.groups) {
+                return Some(self.pop_batch(&mut state, idx));
             }
             if state.shutdown {
-                // Drain: any non-empty group is ready once we're stopping.
-                if let Some(key) = self.pick_oldest(&state) {
-                    return Some(self.pop_batch(&mut state, &key));
-                }
                 return None;
             }
-            let wait = self
-                .next_flush_in(&state, now)
-                .unwrap_or(Duration::from_millis(50));
-            let (next, _) = self
-                .ready
-                .wait_timeout(state, wait.max(Duration::from_micros(100)))
-                .expect("batcher lock poisoned");
-            state = next;
+            state.parked += 1;
+            state = self.ready.wait(state).expect("batcher lock poisoned");
+            state.parked -= 1;
         }
-    }
-
-    /// The highest-priority group whose row count or age crossed a flush
-    /// threshold; ties broken by oldest member.
-    fn pick_ready(&self, state: &State, now: Instant) -> Option<GroupKey> {
-        state
-            .groups
-            .iter()
-            .filter(|(_, g)| {
-                let oldest = g.queue.front().map(|s| s.received);
-                g.rows >= self.config.max_batch_rows
-                    || oldest.is_some_and(|t| now.duration_since(t) >= self.config.max_batch_delay)
-            })
-            .min_by_key(|((_, rank, _), g)| (*rank, g.queue.front().map(|s| s.received)))
-            .map(|(key, _)| key.clone())
-    }
-
-    /// Any non-empty group, highest priority / oldest first (drain path).
-    fn pick_oldest(&self, state: &State) -> Option<GroupKey> {
-        state
-            .groups
-            .iter()
-            .filter(|(_, g)| !g.queue.is_empty())
-            .min_by_key(|((_, rank, _), g)| (*rank, g.queue.front().map(|s| s.received)))
-            .map(|(key, _)| key.clone())
-    }
-
-    /// How long until the oldest buffered request ages out.
-    fn next_flush_in(&self, state: &State, now: Instant) -> Option<Duration> {
-        state
-            .groups
-            .values()
-            .filter_map(|g| g.queue.front().map(|s| s.received))
-            .min()
-            .map(|oldest| (oldest + self.config.max_batch_delay).saturating_duration_since(now))
     }
 
     /// Pop whole submissions (at least one) until the fused batch would
     /// exceed `max_batch_rows`, updating the backlog ledgers.
-    fn pop_batch(&self, state: &mut State, key: &GroupKey) -> FusedWork {
+    fn pop_batch(&self, state: &mut State, idx: usize) -> FusedWork {
+        let group = &mut state.groups[idx];
+        let rank = group.rank;
         let mut members = Vec::new();
         let mut rows = 0usize;
-        {
-            let group = state.groups.get_mut(key).expect("picked group exists");
-            while let Some(front) = group.queue.front() {
-                if !members.is_empty() && rows + front.rows > self.config.max_batch_rows {
-                    break;
-                }
-                let sub = group.queue.pop_front().expect("front exists");
-                rows += sub.rows;
-                group.rows -= sub.rows;
-                members.push(sub);
+        let mut ledger_rows = 0usize;
+        while let Some(front) = group.queue.front() {
+            if !members.is_empty() && rows + front.rows > self.config.max_batch_rows {
+                break;
             }
-            if group.queue.is_empty() {
-                state.groups.remove(key);
+            let sub = group.queue.pop_front().expect("front exists");
+            rows += sub.rows;
+            if !sub.shadow {
+                ledger_rows += sub.rows;
             }
+            members.push(sub);
         }
-        state.class_rows[key.1] -= rows;
+        group.rows -= rows;
+        if group.queue.is_empty() {
+            state.groups.swap_remove(idx);
+        }
+        state.class_rows[rank] -= ledger_rows;
         FusedWork {
-            model: key.0.clone(),
-            rank: key.1,
+            rank,
             members,
             // Depth the SLA ladder sees: rows of this class still buffered
             // *after* this batch leaves the queue.
-            backlog_rows: state.class_rows[key.1],
+            backlog_rows: state.class_rows[rank],
         }
     }
 
@@ -439,19 +525,20 @@ impl Batcher {
                 live.push(sub);
             }
         }
-        if live.is_empty() {
+        let Some(first) = live.first() else {
             return;
-        }
+        };
+        let model = first.model.clone();
 
         // SLA step-down: deep remaining backlog for this class sends the
         // whole batch to a cheaper rung of the model's version ladder.
-        let (model_used, stepped_down) = match self.config.ladders.get(&work.model) {
+        let (model_used, stepped_down) = match self.config.ladders.get(&model) {
             Some(ladder) => {
                 let (rung, idx) = ladder.rung_for_depth(work.backlog_rows);
-                self.counters.record_ladder_rung(&work.model, idx);
+                self.counters.record_ladder_rung(&model, idx);
                 (rung.to_string(), idx > 0)
             }
-            None => (work.model.clone(), false),
+            None => (model.clone(), false),
         };
 
         // The fused policy carries the *loosest* member deadline; one
@@ -463,9 +550,11 @@ impl Batcher {
             .collect::<Option<Vec<_>>>()
             .and_then(|ds| ds.into_iter().max());
 
+        // Each request's features move into its part: `infer_fused` makes
+        // the one copy into the fused tensor.
         let parts: Vec<Tensor> = match live
-            .iter()
-            .map(|s| Tensor::from_vec([s.rows, s.width], s.data.clone()))
+            .iter_mut()
+            .map(|s| Tensor::from_vec([s.rows, s.width], std::mem::take(&mut s.data)))
             .collect()
         {
             Ok(parts) => parts,
@@ -497,34 +586,42 @@ impl Batcher {
         };
         match fused {
             Ok(outcome) => {
+                let mut outbox = Outbox::default();
                 for (sub, preds) in live.iter().zip(outcome.per_request.iter()) {
-                    let predictions: Vec<u32> = preds.iter().map(|p| *p as u32).collect();
                     if !sub.shadow {
                         self.counters.per_class[rank]
                             .completed
                             .fetch_add(1, Ordering::Relaxed);
-                        sub.responder.send(&Response::Infer {
-                            id: sub.id,
-                            queue_wait_micros: flush_start.duration_since(sub.received).as_micros()
-                                as u64,
-                            cached: false,
-                            model_used: model_used.clone(),
-                            degraded_to: outcome.degraded_to.map(String::from),
-                            predictions,
-                        });
+                        outbox.push(
+                            &sub.responder,
+                            &Response::Infer {
+                                id: sub.id,
+                                queue_wait_micros: flush_start
+                                    .duration_since(sub.received)
+                                    .as_micros()
+                                    as u64,
+                                cached: false,
+                                model_used: model_used.clone(),
+                                degraded_to: outcome.degraded_to.map(String::from),
+                                predictions: preds.iter().map(|p| *p as u32).collect(),
+                            },
+                        );
                     }
                 }
+                outbox.flush(&self.counters);
                 // Cache maintenance after every client got its response:
                 // only trustworthy outputs — the requested model, no
                 // degraded fallback — validate guesses or populate.
                 if let Some(cache) = self.cache.as_deref() {
                     if !stepped_down && outcome.degraded_to.is_none() {
-                        for (sub, preds) in live.iter().zip(outcome.per_request.iter()) {
+                        for ((sub, part), preds) in
+                            live.iter().zip(&parts).zip(outcome.per_request.iter())
+                        {
                             let exact: Vec<u32> = preds.iter().map(|p| *p as u32).collect();
                             if let (Some(guess), Some(&first)) = (sub.guess, exact.first()) {
                                 cache.record_validation(guess, first);
                             }
-                            cache.admit(&work.model, sub.width, sub.rows, &sub.data, &exact);
+                            cache.admit(&model, sub.width, sub.rows, part.data(), &exact);
                         }
                     }
                 }
@@ -553,18 +650,32 @@ impl Batcher {
     }
 
     fn respond_error(&self, members: &[Submission], code: ErrorCode, message: &str) {
+        let mut outbox = Outbox::default();
         for sub in members.iter().filter(|s| !s.shadow) {
-            sub.responder.send(&Response::Error {
-                id: sub.id,
-                code,
-                message: message.to_string(),
-            });
+            outbox.push(
+                &sub.responder,
+                &Response::Error {
+                    id: sub.id,
+                    code,
+                    message: message.to_string(),
+                },
+            );
         }
+        outbox.flush(&self.counters);
     }
 }
 
+/// The non-empty group an executor takes next: highest priority first,
+/// then the one whose oldest member has waited longest.
+fn pick_group(groups: &[Group]) -> Option<usize> {
+    groups
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, g)| (g.rank, g.queue.front().map(|s| s.received)))
+        .map(|(idx, _)| idx)
+}
+
 struct FusedWork {
-    model: String,
     rank: usize,
     members: Vec<Submission>,
     backlog_rows: usize,
@@ -592,6 +703,13 @@ mod tests {
     use relserve_nn::init::seeded_rng;
     use relserve_nn::zoo;
     use relserve_runtime::TransferProfile;
+    use std::collections::HashSet;
+    use std::thread::JoinHandle;
+    use std::time::Duration;
+
+    /// Bound on every wait below: a lost wake-up fails the test instead of
+    /// hanging it.
+    const HANG: Duration = Duration::from_secs(20);
 
     fn test_session() -> Arc<InferenceSession> {
         let config = SessionConfig::builder()
@@ -612,10 +730,9 @@ mod tests {
         Arc::new(session)
     }
 
-    fn test_config(max_rows: usize, delay: Duration) -> BatcherConfig {
+    fn test_config(max_rows: usize) -> BatcherConfig {
         BatcherConfig {
             max_batch_rows: max_rows,
-            max_batch_delay: delay,
             architecture: Architecture::UdfCentric,
             admission: [
                 AdmissionPolicy::for_class(Priority::Interactive),
@@ -654,12 +771,339 @@ mod tests {
         }
     }
 
+    fn submission_in(
+        class: Priority,
+        id: u64,
+        tx: &mpsc::Sender<Response>,
+        counters: &Arc<ServeCounters>,
+    ) -> Submission {
+        Submission {
+            class,
+            ..submission(id, 1, None, tx, counters)
+        }
+    }
+
+    fn spawn_executors(batcher: &Arc<Batcher>, n: usize) -> Vec<JoinHandle<()>> {
+        (0..n)
+            .map(|_| {
+                let batcher = Arc::clone(batcher);
+                std::thread::spawn(move || batcher.run_executor())
+            })
+            .collect()
+    }
+
+    /// Spin (bounded) until `cond` holds on the batcher's state.
+    fn wait_state(batcher: &Batcher, what: &str, cond: impl Fn(&State) -> bool) {
+        let start = Instant::now();
+        while !cond(&batcher.state.lock().unwrap()) {
+            assert!(start.elapsed() < HANG, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Submit a one-row plug while every core of the session is held, and
+    /// return once the only executor sits inside that batch, blocked on
+    /// admission: whatever is submitted next queues behind a busy executor.
+    fn plug_executor(
+        batcher: &Batcher,
+        counters: &Arc<ServeCounters>,
+        tx: &mpsc::Sender<Response>,
+        id: u64,
+    ) {
+        batcher.submit(submission(id, 1, None, tx, counters));
+        let start = Instant::now();
+        while counters.snapshot().batches == 0 {
+            assert!(start.elapsed() < HANG, "executor never took the plug");
+            std::thread::yield_now();
+        }
+    }
+
+    fn expect_infer(rx: &mpsc::Receiver<Response>) -> u64 {
+        match rx.recv_timeout(HANG).expect("response (lost wake-up?)") {
+            Response::Infer { id, .. } => id,
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lone_request_on_an_idle_executor_runs_alone_at_once() {
+        let counters = Arc::new(ServeCounters::default());
+        let batcher = Batcher::new(
+            test_config(64),
+            Arc::clone(&counters),
+            test_session(),
+            None,
+            None,
+        );
+        let (tx, rx) = mpsc::channel();
+        let runners = spawn_executors(&batcher, 1);
+        for id in 1..=3u64 {
+            // Parked executor, empty queue: nothing but the submit's own
+            // wake can run this request.
+            wait_state(&batcher, "the executor to park", |s| s.parked == 1);
+            batcher.submit(submission(id, 1, None, &tx, &counters));
+            assert_eq!(expect_infer(&rx), id);
+            let snap = counters.snapshot();
+            assert_eq!((snap.batches, snap.fused_rows), (id, id));
+        }
+        batcher.shutdown();
+        for r in runners {
+            r.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn requests_queued_behind_a_busy_executor_fuse_up_to_the_cap() {
+        let session = test_session();
+        let counters = Arc::new(ServeCounters::default());
+        let batcher = Batcher::new(
+            test_config(8),
+            Arc::clone(&counters),
+            Arc::clone(&session),
+            None,
+            None,
+        );
+        let (tx, rx) = mpsc::channel();
+        let runners = spawn_executors(&batcher, 1);
+        let hold = session.coordinator().admit(2).unwrap();
+        plug_executor(&batcher, &counters, &tx, 100);
+        batcher.enqueue((1..=12u64).map(|id| submission(id, 1, None, &tx, &counters)));
+        wait_state(&batcher, "12 buffered rows", |s| s.class_rows[1] == 12);
+        drop(hold);
+        let mut ids: Vec<u64> = (0..13).map(|_| expect_infer(&rx)).collect();
+        // One executor, one channel: responses arrive in execution order,
+        // and within a batch in submission order.
+        assert_eq!(ids.remove(0), 100);
+        assert_eq!(ids, (1..=12).collect::<Vec<u64>>());
+        let snap = counters.snapshot();
+        assert_eq!(snap.batches, 3, "plug, then 12 queued rows as 8 + 4");
+        assert_eq!(snap.fused_rows, 13);
+        assert_eq!(snap.max_batch_rows_seen, 8);
+        batcher.shutdown();
+        for r in runners {
+            r.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn ready_groups_are_taken_in_priority_order() {
+        let session = test_session();
+        let counters = Arc::new(ServeCounters::default());
+        let batcher = Batcher::new(
+            test_config(64),
+            Arc::clone(&counters),
+            Arc::clone(&session),
+            None,
+            None,
+        );
+        let (tx, rx) = mpsc::channel();
+        let runners = spawn_executors(&batcher, 1);
+        let hold = session.coordinator().admit(2).unwrap();
+        plug_executor(&batcher, &counters, &tx, 100);
+        // Oldest first is the lowest class: priority must override age.
+        batcher.submit(submission_in(Priority::Batch, 1, &tx, &counters));
+        batcher.submit(submission_in(Priority::Standard, 2, &tx, &counters));
+        batcher.submit(submission_in(Priority::Interactive, 3, &tx, &counters));
+        batcher.submit(submission_in(Priority::Batch, 4, &tx, &counters));
+        drop(hold);
+        let order: Vec<u64> = (0..5).map(|_| expect_infer(&rx)).collect();
+        assert_eq!(order, [100, 3, 2, 1, 4]);
+        assert_eq!(counters.snapshot().batches, 4, "the two Batch rows fuse");
+        batcher.shutdown();
+        for r in runners {
+            r.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn wakes_are_owed_only_to_parked_executors_with_a_batch_to_take() {
+        let counters = Arc::new(ServeCounters::default());
+        let (tx, _rx) = mpsc::channel();
+        let group = |class: Priority, rows: usize| {
+            let sub = Submission {
+                class,
+                ..submission(1, rows, None, &tx, &counters)
+            };
+            Group {
+                rank: class.rank(),
+                width: sub.width,
+                rows,
+                queue: VecDeque::from([sub]),
+            }
+        };
+        let mut state = State {
+            groups: vec![group(Priority::Standard, 3)],
+            class_rows: [0; 3],
+            parked: 0,
+            shutdown: false,
+            draining: false,
+        };
+        assert_eq!(state.wakes_owed(8), 0, "nobody parked: no wake");
+        state.parked = 2;
+        assert_eq!(state.wakes_owed(8), 1, "one batch: one executor");
+        state.groups.push(group(Priority::Batch, 1));
+        assert_eq!(state.wakes_owed(8), 2);
+        state.groups[0].rows = 20;
+        state.parked = 5;
+        assert_eq!(state.wakes_owed(8), 4, "20 rows are 3 batches, plus 1");
+        state.groups.clear();
+        assert_eq!(state.wakes_owed(8), 0, "nothing queued: no wake");
+    }
+
+    #[test]
+    fn shadow_validations_do_not_count_as_backlog() {
+        let counters = Arc::new(ServeCounters::default());
+        let mut config = test_config(64);
+        config.backlog_shed_rows[Priority::Standard.rank()] = Some(4);
+        let batcher = Batcher::new(config, Arc::clone(&counters), test_session(), None, None);
+        let (tx, rx) = mpsc::channel();
+        batcher.enqueue([Submission {
+            shadow: true,
+            ..submission(1, 4, None, &tx, &counters)
+        }]);
+        // The cap is 4 real rows: 4 shadow rows ahead leave it untouched.
+        batcher.submit(submission(2, 4, None, &tx, &counters));
+        assert_eq!(batcher.state.lock().unwrap().class_rows[1], 4);
+        batcher.submit(submission(3, 1, None, &tx, &counters));
+        match rx.recv_timeout(HANG).unwrap() {
+            Response::Error { id, code, .. } => {
+                assert_eq!((id, code), (3, ErrorCode::Overloaded));
+            }
+            other => panic!("expected shed, got {other:?}"),
+        }
+        // Shadow and request still fuse; the ladder sees no depth behind.
+        let work = batcher.next_batch().unwrap();
+        assert_eq!(work.members.len(), 2);
+        assert_eq!(work.backlog_rows, 0);
+        assert_eq!(batcher.state.lock().unwrap().class_rows, [0; 3]);
+    }
+
+    /// Producers of three shapes against executors that keep parking and
+    /// unparking: every submission is answered exactly once (a lost
+    /// wake-up strands one and trips `HANG`), and a drain racing the last
+    /// wave sheds only what no executor had taken.
+    fn lost_wakeup_stress(executors: usize) {
+        let counters = Arc::new(ServeCounters::default());
+        let batcher = Batcher::new(
+            test_config(16),
+            Arc::clone(&counters),
+            test_session(),
+            None,
+            None,
+        );
+        let runners = spawn_executors(&batcher, executors);
+
+        // Each producer owns an id range and a channel, and returns how
+        // many answers it checked.
+        let ping_pong = {
+            let (batcher, counters) = (Arc::clone(&batcher), Arc::clone(&counters));
+            std::thread::spawn(move || {
+                // One in flight: the executors run dry, and park, after
+                // every answer.
+                let (tx, rx) = mpsc::channel();
+                for id in 1..=300u64 {
+                    batcher.submit(submission(id, 1, None, &tx, &counters));
+                    assert_eq!(expect_infer(&rx), id);
+                }
+                300
+            })
+        };
+        let bursts = {
+            let (batcher, counters) = (Arc::clone(&batcher), Arc::clone(&counters));
+            std::thread::spawn(move || {
+                // A socket read's worth at a time, then wait it out.
+                let (tx, rx) = mpsc::channel();
+                let mut next = 10_000u64;
+                let mut total = 0;
+                for burst in 0..40u64 {
+                    let n = 1 + (burst * 7) % 37;
+                    batcher.enqueue(
+                        (next..next + n).map(|id| submission(id, 1, None, &tx, &counters)),
+                    );
+                    let got: HashSet<u64> = (0..n).map(|_| expect_infer(&rx)).collect();
+                    assert_eq!(got, (next..next + n).collect::<HashSet<u64>>());
+                    next += n;
+                    total += n;
+                }
+                total
+            })
+        };
+        let firehose = {
+            let (batcher, counters) = (Arc::clone(&batcher), Arc::clone(&counters));
+            std::thread::spawn(move || {
+                // Singles without waiting: submits land while executors
+                // are mid-park, mid-wake and mid-batch.
+                let (tx, rx) = mpsc::channel();
+                for id in 20_000..20_400u64 {
+                    batcher.submit(submission(id, 1, None, &tx, &counters));
+                    if id % 8 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                let got: HashSet<u64> = (0..400).map(|_| expect_infer(&rx)).collect();
+                assert_eq!(got, (20_000..20_400).collect::<HashSet<u64>>());
+                400
+            })
+        };
+        let answered: u64 = [ping_pong, bursts, firehose]
+            .into_iter()
+            .map(|p| p.join().unwrap())
+            .sum();
+        assert_eq!(counters.snapshot().fused_rows, answered);
+
+        // Last wave with a drain racing it.
+        let (tx, rx) = mpsc::channel();
+        let wave = {
+            let (batcher, counters) = (Arc::clone(&batcher), Arc::clone(&counters));
+            std::thread::spawn(move || {
+                for id in 30_000..30_200u64 {
+                    batcher.submit(submission(id, 1, None, &tx, &counters));
+                }
+            })
+        };
+        wait_state(&batcher, "the wave to start", |s| !s.groups.is_empty());
+        batcher.drain_shed();
+        wave.join().unwrap();
+        for r in runners {
+            r.join().unwrap();
+        }
+        let (mut served, mut shed) = (HashSet::new(), HashSet::new());
+        for resp in rx.try_iter() {
+            let fresh = match resp {
+                Response::Infer { id, .. } => served.insert(id),
+                Response::Error {
+                    id,
+                    code: ErrorCode::Draining,
+                    ..
+                } => shed.insert(id),
+                other => panic!("unexpected response {other:?}"),
+            };
+            assert!(fresh, "a submission was answered twice");
+        }
+        assert!(served.is_disjoint(&shed));
+        assert_eq!(served.len() + shed.len(), 200);
+        // Shed = never admitted: every row an executor fused was served.
+        let snap = counters.snapshot();
+        assert_eq!(snap.fused_rows, answered + served.len() as u64);
+        assert_eq!(snap.drain.shed_requests, shed.len() as u64);
+    }
+
+    #[test]
+    fn lost_wakeup_stress_one_executor() {
+        lost_wakeup_stress(1);
+    }
+
+    #[test]
+    fn lost_wakeup_stress_two_executors() {
+        lost_wakeup_stress(2);
+    }
+
     #[test]
     fn coalesces_and_demuxes_per_request() {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
         let batcher = Batcher::new(
-            test_config(64, Duration::from_millis(5)),
+            test_config(64),
             Arc::clone(&counters),
             Arc::clone(&session),
             None,
@@ -698,7 +1142,7 @@ mod tests {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
         let batcher = Batcher::new(
-            test_config(64, Duration::from_millis(1)),
+            test_config(64),
             Arc::clone(&counters),
             Arc::clone(&session),
             None,
@@ -739,14 +1183,8 @@ mod tests {
     fn drain_sheds_buffered_with_typed_error() {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
-        // A 10s flush delay pins submissions in the buffer until drain.
-        let batcher = Batcher::new(
-            test_config(64, Duration::from_secs(10)),
-            Arc::clone(&counters),
-            session,
-            None,
-            None,
-        );
+        // No executor runs: submissions stay buffered until the drain.
+        let batcher = Batcher::new(test_config(64), Arc::clone(&counters), session, None, None);
         let (tx, rx) = mpsc::channel();
         batcher.submit(submission(1, 2, None, &tx, &counters));
         batcher.submit(submission(2, 2, None, &tx, &counters));
@@ -774,7 +1212,7 @@ mod tests {
     fn backlog_cap_sheds_at_submit() {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
-        let mut config = test_config(64, Duration::from_secs(10));
+        let mut config = test_config(64);
         config.backlog_shed_rows[Priority::Standard.rank()] = Some(4);
         let batcher = Batcher::new(config, Arc::clone(&counters), session, None, None);
         let (tx, rx) = mpsc::channel();

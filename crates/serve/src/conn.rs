@@ -4,7 +4,7 @@
 //! nonblocking socket plus a bounded outgoing frame queue. The poller
 //! thread that owns the connection reads from the socket and flushes the
 //! queue on write readiness; executor threads (batch demux, cache hits)
-//! enqueue response frames from anywhere via [`Conn::send_frame`] — an
+//! enqueue response frames from anywhere via [`Conn::send_frames`] — an
 //! opportunistic nonblocking write when the queue is empty, otherwise a
 //! park under the connection's `write_buffer_bytes` cap with write
 //! interest armed. No thread ever blocks on a peer's socket.
@@ -236,24 +236,23 @@ impl Conn {
         self.update_interest(&mut q);
     }
 
-    /// Queue one wire frame (length prefix + payload) for this connection.
+    /// Queue `frames` whole wire frames (each length prefix + payload,
+    /// back to back in `buf`) for this connection: every response a fused
+    /// batch owes one connection travels as one buffer, one lock and one
+    /// `write`.
     ///
-    /// Fast path: with an empty queue the frame is written nonblockingly
+    /// Fast path: with an empty queue the buffer is written nonblockingly
     /// right here — the common case for a client that keeps reading. A
-    /// remainder (or any frame behind one) parks under the write cap with
+    /// remainder (or any buffer behind one) parks under the write cap with
     /// write interest armed; overflowing the cap severs the connection.
-    /// Returns false when the frame could not be delivered or parked.
-    pub fn send_frame(&self, payload: &[u8]) -> bool {
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-
+    /// Returns false when the frames could not be delivered or parked.
+    pub fn send_frames(&self, buf: Vec<u8>, frames: u64) -> bool {
         let mut q = self.wq.lock().expect("conn lock poisoned");
         if q.severed {
             self.counters
                 .reactor
                 .dropped_responses
-                .fetch_add(1, Ordering::Relaxed);
+                .fetch_add(frames, Ordering::Relaxed);
             return false;
         }
         if self.inject_write_reset(&mut q) {
@@ -262,14 +261,14 @@ impl Conn {
         let mut off = 0;
         if q.bufs.is_empty() {
             loop {
-                match (&self.sock).write(&frame[off..]) {
+                match (&self.sock).write(&buf[off..]) {
                     Ok(0) => {
                         self.sever_locked(&mut q);
                         return false;
                     }
                     Ok(n) => {
                         off += n;
-                        if off == frame.len() {
+                        if off == buf.len() {
                             return true;
                         }
                     }
@@ -282,7 +281,7 @@ impl Conn {
                 }
             }
         }
-        let remaining = frame.len() - off;
+        let remaining = buf.len() - off;
         if q.parked + remaining > self.write_limit {
             self.counters
                 .reactor
@@ -291,11 +290,13 @@ impl Conn {
             self.sever_locked(&mut q);
             return false;
         }
+        // A partial write only happens into an empty queue, so the buffer
+        // becomes the head and its written prefix is the head offset.
         if off > 0 {
-            frame.drain(..off);
+            q.head_off = off;
         }
         q.parked += remaining;
-        q.bufs.push_back(frame);
+        q.bufs.push_back(buf);
         self.counters
             .reactor
             .parked_bytes
@@ -349,5 +350,105 @@ impl Conn {
         }
         self.update_interest(&mut q);
         Flush::Ok
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{self, Response};
+    use std::net::TcpListener;
+
+    /// A registered server-side `Conn` and the peer's end of its socket.
+    fn pair(write_limit: usize) -> (Conn, TcpStream, Arc<ServeCounters>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, _) = listener.accept().unwrap();
+        sock.set_nonblocking(true).unwrap();
+        let counters = Arc::new(ServeCounters::default());
+        let epoll = Arc::new(Epoll::new().unwrap());
+        let conn = Conn::new(1, sock, epoll, write_limit, Arc::clone(&counters), None);
+        conn.register().unwrap();
+        (conn, peer, counters)
+    }
+
+    /// `n` response frames with ids from `first`, as one batch's buffer.
+    fn batch(first: u64, n: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for id in first..first + n {
+            let resp = Response::Infer {
+                id,
+                queue_wait_micros: 0,
+                cached: false,
+                model_used: "Fraud-FC-256".into(),
+                degraded_to: None,
+                predictions: vec![1],
+            };
+            wire::encode_response_frame_into(&mut buf, &resp).unwrap();
+        }
+        buf
+    }
+
+    #[test]
+    fn coalesced_frames_keep_order_and_ids_across_a_parked_partial_write() {
+        const PER_BATCH: u64 = 4096;
+        let (conn, peer, counters) = pair(256 << 20);
+        // The peer reads nothing: batches fill the socket buffers until one
+        // is cut mid-buffer and its remainder parks.
+        let mut next = 1u64;
+        while conn.parked() == 0 {
+            assert!(conn.send_frames(batch(next, PER_BATCH), PER_BATCH));
+            next += PER_BATCH;
+        }
+        assert!(
+            conn.wq.lock().unwrap().head_off > 0,
+            "the parked batch was written in part"
+        );
+        // Two more park whole behind the remainder.
+        for _ in 0..2 {
+            assert!(conn.send_frames(batch(next, PER_BATCH), PER_BATCH));
+            next += PER_BATCH;
+        }
+        let snap = counters.snapshot();
+        assert_eq!(snap.reactor.response_parks, 3, "one park per batch");
+        assert_eq!(snap.reactor.parked_bytes, conn.parked() as u64);
+
+        let total = next - 1;
+        let reader = std::thread::spawn(move || {
+            let mut peer = std::io::BufReader::new(peer);
+            (1..=total)
+                .map(|_| {
+                    let payload = wire::read_frame(&mut peer).unwrap().expect("frame");
+                    wire::decode_response(&payload).unwrap().id()
+                })
+                .collect::<Vec<u64>>()
+        });
+        // The owning poller's part: flush on writability until drained.
+        while conn.parked() > 0 {
+            assert_eq!(conn.flush(), Flush::Ok);
+            std::thread::yield_now();
+        }
+        let ids = reader.join().unwrap();
+        assert!(
+            ids.iter().copied().eq(1..=total),
+            "every frame once, in order"
+        );
+        assert_eq!(counters.snapshot().reactor.parked_bytes, 0);
+    }
+
+    #[test]
+    fn overflowing_the_write_cap_severs_once_and_drops_later_batches() {
+        let (conn, _peer, counters) = pair(4096);
+        let mut next = 1u64;
+        // A never-reading peer: the cap is crossed after the socket fills.
+        while conn.send_frames(batch(next, 64), 64) {
+            next += 64;
+        }
+        assert!(!conn.send_frames(batch(next, 7), 7));
+        let snap = counters.snapshot();
+        assert_eq!(snap.reactor.overflow_severed, 1);
+        assert_eq!(snap.reactor.dropped_responses, 7, "counted per frame");
+        assert_eq!(snap.reactor.parked_bytes, 0);
+        assert_eq!(conn.flush(), Flush::Closed);
     }
 }

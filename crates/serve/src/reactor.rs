@@ -10,9 +10,11 @@
 //! it needs no locking; the write side is the shared [`Conn`] state
 //! machine.
 //!
-//! Decoded requests feed the existing [`Batcher::submit`] path on the
-//! poller thread; responses come back from executor threads through
-//! [`Conn::send_frame`], which never blocks a poller or an executor on a
+//! Decoded requests pass the cache front on the poller thread, and all
+//! that one socket read produced enter the batcher together
+//! ([`Batcher::enqueue`]: one lock, at most one wake per parked executor);
+//! responses come back from executor threads through
+//! [`Conn::send_frames`], which never blocks a poller or an executor on a
 //! slow peer.
 
 use crate::batcher::{Batcher, Responder, ResponseSink, Submission};
@@ -487,10 +489,8 @@ fn shed_connection(stream: TcpStream, code: ErrorCode, message: String) {
         code,
         message,
     };
-    if let Ok(payload) = wire::encode_response(&resp) {
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    if wire::encode_response_frame_into(&mut frame, &resp).is_ok() {
         let mut off = 0;
         while off < frame.len() {
             match (&stream).write(&frame[off..]) {
@@ -617,10 +617,12 @@ fn read_and_dispatch(entry: &mut Entry, ctx: &Arc<ReactorCtx>) -> ConnFlow {
 /// Decode and dispatch every complete frame in the reassembly buffer,
 /// stopping early when the connection's write queue crosses its
 /// high-water mark (the remaining frames stay buffered until the queue
-/// drains).
+/// drains). Inference requests are answered by the cache front inline or
+/// collected, and the collected ones enter the batcher in one hand-off.
 fn dispatch_frames(entry: &mut Entry, ctx: &Arc<ReactorCtx>) -> ConnFlow {
     let mut consumed = 0;
     let mut flow = ConnFlow::Continue;
+    let mut pending: Vec<Submission> = Vec::new();
     loop {
         let avail = entry.rbuf.len() - consumed;
         if avail < 4 {
@@ -640,7 +642,7 @@ fn dispatch_frames(entry: &mut Entry, ctx: &Arc<ReactorCtx>) -> ConnFlow {
             break;
         }
         let payload = &entry.rbuf[consumed + 4..consumed + 4 + len];
-        let request_flow = handle_request(payload, &entry.conn, ctx);
+        let request_flow = handle_request(payload, &entry.conn, ctx, &mut pending);
         consumed += 4 + len;
         if request_flow == ConnFlow::Close {
             flow = ConnFlow::Close;
@@ -653,12 +655,21 @@ fn dispatch_frames(entry: &mut Entry, ctx: &Arc<ReactorCtx>) -> ConnFlow {
     if consumed > 0 {
         entry.rbuf.drain(..consumed);
     }
+    if !pending.is_empty() {
+        ctx.batcher.enqueue(pending);
+    }
     flow
 }
 
-/// One decoded frame: submit inference, answer stats inline, or fail the
-/// connection on an undecodable payload.
-fn handle_request(payload: &[u8], conn: &Arc<Conn>, ctx: &Arc<ReactorCtx>) -> ConnFlow {
+/// One decoded frame: answer inference from the cache or push it onto
+/// `pending` for the batcher, answer stats inline, or fail the connection
+/// on an undecodable payload.
+fn handle_request(
+    payload: &[u8],
+    conn: &Arc<Conn>,
+    ctx: &Arc<ReactorCtx>,
+    pending: &mut Vec<Submission>,
+) -> ConnFlow {
     let counters = &ctx.counters;
     let responder = Responder {
         sink: ResponseSink::Conn(Arc::clone(conn)),
@@ -673,7 +684,7 @@ fn handle_request(payload: &[u8], conn: &Arc<Conn>, ctx: &Arc<ReactorCtx>) -> Co
                 .fetch_add(1, Ordering::Relaxed);
             let deadline = (req.deadline_micros > 0)
                 .then(|| received + Duration::from_micros(req.deadline_micros));
-            ctx.batcher.submit(Submission {
+            pending.extend(ctx.batcher.cache_front(Submission {
                 id: req.id,
                 class: req.class,
                 deadline,
@@ -685,7 +696,7 @@ fn handle_request(payload: &[u8], conn: &Arc<Conn>, ctx: &Arc<ReactorCtx>) -> Co
                 responder,
                 guess: None,
                 shadow: false,
-            });
+            }));
             ConnFlow::Continue
         }
         Ok(Request::Stats { id }) => {

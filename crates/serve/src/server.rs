@@ -41,10 +41,9 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Address to bind; port 0 picks an ephemeral port.
     pub(crate) bind: SocketAddr,
-    /// Row budget of one fused batch; a group flushes when it reaches it.
+    /// Row budget of one fused batch: the most a free executor takes from
+    /// a group at once.
     pub(crate) max_batch_rows: usize,
-    /// Longest a buffered request waits before its group flushes anyway.
-    pub(crate) max_batch_delay: Duration,
     /// Batch executor threads draining the micro-batcher.
     pub(crate) executors: usize,
     /// Reactor poller threads multiplexing connections.
@@ -85,7 +84,6 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: "127.0.0.1:0".parse().expect("static addr parses"),
             max_batch_rows: 64,
-            max_batch_delay: Duration::from_millis(2),
             executors: 2,
             pollers: 1,
             write_buffer_bytes: 1 << 20,
@@ -136,12 +134,6 @@ impl ServeConfigBuilder {
     /// Row budget of one fused batch.
     pub fn max_batch_rows(mut self, rows: usize) -> Self {
         self.config.max_batch_rows = rows;
-        self
-    }
-
-    /// Longest a buffered request waits before its group flushes anyway.
-    pub fn max_batch_delay(mut self, delay: Duration) -> Self {
-        self.config.max_batch_delay = delay;
         self
     }
 
@@ -346,7 +338,6 @@ impl Server {
         let batcher = Batcher::new(
             BatcherConfig {
                 max_batch_rows: config.max_batch_rows.max(1),
-                max_batch_delay: config.max_batch_delay,
                 architecture: config.architecture,
                 admission: config.admission,
                 backlog_shed_rows: config.backlog_shed_rows,

@@ -499,6 +499,26 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>> {
 /// Encode a response payload (no length prefix).
 pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
+    put_response(&mut buf, resp)?;
+    Ok(buf)
+}
+
+/// Append `resp` to `buf` as one whole frame (length prefix + payload), so
+/// several responses bound for one connection share a buffer and a write.
+/// On error `buf` is left exactly as it was.
+pub fn encode_response_frame_into(buf: &mut Vec<u8>, resp: &Response) -> Result<()> {
+    let start = buf.len();
+    put_u32(buf, 0);
+    if let Err(e) = put_response(buf, resp) {
+        buf.truncate(start);
+        return Err(e);
+    }
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
+}
+
+fn put_response(buf: &mut Vec<u8>, resp: &Response) -> Result<()> {
     match resp {
         Response::Infer {
             id,
@@ -508,29 +528,29 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
             degraded_to,
             predictions,
         } => {
-            put_u64(&mut buf, *id);
+            put_u64(buf, *id);
             buf.push(STATUS_OK_INFER);
-            put_u64(&mut buf, *queue_wait_micros);
+            put_u64(buf, *queue_wait_micros);
             buf.push(u8::from(*cached));
-            put_str(&mut buf, model_used)?;
-            put_str(&mut buf, degraded_to.as_deref().unwrap_or(""))?;
-            put_u32(&mut buf, predictions.len() as u32);
+            put_str(buf, model_used)?;
+            put_str(buf, degraded_to.as_deref().unwrap_or(""))?;
+            put_u32(buf, predictions.len() as u32);
             for p in predictions {
-                put_u32(&mut buf, *p);
+                put_u32(buf, *p);
             }
         }
         Response::Error { id, code, message } => {
-            put_u64(&mut buf, *id);
+            put_u64(buf, *id);
             buf.push(code.as_u8());
-            put_str(&mut buf, message)?;
+            put_str(buf, message)?;
         }
         Response::Stats { id, counters } => {
-            put_u64(&mut buf, *id);
+            put_u64(buf, *id);
             buf.push(STATUS_OK_STATS);
-            put_u32(&mut buf, counters.len() as u32);
+            put_u32(buf, counters.len() as u32);
             for (name, value) in counters {
-                put_str(&mut buf, name)?;
-                put_u64(&mut buf, *value);
+                put_str(buf, name)?;
+                put_u64(buf, *value);
             }
         }
         Response::Health {
@@ -541,18 +561,18 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
             workers_live,
             shards_degraded_local,
         } => {
-            put_u64(&mut buf, *id);
+            put_u64(buf, *id);
             buf.push(STATUS_OK_HEALTH);
             buf.push(state.as_u8());
-            put_u64(&mut buf, *live_connections);
-            put_u64(&mut buf, *stalled_pollers);
-            put_u64(&mut buf, *workers_live);
-            put_u64(&mut buf, *shards_degraded_local);
+            put_u64(buf, *live_connections);
+            put_u64(buf, *stalled_pollers);
+            put_u64(buf, *workers_live);
+            put_u64(buf, *shards_degraded_local);
         }
         Response::ShardAssigned { id, shard_id } => {
-            put_u64(&mut buf, *id);
+            put_u64(buf, *id);
             buf.push(STATUS_OK_SHARD_ASSIGN);
-            put_u32(&mut buf, *shard_id);
+            put_u32(buf, *shard_id);
         }
         Response::Partial {
             id,
@@ -561,12 +581,12 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
             hidden,
             data,
         } => {
-            put_u64(&mut buf, *id);
+            put_u64(buf, *id);
             buf.push(STATUS_OK_PARTIAL);
-            put_u32(&mut buf, *shard_id);
-            put_u32(&mut buf, *rows);
-            put_u32(&mut buf, *hidden);
-            put_matrix(&mut buf, *rows, *hidden, data, "partial")?;
+            put_u32(buf, *shard_id);
+            put_u32(buf, *rows);
+            put_u32(buf, *hidden);
+            put_matrix(buf, *rows, *hidden, data, "partial")?;
         }
         Response::WorkerHealth {
             id,
@@ -574,14 +594,14 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
             shards_assigned,
             shard_execs,
         } => {
-            put_u64(&mut buf, *id);
+            put_u64(buf, *id);
             buf.push(STATUS_OK_WORKER_HEALTH);
             buf.push(state.as_u8());
-            put_u64(&mut buf, *shards_assigned);
-            put_u64(&mut buf, *shard_execs);
+            put_u64(buf, *shards_assigned);
+            put_u64(buf, *shard_execs);
         }
     }
-    Ok(buf)
+    Ok(())
 }
 
 // ---- payload decoding ----------------------------------------------------
@@ -915,6 +935,40 @@ mod tests {
         let health = Request::Health { id: 8 };
         let bytes = encode_request(&health).unwrap();
         assert_eq!(decode_request(&bytes).unwrap(), health);
+    }
+
+    #[test]
+    fn frames_encoded_into_one_buffer_read_back_in_order() {
+        let resps: Vec<Response> = (1..=3u64)
+            .map(|id| Response::Infer {
+                id,
+                queue_wait_micros: id * 10,
+                cached: false,
+                model_used: "Fraud-FC-256".into(),
+                degraded_to: None,
+                predictions: vec![id as u32; id as usize],
+            })
+            .collect();
+        let mut buf = Vec::new();
+        for resp in &resps {
+            encode_response_frame_into(&mut buf, resp).unwrap();
+        }
+        // An unencodable response (message past the u16 string cap) leaves
+        // the frames before it intact.
+        let before = buf.clone();
+        let oversized = Response::Error {
+            id: 4,
+            code: ErrorCode::Internal,
+            message: "x".repeat(u16::MAX as usize + 1),
+        };
+        assert!(encode_response_frame_into(&mut buf, &oversized).is_err());
+        assert_eq!(buf, before);
+        let mut reader = buf.as_slice();
+        for resp in &resps {
+            let payload = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(payload, encode_response(resp).unwrap());
+        }
+        assert!(read_frame(&mut reader).unwrap().is_none());
     }
 
     #[test]

@@ -17,7 +17,6 @@ use relserve_runtime::{Priority, TransferProfile};
 use relserve_serve::wire::Response;
 use relserve_serve::{CacheConfig, CacheTolerance, Client, ServeConfig, Server, ServerHandle};
 use std::sync::Arc;
-use std::time::Duration;
 
 const MODEL: &str = "Fraud-FC-256";
 const WIDTH: usize = 28;
@@ -46,7 +45,6 @@ fn spawn(cache: CacheConfig) -> ServerHandle {
         fraud_session(),
         ServeConfig::builder()
             .max_batch_rows(16)
-            .max_batch_delay(Duration::from_millis(1))
             .cache(cache)
             .build()
             .unwrap(),

@@ -41,6 +41,20 @@ use std::cell::RefCell;
 /// it packing overhead dominates the O(m·k·n) arithmetic.
 const PACK_THRESHOLD: usize = 1 << 13;
 
+/// Minimum `m·k·n` per row stripe before handing stripes to the kernel pool
+/// beats running them here: a hand-off wakes a sleeping worker, which costs
+/// what ~1M multiply-adds cost. Serving-sized multiplies (Fraud-FC at up
+/// to 128 rows) stay on the calling thread; Encoder-FC at 512 rows and
+/// Amazon-14k-FC/64 at 64 rows still get a stripe per granted thread.
+const MIN_STRIPE_WORK: usize = 1 << 20;
+
+/// Row stripes for an `m×k×n` multiply under a grant of `threads`: at most
+/// one per thread and per row, and none smaller than [`MIN_STRIPE_WORK`].
+fn stripe_count(threads: usize, m: usize, k: usize, n: usize) -> usize {
+    let by_work = m.saturating_mul(k).saturating_mul(n) / MIN_STRIPE_WORK;
+    threads.min(m).min(by_work).max(1)
+}
+
 fn matrix_dims(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize, usize)> {
     let (m, k1) = a.shape().as_matrix()?;
     let (k2, n) = b.shape().as_matrix()?;
@@ -253,7 +267,7 @@ fn matmul_packed(
     B_SCRATCH.with(|scratch| {
         let mut bpack = scratch.borrow_mut();
         pack_b(&b, k, n, kern.nr, &mut bpack);
-        let threads = par.threads().clamp(1, m);
+        let threads = stripe_count(par.threads(), m, k, n);
         if threads == 1 {
             tiled_stripe(kern, &a, &bpack, &mut c, 0, m, k, n);
             return;
@@ -498,14 +512,59 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_odd_sizes() {
-        let a = Tensor::from_fn([17, 13], |i| ((i * 31) % 11) as f32 - 5.0);
-        let b = Tensor::from_fn([13, 7], |i| ((i * 17) % 9) as f32 - 4.0);
+        // Big enough for four stripes, ragged on every edge.
+        let a = Tensor::from_fn([131, 129], |i| ((i * 31) % 11) as f32 - 5.0);
+        let b = Tensor::from_fn([129, 257], |i| ((i * 17) % 9) as f32 - 4.0);
         let serial = matmul(&a, &b).unwrap();
         for threads in [1, 2, 3, 8, 64] {
             // An inline runner still exercises the stripe partitioning.
             let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
             let par = matmul_parallel(&a, &b, &grant).unwrap();
             assert!(serial.approx_eq(&par, 1e-4), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn stripes_are_clamped_by_work_not_only_by_rows() {
+        // Fraud-FC-256 at a full serving batch: too small to fan out.
+        assert_eq!(stripe_count(2, 64, 28, 256), 1);
+        assert_eq!(stripe_count(2, 64, 256, 2), 1);
+        assert_eq!(stripe_count(8, 128, 28, 256), 1);
+        // The layers the in-database workloads run stripe as before the
+        // clamp: one stripe per granted thread.
+        for threads in [1, 2, 4, 8] {
+            for (m, k, n) in [
+                (512, 76, 3072),  // Encoder-FC, layer 0 at 512 rows
+                (512, 3072, 768), // Encoder-FC, layer 1
+                (64, 9336, 1024), // Amazon-14k-FC/64, layer 0 at 64 rows
+                (64, 1024, 227),  // Amazon-14k-FC/64, layer 1
+            ] {
+                assert_eq!(stripe_count(threads, m, k, n), threads, "{m}x{k}x{n}");
+            }
+        }
+        assert_eq!(stripe_count(64, 3, 4096, 4096), 3, "never more than rows");
+    }
+
+    #[test]
+    fn striping_never_changes_a_bit() {
+        // A row stripe owns whole output rows and sweeps `k` in the same
+        // block order as the serial kernel, so no element's accumulation
+        // order depends on the stripe count: on either side of the work
+        // clamp the grant changes speed only.
+        for (m, k, n) in [(64, 28, 256), (64, 256, 2), (300, 28, 256), (131, 129, 257)] {
+            let a = Tensor::from_fn([m, k], |i| ((i * 29) % 31) as f32 * 0.125 - 1.5);
+            let w = Tensor::from_fn([n, k], |i| ((i * 37) % 41) as f32 * 0.0625 - 1.0);
+            let serial = matmul_bt(&a, &w).unwrap();
+            for threads in [2, 3, 8] {
+                let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
+                let striped = matmul_bt_parallel(&a, &w, &grant).unwrap();
+                let same = serial
+                    .data()
+                    .iter()
+                    .zip(striped.data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{m}x{k}x{n} under {threads} threads");
+            }
         }
     }
 

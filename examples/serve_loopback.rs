@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let serve = ServeConfig::builder()
         .max_batch_rows(32)
-        .max_batch_delay(Duration::from_millis(3))
         .ladder(
             MODEL,
             PressureLadder::new(vec![MODEL.to_string(), format!("{MODEL}@int8")], 64)?,

@@ -45,13 +45,17 @@ fn bufpool() -> Arc<BufferPool> {
 
 #[test]
 fn pooled_matmul_matches_oracle_across_thread_counts() {
-    // Ragged shapes: nothing divides the 4x8 register tile evenly.
+    // Ragged shapes: nothing divides the 4x8 register tile evenly. Only the
+    // last is big enough for the work clamp to hand stripes to the pool
+    // (four of them); the small ones pin that a pooled grant on a multiply
+    // too small to stripe is still right.
     for &(m, k, n) in &[
         (1, 1, 1),
         (5, 3, 11),
         (13, 17, 19),
         (64, 64, 64),
         (33, 70, 9),
+        (131, 129, 257),
     ] {
         let a = pattern(m, k, 1);
         let b = pattern(k, n, 2);
@@ -97,8 +101,9 @@ fn pooled_relational_matmul_bt_matches_serial_across_thread_counts() {
 fn pool_counters_advance_under_load() {
     let p = pool();
     let before = p.counters();
-    let a = pattern(96, 64, 5);
-    let b = pattern(64, 96, 6);
+    // 2.4 M multiply-adds: enough for the work clamp to cut two stripes.
+    let a = pattern(192, 128, 5);
+    let b = pattern(128, 96, 6);
     let oracle = mm::matmul_naive(&a, &b).unwrap();
     for &t in &THREADS[1..] {
         let got = mm::matmul_parallel(&a, &b, &par(t)).unwrap();

@@ -13,7 +13,7 @@ use relserve_runtime::{
     AdmissionPolicy, FaultConfig, FaultInjector, Priority, RuntimeProfile, TransferProfile,
 };
 use relserve_serve::wire::{self, ErrorCode, Response};
-use relserve_serve::{Client, ServeConfig, Server, ServerHandle};
+use relserve_serve::{Client, ServeConfig, ServeStats, Server, ServerHandle};
 use relserve_tensor::Tensor;
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -58,6 +58,16 @@ fn row(tag: usize, i: usize) -> Vec<f32> {
         .collect()
 }
 
+/// Poll the server's counters until `cond` holds (bounded: a stuck server
+/// fails the test instead of hanging it).
+fn wait_for(server: &ServerHandle, what: &str, cond: impl Fn(&ServeStats) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond(&server.stats()) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn counter(stats: &[(String, u64)], name: &str) -> u64 {
     stats
         .iter()
@@ -74,7 +84,7 @@ fn counter(stats: &[(String, u64)], name: &str) -> u64 {
 fn coalesced_predictions_match_oracle_and_never_cross_connections() {
     let config = ServeConfig::builder()
         .max_batch_rows(16)
-        .max_batch_delay(Duration::from_millis(2))
+        .executors(1)
         .build()
         .unwrap();
     let server = spawn_server(config);
@@ -83,6 +93,10 @@ fn coalesced_predictions_match_oracle_and_never_cross_connections() {
 
     const CLIENTS: usize = 3;
     const PER_CLIENT: usize = 12;
+    // Batches form from what queues while executors are busy: hold every
+    // core so the one executor blocks in admission on whatever it took
+    // first, and the rest must queue behind it.
+    let hold = session.coordinator().admit(CORES).unwrap();
     let workers: Vec<_> = (0..CLIENTS)
         .map(|tag| {
             let session = Arc::clone(&session);
@@ -122,6 +136,10 @@ fn coalesced_predictions_match_oracle_and_never_cross_connections() {
             })
         })
         .collect();
+    wait_for(&server, "every request to be read", |s| {
+        s.requests == (CLIENTS * PER_CLIENT) as u64
+    });
+    drop(hold);
     for w in workers {
         w.join().unwrap();
     }
@@ -143,11 +161,7 @@ fn coalesced_predictions_match_oracle_and_never_cross_connections() {
 #[test]
 fn fused_batches_respect_the_row_bound_for_random_request_sizes() {
     for seed in [3u64, 17, 99] {
-        let config = ServeConfig::builder()
-            .max_batch_rows(16)
-            .max_batch_delay(Duration::from_millis(1))
-            .build()
-            .unwrap();
+        let config = ServeConfig::builder().max_batch_rows(16).build().unwrap();
         let server = spawn_server(config);
         let mut client = Client::connect(server.addr()).unwrap();
 
@@ -200,12 +214,14 @@ fn fused_batches_respect_the_row_bound_for_random_request_sizes() {
 fn interactive_p99_queue_wait_beats_batch_under_mixed_load() {
     let config = ServeConfig::builder()
         .max_batch_rows(8)
-        .max_batch_delay(Duration::from_millis(1))
         .executors(1) // one drain lane => priority picks the order
         .build()
         .unwrap();
     let server = spawn_server(config);
     let addr = server.addr();
+    // Priority orders what is *queued*: hold every core until the whole
+    // load has been read, so it all queues behind the one busy executor.
+    let hold = server.session().coordinator().admit(CORES).unwrap();
 
     const PER_CLIENT: usize = 12;
     let classes = [
@@ -247,6 +263,10 @@ fn interactive_p99_queue_wait_beats_batch_under_mixed_load() {
         })
         .collect();
 
+    wait_for(&server, "the whole load to be read", |s| {
+        s.requests == (classes.len() * PER_CLIENT) as u64
+    });
+    drop(hold);
     let mut by_class: HashMap<Priority, Vec<u64>> = HashMap::new();
     for w in workers {
         let (class, waits) = w.join().unwrap();
@@ -271,16 +291,22 @@ fn interactive_p99_queue_wait_beats_batch_under_mixed_load() {
 /// still succeeds (the stale member never poisons the fused batch).
 #[test]
 fn buffered_deadline_expiry_is_rejected_before_admission() {
-    // A long coalescing window guarantees the tight deadline expires
-    // while the request is still buffered.
+    // Requests buffer only behind busy executors: hold every core so the
+    // single executor blocks in admission on a plug request, and the tight
+    // deadline expires while its request queues behind it.
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(60))
+        .executors(1)
         .max_batch_rows(64)
         .build()
         .unwrap();
     let server = spawn_server(config);
     let mut client = Client::connect(server.addr()).unwrap();
 
+    let hold = server.session().coordinator().admit(CORES).unwrap();
+    let plug = client
+        .send_infer(MODEL, Priority::Standard, None, 1, WIDTH, row(0, 0))
+        .unwrap();
+    wait_for(&server, "the executor to take the plug", |s| s.batches == 1);
     let doomed = client
         .send_infer(
             MODEL,
@@ -294,10 +320,13 @@ fn buffered_deadline_expiry_is_rejected_before_admission() {
     let healthy = client
         .send_infer(MODEL, Priority::Standard, None, 1, WIDTH, row(2, 0))
         .unwrap();
+    wait_for(&server, "both requests to buffer", |s| s.requests == 3);
+    std::thread::sleep(Duration::from_millis(5)); // outlive the 1 ms deadline
+    drop(hold);
 
     let mut rejected = false;
-    let mut completed = false;
-    for _ in 0..2 {
+    let mut completed = Vec::new();
+    for _ in 0..3 {
         match client.recv().unwrap() {
             Response::Error { id, code, .. } => {
                 assert_eq!((id, code), (doomed, ErrorCode::DeadlineExceeded));
@@ -306,17 +335,22 @@ fn buffered_deadline_expiry_is_rejected_before_admission() {
             Response::Infer {
                 id, predictions, ..
             } => {
-                assert_eq!(id, healthy);
                 assert_eq!(predictions.len(), 1);
-                completed = true;
+                completed.push(id);
             }
             other => panic!("unexpected response {other:?}"),
         }
     }
-    assert!(rejected && completed);
+    assert!(rejected);
+    assert_eq!(completed, [plug, healthy]);
 
     let stats = client.stats().unwrap();
-    assert!(counter(&stats, "serve.deadline_rejected") >= 1);
+    assert_eq!(counter(&stats, "serve.deadline_rejected"), 1);
+    assert_eq!(
+        counter(&stats, "serve.batches"),
+        2,
+        "plug, then healthy alone"
+    );
     // Rejection happened at the serve layer, not in the admission queue.
     assert_eq!(counter(&stats, "admission.standard.deadline_expired"), 0);
     server.shutdown();
@@ -333,7 +367,6 @@ fn batch_sheds_while_interactive_completes_under_saturation() {
     let mut batch_policy = AdmissionPolicy::for_class(Priority::Batch);
     batch_policy.queue_timeout = Some(Duration::from_millis(5));
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .executors(2)
         .admission(Priority::Batch, batch_policy)
         .build()
@@ -395,7 +428,6 @@ fn batch_sheds_while_interactive_completes_under_saturation() {
 fn backlog_pressure_steps_down_the_version_ladder() {
     let config = ServeConfig::builder()
         .max_batch_rows(8)
-        .max_batch_delay(Duration::from_millis(1))
         .executors(1)
         .ladder(
             MODEL,
@@ -468,7 +500,6 @@ fn degraded_to_crosses_the_wire_under_injected_faults() {
     let session = session.with_fault_injector(FaultInjector::new(FaultConfig::flaky_wire(7, 1.0)));
 
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .architecture(Architecture::DlCentric(RuntimeProfile::tensorflow_like()))
         .build()
         .unwrap();

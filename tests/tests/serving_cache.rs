@@ -47,7 +47,6 @@ fn spawn_cached(cache: CacheConfig) -> ServerHandle {
         fraud_session(),
         ServeConfig::builder()
             .max_batch_rows(16)
-            .max_batch_delay(Duration::from_millis(1))
             .cache(cache)
             .build()
             .unwrap(),

@@ -114,7 +114,6 @@ fn chaos_soak_yields_typed_outcomes_without_leaks() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
     let fds_before = open_fds();
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .wire_faults(FaultConfig::sock_chaos(0xC4A05, 0.2, 0.2, 0.05, 0.2))
         .build()
         .unwrap();
@@ -179,14 +178,17 @@ proptest! {
         let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
         let fds_before = open_fds();
         let config = ServeConfig::builder()
-            // A long batch window keeps some requests buffered (and thus
-            // sheddable) when the drain lands.
-            .max_batch_delay(Duration::from_millis(30))
+            // One executor and every core held: it blocks in admission on
+            // the first batch it takes, so the requests behind it are
+            // still buffered (and thus sheddable) when the drain lands.
+            .executors(1)
             .wire_faults(FaultConfig::sock_chaos(seed, tear, stall, 0.0, 0.0))
             .drain_deadline(Duration::from_secs(10))
             .build()
             .unwrap();
-        let server = Server::spawn(fraud_session(), config).unwrap();
+        let session = fraud_session();
+        let hold = session.coordinator().admit(2).unwrap();
+        let server = Server::spawn(session, config).unwrap();
         let addr = server.addr();
 
         let mut clients = Vec::new();
@@ -205,7 +207,16 @@ proptest! {
             clients.push((client, ids));
         }
 
-        let report = server.drain_graceful();
+        // Drain from a helper thread, and free the executor only once a
+        // Health probe has seen the drain land.
+        let drainer = std::thread::spawn(move || server.drain_graceful());
+        let probe_deadline = Instant::now() + Duration::from_secs(10);
+        while clients[0].0.health().unwrap().state != HealthState::Draining {
+            prop_assert!(Instant::now() < probe_deadline, "drain never landed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(hold);
+        let report = drainer.join().unwrap();
         prop_assert!(
             report.completed_within_deadline,
             "drain missed a 10s deadline: {report:?}"
@@ -273,7 +284,6 @@ proptest! {
 fn drain_under_load_completes() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .drain_deadline(Duration::from_secs(5))
         .build()
         .unwrap();
@@ -335,7 +345,6 @@ fn reset_during_parked_write_releases_exactly_once() {
         Some(FaultConfig::sock_chaos(0xBADC0DE, 0.0, 0.0, 0.05, 0.0)),
     ] {
         let mut builder = ServeConfig::builder()
-            .max_batch_delay(Duration::from_millis(1))
             // Small cap so the hog's queue crosses its watermarks quickly.
             .write_buffer_bytes(64 << 10);
         if let Some(f) = chaos {
@@ -415,7 +424,6 @@ fn reset_during_parked_write_releases_exactly_once() {
 fn sigterm_routes_to_drain_and_health_reports_it() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .drain_deadline(Duration::from_secs(5))
         .build()
         .unwrap();
@@ -494,10 +502,7 @@ fn sigterm_routes_to_drain_and_health_reports_it() {
 #[test]
 fn resilient_client_replays_across_server_restart() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
-        .build()
-        .unwrap();
+    let config = ServeConfig::builder().build().unwrap();
     let server = Server::spawn(fraud_session(), config.clone()).unwrap();
     let addr = server.addr();
 
@@ -519,11 +524,7 @@ fn resilient_client_replays_across_server_restart() {
     // set SO_REUSEADDR, so the rebind races only lingering accepts).
     server.shutdown();
     let restarted = {
-        let config = ServeConfig::builder()
-            .bind(addr)
-            .max_batch_delay(Duration::from_millis(1))
-            .build()
-            .unwrap();
+        let config = ServeConfig::builder().bind(addr).build().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             match Server::spawn(fraud_session(), config.clone()) {

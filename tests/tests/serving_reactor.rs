@@ -111,7 +111,6 @@ fn soak_idle_connection_fanin_runs_on_o_pollers_threads() {
 
     let threads_before = serve_threads();
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .pollers(2)
         .executors(2)
         .max_connections(target + 16)
@@ -169,10 +168,7 @@ fn soak_idle_connection_fanin_runs_on_o_pollers_threads() {
 #[test]
 fn connection_churn_leaks_neither_fds_nor_table_entries() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
-        .build()
-        .unwrap();
+    let config = ServeConfig::builder().build().unwrap();
     let server = Server::spawn(fraud_session(), config).unwrap();
     let addr = server.addr();
     let fds_before = open_fds();
@@ -255,7 +251,6 @@ fn connection_churn_leaks_neither_fds_nor_table_entries() {
 fn never_reading_client_cannot_block_other_connections() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         // Small cap so the hog's queue crosses its watermarks quickly.
         .write_buffer_bytes(64 << 10)
         .build()
@@ -334,11 +329,7 @@ fn never_reading_client_cannot_block_other_connections() {
 #[test]
 fn slot_exhaustion_sheds_typed_error_at_accept_time() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
-        .max_connections(4)
-        .build()
-        .unwrap();
+    let config = ServeConfig::builder().max_connections(4).build().unwrap();
     let server = Server::spawn(fraud_session(), config).unwrap();
     let addr = server.addr();
 
@@ -390,11 +381,7 @@ fn slot_exhaustion_sheds_typed_error_at_accept_time() {
 #[test]
 fn pipelined_responses_demux_by_id_in_any_wait_order() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ServeConfig::builder()
-        .max_batch_rows(8)
-        .max_batch_delay(Duration::from_millis(1))
-        .build()
-        .unwrap();
+    let config = ServeConfig::builder().max_batch_rows(8).build().unwrap();
     let server = Server::spawn(fraud_session(), config).unwrap();
 
     let mut client = Client::connect(server.addr()).unwrap();

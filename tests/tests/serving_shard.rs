@@ -12,7 +12,6 @@ use relserve_serve::shard::WorkerHandle;
 use relserve_serve::wire::Response;
 use relserve_serve::{Client, HealthState, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Duration;
 
 const MODEL: &str = "Fraud-FC-256";
 const WIDTH: usize = 28;
@@ -82,20 +81,12 @@ fn sharded_frontend_matches_single_process() {
     let sharded = Server::spawn(
         fraud_session(),
         ServeConfig::builder()
-            .max_batch_delay(Duration::from_millis(1))
             .workers(vec![w0.addr(), w1.addr()])
             .build()
             .unwrap(),
     )
     .unwrap();
-    let plain = Server::spawn(
-        fraud_session(),
-        ServeConfig::builder()
-            .max_batch_delay(Duration::from_millis(1))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let plain = Server::spawn(fraud_session(), ServeConfig::builder().build().unwrap()).unwrap();
 
     let n = 24;
     let from_sharded = pump(sharded.addr(), n);
@@ -141,20 +132,12 @@ fn worker_death_mid_stream_loses_no_requests() {
     let sharded = Server::spawn(
         fraud_session(),
         ServeConfig::builder()
-            .max_batch_delay(Duration::from_millis(1))
             .workers(vec![w0.addr(), w1.addr()])
             .build()
             .unwrap(),
     )
     .unwrap();
-    let plain = Server::spawn(
-        fraud_session(),
-        ServeConfig::builder()
-            .max_batch_delay(Duration::from_millis(1))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let plain = Server::spawn(fraud_session(), ServeConfig::builder().build().unwrap()).unwrap();
 
     let mut client = Client::connect(sharded.addr()).unwrap();
     let n = 30;
@@ -218,7 +201,6 @@ fn worker_health_probe_and_frontend_rejection() {
     let sharded = Server::spawn(
         fraud_session(),
         ServeConfig::builder()
-            .max_batch_delay(Duration::from_millis(1))
             .workers(vec![w0.addr()])
             .build()
             .unwrap(),

@@ -394,7 +394,7 @@ pub(crate) fn exec_layer(
             let x = rows_table(flow, weights, &format!("{tag}.x"))?;
             let shape = weight.shape().as_matrix()?;
             let w = weights.get_or_build(model.name(), index, shape, |name| {
-                Ok(TensorTable::from_dense(
+                Ok(TensorTable::from_weights(
                     pool.clone(),
                     name,
                     weight,
@@ -488,7 +488,7 @@ pub(crate) fn exec_layer(
                         .clone()
                         .reshape([spec.out_channels, spec.patch_len()])?
                 };
-                Ok(TensorTable::from_dense(
+                Ok(TensorTable::from_weights(
                     pool.clone(),
                     name,
                     &k_dense,

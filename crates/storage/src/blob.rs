@@ -65,23 +65,30 @@ impl BlobStore {
 
     /// Store `payload`, returning its id.
     pub fn put(&self, payload: &[u8]) -> Result<BlobId> {
-        let mut pages = Vec::with_capacity(payload.len().div_ceil(PAGE_SIZE));
-        for chunk in payload.chunks(PAGE_SIZE) {
+        self.put_with(payload.len(), |at, page| {
+            page.copy_from_slice(&payload[at..at + page.len()])
+        })
+    }
+
+    /// Store a blob of `len` bytes that `fill` writes one page at a time, in
+    /// order, given each piece's offset and the pinned page to write it to
+    /// (every piece but the last is [`PAGE_SIZE`] bytes): an encoder's output
+    /// goes straight into the pages.
+    pub fn put_with(&self, len: usize, mut fill: impl FnMut(usize, &mut [u8])) -> Result<BlobId> {
+        let mut pages = Vec::with_capacity(len.div_ceil(PAGE_SIZE));
+        for at in (0..len).step_by(PAGE_SIZE) {
             let guard = self.pool.create_page()?;
-            guard.write().bytes_mut()[..chunk.len()].copy_from_slice(chunk);
+            fill(
+                at,
+                &mut guard.write().bytes_mut()[..(len - at).min(PAGE_SIZE)],
+            );
             pages.push(guard.id());
         }
         let mut state = self.state.lock();
         let id = BlobId(state.next_id);
         state.next_id += 1;
-        state.bytes_stored += payload.len() as u64;
-        state.blobs.insert(
-            id,
-            BlobMeta {
-                pages,
-                len: payload.len(),
-            },
-        );
+        state.bytes_stored += len as u64;
+        state.blobs.insert(id, BlobMeta { pages, len });
         Ok(id)
     }
 
@@ -104,18 +111,22 @@ impl BlobStore {
         id: BlobId,
         mut visit: impl FnMut(&[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        let meta = {
+        let (meta, scan) = {
             let state = self.state.lock();
-            state
-                .blobs
-                .get(&id)
-                .cloned()
-                .ok_or(Error::BlobNotFound(id.0))?
+            let meta = state.blobs.get(&id).ok_or(Error::BlobNotFound(id.0))?;
+            // A store the pool cannot hold is read start to end again and
+            // again (a weight relation, once per query): see `fetch_scan`.
+            let pool_bytes = (self.pool.capacity() * PAGE_SIZE) as u64;
+            (meta.clone(), state.bytes_stored > pool_bytes)
         };
         let mut remaining = meta.len;
         for pid in &meta.pages {
             let take = remaining.min(PAGE_SIZE);
-            let guard = self.pool.fetch(*pid)?;
+            let guard = if scan {
+                self.pool.fetch_scan(*pid)?
+            } else {
+                self.pool.fetch(*pid)?
+            };
             visit(&guard.read().bytes()[..take])?;
             remaining -= take;
         }

@@ -1,5 +1,5 @@
-//! Buffer pool with pin/unpin guards, dirty write-back, and pluggable
-//! eviction (LRU or Clock).
+//! Buffer pool with pin/unpin guards, dirty write-back, and one replacement
+//! policy: LRU that survives a cyclic scan.
 //!
 //! This is the mechanism that lets relation-centric execution process
 //! tensors far larger than memory (Table 3): block pages that do not fit the
@@ -7,28 +7,24 @@
 //! in bytes, mirroring the paper's "buffer pool set to 20 gigabytes"
 //! configuration knob.
 //!
-//! §5.1 notes that "the buffer pool page replacement policy also needs to be
-//! improved to coordinate the disparate access patterns of the vector data,
-//! the relational data, and various indexes" — the [`EvictionPolicy`] seam
-//! is where such policies plug in; LRU (default) and Clock are provided.
+//! §5.1 asks for a replacement policy that copes with "disparate access
+//! patterns". The one that matters here is a weight relation larger than the
+//! pool, read start to end by every query: under plain LRU each page goes
+//! just before its next use. With [`BufferPool::fetch_scan`] a page such a
+//! read *misses* on is the next victim instead of the last, so the misses
+//! stream through a few frames and the resident part of the relation stays.
+//!
+//! A miss reads its page with the pool's mutex released: the frame is
+//! published first, loading, with the page's write lock held, so misses on
+//! different pages overlap and a second fetch of the same page waits on that
+//! lock instead of reading twice.
 
 use crate::disk::DiskManager;
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId, PAGE_SIZE};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Which page-replacement policy the pool runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-used unpinned page (exact timestamps).
-    #[default]
-    Lru,
-    /// Second-chance clock: cheaper bookkeeping, approximates LRU; behaves
-    /// better under the looping scan patterns tensor-block joins produce.
-    Clock,
-}
 
 /// Running statistics of a buffer pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,44 +42,90 @@ pub struct PoolStats {
 struct Frame {
     page: Arc<RwLock<Page>>,
     pin_count: usize,
-    last_used: u64,
-    /// Clock reference bit: set on access, cleared as the hand sweeps.
-    referenced: bool,
+    /// The unpinned frame of lowest rank is evicted first. A hit, a new page
+    /// and an ordinary miss take the pool's next tick (most recent goes
+    /// last); a scan-mode miss takes its negative (most recent goes first).
+    rank: i64,
+    /// This frame's key in [`PoolInner::order`]. A hit only raises `rank`;
+    /// the next victim search to meet the frame re-files it.
+    filed: i64,
+    /// The fetch that missed on this page is still reading it in, holding
+    /// the page's write lock.
+    loading: bool,
 }
 
 struct PoolInner {
     frames: HashMap<PageId, Frame>,
-    /// Clock-hand order (page ids in insertion order; the hand is an index).
-    order: Vec<PageId>,
-    hand: usize,
-    tick: u64,
+    /// Every frame by `filed` rank: victims come off the low end.
+    order: BTreeMap<i64, PageId>,
+    /// Buffers of evicted and discarded frames, for the next frames.
+    spare: Vec<Vec<u8>>,
+    tick: i64,
     stats: PoolStats,
+}
+
+impl PoolInner {
+    /// Add a frame for `id`, pinned once.
+    fn insert(&mut self, id: PageId, page: Arc<RwLock<Page>>, rank: i64, loading: bool) {
+        let frame = Frame {
+            page,
+            pin_count: 1,
+            rank,
+            filed: rank,
+            loading,
+        };
+        self.frames.insert(id, frame);
+        self.order.insert(rank, id);
+    }
+
+    /// Take `id`'s frame out, keeping its buffer if nobody else holds it.
+    fn remove(&mut self, id: PageId) {
+        let Some(frame) = self.frames.remove(&id) else {
+            return;
+        };
+        self.order.remove(&frame.filed);
+        if let Ok(page) = Arc::try_unwrap(frame.page) {
+            self.spare.push(page.into_inner().into_bytes());
+        }
+    }
+
+    /// The unpinned frame of lowest rank.
+    fn victim(&mut self) -> Option<PageId> {
+        let mut from = i64::MIN;
+        loop {
+            let (&filed, &id) = self.order.range(from..).next()?;
+            let frame = self.frames.get_mut(&id).expect("every filed frame exists");
+            if frame.rank != filed {
+                // Hit since it was filed: its rank only rose, so it moves up.
+                frame.filed = frame.rank;
+                self.order.remove(&filed);
+                self.order.insert(frame.rank, id);
+            } else if frame.pin_count == 0 {
+                return Some(id);
+            } else {
+                from = filed + 1;
+            }
+        }
+    }
 }
 
 /// A fixed-capacity page cache over a [`DiskManager`].
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     capacity: usize,
-    policy: EvictionPolicy,
     inner: Mutex<PoolInner>,
 }
 
 impl BufferPool {
-    /// A pool holding at most `capacity` frames, with LRU eviction.
+    /// A pool holding at most `capacity` frames.
     pub fn new(disk: Arc<DiskManager>, capacity: usize) -> Self {
-        Self::with_policy(disk, capacity, EvictionPolicy::Lru)
-    }
-
-    /// A pool with an explicit eviction policy.
-    pub fn with_policy(disk: Arc<DiskManager>, capacity: usize, policy: EvictionPolicy) -> Self {
         BufferPool {
             disk,
             capacity: capacity.max(2),
-            policy,
             inner: Mutex::new(PoolInner {
                 frames: HashMap::new(),
-                order: Vec::new(),
-                hand: 0,
+                order: BTreeMap::new(),
+                spare: Vec::new(),
                 tick: 0,
                 stats: PoolStats::default(),
             }),
@@ -93,11 +135,6 @@ impl BufferPool {
     /// A pool sized by a byte budget (the paper's configuration style).
     pub fn with_budget_bytes(disk: Arc<DiskManager>, bytes: usize) -> Self {
         Self::new(disk, (bytes / PAGE_SIZE).max(2))
-    }
-
-    /// The eviction policy in use.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Number of frames.
@@ -122,39 +159,79 @@ impl BufferPool {
 
     /// Fetch a page, reading from disk on a miss; the returned guard pins it.
     pub fn fetch(self: &Arc<Self>, id: PageId) -> Result<PageGuard> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(frame) = inner.frames.get_mut(&id) {
+        self.fetch_ranked(id, false)
+    }
+
+    /// [`BufferPool::fetch`] for a start-to-end read of something larger than
+    /// the pool: a page that has to be read from disk is the next to be
+    /// evicted, not the last, so a repeated scan keeps what fits resident.
+    pub fn fetch_scan(self: &Arc<Self>, id: PageId) -> Result<PageGuard> {
+        self.fetch_ranked(id, true)
+    }
+
+    fn fetch_ranked(self: &Arc<Self>, id: PageId, scan: bool) -> Result<PageGuard> {
+        loop {
+            let mut inner = self.inner.lock();
+            inner.tick += 1;
+            let tick = inner.tick;
+            let Some(frame) = inner.frames.get_mut(&id) else {
+                return self.load(inner, id, scan);
+            };
             frame.pin_count += 1;
-            frame.last_used = tick;
-            frame.referenced = true;
-            let page = frame.page.clone();
+            frame.rank = tick;
+            let (page, loading) = (frame.page.clone(), frame.loading);
             inner.stats.hits += 1;
-            return Ok(PageGuard {
-                pool: self.clone(),
-                id,
-                page,
-            });
+            drop(inner);
+            if loading {
+                // Wait for the read to finish. If it failed, the frame went
+                // away, and this fetch's pin with it: start over.
+                drop(page.read());
+                let same = |f: &Frame| Arc::ptr_eq(&f.page, &page);
+                if !self.inner.lock().frames.get(&id).is_some_and(same) {
+                    continue;
+                }
+            }
+            return Ok(self.guard(id, page));
         }
+    }
+
+    /// The miss half of a fetch: publish a loading frame for `id`, then read
+    /// the page with the pool unlocked.
+    fn load(
+        self: &Arc<Self>,
+        mut inner: MutexGuard<'_, PoolInner>,
+        id: PageId,
+        scan: bool,
+    ) -> Result<PageGuard> {
         inner.stats.misses += 1;
         self.evict_if_full(&mut inner)?;
-        let page = Arc::new(RwLock::new(self.disk.read_page(id)?));
-        inner.frames.insert(
-            id,
-            Frame {
-                page: page.clone(),
-                pin_count: 1,
-                last_used: tick,
-                referenced: true,
-            },
-        );
-        inner.order.push(id);
-        Ok(PageGuard {
+        let buffer = inner.spare.pop().unwrap_or_else(|| vec![0u8; PAGE_SIZE]);
+        let page = Arc::new(RwLock::new(Page::from_bytes(id, buffer)?));
+        let mut image = page.write();
+        let rank = if scan { -inner.tick } else { inner.tick };
+        inner.insert(id, page.clone(), rank, true);
+        drop(inner);
+        let read = self.disk.read_into(&mut image);
+        let mut inner = self.inner.lock();
+        if let Err(e) = read {
+            inner.remove(id);
+            return Err(e);
+        }
+        inner
+            .frames
+            .get_mut(&id)
+            .expect("a loading frame is pinned")
+            .loading = false;
+        drop(image);
+        Ok(self.guard(id, page))
+    }
+
+    fn guard(self: &Arc<Self>, id: PageId, page: Arc<RwLock<Page>>) -> PageGuard {
+        PageGuard {
             pool: self.clone(),
             id,
             page,
-        })
+        }
     }
 
     /// Allocate a brand-new page and pin it.
@@ -164,82 +241,34 @@ impl BufferPool {
         inner.tick += 1;
         let tick = inner.tick;
         self.evict_if_full(&mut inner)?;
-        let mut fresh = Page::new(id);
+        // An all-zero image is a valid empty page.
+        let mut buffer = inner.spare.pop().unwrap_or_default();
+        buffer.clear();
+        buffer.resize(PAGE_SIZE, 0);
+        let mut fresh = Page::from_bytes(id, buffer)?;
         // Force the new page dirty so it reaches disk even if never edited.
         fresh.bytes_mut();
         let page = Arc::new(RwLock::new(fresh));
-        inner.frames.insert(
-            id,
-            Frame {
-                page: page.clone(),
-                pin_count: 1,
-                last_used: tick,
-                referenced: true,
-            },
-        );
-        inner.order.push(id);
-        Ok(PageGuard {
-            pool: self.clone(),
-            id,
-            page,
-        })
-    }
-
-    fn pick_victim(&self, inner: &mut PoolInner) -> Option<PageId> {
-        match self.policy {
-            EvictionPolicy::Lru => inner
-                .frames
-                .iter()
-                .filter(|(_, f)| f.pin_count == 0)
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(id, _)| *id),
-            EvictionPolicy::Clock => {
-                // Drop stale entries lazily as the hand passes them.
-                let mut sweeps = 0usize;
-                let max_sweeps = inner.order.len() * 2 + 1;
-                while sweeps < max_sweeps && !inner.order.is_empty() {
-                    if inner.hand >= inner.order.len() {
-                        inner.hand = 0;
-                    }
-                    let id = inner.order[inner.hand];
-                    match inner.frames.get_mut(&id) {
-                        None => {
-                            inner.order.swap_remove(inner.hand);
-                            continue;
-                        }
-                        Some(f) if f.pin_count > 0 => {
-                            inner.hand += 1;
-                        }
-                        Some(f) if f.referenced => {
-                            f.referenced = false; // second chance
-                            inner.hand += 1;
-                        }
-                        Some(_) => {
-                            inner.order.swap_remove(inner.hand);
-                            return Some(id);
-                        }
-                    }
-                    sweeps += 1;
-                }
-                None
-            }
-        }
+        inner.insert(id, page.clone(), tick, false);
+        Ok(self.guard(id, page))
     }
 
     fn evict_if_full(&self, inner: &mut PoolInner) -> Result<()> {
         while inner.frames.len() >= self.capacity {
-            let Some(victim) = self.pick_victim(inner) else {
+            let Some(victim) = inner.victim() else {
                 return Err(Error::PoolExhausted {
                     frames: self.capacity,
                 });
             };
-            let frame = inner.frames.remove(&victim).expect("victim exists");
-            let mut page = frame.page.write();
-            if page.is_dirty() {
-                self.disk.write_page(&page)?;
-                page.mark_clean();
-                inner.stats.writebacks += 1;
+            {
+                let mut page = inner.frames[&victim].page.write();
+                if page.is_dirty() {
+                    self.disk.write_page(&page)?;
+                    page.mark_clean();
+                    inner.stats.writebacks += 1;
+                }
             }
+            inner.remove(victim);
             inner.stats.evictions += 1;
         }
         Ok(())
@@ -251,20 +280,14 @@ impl BufferPool {
     /// space: its holder may yet read it, and its id must not be reissued.
     pub fn discard_pages(&self, ids: &[PageId]) -> usize {
         let mut inner = self.inner.lock();
-        let PoolInner { frames, order, .. } = &mut *inner;
         let mut freed = 0;
         for id in ids {
-            if frames.get(id).is_some_and(|f| f.pin_count > 0) {
+            if inner.frames.get(id).is_some_and(|f| f.pin_count > 0) {
                 continue;
             }
-            frames.remove(id);
+            inner.remove(*id);
             self.disk.free_page(*id);
             freed += 1;
-        }
-        if self.policy == EvictionPolicy::Clock {
-            // A freed id may be reissued before the hand next passes its old
-            // entry, which would then alias the new frame.
-            order.retain(|id| frames.contains_key(id));
         }
         freed
     }
@@ -279,7 +302,8 @@ impl BufferPool {
     /// Write every dirty resident page back to disk.
     pub fn flush_all(&self) -> Result<()> {
         let inner = self.inner.lock();
-        for frame in inner.frames.values() {
+        // A frame still loading is clean, and its reader holds its lock.
+        for frame in inner.frames.values().filter(|f| !f.loading) {
             let mut page = frame.page.write();
             if page.is_dirty() {
                 self.disk.write_page(&page)?;
@@ -436,26 +460,227 @@ mod tests {
         assert_eq!(p.create_page().unwrap().id(), spilled);
     }
 
+    /// `n` pages holding their index in byte 0, on disk and nowhere else:
+    /// whatever was resident is written out too, and the pool is left empty.
+    fn spilled_pages(p: &Arc<BufferPool>, n: usize) -> Vec<PageId> {
+        let ids: Vec<PageId> = (0..n)
+            .map(|i| {
+                let g = p.create_page().unwrap();
+                g.write().bytes_mut()[0] = i as u8;
+                g.id()
+            })
+            .collect();
+        let filler: Vec<PageId> = (0..p.capacity())
+            .map(|_| p.create_page().unwrap().id())
+            .collect();
+        assert_eq!(p.discard_pages(&filler), filler.len());
+        assert_eq!(p.resident_pages(), 0);
+        ids
+    }
+
     #[test]
-    fn clock_survives_discard_and_reuse() {
-        let p = Arc::new(BufferPool::with_policy(
-            Arc::new(DiskManager::temp().unwrap()),
-            3,
-            EvictionPolicy::Clock,
-        ));
-        for round in 0..20u8 {
-            let ids: Vec<PageId> = (0..3)
-                .map(|_| {
-                    let g = p.create_page().unwrap();
-                    g.write().bytes_mut()[0] = round;
-                    g.id()
-                })
-                .collect();
-            assert_eq!(p.fetch(ids[0]).unwrap().read().bytes()[0], round);
-            assert_eq!(p.discard_pages(&ids[..2]), 2);
+    fn racing_fetches_of_an_evicted_page_read_it_once() {
+        const THREADS: usize = 8;
+        let p = pool(4);
+        let id = spilled_pages(&p, 1)[0];
+        let reads = p.disk().read_count();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    barrier.wait();
+                    let g = p.fetch(id).unwrap();
+                    assert_eq!(g.read().bytes()[0], 0);
+                    barrier.wait(); // every guard alive at once: one frame, THREADS pins
+                });
+            }
+        });
+        assert_eq!(p.disk().read_count(), reads + 1);
+        let s = p.stats();
+        assert_eq!(s.hits as usize, THREADS - 1);
+    }
+
+    #[test]
+    fn misses_on_different_pages_read_outside_the_pool_mutex() {
+        use std::sync::{Condvar, Mutex as StdMutex};
+        let p = pool(4);
+        let ids = spilled_pages(&p, 2);
+        // Each read waits inside the disk manager until both are there (or
+        // gives up after a while, so that a pool which reads under its mutex
+        // fails the assertion below rather than hanging).
+        let inside = Arc::new((StdMutex::new(0usize), Condvar::new()));
+        let together = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let hook = {
+            let (inside, together) = (inside.clone(), together.clone());
+            move |_| {
+                let (count, arrived) = &*inside;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                arrived.notify_all();
+                let (count, _) = arrived
+                    .wait_timeout_while(count, std::time::Duration::from_secs(5), |c| *c < 2)
+                    .unwrap();
+                if *count >= 2 {
+                    together.store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+                Ok(())
+            }
+        };
+        p.disk().set_read_hook(Some(Arc::new(hook)));
+        std::thread::scope(|s| {
+            for (i, id) in ids.iter().enumerate() {
+                let p = &p;
+                s.spawn(move || assert_eq!(p.fetch(*id).unwrap().read().bytes()[0], i as u8));
+            }
+        });
+        assert!(
+            together.load(std::sync::atomic::Ordering::SeqCst),
+            "the second miss could not start its read while the first was in progress"
+        );
+    }
+
+    #[test]
+    fn a_failed_read_leaves_no_frame_and_the_next_fetch_retries() {
+        let p = pool(4);
+        let id = spilled_pages(&p, 1)[0];
+        let other = p.create_page().unwrap().id();
+        p.disk().set_read_hook(Some(Arc::new(|_| {
+            Err(std::io::Error::other("injected read fault"))
+        })));
+        assert!(matches!(p.fetch(id), Err(Error::Io(_))));
+        assert!(p.fetch_scan(id).is_err());
+        assert_eq!(p.resident_pages(), 1);
+        assert_eq!(p.stats().misses, 2);
+        p.disk().set_read_hook(None);
+        assert_eq!(p.fetch(id).unwrap().read().bytes()[0], 0);
+        assert_eq!(p.resident_pages(), 2);
+        drop(p.fetch(other).unwrap());
+        assert_eq!(
+            p.stats().hits,
+            1,
+            "the failed fetches displaced a resident page"
+        );
+    }
+
+    #[test]
+    fn a_fetch_that_waited_on_a_failed_read_reads_the_page_itself() {
+        let p = pool(4);
+        let id = spilled_pages(&p, 1)[0];
+        // The first read fails, but only once a second fetch has pinned the
+        // loading frame and is waiting on it; that fetch must then retry.
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let pool = Arc::downgrade(&p);
+        let hook = {
+            let calls = calls.clone();
+            move |_| {
+                if calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) > 0 {
+                    return Ok(());
+                }
+                let pool = pool.upgrade().expect("pool is alive");
+                while pool.stats().hits == 0 {
+                    std::thread::yield_now();
+                }
+                Err(std::io::Error::other("injected read fault"))
+            }
+        };
+        p.disk().set_read_hook(Some(Arc::new(hook)));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| p.fetch(id).map(|g| g.read().bytes()[0]));
+            while p.stats().misses == 0 {
+                std::thread::yield_now();
+            }
+            let second = s.spawn(|| p.fetch(id).map(|g| g.read().bytes()[0]));
+            assert!(first.join().unwrap().is_err());
+            assert_eq!(second.join().unwrap().unwrap(), 0);
+        });
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 2);
+        assert_eq!(p.resident_pages(), 1);
+    }
+
+    /// One start-to-end read of `ids` in scan mode; returns the hits.
+    fn scan(p: &Arc<BufferPool>, ids: &[PageId]) -> u64 {
+        let before = p.stats().hits;
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(p.fetch_scan(*id).unwrap().read().bytes()[0], i as u8);
         }
-        assert!(p.inner.lock().order.len() <= p.capacity() + 1);
-        assert!(p.disk().num_pages() <= 3 + 20);
+        p.stats().hits - before
+    }
+
+    #[test]
+    fn a_cyclic_scan_keeps_what_fits_and_leaves_a_working_set_alone() {
+        const FRAMES: usize = 16;
+        const HOT: usize = 4;
+        let p = pool(FRAMES);
+        let relation = spilled_pages(&p, 2 * FRAMES);
+        let hot = spilled_pages(&p, HOT);
+        let touch_hot = || {
+            let before = p.stats().hits;
+            for (i, id) in hot.iter().enumerate() {
+                assert_eq!(p.fetch(*id).unwrap().read().bytes()[0], i as u8);
+            }
+            p.stats().hits - before
+        };
+        touch_hot();
+        scan(&p, &relation);
+        for cycle in 2..=5 {
+            // The working set fetched between cycles was not displaced by the
+            // scan's misses, and the scan finds all of the pool but it.
+            assert_eq!(touch_hot(), HOT as u64, "cycle {cycle}");
+            let hits = scan(&p, &relation);
+            assert!(
+                hits >= (FRAMES - HOT - 1) as u64,
+                "cycle {cycle}: {hits} hits"
+            );
+        }
+        // Plain LRU on the same scan never hits at all.
+        let lru = pool(FRAMES);
+        let relation = spilled_pages(&lru, 2 * FRAMES);
+        for _ in 0..3 {
+            let before = lru.stats().hits;
+            for id in &relation {
+                drop(lru.fetch(*id).unwrap());
+            }
+            assert_eq!(lru.stats().hits, before);
+        }
+    }
+
+    #[test]
+    fn a_scan_never_evicts_a_pinned_page() {
+        let p = pool(3);
+        let relation = spilled_pages(&p, 8);
+        let pinned = p.fetch_scan(relation[0]).unwrap();
+        let also = p.fetch(relation[1]).unwrap();
+        for _ in 0..3 {
+            scan(&p, &relation);
+        }
+        assert_eq!(pinned.read().bytes()[0], 0);
+        assert_eq!(also.read().bytes()[0], 1);
+        let reads = p.disk().read_count();
+        drop(p.fetch(relation[0]).unwrap());
+        drop(p.fetch(relation[1]).unwrap());
+        assert_eq!(p.disk().read_count(), reads, "a pinned page left the pool");
+    }
+
+    #[test]
+    fn evicted_buffers_are_reused_and_new_pages_start_empty() {
+        let p = pool(2);
+        let ids = spilled_pages(&p, 3);
+        // Frames that now hold someone else's old bytes.
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(p.fetch(*id).unwrap().read().bytes()[0], i as u8);
+        }
+        let fresh = p.create_page().unwrap();
+        assert!(fresh.read().bytes().iter().all(|b| *b == 0));
+        assert_eq!(fresh.read().live_tuples(), 0);
+        // An allocated-but-never-written page loaded into a used buffer, too.
+        let never_written = p.disk().allocate_page();
+        assert!(p
+            .fetch(never_written)
+            .unwrap()
+            .read()
+            .bytes()
+            .iter()
+            .all(|b| *b == 0));
     }
 
     #[test]
@@ -505,64 +730,6 @@ mod tests {
         let disk = Arc::new(DiskManager::temp().unwrap());
         let p = BufferPool::with_budget_bytes(disk, 10 * PAGE_SIZE + 5);
         assert_eq!(p.capacity(), 10);
-    }
-
-    #[test]
-    fn clock_policy_spills_and_restores() {
-        let p = Arc::new(BufferPool::with_policy(
-            Arc::new(DiskManager::temp().unwrap()),
-            2,
-            EvictionPolicy::Clock,
-        ));
-        assert_eq!(p.policy(), EvictionPolicy::Clock);
-        let mut ids = Vec::new();
-        for i in 0..6 {
-            let g = p.create_page().unwrap();
-            g.write().insert_tuple(format!("c{i}").as_bytes()).unwrap();
-            ids.push(g.id());
-        }
-        for (i, id) in ids.iter().enumerate() {
-            let g = p.fetch(*id).unwrap();
-            assert_eq!(g.read().tuple(0).unwrap(), format!("c{i}").as_bytes());
-        }
-        assert!(p.stats().evictions >= 4);
-    }
-
-    #[test]
-    fn clock_gives_referenced_pages_a_second_chance() {
-        let p = Arc::new(BufferPool::with_policy(
-            Arc::new(DiskManager::temp().unwrap()),
-            3,
-            EvictionPolicy::Clock,
-        ));
-        let a = p.create_page().unwrap().id();
-        let b = p.create_page().unwrap().id();
-        let c = p.create_page().unwrap().id();
-        // First eviction sweep clears every reference bit and evicts `a`.
-        drop(p.create_page().unwrap());
-        let resident = |id: PageId| p.inner.lock().frames.contains_key(&id);
-        assert!(!resident(a));
-        // Re-reference `b`; the next eviction must spare it and take the
-        // unreferenced `c` instead — the second chance.
-        drop(p.fetch(b).unwrap());
-        drop(p.create_page().unwrap());
-        assert!(resident(b), "referenced page was evicted");
-        assert!(!resident(c), "unreferenced page survived");
-    }
-
-    #[test]
-    fn clock_reports_exhaustion_when_all_pinned() {
-        let p = Arc::new(BufferPool::with_policy(
-            Arc::new(DiskManager::temp().unwrap()),
-            2,
-            EvictionPolicy::Clock,
-        ));
-        let _a = p.create_page().unwrap();
-        let _b = p.create_page().unwrap();
-        assert!(matches!(
-            p.create_page().unwrap_err(),
-            Error::PoolExhausted { .. }
-        ));
     }
 
     #[test]

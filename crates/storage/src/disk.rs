@@ -24,10 +24,14 @@ pub struct DiskManager {
     free: Mutex<Vec<PageId>>,
     reads: AtomicU64,
     writes: AtomicU64,
-    /// Serializes extension of the file; reads/writes use positioned I/O and
-    /// need no lock.
-    grow_lock: Mutex<()>,
+    /// Length of the file, so that no read or write has to `fstat` for it.
+    /// Raised (`Release`) once the write that extended the file has returned,
+    /// so a reader that sees it (`Acquire`) can read every byte below it.
+    /// Reads and writes use positioned I/O and need no lock.
+    len: AtomicU64,
     delete_on_drop: bool,
+    #[cfg(test)]
+    read_hook: tests::ReadHook,
 }
 
 impl DiskManager {
@@ -48,8 +52,10 @@ impl DiskManager {
             free: Mutex::new(Vec::new()),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            grow_lock: Mutex::new(()),
+            len: AtomicU64::new(len),
             delete_on_drop: false,
+            #[cfg(test)]
+            read_hook: Default::default(),
         })
     }
 
@@ -104,29 +110,35 @@ impl DiskManager {
 
     /// Read a page image from disk.
     pub fn read_page(&self, id: PageId) -> Result<Page> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        let offset = id.0 * PAGE_SIZE as u64;
-        let file_len = self.file.metadata()?.len();
-        if offset + PAGE_SIZE as u64 <= file_len {
-            self.file.read_exact_at(&mut buf, offset)?;
-        }
-        // Pages allocated but never written read back as zeroes, which
-        // `Page::from_bytes` treats as a valid empty page.
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        Page::from_bytes(id, buf)
+        let mut page = Page::new(id);
+        self.read_into(&mut page)?;
+        Ok(page)
     }
 
-    /// Write a page image to disk.
+    /// Overwrite `page`'s image with what the disk holds for its id, leaving
+    /// it clean: the form the buffer pool uses to load into a recycled frame.
+    pub(crate) fn read_into(&self, page: &mut Page) -> Result<()> {
+        #[cfg(test)]
+        self.read_hook.call(page.id())?;
+        let offset = page.id().0 * PAGE_SIZE as u64;
+        if offset + PAGE_SIZE as u64 <= self.len.load(Ordering::Acquire) {
+            self.file.read_exact_at(page.image_mut(), offset)?;
+        } else {
+            // Pages allocated but never written read back as zeroes, which
+            // is a valid empty page.
+            page.image_mut().fill(0);
+        }
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Write a page image to disk; a write past the end extends the file
+    /// (any gap reads back as zeroes).
     pub fn write_page(&self, page: &Page) -> Result<()> {
         let offset = page.id().0 * PAGE_SIZE as u64;
-        {
-            let _g = self.grow_lock.lock();
-            let file_len = self.file.metadata()?.len();
-            if offset + PAGE_SIZE as u64 > file_len {
-                self.file.set_len(offset + PAGE_SIZE as u64)?;
-            }
-        }
         self.file.write_all_at(page.bytes(), offset)?;
+        self.len
+            .fetch_max(offset + PAGE_SIZE as u64, Ordering::AcqRel);
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -151,8 +163,35 @@ impl Drop for DiskManager {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    type ReadFn = dyn Fn(PageId) -> std::io::Result<()> + Send + Sync;
+
+    /// Runs at the top of every physical read, outside every lock of this
+    /// crate: lets a test fail a read or hold several inside the disk at once.
+    #[derive(Default)]
+    pub(crate) struct ReadHook(Mutex<Option<Arc<ReadFn>>>);
+
+    impl ReadHook {
+        pub(crate) fn call(&self, id: PageId) -> std::io::Result<()> {
+            let hook = self.0.lock().clone();
+            hook.map_or(Ok(()), |hook| hook(id))
+        }
+    }
+
+    impl std::fmt::Debug for ReadHook {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "ReadHook(set: {})", self.0.lock().is_some())
+        }
+    }
+
+    impl DiskManager {
+        pub(crate) fn set_read_hook(&self, hook: Option<Arc<ReadFn>>) {
+            *self.read_hook.0.lock() = hook;
+        }
+    }
 
     #[test]
     fn write_read_roundtrip() {
@@ -171,6 +210,22 @@ mod tests {
         let id = dm.allocate_page();
         let p = dm.read_page(id).unwrap();
         assert_eq!(p.live_tuples(), 0);
+    }
+
+    #[test]
+    fn a_write_past_the_end_extends_the_file_and_the_gap_reads_empty() {
+        let dm = DiskManager::temp().unwrap();
+        let ids: Vec<PageId> = (0..4).map(|_| dm.allocate_page()).collect();
+        let mut p = Page::new(ids[2]);
+        p.insert_tuple(b"far").unwrap();
+        dm.write_page(&p).unwrap();
+        assert_eq!(dm.read_page(ids[2]).unwrap().tuple(0).unwrap(), b"far");
+        // Below the written page (a hole) and above it (past the end).
+        assert_eq!(dm.read_page(ids[0]).unwrap().live_tuples(), 0);
+        assert_eq!(dm.read_page(ids[3]).unwrap().live_tuples(), 0);
+        // A shorter write afterwards does not pull the tracked length back.
+        dm.write_page(&Page::new(ids[0])).unwrap();
+        assert_eq!(dm.read_page(ids[2]).unwrap().tuple(0).unwrap(), b"far");
     }
 
     #[test]

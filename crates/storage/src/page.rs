@@ -65,6 +65,16 @@ impl Page {
         })
     }
 
+    /// Give up the image's buffer (the buffer pool reuses it).
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.data.into_vec()
+    }
+
+    /// The image as the target of a disk read: the page stays clean.
+    pub(crate) fn image_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+
     /// The page's identity.
     pub fn id(&self) -> PageId {
         self.id

@@ -22,6 +22,11 @@
 //! specific tier process-wide; [`matmul_with_isa`] / [`matmul_bt_with_isa`]
 //! force one per call for tests and benchmarks.
 //!
+//! A constant `B` need not be packed per call: [`pack_bt`] writes the panels
+//! once and [`matmul_prepacked`] multiplies from them ([`PackedB`]). Every
+//! entry point below is "pack `B` into a per-thread scratch, then run the
+//! same driver on the panels", so the two routes cannot differ by a bit.
+//!
 //! Transposed-operand entry points avoid materializing transposes by packing
 //! straight out of the stored layout:
 //!
@@ -115,31 +120,50 @@ impl View<'_> {
     }
 }
 
+/// Stored rows of a transposed `B` scattered into a panel together: each
+/// `[p][nr]` row of the panel then takes one short contiguous store instead
+/// of `GROUP` stores a whole pass apart.
+const GROUP: usize = 8;
+
 /// Pack logical `B[k,n]` into zero-padded column panels of the kernel's panel
 /// width `nr`: panel `jp` holds columns `jp*nr ..`, laid out `[p][nr]` so the
 /// micro-kernel streams it linearly. Ragged right edges are padded with
 /// zeros, which contribute nothing to the accumulators and let the kernel
-/// skip edge branches.
+/// skip edge branches. Every slot of `out` is written: what it held is
+/// irrelevant.
 fn pack_b(b: &View<'_>, k: usize, n: usize, nr: usize, out: &mut Vec<f32>) {
-    let panels = n.div_ceil(nr);
-    out.clear();
-    out.resize(panels * k * nr, 0.0);
-    for jp in 0..panels {
+    out.resize(n.div_ceil(nr) * k * nr, 0.0);
+    if k == 0 {
+        return;
+    }
+    for (jp, panel) in out.chunks_exact_mut(k * nr).enumerate() {
         let j0 = jp * nr;
         let width = nr.min(n - j0);
-        let base = jp * k * nr;
+        if width < nr {
+            panel.fill(0.0);
+        }
         if b.trans {
             // Stored [n, k]: logical column j is the contiguous stored row j.
-            for jj in 0..width {
-                let col = &b.data[(j0 + jj) * b.ld..(j0 + jj) * b.ld + k];
-                for (p, &v) in col.iter().enumerate() {
-                    out[base + p * nr + jj] = v;
+            let col = |j: usize| &b.data[(j0 + j) * b.ld..(j0 + j) * b.ld + k];
+            let mut jj = 0;
+            while jj + GROUP <= width {
+                let cols: [&[f32]; GROUP] = std::array::from_fn(|g| col(jj + g));
+                for (p, row) in panel.chunks_exact_mut(nr).enumerate() {
+                    let dst: &mut [f32; GROUP] = (&mut row[jj..jj + GROUP])
+                        .try_into()
+                        .expect("a slice of GROUP values");
+                    *dst = std::array::from_fn(|g| cols[g][p]);
+                }
+                jj += GROUP;
+            }
+            for jj in jj..width {
+                for (row, &v) in panel.chunks_exact_mut(nr).zip(col(jj)) {
+                    row[jj] = v;
                 }
             }
         } else {
-            for p in 0..k {
-                let row = &b.data[p * b.ld + j0..p * b.ld + j0 + width];
-                out[base + p * nr..base + p * nr + width].copy_from_slice(row);
+            for (p, row) in panel.chunks_exact_mut(nr).enumerate() {
+                row[..width].copy_from_slice(&b.data[p * b.ld + j0..p * b.ld + j0 + width]);
             }
         }
     }
@@ -250,11 +274,12 @@ fn tiled_stripe(
     });
 }
 
-/// Shared driver: pack `B`, then run row stripes serially or on the grant.
-fn matmul_packed(
+/// The one kernel driver: row stripes of `C = A × B` over packed `B` panels,
+/// run serially or on the grant.
+fn run_packed(
     kern: &MatmulKernel,
     a: View<'_>,
-    b: View<'_>,
+    bpack: &[f32],
     m: usize,
     k: usize,
     n: usize,
@@ -264,32 +289,158 @@ fn matmul_packed(
     if m == 0 || n == 0 || k == 0 {
         return c;
     }
+    let threads = stripe_count(par.threads(), m, k, n);
+    if threads == 1 {
+        tiled_stripe(kern, &a, bpack, &mut c, 0, m, k, n);
+        return c;
+    }
+    // Stripe boundaries land on MR multiples so no tile spans two tasks.
+    let rows_per = m.div_ceil(threads).div_ceil(kern.mr) * kern.mr;
+    let mut stripes: Vec<(usize, &mut [f32])> = Vec::new();
+    let mut rest = c.as_mut_slice();
+    let mut row = 0usize;
+    while row < m {
+        let take = rows_per.min(m - row);
+        let (head, tail) = rest.split_at_mut(take * n);
+        stripes.push((row, head));
+        rest = tail;
+        row += take;
+    }
+    par.run_owned(stripes, |(row0, stripe)| {
+        let rows = stripe.len() / n;
+        tiled_stripe(kern, &a, bpack, stripe, row0, row0 + rows, k, n);
+    });
+    c
+}
+
+/// Pack-per-call: pack `B` into this thread's scratch, then [`run_packed`].
+fn matmul_packed(
+    kern: &MatmulKernel,
+    a: View<'_>,
+    b: View<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+    par: &Parallelism,
+) -> Vec<f32> {
     B_SCRATCH.with(|scratch| {
         let mut bpack = scratch.borrow_mut();
         pack_b(&b, k, n, kern.nr, &mut bpack);
-        let threads = stripe_count(par.threads(), m, k, n);
-        if threads == 1 {
-            tiled_stripe(kern, &a, &bpack, &mut c, 0, m, k, n);
-            return;
+        run_packed(kern, a, &bpack, m, k, n, par)
+    })
+}
+
+/// Logical `B[k, n]` already in the panel layout a kernel of panel width
+/// `nr` multiplies from — `[panel][p][nr]`, the ragged last panel padded
+/// with zeros — so that a constant operand is packed once, by [`pack_bt`],
+/// instead of on every call.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedB<'a> {
+    k: usize,
+    n: usize,
+    nr: usize,
+    panels: &'a [f32],
+}
+
+impl<'a> PackedB<'a> {
+    /// Floats in the panels of a `k × n` matrix at panel width `nr`.
+    pub fn len_for(k: usize, n: usize, nr: usize) -> usize {
+        n.div_ceil(nr) * k * nr
+    }
+
+    /// View `panels` as a packed `k × n` matrix of panel width `nr`.
+    pub fn new(k: usize, n: usize, nr: usize, panels: &'a [f32]) -> Result<Self> {
+        let expected = Self::len_for(k, n, nr.max(1));
+        if nr == 0 || panels.len() != expected {
+            return Err(Error::BufferSizeMismatch {
+                expected,
+                actual: panels.len(),
+            });
         }
-        // Stripe boundaries land on MR multiples so no tile spans two tasks.
-        let rows_per = m.div_ceil(threads).div_ceil(kern.mr) * kern.mr;
-        let mut stripes: Vec<(usize, &mut [f32])> = Vec::new();
-        let mut rest = c.as_mut_slice();
-        let mut row = 0usize;
-        while row < m {
-            let take = rows_per.min(m - row);
-            let (head, tail) = rest.split_at_mut(take * n);
-            stripes.push((row, head));
-            rest = tail;
-            row += take;
-        }
-        let bpack = &bpack[..];
-        par.run_owned(stripes, |(row0, stripe)| {
-            let rows = stripe.len() / n;
-            tiled_stripe(kern, &a, bpack, stripe, row0, row0 + rows, k, n);
+        Ok(PackedB { k, n, nr, panels })
+    }
+
+    /// `B[p, j]` — the `p`-th value of row `j` of the `[n, k]` matrix the
+    /// panels were packed from.
+    pub fn at(&self, p: usize, j: usize) -> f32 {
+        self.panels[(j / self.nr * self.k + p) * self.nr + j % self.nr]
+    }
+}
+
+/// The panel width [`matmul_prepacked`] multiplies from on this host: the
+/// dispatched kernel's `nr`.
+pub fn panel_width() -> Result<usize> {
+    Ok(simd::try_kernels()?.matmul.nr)
+}
+
+/// Pack `Bᵀ` into panels of width `nr`, where `b` holds `n` stored rows of
+/// `k` values, `ld` apart (`ld > k` packs a column window of a wider
+/// matrix). `out` is resized to [`PackedB::len_for`]`(k, n, nr)`.
+pub fn pack_bt(b: &[f32], ld: usize, n: usize, k: usize, nr: usize, out: &mut Vec<f32>) {
+    assert!(
+        nr > 0 && k <= ld && (n == 0 || (n - 1) * ld + k <= b.len()),
+        "pack_bt: {n} rows of {k}, {ld} apart, do not fit {} values",
+        b.len()
+    );
+    let view = View {
+        data: b,
+        trans: true,
+        ld,
+    };
+    pack_b(&view, k, n, nr, out);
+}
+
+/// `A[m,k] × B` from prepacked panels of `B`, on the dispatched kernel.
+///
+/// Bit-identical to [`matmul_bt_parallel`] on the `[n, k]` matrix the panels
+/// were packed from, under any grant — including that function's
+/// small-product shortcut, which here reads the same values out of the
+/// panels in the same order.
+pub fn matmul_prepacked(a: &Tensor, b: &PackedB<'_>, par: &Parallelism) -> Result<Tensor> {
+    let kern = &simd::try_kernels()?.matmul;
+    if b.nr != kern.nr {
+        return Err(Error::Isa(format!(
+            "panels packed {} wide, but the dispatched kernel ({}) multiplies from {}",
+            b.nr, kern.name, kern.nr
+        )));
+    }
+    let (m, k) = a.shape().as_matrix()?;
+    if k != b.k {
+        return Err(Error::ShapeMismatch {
+            op: "matmul_prepacked",
+            lhs: a.shape().dims().to_vec(),
+            rhs: vec![b.k, b.n],
         });
-    });
+    }
+    let n = b.n;
+    let c = if m * k * n < PACK_THRESHOLD {
+        small_product(a.data(), m, k, n, |j, p| b.at(p, j))
+    } else {
+        run_packed(kern, View::plain(a.data(), k), b.panels, m, k, n, par)
+    };
+    Tensor::from_vec([m, n], c)
+}
+
+/// `A × Bᵀ` by plain dot products, `p` ascending, for products too small to
+/// repay packing; `b(j, p)` is the `p`-th value of `B`'s stored row `j`.
+fn small_product(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for (p, x) in a_row.iter().enumerate() {
+                acc += x * b(j, p);
+            }
+            c[i * n + j] = acc;
+        }
+    }
     c
 }
 
@@ -387,19 +538,8 @@ pub fn matmul_bt_parallel(a: &Tensor, b: &Tensor, par: &Parallelism) -> Result<T
     }
     let k = k1;
     if m * k * n < PACK_THRESHOLD {
-        let (ad, bd) = (a.data(), b.data());
-        let mut c = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &ad[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &bd[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (x, y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
-                }
-                c[i * n + j] = acc;
-            }
-        }
+        let bd = b.data();
+        let c = small_product(a.data(), m, k, n, |j, p| bd[j * k + p]);
         return Tensor::from_vec([m, n], c);
     }
     let kern = &simd::try_kernels()?.matmul;
@@ -566,6 +706,99 @@ mod tests {
                 assert!(same, "{m}x{k}x{n} under {threads} threads");
             }
         }
+    }
+
+    /// Values whose products and sums round, so that two summation orders
+    /// (or a value read from the wrong slot) do not agree by accident.
+    fn inexact(shape: [usize; 2], step: f32) -> Tensor {
+        Tensor::from_fn(shape, |i| (i as f32 * step).sin())
+    }
+
+    #[test]
+    fn prepacked_equals_pack_per_call_on_every_tier() {
+        // Ragged `n % nr` for nr 8 and 16, `k` past one cache block with a
+        // tail, one shape small enough for a single stripe whatever the grant.
+        for (m, k, n) in [(70, 300, 53), (64, 512, 512), (9, 37, 19), (130, 257, 129)] {
+            let (a, w) = (inexact([m, k], 0.7311), inexact([n, k], 0.4177));
+            for isa in Isa::supported() {
+                let kern = &simd::kernels_for(isa).unwrap().matmul;
+                let mut panels = Vec::new();
+                pack_bt(w.data(), k, n, k, kern.nr, &mut panels);
+                assert_eq!(panels.len(), PackedB::len_for(k, n, kern.nr));
+                for threads in [1, 2, 16] {
+                    let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
+                    let per_call = matmul_packed(
+                        kern,
+                        View::plain(a.data(), k),
+                        View::transposed(w.data(), k),
+                        m,
+                        k,
+                        n,
+                        &grant,
+                    );
+                    let pre = run_packed(kern, View::plain(a.data(), k), &panels, m, k, n, &grant);
+                    assert!(per_call == pre, "{isa} {m}x{k}x{n} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_prepacked_is_matmul_bt_parallel_bit_for_bit() {
+        let nr = panel_width().unwrap();
+        // Both sides of PACK_THRESHOLD: the shortcut reads the same values
+        // out of the panels in the same order.
+        for (m, k, n) in [
+            (1, 28, 256),
+            (3, 16, 16),
+            (5, 4, 3),
+            (64, 512, 120),
+            (33, 120, 512),
+        ] {
+            let (a, w) = (inexact([m, k], 0.7311), inexact([n, k], 0.4177));
+            let mut panels = Vec::new();
+            pack_bt(w.data(), k, n, k, nr, &mut panels);
+            let packed = PackedB::new(k, n, nr, &panels).unwrap();
+            for threads in [1, 2, 16] {
+                let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
+                let expect = matmul_bt_parallel(&a, &w, &grant).unwrap();
+                let got = matmul_prepacked(&a, &packed, &grant).unwrap();
+                assert!(expect.data() == got.data(), "{m}x{k}x{n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_bt_packs_a_column_window_in_place() {
+        // Rows 2..7, columns 3..14 of a 9x20 matrix, against packing a copy.
+        let full = Tensor::from_fn([9, 20], |i| i as f32);
+        let window = full.slice2(2, 7, 3, 14).unwrap();
+        let (mut in_place, mut copied) = (Vec::new(), Vec::new());
+        pack_bt(&full.data()[2 * 20 + 3..], 20, 5, 11, 8, &mut in_place);
+        pack_bt(window.data(), 11, 5, 11, 8, &mut copied);
+        assert_eq!(in_place, copied);
+    }
+
+    #[test]
+    fn prepacked_operands_are_validated() {
+        let nr = panel_width().unwrap();
+        let panels = vec![0.0; PackedB::len_for(6, 5, nr)];
+        assert!(PackedB::new(6, 5, nr, &panels[1..]).is_err());
+        assert!(PackedB::new(6, 5, 0, &[]).is_err());
+        let packed = PackedB::new(6, 5, nr, &panels).unwrap();
+        let serial = Parallelism::serial();
+        assert!(matmul_prepacked(&Tensor::zeros([2, 6]), &packed, &serial).is_ok());
+        // Inner dimension, and a panel width the dispatched kernel does not use.
+        assert!(matches!(
+            matmul_prepacked(&Tensor::zeros([2, 7]), &packed, &serial),
+            Err(Error::ShapeMismatch { .. })
+        ));
+        let other = vec![0.0; PackedB::len_for(6, 5, nr + 1)];
+        let foreign = PackedB::new(6, 5, nr + 1, &other).unwrap();
+        assert!(matches!(
+            matmul_prepacked(&Tensor::zeros([2, 6]), &foreign, &serial),
+            Err(Error::Isa(_))
+        ));
     }
 
     #[test]

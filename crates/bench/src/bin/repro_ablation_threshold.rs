@@ -20,7 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let features = workloads::feature_batch(batch, 76, 13);
 
     // "cold" is a fresh session's first query, which chunks the weights of
-    // its relation-centric operators; "warm" repeats it on the same session.
+    // its relation-centric operators and packs those of its dense ones;
+    // "warm" is the median of WARM_QUERIES repeats on the same session (one
+    // query is too few to tell two thresholds apart on a shared host).
+    const WARM_QUERIES: usize = 9;
     let mut table = ResultTable::new(&[
         "threshold",
         "relational ops",
@@ -52,11 +55,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Cell::Text(relational.to_string()),
                 Cell::Text((plan.ops.len() - relational).to_string()),
                 Cell::Time(outcome.elapsed),
-                Cell::Time(
-                    session
-                        .infer_batch("Encoder-FC", &features, Architecture::Adaptive)?
-                        .elapsed,
-                ),
+                Cell::Time({
+                    let mut warm = Vec::with_capacity(WARM_QUERIES);
+                    for _ in 0..WARM_QUERIES {
+                        let query =
+                            session.infer_batch("Encoder-FC", &features, Architecture::Adaptive)?;
+                        warm.push(query.elapsed);
+                    }
+                    warm.sort();
+                    warm[WARM_QUERIES / 2]
+                }),
             ],
         );
     }
@@ -65,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "expected shape: raising the threshold monotonically moves operators from\n\
          relation-centric to UDF-centric; cold latency improves once the hot matmuls\n\
          run dense, quantifying the chunking overhead Table 3 mentions — which a\n\
-         warm session no longer pays."
+         warm session no longer pays (warm = median of 9 queries)."
     );
     Ok(())
 }

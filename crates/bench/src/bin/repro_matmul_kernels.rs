@@ -1,8 +1,9 @@
 //! Matmul kernel comparison: seed `ikj` stripe kernel vs the register-tiled
 //! micro-kernel on **every ISA dispatch path the host supports** (scalar,
 //! AVX2+FMA 4×8, AVX-512 8×16), single-threaded and on the persistent kernel
-//! pool, plus vectorized elementwise kernel bandwidth and the relational
-//! block-join speedup. Every row names the micro-kernel that actually ran,
+//! pool, pack-per-call against prepacked weights (`tiled_bt` / `f32_pre`,
+//! `int8` / `int8_prepacked`), plus vectorized elementwise kernel bandwidth
+//! and the relational block-join speedup. Every row names the micro-kernel that actually ran,
 //! so a reader can tell the FMA path from the scalar fallback. Emits
 //! `BENCH_matmul.json` (selected ISA, one kernel row per dispatch path,
 //! elementwise bandwidth) so regressions are diffable.
@@ -167,6 +168,43 @@ fn main() {
     let max_diff = seed_c.max_abs_diff(out.as_ref().unwrap()).unwrap();
     assert!(max_diff < 1e-2, "kernels disagree: max diff {max_diff}");
 
+    // A model's dense layer: `X × Wᵀ` with `W` a constant. `tiled_bt` packs
+    // `W` inside every call, as every dense layer did before its weights
+    // were prepared; `f32_pre` multiplies from panels packed once, which is
+    // what `Model::forward_layer` runs. Same driver, same bits.
+    let serial = relserve_tensor::parallel::Parallelism::serial();
+    let nr = mm::panel_width().unwrap();
+    let mut panels = Vec::new();
+    mm::pack_bt(b.data(), n, n, n, nr, &mut panels);
+    let packed = mm::PackedB::new(n, n, nr, &panels).unwrap();
+    let mut per_call = None;
+    let bt_secs = best_secs(reps, || {
+        per_call = Some(mm::matmul_bt_parallel(&a, &b, &serial).unwrap());
+    });
+    let mut prepacked = None;
+    let pre_secs = best_secs(reps, || {
+        prepacked = Some(mm::matmul_prepacked(&a, &packed, &serial).unwrap());
+    });
+    assert!(
+        per_call.unwrap().data() == prepacked.unwrap().data(),
+        "prepacked and pack-per-call differ"
+    );
+    let pre_pooled_secs = best_secs(reps, || {
+        mm::matmul_prepacked(&a, &packed, &pooled).unwrap();
+    });
+    for (name, threads, secs) in [
+        ("tiled_bt", 1, bt_secs),
+        ("f32_pre", 1, pre_secs),
+        ("f32_pre_pooled", pool_threads, pre_pooled_secs),
+    ] {
+        rows.push(KernelRow {
+            name: format!("{name}[{}]", selected.matmul.name),
+            isa: selected.isa.token(),
+            threads,
+            secs,
+        });
+    }
+
     let gflops = |secs: f64| flops / secs / 1e9;
     let mut table = ResultTable::new(&["kernel", "isa", "threads", "secs", "GFLOP/s"]);
     for row in &rows {
@@ -183,9 +221,11 @@ fn main() {
     println!("matmul {n}x{n}x{n} (best of {reps}):");
     print!("{}", table.render());
     println!(
-        "tiled vs seed (1 thread): {:.2}x; pooled vs tiled: {:.2}x",
+        "tiled vs seed (1 thread): {:.2}x; pooled vs tiled: {:.2}x; \
+         prepacked vs pack-per-call (1 thread): {:.2}x",
         seed_secs / tiled_secs,
-        tiled_secs / pooled_secs
+        tiled_secs / pooled_secs,
+        bt_secs / pre_secs
     );
     let secs_for = |isa: Isa| {
         rows.iter()
@@ -238,7 +278,6 @@ fn main() {
     // every matching weight block, so its steady-state cost is this
     // prequantized multiply, not the end-to-end rows above.
     let aq = quant::quantize_activations(&a).unwrap();
-    let serial = relserve_tensor::parallel::Parallelism::serial();
     for &isa in &supported {
         let kern_name = simd::kernels_for(isa).unwrap().matmul_i8.name;
         if isa != simd::active_isa() {
@@ -251,6 +290,20 @@ fn main() {
         });
         i8_rows.push(I8Row {
             name: format!("int8_pre[{kern_name}]"),
+            isa: isa.token(),
+            secs,
+            bytes: i8_bytes,
+        });
+        // The dense hot path: `W`'s quads packed once per model, the
+        // activations quantized inside the call (a `QuantDense` layer).
+        let qnr = quant::quad_panel_width().unwrap();
+        let mut quads = Vec::new();
+        quant::pack_quads(&wq, qnr, &mut quads);
+        let secs = best_secs(reps, || {
+            qout = Some(quant::qmatmul_prepacked(&a, &wq, qnr, &quads, None, &serial).unwrap());
+        });
+        i8_rows.push(I8Row {
+            name: format!("int8_prepacked[{kern_name}]"),
             isa: isa.token(),
             secs,
             bytes: i8_bytes,
@@ -461,7 +514,7 @@ fn main() {
         .unwrap_or_default();
     let json = format!(
         "{{\n  \"host_cores\": {host_cores},\n  \"isa\": \"{}\",\n  \"shape\": [{n}, {n}, {n}],\n  \"flops\": {flops},\n  \"kernels\": [\n{kernel_json}\n  ],\n  \
-         \"speedup_tiled_vs_seed\": {:.3},\n{avx512_json}  \
+         \"speedup_tiled_vs_seed\": {:.3},\n  \"speedup_f32_prepacked_vs_per_call\": {:.3},\n{avx512_json}  \
          \"int8_kernels\": [\n{i8_json}\n  ],\n  \
          \"speedup_int8_vs_f32_best\": {int8_vs_f32_best:.3},\n{i8_avx2_json}{i8_pre_json}  \
          \"elementwise\": [\n{elem_json}\n  ],\n  \
@@ -470,6 +523,7 @@ fn main() {
          \"pool_counters\": {{\"tasks_run\": {}, \"steals\": {}, \"parks\": {}}}\n}}\n",
         selected.isa.token(),
         seed_secs / tiled_secs,
+        bt_secs / pre_secs,
         rel_serial / rel_pooled,
         counters.tasks_run,
         counters.steals,

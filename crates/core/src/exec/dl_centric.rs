@@ -80,7 +80,7 @@ pub fn run(
     full_dims.extend_from_slice(model.input_shape().dims());
     let mut x = received.reshape(full_dims)?;
     let mut shape = model.input_shape().clone();
-    for layer in model.layers() {
+    for (i, layer) in model.layers().iter().enumerate() {
         ctx.check_deadline("dl-centric.layer")?;
         let out_shape = layer.output_shape(&shape)?;
         let out_bytes = batch_size * out_shape.num_bytes();
@@ -96,7 +96,7 @@ pub fn run(
             None
         };
         let out_res = reserve_retry(runtime, out_bytes, retry, &mut runtime_retries)?;
-        x = layer.forward(&x, &par)?;
+        x = model.forward_layer(i, &x, &par)?;
         live = out_res;
         shape = out_shape;
     }

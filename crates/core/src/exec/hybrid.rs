@@ -125,7 +125,7 @@ pub fn run(
                         None
                     };
                     let out_res = governor.reserve(out_bytes)?;
-                    let y = layer.forward(x, &par)?;
+                    let y = model.forward_layer(i, x, &par)?;
                     flow = Flow::Dense(y);
                     live = Some(out_res);
                     stats.udf_layers += 1;

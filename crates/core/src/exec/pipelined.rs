@@ -30,7 +30,7 @@
 use crate::error::{Error, Result};
 use crate::exec::spsc::SpscSlot;
 use crate::exec::Output;
-use relserve_nn::{Layer, Model};
+use relserve_nn::Model;
 use relserve_runtime::ExecContext;
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{Shape, Tensor};
@@ -54,7 +54,8 @@ type Msg = std::result::Result<(usize, Tensor), relserve_nn::Error>;
 /// links, and the claim flags the cooperative drivers synchronize on.
 struct Pipeline<'a> {
     flat: &'a Tensor,
-    layers: &'a [Layer],
+    /// Stage `s` is layer `s` of this model.
+    model: &'a Model,
     stage_in_shapes: &'a [Shape],
     batch_size: usize,
     micro_batch: usize,
@@ -82,15 +83,19 @@ struct Pipeline<'a> {
 }
 
 impl Pipeline<'_> {
+    fn stages(&self) -> usize {
+        self.model.layers().len()
+    }
+
     fn nodes(&self) -> usize {
-        self.layers.len() + 2
+        self.stages() + 2
     }
 
     /// Step node `node` once; returns whether any progress was made.
     fn step(&self, node: usize) -> bool {
         if node == 0 {
             self.step_feeder()
-        } else if node == self.layers.len() + 1 {
+        } else if node == self.stages() + 1 {
             self.step_sink()
         } else {
             self.step_stage(node - 1)
@@ -129,7 +134,7 @@ impl Pipeline<'_> {
             let mut dims = vec![rows];
             dims.extend_from_slice(self.stage_in_shapes[s].dims());
             let t = t.reshape(dims)?;
-            let y = self.layers[s].forward(&t, &self.stage_par)?;
+            let y = self.model.forward_layer(s, &t, &self.stage_par)?;
             // Flatten back to [rows, features] for transport.
             let total: usize = y.shape().dims()[1..].iter().product();
             Ok((i, y.reshape([rows, total])?))
@@ -141,7 +146,7 @@ impl Pipeline<'_> {
     }
 
     fn step_sink(&self) -> bool {
-        let Some(msg) = self.slots[self.layers.len()].try_take() else {
+        let Some(msg) = self.slots[self.stages()].try_take() else {
             return false;
         };
         match msg {
@@ -245,7 +250,7 @@ pub fn run(
     let num_micro = batch_size.div_ceil(micro_batch);
     let pipeline = Pipeline {
         flat: &flat,
-        layers,
+        model,
         stage_in_shapes: &stage_in_shapes,
         batch_size,
         micro_batch,

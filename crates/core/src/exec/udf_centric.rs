@@ -30,7 +30,7 @@ pub fn run(model: &Model, batch: &Tensor, ctx: &ExecContext) -> Result<Output> {
     full_dims.extend_from_slice(model.input_shape().dims());
     let mut x = batch.clone().reshape(full_dims)?;
     let mut shape = model.input_shape().clone();
-    for layer in model.layers() {
+    for (i, layer) in model.layers().iter().enumerate() {
         ctx.check_deadline("udf-centric.layer")?;
         let out_shape = layer.output_shape(&shape)?;
         let out_bytes = batch_size * out_shape.num_bytes();
@@ -42,7 +42,7 @@ pub fn run(model: &Model, batch: &Tensor, ctx: &ExecContext) -> Result<Output> {
             None
         };
         let out_res = governor.reserve(out_bytes)?;
-        x = layer.forward(&x, &par)?;
+        x = model.forward_layer(i, &x, &par)?;
         // The input tensor dies here; the output becomes the live window.
         live = out_res;
         shape = out_shape;

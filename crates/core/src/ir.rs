@@ -6,7 +6,7 @@
 //! thus be scheduled DL-centric, UDF-centric, or relation-centric — the
 //! flexibility the paper argues for.
 
-use relserve_nn::LinalgOp;
+use relserve_nn::{LinalgOp, OpKind};
 
 /// Which architecture executes an operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,15 +86,28 @@ impl InferencePlan {
         reps
     }
 
-    /// EXPLAIN-style rendering of the plan.
+    /// EXPLAIN-style rendering of the plan. An operator that multiplies by
+    /// model weights also says what it multiplies from: the model's prepared
+    /// (packed once) weights, the session's weight relation, or an operand it
+    /// packs on every call.
     pub fn explain(&self) -> String {
         let mut out = format!(
             "InferencePlan for `{}` (batch {}, threshold {} B)\n",
             self.model_name, self.batch_size, self.memory_threshold
         );
+        let layers = self.layer_representations();
         for (i, op) in self.ops.iter().enumerate() {
+            let relational = layers[op.op.layer_index] == Representation::RelationCentric;
+            let weights = match (&op.op.kind, relational) {
+                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. } | OpKind::Conv2d { .. }, true) => {
+                    "  [weight relation]"
+                }
+                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, false) => "  [prepared weights]",
+                (OpKind::Conv2d { .. }, false) => "  [packs per call]",
+                _ => "",
+            };
             out.push_str(&format!(
-                "  #{i:<2} {:<34} {:>14} B  -> {}\n",
+                "  #{i:<2} {:<34} {:>14} B  -> {}{weights}\n",
                 op.op.label(),
                 op.estimated_bytes,
                 op.representation
@@ -161,5 +174,34 @@ mod tests {
         assert_eq!(text.lines().count(), p.ops.len() + 1);
         assert!(text.contains("matmul"));
         assert!(text.contains("udf-centric"));
+    }
+
+    #[test]
+    fn explain_names_what_each_multiply_reads_its_weights_from() {
+        let mut p = plan_with(&[Representation::UdfCentric]);
+        let dense = p.explain();
+        let matmuls = p
+            .ops
+            .iter()
+            .filter(|o| matches!(o.op.kind, OpKind::MatMul { .. }))
+            .count();
+        assert_eq!(dense.matches("[prepared weights]").count(), matmuls);
+        assert!(!dense.contains("[weight relation]"));
+        // A layer runs relation-centric as a whole, whichever op tipped it.
+        let bias_of_layer_0 = p
+            .ops
+            .iter()
+            .position(|o| o.op.layer_index == 0 && matches!(o.op.kind, OpKind::AddBias { .. }))
+            .unwrap();
+        p.ops[bias_of_layer_0].representation = Representation::RelationCentric;
+        let mixed = p.explain();
+        assert_eq!(mixed.matches("[weight relation]").count(), 1);
+        assert_eq!(mixed.matches("[prepared weights]").count(), matmuls - 1);
+        // A convolution's im2col product is not a constant: it packs per call.
+        let cnn = relserve_nn::zoo::caching_cnn(&mut seeded_rng(51)).unwrap();
+        let conv_plan = crate::optimizer::RuleBasedOptimizer::paper_default()
+            .plan(&cnn, 2)
+            .unwrap();
+        assert!(conv_plan.explain().contains("[packs per call]"));
     }
 }

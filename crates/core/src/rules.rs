@@ -226,11 +226,11 @@ pub fn run_pushdown_infer(
     if count == 0 {
         return Err(Error::Invalid("similarity join produced no rows".into()));
     }
-    let z = Tensor::from_vec([count, hidden_width], hidden_rows)?;
-    let z = ops::add_bias(&z, bias)?;
-    let mut x = activation.apply(&z).map_err(Error::Nn)?;
-    for layer in &model.layers()[1..] {
-        x = layer.forward(&x, par).map_err(Error::Nn)?;
+    let mut x = Tensor::from_vec([count, hidden_width], hidden_rows)?;
+    ops::add_bias_inplace(&mut x, bias)?;
+    activation.apply_inplace(&mut x).map_err(Error::Nn)?;
+    for i in 1..model.layers().len() {
+        x = model.forward_layer(i, &x, par).map_err(Error::Nn)?;
     }
     Ok(x)
 }

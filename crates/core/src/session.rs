@@ -280,6 +280,12 @@ pub struct SessionStats {
     /// Relation-centric layer executions that joined against an already
     /// built weight relation instead of chunking the weights again.
     pub weight_relation_reuses: u64,
+    /// Weight matrices packed into the dispatched kernel's panel layout: one
+    /// per dense layer of a loaded model that has ever executed dense — in
+    /// this session or through a clone of the model the caller kept.
+    pub prepared_weight_builds: u64,
+    /// Bytes those packed forms hold beside the models' raw weights.
+    pub prepared_weight_bytes: u64,
 }
 
 impl SessionStats {
@@ -301,6 +307,8 @@ impl SessionStats {
             ("kernel_panics", self.kernel_panics),
             ("weight_relation_builds", self.weight_relation_builds),
             ("weight_relation_reuses", self.weight_relation_reuses),
+            ("prepared_weight_builds", self.prepared_weight_builds),
+            ("prepared_weight_bytes", self.prepared_weight_bytes),
         ]
     }
 }
@@ -431,6 +439,12 @@ impl InferenceSession {
     /// built from clones of one coordinator observe the same ledger.
     pub fn stats(&self) -> SessionStats {
         let admission = self.coordinator.admission_stats();
+        let (prepared_builds, prepared_bytes) = self
+            .models
+            .lock()
+            .values()
+            .map(|model| model.prepared_weights())
+            .fold((0, 0), |(b, y), (builds, bytes)| (b + builds, y + bytes));
         SessionStats {
             db_oom_events: self.governor.oom_events(),
             external_oom_events: self.counters.external_oom_events.load(Ordering::Relaxed),
@@ -447,6 +461,8 @@ impl InferenceSession {
             kernel_panics: self.counters.kernel_panics.load(Ordering::Relaxed),
             weight_relation_builds: self.weights.builds(),
             weight_relation_reuses: self.weights.reuses(),
+            prepared_weight_builds: prepared_builds as u64,
+            prepared_weight_bytes: prepared_bytes as u64,
         }
     }
 
@@ -1118,7 +1134,7 @@ mod tests {
             .unwrap();
         let stats = session.stats();
         let counters = stats.counters();
-        assert_eq!(counters.len(), 12);
+        assert_eq!(counters.len(), 14);
         let admitted = counters
             .iter()
             .find(|(name, _)| *name == "admitted")

@@ -3,6 +3,7 @@
 use crate::error::{Error, Result};
 use crate::init;
 use rand::rngs::StdRng;
+use relserve_tensor::matmul::{self, PackedB};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{conv, ops, quant, Conv2dSpec, QuantizedTensor, Shape, Tensor};
 
@@ -24,13 +25,44 @@ pub enum Activation {
 impl Activation {
     /// Apply the activation to a rank-2 tensor.
     pub fn apply(&self, t: &Tensor) -> Result<Tensor> {
-        Ok(match self {
-            Activation::None => t.clone(),
-            Activation::Relu => ops::relu(t),
-            Activation::Softmax => ops::softmax(t)?,
-            Activation::Sigmoid => ops::sigmoid(t),
-            Activation::Tanh => ops::tanh(t),
-        })
+        let mut out = t.clone();
+        self.apply_inplace(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`Activation::apply`] in place, for a caller that owns `t`: no second
+    /// output-sized tensor, and [`Activation::None`] touches nothing.
+    pub fn apply_inplace(&self, t: &mut Tensor) -> Result<()> {
+        match self {
+            Activation::None => {}
+            Activation::Relu => ops::relu_inplace(t),
+            Activation::Softmax => ops::softmax_inplace(t)?,
+            Activation::Sigmoid => ops::sigmoid_inplace(t),
+            Activation::Tanh => ops::map_inplace(t, f32::tanh),
+        }
+        Ok(())
+    }
+}
+
+/// A dense layer's weight matrix laid out once in the form the dispatched
+/// kernel multiplies from, so that no call packs it again: f32
+/// `[panel][k][nr]` panels, or i8 `[panel][kq][nr][4]` quads. `nr` is the
+/// panel width of the kernel dispatched in this process, which makes the
+/// form per-process: it is never serialized.
+pub(crate) enum PreparedWeights {
+    /// Of a [`Layer::Dense`] weight.
+    Panels { nr: usize, panels: Vec<f32> },
+    /// Of a [`Layer::QuantDense`] weight's i8 levels.
+    Quads { nr: usize, quads: Vec<i8> },
+}
+
+impl PreparedWeights {
+    /// Bytes the packed form holds, beside the raw weights it was built from.
+    pub(crate) fn bytes(&self) -> usize {
+        match self {
+            PreparedWeights::Panels { panels, .. } => std::mem::size_of_val(panels.as_slice()),
+            PreparedWeights::Quads { quads, .. } => quads.len(),
+        }
     }
 }
 
@@ -166,52 +198,107 @@ impl Layer {
         }
     }
 
+    /// Pack this layer's weights for the dispatched kernels. `None` for a
+    /// layer whose multiply has no constant matrix to pack: a convolution
+    /// packs its im2col product per call, a flatten multiplies nothing.
+    pub(crate) fn prepare(&self) -> Result<Option<PreparedWeights>> {
+        Ok(match self {
+            Layer::Dense { weight, .. } => {
+                let (n, k) = weight.shape().as_matrix()?;
+                let nr = matmul::panel_width()?;
+                let mut panels = Vec::new();
+                matmul::pack_bt(weight.data(), k, n, k, nr, &mut panels);
+                Some(PreparedWeights::Panels { nr, panels })
+            }
+            Layer::QuantDense { weight, .. } => {
+                let nr = quant::quad_panel_width()?;
+                let mut quads = Vec::new();
+                quant::pack_quads(weight, nr, &mut quads);
+                Some(PreparedWeights::Quads { nr, quads })
+            }
+            Layer::Conv2d { .. } | Layer::Flatten => None,
+        })
+    }
+
     /// Forward pass over a batch.
     ///
     /// `input` is `[batch, ...example dims]`; `par` bounds kernel
     /// parallelism (set by the resource coordinator).
+    ///
+    /// A layer on its own has nowhere to keep packed weights, so a dense
+    /// layer packs them for this call. A model's layers run through
+    /// [`crate::Model::forward_layer`], which packs once per model.
     pub fn forward(&self, input: &Tensor, par: &Parallelism) -> Result<Tensor> {
-        match self {
-            Layer::Dense {
-                weight,
-                bias,
-                activation,
-            } => {
-                let z = relserve_tensor::matmul::matmul_bt_parallel(input, weight, par)?;
-                let z = ops::add_bias(&z, bias)?;
-                activation.apply(&z)
+        self.forward_prepared(input, self.prepare()?.as_ref(), par)
+    }
+
+    /// The one forward route: `prepared` is what [`Layer::prepare`] returned
+    /// for this layer, whenever it was built.
+    pub(crate) fn forward_prepared(
+        &self,
+        input: &Tensor,
+        prepared: Option<&PreparedWeights>,
+        par: &Parallelism,
+    ) -> Result<Tensor> {
+        match (self, prepared) {
+            (
+                Layer::Dense {
+                    weight,
+                    bias,
+                    activation,
+                },
+                Some(PreparedWeights::Panels { nr, panels }),
+            ) => {
+                let (n, k) = weight.shape().as_matrix()?;
+                let packed = PackedB::new(k, n, *nr, panels)?;
+                let mut z = matmul::matmul_prepacked(input, &packed, par)?;
+                ops::add_bias_inplace(&mut z, bias)?;
+                activation.apply_inplace(&mut z)?;
+                Ok(z)
             }
-            Layer::QuantDense {
-                weight,
-                bias,
-                activation,
-            } => {
-                // Genuine int8 execution: activations quantize per row, the
-                // u8×i8 kernels accumulate in i32, and the epilogue folds
-                // scale and bias into the f32 store — no f32 weight tensor
-                // is ever materialized on this path.
-                let z = quant::qmatmul_bt_parallel(input, weight, Some(bias.data()), par)?;
-                activation.apply(&z)
+            (
+                Layer::QuantDense {
+                    weight,
+                    bias,
+                    activation,
+                },
+                Some(PreparedWeights::Quads { nr, quads }),
+            ) => {
+                // Genuine int8 execution: each row stripe quantizes its
+                // activations, the u8×i8 kernels accumulate in i32, and the
+                // epilogue folds scale and bias into the f32 store — no f32
+                // weight tensor is ever materialized on this path.
+                let bias = Some(bias.data());
+                let mut z = quant::qmatmul_prepacked(input, weight, *nr, quads, bias, par)?;
+                activation.apply_inplace(&mut z)?;
+                Ok(z)
             }
-            Layer::Conv2d {
-                kernel,
-                bias,
-                spec,
-                activation,
-            } => {
+            (
+                Layer::Conv2d {
+                    kernel,
+                    bias,
+                    spec,
+                    activation,
+                },
+                None,
+            ) => {
                 let z = conv::conv2d(input, kernel, bias, spec, par)?;
                 let dims = z.shape().dims().to_vec();
                 // Activations operate on a matrix view, then restore shape.
-                let flat = z.reshape([dims[0] * dims[1] * dims[2], dims[3]])?;
-                let a = activation.apply(&flat)?;
-                Ok(a.reshape(dims)?)
+                let mut flat = z.reshape([dims[0] * dims[1] * dims[2], dims[3]])?;
+                activation.apply_inplace(&mut flat)?;
+                Ok(flat.reshape(dims)?)
             }
-            Layer::Flatten => {
+            (Layer::Flatten, None) => {
                 let dims = input.shape().dims();
                 let batch = dims[0];
                 let rest: usize = dims[1..].iter().product();
                 Ok(input.clone().reshape([batch, rest])?)
             }
+            _ => Err(Error::InvalidModel(format!(
+                "prepared weights of another kind handed to a {} layer",
+                self.kind()
+            ))),
         }
     }
 

@@ -2,16 +2,94 @@
 
 use crate::error::{Error, Result};
 use crate::graph::LinalgOp;
-use crate::layer::Layer;
+use crate::layer::{Layer, PreparedWeights};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{ops, Shape, Tensor};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A sequential neural network: an input shape and a stack of layers.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The weights of a model are constants between two [`Model::layers_mut`]
+/// calls, so [`Model::forward`] and [`Model::forward_layer`] pack each dense
+/// layer's weights once, on the layer's first execution, and multiply from
+/// the packed form from then on. Clones share what has been packed; the
+/// packed form is derived state, so it takes no part in `==`, `Debug` or
+/// serialization.
+#[derive(Clone)]
 pub struct Model {
     name: String,
     input_shape: Shape,
     layers: Vec<Layer>,
+    prepared: Arc<PreparedSlots>,
+}
+
+/// One slot per layer: unset until the layer first runs dense, then what
+/// [`Layer::prepare`] returned for it.
+struct PreparedSlots {
+    slots: Box<[OnceLock<Option<PreparedWeights>>]>,
+    /// Held while a slot is filled, so that racing first runs pack once.
+    building: Mutex<()>,
+    /// Weight matrices packed: one per filled slot of a dense layer, unless
+    /// some layer was packed twice.
+    builds: AtomicUsize,
+}
+
+impl PreparedSlots {
+    fn empty(layers: usize) -> Arc<Self> {
+        Arc::new(PreparedSlots {
+            slots: (0..layers).map(|_| OnceLock::new()).collect(),
+            building: Mutex::new(()),
+            builds: AtomicUsize::new(0),
+        })
+    }
+
+    /// The packed weights of `layer`, which is layer `i`; built on first use.
+    fn get(&self, i: usize, layer: &Layer) -> Result<Option<&PreparedWeights>> {
+        let slot = &self.slots[i];
+        if let Some(built) = slot.get() {
+            return Ok(built.as_ref());
+        }
+        // The lock guards no data, so a builder that panicked left nothing
+        // half-done behind it.
+        let _building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.get().is_none() {
+            // A failed build publishes nothing; the next run tries again.
+            let built = layer.prepare()?;
+            // A statistic: it publishes nothing.
+            self.builds
+                .fetch_add(usize::from(built.is_some()), Ordering::Relaxed);
+            let _ = slot.set(built);
+        }
+        Ok(slot.get().and_then(Option::as_ref))
+    }
+
+    /// Bytes of every packed form held.
+    fn bytes(&self) -> usize {
+        self.slots
+            .iter()
+            .filter_map(|slot| slot.get()?.as_ref())
+            .map(PreparedWeights::bytes)
+            .sum()
+    }
+}
+
+impl PartialEq for Model {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.input_shape == other.input_shape
+            && self.layers == other.layers
+    }
+}
+
+impl std::fmt::Debug for Model {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Model")
+            .field("name", &self.name)
+            .field("input_shape", &self.input_shape)
+            .field("layers", &self.layers)
+            .finish()
+    }
 }
 
 impl Model {
@@ -21,6 +99,7 @@ impl Model {
             name: name.into(),
             input_shape: input_shape.into(),
             layers: Vec::new(),
+            prepared: PreparedSlots::empty(0),
         }
     }
 
@@ -29,6 +108,7 @@ impl Model {
         let current = self.output_shape()?;
         layer.output_shape(&current)?;
         self.layers.push(layer);
+        self.prepared = PreparedSlots::empty(self.layers.len());
         Ok(self)
     }
 
@@ -54,8 +134,22 @@ impl Model {
     }
 
     /// Mutable access to the layer stack (training updates parameters).
+    /// Whatever this model had packed is dropped — the next forward packs
+    /// the edited weights — while clones made earlier keep theirs.
     pub fn layers_mut(&mut self) -> &mut [Layer] {
+        self.prepared = PreparedSlots::empty(self.layers.len());
         &mut self.layers
+    }
+
+    /// How many weight matrices have been packed, and the bytes the packed
+    /// forms take beside the raw weights: one build per dense layer that has
+    /// run since the last [`Model::layers_mut`], on this model or a clone
+    /// that shares its packed weights.
+    pub fn prepared_weights(&self) -> (usize, usize) {
+        (
+            self.prepared.builds.load(Ordering::Relaxed),
+            self.prepared.bytes(),
+        )
     }
 
     /// Per-example output shape after all layers.
@@ -102,10 +196,24 @@ impl Model {
         let mut full_dims = vec![batch_size];
         full_dims.extend_from_slice(self.input_shape.dims());
         let mut x = batch.clone().reshape(full_dims)?;
-        for layer in &self.layers {
-            x = layer.forward(&x, par)?;
+        for i in 0..self.layers.len() {
+            x = self.forward_layer(i, &x, par)?;
         }
         Ok(x)
+    }
+
+    /// Forward pass of layer `i` alone over `input`, `[batch, ...dims of the
+    /// layer's input]`: what every executor runs a dense-executed layer
+    /// through, so that its weights are packed once per model.
+    pub fn forward_layer(&self, i: usize, input: &Tensor, par: &Parallelism) -> Result<Tensor> {
+        let layer = self.layers.get(i).ok_or_else(|| {
+            Error::InvalidModel(format!(
+                "`{}` has {} layers, no layer {i}",
+                self.name,
+                self.layers.len()
+            ))
+        })?;
+        layer.forward_prepared(input, self.prepared.get(i, layer)?, par)
     }
 
     /// Forward inference followed by row-wise argmax (classification).
@@ -203,6 +311,101 @@ mod tests {
         let a = m.forward(&spatial, &Parallelism::serial()).unwrap();
         let b = m.forward(&flat, &Parallelism::serial()).unwrap();
         assert!(a.approx_eq(&b, 1e-6));
+    }
+
+    /// Address of layer `i`'s packed weights, if packed.
+    fn packed_at(m: &Model, i: usize) -> Option<*const u8> {
+        m.prepared.slots[i]
+            .get()
+            .and_then(Option::as_ref)
+            .map(|p| match p {
+                PreparedWeights::Panels { panels, .. } => panels.as_ptr().cast(),
+                PreparedWeights::Quads { quads, .. } => quads.as_ptr().cast(),
+            })
+    }
+
+    #[test]
+    fn prepared_weights_are_built_on_first_forward_and_shared_by_clones() {
+        let m = ffnn();
+        let x = Tensor::from_fn([5, 4], |i| (i as f32 * 0.31).sin());
+        let par = Parallelism::serial();
+        assert_eq!(
+            m.prepared_weights(),
+            (0, 0),
+            "nothing packs before a forward"
+        );
+        assert_eq!(packed_at(&m, 0), None);
+        // One layer alone packs that layer alone.
+        let hidden = m.forward_layer(0, &x, &par).unwrap();
+        assert_eq!(m.prepared_weights().0, 1);
+        assert!(packed_at(&m, 0).is_some() && packed_at(&m, 1).is_none());
+        assert!(m.forward_layer(2, &hidden, &par).is_err(), "no layer 2");
+
+        let first = m.forward(&x, &par).unwrap();
+        let (builds, bytes) = m.prepared_weights();
+        assert_eq!(builds, 2);
+        assert!(
+            bytes >= (4 * 8 + 8 * 3) * 4,
+            "panels hold at least the weights"
+        );
+
+        // A clone made after the build multiplies from the same panels; one
+        // made before it sees the build too (the slots are shared, not the
+        // contents copied), and nobody packs a second time.
+        let clone = m.clone();
+        assert_eq!(clone.forward(&x, &par).unwrap(), first);
+        for i in 0..2 {
+            assert_eq!(packed_at(&clone, i), packed_at(&m, i));
+        }
+        let early = ffnn();
+        let late = early.clone();
+        late.forward(&x, &par).unwrap();
+        assert_eq!(packed_at(&early, 1), packed_at(&late, 1));
+        assert_eq!(early.prepared_weights().0, 2);
+        assert_eq!(m.prepared_weights(), (2, bytes));
+        // Derived state: no part of equality or of the debug form.
+        assert_eq!(ffnn(), m);
+        assert_eq!(format!("{:?}", ffnn()), format!("{m:?}"));
+    }
+
+    #[test]
+    fn prepared_weights_are_dropped_by_an_edit_and_kept_by_the_untouched_clone() {
+        let mut edited = ffnn();
+        let x = Tensor::from_fn([3, 4], |i| (i as f32 * 0.77).cos());
+        let par = Parallelism::serial();
+        let before = edited.forward(&x, &par).unwrap();
+        let untouched = edited.clone();
+        let kept = packed_at(&untouched, 0);
+
+        let Layer::Dense { weight, .. } = &mut edited.layers_mut()[0] else {
+            unreachable!()
+        };
+        for w in weight.data_mut() {
+            *w = -*w;
+        }
+        assert_eq!(
+            edited.prepared_weights(),
+            (0, 0),
+            "an edit drops the packed form"
+        );
+        let after = edited.forward(&x, &par).unwrap();
+        assert_ne!(
+            after, before,
+            "the forward after an edit multiplies by the edited weights"
+        );
+        // What a model built from the edited weights computes, bit for bit.
+        let rebuilt = edited
+            .layers()
+            .iter()
+            .fold(Model::new("test-ffnn", [4]), |m, l| {
+                m.push(l.clone()).unwrap()
+            });
+        assert_eq!(rebuilt.forward(&x, &par).unwrap(), after);
+        // The clone made before the edit still holds, and multiplies from,
+        // the weights it was cloned with.
+        assert_eq!(packed_at(&untouched, 0), kept);
+        assert_eq!(untouched.forward(&x, &par).unwrap(), before);
+        assert_eq!(untouched.prepared_weights().0, 2);
     }
 
     #[test]

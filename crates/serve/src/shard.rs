@@ -418,8 +418,9 @@ struct ShardableHead<'m> {
     weight: &'m Tensor,
     bias: &'m Tensor,
     activation: Activation,
-    /// Layers after the sharded one, run locally on the gathered output.
-    tail: &'m [Layer],
+    /// Indices of the layers after the sharded one, run locally on the
+    /// gathered output.
+    tail: std::ops::Range<usize>,
 }
 
 /// A model's head is shardable when an optional run of `Flatten` layers
@@ -444,8 +445,11 @@ fn shardable_head(layers: &[Layer], width: usize) -> Option<ShardableHead<'_>> {
     if in_features != width {
         return None;
     }
-    let tail = &layers[idx + 1..];
-    if !tail.iter().all(|l| matches!(l, Layer::Dense { .. })) {
+    let tail = idx + 1..layers.len();
+    if !layers[tail.clone()]
+        .iter()
+        .all(|l| matches!(l, Layer::Dense { .. }))
+    {
         return None;
     }
     Some(ShardableHead {
@@ -688,12 +692,12 @@ impl ShardCoordinator {
         }
 
         // Finish the decomposed layer, then the tail, locally.
-        let z = Tensor::from_vec([total_rows, out_rows], acc)?;
-        let z = ops::add_bias(&z, head.bias)?;
-        let mut x = head.activation.apply(&z)?;
-        for layer in head.tail {
+        let mut x = Tensor::from_vec([total_rows, out_rows], acc)?;
+        ops::add_bias_inplace(&mut x, head.bias)?;
+        head.activation.apply_inplace(&mut x)?;
+        for i in head.tail {
             ctx.check_deadline("shard tail")?;
-            x = layer.forward(&x, &par)?;
+            x = model.forward_layer(i, &x, &par)?;
         }
         let predictions = ops::argmax_rows(&x)?;
 

@@ -264,8 +264,9 @@ pub fn conv2d(
         let k = kernel
             .clone()
             .reshape([spec.out_channels, spec.patch_len()])?;
-        let prod = matmul_bt_parallel(&f, &k, par)?;
-        crate::ops::add_bias(&prod, bias)?
+        let mut prod = matmul_bt_parallel(&f, &k, par)?;
+        crate::ops::add_bias_inplace(&mut prod, bias)?;
+        prod
     };
     out_mat.reshape([n, oh, ow, spec.out_channels])
 }

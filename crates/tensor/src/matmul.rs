@@ -23,9 +23,11 @@
 //! force one per call for tests and benchmarks.
 //!
 //! A constant `B` need not be packed per call: [`pack_bt`] writes the panels
-//! once and [`matmul_prepacked`] multiplies from them ([`PackedB`]). Every
+//! once and [`matmul_prepacked`] multiplies from them ([`PackedB`]) — what a
+//! loaded model's dense layers and the weight relations do. Every other
 //! entry point below is "pack `B` into a per-thread scratch, then run the
-//! same driver on the panels", so the two routes cannot differ by a bit.
+//! same driver on the panels", so the two routes cannot differ by a bit;
+//! they are for a `B` that is not a constant.
 //!
 //! Transposed-operand entry points avoid materializing transposes by packing
 //! straight out of the stored layout:
@@ -55,9 +57,34 @@ const MIN_STRIPE_WORK: usize = 1 << 20;
 
 /// Row stripes for an `m×k×n` multiply under a grant of `threads`: at most
 /// one per thread and per row, and none smaller than [`MIN_STRIPE_WORK`].
-fn stripe_count(threads: usize, m: usize, k: usize, n: usize) -> usize {
+/// The f32 and the int8 driver both stripe by this rule.
+pub(crate) fn stripe_count(threads: usize, m: usize, k: usize, n: usize) -> usize {
     let by_work = m.saturating_mul(k).saturating_mul(n) / MIN_STRIPE_WORK;
     threads.min(m).min(by_work).max(1)
+}
+
+/// Split the `m × n` output `c` into `stripes` row stripes, each tagged with
+/// its first row. Boundaries land on multiples of the kernel's tile height
+/// `mr`, so no tile spans two tasks.
+pub(crate) fn row_stripes(
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    stripes: usize,
+    mr: usize,
+) -> Vec<(usize, &mut [f32])> {
+    let rows_per = m.div_ceil(stripes).div_ceil(mr) * mr;
+    let mut out = Vec::with_capacity(stripes);
+    let mut rest = c;
+    let mut row = 0usize;
+    while row < m {
+        let take = rows_per.min(m - row);
+        let (head, tail) = rest.split_at_mut(take * n);
+        out.push((row, head));
+        rest = tail;
+        row += take;
+    }
+    out
 }
 
 fn matrix_dims(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize, usize)> {
@@ -294,18 +321,7 @@ fn run_packed(
         tiled_stripe(kern, &a, bpack, &mut c, 0, m, k, n);
         return c;
     }
-    // Stripe boundaries land on MR multiples so no tile spans two tasks.
-    let rows_per = m.div_ceil(threads).div_ceil(kern.mr) * kern.mr;
-    let mut stripes: Vec<(usize, &mut [f32])> = Vec::new();
-    let mut rest = c.as_mut_slice();
-    let mut row = 0usize;
-    while row < m {
-        let take = rows_per.min(m - row);
-        let (head, tail) = rest.split_at_mut(take * n);
-        stripes.push((row, head));
-        rest = tail;
-        row += take;
-    }
+    let stripes = row_stripes(&mut c, m, n, threads, kern.mr);
     par.run_owned(stripes, |(row0, stripe)| {
         let rows = stripe.len() / n;
         tiled_stripe(kern, &a, bpack, stripe, row0, row0 + rows, k, n);

@@ -112,7 +112,14 @@ pub fn relu_grad_mask(pre: &Tensor) -> Tensor {
 
 /// Logistic sigmoid.
 pub fn sigmoid(t: &Tensor) -> Tensor {
-    map(t, |x| 1.0 / (1.0 + (-x).exp()))
+    let mut out = t.clone();
+    sigmoid_inplace(&mut out);
+    out
+}
+
+/// [`sigmoid`] in place.
+pub fn sigmoid_inplace(t: &mut Tensor) {
+    map_inplace(t, |x| 1.0 / (1.0 + (-x).exp()));
 }
 
 /// Hyperbolic tangent.
@@ -122,6 +129,14 @@ pub fn tanh(t: &Tensor) -> Tensor {
 
 /// Add a bias row-vector to every row of a rank-2 tensor.
 pub fn add_bias(t: &Tensor, bias: &Tensor) -> Result<Tensor> {
+    let mut out = t.clone();
+    add_bias_inplace(&mut out, bias)?;
+    Ok(out)
+}
+
+/// [`add_bias`] in place, for a caller that owns `t` and would drop it
+/// anyway: no second output-sized tensor.
+pub fn add_bias_inplace(t: &mut Tensor, bias: &Tensor) -> Result<()> {
     let (rows, cols) = t.shape().as_matrix()?;
     if bias.len() != cols {
         return Err(Error::ShapeMismatch {
@@ -130,13 +145,12 @@ pub fn add_bias(t: &Tensor, bias: &Tensor) -> Result<Tensor> {
             rhs: bias.shape().dims().to_vec(),
         });
     }
-    let mut out = t.clone();
     let b = bias.data();
     let kernels = simd::kernels();
     for r in 0..rows {
-        kernels.add_assign(&mut out.data_mut()[r * cols..(r + 1) * cols], b);
+        kernels.add_assign(&mut t.data_mut()[r * cols..(r + 1) * cols], b);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
@@ -145,11 +159,17 @@ pub fn add_bias(t: &Tensor, bias: &Tensor) -> Result<Tensor> {
 /// dispatched SIMD tier; only the `exp` sweep stays scalar (a vector `exp`
 /// would be a polynomial approximation with its own error budget).
 pub fn softmax(t: &Tensor) -> Result<Tensor> {
-    let (rows, cols) = t.shape().as_matrix()?;
     let mut out = t.clone();
+    softmax_inplace(&mut out)?;
+    Ok(out)
+}
+
+/// [`softmax`] in place.
+pub fn softmax_inplace(t: &mut Tensor) -> Result<()> {
+    let (rows, cols) = t.shape().as_matrix()?;
     let kernels = simd::kernels();
     for r in 0..rows {
-        let row = &mut out.data_mut()[r * cols..(r + 1) * cols];
+        let row = &mut t.data_mut()[r * cols..(r + 1) * cols];
         let max = kernels.max(row);
         for v in row.iter_mut() {
             *v = (*v - max).exp();
@@ -159,7 +179,7 @@ pub fn softmax(t: &Tensor) -> Result<Tensor> {
             kernels.scale(row, 1.0 / sum);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Index of the maximum entry in each row of a rank-2 tensor.

@@ -13,10 +13,14 @@
 //!   and VNNI tiers produce **bit-identical i32 accumulators** (see
 //!   [`crate::simd::MatmulKernelI8`]).
 //! * [`qmatmul_bt_parallel`] / [`qmatmul_bt_with_isa`] — `X × Wᵀ` with `W`
-//!   quantized (stored `[out, in]`, the inference layout): quantize the
-//!   activations per row, run the u8×i8 quad kernels with i32 accumulation,
-//!   and fold scale, offset correction, and bias into one dequantizing f32
-//!   epilogue at the store.
+//!   quantized (stored `[out, in]`, the inference layout): pack `W`'s quads,
+//!   then per row stripe quantize the activations per row, run the u8×i8
+//!   quad kernels with i32 accumulation, and fold scale, offset correction,
+//!   and bias into one dequantizing f32 epilogue at the store.
+//! * [`pack_quads`] / [`qmatmul_prepacked`] — the same multiply from quads
+//!   packed ahead of the call, for a `W` that is a constant (a loaded
+//!   model's layer). Every entry point is "get `W`'s quads, then run the one
+//!   driver on them", so the routes cannot differ by a bit.
 //!
 //! The affine form needs no integer zero-point plumbing: with
 //! `x[i][p] = sa[i]·aq[i][p] + lo[i]` and `w[j][p] = sw[j]·wq[j][p]`,
@@ -38,9 +42,11 @@
 
 use crate::dense::Tensor;
 use crate::error::{Error, Result};
+use crate::matmul::{row_stripes, stripe_count};
 use crate::parallel::Parallelism;
 use crate::simd::{self, Isa, MatmulKernelI8};
 use std::cell::RefCell;
+use std::sync::Mutex;
 
 /// Maximum quantized activation level: 7-bit so the AVX2 `maddubs` i16
 /// intermediates cannot saturate (`127·127·2 = 32258 < 32767`).
@@ -233,7 +239,19 @@ impl QuantizedActivations {
 /// Quantize a 2-D f32 activation matrix per row to 7-bit affine levels.
 pub fn quantize_activations(a: &Tensor) -> Result<QuantizedActivations> {
     let (rows, cols) = a.shape().as_matrix()?;
-    let ad = a.data();
+    quantize_rows(a.data(), rows, cols, 0)
+}
+
+/// Quantize `rows` rows of `cols` values each. A row's levels, scale and
+/// offset depend on that row alone, so a row stripe quantized by itself
+/// holds exactly what the whole matrix's quantization holds for its rows;
+/// `first_row` is the stripe's position in that matrix, for the error.
+fn quantize_rows(
+    ad: &[f32],
+    rows: usize,
+    cols: usize,
+    first_row: usize,
+) -> Result<QuantizedActivations> {
     let mut data = vec![0u8; rows * cols];
     let mut scales = vec![1.0f32; rows];
     let mut offsets = vec![0.0f32; rows];
@@ -253,7 +271,8 @@ pub fn quantize_activations(a: &Tensor) -> Result<QuantizedActivations> {
         }
         if !lo.is_finite() || !hi.is_finite() {
             return Err(Error::Quantize(format!(
-                "activation row {r} contains non-finite values; cannot quantize"
+                "activation row {} contains non-finite values; cannot quantize",
+                first_row + r
             )));
         }
         let scale = if hi > lo {
@@ -395,17 +414,46 @@ fn qgemm_stripe(
     });
 }
 
-/// The shared quantized-matmul driver: pack W panels once, stripe the batch
-/// rows over the grant, and fold dequantization (+ optional bias) into the
-/// f32 store.
+/// The activations of one multiply.
+#[derive(Clone, Copy)]
+enum Acts<'a> {
+    /// Quantized by the caller (the relational block join quantizes an
+    /// activation block once and reuses it across weight blocks).
+    Quantized(&'a QuantizedActivations),
+    /// Row-major f32 `[m, k]`: every row stripe quantizes its own rows, so
+    /// the sweep runs on the grant instead of ahead of it.
+    Raw { data: &'a [f32], m: usize, k: usize },
+}
+
+/// Pack-per-call: pack `w`'s quads into this thread's scratch for `kern`,
+/// then run `f` on them.
+fn with_scratch_quads<R>(
+    kern: &MatmulKernelI8,
+    w: &QuantizedTensor,
+    f: impl FnOnce(&[i8]) -> R,
+) -> R {
+    QB_SCRATCH.with(|scratch| {
+        let mut bpack = scratch.borrow_mut();
+        pack_b_i8(w, kern.nr, &mut bpack);
+        f(&bpack)
+    })
+}
+
+/// The one quantized-matmul driver: stripe the batch rows over the grant,
+/// multiply each stripe from `w`'s packed quads `bpack`, and fold
+/// dequantization (+ optional bias) into the f32 store.
 fn qmatmul_impl(
     kern: &MatmulKernelI8,
-    a: &QuantizedActivations,
+    acts: Acts<'_>,
     w: &QuantizedTensor,
+    bpack: &[i8],
     bias: Option<&[f32]>,
     par: &Parallelism,
 ) -> Result<Tensor> {
-    let (m, k) = (a.rows, a.cols);
+    let (m, k) = match acts {
+        Acts::Quantized(a) => (a.rows, a.cols),
+        Acts::Raw { m, k, .. } => (m, k),
+    };
     let n = w.rows;
     if w.cols != k {
         return Err(Error::ShapeMismatch {
@@ -427,63 +475,65 @@ fn qmatmul_impl(
     if m == 0 || n == 0 {
         return Tensor::from_vec([m, n], c);
     }
-    QB_SCRATCH.with(|scratch| {
-        let mut bpack = scratch.borrow_mut();
-        pack_b_i8(w, kern.nr, &mut bpack);
-        // The dequantizing epilogue, evaluated in the same scalar f32
-        // expression order on every tier so whole-matmul outputs are
-        // bit-identical across ISAs.
-        let epilogue = |i: usize, j0: usize, acc_row: &[i32], c_row: &mut [f32]| {
-            let (sa, lo) = (a.scales[i], a.offsets[i]);
-            for (jj, (&acc, cv)) in acc_row.iter().zip(c_row.iter_mut()).enumerate() {
-                let j = j0 + jj;
-                let sw = w.scales[j];
-                let mut v = sw * (sa * acc as f32 + lo * w.row_sums[j] as f32);
-                if let Some(b) = bias {
-                    v += b[j];
-                }
-                *cv = v;
+    // One stripe: rows `row0..` of the output, from activations this stripe
+    // quantizes itself unless the caller already has.
+    let run_stripe = |row0: usize, out: &mut [f32]| -> Result<()> {
+        let rows = out.len() / n;
+        let own;
+        let (aq, first) = match acts {
+            Acts::Quantized(a) => (a, row0),
+            Acts::Raw { data, .. } => {
+                own = quantize_rows(&data[row0 * k..(row0 + rows) * k], rows, k, row0)?;
+                (&own, 0)
             }
         };
-        let threads = par.threads().clamp(1, m);
-        if threads == 1 {
-            let cd = c.as_mut_slice();
-            qgemm_stripe(kern, a, &bpack, 0, m, n, |i, j0, width, acc_row| {
-                epilogue(i, j0, acc_row, &mut cd[i * n + j0..i * n + j0 + width]);
-            });
-        } else {
-            // Stripe boundaries land on MR multiples so no tile spans tasks.
-            let rows_per = m.div_ceil(threads).div_ceil(kern.mr) * kern.mr;
-            let mut stripes: Vec<(usize, &mut [f32])> = Vec::new();
-            let mut rest = c.as_mut_slice();
-            let mut row = 0usize;
-            while row < m {
-                let take = rows_per.min(m - row);
-                let (head, tail) = rest.split_at_mut(take * n);
-                stripes.push((row, head));
-                rest = tail;
-                row += take;
-            }
-            let bpack = &bpack[..];
-            par.run_owned(stripes, |(row0, stripe)| {
-                let rows = stripe.len() / n;
-                let stripe = RefCell::new(stripe);
-                qgemm_stripe(
-                    kern,
-                    a,
-                    bpack,
-                    row0,
-                    row0 + rows,
-                    n,
-                    |i, j0, width, acc_row| {
-                        let mut stripe = stripe.borrow_mut();
-                        let base = (i - row0) * n + j0;
-                        epilogue(i, j0, acc_row, &mut stripe[base..base + width]);
-                    },
-                );
-            });
+        qgemm_stripe(
+            kern,
+            aq,
+            bpack,
+            first,
+            first + rows,
+            n,
+            |i, j0, width, acc_row| {
+                // The dequantizing epilogue, evaluated in the same scalar f32
+                // expression order on every tier so whole-matmul outputs are
+                // bit-identical across ISAs.
+                let (sa, lo) = (aq.scales[i], aq.offsets[i]);
+                let c_row = &mut out[(i - first) * n + j0..][..width];
+                for (jj, (&acc, cv)) in acc_row.iter().zip(c_row).enumerate() {
+                    let j = j0 + jj;
+                    let mut v = w.scales[j] * (sa * acc as f32 + lo * w.row_sums[j] as f32);
+                    if let Some(b) = bias {
+                        v += b[j];
+                    }
+                    *cv = v;
+                }
+            },
+        );
+        Ok(())
+    };
+    let threads = stripe_count(par.threads(), m, k, n);
+    if threads == 1 {
+        run_stripe(0, &mut c)?;
+    } else {
+        // The error of the lowest failing stripe: the first row the whole
+        // matrix's quantization would have refused.
+        let failed: Mutex<Option<(usize, Error)>> = Mutex::new(None);
+        par.run_owned(
+            row_stripes(&mut c, m, n, threads, kern.mr),
+            |(row0, stripe)| {
+                if let Err(e) = run_stripe(row0, stripe) {
+                    let mut failed = failed.lock().expect("stripe error lock");
+                    if failed.as_ref().is_none_or(|(at, _)| row0 < *at) {
+                        *failed = Some((row0, e));
+                    }
+                }
+            },
+        );
+        if let Some((_, e)) = failed.into_inner().expect("stripe error lock") {
+            return Err(e);
         }
-    });
+    }
     Tensor::from_vec([m, n], c)
 }
 
@@ -501,20 +551,28 @@ pub fn qgemm_i32(a: &QuantizedActivations, w: &QuantizedTensor, isa: Isa) -> Res
     }
     let (m, n) = (a.rows, w.rows);
     let mut acc = vec![0i32; m * n];
-    QB_SCRATCH.with(|scratch| {
-        let mut bpack = scratch.borrow_mut();
-        pack_b_i8(w, kern.nr, &mut bpack);
-        let accd = acc.as_mut_slice();
-        qgemm_stripe(kern, a, &bpack, 0, m, n, |i, j0, width, acc_row| {
-            accd[i * n + j0..i * n + j0 + width].copy_from_slice(&acc_row[..width]);
+    with_scratch_quads(kern, w, |bpack| {
+        qgemm_stripe(kern, a, bpack, 0, m, n, |i, j0, width, acc_row| {
+            acc[i * n + j0..i * n + j0 + width].copy_from_slice(&acc_row[..width]);
         });
     });
     Ok(acc)
 }
 
+fn raw_acts(a: &Tensor) -> Result<Acts<'_>> {
+    let (m, k) = a.shape().as_matrix()?;
+    Ok(Acts::Raw {
+        data: a.data(),
+        m,
+        k,
+    })
+}
+
 /// Quantized `X × Wᵀ` (+bias) on the process-selected ISA tier, striped over
-/// the caller's kernel grant: quantize `X` per row, multiply in u8×i8 with
-/// i32 accumulation, dequantize into the store.
+/// the caller's kernel grant: pack `W`'s quads, then per row stripe quantize
+/// `X`'s rows, multiply in u8×i8 with i32 accumulation and dequantize into
+/// the store. For a `W` that is a constant, pack once with [`pack_quads`]
+/// and call [`qmatmul_prepacked`].
 pub fn qmatmul_bt_parallel(
     a: &Tensor,
     w: &QuantizedTensor,
@@ -522,8 +580,10 @@ pub fn qmatmul_bt_parallel(
     par: &Parallelism,
 ) -> Result<Tensor> {
     let kern = &simd::try_kernels()?.matmul_i8;
-    let aq = quantize_activations(a)?;
-    qmatmul_impl(kern, &aq, w, bias, par)
+    let acts = raw_acts(a)?;
+    with_scratch_quads(kern, w, |quads| {
+        qmatmul_impl(kern, acts, w, quads, bias, par)
+    })
 }
 
 /// Single-threaded quantized `X × Wᵀ` (+bias) forced onto a specific ISA
@@ -535,8 +595,10 @@ pub fn qmatmul_bt_with_isa(
     isa: Isa,
 ) -> Result<Tensor> {
     let kern = &simd::kernels_for(isa)?.matmul_i8;
-    let aq = quantize_activations(a)?;
-    qmatmul_impl(kern, &aq, w, bias, &Parallelism::serial())
+    let acts = raw_acts(a)?;
+    with_scratch_quads(kern, w, |quads| {
+        qmatmul_impl(kern, acts, w, quads, bias, &Parallelism::serial())
+    })
 }
 
 /// Quantized multiply from pre-quantized activations — the relational block
@@ -549,13 +611,234 @@ pub fn qmatmul_prequantized(
     par: &Parallelism,
 ) -> Result<Tensor> {
     let kern = &simd::try_kernels()?.matmul_i8;
-    qmatmul_impl(kern, aq, w, bias, par)
+    with_scratch_quads(kern, w, |quads| {
+        qmatmul_impl(kern, Acts::Quantized(aq), w, quads, bias, par)
+    })
+}
+
+/// The panel width [`qmatmul_prepacked`] multiplies from on this host: the
+/// dispatched int8 kernel's `nr`.
+pub fn quad_panel_width() -> Result<usize> {
+    Ok(simd::try_kernels()?.matmul_i8.nr)
+}
+
+/// Bytes in the quad panels of an `n × k` quantized matrix at panel width
+/// `nr`.
+pub fn quads_len(n: usize, k: usize, nr: usize) -> usize {
+    n.div_ceil(nr) * k.div_ceil(4) * nr * 4
+}
+
+/// Pack `w` into the `[panel][kq][nr][4]` quad panels a kernel of panel
+/// width `nr` multiplies from, so that a constant `W` is packed once instead
+/// of on every call. `out` is resized to [`quads_len`].
+pub fn pack_quads(w: &QuantizedTensor, nr: usize, out: &mut Vec<i8>) {
+    assert!(nr > 0, "pack_quads: panel width must be positive");
+    pack_b_i8(w, nr, out);
+}
+
+/// [`qmatmul_bt_parallel`] from quads of `w` packed ahead of the call by
+/// [`pack_quads`] at panel width `nr`: the same driver on the same panels,
+/// so bit-identical to it under any grant. `Error::Isa` if the dispatched
+/// kernel multiplies from another width.
+pub fn qmatmul_prepacked(
+    a: &Tensor,
+    w: &QuantizedTensor,
+    nr: usize,
+    quads: &[i8],
+    bias: Option<&[f32]>,
+    par: &Parallelism,
+) -> Result<Tensor> {
+    let kern = &simd::try_kernels()?.matmul_i8;
+    if nr != kern.nr {
+        return Err(Error::Isa(format!(
+            "quads packed {nr} wide, but the dispatched int8 kernel ({}) multiplies from {}",
+            kern.name, kern.nr
+        )));
+    }
+    let expected = quads_len(w.rows, w.cols, nr);
+    if quads.len() != expected {
+        return Err(Error::BufferSizeMismatch {
+            expected,
+            actual: quads.len(),
+        });
+    }
+    qmatmul_impl(kern, raw_acts(a)?, w, quads, bias, par)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matmul::matmul_bt;
+    use crate::parallel::{SerialRunner, StripeRunner};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Runs stripes inline and remembers the widest fan-out it was asked for.
+    #[derive(Default)]
+    struct FanOut(AtomicUsize);
+
+    impl StripeRunner for FanOut {
+        fn run_stripes(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+            self.0.fetch_max(n_tasks, Ordering::Relaxed);
+            SerialRunner.run_stripes(n_tasks, task);
+        }
+
+        fn max_concurrency(&self) -> usize {
+            usize::MAX
+        }
+    }
+
+    fn inline_grant(threads: usize) -> Parallelism {
+        Parallelism::new(Arc::new(SerialRunner), threads)
+    }
+
+    /// Values whose quantization rounds, on a per-row range of their own.
+    fn inexact(rows: usize, cols: usize, step: f32) -> Tensor {
+        Tensor::from_fn([rows, cols], |i| {
+            (i as f32 * step).sin() * (1.0 + (i / cols.max(1)) as f32)
+        })
+    }
+
+    #[test]
+    fn int8_stripes_are_clamped_by_work_not_only_by_rows() {
+        let widest_fan_out = |threads: usize, m: usize, k: usize, n: usize| {
+            let runner = Arc::new(FanOut::default());
+            let w = QuantizedTensor::quantize(&inexact(n, k, 0.4177)).unwrap();
+            qmatmul_bt_parallel(
+                &inexact(m, k, 0.7311),
+                &w,
+                None,
+                &Parallelism::new(runner.clone(), threads),
+            )
+            .unwrap();
+            runner.0.load(Ordering::Relaxed)
+        };
+        // Fraud-FC-256@int8 up to a full serving batch: nothing leaves the
+        // calling thread.
+        assert_eq!(widest_fan_out(2, 64, 28, 256), 0);
+        assert_eq!(widest_fan_out(2, 64, 256, 2), 0);
+        assert_eq!(widest_fan_out(8, 128, 28, 256), 0);
+        // Encoder-FC@int8 at 512 rows: a stripe per granted thread.
+        for threads in [2, 4] {
+            assert_eq!(widest_fan_out(threads, 512, 76, 3072), threads);
+            assert_eq!(widest_fan_out(threads, 512, 3072, 768), threads);
+        }
+    }
+
+    #[test]
+    fn int8_striping_never_changes_a_bit() {
+        // Either side of the work clamp, with rows that do not divide into
+        // the kernel's tile height, a constant row and a bias: each stripe
+        // quantizes its own rows, and returns what one sweep of the whole
+        // matrix followed by one stripe does.
+        for (m, k, n) in [
+            (64, 28, 256),
+            (300, 28, 256),
+            (131, 129, 257),
+            (67, 300, 130),
+        ] {
+            let mut a = inexact(m, k, 0.7311);
+            a.data_mut()[(m / 2) * k..(m / 2 + 1) * k].fill(4.25);
+            let w = QuantizedTensor::quantize(&inexact(n, k, 0.4177)).unwrap();
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.377).cos()).collect();
+            let whole = quantize_activations(&a).unwrap();
+            let serial = qmatmul_prequantized(&whole, &w, Some(&bias), &Parallelism::serial());
+            let serial = serial.unwrap();
+            let mut quads = Vec::new();
+            let nr = quad_panel_width().unwrap();
+            pack_quads(&w, nr, &mut quads);
+            assert_eq!(quads.len(), quads_len(n, k, nr));
+            for threads in [1, 2, 3, 8] {
+                let grant = inline_grant(threads);
+                let per_call = qmatmul_bt_parallel(&a, &w, Some(&bias), &grant).unwrap();
+                let prepacked = qmatmul_prepacked(&a, &w, nr, &quads, Some(&bias), &grant);
+                let prequantized = qmatmul_prequantized(&whole, &w, Some(&bias), &grant);
+                for (route, got) in [
+                    ("per-call", per_call),
+                    ("prepacked", prepacked.unwrap()),
+                    ("prequantized", prequantized.unwrap()),
+                ] {
+                    assert!(
+                        got.data() == serial.data(),
+                        "{route} {m}x{k}x{n} under {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_row_is_the_same_typed_error_under_any_grant() {
+        // Enough work for four stripes; bad rows in the second and the last.
+        let (m, k, n) = (128, 256, 128);
+        let mut a = inexact(m, k, 0.7311);
+        a.data_mut()[100 * k + 3] = f32::INFINITY;
+        a.data_mut()[41 * k + 7] = f32::NEG_INFINITY;
+        let w = QuantizedTensor::quantize(&inexact(n, k, 0.4177)).unwrap();
+        let expected = quantize_activations(&a).unwrap_err();
+        assert!(matches!(&expected, Error::Quantize(msg) if msg.contains("row 41")));
+        for threads in [1, 2, 4, 8] {
+            let got = qmatmul_bt_parallel(&a, &w, None, &inline_grant(threads)).unwrap_err();
+            assert_eq!(got, expected, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn prepacked_quads_are_validated() {
+        let w = QuantizedTensor::quantize(&inexact(5, 6, 0.4177)).unwrap();
+        let a = inexact(2, 6, 0.7311);
+        let nr = quad_panel_width().unwrap();
+        let mut quads = Vec::new();
+        pack_quads(&w, nr, &mut quads);
+        let serial = Parallelism::serial();
+        assert!(qmatmul_prepacked(&a, &w, nr, &quads, None, &serial).is_ok());
+        assert!(matches!(
+            qmatmul_prepacked(&a, &w, nr, &quads[1..], None, &serial),
+            Err(Error::BufferSizeMismatch { .. })
+        ));
+        let mut foreign = Vec::new();
+        pack_quads(&w, nr + 1, &mut foreign);
+        assert!(matches!(
+            qmatmul_prepacked(&a, &w, nr + 1, &foreign, None, &serial),
+            Err(Error::Isa(_))
+        ));
+        assert!(matches!(
+            qmatmul_prepacked(&inexact(2, 7, 0.7311), &w, nr, &quads, None, &serial),
+            Err(Error::ShapeMismatch { .. })
+        ));
+    }
+
+    proptest! {
+        /// Rows quantize independently: stripes cut anywhere hold exactly the
+        /// levels, scales and offsets of the whole matrix's quantization.
+        #[test]
+        fn striped_quantization_is_whole_matrix_quantization(
+            rows in 1usize..24,
+            cols in 0usize..40,
+            cut_a in 0usize..24,
+            cut_b in 0usize..24,
+            constant_row in 0usize..24,
+            values in proptest::collection::vec(-1.0e4f32..1.0e4, 24 * 40),
+        ) {
+            let mut a = Tensor::from_vec([rows, cols], values[..rows * cols].to_vec()).unwrap();
+            if constant_row < rows {
+                a.data_mut()[constant_row * cols..(constant_row + 1) * cols].fill(-3.5);
+            }
+            let whole = quantize_activations(&a).unwrap();
+            let (lo, hi) = (cut_a.min(cut_b).min(rows), cut_a.max(cut_b).min(rows));
+            let (mut data, mut scales, mut offsets) = (Vec::new(), Vec::new(), Vec::new());
+            for (r0, r1) in [(0, lo), (lo, hi), (hi, rows)] {
+                let stripe = quantize_rows(&a.data()[r0 * cols..r1 * cols], r1 - r0, cols, r0).unwrap();
+                data.extend_from_slice(stripe.data());
+                scales.extend_from_slice(stripe.scales());
+                offsets.extend_from_slice(stripe.offsets());
+            }
+            prop_assert!(data == whole.data());
+            prop_assert!(scales == whole.scales());
+            prop_assert!(offsets == whole.offsets());
+        }
+    }
 
     fn test_matrix(rows: usize, cols: usize, seed: usize) -> Tensor {
         Tensor::from_fn([rows, cols], |i| {

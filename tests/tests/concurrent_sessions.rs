@@ -230,3 +230,56 @@ fn racing_first_queries_build_each_weight_relation_once() {
     assert_eq!(stats.weight_relation_builds, layers);
     assert_eq!(stats.weight_relation_reuses, (RACERS as u64 - 1) * layers);
 }
+
+#[test]
+fn racing_first_queries_prepare_each_dense_layer_once() {
+    // Every racer's first forward reaches the model's empty prepared-weight
+    // slots at the same moment (the barrier): half through the session, half
+    // through the caller's own clone of the model, which shares the slots.
+    // Exactly one of them may pack each layer's weights — Encoder-FC's second
+    // layer is 9 MiB of panels, a window wide enough to fall into — and the
+    // rest must wait for the finished panels, never multiply from half-built
+    // ones: all compute what a lone caller computes, bit for bit.
+    const RACERS: usize = 6;
+    let mut rng = seeded_rng(93);
+    let model = zoo::encoder_fc(&mut rng).unwrap();
+    let layers = model.layers().len() as u64;
+    let x = Tensor::from_fn([4, 76], |i| ((i % 17) as f32 - 8.0) * 0.11);
+
+    // A copy with slots of its own (`layers_mut` leaves the shared ones), so
+    // that the oracle packs nothing the racers could find.
+    let mut lone = model.clone();
+    lone.layers_mut();
+    let oracle = lone.forward(&x, &Parallelism::serial()).unwrap();
+    assert_eq!(model.prepared_weights().0, 0);
+
+    let session = InferenceSession::open(shared_config()).unwrap();
+    session.load_model(model.clone()).unwrap();
+    let barrier = std::sync::Barrier::new(RACERS);
+    let answers: Vec<Tensor> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..RACERS)
+            .map(|i| {
+                let (session, model, barrier, x) = (&session, &model, &barrier, &x);
+                scope.spawn(move || {
+                    barrier.wait();
+                    if i % 2 == 0 {
+                        session
+                            .infer_batch("Encoder-FC", x, Architecture::UdfCentric)
+                            .unwrap()
+                            .output
+                            .into_dense()
+                            .unwrap()
+                    } else {
+                        model.forward(x, &Parallelism::serial()).unwrap()
+                    }
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for answer in &answers {
+        assert_eq!(answer.data(), oracle.data());
+    }
+    assert_eq!(session.stats().prepared_weight_builds, layers);
+    assert_eq!(model.prepared_weights().0 as u64, layers);
+}

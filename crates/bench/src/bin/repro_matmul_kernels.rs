@@ -298,9 +298,11 @@ fn main() {
         // activations quantized inside the call (a `QuantDense` layer).
         let qnr = quant::quad_panel_width().unwrap();
         let mut quads = Vec::new();
-        quant::pack_quads(&wq, qnr, &mut quads);
+        quant::pack_quads(wq.data(), wq.rows(), wq.cols(), qnr, &mut quads);
         let secs = best_secs(reps, || {
-            qout = Some(quant::qmatmul_prepacked(&a, &wq, qnr, &quads, None, &serial).unwrap());
+            qout = Some(
+                quant::qmatmul_prepacked(&a, wq.epilogue(), qnr, &quads, None, &serial).unwrap(),
+            );
         });
         i8_rows.push(I8Row {
             name: format!("int8_prepacked[{kern_name}]"),

@@ -136,7 +136,17 @@ impl_from!(Tensor, relserve_tensor::Error);
 impl_from!(Runtime, relserve_runtime::Error);
 impl_from!(Storage, relserve_storage::Error);
 impl_from!(Relational, relserve_relational::Error);
-impl_from!(Nn, relserve_nn::Error);
+
+/// A model error that is a storage error — a stored weight's page failing
+/// its checksum — surfaces as the storage error it is.
+impl From<relserve_nn::Error> for Error {
+    fn from(e: relserve_nn::Error) -> Self {
+        match e {
+            relserve_nn::Error::Storage(e) => Error::Storage(e),
+            other => Error::Nn(other),
+        }
+    }
+}
 impl_from!(VectorIdx, relserve_vectoridx::Error);
 
 #[cfg(test)]

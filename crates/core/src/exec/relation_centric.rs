@@ -14,7 +14,7 @@
 
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
-use relserve_nn::{Activation, Layer, Model};
+use relserve_nn::{Activation, Layer, Model, Precision};
 use relserve_relational::tensor_table::TensorOpStats;
 use relserve_relational::TensorTable;
 use relserve_storage::BufferPool;
@@ -88,6 +88,16 @@ impl WeightRelations {
     /// Layer executions that found their weight relation already built.
     pub fn reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of the built weight relations' pages resident in the buffer
+    /// pool's frames right now. A relation still being built is not counted.
+    pub fn resident_bytes(&self) -> u64 {
+        let slots: Vec<WeightSlot> = self.slots.lock().values().cloned().collect();
+        slots
+            .iter()
+            .filter_map(|slot| Some(slot.try_lock()?.as_ref()?.resident_bytes()))
+            .sum()
     }
 
     /// The weight relation of layer `layer` of `model`, building it with
@@ -368,6 +378,45 @@ fn rows_table(flow: Flow, weights: &WeightRelations, tag: &str) -> Result<Tensor
     })
 }
 
+/// The weight relation of a dense layer's matrix, chunked from wherever the
+/// matrix is: memory, or — for a [`Layer::Stored`] weight — its artifact
+/// pages, read a row group at a time, so the matrix is never whole in
+/// memory on the way.
+fn weight_relation(
+    layer: &Layer,
+    pool: Arc<BufferPool>,
+    name: String,
+    spec: BlockingSpec,
+) -> Result<TensorTable> {
+    Ok(match layer {
+        Layer::Dense { weight, .. } => TensorTable::from_weights(pool, name, weight, spec)?,
+        Layer::QuantDense { weight, .. } => TensorTable::from_quantized(pool, name, weight, spec)?,
+        Layer::Stored { weight, .. } => {
+            let (rows, cols) = weight.shape();
+            let mut payload = weight.reader()?;
+            match weight.precision() {
+                Precision::F32 => {
+                    TensorTable::from_weight_rows(pool, name, (rows, cols), spec, |out| {
+                        Ok::<_, Error>(payload.f32_rows(out)?)
+                    })?
+                }
+                Precision::Int8 => {
+                    let scales = payload.scales(rows)?;
+                    TensorTable::from_quantized_rows(pool, name, &scales, cols, spec, |out| {
+                        Ok::<_, Error>(payload.i8_rows(out)?)
+                    })?
+                }
+            }
+        }
+        other => {
+            return Err(Error::Invalid(format!(
+                "a {} layer has no weight matrix",
+                other.kind()
+            )))
+        }
+    })
+}
+
 /// Execute layer `index` of `model` relation-centrically. `par` is this
 /// layer's share of the query's admitted kernel budget: the output cells of
 /// the matmul join fan out to the kernel pool up to that width. The layer's
@@ -386,50 +435,30 @@ pub(crate) fn exec_layer(
     let pool = &weights.pool;
     let spec_sq = weights.spec();
     match &model.layers()[index] {
-        Layer::Dense {
-            weight,
-            bias,
-            activation,
-        } => {
-            let x = rows_table(flow, weights, &format!("{tag}.x"))?;
-            let shape = weight.shape().as_matrix()?;
-            let w = weights.get_or_build(model.name(), index, shape, |name| {
-                Ok(TensorTable::from_weights(
-                    pool.clone(),
-                    name,
-                    weight,
-                    spec_sq,
-                )?)
-            })?;
-            let (product, op_stats) = x.matmul_bt_parallel(&w, format!("{tag}.xw"), par)?;
-            stats.merge(op_stats);
-            let biased = product.add_bias(format!("{tag}.b"), bias)?;
-            Ok(Flow::Rows(apply_activation_blocked(
-                biased,
-                *activation,
-                tag,
-                stats,
-            )?))
+        layer @ (Layer::Dense {
+            bias, activation, ..
         }
-        Layer::QuantDense {
-            weight,
-            bias,
-            activation,
-        } => {
+        | Layer::QuantDense {
+            bias, activation, ..
+        }
+        | Layer::Stored {
+            bias, activation, ..
+        }) => {
             let x = rows_table(flow, weights, &format!("{tag}.x"))?;
-            // The weight relation holds genuine i8 blocks — each carries its
-            // own per-row scales, so the buffer pool moves ~4× fewer bytes
-            // than the f32 path.
-            let shape = (weight.rows(), weight.cols());
+            let shape = layer
+                .weight_shape()
+                .ok_or_else(|| Error::Invalid("dense weight is not a matrix".into()))?;
             let w = weights.get_or_build(model.name(), index, shape, |name| {
-                Ok(TensorTable::from_quantized(
-                    pool.clone(),
-                    name,
-                    weight,
-                    spec_sq,
-                )?)
+                weight_relation(layer, pool.clone(), name, spec_sq)
             })?;
-            let (product, op_stats) = x.matmul_bt_quant_parallel(&w, format!("{tag}.xw"), par)?;
+            // An int8 relation holds genuine i8 blocks — each carries its own
+            // per-row scales, so the buffer pool moves ~4× fewer bytes than
+            // the f32 path.
+            let (product, op_stats) = if w.is_quantized() {
+                x.matmul_bt_quant_parallel(&w, format!("{tag}.xw"), par)?
+            } else {
+                x.matmul_bt_parallel(&w, format!("{tag}.xw"), par)?
+            };
             stats.merge(op_stats);
             let biased = product.add_bias(format!("{tag}.b"), bias)?;
             Ok(Flow::Rows(apply_activation_blocked(

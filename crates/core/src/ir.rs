@@ -87,9 +87,10 @@ impl InferencePlan {
     }
 
     /// EXPLAIN-style rendering of the plan. An operator that multiplies by
-    /// model weights also says what it multiplies from: the model's prepared
+    /// model weights also says what it multiplies from — the model's prepared
     /// (packed once) weights, the session's weight relation, or an operand it
-    /// packs on every call.
+    /// packs on every call — and what that operand is built from: the
+    /// artifact pages of a loaded model, or weights in memory.
     pub fn explain(&self) -> String {
         let mut out = format!(
             "InferencePlan for `{}` (batch {}, threshold {} B)\n",
@@ -106,8 +107,14 @@ impl InferencePlan {
                 (OpKind::Conv2d { .. }, false) => "  [packs per call]",
                 _ => "",
             };
+            let built_from = match (&op.op.kind, op.op.params_stored) {
+                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, true) => " <- artifact pages",
+                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, false) => " <- weights in memory",
+                (OpKind::Conv2d { .. }, _) if relational => " <- kernel in memory",
+                _ => "",
+            };
             out.push_str(&format!(
-                "  #{i:<2} {:<34} {:>14} B  -> {}{weights}\n",
+                "  #{i:<2} {:<34} {:>14} B  -> {}{weights}{built_from}\n",
                 op.op.label(),
                 op.estimated_bytes,
                 op.representation
@@ -203,5 +210,24 @@ mod tests {
             .plan(&cnn, 2)
             .unwrap();
         assert!(conv_plan.explain().contains("[packs per call]"));
+        // Each weight operand says what it is built from.
+        assert_eq!(mixed.matches(" <- weights in memory").count(), matmuls);
+        let mut stored = p.clone();
+        for op in &mut stored.ops {
+            op.op.params_stored = matches!(op.op.kind, OpKind::MatMul { .. });
+        }
+        let stored = stored.explain();
+        assert_eq!(
+            stored
+                .matches("[weight relation] <- artifact pages")
+                .count(),
+            1
+        );
+        assert_eq!(
+            stored
+                .matches("[prepared weights] <- artifact pages")
+                .count(),
+            matmuls - 1
+        );
     }
 }

@@ -14,11 +14,12 @@
 //! the Bosch pipeline (968 features → 256 hidden; the paper reports 5.7×).
 
 use crate::error::{Error, Result};
-use relserve_nn::{Activation, Layer, Model};
+use relserve_nn::{Activation, Layer, Model, Precision};
 use relserve_relational::ops::{Operator, SimilarityJoin};
 use relserve_relational::{Expr, Table, Tuple, Value};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{matmul, ops, Tensor};
+use std::borrow::Cow;
 
 /// Split a dense layer's weight `W: [out, in]` by input columns into
 /// `W1: [out, split]` and `W2: [out, in - split]`.
@@ -33,14 +34,23 @@ pub fn decompose_weight(weight: &Tensor, split: usize) -> Result<(Tensor, Tensor
     ))
 }
 
-/// The first dense layer of a model, or an error.
-fn first_dense(model: &Model) -> Result<(&Tensor, &Tensor, Activation)> {
+/// The first dense layer of a model, or an error. The weight of a loaded
+/// model's stored layer is read back from its pages: the decomposition
+/// slices it.
+fn first_dense(model: &Model) -> Result<(Cow<'_, Tensor>, &Tensor, Activation)> {
     match model.layers().first() {
         Some(Layer::Dense {
             weight,
             bias,
             activation,
-        }) => Ok((weight, bias, *activation)),
+        }) => Ok((Cow::Borrowed(weight), bias, *activation)),
+        Some(Layer::Stored {
+            weight,
+            bias,
+            activation,
+        }) if weight.precision() == Precision::F32 => {
+            Ok((Cow::Owned(weight.load_dense()?), bias, *activation))
+        }
         _ => Err(Error::Invalid(
             "decomposition requires a model starting with a dense layer".into(),
         )),
@@ -149,7 +159,7 @@ pub fn run_pushdown_infer(
             "feature widths {f1_len}+{f2_len} do not match weight input {inf}"
         )));
     }
-    let (w1, w2) = decompose_weight(weight, f1_len)?;
+    let (w1, w2) = decompose_weight(&weight, f1_len)?;
 
     // Push down: compute Xi × Wiᵀ per side and **materialize the narrow
     // partial tables** — the same pipeline materialization the baseline

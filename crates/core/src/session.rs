@@ -13,6 +13,7 @@ use crate::exec::{dl_centric, hybrid, pipelined, relation_centric, udf_centric, 
 use crate::ir::InferencePlan;
 use crate::optimizer::RuleBasedOptimizer;
 use parking_lot::Mutex;
+use relserve_nn::serialize;
 use relserve_nn::Model;
 use relserve_relational::tensor_table::TensorOpStats;
 use relserve_relational::{Schema, Table, Tuple};
@@ -21,10 +22,11 @@ use relserve_runtime::{
     MemoryGovernor, RetryPolicy, RuntimeProfile, ThreadCoordinator, TransferProfile,
 };
 use relserve_storage::catalog::{ObjectKind, StoredObject};
-use relserve_storage::{BufferPool, Catalog, DiskManager};
+use relserve_storage::{ArtifactPages, ArtifactWriter, BufferPool, Catalog, DiskManager};
 use relserve_tensor::Tensor;
 use relserve_vectoridx::HnswParams;
 use std::collections::HashMap;
+use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -284,8 +286,15 @@ pub struct SessionStats {
     /// per dense layer of a loaded model that has ever executed dense — in
     /// this session or through a clone of the model the caller kept.
     pub prepared_weight_builds: u64,
-    /// Bytes those packed forms hold beside the models' raw weights.
+    /// Bytes those packed operands hold on the heap: the only in-memory
+    /// form of a loaded model's weight matrices.
     pub prepared_weight_bytes: u64,
+    /// Bytes of the weight relations' pages resident in the buffer pool's
+    /// frames right now (the rest of each relation is spilled).
+    pub weight_relation_resident_bytes: u64,
+    /// Bytes of the loaded models' artifact pages on the scratch file,
+    /// outside the buffer pool: the session's one copy of their weights.
+    pub artifact_bytes: u64,
 }
 
 impl SessionStats {
@@ -309,6 +318,11 @@ impl SessionStats {
             ("weight_relation_reuses", self.weight_relation_reuses),
             ("prepared_weight_builds", self.prepared_weight_builds),
             ("prepared_weight_bytes", self.prepared_weight_bytes),
+            (
+                "weight_relation_resident_bytes",
+                self.weight_relation_resident_bytes,
+            ),
+            ("artifact_bytes", self.artifact_bytes),
         ]
     }
 }
@@ -353,6 +367,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A loaded model: the session's copy of it, whose dense weight matrices
+/// stay on the pages of its artifact, and the artifact.
+struct Loaded {
+    model: Arc<Model>,
+    artifact: Arc<ArtifactPages>,
+}
+
 /// An in-process RDBMS session serving deep-learning models.
 pub struct InferenceSession {
     config: SessionConfig,
@@ -364,7 +385,7 @@ pub struct InferenceSession {
     coordinator: ThreadCoordinator,
     kernel_pool: Arc<KernelPool>,
     optimizer: RuleBasedOptimizer,
-    models: Mutex<HashMap<String, Arc<Model>>>,
+    models: Mutex<HashMap<String, Loaded>>,
     tables: Mutex<HashMap<String, Arc<Table>>>,
     faults: Option<FaultInjector>,
     counters: SessionCounters,
@@ -439,12 +460,13 @@ impl InferenceSession {
     /// built from clones of one coordinator observe the same ledger.
     pub fn stats(&self) -> SessionStats {
         let admission = self.coordinator.admission_stats();
-        let (prepared_builds, prepared_bytes) = self
-            .models
-            .lock()
-            .values()
-            .map(|model| model.prepared_weights())
-            .fold((0, 0), |(b, y), (builds, bytes)| (b + builds, y + bytes));
+        let (mut prepared_builds, mut prepared_bytes, mut artifact_bytes) = (0, 0, 0);
+        for loaded in self.models.lock().values() {
+            let (builds, bytes) = loaded.model.prepared_weights();
+            prepared_builds += builds as u64;
+            prepared_bytes += bytes as u64;
+            artifact_bytes += loaded.artifact.bytes_on_disk();
+        }
         SessionStats {
             db_oom_events: self.governor.oom_events(),
             external_oom_events: self.counters.external_oom_events.load(Ordering::Relaxed),
@@ -461,8 +483,10 @@ impl InferenceSession {
             kernel_panics: self.counters.kernel_panics.load(Ordering::Relaxed),
             weight_relation_builds: self.weights.builds(),
             weight_relation_reuses: self.weights.reuses(),
-            prepared_weight_builds: prepared_builds as u64,
-            prepared_weight_bytes: prepared_bytes as u64,
+            prepared_weight_builds: prepared_builds,
+            prepared_weight_bytes: prepared_bytes,
+            weight_relation_resident_bytes: self.weights.resident_bytes(),
+            artifact_bytes,
         }
     }
 
@@ -515,44 +539,84 @@ impl InferenceSession {
         Ok(())
     }
 
-    /// Load a model into the session (and its serialized form into the
-    /// catalog, binding model and metadata as §4.1 advocates).
+    /// Load a model into the session: its artifact is streamed into
+    /// catalog pages on the scratch file, around the buffer pool, and the
+    /// session keeps a copy of the model whose dense weight matrices stay on
+    /// those pages ([`relserve_nn::Layer::Stored`]), binding model and
+    /// metadata in one catalog as §4.1 advocates. `model` itself is dropped
+    /// on return; the packed panels and weight relations queries multiply
+    /// from are built from the pages on first use. A clone of `model` the
+    /// caller kept shares the session's packed panels, whichever packs first.
     pub fn load_model(&self, model: Model) -> Result<()> {
+        if self.models.lock().contains_key(model.name()) {
+            return Err(Error::AlreadyExists(model.name().to_string()));
+        }
+        let (stored, artifact) = serialize::store_model(&model, self.artifact_sink())?;
+        drop(model);
+        self.register(stored, artifact)
+    }
+
+    /// Load a model from the artifact `reader` streams — as
+    /// [`relserve_nn::serialize::encode`] writes one, to a file say — into
+    /// catalog pages as it is read, without its weight matrices ever being
+    /// in memory. Returns the model's name.
+    pub fn load_model_from(&self, reader: impl Read) -> Result<String> {
+        let (stored, artifact) = serialize::store(reader, self.artifact_sink())?;
+        let name = stored.name().to_string();
+        self.register(stored, artifact)?;
+        Ok(name)
+    }
+
+    fn artifact_sink(&self) -> ArtifactWriter {
+        ArtifactPages::writer(self.pool().disk().clone())
+    }
+
+    fn register(&self, model: Model, artifact: Arc<ArtifactPages>) -> Result<()> {
         let name = model.name().to_string();
         let mut models = self.models.lock();
         if models.contains_key(&name) {
             return Err(Error::AlreadyExists(name));
         }
-        let serialized = relserve_nn::serialize::to_bytes(&model);
         self.catalog.create(
             &name,
             StoredObject {
                 kind: ObjectKind::Model,
-                pages: vec![],
+                pages: artifact.page_ids(),
                 cardinality: model.num_params() as u64,
-                meta: serialized,
+                meta: vec![],
             },
         )?;
-        models.insert(name, Arc::new(model));
+        let model = Arc::new(model);
+        models.insert(name, Loaded { model, artifact });
         Ok(())
     }
 
-    /// Look up a loaded model.
+    /// Look up a loaded model. Its dense weight matrices are on the
+    /// artifact's pages, not in memory: [`Model::materialize`] reads them
+    /// back.
     pub fn model(&self, name: &str) -> Result<Arc<Model>> {
         self.models
             .lock()
             .get(name)
-            .cloned()
+            .map(|loaded| loaded.model.clone())
             .ok_or_else(|| Error::NotFound(name.to_string()))
     }
 
-    /// Reload a model from its catalog bytes (round-trip check, recovery).
+    /// Reload a model from its catalog artifact, every weight back in
+    /// memory and every page verified against its checksum (round-trip
+    /// check, recovery).
     pub fn reload_model_from_catalog(&self, name: &str) -> Result<Model> {
         let object = self.catalog.get(name)?;
         if object.kind != ObjectKind::Model {
             return Err(Error::Invalid(format!("`{name}` is not a model")));
         }
-        Ok(relserve_nn::serialize::from_bytes(&object.meta)?)
+        let artifact = self
+            .models
+            .lock()
+            .get(name)
+            .map(|loaded| loaded.artifact.clone())
+            .ok_or_else(|| Error::NotFound(name.to_string()))?;
+        Ok(serialize::from_artifact(&artifact)?)
     }
 
     /// Produce the adaptive plan for a model at a batch size (EXPLAIN).
@@ -1134,7 +1198,7 @@ mod tests {
             .unwrap();
         let stats = session.stats();
         let counters = stats.counters();
-        assert_eq!(counters.len(), 14);
+        assert_eq!(counters.len(), 16);
         let admitted = counters
             .iter()
             .find(|(name, _)| *name == "admitted")
@@ -1161,13 +1225,12 @@ mod tests {
         let weight_pages: u64 = model
             .layers()
             .iter()
-            .map(|layer| match layer {
-                relserve_nn::Layer::Dense { weight, .. } => {
-                    relation_pages(weight, session.config().block_size)
-                }
-                other => panic!("Fraud-FC-256 is a dense stack, found {}", other.kind()),
+            .map(|layer| {
+                let (n, k) = layer.weight_shape().expect("Fraud-FC-256 is a dense stack");
+                relation_pages(&Tensor::zeros([n, k]), session.config().block_size)
             })
             .sum();
+        let pages_at_load = session.pool().disk().num_pages();
         let batch = Tensor::from_fn([48, 28], |i| (i % 11) as f32 * 0.1 - 0.5);
         let query = || {
             let outcome = session
@@ -1182,7 +1245,7 @@ mod tests {
         let pages_after_first = session.pool().disk().num_pages();
         // What the first query allocated beyond the weight relations, which
         // stay: its temporaries, all dropped by now.
-        let temporaries = pages_after_first - weight_pages;
+        let temporaries = pages_after_first - pages_at_load - weight_pages;
         assert!(temporaries > 0);
         for _ in 0..8 {
             assert_eq!(query(), first);
@@ -1216,8 +1279,149 @@ mod tests {
     fn model_round_trips_through_catalog() {
         let session = fraud_session(1);
         let reloaded = session.reload_model_from_catalog("Fraud-FC-256").unwrap();
-        let original = session.model("Fraud-FC-256").unwrap();
-        assert_eq!(&reloaded, original.as_ref());
+        let original = zoo::fraud_fc_256(&mut seeded_rng(140)).unwrap();
+        assert_eq!(reloaded, original);
+        // The session's copy holds no weight matrix, only where it is.
+        let loaded = session.model("Fraud-FC-256").unwrap();
+        assert!(loaded
+            .layers()
+            .iter()
+            .all(|l| matches!(l, relserve_nn::Layer::Stored { .. })));
+        assert_eq!(loaded.materialize().unwrap(), original);
+        let object = session.catalog.get("Fraud-FC-256").unwrap();
+        assert_eq!(object.kind, ObjectKind::Model);
+        assert!(
+            object.meta.is_empty(),
+            "the artifact is on pages, not in meta"
+        );
+        let artifact_bytes = session.stats().artifact_bytes;
+        assert_eq!(
+            artifact_bytes,
+            (object.pages.len() * relserve_storage::PAGE_SIZE) as u64
+        );
+        assert!(artifact_bytes >= original.param_bytes() as u64);
+    }
+
+    #[test]
+    fn a_model_streams_in_from_any_reader_without_touching_the_pool() {
+        let session = InferenceSession::open(tiny_config()).unwrap();
+        let model = zoo::fraud_fc_512(&mut seeded_rng(143)).unwrap();
+        let name = session.load_model_from(serialize::encode(&model)).unwrap();
+        assert_eq!(name, "Fraud-FC-512");
+        // The artifact went around the pool: no frame, no fetch.
+        assert_eq!(session.pool().resident_pages(), 0);
+        assert_eq!(
+            session.pool().stats(),
+            relserve_storage::PoolStats::default()
+        );
+        let batch = Tensor::from_fn([9, 28], |i| (i % 7) as f32 * 0.1 - 0.3);
+        let par = relserve_tensor::parallel::Parallelism::serial();
+        let served = session
+            .infer_batch(&name, &batch, Architecture::UdfCentric)
+            .unwrap()
+            .output
+            .into_dense()
+            .unwrap();
+        assert_eq!(served, model.forward(&batch, &par).unwrap());
+        // A second load under the name is refused, and gives its pages back.
+        let stats = session.stats();
+        let free = session.pool().disk().free_pages();
+        assert!(matches!(
+            session.load_model_from(serialize::encode(&model)),
+            Err(Error::AlreadyExists(_))
+        ));
+        assert_eq!(session.stats().artifact_bytes, stats.artifact_bytes);
+        assert!(session.pool().disk().free_pages() > free);
+        // A truncated artifact is a typed error, not a half-loaded model.
+        let other = InferenceSession::open(tiny_config()).unwrap();
+        let half = serialize::encode(&model).len() as u64 / 2;
+        assert!(matches!(
+            other.load_model_from(serialize::encode(&model).take(half)),
+            Err(Error::Nn(relserve_nn::Error::Serde(_)))
+        ));
+        assert!(other.model("Fraud-FC-512").is_err());
+        assert_eq!(other.stats().artifact_bytes, 0);
+    }
+
+    /// Flip `mask` into the byte at `at` of the artifact of `model` on the
+    /// session's scratch file.
+    fn flip_artifact_byte(session: &InferenceSession, model: &str, at: u64, mask: u8) {
+        use std::os::unix::fs::FileExt;
+        let pages = session.catalog.get(model).unwrap().pages;
+        let page = pages[(at / relserve_storage::PAGE_SIZE as u64) as usize];
+        let offset =
+            page.0 * relserve_storage::PAGE_SIZE as u64 + at % relserve_storage::PAGE_SIZE as u64;
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(session.pool().disk().path())
+            .unwrap();
+        let mut byte = [0];
+        file.read_exact_at(&mut byte, offset).unwrap();
+        file.write_all_at(&[byte[0] ^ mask], offset).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_artifact_page_is_a_checksum_error_never_a_wrong_weight() {
+        let batch = Tensor::from_fn([6, 28], |i| (i % 5) as f32 * 0.2 - 0.4);
+        for arch in [Architecture::UdfCentric, Architecture::RelationCentric] {
+            let session = fraud_session(0);
+            // A byte inside layer 0's weight payload.
+            flip_artifact_byte(&session, "Fraud-FC-256", 2000, 0x40);
+            let is_checksum =
+                |e: &Error| matches!(e, Error::Storage(relserve_storage::Error::Checksum { .. }));
+            let err = session
+                .infer_batch("Fraud-FC-256", &batch, arch.clone())
+                .unwrap_err();
+            assert!(is_checksum(&err), "{arch}: {err}");
+            let err = session
+                .reload_model_from_catalog("Fraud-FC-256")
+                .unwrap_err();
+            assert!(is_checksum(&err), "{err}");
+            // Nothing was built from the bad page: restored, the next query
+            // builds from the good one and answers as the model does.
+            flip_artifact_byte(&session, "Fraud-FC-256", 2000, 0x40);
+            let stats = session.stats();
+            assert_eq!(
+                stats.prepared_weight_builds + stats.weight_relation_builds,
+                0
+            );
+            let oracle = zoo::fraud_fc_256(&mut seeded_rng(140)).unwrap();
+            let par = relserve_tensor::parallel::Parallelism::serial();
+            let served = session.infer_batch("Fraud-FC-256", &batch, arch).unwrap();
+            assert_eq!(
+                served.predictions().unwrap(),
+                oracle.predict(&batch, &par).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn resident_bytes_are_reported_per_owner() {
+        let session = fraud_session(0);
+        let stats = session.stats();
+        assert!(stats.artifact_bytes > 0, "the artifact is on pages");
+        assert_eq!(stats.prepared_weight_bytes, 0);
+        assert_eq!(stats.weight_relation_resident_bytes, 0);
+        let batch = Tensor::from_fn([4, 28], |i| (i % 3) as f32 * 0.1);
+        session
+            .infer_batch("Fraud-FC-256", &batch, Architecture::RelationCentric)
+            .unwrap();
+        let relational = session.stats();
+        assert!(relational.weight_relation_resident_bytes > 0);
+        assert_eq!(relational.prepared_weight_bytes, 0);
+        session
+            .infer_batch("Fraud-FC-256", &batch, Architecture::UdfCentric)
+            .unwrap();
+        let dense = session.stats();
+        assert!(dense.prepared_weight_bytes >= (28 * 256 + 256 * 2) * 4);
+        assert_eq!(dense.artifact_bytes, stats.artifact_bytes);
+        let exported: HashMap<&str, u64> = dense.counters().into_iter().collect();
+        assert_eq!(
+            exported["weight_relation_resident_bytes"],
+            dense.weight_relation_resident_bytes
+        );
+        assert_eq!(exported["artifact_bytes"], dense.artifact_bytes);
     }
 
     #[test]

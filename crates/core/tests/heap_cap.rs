@@ -1,0 +1,116 @@
+//! Serving a model larger than the heap allows: Amazon-14k-FC/512, whose
+//! first layer's weights (4.6 MiB) exceed both the buffer pool and the heap
+//! the session may use, is loaded through `load_model_from` from a file
+//! `serialize` wrote, and served relation-centric from its artifact pages.
+//! A counting allocator holds the session to a live-heap high-water mark
+//! below that layer's bytes above what was live before it opened: no copy
+//! of the matrix — raw, serialized or packed — is ever whole on the heap.
+//!
+//! Its own test binary, so that the allocator counts nothing else.
+
+use relserve_core::{Architecture, InferenceSession, SessionConfig};
+use relserve_nn::init::seeded_rng;
+use relserve_nn::{serialize, zoo};
+use relserve_runtime::TransferProfile;
+use relserve_tensor::parallel::Parallelism;
+use relserve_tensor::Tensor;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting live bytes and their high-water mark.
+struct Counting;
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grew(new_size);
+        let moved = System.realloc(ptr, layout, new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        moved
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const MIB: usize = 1 << 20;
+
+#[test]
+fn a_first_layer_larger_than_the_heap_cap_is_served_from_its_pages() {
+    let model = zoo::amazon_14k_fc(512, &mut seeded_rng(0x14C)).unwrap();
+    let first_layer = model.layers()[0].weight_bytes();
+    assert!(first_layer > 4 * MIB, "{first_layer} B");
+    let width = model.input_shape().num_elements();
+    let batch = Tensor::from_fn([16, width], |i| ((i * 31 % 97) as f32 - 48.0) * 0.01);
+    let oracle = model.predict(&batch, &Parallelism::serial()).unwrap();
+
+    // The artifact goes to a file as `serialize` streams it.
+    let path = std::env::temp_dir().join(format!("relserve-heap-cap-{}.rsnn", std::process::id()));
+    let mut file = std::fs::File::create(&path).unwrap();
+    std::io::copy(&mut serialize::encode(&model), &mut file).unwrap();
+    drop((file, model));
+
+    let config = SessionConfig::builder()
+        .buffer_pool_bytes(2 * MIB)
+        .memory_threshold_bytes(MIB)
+        .db_memory_bytes(64 * MIB)
+        .block_size(256)
+        .cores(2)
+        .transfer(TransferProfile::instant())
+        .build()
+        .unwrap();
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let session = InferenceSession::open(config).unwrap();
+    let name = session
+        .load_model_from(std::fs::File::open(&path).unwrap())
+        .unwrap();
+    let plan = session.plan(&name, 16).unwrap();
+    assert!(
+        plan.explain()
+            .contains("[weight relation] <- artifact pages"),
+        "{}",
+        plan.explain()
+    );
+    let served = session
+        .infer_batch(&name, &batch, Architecture::Adaptive)
+        .unwrap();
+    let again = session
+        .infer_batch(&name, &batch, Architecture::Adaptive)
+        .unwrap();
+    let high_water = PEAK.load(Ordering::Relaxed) - baseline;
+    std::fs::remove_file(&path).unwrap();
+
+    assert_eq!(served.predictions().unwrap(), oracle);
+    assert_eq!(again.predictions().unwrap(), oracle);
+    let stats = session.stats();
+    assert_eq!(stats.weight_relation_builds, 1, "layer 0 ran as a relation");
+    assert!(stats.artifact_bytes >= first_layer as u64);
+    assert!(
+        high_water < first_layer,
+        "the session's heap rose {high_water} B above the {baseline} B live before it; \
+         the first layer alone is {first_layer} B"
+    );
+}

@@ -23,6 +23,9 @@ pub enum Error {
     Training(String),
     /// Model (de)serialization failure.
     Serde(String),
+    /// The pages a stored weight matrix lives on could not be read back as
+    /// written (including [`relserve_storage::Error::Checksum`]).
+    Storage(relserve_storage::Error),
 }
 
 impl fmt::Display for Error {
@@ -38,6 +41,7 @@ impl fmt::Display for Error {
             }
             Error::Training(m) => write!(f, "training error: {m}"),
             Error::Serde(m) => write!(f, "model serialization error: {m}"),
+            Error::Storage(e) => write!(f, "stored weights: {e}"),
         }
     }
 }
@@ -46,6 +50,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Tensor(e) => Some(e),
+            Error::Storage(e) => Some(e),
             _ => None,
         }
     }
@@ -54,5 +59,11 @@ impl std::error::Error for Error {
 impl From<relserve_tensor::Error> for Error {
     fn from(e: relserve_tensor::Error) -> Self {
         Error::Tensor(e)
+    }
+}
+
+impl From<relserve_storage::Error> for Error {
+    fn from(e: relserve_storage::Error) -> Self {
+        Error::Storage(e)
     }
 }

@@ -8,9 +8,10 @@
 //! inputs `m×k` and `k×n`, `m×k + k×n + m×n` elements — i.e. data input +
 //! parameters + output.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::layer::{Activation, Layer};
 use crate::model::Model;
+use crate::stored::Precision;
 use relserve_tensor::{Conv2dSpec, Shape};
 
 /// Kind of a linear-algebra operator node.
@@ -67,6 +68,10 @@ pub struct LinalgOp {
     pub output_shape: Shape,
     /// Bytes of parameters the op reads (weights, kernels, biases).
     pub param_bytes: usize,
+    /// Whether the weight matrix the op multiplies by is on the pages of
+    /// the model's artifact ([`Layer::Stored`]) rather than in memory — where
+    /// its packed form or weight relation is built from.
+    pub params_stored: bool,
 }
 
 impl LinalgOp {
@@ -129,77 +134,6 @@ pub fn lower(model: &Model, batch_size: usize) -> Result<Vec<LinalgOp>> {
             Shape::from(dims)
         };
         match layer {
-            Layer::Dense {
-                weight,
-                bias,
-                activation,
-            } => {
-                let (n, k) = weight.shape().as_matrix()?;
-                let lin_out = Shape::from([batch_size, n]);
-                ops.push(LinalgOp {
-                    kind: OpKind::MatMul {
-                        m: batch_size,
-                        k,
-                        n,
-                    },
-                    layer_index,
-                    input_shape: Shape::from([batch_size, k]),
-                    output_shape: lin_out.clone(),
-                    param_bytes: weight.num_bytes(),
-                });
-                ops.push(LinalgOp {
-                    kind: OpKind::AddBias { width: n },
-                    layer_index,
-                    input_shape: lin_out.clone(),
-                    output_shape: lin_out.clone(),
-                    param_bytes: bias.num_bytes(),
-                });
-                if *activation != Activation::None {
-                    ops.push(LinalgOp {
-                        kind: OpKind::Activation(*activation),
-                        layer_index,
-                        input_shape: lin_out.clone(),
-                        output_shape: lin_out,
-                        param_bytes: 0,
-                    });
-                }
-            }
-            Layer::QuantDense {
-                weight,
-                bias,
-                activation,
-            } => {
-                let (n, k) = (weight.rows(), weight.cols());
-                let lin_out = Shape::from([batch_size, n]);
-                ops.push(LinalgOp {
-                    kind: OpKind::MatMulI8 {
-                        m: batch_size,
-                        k,
-                        n,
-                    },
-                    layer_index,
-                    input_shape: Shape::from([batch_size, k]),
-                    output_shape: lin_out.clone(),
-                    // True i8 footprint: levels plus per-row scales.
-                    param_bytes: weight.storage_bytes(),
-                });
-                ops.push(LinalgOp {
-                    kind: OpKind::AddBias { width: n },
-                    layer_index,
-                    input_shape: lin_out.clone(),
-                    output_shape: lin_out.clone(),
-                    param_bytes: bias.num_bytes(),
-                });
-                if *activation != Activation::None {
-                    ops.push(LinalgOp {
-                        kind: OpKind::Activation(*activation),
-                        layer_index,
-                        input_shape: lin_out.clone(),
-                        output_shape: lin_out,
-                        param_bytes: 0,
-                    });
-                }
-            }
             Layer::Conv2d {
                 kernel,
                 bias,
@@ -216,6 +150,7 @@ pub fn lower(model: &Model, batch_size: usize) -> Result<Vec<LinalgOp>> {
                     input_shape: batched(&shape),
                     output_shape: batched(&out_shape),
                     param_bytes: kernel.num_bytes() + bias.num_bytes(),
+                    params_stored: false,
                 });
                 if *activation != Activation::None {
                     ops.push(LinalgOp {
@@ -224,6 +159,7 @@ pub fn lower(model: &Model, batch_size: usize) -> Result<Vec<LinalgOp>> {
                         input_shape: batched(&out_shape),
                         output_shape: batched(&out_shape),
                         param_bytes: 0,
+                        params_stored: false,
                     });
                 }
             }
@@ -234,7 +170,45 @@ pub fn lower(model: &Model, batch_size: usize) -> Result<Vec<LinalgOp>> {
                     input_shape: batched(&shape),
                     output_shape: batched(&out_shape),
                     param_bytes: 0,
+                    params_stored: false,
                 });
+            }
+            dense => {
+                let (precision, (n, k), bias, activation) = dense
+                    .dense_parts()
+                    .ok_or_else(|| Error::InvalidModel("dense weight is not a matrix".into()))?;
+                let (m, lin_out) = (batch_size, Shape::from([batch_size, n]));
+                ops.push(LinalgOp {
+                    kind: match precision {
+                        Precision::F32 => OpKind::MatMul { m, k, n },
+                        Precision::Int8 => OpKind::MatMulI8 { m, k, n },
+                    },
+                    layer_index,
+                    input_shape: Shape::from([batch_size, k]),
+                    output_shape: lin_out.clone(),
+                    // The weight's storage form: f32 values, or i8 levels
+                    // plus per-row scales.
+                    param_bytes: dense.weight_bytes(),
+                    params_stored: matches!(dense, Layer::Stored { .. }),
+                });
+                ops.push(LinalgOp {
+                    kind: OpKind::AddBias { width: n },
+                    layer_index,
+                    input_shape: lin_out.clone(),
+                    output_shape: lin_out.clone(),
+                    param_bytes: bias.num_bytes(),
+                    params_stored: false,
+                });
+                if activation != Activation::None {
+                    ops.push(LinalgOp {
+                        kind: OpKind::Activation(activation),
+                        layer_index,
+                        input_shape: lin_out.clone(),
+                        output_shape: lin_out,
+                        param_bytes: 0,
+                        params_stored: false,
+                    });
+                }
             }
         }
         shape = out_shape;

@@ -2,10 +2,12 @@
 
 use crate::error::{Error, Result};
 use crate::init;
+use crate::stored::{Precision, StoredWeight};
 use rand::rngs::StdRng;
 use relserve_tensor::matmul::{self, PackedB};
 use relserve_tensor::parallel::Parallelism;
-use relserve_tensor::{conv, ops, quant, Conv2dSpec, QuantizedTensor, Shape, Tensor};
+use relserve_tensor::quant::{self, QuantEpilogue};
+use relserve_tensor::{conv, ops, Conv2dSpec, QuantizedTensor, Shape, Tensor};
 
 /// Activation applied after a layer's linear part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,22 +48,33 @@ impl Activation {
 
 /// A dense layer's weight matrix laid out once in the form the dispatched
 /// kernel multiplies from, so that no call packs it again: f32
-/// `[panel][k][nr]` panels, or i8 `[panel][kq][nr][4]` quads. `nr` is the
-/// panel width of the kernel dispatched in this process, which makes the
-/// form per-process: it is never serialized.
+/// `[panel][k][nr]` panels, or i8 `[panel][kq][nr][4]` quads with the
+/// per-row scales and level sums the int8 store needs — all a forward pass
+/// reads of the weight. `nr` is the panel width of the kernel dispatched in
+/// this process, which makes the form per-process: it is never serialized.
 pub(crate) enum PreparedWeights {
-    /// Of a [`Layer::Dense`] weight.
+    /// Of an f32 weight.
     Panels { nr: usize, panels: Vec<f32> },
-    /// Of a [`Layer::QuantDense`] weight's i8 levels.
-    Quads { nr: usize, quads: Vec<i8> },
+    /// Of an int8 weight.
+    Quads {
+        nr: usize,
+        quads: Vec<i8>,
+        scales: Vec<f32>,
+        row_sums: Vec<i32>,
+    },
 }
 
 impl PreparedWeights {
-    /// Bytes the packed form holds, beside the raw weights it was built from.
+    /// Bytes the packed form holds.
     pub(crate) fn bytes(&self) -> usize {
         match self {
             PreparedWeights::Panels { panels, .. } => std::mem::size_of_val(panels.as_slice()),
-            PreparedWeights::Quads { quads, .. } => quads.len(),
+            PreparedWeights::Quads {
+                quads,
+                scales,
+                row_sums,
+                ..
+            } => quads.len() + std::mem::size_of_val(scales.as_slice()) + 4 * row_sums.len(),
         }
     }
 }
@@ -105,6 +118,19 @@ pub enum Layer {
     },
     /// Collapse all non-batch dims into one feature dim.
     Flatten,
+    /// A [`Layer::Dense`] or [`Layer::QuantDense`] whose weight matrix is
+    /// not in memory: it stays on the pages of the artifact the model was
+    /// loaded from ([`crate::serialize::store`]), and the layer's packed
+    /// form — or a session's weight relation — is built from there.
+    Stored {
+        /// Where the weight matrix, logically `[out_features, in_features]`,
+        /// is, and how it is encoded.
+        weight: StoredWeight,
+        /// Bias vector, `[out_features]`.
+        bias: Tensor,
+        /// Post-linear activation.
+        activation: Activation,
+    },
 }
 
 impl Layer {
@@ -145,39 +171,94 @@ impl Layer {
         }
     }
 
+    /// The weight matrix of a dense layer — raw, quantized or stored — as
+    /// `(precision, (out_features, in_features))`, with its bias and
+    /// activation; `None` for a layer without one.
+    pub(crate) fn dense_parts(&self) -> Option<(Precision, (usize, usize), &Tensor, Activation)> {
+        match self {
+            Layer::Dense {
+                weight,
+                bias,
+                activation,
+            } => {
+                let shape = weight.shape().as_matrix().ok()?;
+                Some((Precision::F32, shape, bias, *activation))
+            }
+            Layer::QuantDense {
+                weight,
+                bias,
+                activation,
+            } => Some((
+                Precision::Int8,
+                (weight.rows(), weight.cols()),
+                bias,
+                *activation,
+            )),
+            Layer::Stored {
+                weight,
+                bias,
+                activation,
+            } => Some((weight.precision(), weight.shape(), bias, *activation)),
+            Layer::Conv2d { .. } | Layer::Flatten => None,
+        }
+    }
+
+    /// `(out_features, in_features)` of a dense layer's weight matrix,
+    /// wherever the matrix is; `None` for a conv or flatten layer.
+    pub fn weight_shape(&self) -> Option<(usize, usize)> {
+        self.dense_parts().map(|(_, shape, _, _)| shape)
+    }
+
+    /// Bytes of the layer's weight matrix in its storage form (f32 values,
+    /// or i8 levels plus per-row scales); 0 for a layer without one.
+    pub fn weight_bytes(&self) -> usize {
+        match self {
+            Layer::Dense { weight, .. } => weight.num_bytes(),
+            Layer::QuantDense { weight, .. } => weight.storage_bytes(),
+            Layer::Stored { weight, .. } => weight.payload_bytes(),
+            Layer::Conv2d { .. } | Layer::Flatten => 0,
+        }
+    }
+
     /// Number of trainable parameters.
     pub fn num_params(&self) -> usize {
         match self {
-            Layer::Dense { weight, bias, .. } => weight.len() + bias.len(),
-            Layer::QuantDense { weight, bias, .. } => weight.rows() * weight.cols() + bias.len(),
             Layer::Conv2d { kernel, bias, .. } => kernel.len() + bias.len(),
             Layer::Flatten => 0,
+            dense => dense
+                .dense_parts()
+                .map_or(0, |(_, (n, k), bias, _)| n * k + bias.len()),
         }
+    }
+
+    /// This layer with any stored weight matrix read back into memory: a
+    /// [`Layer::Stored`] becomes the [`Layer::Dense`] or
+    /// [`Layer::QuantDense`] it was loaded from; every other layer is cloned.
+    pub fn materialize(&self) -> Result<Layer> {
+        Ok(match self {
+            Layer::Stored {
+                weight,
+                bias,
+                activation,
+            } => match weight.precision() {
+                Precision::F32 => Layer::Dense {
+                    weight: weight.load_dense()?,
+                    bias: bias.clone(),
+                    activation: *activation,
+                },
+                Precision::Int8 => Layer::QuantDense {
+                    weight: weight.load_quantized()?,
+                    bias: bias.clone(),
+                    activation: *activation,
+                },
+            },
+            other => other.clone(),
+        })
     }
 
     /// Per-example output shape given the per-example input shape.
     pub fn output_shape(&self, input: &Shape) -> Result<Shape> {
         match self {
-            Layer::Dense { weight, .. } => {
-                let (out, inf) = weight.shape().as_matrix()?;
-                let in_features = input.num_elements();
-                if in_features != inf {
-                    return Err(Error::InvalidModel(format!(
-                        "dense layer expects {inf} input features, previous layer provides {in_features}"
-                    )));
-                }
-                Ok(Shape::from([out]))
-            }
-            Layer::QuantDense { weight, .. } => {
-                let in_features = input.num_elements();
-                if in_features != weight.cols() {
-                    return Err(Error::InvalidModel(format!(
-                        "quantized dense layer expects {} input features, previous layer provides {in_features}",
-                        weight.cols()
-                    )));
-                }
-                Ok(Shape::from([weight.rows()]))
-            }
             Layer::Conv2d { spec, .. } => {
                 let dims = input.dims();
                 if dims.len() != 3 {
@@ -195,12 +276,29 @@ impl Layer {
                 Ok(Shape::from([oh, ow, spec.out_channels]))
             }
             Layer::Flatten => Ok(Shape::from([input.num_elements()])),
+            dense => {
+                let (precision, (out, inf), _, _) = dense
+                    .dense_parts()
+                    .ok_or_else(|| Error::InvalidModel("dense weight is not a matrix".into()))?;
+                let in_features = input.num_elements();
+                if in_features != inf {
+                    return Err(Error::InvalidModel(format!(
+                        "{} layer expects {inf} input features, previous layer provides {in_features}",
+                        match precision {
+                            Precision::F32 => "dense",
+                            Precision::Int8 => "quantized dense",
+                        }
+                    )));
+                }
+                Ok(Shape::from([out]))
+            }
         }
     }
 
-    /// Pack this layer's weights for the dispatched kernels. `None` for a
-    /// layer whose multiply has no constant matrix to pack: a convolution
-    /// packs its im2col product per call, a flatten multiplies nothing.
+    /// Pack this layer's weights for the dispatched kernels — from memory,
+    /// or from the artifact pages of a [`Layer::Stored`]. `None` for a layer
+    /// whose multiply has no constant matrix to pack: a convolution packs
+    /// its im2col product per call, a flatten multiplies nothing.
     pub(crate) fn prepare(&self) -> Result<Option<PreparedWeights>> {
         Ok(match self {
             Layer::Dense { weight, .. } => {
@@ -213,9 +311,15 @@ impl Layer {
             Layer::QuantDense { weight, .. } => {
                 let nr = quant::quad_panel_width()?;
                 let mut quads = Vec::new();
-                quant::pack_quads(weight, nr, &mut quads);
-                Some(PreparedWeights::Quads { nr, quads })
+                quant::pack_quads(weight.data(), weight.rows(), weight.cols(), nr, &mut quads);
+                Some(PreparedWeights::Quads {
+                    nr,
+                    quads,
+                    scales: weight.scales().to_vec(),
+                    row_sums: weight.row_sums().to_vec(),
+                })
             }
+            Layer::Stored { weight, .. } => Some(weight.prepare()?),
             Layer::Conv2d { .. } | Layer::Flatten => None,
         })
     }
@@ -240,16 +344,11 @@ impl Layer {
         prepared: Option<&PreparedWeights>,
         par: &Parallelism,
     ) -> Result<Tensor> {
-        match (self, prepared) {
+        match (self.dense_parts(), prepared) {
             (
-                Layer::Dense {
-                    weight,
-                    bias,
-                    activation,
-                },
+                Some((Precision::F32, (n, k), bias, activation)),
                 Some(PreparedWeights::Panels { nr, panels }),
             ) => {
-                let (n, k) = weight.shape().as_matrix()?;
                 let packed = PackedB::new(k, n, *nr, panels)?;
                 let mut z = matmul::matmul_prepacked(input, &packed, par)?;
                 ops::add_bias_inplace(&mut z, bias)?;
@@ -257,44 +356,53 @@ impl Layer {
                 Ok(z)
             }
             (
-                Layer::QuantDense {
-                    weight,
-                    bias,
-                    activation,
-                },
-                Some(PreparedWeights::Quads { nr, quads }),
+                Some((Precision::Int8, (_, k), bias, activation)),
+                Some(PreparedWeights::Quads {
+                    nr,
+                    quads,
+                    scales,
+                    row_sums,
+                }),
             ) => {
                 // Genuine int8 execution: each row stripe quantizes its
                 // activations, the u8×i8 kernels accumulate in i32, and the
                 // epilogue folds scale and bias into the f32 store — no f32
                 // weight tensor is ever materialized on this path.
+                let w = QuantEpilogue {
+                    cols: k,
+                    scales,
+                    row_sums,
+                };
                 let bias = Some(bias.data());
-                let mut z = quant::qmatmul_prepacked(input, weight, *nr, quads, bias, par)?;
+                let mut z = quant::qmatmul_prepacked(input, w, *nr, quads, bias, par)?;
                 activation.apply_inplace(&mut z)?;
                 Ok(z)
             }
-            (
+            (None, None) => match self {
                 Layer::Conv2d {
                     kernel,
                     bias,
                     spec,
                     activation,
-                },
-                None,
-            ) => {
-                let z = conv::conv2d(input, kernel, bias, spec, par)?;
-                let dims = z.shape().dims().to_vec();
-                // Activations operate on a matrix view, then restore shape.
-                let mut flat = z.reshape([dims[0] * dims[1] * dims[2], dims[3]])?;
-                activation.apply_inplace(&mut flat)?;
-                Ok(flat.reshape(dims)?)
-            }
-            (Layer::Flatten, None) => {
-                let dims = input.shape().dims();
-                let batch = dims[0];
-                let rest: usize = dims[1..].iter().product();
-                Ok(input.clone().reshape([batch, rest])?)
-            }
+                } => {
+                    let z = conv::conv2d(input, kernel, bias, spec, par)?;
+                    let dims = z.shape().dims().to_vec();
+                    // Activations operate on a matrix view, then restore shape.
+                    let mut flat = z.reshape([dims[0] * dims[1] * dims[2], dims[3]])?;
+                    activation.apply_inplace(&mut flat)?;
+                    Ok(flat.reshape(dims)?)
+                }
+                Layer::Flatten => {
+                    let dims = input.shape().dims();
+                    let batch = dims[0];
+                    let rest: usize = dims[1..].iter().product();
+                    Ok(input.clone().reshape([batch, rest])?)
+                }
+                dense => Err(Error::InvalidModel(format!(
+                    "a {} layer ran without its prepared weights",
+                    dense.kind()
+                ))),
+            },
             _ => Err(Error::InvalidModel(format!(
                 "prepared weights of another kind handed to a {} layer",
                 self.kind()
@@ -309,6 +417,10 @@ impl Layer {
             Layer::QuantDense { .. } => "quant_dense",
             Layer::Conv2d { .. } => "conv2d",
             Layer::Flatten => "flatten",
+            Layer::Stored { weight, .. } => match weight.precision() {
+                Precision::F32 => "dense",
+                Precision::Int8 => "quant_dense",
+            },
         }
     }
 }

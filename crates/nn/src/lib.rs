@@ -17,7 +17,9 @@
 //!   parameterized by a scale factor.
 //! * [`quant`] — int8 quantization and magnitude pruning, producing the
 //!   accuracy/size model versions of §4.1.
-//! * [`serialize`] — a hand-rolled binary model format for catalog storage.
+//! * [`serialize`] — a hand-rolled binary model format for catalog storage,
+//!   encoded and decoded as streams; [`serialize::store`] decodes into a
+//!   model whose weight matrices stay on the artifact's pages ([`stored`]).
 
 pub mod error;
 pub mod graph;
@@ -26,6 +28,7 @@ pub mod layer;
 pub mod model;
 pub mod quant;
 pub mod serialize;
+pub mod stored;
 pub mod train;
 pub mod zoo;
 
@@ -33,4 +36,5 @@ pub use error::{Error, Result};
 pub use graph::{LinalgOp, OpKind};
 pub use layer::{Activation, Layer};
 pub use model::Model;
+pub use stored::{Precision, StoredWeight};
 pub use train::Trainer;

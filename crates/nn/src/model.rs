@@ -103,6 +103,55 @@ impl Model {
         }
     }
 
+    /// A model of `layers`, validating the shape chain.
+    pub(crate) fn from_layers(
+        name: String,
+        input_shape: Shape,
+        layers: Vec<Layer>,
+    ) -> Result<Self> {
+        // Every shape on the chain must count its elements without
+        // overflow before a layer is asked what it makes of it.
+        let counted = |shape: &Shape| {
+            shape
+                .dims()
+                .iter()
+                .try_fold(1usize, |n, d| n.checked_mul(*d))
+                .ok_or_else(|| Error::InvalidModel(format!("shape {shape} overflows")))
+        };
+        let mut shape = input_shape.clone();
+        counted(&shape)?;
+        for layer in &layers {
+            shape = layer.output_shape(&shape)?;
+            counted(&shape)?;
+        }
+        Ok(Model {
+            name,
+            input_shape,
+            prepared: PreparedSlots::empty(layers.len()),
+            layers,
+        })
+    }
+
+    /// This model, multiplying from — and building into — the packed
+    /// weights of `other`, which must be the same network (as a model and
+    /// its artifact decoded into [`Layer::Stored`] layers are).
+    pub(crate) fn sharing_prepared(mut self, other: &Model) -> Result<Self> {
+        let same = self.layers.len() == other.layers.len()
+            && self
+                .layers
+                .iter()
+                .zip(&other.layers)
+                .all(|(a, b)| a.kind() == b.kind() && a.weight_shape() == b.weight_shape());
+        if !same {
+            return Err(Error::InvalidModel(format!(
+                "`{}` cannot share the packed weights of `{}`: the layers differ",
+                self.name, other.name
+            )));
+        }
+        self.prepared = other.prepared.clone();
+        Ok(self)
+    }
+
     /// Append a layer, validating the shape chain.
     pub fn push(mut self, layer: Layer) -> Result<Self> {
         let current = self.output_shape()?;
@@ -133,6 +182,22 @@ impl Model {
         &self.layers
     }
 
+    /// This model with every [`Layer::Stored`] weight matrix read back into
+    /// memory (see [`Layer::materialize`]); it shares this model's packed
+    /// weights, which it multiplies the same as.
+    pub fn materialize(&self) -> Result<Model> {
+        Ok(Model {
+            name: self.name.clone(),
+            input_shape: self.input_shape.clone(),
+            layers: self
+                .layers
+                .iter()
+                .map(Layer::materialize)
+                .collect::<Result<_>>()?,
+            prepared: self.prepared.clone(),
+        })
+    }
+
     /// Mutable access to the layer stack (training updates parameters).
     /// Whatever this model had packed is dropped — the next forward packs
     /// the edited weights — while clones made earlier keep theirs.
@@ -142,9 +207,9 @@ impl Model {
     }
 
     /// How many weight matrices have been packed, and the bytes the packed
-    /// forms take beside the raw weights: one build per dense layer that has
-    /// run since the last [`Model::layers_mut`], on this model or a clone
-    /// that shares its packed weights.
+    /// forms take: one build per dense layer that has run since the last
+    /// [`Model::layers_mut`], on this model or a clone that shares its
+    /// packed weights.
     pub fn prepared_weights(&self) -> (usize, usize) {
         (
             self.prepared.builds.load(Ordering::Relaxed),

@@ -87,8 +87,10 @@ fn prune_tensor(t: &Tensor, fraction: f32) -> Tensor {
     out
 }
 
-fn map_params(model: &Model, f: impl Fn(&Tensor) -> Tensor) -> Model {
-    let mut out = model.clone();
+/// `model` with `f` applied to every f32 parameter tensor, stored weights
+/// read back first.
+fn map_params(model: &Model, f: impl Fn(&Tensor) -> Tensor) -> Result<Model> {
+    let mut out = model.materialize()?;
     for layer in out.layers_mut() {
         match layer {
             Layer::Dense { weight, bias, .. } => {
@@ -105,9 +107,10 @@ fn map_params(model: &Model, f: impl Fn(&Tensor) -> Tensor) -> Model {
                 *bias = f(bias);
             }
             Layer::Flatten => {}
+            Layer::Stored { .. } => unreachable!("a materialized model stores no weight"),
         }
     }
-    out
+    Ok(out)
 }
 
 fn count_nonzero(model: &Model) -> usize {
@@ -121,6 +124,8 @@ fn count_nonzero(model: &Model) -> usize {
                 weight.data().iter().filter(|lv| **lv != 0).count() + count(bias)
             }
             Layer::Conv2d { kernel, bias, .. } => count(kernel) + count(bias),
+            // Not read back to be counted: every parameter counts.
+            stored @ Layer::Stored { .. } => stored.num_params(),
             Layer::Flatten => 0,
         })
         .sum()
@@ -135,7 +140,9 @@ fn count_nonzero(model: &Model) -> usize {
 /// kernel tier) and are accounted at 1 byte per parameter plus one scale,
 /// matching what a quantized conv store would occupy.
 pub fn quantize_int8(model: &Model) -> Result<ModelVersion> {
-    let mut quantized = model.clone().with_name(format!("{}@int8", model.name()));
+    let mut quantized = model
+        .materialize()?
+        .with_name(format!("{}@int8", model.name()));
     let mut storage_bytes = 0usize;
     for layer in quantized.layers_mut() {
         match layer {
@@ -164,6 +171,7 @@ pub fn quantize_int8(model: &Model) -> Result<ModelVersion> {
                 storage_bytes += kernel.len() + bias.num_bytes() + 4;
             }
             Layer::Flatten => {}
+            Layer::Stored { .. } => unreachable!("a materialized model stores no weight"),
         }
     }
     Ok(ModelVersion {
@@ -176,7 +184,7 @@ pub fn quantize_int8(model: &Model) -> Result<ModelVersion> {
 /// Magnitude-pruned version: sparse storage as (index, value) pairs.
 pub fn prune_magnitude(model: &Model, fraction: f32) -> Result<ModelVersion> {
     let fraction = fraction.clamp(0.0, 1.0);
-    let pruned = map_params(model, |t| prune_tensor(t, fraction)).with_name(format!(
+    let pruned = map_params(model, |t| prune_tensor(t, fraction))?.with_name(format!(
         "{}@prune{:.0}",
         model.name(),
         fraction * 100.0

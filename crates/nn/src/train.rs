@@ -146,6 +146,13 @@ impl Trainer {
                             .into(),
                     ));
                 }
+                Layer::Stored { .. } => {
+                    return Err(Error::Training(
+                        "a stored weight is not in memory to update: train \
+                         `Model::materialize` of the model"
+                            .into(),
+                    ));
+                }
                 Layer::Flatten => {
                     let dims = x.shape().dims().to_vec();
                     let batch = dims[0];

@@ -22,7 +22,7 @@
 //! cost no file growth and no write-back once they are gone.
 
 use crate::error::{Error, Result};
-use relserve_storage::{BlobId, BlobStore, BufferPool};
+use relserve_storage::{BlobId, BlobStore, BlobWriter, BufferPool, PAGE_SIZE};
 use relserve_tensor::matmul::{self, PackedB};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantizedActivations, QuantizedTensor};
@@ -192,7 +192,23 @@ impl TensorTable {
         dense: &Tensor,
         spec: BlockingSpec,
     ) -> Result<Self> {
-        Self::chunk(pool, name.into(), dense, spec, None)
+        let (rows, cols) = dense.shape().as_matrix()?;
+        let mut table = Self::create(pool, name, rows, cols, spec);
+        // One block's values in payload order, reused from block to block.
+        let mut values = Vec::new();
+        for rb in 0..spec.row_blocks(rows) {
+            let (r0, r1) = spec.row_range(rb, rows);
+            for cb in 0..spec.col_blocks(cols) {
+                let (c0, c1) = spec.col_range(cb, cols);
+                values.clear();
+                for r in r0..r1 {
+                    values.extend_from_slice(&dense.data()[r * cols + c0..r * cols + c1]);
+                }
+                let coord = BlockCoord { row: rb, col: cb };
+                table.put_values(coord, (r1 - r0, c1 - c0), BlockKind::F32, &values)?;
+            }
+        }
+        Ok(table)
     }
 
     /// Chunk a constant `[n, k]` weight matrix for `X × Wᵀ` joins: as
@@ -212,45 +228,58 @@ impl TensorTable {
         weights: &Tensor,
         spec: BlockingSpec,
     ) -> Result<Self> {
-        let nr = matmul::panel_width()?;
-        Self::chunk(pool, name.into(), weights, spec, Some(nr))
+        let shape = weights.shape().as_matrix()?;
+        let mut rest = weights.data();
+        Self::from_weight_rows(pool, name, shape, spec, |out: &mut [f32]| {
+            let (next, after) = rest.split_at(out.len());
+            out.copy_from_slice(next);
+            rest = after;
+            Ok::<(), Error>(())
+        })
     }
 
-    fn chunk(
+    /// [`TensorTable::from_weights`] of a `[rows, cols]` matrix that is never
+    /// whole in memory: `next_rows` fills its argument with the matrix's next
+    /// rows, row-major. A block-row is written a group of rows at a time
+    /// into all of its blocks at once (a group is whole kernel panels, and
+    /// as many as fill a page of a full-width block), so what is held is one
+    /// group of rows — not a block-row, and not the matrix.
+    pub fn from_weight_rows<E: From<Error>>(
         pool: Arc<BufferPool>,
-        name: String,
-        dense: &Tensor,
+        name: impl Into<String>,
+        (rows, cols): (usize, usize),
         spec: BlockingSpec,
-        panel_width: Option<usize>,
-    ) -> Result<Self> {
-        let (rows, cols) = dense.shape().as_matrix()?;
+        mut next_rows: impl FnMut(&mut [f32]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Self, E> {
+        let nr = matmul::panel_width().map_err(Error::from)?;
+        let kind = BlockKind::Packed { nr };
+        let group = (PAGE_SIZE / (spec.block_cols * ELEM_BYTES).max(1))
+            .next_multiple_of(nr)
+            .clamp(nr, spec.block_rows.next_multiple_of(nr));
         let mut table = Self::create(pool, name, rows, cols, spec);
-        // One block's values in payload order, reused from block to block.
-        let mut values = Vec::new();
-        for rb in 0..spec.row_blocks(rows) {
-            let r0 = rb * spec.block_rows;
-            let r1 = (r0 + spec.block_rows).min(rows);
-            for cb in 0..spec.col_blocks(cols) {
-                let c0 = cb * spec.block_cols;
-                let c1 = (c0 + spec.block_cols).min(cols);
-                let kind = match panel_width {
-                    Some(nr) => {
-                        let window = &dense.data()[r0 * cols + c0..];
-                        matmul::pack_bt(window, cols, r1 - r0, c1 - c0, nr, &mut values);
-                        BlockKind::Packed { nr }
-                    }
-                    None => {
-                        values.clear();
-                        for r in r0..r1 {
-                            values.extend_from_slice(&dense.data()[r * cols + c0..r * cols + c1]);
-                        }
-                        BlockKind::F32
-                    }
-                };
-                let coord = BlockCoord { row: rb, col: cb };
-                table.put_values(coord, (r1 - r0, c1 - c0), kind, &values)?;
-            }
-        }
+        let mut values = vec![0.0; group.min(rows) * cols];
+        let mut panels = Vec::new();
+        table.write_block_rows(
+            kind,
+            group,
+            |r0, g, cb, writer| -> std::result::Result<_, E> {
+                if cb == 0 {
+                    next_rows(&mut values[..g * cols])?;
+                }
+                let (c0, c1) = spec.col_range(cb, cols);
+                matmul::pack_bt(&values[c0..], cols, g, c1 - c0, nr, &mut panels);
+                debug_assert!(
+                    (r0 % spec.block_rows).is_multiple_of(nr),
+                    "a group starts a panel"
+                );
+                writer
+                    .write_with(panels.len() * ELEM_BYTES, |at, page| {
+                        put_f32s(page, &panels[at / ELEM_BYTES..])
+                    })
+                    .map_err(Error::from)?;
+                Ok(())
+            },
+        )?;
         Ok(table)
     }
 
@@ -270,29 +299,105 @@ impl TensorTable {
         q: &QuantizedTensor,
         spec: BlockingSpec,
     ) -> Result<Self> {
-        let (rows, cols) = (q.rows(), q.cols());
+        let mut rest = q.data();
+        Self::from_quantized_rows(
+            pool,
+            name,
+            q.scales(),
+            q.cols(),
+            spec,
+            |out: &mut [i8]| {
+                let (next, after) = rest.split_at(out.len());
+                out.copy_from_slice(next);
+                rest = after;
+                Ok::<(), Error>(())
+            },
+        )
+    }
+
+    /// [`TensorTable::from_quantized`] of a matrix with per-row `scales` and
+    /// `cols` columns whose levels are never whole in memory: `next_rows`
+    /// fills its argument with the next rows' levels, row-major, a group of
+    /// rows at a time (see [`TensorTable::from_weight_rows`]).
+    pub fn from_quantized_rows<E: From<Error>>(
+        pool: Arc<BufferPool>,
+        name: impl Into<String>,
+        scales: &[f32],
+        cols: usize,
+        spec: BlockingSpec,
+        mut next_rows: impl FnMut(&mut [i8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Self, E> {
+        let rows = scales.len();
+        let group = (PAGE_SIZE / spec.block_cols.max(1)).clamp(1, spec.block_rows);
         let mut table = Self::create(pool, name, rows, cols, spec);
-        for rb in 0..spec.row_blocks(rows) {
-            let r0 = rb * spec.block_rows;
-            let r1 = (r0 + spec.block_rows).min(rows);
-            for cb in 0..spec.col_blocks(cols) {
-                let c0 = cb * spec.block_cols;
-                let c1 = (c0 + spec.block_cols).min(cols);
-                let mut data = Vec::with_capacity((r1 - r0) * (c1 - c0));
-                for r in r0..r1 {
-                    data.extend_from_slice(&q.data()[r * cols + c0..r * cols + c1]);
+        let mut levels = vec![0; group.min(rows) * cols];
+        let mut piece = Vec::new();
+        table.write_block_rows(
+            BlockKind::Int8,
+            group,
+            |r0, g, cb, writer| -> std::result::Result<_, E> {
+                if cb == 0 {
+                    next_rows(&mut levels[..g * cols])?;
                 }
-                let block = QuantizedTensor::from_parts(
-                    r1 - r0,
-                    c1 - c0,
-                    data,
-                    q.scales()[r0..r1].to_vec(),
-                )
-                .map_err(Error::Tensor)?;
-                table.insert_qblock(BlockCoord { row: rb, col: cb }, &block)?;
+                let (c0, c1) = spec.col_range(cb, cols);
+                piece.clear();
+                if r0 % spec.block_rows == 0 {
+                    // A block's payload starts with the scales of all its rows.
+                    let block_rows = spec.row_range(r0 / spec.block_rows, rows);
+                    piece.resize((block_rows.1 - block_rows.0) * ELEM_BYTES, 0);
+                    put_f32s(&mut piece, &scales[block_rows.0..block_rows.1]);
+                }
+                for row in levels[..g * cols].chunks_exact(cols.max(1)) {
+                    piece.extend(row[c0..c1].iter().map(|q| *q as u8));
+                }
+                writer
+                    .write_with(piece.len(), |at, page| {
+                        page.copy_from_slice(&piece[at..at + page.len()])
+                    })
+                    .map_err(Error::from)?;
+                Ok(())
+            },
+        )?;
+        table.quantized = true;
+        Ok(table)
+    }
+
+    /// Write every block of the relation, a block-row at a time and within
+    /// it `group` rows at a time: `append(r0, g, cb, writer)` appends the
+    /// payload of rows `r0..r0 + g` of block `(block-row, cb)` to its blob,
+    /// visiting `cb` ascending for each group. Every payload is checked
+    /// against the length its dimensions and `kind` imply.
+    fn write_block_rows<E: From<Error>>(
+        &mut self,
+        kind: BlockKind,
+        group: usize,
+        mut append: impl FnMut(usize, usize, usize, &mut BlobWriter<'_>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let (rows, cols, spec) = (self.rows, self.cols, self.spec);
+        for rb in 0..spec.row_blocks(rows) {
+            let (r0, r1) = spec.row_range(rb, rows);
+            let mut writers: Vec<BlobWriter<'_>> = (0..spec.col_blocks(cols))
+                .map(|_| self.blobs.writer())
+                .collect();
+            for g0 in (r0..r1).step_by(group) {
+                let g = group.min(r1 - g0);
+                for (cb, writer) in writers.iter_mut().enumerate() {
+                    append(g0, g, cb, writer)?;
+                }
+            }
+            for (cb, writer) in writers.into_iter().enumerate() {
+                let (c0, c1) = spec.col_range(cb, cols);
+                let meta = BlockMeta {
+                    blob: writer.finish().map_err(Error::from)?,
+                    rows: r1 - r0,
+                    cols: c1 - c0,
+                    kind,
+                };
+                self.index.insert(BlockCoord { row: rb, col: cb }, meta);
+                self.payload_len(&meta)?;
             }
         }
-        Ok(table)
+        Ok(())
     }
 
     /// The relation's name.
@@ -333,6 +438,12 @@ impl TensorTable {
     /// Payload bytes stored.
     pub fn bytes_stored(&self) -> u64 {
         self.blobs.bytes_stored()
+    }
+
+    /// Bytes of this relation's pages resident in the buffer pool's frames
+    /// right now.
+    pub fn resident_bytes(&self) -> u64 {
+        (self.blobs.resident_pages() * PAGE_SIZE) as u64
     }
 
     /// The buffer pool backing this relation.
@@ -437,21 +548,6 @@ impl TensorTable {
     pub fn insert_block(&mut self, coord: BlockCoord, block: &Tensor) -> Result<()> {
         let dims = block.shape().as_matrix()?;
         self.put_values(coord, dims, BlockKind::F32, block.data())
-    }
-
-    /// Insert (or replace) an int8 quantized block at `coord`; marks the
-    /// relation as quantized. The payload is `rows·cols + 4·rows` bytes,
-    /// against `4·rows·cols` for f32.
-    pub fn insert_qblock(&mut self, coord: BlockCoord, block: &QuantizedTensor) -> Result<()> {
-        let mut payload = vec![0; block.scales().len() * ELEM_BYTES];
-        put_f32s(&mut payload, block.scales());
-        payload.extend(block.data().iter().map(|q| *q as u8));
-        let dims = (block.rows(), block.cols());
-        self.put_payload(coord, dims, BlockKind::Int8, |at, page| {
-            page.copy_from_slice(&payload[at..at + page.len()])
-        })?;
-        self.quantized = true;
-        Ok(())
     }
 
     fn meta_for(&self, coord: BlockCoord) -> Result<&BlockMeta> {
@@ -1102,6 +1198,47 @@ mod tests {
         let (c, _) = a.matmul(&packed, "C").unwrap();
         let expect = relserve_tensor::matmul::matmul(&pattern(7, 45, 48), &w).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-2));
+    }
+
+    #[test]
+    fn weight_rows_stream_a_group_at_a_time_through_a_pool_smaller_than_a_block_row() {
+        // Ten block columns of a 16-square blocking, four frames.
+        let (rows, cols) = (70, 9 * 16 + 5);
+        let w = inexact(rows, cols, 0.37);
+        let spec = BlockingSpec::square(16);
+        let nr = matmul::panel_width().unwrap();
+        let p = pool(4);
+        let (mut fed, mut widest) = (0, 0);
+        let packed = TensorTable::from_weight_rows(p.clone(), "W", (rows, cols), spec, |out| {
+            widest = widest.max(out.len());
+            out.copy_from_slice(&w.data()[fed..fed + out.len()]);
+            fed += out.len();
+            Ok::<(), Error>(())
+        })
+        .unwrap();
+        assert_eq!(fed, w.len(), "every row read once");
+        assert!(widest <= 16usize.next_multiple_of(nr) * cols, "{widest}");
+        assert_eq!(packed.to_dense().unwrap(), w);
+        let q = QuantizedTensor::quantize(&w).unwrap();
+        let qt = TensorTable::from_quantized(p.clone(), "Wq", &q, spec).unwrap();
+        assert_eq!(qt.to_dense().unwrap(), q.dequantize());
+        let corner = qt.get_qblock(BlockCoord { row: 4, col: 9 }).unwrap();
+        assert_eq!((corner.rows(), corner.cols()), (6, 5));
+        assert_eq!(corner.scales(), &q.scales()[64..70]);
+        // A source that fails part-way fails the build, which gives back
+        // every page it wrote.
+        drop((packed, qt));
+        let allocated = p.disk().num_pages() as usize;
+        let mut calls = 0;
+        let failed = TensorTable::from_weight_rows(p.clone(), "W", (rows, cols), spec, |_| {
+            calls += 1;
+            if calls == 3 {
+                return Err(Error::Codec("source gave out".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(failed, Err(Error::Codec(_))));
+        assert_eq!(p.disk().free_pages(), allocated);
     }
 
     #[test]

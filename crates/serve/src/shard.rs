@@ -46,10 +46,11 @@ use crate::wire::{
 use relserve_core::{
     Architecture, Error as CoreError, FusedOutcome, InferenceSession, PartitionSpec, ShardRange,
 };
-use relserve_nn::{Activation, Layer};
+use relserve_nn::{Activation, Layer, Precision};
 use relserve_runtime::{AdmissionPolicy, FaultInjector, RetryPolicy};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{matmul, ops, Tensor};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -415,7 +416,9 @@ fn run_exec(exec: ShardExecRequest, shared: &WorkerShared) -> relserve_core::Res
 /// The sharded head of a model: its first dense layer decomposed for
 /// scatter, plus the tail executed locally after the gather.
 struct ShardableHead<'m> {
-    weight: &'m Tensor,
+    /// The layer's weight matrix, read back from the artifact pages of a
+    /// session's stored model for the call: the tier ships slices of it.
+    weight: Cow<'m, Tensor>,
     bias: &'m Tensor,
     activation: Activation,
     /// Indices of the layers after the sharded one, run locally on the
@@ -425,39 +428,49 @@ struct ShardableHead<'m> {
 
 /// A model's head is shardable when an optional run of `Flatten` layers
 /// (identity on the 2-D feature batches the serving path carries) is
-/// followed by a `Dense` layer of matching input width, and every tail
+/// followed by an f32 dense layer of matching input width, and every tail
 /// layer is dense too (the gather output is 2-D; feeding it to a conv
 /// would need spatial bookkeeping the shard tier does not do).
-fn shardable_head(layers: &[Layer], width: usize) -> Option<ShardableHead<'_>> {
-    let mut idx = 0;
-    while matches!(layers.get(idx), Some(Layer::Flatten)) {
-        idx += 1;
+fn shardable_head(
+    layers: &[Layer],
+    width: usize,
+) -> relserve_core::Result<Option<ShardableHead<'_>>> {
+    let idx = layers
+        .iter()
+        .take_while(|l| matches!(l, Layer::Flatten))
+        .count();
+    let tail = idx + 1..layers.len();
+    let Some(head) = layers.get(idx) else {
+        return Ok(None);
+    };
+    if head.weight_shape().map(|(_, k)| k) != Some(width)
+        || !layers[tail.clone()]
+            .iter()
+            .all(|l| l.weight_shape().is_some())
+    {
+        return Ok(None);
     }
-    let Some(Layer::Dense {
+    let (weight, bias, activation) = match head {
+        Layer::Dense {
+            weight,
+            bias,
+            activation,
+        } => (Cow::Borrowed(weight), bias, *activation),
+        Layer::Stored {
+            weight,
+            bias,
+            activation,
+        } if weight.precision() == Precision::F32 => {
+            (Cow::Owned(weight.load_dense()?), bias, *activation)
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(ShardableHead {
         weight,
         bias,
         activation,
-    }) = layers.get(idx)
-    else {
-        return None;
-    };
-    let (_, in_features) = weight.shape().as_matrix().ok()?;
-    if in_features != width {
-        return None;
-    }
-    let tail = idx + 1..layers.len();
-    if !layers[tail.clone()]
-        .iter()
-        .all(|l| matches!(l, Layer::Dense { .. }))
-    {
-        return None;
-    }
-    Some(ShardableHead {
-        weight,
-        bias,
-        activation: *activation,
         tail,
-    })
+    }))
 }
 
 /// Mutable state of one worker link, behind its slot mutex.
@@ -618,7 +631,7 @@ impl ShardCoordinator {
 
         let model = session.model(model_name)?;
         let shards = self.workers.len().min(width);
-        let head = shardable_head(model.layers(), width);
+        let head = shardable_head(model.layers(), width)?;
         let (Some(head), true) = (head, shards >= 1 && self.workers_live() > 0) else {
             self.counters
                 .fallback_unsharded
@@ -675,7 +688,7 @@ impl ShardCoordinator {
                     self.counters
                         .shards_degraded_local
                         .fetch_add(1, Ordering::Relaxed);
-                    let w_i = plan.slice_weight(head.weight, *range)?;
+                    let w_i = plan.slice_weight(&head.weight, *range)?;
                     compute_partial(&blocks[i], &w_i, &par)?.data().to_vec()
                 }
             };
@@ -745,7 +758,7 @@ impl ShardCoordinator {
             }
         }
         if !state.assigned.contains(model_name) {
-            let slice = plan.slice_weight(head.weight, range).ok()?;
+            let slice = plan.slice_weight(&head.weight, range).ok()?;
             let (out_rows, _) = slice.shape().as_matrix().ok()?;
             let assigned = state
                 .client

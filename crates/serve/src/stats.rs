@@ -811,6 +811,14 @@ mod tests {
         let pairs = export_counters(&serve, &session, &admission);
         assert!(pairs.iter().any(|(n, _)| n == "serve.requests"));
         assert!(pairs.iter().any(|(n, _)| n == "session.admitted"));
+        // Resident bytes per owner ride beside the session's counters.
+        for owner in [
+            "session.prepared_weight_bytes",
+            "session.weight_relation_resident_bytes",
+            "session.artifact_bytes",
+        ] {
+            assert!(pairs.iter().any(|(n, _)| n == owner), "missing {owner}");
+        }
         assert!(pairs
             .iter()
             .any(|(n, _)| n == "admission.interactive.admitted"));

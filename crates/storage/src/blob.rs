@@ -53,6 +53,17 @@ impl BlobStore {
         self.state.lock().bytes_stored
     }
 
+    /// Pages of the stored blobs resident in the buffer pool right now.
+    pub fn resident_pages(&self) -> usize {
+        let state = self.state.lock();
+        self.pool.resident_among(
+            state
+                .blobs
+                .values()
+                .flat_map(|meta| meta.pages.iter().copied()),
+        )
+    }
+
     /// Number of blobs currently stored.
     pub fn len(&self) -> usize {
         self.state.lock().blobs.len()
@@ -74,22 +85,20 @@ impl BlobStore {
     /// order, given each piece's offset and the pinned page to write it to
     /// (every piece but the last is [`PAGE_SIZE`] bytes): an encoder's output
     /// goes straight into the pages.
-    pub fn put_with(&self, len: usize, mut fill: impl FnMut(usize, &mut [u8])) -> Result<BlobId> {
-        let mut pages = Vec::with_capacity(len.div_ceil(PAGE_SIZE));
-        for at in (0..len).step_by(PAGE_SIZE) {
-            let guard = self.pool.create_page()?;
-            fill(
-                at,
-                &mut guard.write().bytes_mut()[..(len - at).min(PAGE_SIZE)],
-            );
-            pages.push(guard.id());
+    pub fn put_with(&self, len: usize, fill: impl FnMut(usize, &mut [u8])) -> Result<BlobId> {
+        let mut writer = self.writer();
+        writer.write_with(len, fill)?;
+        writer.finish()
+    }
+
+    /// A blob written in several appends; see [`BlobWriter`].
+    pub fn writer(&self) -> BlobWriter<'_> {
+        BlobWriter {
+            store: self,
+            pages: Vec::new(),
+            len: 0,
+            tail: Vec::new(),
         }
-        let mut state = self.state.lock();
-        let id = BlobId(state.next_id);
-        state.next_id += 1;
-        state.bytes_stored += len as u64;
-        state.blobs.insert(id, BlobMeta { pages, len });
-        Ok(id)
     }
 
     /// Read a blob's payload back.
@@ -156,6 +165,84 @@ impl BlobStore {
         };
         self.pool.discard_pages(&meta.pages);
         Ok(())
+    }
+}
+
+/// Writes one blob of a [`BlobStore`] in order, an append at a time.
+/// Several writers may be open on one store at once — a weight relation's
+/// block-row is written a row group at a time into every block of the row.
+/// A page is created when its bytes are complete and written once, pinned
+/// only while it is filled: an append that ends mid-page leaves the rest in
+/// the writer until the next append (or [`BlobWriter::finish`]) completes
+/// the page, so the pool never has to hand a half-written page back.
+/// Dropped unfinished, the writer discards what it wrote.
+pub struct BlobWriter<'a> {
+    store: &'a BlobStore,
+    pages: Vec<PageId>,
+    len: usize,
+    /// The bytes of the last page, while it is not full.
+    tail: Vec<u8>,
+}
+
+impl BlobWriter<'_> {
+    /// Append `len` bytes that `fill` writes a piece at a time, given each
+    /// piece's offset within this append and the bytes to write it to.
+    /// Pieces break where the blob's pages do.
+    pub fn write_with(&mut self, len: usize, mut fill: impl FnMut(usize, &mut [u8])) -> Result<()> {
+        let mut done = 0;
+        while done < len {
+            let in_page = self.tail.len();
+            let take = (len - done).min(PAGE_SIZE - in_page);
+            if take == PAGE_SIZE {
+                let guard = self.store.pool.create_page()?;
+                fill(done, &mut guard.write().bytes_mut()[..]);
+                self.pages.push(guard.id());
+            } else {
+                self.tail.resize(in_page + take, 0);
+                fill(done, &mut self.tail[in_page..]);
+                if self.tail.len() == PAGE_SIZE {
+                    self.flush_tail()?;
+                }
+            }
+            done += take;
+            self.len += take;
+        }
+        Ok(())
+    }
+
+    /// Write the tail to a page of its own.
+    fn flush_tail(&mut self) -> Result<()> {
+        let guard = self.store.pool.create_page()?;
+        guard.write().bytes_mut()[..self.tail.len()].copy_from_slice(&self.tail);
+        self.pages.push(guard.id());
+        self.tail.clear();
+        Ok(())
+    }
+
+    /// Write the last page, register the blob and return its id.
+    pub fn finish(mut self) -> Result<BlobId> {
+        if !self.tail.is_empty() {
+            self.flush_tail()?;
+        }
+        let pages = std::mem::take(&mut self.pages);
+        let mut state = self.store.state.lock();
+        let id = BlobId(state.next_id);
+        state.next_id += 1;
+        state.bytes_stored += self.len as u64;
+        state.blobs.insert(
+            id,
+            BlobMeta {
+                pages,
+                len: self.len,
+            },
+        );
+        Ok(id)
+    }
+}
+
+impl Drop for BlobWriter<'_> {
+    fn drop(&mut self) {
+        self.store.pool.discard_pages(&self.pages);
     }
 }
 
@@ -242,6 +329,7 @@ mod tests {
             assert_eq!(&s.get(*id).unwrap(), payload);
         }
         assert!(s.pool().stats().evictions > 0);
+        assert_eq!(s.resident_pages(), 2, "a two-frame pool holds two of them");
     }
 
     #[test]
@@ -279,6 +367,48 @@ mod tests {
         .unwrap();
         assert_eq!(lens, [PAGE_SIZE, PAGE_SIZE, 9]);
         assert_eq!(seen, payload);
+    }
+
+    #[test]
+    fn interleaved_writers_each_write_their_own_blob() {
+        let s = store(3);
+        let (mut a, mut b) = (s.writer(), s.writer());
+        let piece = |salt: u8| {
+            move |at: usize, page: &mut [u8]| {
+                for (i, v) in page.iter_mut().enumerate() {
+                    *v = ((at + i) as u8).wrapping_mul(salt);
+                }
+            }
+        };
+        // Appends that end mid-page, alternating between the two blobs,
+        // through a pool too small to keep both blobs' pages resident.
+        for _ in 0..5 {
+            a.write_with(PAGE_SIZE / 2 + 3, piece(3)).unwrap();
+            b.write_with(PAGE_SIZE / 3, piece(5)).unwrap();
+        }
+        // No half-written page went into the pool to be fetched back.
+        assert_eq!(s.pool().stats().hits, 0);
+        let (a, b) = (a.finish().unwrap(), b.finish().unwrap());
+        let expect = |len: usize, per: usize, salt: u8| -> Vec<u8> {
+            (0..len)
+                .map(|i| ((i % per) as u8).wrapping_mul(salt))
+                .collect()
+        };
+        assert_eq!(
+            s.get(a).unwrap(),
+            expect(5 * (PAGE_SIZE / 2 + 3), PAGE_SIZE / 2 + 3, 3)
+        );
+        assert_eq!(
+            s.get(b).unwrap(),
+            expect(5 * (PAGE_SIZE / 3), PAGE_SIZE / 3, 5)
+        );
+        // An abandoned writer gives back what it wrote.
+        let disk = s.pool().disk().clone();
+        let free = disk.free_pages();
+        let mut c = s.writer();
+        c.write_with(2 * PAGE_SIZE, |_, _| {}).unwrap();
+        drop(c);
+        assert_eq!(disk.free_pages(), free + 2);
     }
 
     #[test]

@@ -18,9 +18,15 @@
 //! published first, loading, with the page's write lock held, so misses on
 //! different pages overlap and a second fetch of the same page waits on that
 //! lock instead of reading twice.
+//!
+//! Frames are carved from one anonymous mapping sized to the pool's
+//! capacity ([`crate::frames`]): made at open, touched only as pages are
+//! loaded, and unmapped when the pool (and the last page image it handed
+//! out) is dropped, so a closed pool returns its memory to the kernel.
 
 use crate::disk::DiskManager;
 use crate::error::{Error, Result};
+use crate::frames::FrameArena;
 use crate::page::{Page, PageId, PAGE_SIZE};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -58,8 +64,6 @@ struct PoolInner {
     frames: HashMap<PageId, Frame>,
     /// Every frame by `filed` rank: victims come off the low end.
     order: BTreeMap<i64, PageId>,
-    /// Buffers of evicted and discarded frames, for the next frames.
-    spare: Vec<Vec<u8>>,
     tick: i64,
     stats: PoolStats,
 }
@@ -78,14 +82,11 @@ impl PoolInner {
         self.order.insert(rank, id);
     }
 
-    /// Take `id`'s frame out, keeping its buffer if nobody else holds it.
+    /// Take `id`'s frame out. Its memory goes back to the mapping once
+    /// nobody holds the page any more.
     fn remove(&mut self, id: PageId) {
-        let Some(frame) = self.frames.remove(&id) else {
-            return;
-        };
-        self.order.remove(&frame.filed);
-        if let Ok(page) = Arc::try_unwrap(frame.page) {
-            self.spare.push(page.into_inner().into_bytes());
+        if let Some(frame) = self.frames.remove(&id) {
+            self.order.remove(&frame.filed);
         }
     }
 
@@ -113,19 +114,23 @@ impl PoolInner {
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     capacity: usize,
+    /// Where page images live; `None` if the kernel refused the mapping, and
+    /// then every image is a heap buffer of its own.
+    frames: Option<Arc<FrameArena>>,
     inner: Mutex<PoolInner>,
 }
 
 impl BufferPool {
     /// A pool holding at most `capacity` frames.
     pub fn new(disk: Arc<DiskManager>, capacity: usize) -> Self {
+        let capacity = capacity.max(2);
         BufferPool {
             disk,
-            capacity: capacity.max(2),
+            capacity,
+            frames: FrameArena::map(capacity),
             inner: Mutex::new(PoolInner {
                 frames: HashMap::new(),
                 order: BTreeMap::new(),
-                spare: Vec::new(),
                 tick: 0,
                 stats: PoolStats::default(),
             }),
@@ -155,6 +160,14 @@ impl BufferPool {
     /// Number of pages currently resident.
     pub fn resident_pages(&self) -> usize {
         self.inner.lock().frames.len()
+    }
+
+    /// How many of `ids` are resident right now.
+    pub fn resident_among(&self, ids: impl IntoIterator<Item = PageId>) -> usize {
+        let inner = self.inner.lock();
+        ids.into_iter()
+            .filter(|id| inner.frames.contains_key(id))
+            .count()
     }
 
     /// Fetch a page, reading from disk on a miss; the returned guard pins it.
@@ -205,8 +218,7 @@ impl BufferPool {
     ) -> Result<PageGuard> {
         inner.stats.misses += 1;
         self.evict_if_full(&mut inner)?;
-        let buffer = inner.spare.pop().unwrap_or_else(|| vec![0u8; PAGE_SIZE]);
-        let page = Arc::new(RwLock::new(Page::from_bytes(id, buffer)?));
+        let page = Arc::new(RwLock::new(self.frame(id)));
         let mut image = page.write();
         let rank = if scan { -inner.tick } else { inner.tick };
         inner.insert(id, page.clone(), rank, true);
@@ -226,6 +238,17 @@ impl BufferPool {
         Ok(self.guard(id, page))
     }
 
+    /// A clean image for page `id` in a free frame of the mapping, holding
+    /// whatever the frame held last. Between a page leaving the pool and its
+    /// last reader letting go of it every frame can be taken; the image is
+    /// then a heap buffer of its own.
+    fn frame(&self, id: PageId) -> Page {
+        match self.frames.as_ref().and_then(FrameArena::take) {
+            Some(slot) => Page::in_frame(id, slot),
+            None => Page::new(id),
+        }
+    }
+
     fn guard(self: &Arc<Self>, id: PageId, page: Arc<RwLock<Page>>) -> PageGuard {
         PageGuard {
             pool: self.clone(),
@@ -241,13 +264,10 @@ impl BufferPool {
         inner.tick += 1;
         let tick = inner.tick;
         self.evict_if_full(&mut inner)?;
-        // An all-zero image is a valid empty page.
-        let mut buffer = inner.spare.pop().unwrap_or_default();
-        buffer.clear();
-        buffer.resize(PAGE_SIZE, 0);
-        let mut fresh = Page::from_bytes(id, buffer)?;
-        // Force the new page dirty so it reaches disk even if never edited.
-        fresh.bytes_mut();
+        // An all-zero image is a valid empty page; writing it also forces
+        // the new page dirty, so it reaches disk even if never edited.
+        let mut fresh = self.frame(id);
+        fresh.bytes_mut().fill(0);
         let page = Arc::new(RwLock::new(fresh));
         inner.insert(id, page.clone(), tick, false);
         Ok(self.guard(id, page))
@@ -681,6 +701,28 @@ mod tests {
             .bytes()
             .iter()
             .all(|b| *b == 0));
+    }
+
+    #[test]
+    fn frames_come_from_the_mapping_and_go_back_when_the_pool_closes() {
+        let p = pool(4);
+        let arena = p.frames.clone().expect("the frames are mapped");
+        let ids = spilled_pages(&p, 6);
+        assert_eq!(arena.free_slots(), 4, "an empty pool holds no frame");
+        for id in &ids[..4] {
+            drop(p.fetch(*id).unwrap());
+        }
+        assert_eq!(arena.free_slots(), 0, "four resident pages, four frames");
+        assert_eq!(p.discard_pages(&ids[..1]), 1);
+        assert_eq!(arena.free_slots(), 1, "a discarded page frees its frame");
+        // Evictions reuse frames; the mapping goes with the pool.
+        for _ in 0..8 {
+            drop(p.create_page().unwrap());
+        }
+        assert_eq!(arena.free_slots(), 0);
+        let weak = Arc::downgrade(&arena);
+        drop((arena, p));
+        assert!(weak.upgrade().is_none(), "the pool's frames are unmapped");
     }
 
     #[test]

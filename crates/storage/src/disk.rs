@@ -116,17 +116,21 @@ impl DiskManager {
     }
 
     /// Overwrite `page`'s image with what the disk holds for its id, leaving
-    /// it clean: the form the buffer pool uses to load into a recycled frame.
+    /// it clean: the form the buffer pool uses to load into a reused frame.
     pub(crate) fn read_into(&self, page: &mut Page) -> Result<()> {
+        self.read_image(page.id(), page.image_mut())
+    }
+
+    /// Read page `id`'s image into `image` (one page long). Pages allocated
+    /// but never written read back as zeroes, which is a valid empty page.
+    pub(crate) fn read_image(&self, id: PageId, image: &mut [u8]) -> Result<()> {
         #[cfg(test)]
-        self.read_hook.call(page.id())?;
-        let offset = page.id().0 * PAGE_SIZE as u64;
+        self.read_hook.call(id)?;
+        let offset = id.0 * PAGE_SIZE as u64;
         if offset + PAGE_SIZE as u64 <= self.len.load(Ordering::Acquire) {
-            self.file.read_exact_at(page.image_mut(), offset)?;
+            self.file.read_exact_at(image, offset)?;
         } else {
-            // Pages allocated but never written read back as zeroes, which
-            // is a valid empty page.
-            page.image_mut().fill(0);
+            image.fill(0);
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -135,8 +139,13 @@ impl DiskManager {
     /// Write a page image to disk; a write past the end extends the file
     /// (any gap reads back as zeroes).
     pub fn write_page(&self, page: &Page) -> Result<()> {
-        let offset = page.id().0 * PAGE_SIZE as u64;
-        self.file.write_all_at(page.bytes(), offset)?;
+        self.write_image(page.id(), page.bytes())
+    }
+
+    /// Write `image` (one page long) as page `id`'s.
+    pub(crate) fn write_image(&self, id: PageId, image: &[u8]) -> Result<()> {
+        let offset = id.0 * PAGE_SIZE as u64;
+        self.file.write_all_at(image, offset)?;
         self.len
             .fetch_max(offset + PAGE_SIZE as u64, Ordering::AcqRel);
         self.writes.fetch_add(1, Ordering::Relaxed);

@@ -39,6 +39,26 @@ pub enum Error {
     ObjectExists(String),
     /// On-disk bytes failed validation.
     Corrupt(String),
+    /// A page read back does not match the checksum recorded when it was
+    /// written.
+    Checksum {
+        /// The page whose image changed.
+        page: u64,
+    },
+}
+
+impl Error {
+    /// The storage error an `io::Error` carries — as a byte stream over
+    /// pages reports one through [`std::io::Read`] — or else `Error::Io`.
+    pub fn from_io(e: std::io::Error) -> Error {
+        match e.get_ref().and_then(|inner| inner.downcast_ref::<Error>()) {
+            Some(_) => *e
+                .into_inner()
+                .and_then(|inner| inner.downcast::<Error>().ok())
+                .expect("checked to carry a storage error"),
+            None => Error::Io(e),
+        }
+    }
 }
 
 impl fmt::Display for Error {
@@ -59,6 +79,9 @@ impl fmt::Display for Error {
             Error::ObjectNotFound(name) => write!(f, "catalog object `{name}` not found"),
             Error::ObjectExists(name) => write!(f, "catalog object `{name}` already exists"),
             Error::Corrupt(msg) => write!(f, "corrupt storage: {msg}"),
+            Error::Checksum { page } => {
+                write!(f, "page {page} no longer matches its checksum")
+            }
         }
     }
 }

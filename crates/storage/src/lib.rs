@@ -10,22 +10,28 @@
 //! * [`bufferpool`] — an LRU [`bufferpool::BufferPool`] with pin/unpin RAII
 //!   guards, dirty-page write-back, and hit/miss/eviction statistics. Its
 //!   capacity is expressed in bytes so experiments can set it exactly like
-//!   the paper sets its 20 GB pool (scaled down).
+//!   the paper sets its 20 GB pool (scaled down); its frames are one
+//!   anonymous mapping, returned to the kernel when the pool closes.
 //! * [`heap`] — an unordered tuple heap ([`heap::TableHeap`]) over pages.
 //! * [`blob`] — multi-page blobs for payloads larger than a page (tensor
 //!   blocks routinely are).
+//! * [`artifact`] — model artifacts as checksummed pages written and read
+//!   around the buffer pool: a loaded model's one copy of its weights.
 //! * [`catalog`] — a minimal name → storage-root catalog; the relational
 //!   layer adds schema semantics on top.
 
+pub mod artifact;
 pub mod blob;
 pub mod bufferpool;
 pub mod catalog;
 pub mod disk;
 pub mod error;
+mod frames;
 pub mod heap;
 pub mod page;
 
-pub use blob::{BlobId, BlobStore};
+pub use artifact::{ArtifactPages, ArtifactReader, ArtifactWriter};
+pub use blob::{BlobId, BlobStore, BlobWriter};
 pub use bufferpool::{BufferPool, PoolStats};
 pub use catalog::{Catalog, StoredObject};
 pub use disk::DiskManager;

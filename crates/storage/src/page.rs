@@ -13,6 +13,7 @@
 //! A slot with `len == 0` is a tombstone (deleted tuple).
 
 use crate::error::{Error, Result};
+use crate::frames::FrameSlot;
 
 /// Size of every page in bytes (64 KiB).
 pub const PAGE_SIZE: usize = 64 * 1024;
@@ -30,11 +31,45 @@ impl std::fmt::Display for PageId {
     }
 }
 
+/// Where a page image's bytes live: a buffer of its own, or a frame of the
+/// buffer pool's mapping.
+enum Image {
+    Heap(Box<[u8]>),
+    Frame(FrameSlot),
+}
+
+impl std::ops::Deref for Image {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Image::Heap(bytes) => bytes,
+            Image::Frame(slot) => slot.bytes(),
+        }
+    }
+}
+
+impl std::ops::DerefMut for Image {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match self {
+            Image::Heap(bytes) => bytes,
+            Image::Frame(slot) => slot.bytes_mut(),
+        }
+    }
+}
+
+/// A copy of a page lives on the heap, whatever held the original.
+impl Clone for Image {
+    fn clone(&self) -> Self {
+        Image::Heap(Box::from(&self[..]))
+    }
+}
+
 /// An in-memory page image plus its identity and dirty flag.
 #[derive(Clone)]
 pub struct Page {
     id: PageId,
-    data: Box<[u8]>,
+    data: Image,
     dirty: bool,
 }
 
@@ -45,7 +80,17 @@ impl Page {
         data[4..8].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
         Page {
             id,
-            data,
+            data: Image::Heap(data),
+            dirty: false,
+        }
+    }
+
+    /// A clean page `id` whose image is the buffer pool frame `frame`, as
+    /// the frame's previous holder left it.
+    pub(crate) fn in_frame(id: PageId, frame: FrameSlot) -> Self {
+        Page {
+            id,
+            data: Image::Frame(frame),
             dirty: false,
         }
     }
@@ -60,14 +105,9 @@ impl Page {
         }
         Ok(Page {
             id,
-            data: bytes.into_boxed_slice(),
+            data: Image::Heap(bytes.into_boxed_slice()),
             dirty: false,
         })
-    }
-
-    /// Give up the image's buffer (the buffer pool reuses it).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data.into_vec()
     }
 
     /// The image as the target of a disk read: the page stays clean.

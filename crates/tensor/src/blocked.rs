@@ -42,6 +42,18 @@ impl BlockingSpec {
     pub fn col_blocks(&self, cols: usize) -> usize {
         cols.div_ceil(self.block_cols)
     }
+
+    /// The rows `(start, end)` block-row `rb` covers of `rows` matrix rows.
+    pub fn row_range(&self, rb: usize, rows: usize) -> (usize, usize) {
+        let start = rb * self.block_rows;
+        (start, (start + self.block_rows).min(rows))
+    }
+
+    /// The columns `(start, end)` block-column `cb` covers of `cols`.
+    pub fn col_range(&self, cb: usize, cols: usize) -> (usize, usize) {
+        let start = cb * self.block_cols;
+        (start, (start + self.block_cols).min(cols))
+    }
 }
 
 /// Coordinate of one block inside a blocked tensor.

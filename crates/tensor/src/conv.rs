@@ -49,8 +49,17 @@ impl Conv2dSpec {
 
     /// Output spatial dims for an `h × w` input.
     pub fn output_dims(&self, h: usize, w: usize) -> Result<(usize, usize)> {
-        let eh = h + 2 * self.padding;
-        let ew = w + 2 * self.padding;
+        let padded = |side: usize| {
+            self.padding
+                .checked_mul(2)
+                .and_then(|pad| side.checked_add(pad))
+        };
+        let (Some(eh), Some(ew)) = (padded(h), padded(w)) else {
+            return Err(Error::InvalidConv(format!(
+                "input {h}x{w} padded by {} overflows",
+                self.padding
+            )));
+        };
         if eh < self.kh || ew < self.kw || self.stride == 0 {
             return Err(Error::InvalidConv(format!(
                 "kernel {}x{} stride {} does not fit input {h}x{w} pad {}",

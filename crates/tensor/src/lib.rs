@@ -38,7 +38,7 @@ pub use blocked::{BlockCoord, BlockedTensor, BlockingSpec};
 pub use conv::{im2col, spatial_rewrite_1x1, Conv2dSpec};
 pub use dense::Tensor;
 pub use error::{Error, Result};
-pub use quant::{QuantizedActivations, QuantizedTensor};
+pub use quant::{QuantEpilogue, QuantizedActivations, QuantizedTensor};
 pub use shape::Shape;
 pub use simd::Isa;
 pub use sparse::CsrMatrix;

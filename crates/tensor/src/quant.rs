@@ -162,6 +162,15 @@ impl QuantizedTensor {
         &self.row_sums
     }
 
+    /// What the int8 store needs of this matrix beside its packed levels.
+    pub fn epilogue(&self) -> QuantEpilogue<'_> {
+        QuantEpilogue {
+            cols: self.cols,
+            scales: &self.scales,
+            row_sums: &self.row_sums,
+        }
+    }
+
     /// Bytes this tensor occupies in storage: one byte per level plus one
     /// f32 scale per row (`row_sums` are derived, not stored).
     pub fn storage_bytes(&self) -> usize {
@@ -180,6 +189,20 @@ impl QuantizedTensor {
         }
         Tensor::from_vec([self.rows, self.cols], out).expect("quantized dims are consistent")
     }
+}
+
+/// What the dequantizing store of `X × Wᵀ` needs of a quantized `W[n, k]`
+/// beside its packed levels: the width `k` and, per row, the scale and the
+/// level sum. A weight whose levels live elsewhere (packed once, or on
+/// storage pages) multiplies with just these.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantEpilogue<'a> {
+    /// `k`, the width of `W`.
+    pub cols: usize,
+    /// Per-row dequantization scales, `n` of them.
+    pub scales: &'a [f32],
+    /// Per-row level sums, `n` of them.
+    pub row_sums: &'a [i32],
 }
 
 /// Per-row 7-bit affine quantization of an activation matrix:
@@ -309,8 +332,7 @@ fn quantize_rows(
 /// `jp*nr ..`, laid out `[kq][nr][4]` so the micro-kernel streams one
 /// `nr·4`-byte line per quad step. Zero-padded lanes (ragged right edge,
 /// ragged final quad) contribute nothing to the i32 accumulators.
-fn pack_b_i8(w: &QuantizedTensor, nr: usize, out: &mut Vec<i8>) {
-    let (n, k) = (w.rows, w.cols);
+fn pack_b_i8(levels: &[i8], n: usize, k: usize, nr: usize, out: &mut Vec<i8>) {
     let kq = k.div_ceil(4);
     let panels = n.div_ceil(nr);
     out.clear();
@@ -320,7 +342,7 @@ fn pack_b_i8(w: &QuantizedTensor, nr: usize, out: &mut Vec<i8>) {
         let width = nr.min(n - j0);
         let base = jp * kq * nr * 4;
         for jj in 0..width {
-            let row = &w.data[(j0 + jj) * k..(j0 + jj) * k + k];
+            let row = &levels[(j0 + jj) * k..(j0 + jj) * k + k];
             for (p, &v) in row.iter().enumerate() {
                 out[base + (p / 4) * nr * 4 + jj * 4 + (p % 4)] = v;
             }
@@ -434,7 +456,7 @@ fn with_scratch_quads<R>(
 ) -> R {
     QB_SCRATCH.with(|scratch| {
         let mut bpack = scratch.borrow_mut();
-        pack_b_i8(w, kern.nr, &mut bpack);
+        pack_b_i8(&w.data, w.rows, w.cols, kern.nr, &mut bpack);
         f(&bpack)
     })
 }
@@ -445,7 +467,7 @@ fn with_scratch_quads<R>(
 fn qmatmul_impl(
     kern: &MatmulKernelI8,
     acts: Acts<'_>,
-    w: &QuantizedTensor,
+    w: QuantEpilogue<'_>,
     bpack: &[i8],
     bias: Option<&[f32]>,
     par: &Parallelism,
@@ -454,12 +476,12 @@ fn qmatmul_impl(
         Acts::Quantized(a) => (a.rows, a.cols),
         Acts::Raw { m, k, .. } => (m, k),
     };
-    let n = w.rows;
-    if w.cols != k {
+    let n = w.scales.len();
+    if w.cols != k || w.row_sums.len() != n {
         return Err(Error::ShapeMismatch {
             op: "qmatmul_bt",
             lhs: vec![m, k],
-            rhs: vec![w.rows, w.cols],
+            rhs: vec![n, w.cols],
         });
     }
     if let Some(b) = bias {
@@ -582,7 +604,7 @@ pub fn qmatmul_bt_parallel(
     let kern = &simd::try_kernels()?.matmul_i8;
     let acts = raw_acts(a)?;
     with_scratch_quads(kern, w, |quads| {
-        qmatmul_impl(kern, acts, w, quads, bias, par)
+        qmatmul_impl(kern, acts, w.epilogue(), quads, bias, par)
     })
 }
 
@@ -597,7 +619,14 @@ pub fn qmatmul_bt_with_isa(
     let kern = &simd::kernels_for(isa)?.matmul_i8;
     let acts = raw_acts(a)?;
     with_scratch_quads(kern, w, |quads| {
-        qmatmul_impl(kern, acts, w, quads, bias, &Parallelism::serial())
+        qmatmul_impl(
+            kern,
+            acts,
+            w.epilogue(),
+            quads,
+            bias,
+            &Parallelism::serial(),
+        )
     })
 }
 
@@ -612,7 +641,7 @@ pub fn qmatmul_prequantized(
 ) -> Result<Tensor> {
     let kern = &simd::try_kernels()?.matmul_i8;
     with_scratch_quads(kern, w, |quads| {
-        qmatmul_impl(kern, Acts::Quantized(aq), w, quads, bias, par)
+        qmatmul_impl(kern, Acts::Quantized(aq), w.epilogue(), quads, bias, par)
     })
 }
 
@@ -628,21 +657,28 @@ pub fn quads_len(n: usize, k: usize, nr: usize) -> usize {
     n.div_ceil(nr) * k.div_ceil(4) * nr * 4
 }
 
-/// Pack `w` into the `[panel][kq][nr][4]` quad panels a kernel of panel
-/// width `nr` multiplies from, so that a constant `W` is packed once instead
-/// of on every call. `out` is resized to [`quads_len`].
-pub fn pack_quads(w: &QuantizedTensor, nr: usize, out: &mut Vec<i8>) {
-    assert!(nr > 0, "pack_quads: panel width must be positive");
-    pack_b_i8(w, nr, out);
+/// Pack the row-major i8 `levels` of an `n × k` matrix into the
+/// `[panel][kq][nr][4]` quad panels a kernel of panel width `nr` multiplies
+/// from, so that a constant `W` is packed once instead of on every call.
+/// `out` is resized to [`quads_len`]. Panels are independent: the rows of
+/// panel `p` alone pack to exactly panel `p` of the whole matrix.
+pub fn pack_quads(levels: &[i8], n: usize, k: usize, nr: usize, out: &mut Vec<i8>) {
+    assert!(
+        nr > 0 && n.checked_mul(k) == Some(levels.len()),
+        "pack_quads: {} levels are not {n}x{k}, or panel width {nr} is not positive",
+        levels.len()
+    );
+    pack_b_i8(levels, n, k, nr, out);
 }
 
-/// [`qmatmul_bt_parallel`] from quads of `w` packed ahead of the call by
-/// [`pack_quads`] at panel width `nr`: the same driver on the same panels,
-/// so bit-identical to it under any grant. `Error::Isa` if the dispatched
-/// kernel multiplies from another width.
+/// [`qmatmul_bt_parallel`] from quads of `W` packed ahead of the call by
+/// [`pack_quads`] at panel width `nr`, with `w` the rest of what the store
+/// needs of `W`: the same driver on the same panels, so bit-identical to it
+/// under any grant. `Error::Isa` if the dispatched kernel multiplies from
+/// another width.
 pub fn qmatmul_prepacked(
     a: &Tensor,
-    w: &QuantizedTensor,
+    w: QuantEpilogue<'_>,
     nr: usize,
     quads: &[i8],
     bias: Option<&[f32]>,
@@ -655,7 +691,7 @@ pub fn qmatmul_prepacked(
             kern.name, kern.nr
         )));
     }
-    let expected = quads_len(w.rows, w.cols, nr);
+    let expected = quads_len(w.scales.len(), w.cols, nr);
     if quads.len() != expected {
         return Err(Error::BufferSizeMismatch {
             expected,
@@ -747,12 +783,13 @@ mod tests {
             let serial = serial.unwrap();
             let mut quads = Vec::new();
             let nr = quad_panel_width().unwrap();
-            pack_quads(&w, nr, &mut quads);
+            pack_quads(w.data(), n, k, nr, &mut quads);
             assert_eq!(quads.len(), quads_len(n, k, nr));
             for threads in [1, 2, 3, 8] {
                 let grant = inline_grant(threads);
                 let per_call = qmatmul_bt_parallel(&a, &w, Some(&bias), &grant).unwrap();
-                let prepacked = qmatmul_prepacked(&a, &w, nr, &quads, Some(&bias), &grant);
+                let prepacked =
+                    qmatmul_prepacked(&a, w.epilogue(), nr, &quads, Some(&bias), &grant);
                 let prequantized = qmatmul_prequantized(&whole, &w, Some(&bias), &grant);
                 for (route, got) in [
                     ("per-call", per_call),
@@ -790,23 +827,36 @@ mod tests {
         let a = inexact(2, 6, 0.7311);
         let nr = quad_panel_width().unwrap();
         let mut quads = Vec::new();
-        pack_quads(&w, nr, &mut quads);
+        pack_quads(w.data(), 5, 6, nr, &mut quads);
         let serial = Parallelism::serial();
-        assert!(qmatmul_prepacked(&a, &w, nr, &quads, None, &serial).is_ok());
+        let e = w.epilogue();
+        assert!(qmatmul_prepacked(&a, e, nr, &quads, None, &serial).is_ok());
         assert!(matches!(
-            qmatmul_prepacked(&a, &w, nr, &quads[1..], None, &serial),
+            qmatmul_prepacked(&a, e, nr, &quads[1..], None, &serial),
             Err(Error::BufferSizeMismatch { .. })
         ));
         let mut foreign = Vec::new();
-        pack_quads(&w, nr + 1, &mut foreign);
+        pack_quads(w.data(), 5, 6, nr + 1, &mut foreign);
         assert!(matches!(
-            qmatmul_prepacked(&a, &w, nr + 1, &foreign, None, &serial),
+            qmatmul_prepacked(&a, e, nr + 1, &foreign, None, &serial),
             Err(Error::Isa(_))
         ));
         assert!(matches!(
-            qmatmul_prepacked(&inexact(2, 7, 0.7311), &w, nr, &quads, None, &serial),
+            qmatmul_prepacked(&inexact(2, 7, 0.7311), e, nr, &quads, None, &serial),
             Err(Error::ShapeMismatch { .. })
         ));
+        // Panels are independent: packing a panel's rows alone gives that
+        // panel of the whole matrix.
+        let tall = QuantizedTensor::quantize(&inexact(3 * nr + 2, 9, 0.31)).unwrap();
+        let mut whole = Vec::new();
+        pack_quads(tall.data(), 3 * nr + 2, 9, nr, &mut whole);
+        let mut pieces = Vec::new();
+        for rows in tall.data().chunks(nr * 9) {
+            let mut panel = Vec::new();
+            pack_quads(rows, rows.len() / 9, 9, nr, &mut panel);
+            pieces.extend_from_slice(&panel);
+        }
+        assert_eq!(pieces, whole);
     }
 
     proptest! {

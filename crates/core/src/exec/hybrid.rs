@@ -46,16 +46,10 @@ pub fn run(
     let batch_size = model.check_input(batch)?;
     let reps = plan.layer_representations();
     let mut stats = HybridStats::default();
-    // Parameters of UDF-executed layers are charged for the whole call; for
-    // simplicity (and conservatively) we charge all dense-resident params.
-    let udf_param_bytes: usize = model
-        .layers()
-        .iter()
-        .zip(&reps)
-        .filter(|(_, r)| **r == Representation::UdfCentric)
-        .map(|(l, _)| l.num_params() * relserve_tensor::ELEM_BYTES)
-        .sum();
-    let _params = governor.reserve(udf_param_bytes)?;
+    // Parameters of UDF-executed layers are charged, in their storage form,
+    // for the whole call.
+    let _params = governor
+        .reserve(model.param_bytes_of(|i| reps.get(i) == Some(&Representation::UdfCentric)))?;
 
     let mut full_dims = vec![batch_size];
     full_dims.extend_from_slice(model.input_shape().dims());

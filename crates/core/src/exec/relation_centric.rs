@@ -14,7 +14,7 @@
 
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
-use relserve_nn::{Activation, Layer, Model, Precision};
+use relserve_nn::{Activation, Layer, Model, Precision, Weight};
 use relserve_relational::tensor_table::TensorOpStats;
 use relserve_relational::TensorTable;
 use relserve_storage::BufferPool;
@@ -379,40 +379,25 @@ fn rows_table(flow: Flow, weights: &WeightRelations, tag: &str) -> Result<Tensor
 }
 
 /// The weight relation of a dense layer's matrix, chunked from wherever the
-/// matrix is: memory, or — for a [`Layer::Stored`] weight — its artifact
-/// pages, read a row group at a time, so the matrix is never whole in
-/// memory on the way.
+/// matrix is — raw values, packed panels or quads, or its artifact pages — a
+/// group of rows at a time, so the matrix is never whole in memory on the
+/// way.
 fn weight_relation(
-    layer: &Layer,
+    weight: &Weight,
     pool: Arc<BufferPool>,
     name: String,
     spec: BlockingSpec,
 ) -> Result<TensorTable> {
-    Ok(match layer {
-        Layer::Dense { weight, .. } => TensorTable::from_weights(pool, name, weight, spec)?,
-        Layer::QuantDense { weight, .. } => TensorTable::from_quantized(pool, name, weight, spec)?,
-        Layer::Stored { weight, .. } => {
-            let (rows, cols) = weight.shape();
-            let mut payload = weight.reader()?;
-            match weight.precision() {
-                Precision::F32 => {
-                    TensorTable::from_weight_rows(pool, name, (rows, cols), spec, |out| {
-                        Ok::<_, Error>(payload.f32_rows(out)?)
-                    })?
-                }
-                Precision::Int8 => {
-                    let scales = payload.scales(rows)?;
-                    TensorTable::from_quantized_rows(pool, name, &scales, cols, spec, |out| {
-                        Ok::<_, Error>(payload.i8_rows(out)?)
-                    })?
-                }
-            }
-        }
-        other => {
-            return Err(Error::Invalid(format!(
-                "a {} layer has no weight matrix",
-                other.kind()
-            )))
+    let mut rows = weight.reader()?;
+    Ok(match weight.precision() {
+        Precision::F32 => TensorTable::from_weight_rows(pool, name, weight.shape(), spec, |out| {
+            Ok::<_, Error>(rows.f32_rows(out)?)
+        })?,
+        Precision::Int8 => {
+            let scales = rows.scales()?;
+            TensorTable::from_quantized_rows(pool, name, &scales, weight.shape().1, spec, |out| {
+                Ok::<_, Error>(rows.i8_rows(out)?)
+            })?
         }
     })
 }
@@ -445,11 +430,11 @@ pub(crate) fn exec_layer(
             bias, activation, ..
         }) => {
             let x = rows_table(flow, weights, &format!("{tag}.x"))?;
-            let shape = layer
-                .weight_shape()
+            let weight = layer
+                .weight()
                 .ok_or_else(|| Error::Invalid("dense weight is not a matrix".into()))?;
-            let w = weights.get_or_build(model.name(), index, shape, |name| {
-                weight_relation(layer, pool.clone(), name, spec_sq)
+            let w = weights.get_or_build(model.name(), index, weight.shape(), |name| {
+                weight_relation(weight, pool.clone(), name, spec_sq)
             })?;
             // An int8 relation holds genuine i8 blocks — each carries its own
             // per-row scales, so the buffer pool moves ~4× fewer bytes than

@@ -19,7 +19,6 @@ use relserve_relational::ops::{Operator, SimilarityJoin};
 use relserve_relational::{Expr, Table, Tuple, Value};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{matmul, ops, Tensor};
-use std::borrow::Cow;
 
 /// Split a dense layer's weight `W: [out, in]` by input columns into
 /// `W1: [out, split]` and `W2: [out, in - split]`.
@@ -34,23 +33,20 @@ pub fn decompose_weight(weight: &Tensor, split: usize) -> Result<(Tensor, Tensor
     ))
 }
 
-/// The first dense layer of a model, or an error. The weight of a loaded
-/// model's stored layer is read back from its pages: the decomposition
-/// slices it.
-fn first_dense(model: &Model) -> Result<(Cow<'_, Tensor>, &Tensor, Activation)> {
-    match model.layers().first() {
-        Some(Layer::Dense {
-            weight,
-            bias,
-            activation,
-        }) => Ok((Cow::Borrowed(weight), bias, *activation)),
-        Some(Layer::Stored {
-            weight,
-            bias,
-            activation,
-        }) if weight.precision() == Precision::F32 => {
-            Ok((Cow::Owned(weight.load_dense()?), bias, *activation))
-        }
+/// The first dense layer of a model, or an error. Its f32 weight matrix is
+/// read into a tensor of its own, out of whichever form holds it (raw,
+/// packed, or a loaded model's artifact pages): the decomposition slices it.
+fn first_dense(model: &Model) -> Result<(Tensor, &Tensor, Activation)> {
+    match model.layers().first().map(|l| (l, l.weight())) {
+        Some((
+            Layer::Dense {
+                bias, activation, ..
+            }
+            | Layer::Stored {
+                bias, activation, ..
+            },
+            Some(weight),
+        )) if weight.precision() == Precision::F32 => Ok((weight.to_tensor()?, bias, *activation)),
         _ => Err(Error::Invalid(
             "decomposition requires a model starting with a dense layer".into(),
         )),

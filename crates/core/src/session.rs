@@ -540,19 +540,19 @@ impl InferenceSession {
     }
 
     /// Load a model into the session: its artifact is streamed into
-    /// catalog pages on the scratch file, around the buffer pool, and the
-    /// session keeps a copy of the model whose dense weight matrices stay on
-    /// those pages ([`relserve_nn::Layer::Stored`]), binding model and
-    /// metadata in one catalog as §4.1 advocates. `model` itself is dropped
-    /// on return; the packed panels and weight relations queries multiply
-    /// from are built from the pages on first use. A clone of `model` the
-    /// caller kept shares the session's packed panels, whichever packs first.
+    /// catalog pages on the scratch file, around the buffer pool, binding
+    /// model and metadata in one catalog as §4.1 advocates. The session adds
+    /// no resident form of a weight ([`serialize::store_model`]): a dense
+    /// weight that a clone the caller kept shares is served from that shared
+    /// cell — whichever of the two packs it packs it for both — and every
+    /// other stays on the pages ([`relserve_nn::Layer::Stored`]), `model`'s
+    /// own copy dropped on return. The packed panels and weight relations
+    /// queries multiply from are built on first use.
     pub fn load_model(&self, model: Model) -> Result<()> {
         if self.models.lock().contains_key(model.name()) {
             return Err(Error::AlreadyExists(model.name().to_string()));
         }
-        let (stored, artifact) = serialize::store_model(&model, self.artifact_sink())?;
-        drop(model);
+        let (stored, artifact) = serialize::store_model(model, self.artifact_sink())?;
         self.register(stored, artifact)
     }
 
@@ -592,8 +592,8 @@ impl InferenceSession {
     }
 
     /// Look up a loaded model. Its dense weight matrices are on the
-    /// artifact's pages, not in memory: [`Model::materialize`] reads them
-    /// back.
+    /// artifact's pages, or shared with the caller's clone of the model:
+    /// [`Model::materialize`] brings stored ones into memory.
     pub fn model(&self, name: &str) -> Result<Arc<Model>> {
         self.models
             .lock()
@@ -1422,6 +1422,44 @@ mod tests {
             dense.weight_relation_resident_bytes
         );
         assert_eq!(exported["artifact_bytes"], dense.artifact_bytes);
+    }
+
+    #[test]
+    fn an_int8_model_is_charged_its_int8_bytes() {
+        // Encoder-FC@int8 holds ~2.5 MiB of levels and scales against
+        // ~9.9 MiB of f32 parameters: a budget between the two must admit
+        // the smaller version every dense executor runs.
+        let f32_model = zoo::encoder_fc(&mut seeded_rng(150)).unwrap();
+        let model = relserve_nn::quant::quantize_int8(&f32_model).unwrap().model;
+        let budget = 6 << 20;
+        assert!(model.param_bytes() < budget / 2);
+        assert!(budget < model.num_params() * relserve_tensor::ELEM_BYTES);
+        let config = SessionConfig::builder()
+            .db_memory_bytes(budget)
+            .buffer_pool_bytes(1 << 20)
+            .memory_threshold_bytes(1 << 30)
+            .cores(2)
+            .transfer(TransferProfile::instant())
+            .build()
+            .unwrap();
+        let session = InferenceSession::open(config).unwrap();
+        session.load_model(model.clone()).unwrap();
+        let batch = Tensor::from_fn([4, 76], |i| ((i % 13) as f32 - 6.0) * 0.1);
+        let oracle = model
+            .forward(&batch, &relserve_tensor::parallel::Parallelism::serial())
+            .unwrap();
+        for architecture in [
+            Architecture::UdfCentric,
+            Architecture::Pipelined { micro_batch: 2 },
+        ] {
+            let outcome = session
+                .infer_batch(model.name(), &batch, architecture.clone())
+                .unwrap();
+            assert_eq!(outcome.degraded_to, None, "{architecture}");
+            let out = outcome.output.into_dense().unwrap();
+            assert!(out.approx_eq(&oracle, 1e-4), "{architecture}");
+        }
+        assert_eq!(session.governor().oom_events(), 0);
     }
 
     #[test]

@@ -6,7 +6,15 @@
 //! below that layer's bytes above what was live before it opened: no copy
 //! of the matrix — raw, serialized or packed — is ever whole on the heap.
 //!
-//! Its own test binary, so that the allocator counts nothing else.
+//! The same model in memory holds each weight in one form: after its first
+//! forward, the packed panels that replaced the raw matrix; a clone copies
+//! none of it; and a session it is loaded into — encoding its artifact,
+//! chunking its first layer into a weight relation, serving queries — never
+//! makes a second copy. That is also what shows no library path reads a
+//! weight through the copy its `Deref` would make.
+//!
+//! Its own test binary, so that the allocator counts nothing else; the tests
+//! take turns.
 
 use relserve_core::{Architecture, InferenceSession, SessionConfig};
 use relserve_nn::init::seeded_rng;
@@ -16,6 +24,7 @@ use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -56,9 +65,26 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 const MIB: usize = 1 << 20;
+const KIB: usize = 1 << 10;
+
+/// Held by each test: one measures at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn config() -> SessionConfig {
+    SessionConfig::builder()
+        .buffer_pool_bytes(2 * MIB)
+        .memory_threshold_bytes(MIB)
+        .db_memory_bytes(64 * MIB)
+        .block_size(256)
+        .cores(2)
+        .transfer(TransferProfile::instant())
+        .build()
+        .unwrap()
+}
 
 #[test]
 fn a_first_layer_larger_than_the_heap_cap_is_served_from_its_pages() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     let model = zoo::amazon_14k_fc(512, &mut seeded_rng(0x14C)).unwrap();
     let first_layer = model.layers()[0].weight_bytes();
     assert!(first_layer > 4 * MIB, "{first_layer} B");
@@ -111,6 +137,58 @@ fn a_first_layer_larger_than_the_heap_cap_is_served_from_its_pages() {
     assert!(
         high_water < first_layer,
         "the session's heap rose {high_water} B above the {baseline} B live before it; \
+         the first layer alone is {first_layer} B"
+    );
+}
+
+#[test]
+fn an_in_memory_model_holds_one_form_of_each_weight() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let before_model = LIVE.load(Ordering::Relaxed);
+    let model = zoo::amazon_14k_fc(512, &mut seeded_rng(0x14C)).unwrap();
+    let first_layer = model.layers()[0].weight_bytes();
+    assert!(first_layer > 4 * MIB, "{first_layer} B");
+    let width = model.input_shape().num_elements();
+    let batch = Tensor::from_fn([16, width], |i| ((i * 31 % 97) as f32 - 48.0) * 0.01);
+
+    // The serial oracle packs every layer, and the panels replace the raw
+    // matrices: what stays live is the packed form and the batch, and no
+    // more than a row group's 64 KiB besides (the model's own records).
+    let oracle = model.predict(&batch, &Parallelism::serial()).unwrap();
+    let (builds, packed) = model.prepared_weights();
+    assert_eq!(builds, 2);
+    let held = LIVE.load(Ordering::Relaxed) - before_model;
+    assert!(
+        held <= packed + batch.num_bytes() + 64 * KIB,
+        "{held} B live after the forward; the packed weights are {packed} B"
+    );
+
+    // A clone shares every weight.
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let clone = model.clone();
+    let cloned = PEAK.load(Ordering::Relaxed) - baseline;
+    assert!(cloned < 64 * KIB, "a clone allocated {cloned} B");
+
+    // A session serves the clone from the shared cells: its artifact is
+    // encoded out of the panels onto pages, its first layer is chunked out
+    // of them into a weight relation a group of rows at a time, and no
+    // query makes a copy of the matrix.
+    let session = InferenceSession::open(config()).unwrap();
+    session.load_model(clone).unwrap();
+    for _ in 0..8 {
+        let served = session
+            .infer_batch(model.name(), &batch, Architecture::Adaptive)
+            .unwrap();
+        assert_eq!(served.predictions().unwrap(), oracle);
+    }
+    let high_water = PEAK.load(Ordering::Relaxed) - baseline;
+    let stats = session.stats();
+    assert_eq!(stats.weight_relation_builds, 1, "layer 0 ran as a relation");
+    assert_eq!(stats.prepared_weight_builds, 2, "the oracle's panels serve");
+    assert!(
+        high_water < first_layer,
+        "the heap rose {high_water} B above the {baseline} B live after the oracle; \
          the first layer alone is {first_layer} B"
     );
 }

@@ -11,7 +11,7 @@
 use crate::error::{Error, Result};
 use crate::layer::{Activation, Layer};
 use crate::model::Model;
-use crate::stored::Precision;
+use crate::weight::Precision;
 use relserve_tensor::{Conv2dSpec, Shape};
 
 /// Kind of a linear-algebra operator node.
@@ -174,12 +174,13 @@ pub fn lower(model: &Model, batch_size: usize) -> Result<Vec<LinalgOp>> {
                 });
             }
             dense => {
-                let (precision, (n, k), bias, activation) = dense
+                let (weight, bias, activation) = dense
                     .dense_parts()
                     .ok_or_else(|| Error::InvalidModel("dense weight is not a matrix".into()))?;
+                let (n, k) = weight.shape();
                 let (m, lin_out) = (batch_size, Shape::from([batch_size, n]));
                 ops.push(LinalgOp {
-                    kind: match precision {
+                    kind: match weight.precision() {
                         Precision::F32 => OpKind::MatMul { m, k, n },
                         Precision::Int8 => OpKind::MatMulI8 { m, k, n },
                     },
@@ -188,7 +189,7 @@ pub fn lower(model: &Model, batch_size: usize) -> Result<Vec<LinalgOp>> {
                     output_shape: lin_out.clone(),
                     // The weight's storage form: f32 values, or i8 levels
                     // plus per-row scales.
-                    param_bytes: dense.weight_bytes(),
+                    param_bytes: weight.storage_bytes(),
                     params_stored: matches!(dense, Layer::Stored { .. }),
                 });
                 ops.push(LinalgOp {

@@ -2,12 +2,10 @@
 
 use crate::error::{Error, Result};
 use crate::init;
-use crate::stored::{Precision, StoredWeight};
+use crate::weight::{DenseWeight, Precision, QuantWeight, Weight};
 use rand::rngs::StdRng;
-use relserve_tensor::matmul::{self, PackedB};
 use relserve_tensor::parallel::Parallelism;
-use relserve_tensor::quant::{self, QuantEpilogue};
-use relserve_tensor::{conv, ops, Conv2dSpec, QuantizedTensor, Shape, Tensor};
+use relserve_tensor::{conv, ops, Conv2dSpec, Shape, Tensor};
 
 /// Activation applied after a layer's linear part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,46 +44,15 @@ impl Activation {
     }
 }
 
-/// A dense layer's weight matrix laid out once in the form the dispatched
-/// kernel multiplies from, so that no call packs it again: f32
-/// `[panel][k][nr]` panels, or i8 `[panel][kq][nr][4]` quads with the
-/// per-row scales and level sums the int8 store needs — all a forward pass
-/// reads of the weight. `nr` is the panel width of the kernel dispatched in
-/// this process, which makes the form per-process: it is never serialized.
-pub(crate) enum PreparedWeights {
-    /// Of an f32 weight.
-    Panels { nr: usize, panels: Vec<f32> },
-    /// Of an int8 weight.
-    Quads {
-        nr: usize,
-        quads: Vec<i8>,
-        scales: Vec<f32>,
-        row_sums: Vec<i32>,
-    },
-}
-
-impl PreparedWeights {
-    /// Bytes the packed form holds.
-    pub(crate) fn bytes(&self) -> usize {
-        match self {
-            PreparedWeights::Panels { panels, .. } => std::mem::size_of_val(panels.as_slice()),
-            PreparedWeights::Quads {
-                quads,
-                scales,
-                row_sums,
-                ..
-            } => quads.len() + std::mem::size_of_val(scales.as_slice()) + 4 * row_sums.len(),
-        }
-    }
-}
-
 /// One model layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// Fully connected: `y = act(x × Wᵀ + b)` with `W: [out, in]`.
     Dense {
-        /// Weight matrix, `[out_features, in_features]`.
-        weight: Tensor,
+        /// Weight matrix, `[out_features, in_features]`: one cell that clones
+        /// share, holding the raw values until the layer's first run packs
+        /// them (see [`crate::weight`]). Made from a tensor with `.into()`.
+        weight: DenseWeight,
         /// Bias vector, `[out_features]`.
         bias: Tensor,
         /// Post-linear activation.
@@ -98,8 +65,10 @@ pub enum Layer {
     /// bias into the store. Quantized layers are frozen — the training path
     /// rejects them.
     QuantDense {
-        /// Quantized weight matrix, logically `[out_features, in_features]`.
-        weight: QuantizedTensor,
+        /// Quantized weight matrix, logically `[out_features, in_features]`,
+        /// in a cell like [`Layer::Dense`]'s. Made from a quantized tensor
+        /// with `.into()`.
+        weight: QuantWeight,
         /// Bias vector, `[out_features]` (kept f32; it is one row).
         bias: Tensor,
         /// Post-linear activation.
@@ -123,9 +92,9 @@ pub enum Layer {
     /// loaded from ([`crate::serialize::store`]), and the layer's packed
     /// form — or a session's weight relation — is built from there.
     Stored {
-        /// Where the weight matrix, logically `[out_features, in_features]`,
-        /// is, and how it is encoded.
-        weight: StoredWeight,
+        /// The weight matrix, logically `[out_features, in_features]`, on
+        /// its artifact's pages until packed.
+        weight: Weight,
         /// Bias vector, `[out_features]`.
         bias: Tensor,
         /// Post-linear activation.
@@ -142,7 +111,7 @@ impl Layer {
         rng: &mut StdRng,
     ) -> Layer {
         Layer::Dense {
-            weight: init::he_normal([out_features, in_features], in_features, rng),
+            weight: init::he_normal([out_features, in_features], in_features, rng).into(),
             bias: Tensor::zeros([out_features]),
             activation,
         }
@@ -171,34 +140,40 @@ impl Layer {
         }
     }
 
-    /// The weight matrix of a dense layer — raw, quantized or stored — as
-    /// `(precision, (out_features, in_features))`, with its bias and
-    /// activation; `None` for a layer without one.
-    pub(crate) fn dense_parts(&self) -> Option<(Precision, (usize, usize), &Tensor, Activation)> {
+    /// The weight matrix of a dense layer — raw, quantized or stored — in
+    /// whatever form it is; `None` for a conv or flatten layer.
+    pub fn weight(&self) -> Option<&Weight> {
+        match self {
+            Layer::Dense { weight, .. } => Some(&weight.0),
+            Layer::QuantDense { weight, .. } => Some(&weight.0),
+            Layer::Stored { weight, .. } => Some(weight),
+            Layer::Conv2d { .. } | Layer::Flatten => None,
+        }
+    }
+
+    /// [`Layer::weight`], to detach or edit.
+    pub(crate) fn weight_mut(&mut self) -> Option<&mut Weight> {
+        match self {
+            Layer::Dense { weight, .. } => Some(&mut weight.0),
+            Layer::QuantDense { weight, .. } => Some(&mut weight.0),
+            Layer::Stored { weight, .. } => Some(weight),
+            Layer::Conv2d { .. } | Layer::Flatten => None,
+        }
+    }
+
+    /// A dense layer's weight matrix with its bias and activation; `None`
+    /// for a layer without one.
+    pub(crate) fn dense_parts(&self) -> Option<(&Weight, &Tensor, Activation)> {
         match self {
             Layer::Dense {
-                weight,
-                bias,
-                activation,
-            } => {
-                let shape = weight.shape().as_matrix().ok()?;
-                Some((Precision::F32, shape, bias, *activation))
+                bias, activation, ..
             }
-            Layer::QuantDense {
-                weight,
-                bias,
-                activation,
-            } => Some((
-                Precision::Int8,
-                (weight.rows(), weight.cols()),
-                bias,
-                *activation,
-            )),
-            Layer::Stored {
-                weight,
-                bias,
-                activation,
-            } => Some((weight.precision(), weight.shape(), bias, *activation)),
+            | Layer::QuantDense {
+                bias, activation, ..
+            }
+            | Layer::Stored {
+                bias, activation, ..
+            } => Some((self.weight()?, bias, *activation)),
             Layer::Conv2d { .. } | Layer::Flatten => None,
         }
     }
@@ -206,17 +181,25 @@ impl Layer {
     /// `(out_features, in_features)` of a dense layer's weight matrix,
     /// wherever the matrix is; `None` for a conv or flatten layer.
     pub fn weight_shape(&self) -> Option<(usize, usize)> {
-        self.dense_parts().map(|(_, shape, _, _)| shape)
+        self.weight().map(Weight::shape)
     }
 
     /// Bytes of the layer's weight matrix in its storage form (f32 values,
     /// or i8 levels plus per-row scales); 0 for a layer without one.
     pub fn weight_bytes(&self) -> usize {
+        self.weight().map_or(0, Weight::storage_bytes)
+    }
+
+    /// Bytes of all the layer's parameters in their storage form: what
+    /// [`Layer::weight_bytes`] counts plus the f32 bias, or a conv layer's
+    /// f32 kernel and bias.
+    pub fn param_bytes(&self) -> usize {
         match self {
-            Layer::Dense { weight, .. } => weight.num_bytes(),
-            Layer::QuantDense { weight, .. } => weight.storage_bytes(),
-            Layer::Stored { weight, .. } => weight.payload_bytes(),
-            Layer::Conv2d { .. } | Layer::Flatten => 0,
+            Layer::Conv2d { kernel, bias, .. } => kernel.num_bytes() + bias.num_bytes(),
+            Layer::Flatten => 0,
+            dense => dense.dense_parts().map_or(0, |(weight, bias, _)| {
+                weight.storage_bytes() + bias.num_bytes()
+            }),
         }
     }
 
@@ -225,33 +208,40 @@ impl Layer {
         match self {
             Layer::Conv2d { kernel, bias, .. } => kernel.len() + bias.len(),
             Layer::Flatten => 0,
-            dense => dense
-                .dense_parts()
-                .map_or(0, |(_, (n, k), bias, _)| n * k + bias.len()),
+            dense => dense.dense_parts().map_or(0, |(weight, bias, _)| {
+                let (n, k) = weight.shape();
+                n * k + bias.len()
+            }),
         }
     }
 
-    /// This layer with any stored weight matrix read back into memory: a
+    /// This layer with any stored weight matrix brought into memory: a
     /// [`Layer::Stored`] becomes the [`Layer::Dense`] or
-    /// [`Layer::QuantDense`] it was loaded from; every other layer is cloned.
+    /// [`Layer::QuantDense`] it was loaded from, holding the packed form if
+    /// the stored weight has one (shared, not copied) or else the values
+    /// read back from the pages; every other layer is cloned, sharing its
+    /// weight.
     pub fn materialize(&self) -> Result<Layer> {
         Ok(match self {
             Layer::Stored {
                 weight,
                 bias,
                 activation,
-            } => match weight.precision() {
-                Precision::F32 => Layer::Dense {
-                    weight: weight.load_dense()?,
-                    bias: bias.clone(),
-                    activation: *activation,
-                },
-                Precision::Int8 => Layer::QuantDense {
-                    weight: weight.load_quantized()?,
-                    bias: bias.clone(),
-                    activation: *activation,
-                },
-            },
+            } => {
+                let (bias, activation) = (bias.clone(), *activation);
+                match weight.precision() {
+                    Precision::F32 => Layer::Dense {
+                        weight: DenseWeight(weight.in_memory()?),
+                        bias,
+                        activation,
+                    },
+                    Precision::Int8 => Layer::QuantDense {
+                        weight: QuantWeight(weight.in_memory()?),
+                        bias,
+                        activation,
+                    },
+                }
+            }
             other => other.clone(),
         })
     }
@@ -277,14 +267,15 @@ impl Layer {
             }
             Layer::Flatten => Ok(Shape::from([input.num_elements()])),
             dense => {
-                let (precision, (out, inf), _, _) = dense
-                    .dense_parts()
+                let weight = dense
+                    .weight()
                     .ok_or_else(|| Error::InvalidModel("dense weight is not a matrix".into()))?;
+                let (out, inf) = weight.shape();
                 let in_features = input.num_elements();
                 if in_features != inf {
                     return Err(Error::InvalidModel(format!(
                         "{} layer expects {inf} input features, previous layer provides {in_features}",
-                        match precision {
+                        match weight.precision() {
                             Precision::F32 => "dense",
                             Precision::Int8 => "quantized dense",
                         }
@@ -295,118 +286,39 @@ impl Layer {
         }
     }
 
-    /// Pack this layer's weights for the dispatched kernels — from memory,
-    /// or from the artifact pages of a [`Layer::Stored`]. `None` for a layer
-    /// whose multiply has no constant matrix to pack: a convolution packs
-    /// its im2col product per call, a flatten multiplies nothing.
-    pub(crate) fn prepare(&self) -> Result<Option<PreparedWeights>> {
-        Ok(match self {
-            Layer::Dense { weight, .. } => {
-                let (n, k) = weight.shape().as_matrix()?;
-                let nr = matmul::panel_width()?;
-                let mut panels = Vec::new();
-                matmul::pack_bt(weight.data(), k, n, k, nr, &mut panels);
-                Some(PreparedWeights::Panels { nr, panels })
-            }
-            Layer::QuantDense { weight, .. } => {
-                let nr = quant::quad_panel_width()?;
-                let mut quads = Vec::new();
-                quant::pack_quads(weight.data(), weight.rows(), weight.cols(), nr, &mut quads);
-                Some(PreparedWeights::Quads {
-                    nr,
-                    quads,
-                    scales: weight.scales().to_vec(),
-                    row_sums: weight.row_sums().to_vec(),
-                })
-            }
-            Layer::Stored { weight, .. } => Some(weight.prepare()?),
-            Layer::Conv2d { .. } | Layer::Flatten => None,
-        })
-    }
-
     /// Forward pass over a batch.
     ///
     /// `input` is `[batch, ...example dims]`; `par` bounds kernel
-    /// parallelism (set by the resource coordinator).
-    ///
-    /// A layer on its own has nowhere to keep packed weights, so a dense
-    /// layer packs them for this call. A model's layers run through
-    /// [`crate::Model::forward_layer`], which packs once per model.
+    /// parallelism (set by the resource coordinator). A dense layer
+    /// multiplies from its weight's packed form, packing it on the weight's
+    /// first run — for every clone that shares the weight.
     pub fn forward(&self, input: &Tensor, par: &Parallelism) -> Result<Tensor> {
-        self.forward_prepared(input, self.prepare()?.as_ref(), par)
-    }
-
-    /// The one forward route: `prepared` is what [`Layer::prepare`] returned
-    /// for this layer, whenever it was built.
-    pub(crate) fn forward_prepared(
-        &self,
-        input: &Tensor,
-        prepared: Option<&PreparedWeights>,
-        par: &Parallelism,
-    ) -> Result<Tensor> {
-        match (self.dense_parts(), prepared) {
-            (
-                Some((Precision::F32, (n, k), bias, activation)),
-                Some(PreparedWeights::Panels { nr, panels }),
-            ) => {
-                let packed = PackedB::new(k, n, *nr, panels)?;
-                let mut z = matmul::matmul_prepacked(input, &packed, par)?;
-                ops::add_bias_inplace(&mut z, bias)?;
-                activation.apply_inplace(&mut z)?;
-                Ok(z)
+        if let Some((weight, bias, activation)) = self.dense_parts() {
+            let mut z = weight.multiply(input, bias, par)?;
+            activation.apply_inplace(&mut z)?;
+            return Ok(z);
+        }
+        match self {
+            Layer::Conv2d {
+                kernel,
+                bias,
+                spec,
+                activation,
+            } => {
+                let z = conv::conv2d(input, kernel, bias, spec, par)?;
+                let dims = z.shape().dims().to_vec();
+                // Activations operate on a matrix view, then restore shape.
+                let mut flat = z.reshape([dims[0] * dims[1] * dims[2], dims[3]])?;
+                activation.apply_inplace(&mut flat)?;
+                Ok(flat.reshape(dims)?)
             }
-            (
-                Some((Precision::Int8, (_, k), bias, activation)),
-                Some(PreparedWeights::Quads {
-                    nr,
-                    quads,
-                    scales,
-                    row_sums,
-                }),
-            ) => {
-                // Genuine int8 execution: each row stripe quantizes its
-                // activations, the u8×i8 kernels accumulate in i32, and the
-                // epilogue folds scale and bias into the f32 store — no f32
-                // weight tensor is ever materialized on this path.
-                let w = QuantEpilogue {
-                    cols: k,
-                    scales,
-                    row_sums,
-                };
-                let bias = Some(bias.data());
-                let mut z = quant::qmatmul_prepacked(input, w, *nr, quads, bias, par)?;
-                activation.apply_inplace(&mut z)?;
-                Ok(z)
+            Layer::Flatten => {
+                let dims = input.shape().dims();
+                let batch = dims[0];
+                let rest: usize = dims[1..].iter().product();
+                Ok(input.clone().reshape([batch, rest])?)
             }
-            (None, None) => match self {
-                Layer::Conv2d {
-                    kernel,
-                    bias,
-                    spec,
-                    activation,
-                } => {
-                    let z = conv::conv2d(input, kernel, bias, spec, par)?;
-                    let dims = z.shape().dims().to_vec();
-                    // Activations operate on a matrix view, then restore shape.
-                    let mut flat = z.reshape([dims[0] * dims[1] * dims[2], dims[3]])?;
-                    activation.apply_inplace(&mut flat)?;
-                    Ok(flat.reshape(dims)?)
-                }
-                Layer::Flatten => {
-                    let dims = input.shape().dims();
-                    let batch = dims[0];
-                    let rest: usize = dims[1..].iter().product();
-                    Ok(input.clone().reshape([batch, rest])?)
-                }
-                dense => Err(Error::InvalidModel(format!(
-                    "a {} layer ran without its prepared weights",
-                    dense.kind()
-                ))),
-            },
-            _ => Err(Error::InvalidModel(format!(
-                "prepared weights of another kind handed to a {} layer",
-                self.kind()
-            ))),
+            dense => unreachable!("a {} layer has a weight", dense.kind()),
         }
     }
 
@@ -433,7 +345,9 @@ mod tests {
     #[test]
     fn dense_forward_shape_and_value() {
         let layer = Layer::Dense {
-            weight: Tensor::from_vec([2, 3], vec![1., 0., 0., 0., 1., 0.]).unwrap(),
+            weight: Tensor::from_vec([2, 3], vec![1., 0., 0., 0., 1., 0.])
+                .unwrap()
+                .into(),
             bias: Tensor::from_vec([2], vec![10.0, 20.0]).unwrap(),
             activation: Activation::None,
         };
@@ -445,7 +359,7 @@ mod tests {
     #[test]
     fn relu_activation_applied() {
         let layer = Layer::Dense {
-            weight: Tensor::from_vec([1, 1], vec![-1.0]).unwrap(),
+            weight: Tensor::from_vec([1, 1], vec![-1.0]).unwrap().into(),
             bias: Tensor::zeros([1]),
             activation: Activation::Relu,
         };
@@ -514,7 +428,7 @@ mod tests {
     #[test]
     fn softmax_activation_normalizes() {
         let layer = Layer::Dense {
-            weight: Tensor::eye(3),
+            weight: Tensor::eye(3).into(),
             bias: Tensor::zeros([3]),
             activation: Activation::Softmax,
         };

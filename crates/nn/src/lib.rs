@@ -17,9 +17,12 @@
 //!   parameterized by a scale factor.
 //! * [`quant`] — int8 quantization and magnitude pruning, producing the
 //!   accuracy/size model versions of §4.1.
+//! * [`weight`] — a dense layer's weight matrix as one cell, shared by
+//!   clones, holding one resident form: raw values, the packed form the
+//!   kernels multiply from (which replaces them), or an artifact's pages.
 //! * [`serialize`] — a hand-rolled binary model format for catalog storage,
 //!   encoded and decoded as streams; [`serialize::store`] decodes into a
-//!   model whose weight matrices stay on the artifact's pages ([`stored`]).
+//!   model whose weight matrices stay on the artifact's pages.
 
 pub mod error;
 pub mod graph;
@@ -28,13 +31,13 @@ pub mod layer;
 pub mod model;
 pub mod quant;
 pub mod serialize;
-pub mod stored;
 pub mod train;
+pub mod weight;
 pub mod zoo;
 
 pub use error::{Error, Result};
 pub use graph::{LinalgOp, OpKind};
 pub use layer::{Activation, Layer};
 pub use model::Model;
-pub use stored::{Precision, StoredWeight};
 pub use train::Trainer;
+pub use weight::{DenseWeight, Precision, QuantWeight, Weight, WeightReader};

@@ -2,94 +2,27 @@
 
 use crate::error::{Error, Result};
 use crate::graph::LinalgOp;
-use crate::layer::{Layer, PreparedWeights};
+use crate::layer::Layer;
+use crate::weight::Weight;
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{ops, Shape, Tensor};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A sequential neural network: an input shape and a stack of layers.
 ///
-/// The weights of a model are constants between two [`Model::layers_mut`]
-/// calls, so [`Model::forward`] and [`Model::forward_layer`] pack each dense
-/// layer's weights once, on the layer's first execution, and multiply from
-/// the packed form from then on. Clones share what has been packed; the
-/// packed form is derived state, so it takes no part in `==`, `Debug` or
-/// serialization.
-#[derive(Clone)]
+/// Each dense layer's weight matrix is one cell ([`crate::weight`]) holding
+/// one resident form: the raw values until the layer first runs dense, the
+/// packed form [`Model::forward`] and [`Model::forward_layer`] multiply from
+/// after that — packing replaces the raw values — or, for a model loaded into
+/// a session, the artifact's pages. A clone copies no weight bytes: it
+/// shares every cell, and what any sharer packs; [`Model::layers_mut`] gives
+/// the editing model cells of its own, and an edit copies the matrix back
+/// into raw values only then. Forms are a matter of layout, so they take no
+/// part in `==`, `Debug` or serialization, which read the logical matrix.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     name: String,
     input_shape: Shape,
     layers: Vec<Layer>,
-    prepared: Arc<PreparedSlots>,
-}
-
-/// One slot per layer: unset until the layer first runs dense, then what
-/// [`Layer::prepare`] returned for it.
-struct PreparedSlots {
-    slots: Box<[OnceLock<Option<PreparedWeights>>]>,
-    /// Held while a slot is filled, so that racing first runs pack once.
-    building: Mutex<()>,
-    /// Weight matrices packed: one per filled slot of a dense layer, unless
-    /// some layer was packed twice.
-    builds: AtomicUsize,
-}
-
-impl PreparedSlots {
-    fn empty(layers: usize) -> Arc<Self> {
-        Arc::new(PreparedSlots {
-            slots: (0..layers).map(|_| OnceLock::new()).collect(),
-            building: Mutex::new(()),
-            builds: AtomicUsize::new(0),
-        })
-    }
-
-    /// The packed weights of `layer`, which is layer `i`; built on first use.
-    fn get(&self, i: usize, layer: &Layer) -> Result<Option<&PreparedWeights>> {
-        let slot = &self.slots[i];
-        if let Some(built) = slot.get() {
-            return Ok(built.as_ref());
-        }
-        // The lock guards no data, so a builder that panicked left nothing
-        // half-done behind it.
-        let _building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.get().is_none() {
-            // A failed build publishes nothing; the next run tries again.
-            let built = layer.prepare()?;
-            // A statistic: it publishes nothing.
-            self.builds
-                .fetch_add(usize::from(built.is_some()), Ordering::Relaxed);
-            let _ = slot.set(built);
-        }
-        Ok(slot.get().and_then(Option::as_ref))
-    }
-
-    /// Bytes of every packed form held.
-    fn bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.get()?.as_ref())
-            .map(PreparedWeights::bytes)
-            .sum()
-    }
-}
-
-impl PartialEq for Model {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.input_shape == other.input_shape
-            && self.layers == other.layers
-    }
-}
-
-impl std::fmt::Debug for Model {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Model")
-            .field("name", &self.name)
-            .field("input_shape", &self.input_shape)
-            .field("layers", &self.layers)
-            .finish()
-    }
 }
 
 impl Model {
@@ -99,7 +32,6 @@ impl Model {
             name: name.into(),
             input_shape: input_shape.into(),
             layers: Vec::new(),
-            prepared: PreparedSlots::empty(0),
         }
     }
 
@@ -127,29 +59,20 @@ impl Model {
         Ok(Model {
             name,
             input_shape,
-            prepared: PreparedSlots::empty(layers.len()),
             layers,
         })
     }
 
-    /// This model, multiplying from — and building into — the packed
-    /// weights of `other`, which must be the same network (as a model and
-    /// its artifact decoded into [`Layer::Stored`] layers are).
-    pub(crate) fn sharing_prepared(mut self, other: &Model) -> Result<Self> {
-        let same = self.layers.len() == other.layers.len()
-            && self
-                .layers
-                .iter()
-                .zip(&other.layers)
-                .all(|(a, b)| a.kind() == b.kind() && a.weight_shape() == b.weight_shape());
-        if !same {
-            return Err(Error::InvalidModel(format!(
-                "`{}` cannot share the packed weights of `{}`: the layers differ",
-                self.name, other.name
-            )));
+    /// This model — decoded from `original`'s own artifact — with every
+    /// layer whose weight `original` shares with a clone taken from
+    /// `original` instead: that weight's one resident form serves both.
+    pub(crate) fn keeping_shared(mut self, original: Model) -> Self {
+        for (mine, theirs) in self.layers.iter_mut().zip(original.layers) {
+            if theirs.weight().is_some_and(Weight::is_shared) {
+                *mine = theirs;
+            }
         }
-        self.prepared = other.prepared.clone();
-        Ok(self)
+        self
     }
 
     /// Append a layer, validating the shape chain.
@@ -157,7 +80,6 @@ impl Model {
         let current = self.output_shape()?;
         layer.output_shape(&current)?;
         self.layers.push(layer);
-        self.prepared = PreparedSlots::empty(self.layers.len());
         Ok(self)
     }
 
@@ -182,9 +104,9 @@ impl Model {
         &self.layers
     }
 
-    /// This model with every [`Layer::Stored`] weight matrix read back into
-    /// memory (see [`Layer::materialize`]); it shares this model's packed
-    /// weights, which it multiplies the same as.
+    /// This model with every [`Layer::Stored`] weight matrix brought into
+    /// memory (see [`Layer::materialize`]); every other weight is shared,
+    /// not copied.
     pub fn materialize(&self) -> Result<Model> {
         Ok(Model {
             name: self.name.clone(),
@@ -194,27 +116,31 @@ impl Model {
                 .iter()
                 .map(Layer::materialize)
                 .collect::<Result<_>>()?,
-            prepared: self.prepared.clone(),
         })
     }
 
     /// Mutable access to the layer stack (training updates parameters).
-    /// Whatever this model had packed is dropped — the next forward packs
-    /// the edited weights — while clones made earlier keep theirs.
+    /// Every weight this model shares with a clone gets a cell of its own,
+    /// in the forms the shared one holds (no bytes are copied): what this
+    /// model packs or edits from now on, clones made earlier do not see. An
+    /// edit of a weight's values turns it back into raw values, its own,
+    /// and the next forward packs them.
     pub fn layers_mut(&mut self) -> &mut [Layer] {
-        self.prepared = PreparedSlots::empty(self.layers.len());
+        for weight in self.layers.iter_mut().filter_map(Layer::weight_mut) {
+            weight.detach();
+        }
         &mut self.layers
     }
 
     /// How many weight matrices have been packed, and the bytes the packed
-    /// forms take: one build per dense layer that has run since the last
-    /// [`Model::layers_mut`], on this model or a clone that shares its
-    /// packed weights.
+    /// forms take: one build per dense layer that has run since its weight
+    /// was last edited, on this model or a clone that shares the weight.
     pub fn prepared_weights(&self) -> (usize, usize) {
-        (
-            self.prepared.builds.load(Ordering::Relaxed),
-            self.prepared.bytes(),
-        )
+        self.layers
+            .iter()
+            .filter_map(Layer::weight)
+            .map(Weight::packing)
+            .fold((0, 0), |(builds, bytes), (b, n)| (builds + b, bytes + n))
     }
 
     /// Per-example output shape after all layers.
@@ -231,9 +157,22 @@ impl Model {
         self.layers.iter().map(Layer::num_params).sum()
     }
 
-    /// Total parameter bytes.
+    /// Bytes of every layer's parameters in their storage form (see
+    /// [`Layer::param_bytes`]): 4 B per parameter of an f32 model, about 1 B
+    /// per weight of an `@int8` one.
     pub fn param_bytes(&self) -> usize {
-        self.num_params() * relserve_tensor::ELEM_BYTES
+        self.param_bytes_of(|_| true)
+    }
+
+    /// [`Model::param_bytes`] of the layers whose index `keep` accepts: what
+    /// an executor holding those layers' parameters charges for them.
+    pub fn param_bytes_of(&self, mut keep: impl FnMut(usize) -> bool) -> usize {
+        self.layers
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| keep(*i))
+            .map(|(_, layer)| layer.param_bytes())
+            .sum()
     }
 
     /// Check a batch tensor against the model input shape.
@@ -269,7 +208,7 @@ impl Model {
 
     /// Forward pass of layer `i` alone over `input`, `[batch, ...dims of the
     /// layer's input]`: what every executor runs a dense-executed layer
-    /// through, so that its weights are packed once per model.
+    /// through.
     pub fn forward_layer(&self, i: usize, input: &Tensor, par: &Parallelism) -> Result<Tensor> {
         let layer = self.layers.get(i).ok_or_else(|| {
             Error::InvalidModel(format!(
@@ -278,7 +217,7 @@ impl Model {
                 self.layers.len()
             ))
         })?;
-        layer.forward_prepared(input, self.prepared.get(i, layer)?, par)
+        layer.forward(input, par)
     }
 
     /// Forward inference followed by row-wise argmax (classification).
@@ -380,13 +319,15 @@ mod tests {
 
     /// Address of layer `i`'s packed weights, if packed.
     fn packed_at(m: &Model, i: usize) -> Option<*const u8> {
-        m.prepared.slots[i]
-            .get()
-            .and_then(Option::as_ref)
-            .map(|p| match p {
-                PreparedWeights::Panels { panels, .. } => panels.as_ptr().cast(),
-                PreparedWeights::Quads { quads, .. } => quads.as_ptr().cast(),
-            })
+        m.layers[i].weight().and_then(Weight::packed_at)
+    }
+
+    /// Whether any weight of `m` holds raw values or a copy `Deref` made.
+    fn holds_values(m: &Model) -> bool {
+        m.layers
+            .iter()
+            .filter_map(Layer::weight)
+            .any(|w| w.holds_values() != (false, false))
     }
 
     #[test]
@@ -413,9 +354,10 @@ mod tests {
             bytes >= (4 * 8 + 8 * 3) * 4,
             "panels hold at least the weights"
         );
+        assert!(!holds_values(&m), "the panels replaced the raw weights");
 
         // A clone made after the build multiplies from the same panels; one
-        // made before it sees the build too (the slots are shared, not the
+        // made before it sees the build too (the cells are shared, not the
         // contents copied), and nobody packs a second time.
         let clone = m.clone();
         assert_eq!(clone.forward(&x, &par).unwrap(), first);
@@ -428,7 +370,7 @@ mod tests {
         assert_eq!(packed_at(&early, 1), packed_at(&late, 1));
         assert_eq!(early.prepared_weights().0, 2);
         assert_eq!(m.prepared_weights(), (2, bytes));
-        // Derived state: no part of equality or of the debug form.
+        // The form is layout: no part of equality or of the debug form.
         assert_eq!(ffnn(), m);
         assert_eq!(format!("{:?}", ffnn()), format!("{m:?}"));
     }
@@ -449,28 +391,117 @@ mod tests {
             *w = -*w;
         }
         assert_eq!(
-            edited.prepared_weights(),
-            (0, 0),
-            "an edit drops the packed form"
+            packed_at(&edited, 0),
+            None,
+            "an edit drops the edited layer's packed form"
         );
+        assert_eq!(
+            packed_at(&edited, 1),
+            packed_at(&untouched, 1),
+            "and shares on the packed form of the layer it did not touch"
+        );
+        assert_eq!(edited.prepared_weights().0, 1);
         let after = edited.forward(&x, &par).unwrap();
         assert_ne!(
             after, before,
             "the forward after an edit multiplies by the edited weights"
         );
-        // What a model built from the edited weights computes, bit for bit.
-        let rebuilt = edited
-            .layers()
-            .iter()
-            .fold(Model::new("test-ffnn", [4]), |m, l| {
-                m.push(l.clone()).unwrap()
-            });
+        assert_eq!(edited.prepared_weights().0, 2, "the edited layer repacks");
+        // What a model built from the edited values computes, bit for bit.
+        let rebuilt =
+            crate::serialize::from_bytes(&crate::serialize::to_bytes(&edited).unwrap()).unwrap();
         assert_eq!(rebuilt.forward(&x, &par).unwrap(), after);
         // The clone made before the edit still holds, and multiplies from,
         // the weights it was cloned with.
         assert_eq!(packed_at(&untouched, 0), kept);
         assert_eq!(untouched.forward(&x, &par).unwrap(), before);
         assert_eq!(untouched.prepared_weights().0, 2);
+    }
+
+    /// `k → n → 7` with `n` not a multiple of any kernel's panel width and
+    /// `k` not a multiple of the int8 quad depth, and its `@int8` version.
+    fn ragged() -> [Model; 2] {
+        let mut rng = seeded_rng(6);
+        let mut m = Model::new("ragged", [13])
+            .push(Layer::dense(13, 19, Activation::Relu, &mut rng))
+            .unwrap()
+            .push(Layer::dense(19, 7, Activation::Softmax, &mut rng))
+            .unwrap();
+        for (i, layer) in m.layers_mut().iter_mut().enumerate() {
+            if let Layer::Dense { bias, .. } = layer {
+                for (j, b) in bias.data_mut().iter_mut().enumerate() {
+                    *b = ((i * 7 + j) as f32 * 0.41).sin() * 0.3;
+                }
+            }
+        }
+        let q = crate::quant::quantize_int8(&m).unwrap().model;
+        [m, q]
+    }
+
+    #[test]
+    fn bytes_and_bits_survive_packing() {
+        use crate::serialize::{from_bytes, to_bytes};
+        let x = Tensor::from_fn([5, 13], |i| (i as f32 * 0.53).sin() * 2.0);
+        let par = Parallelism::serial();
+        for m in ragged() {
+            let fresh = m.clone().materialize().unwrap();
+            let v2 = to_bytes(&m).unwrap();
+            let out = m.forward(&x, &par).unwrap();
+            assert!(
+                !holds_values(&m),
+                "{}: packing replaced the values",
+                m.name()
+            );
+            // V2 bytes are those of the raw values, read back from panels.
+            assert_eq!(to_bytes(&m).unwrap(), v2, "{}", m.name());
+            assert_eq!(from_bytes(&v2).unwrap().forward(&x, &par).unwrap(), out);
+            // Equality, the debug form and materialize agree across forms,
+            // and none of them leaves a copy of the values behind.
+            assert_eq!(m, fresh);
+            assert_eq!(format!("{m:?}"), format!("{fresh:?}"));
+            assert_eq!(m.materialize().unwrap(), m);
+            assert!(!holds_values(&m), "{}: a reader kept a copy", m.name());
+        }
+        // A V1 artifact (f32 only) decodes to the same model, and packing
+        // that model changes none of its bytes either.
+        let [f32_model, _] = ragged();
+        let v2 = to_bytes(&f32_model).unwrap();
+        let mut v1 = v2.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let from_v1 = from_bytes(&v1).unwrap();
+        assert_eq!(from_v1, f32_model);
+        from_v1.forward(&x, &par).unwrap();
+        assert!(!holds_values(&from_v1));
+        assert_eq!(to_bytes(&from_v1).unwrap(), v2);
+    }
+
+    #[test]
+    fn an_edit_of_a_clone_made_after_packing_changes_that_clone_alone() {
+        let [original, _] = ragged();
+        let x = Tensor::from_fn([6, 13], |i| (i as f32 * 0.29).cos());
+        let par = Parallelism::serial();
+        let out = original.forward(&x, &par).unwrap();
+        let bytes = crate::serialize::to_bytes(&original).unwrap();
+        let packed = [packed_at(&original, 0), packed_at(&original, 1)];
+
+        let mut clone = original.clone();
+        let Layer::Dense { weight, .. } = &mut clone.layers_mut()[1] else {
+            unreachable!()
+        };
+        weight.data_mut()[0] += 0.5;
+        // The original's predictions, bytes and panels are untouched.
+        assert_eq!(original.forward(&x, &par).unwrap(), out);
+        assert_eq!(crate::serialize::to_bytes(&original).unwrap(), bytes);
+        assert_eq!([packed_at(&original, 0), packed_at(&original, 1)], packed);
+        assert_eq!(original.prepared_weights().0, 2);
+        // The clone multiplies by its edit, repacking that layer once.
+        assert_eq!(packed_at(&clone, 0), packed[0]);
+        assert_eq!(packed_at(&clone, 1), None);
+        assert_ne!(clone.forward(&x, &par).unwrap(), out);
+        clone.forward(&x, &par).unwrap();
+        assert_eq!(clone.prepared_weights().0, 2, "one build per layer");
+        assert_ne!(packed_at(&clone, 1), packed[1]);
+        assert_ne!(crate::serialize::to_bytes(&clone).unwrap(), bytes);
     }
 
     #[test]

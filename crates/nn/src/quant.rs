@@ -12,7 +12,8 @@
 use crate::error::Result;
 use crate::layer::Layer;
 use crate::model::Model;
-use relserve_tensor::{QuantizedTensor, Tensor};
+use crate::weight::{Precision, QuantWeight, Weight};
+use relserve_tensor::{quant, QuantizedTensor, Tensor};
 
 /// How a model version was derived from the original.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,11 +66,11 @@ fn quantize_tensor(t: &Tensor) -> Tensor {
 /// deterministic even when many weights share a magnitude — a plain
 /// threshold comparison would either spare or kill *all* duplicates of
 /// the boundary value depending on strictness.
-fn prune_tensor(t: &Tensor, fraction: f32) -> Tensor {
+fn prune_tensor(mut t: Tensor, fraction: f32) -> Tensor {
     let n = t.len();
     let kill = (((n as f64) * (fraction as f64)).round() as usize).min(n);
     if kill == 0 {
-        return t.clone();
+        return t;
     }
     let mut order: Vec<usize> = (0..n).collect();
     let data = t.data();
@@ -80,55 +81,101 @@ fn prune_tensor(t: &Tensor, fraction: f32) -> Tensor {
             .expect("no NaN weights")
             .then(a.cmp(&b))
     });
-    let mut out = t.clone();
+    let data = t.data_mut();
     for &i in &order[..kill] {
-        out.data_mut()[i] = 0.0;
+        data[i] = 0.0;
     }
-    out
+    t
 }
 
-/// `model` with `f` applied to every f32 parameter tensor, stored weights
-/// read back first.
-fn map_params(model: &Model, f: impl Fn(&Tensor) -> Tensor) -> Result<Model> {
-    let mut out = model.materialize()?;
+/// The int8 version of an f32 weight matrix, quantized a row at a time as it
+/// is read out of whichever form holds it: each row on its own scale, as
+/// [`QuantizedTensor::quantize`] does.
+fn quantize_weight(weight: &Weight) -> Result<QuantizedTensor> {
+    let (rows, cols) = weight.shape();
+    let mut reader = weight.reader()?;
+    let (mut levels, mut scales) = (vec![0; rows * cols], Vec::with_capacity(rows));
+    let mut row = vec![0.0; cols];
+    for r in 0..rows {
+        reader.f32_rows(&mut row)?;
+        let scale = quant::quantize_row(&row, &mut levels[r * cols..(r + 1) * cols]);
+        scales.push(scale.ok_or_else(|| {
+            relserve_tensor::Error::Quantize(format!(
+                "row {r} contains non-finite values; cannot quantize"
+            ))
+        })?);
+    }
+    Ok(QuantizedTensor::from_parts(rows, cols, levels, scales)?)
+}
+
+/// Nonzero values (or levels) of a weight matrix, counted a row at a time
+/// as it is read.
+fn nonzero_weights(weight: &Weight) -> Result<usize> {
+    let (rows, cols) = weight.shape();
+    let mut reader = weight.reader()?;
+    let mut nonzero = 0;
+    match weight.precision() {
+        Precision::F32 => {
+            let mut row = vec![0.0; cols];
+            for _ in 0..rows {
+                reader.f32_rows(&mut row)?;
+                nonzero += row.iter().filter(|v| **v != 0.0).count();
+            }
+        }
+        Precision::Int8 => {
+            reader.scales()?;
+            let mut row = vec![0; cols];
+            for _ in 0..rows {
+                reader.i8_rows(&mut row)?;
+                nonzero += row.iter().filter(|lv| **lv != 0).count();
+            }
+        }
+    }
+    Ok(nonzero)
+}
+
+/// `model` with `f` applied to every f32 parameter tensor, stored layers
+/// brought into memory. A dense layer's f32 weight matrix is read into a
+/// tensor of its own for `f`; int8 levels are frozen, and shared.
+fn map_params(model: &Model, f: impl Fn(Tensor) -> Tensor) -> Result<Model> {
+    let mut out = model.clone();
     for layer in out.layers_mut() {
-        match layer {
-            Layer::Dense { weight, bias, .. } => {
-                *weight = f(weight);
-                *bias = f(bias);
-            }
-            // Quantized weights are frozen i8 levels; only the f32 bias is
-            // still transformable.
-            Layer::QuantDense { bias, .. } => {
-                *bias = f(bias);
-            }
-            Layer::Conv2d { kernel, bias, .. } => {
-                *kernel = f(kernel);
-                *bias = f(bias);
-            }
-            Layer::Flatten => {}
-            Layer::Stored { .. } => unreachable!("a materialized model stores no weight"),
+        if let Layer::Conv2d { kernel, bias, .. } = layer {
+            *kernel = f(kernel.clone());
+            *bias = f(bias.clone());
+        } else if let Some((weight, bias, activation)) = layer.dense_parts() {
+            let bias = f(bias.clone());
+            let mapped = match weight.precision() {
+                Precision::F32 => Layer::Dense {
+                    weight: f(weight.to_tensor()?).into(),
+                    bias,
+                    activation,
+                },
+                Precision::Int8 => Layer::QuantDense {
+                    weight: QuantWeight(weight.in_memory()?),
+                    bias,
+                    activation,
+                },
+            };
+            *layer = mapped;
         }
     }
     Ok(out)
 }
 
-fn count_nonzero(model: &Model) -> usize {
+fn count_nonzero(model: &Model) -> Result<usize> {
     let count = |t: &Tensor| t.data().iter().filter(|v| **v != 0.0).count();
-    model
-        .layers()
-        .iter()
-        .map(|l| match l {
-            Layer::Dense { weight, bias, .. } => count(weight) + count(bias),
-            Layer::QuantDense { weight, bias, .. } => {
-                weight.data().iter().filter(|lv| **lv != 0).count() + count(bias)
-            }
+    let mut nonzero = 0;
+    for layer in model.layers() {
+        nonzero += match layer {
             Layer::Conv2d { kernel, bias, .. } => count(kernel) + count(bias),
-            // Not read back to be counted: every parameter counts.
-            stored @ Layer::Stored { .. } => stored.num_params(),
-            Layer::Flatten => 0,
-        })
-        .sum()
+            dense => match dense.dense_parts() {
+                Some((weight, bias, _)) => nonzero_weights(weight)? + count(bias),
+                None => 0,
+            },
+        };
+    }
+    Ok(nonzero)
 }
 
 /// Int8-quantized version.
@@ -138,40 +185,28 @@ fn count_nonzero(model: &Model) -> usize {
 /// layers keep f32 storage snapped to the int8 grid (the serving ladder
 /// sheds work on the dense hot path; conv quantization would need its own
 /// kernel tier) and are accounted at 1 byte per parameter plus one scale,
-/// matching what a quantized conv store would occupy.
+/// matching what a quantized conv store would occupy. An f32 weight matrix
+/// is quantized a row at a time as it is read, out of whichever form holds
+/// it; an int8 one is shared, or brought into memory if it is stored.
 pub fn quantize_int8(model: &Model) -> Result<ModelVersion> {
-    let mut quantized = model
-        .materialize()?
-        .with_name(format!("{}@int8", model.name()));
+    let mut quantized = model.clone().with_name(format!("{}@int8", model.name()));
     let mut storage_bytes = 0usize;
     for layer in quantized.layers_mut() {
-        match layer {
-            Layer::Dense { .. } => {
-                let Layer::Dense {
-                    weight,
-                    bias,
-                    activation,
-                } = std::mem::replace(layer, Layer::Flatten)
-                else {
-                    unreachable!()
-                };
-                let q = QuantizedTensor::quantize(&weight)?;
-                storage_bytes += q.storage_bytes() + bias.num_bytes();
-                *layer = Layer::QuantDense {
-                    weight: q,
-                    bias,
-                    activation,
-                };
-            }
-            Layer::QuantDense { weight, bias, .. } => {
-                storage_bytes += weight.storage_bytes() + bias.num_bytes();
-            }
-            Layer::Conv2d { kernel, bias, .. } => {
-                *kernel = quantize_tensor(kernel);
-                storage_bytes += kernel.len() + bias.num_bytes() + 4;
-            }
-            Layer::Flatten => {}
-            Layer::Stored { .. } => unreachable!("a materialized model stores no weight"),
+        if let Layer::Conv2d { kernel, bias, .. } = layer {
+            *kernel = quantize_tensor(kernel);
+            storage_bytes += kernel.len() + bias.num_bytes() + 4;
+        } else if let Some((weight, bias, activation)) = layer.dense_parts() {
+            let weight = match weight.precision() {
+                Precision::F32 => QuantWeight::from(quantize_weight(weight)?),
+                Precision::Int8 => QuantWeight(weight.in_memory()?),
+            };
+            let mapped = Layer::QuantDense {
+                weight,
+                bias: bias.clone(),
+                activation,
+            };
+            *layer = mapped;
+            storage_bytes += layer.param_bytes();
         }
     }
     Ok(ModelVersion {
@@ -189,7 +224,7 @@ pub fn prune_magnitude(model: &Model, fraction: f32) -> Result<ModelVersion> {
         model.name(),
         fraction * 100.0
     ));
-    let nonzero = count_nonzero(&pruned);
+    let nonzero = count_nonzero(&pruned)?;
     let storage_bytes = nonzero * 8; // 4 B index + 4 B value
     Ok(ModelVersion {
         model: pruned,
@@ -316,7 +351,7 @@ mod tests {
     fn pruning_zeroes_requested_fraction() {
         let m = model();
         let p = prune_magnitude(&m, 0.5).unwrap();
-        let zeros = p.model.num_params() - count_nonzero(&p.model);
+        let zeros = p.model.num_params() - count_nonzero(&p.model).unwrap();
         let frac = zeros as f32 / p.model.num_params() as f32;
         assert!(frac > 0.4 && frac < 0.6, "pruned fraction = {frac}");
         assert!(p.storage_bytes < m.param_bytes());
@@ -329,24 +364,24 @@ mod tests {
         // round(8 · f).
         let t = Tensor::from_vec([2, 4], vec![1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0]).unwrap();
         for (fraction, expect_zeros) in [(0.25, 2usize), (0.5, 4), (0.75, 6)] {
-            let p = prune_tensor(&t, fraction);
+            let p = prune_tensor(t.clone(), fraction);
             let zeros = p.data().iter().filter(|v| **v == 0.0).count();
             assert_eq!(zeros, expect_zeros, "fraction {fraction}");
         }
         // Mixed magnitudes: exactly the smallest half dies.
         let t = Tensor::from_vec([1, 4], vec![0.1, -4.0, 0.2, 3.0]).unwrap();
-        let p = prune_tensor(&t, 0.5);
+        let p = prune_tensor(t, 0.5);
         assert_eq!(p.data(), &[0.0, -4.0, 0.0, 3.0]);
     }
 
     #[test]
     fn prune_fraction_one_zeroes_everything() {
         let t = Tensor::from_vec([1, 5], vec![5.0, -3.0, 9.0, 1.0, -7.0]).unwrap();
-        let p = prune_tensor(&t, 1.0);
+        let p = prune_tensor(t, 1.0);
         assert!(p.data().iter().all(|v| *v == 0.0), "max entry survived");
         // Over-unity requests clamp rather than panic.
         let p = prune_magnitude(&model(), 1.5).unwrap();
-        assert_eq!(count_nonzero(&p.model), 0);
+        assert_eq!(count_nonzero(&p.model).unwrap(), 0);
         assert_eq!(p.storage_bytes, 0);
     }
 

@@ -13,9 +13,10 @@
 //!
 //! Both directions stream, so neither holds the artifact in one buffer:
 //! [`encode`] is a [`Read`] that encodes a model a piece at a time as it is
-//! read, and the decoders read any [`Read`]. [`store`] decodes into a model
-//! whose dense weight matrices stay where it writes the artifact, on pages
-//! ([`crate::stored`]) — how a session loads a model.
+//! read — a dense weight matrix a group of rows at a time, out of whichever
+//! form holds it ([`crate::weight`]) — and the decoders read any [`Read`].
+//! [`store`] decodes into a model whose dense weight matrices stay where it
+//! writes the artifact, on pages — how a session loads a model.
 //!
 //! Decoding treats its input as untrusted: every read is length-checked and
 //! every size derived from a length field is computed with overflow checks,
@@ -28,8 +29,8 @@
 use crate::error::{Error, Result};
 use crate::layer::{Activation, Layer};
 use crate::model::Model;
-use crate::stored::{payload_bytes, Precision, StoredWeight};
-use relserve_storage::{ArtifactPages, ArtifactReader, ArtifactWriter};
+use crate::weight::{io_error, Precision, Weight, WeightReader};
+use relserve_storage::{ArtifactPages, ArtifactWriter};
 use relserve_tensor::{Conv2dSpec, QuantizedTensor, Shape, Tensor, ELEM_BYTES};
 use std::io::{self, Read};
 use std::sync::Arc;
@@ -82,10 +83,8 @@ enum Piece<'m> {
     Bytes(Vec<u8>),
     /// f32 values, little endian.
     F32(&'m [f32]),
-    /// i8 levels.
-    I8(&'m [i8]),
-    /// A stored weight matrix's payload, as its artifact holds it.
-    Stored(&'m StoredWeight),
+    /// A dense weight matrix, as an artifact holds it.
+    Weight(&'m Weight),
 }
 
 impl Piece<'_> {
@@ -93,8 +92,7 @@ impl Piece<'_> {
         match self {
             Piece::Bytes(bytes) => bytes.len(),
             Piece::F32(values) => values.len() * ELEM_BYTES,
-            Piece::I8(levels) => levels.len(),
-            Piece::Stored(weight) => weight.payload_bytes(),
+            Piece::Weight(weight) => weight.storage_bytes(),
         }
     }
 }
@@ -145,17 +143,26 @@ impl<'m> Pieces<'m> {
         p.shape(model.input_shape().dims());
         p.u32(model.layers().len());
         for layer in model.layers() {
-            match layer {
-                Layer::Dense {
-                    weight,
-                    bias,
-                    activation,
-                } => {
-                    p.u8(TAG_DENSE);
-                    p.u8(activation_tag(*activation));
-                    p.tensor(weight);
-                    p.tensor(bias);
+            if let Some((weight, bias, activation)) = layer.dense_parts() {
+                match weight.precision() {
+                    Precision::F32 => {
+                        p.u8(TAG_DENSE);
+                        p.u8(activation_tag(activation));
+                        p.shape(weight.tensor_shape().dims());
+                    }
+                    Precision::Int8 => {
+                        let (rows, cols) = weight.shape();
+                        p.u8(TAG_QDENSE);
+                        p.u8(activation_tag(activation));
+                        p.u32(rows);
+                        p.u32(cols);
+                    }
                 }
+                p.push(Piece::Weight(weight));
+                p.tensor(bias);
+                continue;
+            }
+            match layer {
                 Layer::Conv2d {
                     kernel,
                     bias,
@@ -169,42 +176,8 @@ impl<'m> Pieces<'m> {
                     p.tensor(kernel);
                     p.tensor(bias);
                 }
-                Layer::QuantDense {
-                    weight,
-                    bias,
-                    activation,
-                } => {
-                    p.u8(TAG_QDENSE);
-                    p.u8(activation_tag(*activation));
-                    p.u32(weight.rows());
-                    p.u32(weight.cols());
-                    p.push(Piece::F32(weight.scales()));
-                    p.push(Piece::I8(weight.data()));
-                    p.tensor(bias);
-                }
-                Layer::Stored {
-                    weight,
-                    bias,
-                    activation,
-                } => {
-                    let (rows, cols) = weight.shape();
-                    match weight.precision() {
-                        Precision::F32 => {
-                            p.u8(TAG_DENSE);
-                            p.u8(activation_tag(*activation));
-                            p.shape(&[rows, cols]);
-                        }
-                        Precision::Int8 => {
-                            p.u8(TAG_QDENSE);
-                            p.u8(activation_tag(*activation));
-                            p.u32(rows);
-                            p.u32(cols);
-                        }
-                    }
-                    p.push(Piece::Stored(weight));
-                    p.tensor(bias);
-                }
                 Layer::Flatten => p.u8(TAG_FLATTEN),
+                dense => unreachable!("a {} layer has a weight", dense.kind()),
             }
         }
         if !p.head.is_empty() {
@@ -221,8 +194,8 @@ pub struct Encoder<'m> {
     /// The piece being read, and how many of its bytes have been.
     piece: usize,
     at: usize,
-    /// Open on the payload of the stored weight being read.
-    stored: Option<ArtifactReader<'m>>,
+    /// Open on the weight matrix being read.
+    weight: Option<WeightReader<'m>>,
 }
 
 impl Encoder<'_> {
@@ -266,17 +239,12 @@ impl Read for Encoder<'_> {
             match piece {
                 Piece::Bytes(bytes) => dst.copy_from_slice(&bytes[self.at..self.at + take]),
                 Piece::F32(values) => encode_f32s(values, self.at, dst),
-                Piece::I8(levels) => {
-                    for (d, l) in dst.iter_mut().zip(&levels[self.at..]) {
-                        *d = *l as u8;
+                Piece::Weight(weight) => {
+                    if self.weight.is_none() {
+                        self.weight = Some(weight.reader().map_err(io_error)?);
                     }
-                }
-                Piece::Stored(weight) => {
-                    if self.stored.is_none() {
-                        self.stored = Some(weight.bytes().map_err(io::Error::other)?);
-                    }
-                    let bytes = self.stored.as_mut().expect("opened above");
-                    bytes.read_exact(dst).map_err(io::Error::other)?;
+                    let matrix = self.weight.as_mut().expect("opened above");
+                    matrix.read_exact(dst)?;
                 }
             }
             n += take;
@@ -286,21 +254,23 @@ impl Read for Encoder<'_> {
             }
             self.piece += 1;
             self.at = 0;
-            self.stored = None;
+            self.weight = None;
         }
         Ok(n)
     }
 }
 
 /// Encode `model` as its artifact's byte stream, a piece at a time as it is
-/// read: no whole-model buffer exists. A [`Layer::Stored`] weight is read
-/// from its artifact's pages as its piece is reached.
+/// read: no whole-model buffer exists. A dense weight matrix is read as its
+/// piece is reached, out of whichever form holds it — raw values, packed
+/// panels or quads, or its artifact's pages — so the bytes do not depend on
+/// whether the model has run.
 pub fn encode(model: &Model) -> Encoder<'_> {
     Encoder {
         pieces: Pieces::of(model),
         piece: 0,
         at: 0,
-        stored: None,
+        weight: None,
     }
 }
 
@@ -334,7 +304,7 @@ enum Sink<'s> {
     /// Into the model, as tensors.
     Memory,
     /// Onto pages: every byte read is appended to the artifact, and a dense
-    /// weight matrix is left there as a [`StoredWeight`].
+    /// weight matrix is left there, a [`Layer::Stored`]'s [`Weight`].
     Pages(&'s mut ArtifactWriter),
 }
 
@@ -482,7 +452,7 @@ impl<R: Read> Decoder<'_, R> {
         (rows, cols): (usize, usize),
         precision: Precision,
         what: &str,
-    ) -> Result<Option<StoredWeight>> {
+    ) -> Result<Option<Weight>> {
         let Sink::Pages(artifact) = &self.sink else {
             return Ok(None);
         };
@@ -510,12 +480,7 @@ impl<R: Read> Decoder<'_, R> {
                 self.chunks(levels, 1, what, |_| Ok(()))?;
             }
         }
-        let weight = StoredWeight::new(pages, offset, (rows, cols), precision);
-        debug_assert_eq!(
-            weight.payload_bytes(),
-            payload_bytes((rows, cols), precision)
-        );
-        Ok(Some(weight))
+        Ok(Some(Weight::stored(pages, offset, (rows, cols), precision)))
     }
 
     fn layer(&mut self) -> Result<Layer> {
@@ -535,7 +500,8 @@ impl<R: Read> Decoder<'_, R> {
                         activation,
                     },
                     None => Layer::Dense {
-                        weight: Tensor::from_vec(shape, self.f32s(rows * cols, "dense weight")?)?,
+                        weight: Tensor::from_vec(shape, self.f32s(rows * cols, "dense weight")?)?
+                            .into(),
                         bias: self.tensor("dense bias")?,
                         activation,
                     },
@@ -583,7 +549,7 @@ impl<R: Read> Decoder<'_, R> {
                         let weight = QuantizedTensor::from_parts(rows, cols, levels, scales)
                             .map_err(|e| Error::Serde(format!("invalid quantized weight: {e}")))?;
                         Layer::QuantDense {
-                            weight,
+                            weight: weight.into(),
                             bias: self.tensor("quantized bias")?,
                             activation,
                         }
@@ -669,13 +635,16 @@ pub fn store(reader: impl Read, sink: ArtifactWriter) -> Result<(Model, Arc<Arti
 }
 
 /// [`store`] of `model`'s own artifact, as [`encode`] streams it. The stored
-/// model shares `model`'s packed weights: whichever of the two packs a layer
-/// first packs it for both.
-pub fn store_model(model: &Model, sink: ArtifactWriter) -> Result<(Model, Arc<ArtifactPages>)> {
-    let encoder = encode(model);
+/// model keeps no form of a weight that nothing else holds: a dense layer
+/// whose weight a clone of `model` still shares stays that layer — one cell
+/// serves both, and whichever of the two packs it packs it for both — and
+/// every other dense layer's weight is left on the pages, `model`'s own
+/// form of it dropped with `model`.
+pub fn store_model(model: Model, sink: ArtifactWriter) -> Result<(Model, Arc<ArtifactPages>)> {
+    let encoder = encode(&model);
     let len = encoder.len() as u64;
     let (stored, artifact) = store_from(encoder, Some(len), sink)?;
-    Ok((stored.sharing_prepared(model)?, artifact))
+    Ok((stored.keeping_shared(model), artifact))
 }
 
 fn store_from(
@@ -873,12 +842,25 @@ mod tests {
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([4, 28], |i| (i as f32 * 0.37).sin());
         let par = Parallelism::serial();
-        let (stored, _artifact) = store_model(&model, sink()).unwrap();
+        // The caller kept a clone: the stored model serves from its cells.
+        let (stored, _artifact) = store_model(model.clone(), sink()).unwrap();
+        assert!(stored
+            .layers()
+            .iter()
+            .all(|l| matches!(l, Layer::Dense { .. })));
         assert_eq!(stored.prepared_weights().0, 0, "nothing packed at load");
         let out = stored.forward(&x, &par).unwrap();
         assert_eq!(model.prepared_weights().0, 2, "one build, seen by both");
         assert_eq!(model.forward(&x, &par).unwrap(), out);
         assert_eq!(stored.prepared_weights().0, 2);
+        // Nobody else holds these: they stay on the pages.
+        let (alone, _artifact) =
+            store_model(zoo::fraud_fc_256(&mut seeded_rng(47)).unwrap(), sink()).unwrap();
+        assert!(alone
+            .layers()
+            .iter()
+            .all(|l| matches!(l, Layer::Stored { .. })));
+        assert_eq!(alone.forward(&x, &par).unwrap(), out);
     }
 
     #[test]

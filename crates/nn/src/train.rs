@@ -103,8 +103,15 @@ impl Trainer {
                     bias,
                     activation,
                 } => {
-                    let z =
-                        ops::add_bias(&matmul::matmul_bt_parallel(&x, weight, &self.par)?, bias)?;
+                    // A weight the last step edited holds raw values until it
+                    // next packs: multiply by them as they are, rather than
+                    // pack a matrix each step only for the next step to edit.
+                    let z = match weight.0.raw_f32() {
+                        Some(w) => {
+                            ops::add_bias(&matmul::matmul_bt_parallel(&x, &w, &self.par)?, bias)?
+                        }
+                        None => weight.0.multiply(&x, bias, &self.par)?,
+                    };
                     let a = activation.apply(&z)?;
                     caches.push(Cache::Dense {
                         input: x,
@@ -235,6 +242,8 @@ impl Trainer {
                     // dW[out,in] = dzᵀ[out,batch] × input[batch,in]
                     let dw = matmul::matmul(&dz.transpose()?, &input)?;
                     let db = ops::col_sums(&dz)?;
+                    // The layer's own raw values (an edit: see `layers_mut`).
+                    let weight: &mut Tensor = weight;
                     // dx[batch,in] = dz[batch,out] × W[out,in]
                     upstream = matmul::matmul(&dz, weight)?;
                     ops::axpy(weight, &dw, -lr)?;

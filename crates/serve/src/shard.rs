@@ -46,11 +46,10 @@ use crate::wire::{
 use relserve_core::{
     Architecture, Error as CoreError, FusedOutcome, InferenceSession, PartitionSpec, ShardRange,
 };
-use relserve_nn::{Activation, Layer, Precision};
+use relserve_nn::{Activation, Layer, Precision, Weight};
 use relserve_runtime::{AdmissionPolicy, FaultInjector, RetryPolicy};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{matmul, ops, Tensor};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -416,9 +415,9 @@ fn run_exec(exec: ShardExecRequest, shared: &WorkerShared) -> relserve_core::Res
 /// The sharded head of a model: its first dense layer decomposed for
 /// scatter, plus the tail executed locally after the gather.
 struct ShardableHead<'m> {
-    /// The layer's weight matrix, read back from the artifact pages of a
-    /// session's stored model for the call: the tier ships slices of it.
-    weight: Cow<'m, Tensor>,
+    /// The layer's f32 weight matrix, in whichever form it is: the tier
+    /// ships column slices of it.
+    weight: &'m Weight,
     bias: &'m Tensor,
     activation: Activation,
     /// Indices of the layers after the sharded one, run locally on the
@@ -431,46 +430,44 @@ struct ShardableHead<'m> {
 /// followed by an f32 dense layer of matching input width, and every tail
 /// layer is dense too (the gather output is 2-D; feeding it to a conv
 /// would need spatial bookkeeping the shard tier does not do).
-fn shardable_head(
-    layers: &[Layer],
-    width: usize,
-) -> relserve_core::Result<Option<ShardableHead<'_>>> {
+fn shardable_head(layers: &[Layer], width: usize) -> Option<ShardableHead<'_>> {
     let idx = layers
         .iter()
         .take_while(|l| matches!(l, Layer::Flatten))
         .count();
     let tail = idx + 1..layers.len();
-    let Some(head) = layers.get(idx) else {
-        return Ok(None);
-    };
+    let head = layers.get(idx)?;
     if head.weight_shape().map(|(_, k)| k) != Some(width)
         || !layers[tail.clone()]
             .iter()
             .all(|l| l.weight_shape().is_some())
     {
-        return Ok(None);
+        return None;
     }
-    let (weight, bias, activation) = match head {
+    let (bias, activation) = match head {
         Layer::Dense {
-            weight,
-            bias,
-            activation,
-        } => (Cow::Borrowed(weight), bias, *activation),
-        Layer::Stored {
-            weight,
-            bias,
-            activation,
-        } if weight.precision() == Precision::F32 => {
-            (Cow::Owned(weight.load_dense()?), bias, *activation)
+            bias, activation, ..
         }
-        _ => return Ok(None),
+        | Layer::Stored {
+            bias, activation, ..
+        } => (bias, *activation),
+        _ => return None,
     };
-    Ok(Some(ShardableHead {
+    let weight = head.weight().filter(|w| w.precision() == Precision::F32)?;
+    Some(ShardableHead {
         weight,
         bias,
         activation,
         tail,
-    }))
+    })
+}
+
+impl ShardableHead<'_> {
+    /// The columns of `range` of the head's weight matrix, read out of
+    /// whichever form holds it.
+    fn slice(&self, plan: &PartitionSpec, range: ShardRange) -> relserve_core::Result<Tensor> {
+        plan.slice_weight(&self.weight.to_tensor()?, range)
+    }
 }
 
 /// Mutable state of one worker link, behind its slot mutex.
@@ -631,7 +628,7 @@ impl ShardCoordinator {
 
         let model = session.model(model_name)?;
         let shards = self.workers.len().min(width);
-        let head = shardable_head(model.layers(), width)?;
+        let head = shardable_head(model.layers(), width);
         let (Some(head), true) = (head, shards >= 1 && self.workers_live() > 0) else {
             self.counters
                 .fallback_unsharded
@@ -645,7 +642,7 @@ impl ShardCoordinator {
         }
         let fused = Tensor::from_vec([total_rows, width], data)?;
         let plan = PartitionSpec::even(width, shards)?;
-        let (out_rows, _) = head.weight.shape().as_matrix()?;
+        let (out_rows, _) = head.weight.shape();
 
         // One admission grant covers the coordinator's side of the batch:
         // slicing, any degraded-to-local shard, and the gather tail.
@@ -688,7 +685,7 @@ impl ShardCoordinator {
                     self.counters
                         .shards_degraded_local
                         .fetch_add(1, Ordering::Relaxed);
-                    let w_i = plan.slice_weight(&head.weight, *range)?;
+                    let w_i = head.slice(&plan, *range)?;
                     compute_partial(&blocks[i], &w_i, &par)?.data().to_vec()
                 }
             };
@@ -758,7 +755,7 @@ impl ShardCoordinator {
             }
         }
         if !state.assigned.contains(model_name) {
-            let slice = plan.slice_weight(&head.weight, range).ok()?;
+            let slice = head.slice(plan, range).ok()?;
             let (out_rows, _) = slice.shape().as_matrix().ok()?;
             let assigned = state
                 .client

@@ -381,6 +381,34 @@ impl<'a> PackedB<'a> {
     pub fn at(&self, p: usize, j: usize) -> f32 {
         self.panels[(j / self.nr * self.k + p) * self.nr + j % self.nr]
     }
+
+    /// Values `p0 .. p0 + out.len()` of row `j` of that matrix: what
+    /// [`PackedB::at`] reads, a run at a time.
+    pub fn read_row(&self, j: usize, p0: usize, out: &mut [f32]) {
+        let base = (j / self.nr * self.k + p0) * self.nr + j % self.nr;
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = self.panels[base + i * self.nr];
+        }
+    }
+
+    /// Rows `j0 ..` of that matrix, as many whole rows as `out` holds: the
+    /// panels read back in order, each once.
+    pub fn read_rows(&self, j0: usize, out: &mut [f32]) {
+        let (k, nr) = (self.k, self.nr);
+        let j1 = j0 + out.len() / k.max(1);
+        for panel in j0 / nr..j1.div_ceil(nr) {
+            let lanes = (j0.max(panel * nr) - panel * nr)..(j1.min(panel * nr + nr) - panel * nr);
+            let rows = (panel * nr + lanes.start - j0) * k;
+            for (p, col) in self.panels[panel * k * nr..(panel + 1) * k * nr]
+                .chunks_exact(nr)
+                .enumerate()
+            {
+                for (r, lane) in lanes.clone().enumerate() {
+                    out[rows + r * k + p] = col[lane];
+                }
+            }
+        }
+    }
 }
 
 /// The panel width [`matmul_prepacked`] multiplies from on this host: the
@@ -793,6 +821,26 @@ mod tests {
         pack_bt(&full.data()[2 * 20 + 3..], 20, 5, 11, 8, &mut in_place);
         pack_bt(window.data(), 11, 5, 11, 8, &mut copied);
         assert_eq!(in_place, copied);
+    }
+
+    #[test]
+    fn packed_panels_read_back_as_the_rows_they_were_packed_from() {
+        // Ragged panels (n % nr != 0) at every panel width a kernel uses.
+        for nr in [4, 8, 16] {
+            let (n, k) = (2 * nr + 3, 7);
+            let w = Tensor::from_fn([n, k], |i| i as f32 * 0.5 - 9.0);
+            let mut panels = Vec::new();
+            pack_bt(w.data(), k, n, k, nr, &mut panels);
+            let packed = PackedB::new(k, n, nr, &panels).unwrap();
+            for (j0, rows) in [(0, n), (1, nr), (nr - 1, 2), (n - 1, 1), (3, 0)] {
+                let mut out = vec![0.0; rows * k];
+                packed.read_rows(j0, &mut out);
+                assert_eq!(out, w.data()[j0 * k..(j0 + rows) * k], "nr={nr} j0={j0}");
+            }
+            let mut run = [0.0; 4];
+            packed.read_row(nr + 1, 2, &mut run);
+            assert_eq!(run, w.row(nr + 1).unwrap()[2..6]);
+        }
     }
 
     #[test]

@@ -76,27 +76,19 @@ impl QuantizedTensor {
     /// Quantize a 2-D f32 tensor to i8 with per-row symmetric scales.
     pub fn quantize(w: &Tensor) -> Result<QuantizedTensor> {
         let (rows, cols) = w.shape().as_matrix()?;
-        let wd = w.data();
         let mut data = vec![0i8; rows * cols];
         let mut scales = vec![1.0f32; rows];
-        for r in 0..rows {
-            let row = &wd[r * cols..(r + 1) * cols];
-            let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            if !max_abs.is_finite() {
-                return Err(Error::Quantize(format!(
+        for (r, (row, levels)) in w
+            .data()
+            .chunks_exact(cols.max(1))
+            .zip(data.chunks_exact_mut(cols.max(1)))
+            .enumerate()
+        {
+            scales[r] = quantize_row(row, levels).ok_or_else(|| {
+                Error::Quantize(format!(
                     "row {r} contains non-finite values; cannot quantize"
-                )));
-            }
-            let scale = if max_abs > 0.0 {
-                max_abs / WEIGHT_QMAX as f32
-            } else {
-                1.0
-            };
-            scales[r] = scale;
-            for (c, &v) in row.iter().enumerate() {
-                let q = (v / scale).round();
-                data[r * cols + c] = q.clamp(-(WEIGHT_QMAX as f32), WEIGHT_QMAX as f32) as i8;
-            }
+                ))
+            })?;
         }
         Ok(Self::assemble(rows, cols, data, scales))
     }
@@ -189,6 +181,29 @@ impl QuantizedTensor {
         }
         Tensor::from_vec([self.rows, self.cols], out).expect("quantized dims are consistent")
     }
+}
+
+/// Quantize one row of a weight matrix into `levels` (as long as `row`) on
+/// its own symmetric scale, which is returned — what
+/// [`QuantizedTensor::quantize`] does to every row, for a caller that has
+/// the matrix a few rows at a time. `None` if the row's largest magnitude
+/// is not finite.
+pub fn quantize_row(row: &[f32], levels: &mut [i8]) -> Option<f32> {
+    let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    if !max_abs.is_finite() {
+        return None;
+    }
+    let scale = if max_abs > 0.0 {
+        max_abs / WEIGHT_QMAX as f32
+    } else {
+        1.0
+    };
+    for (q, &v) in levels.iter_mut().zip(row) {
+        *q = (v / scale)
+            .round()
+            .clamp(-(WEIGHT_QMAX as f32), WEIGHT_QMAX as f32) as i8;
+    }
+    Some(scale)
 }
 
 /// What the dequantizing store of `X × Wᵀ` needs of a quantized `W[n, k]`
@@ -671,6 +686,37 @@ pub fn pack_quads(levels: &[i8], n: usize, k: usize, nr: usize, out: &mut Vec<i8
     pack_b_i8(levels, n, k, nr, out);
 }
 
+/// Levels `p0 .. p0 + out.len()` of row `j` of the `n × k` matrix that
+/// [`pack_quads`] packed into `quads` at panel width `nr`: the packing read
+/// back, a run at a time.
+pub fn read_quad_row(quads: &[i8], k: usize, nr: usize, j: usize, p0: usize, out: &mut [i8]) {
+    let base = j / nr * k.div_ceil(4) * nr * 4 + (j % nr) * 4;
+    for (p, v) in (p0..).zip(out.iter_mut()) {
+        *v = quads[base + (p / 4) * nr * 4 + p % 4];
+    }
+}
+
+/// Rows `j0 ..` of that matrix, as many whole rows as `out` holds: the
+/// quads read back in order, each once.
+pub fn read_quad_rows(quads: &[i8], k: usize, nr: usize, j0: usize, out: &mut [i8]) {
+    let kq = k.div_ceil(4);
+    let j1 = j0 + out.len() / k.max(1);
+    for panel in j0 / nr..j1.div_ceil(nr) {
+        let lanes = (j0.max(panel * nr) - panel * nr)..(j1.min(panel * nr + nr) - panel * nr);
+        let rows = (panel * nr + lanes.start - j0) * k;
+        for (q, quad) in quads[panel * kq * nr * 4..(panel + 1) * kq * nr * 4]
+            .chunks_exact(nr * 4)
+            .enumerate()
+        {
+            let width = 4.min(k - 4 * q);
+            for (r, lane) in lanes.clone().enumerate() {
+                let at = rows + r * k + 4 * q;
+                out[at..at + width].copy_from_slice(&quad[lane * 4..lane * 4 + width]);
+            }
+        }
+    }
+}
+
 /// [`qmatmul_bt_parallel`] from quads of `W` packed ahead of the call by
 /// [`pack_quads`] at panel width `nr`, with `w` the rest of what the store
 /// needs of `W`: the same driver on the same panels, so bit-identical to it
@@ -857,6 +903,38 @@ mod tests {
             pieces.extend_from_slice(&panel);
         }
         assert_eq!(pieces, whole);
+    }
+
+    #[test]
+    fn packed_quads_read_back_as_the_rows_they_were_packed_from() {
+        // Ragged panels and a k with a partial last quad, at every width.
+        for nr in [4, 8, 16] {
+            let (n, k) = (2 * nr + 3, 9);
+            let levels: Vec<i8> = (0..n * k).map(|i| (i % 251) as i8).collect();
+            let mut quads = Vec::new();
+            pack_quads(&levels, n, k, nr, &mut quads);
+            for (j0, rows) in [(0, n), (1, nr), (nr - 1, 2), (n - 1, 1), (3, 0)] {
+                let mut out = vec![0; rows * k];
+                read_quad_rows(&quads, k, nr, j0, &mut out);
+                assert_eq!(out, levels[j0 * k..(j0 + rows) * k], "nr={nr} j0={j0}");
+            }
+            let mut run = [0; 5];
+            read_quad_row(&quads, k, nr, nr + 1, 3, &mut run);
+            assert_eq!(run, levels[(nr + 1) * k + 3..(nr + 1) * k + 8]);
+        }
+    }
+
+    /// One row at a time is the whole matrix's quantization.
+    #[test]
+    fn quantizing_rows_alone_is_quantizing_the_matrix() {
+        let w = inexact(7, 13, 0.377);
+        let q = QuantizedTensor::quantize(&w).unwrap();
+        for (r, row) in w.data().chunks(13).enumerate() {
+            let mut levels = [0; 13];
+            assert_eq!(quantize_row(row, &mut levels), Some(q.scales()[r]));
+            assert_eq!(levels, q.data()[r * 13..(r + 1) * 13]);
+        }
+        assert_eq!(quantize_row(&[1.0, f32::INFINITY], &mut [0; 2]), None);
     }
 
     proptest! {

@@ -135,7 +135,17 @@ macro_rules! impl_from {
 impl_from!(Tensor, relserve_tensor::Error);
 impl_from!(Runtime, relserve_runtime::Error);
 impl_from!(Storage, relserve_storage::Error);
-impl_from!(Relational, relserve_relational::Error);
+
+/// A relational error that is a storage error — a weight relation's page
+/// failing its checksum on a pool miss — surfaces as the storage error it is.
+impl From<relserve_relational::Error> for Error {
+    fn from(e: relserve_relational::Error) -> Self {
+        match e {
+            relserve_relational::Error::Storage(e) => Error::Storage(e),
+            other => Error::Relational(other),
+        }
+    }
+}
 
 /// A model error that is a storage error — a stored weight's page failing
 /// its checksum — surfaces as the storage error it is.

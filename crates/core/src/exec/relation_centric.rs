@@ -2,8 +2,9 @@
 //!
 //! Each layer's tensor math is executed as relational dataflow over
 //! [`TensorTable`]s (§7.1): weights live in the database as block relations
-//! ([`WeightRelations`]: chunked the first time a layer runs here, joined
-//! against by every later query), matmul becomes a join + aggregation
+//! ([`WeightRelations`]: stored as such when a session loads the model, or
+//! chunked the first time a layer runs here, and joined against by every
+//! query), matmul becomes a join + aggregation
 //! streaming through the buffer pool, pointwise convolutions are first
 //! spatially rewritten into a matmul (`F × Kᵀ`), and general convolutions
 //! build their im2col patch relation one image at a time. Activations map over blocks; softmax gathers one
@@ -29,18 +30,22 @@ use std::sync::Arc;
 /// query waits for the finished relation instead of building a second one.
 type WeightSlot = Arc<Mutex<Option<Arc<TensorTable>>>>;
 
-/// The persistent weight relations of one database session (§1, §7.1): a
-/// layer's parameters are chunked into a block relation **once**, the first
-/// time that layer executes relation-centrically, and every later query only
-/// joins against it.
+/// The persistent weight relations of one database session (§1, §7.1):
+/// queries only join against a layer's block relation, which exists once.
+///
+/// A loaded model's dense layers bring theirs: the session stores each
+/// weight matrix as its relation's blocks at load and registers a relation
+/// over those pages ([`WeightRelations::insert`]). Any other layer's — a
+/// convolution's kernel relation, or a layer of a model run outside a
+/// session — is chunked into the pool the first time it executes
+/// relation-centrically ([`WeightRelations::get_or_build`]).
 ///
 /// A relation is keyed by `(model name, layer index)` and lives as long as
 /// this handle: a loaded model is immutable and the block size is fixed, so
 /// nothing ever invalidates one. Its blocks sit behind the buffer pool, not
-/// on the heap — a relation larger than the pool is spilled once and read
-/// back per join, without further write-back. Building is lazy so that a
-/// model which never runs relation-centric pays nothing. Concurrent queries
-/// share one `Arc<TensorTable>`; the block join only reads it.
+/// on the heap — a relation larger than the pool is read back per join,
+/// without write-back. Concurrent queries share one `Arc<TensorTable>`; the
+/// block join only reads it.
 ///
 /// The handle also carries the pool and block size every executor needs, so
 /// `relation_centric::run`, `hybrid::run` and the degradation ladder take
@@ -79,13 +84,14 @@ impl WeightRelations {
         BlockingSpec::square(self.block)
     }
 
-    /// Weight relations built so far (one per layer that ever executed
-    /// relation-centrically).
+    /// Weight relations chunked into the pool so far (one per layer without
+    /// a stored relation that ever executed relation-centrically).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Layer executions that found their weight relation already built.
+    /// Layer executions that found their weight relation already there,
+    /// stored or built.
     pub fn reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
     }
@@ -98,6 +104,14 @@ impl WeightRelations {
             .iter()
             .filter_map(|slot| Some(slot.try_lock()?.as_ref()?.resident_bytes()))
             .sum()
+    }
+
+    /// Register `table` as layer `layer` of `model`'s weight relation: a
+    /// relation over the pages its weights are stored on, which queries join
+    /// against as they would against one they built.
+    pub fn insert(&self, model: &str, layer: usize, table: TensorTable) {
+        let slot = Arc::new(Mutex::new(Some(Arc::new(table))));
+        self.slots.lock().insert((model.to_string(), layer), slot);
     }
 
     /// The weight relation of layer `layer` of `model`, building it with
@@ -405,9 +419,9 @@ fn weight_relation(
 /// Execute layer `index` of `model` relation-centrically. `par` is this
 /// layer's share of the query's admitted kernel budget: the output cells of
 /// the matmul join fan out to the kernel pool up to that width. The layer's
-/// weight relation comes from `weights` — chunked on the session's first
-/// such execution (the runtime chunking overhead Table 3 attributes to this
-/// path), looked up ever after.
+/// weight relation comes from `weights` — stored at load, or chunked on the
+/// first such execution (the runtime chunking overhead Table 3 attributes to
+/// this path) and looked up ever after.
 pub(crate) fn exec_layer(
     model: &Model,
     index: usize,

@@ -51,6 +51,11 @@ pub struct InferencePlan {
     pub memory_threshold: usize,
     /// Per-operator assignments, in execution order.
     pub ops: Vec<OpAssignment>,
+    /// Whether the model's dense layers have weight relations stored on
+    /// catalog pages — a model loaded into a session — which a
+    /// relation-centric multiply joins against whatever form the layer's
+    /// weight has in memory.
+    pub weight_relations_stored: bool,
 }
 
 impl InferencePlan {
@@ -89,8 +94,9 @@ impl InferencePlan {
     /// EXPLAIN-style rendering of the plan. An operator that multiplies by
     /// model weights also says what it multiplies from — the model's prepared
     /// (packed once) weights, the session's weight relation, or an operand it
-    /// packs on every call — and what that operand is built from: the
-    /// artifact pages of a loaded model, or weights in memory.
+    /// packs on every call — and what that operand is read from: a loaded
+    /// model's weight relation is its catalog pages, prepared weights are
+    /// packed from artifact pages or from weights in memory.
     pub fn explain(&self) -> String {
         let mut out = format!(
             "InferencePlan for `{}` (batch {}, threshold {} B)\n",
@@ -107,7 +113,11 @@ impl InferencePlan {
                 (OpKind::Conv2d { .. }, false) => "  [packs per call]",
                 _ => "",
             };
-            let built_from = match (&op.op.kind, op.op.params_stored) {
+            let stored = op.op.params_stored || (relational && self.weight_relations_stored);
+            let built_from = match (&op.op.kind, stored) {
+                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, true) if relational => {
+                    " <- catalog pages"
+                }
                 (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, true) => " <- artifact pages",
                 (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, false) => " <- weights in memory",
                 (OpKind::Conv2d { .. }, _) if relational => " <- kernel in memory",
@@ -138,6 +148,7 @@ mod tests {
             model_name: "m".into(),
             batch_size: 4,
             memory_threshold: 1024,
+            weight_relations_stored: false,
             ops: ops
                 .into_iter()
                 .enumerate()
@@ -218,14 +229,27 @@ mod tests {
         }
         let stored = stored.explain();
         assert_eq!(
-            stored
-                .matches("[weight relation] <- artifact pages")
-                .count(),
+            stored.matches("[weight relation] <- catalog pages").count(),
             1
         );
         assert_eq!(
             stored
                 .matches("[prepared weights] <- artifact pages")
+                .count(),
+            matmuls - 1
+        );
+        // A loaded model whose layers share the caller's weights in memory:
+        // its relation-centric multiply still joins the catalog pages.
+        let mut loaded = p.clone();
+        loaded.weight_relations_stored = true;
+        let loaded = loaded.explain();
+        assert_eq!(
+            loaded.matches("[weight relation] <- catalog pages").count(),
+            1
+        );
+        assert_eq!(
+            loaded
+                .matches("[prepared weights] <- weights in memory")
                 .count(),
             matmuls - 1
         );

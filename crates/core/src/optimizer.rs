@@ -63,6 +63,7 @@ impl RuleBasedOptimizer {
             batch_size,
             memory_threshold: self.memory_threshold_bytes,
             ops: assignments,
+            weight_relations_stored: false,
         })
     }
 

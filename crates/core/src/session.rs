@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use relserve_nn::serialize;
 use relserve_nn::Model;
 use relserve_relational::tensor_table::TensorOpStats;
-use relserve_relational::{Schema, Table, Tuple};
+use relserve_relational::{Schema, Table, TensorTable, Tuple};
 use relserve_runtime::{
     AdmissionPolicy, Connector, ExecContext, ExternalRuntime, FaultInjector, KernelPool,
     MemoryGovernor, RetryPolicy, RuntimeProfile, ThreadCoordinator, TransferProfile,
@@ -276,11 +276,14 @@ pub struct SessionStats {
     pub runtime_retries: u64,
     /// Kernel panics caught and converted to typed errors.
     pub kernel_panics: u64,
-    /// Weight relations chunked into the buffer pool: one per layer that
-    /// has ever executed relation-centrically in this session.
+    /// Weight relations chunked into the buffer pool by a query: one per
+    /// layer without a stored relation — a convolution's kernel relation —
+    /// that has ever executed relation-centrically in this session. A loaded
+    /// model's dense layers add none: their relations are stored at load.
     pub weight_relation_builds: u64,
-    /// Relation-centric layer executions that joined against an already
-    /// built weight relation instead of chunking the weights again.
+    /// Relation-centric layer executions that joined against a weight
+    /// relation already there — stored at load, or built by an earlier
+    /// query — instead of chunking the weights.
     pub weight_relation_reuses: u64,
     /// Weight matrices packed into the dispatched kernel's panel layout: one
     /// per dense layer of a loaded model that has ever executed dense — in
@@ -293,7 +296,8 @@ pub struct SessionStats {
     /// frames right now (the rest of each relation is spilled).
     pub weight_relation_resident_bytes: u64,
     /// Bytes of the loaded models' artifact pages on the scratch file,
-    /// outside the buffer pool: the session's one copy of their weights.
+    /// written around the buffer pool: the session's one stored copy of
+    /// their weights, each dense matrix as its weight relation's blocks.
     pub artifact_bytes: u64,
 }
 
@@ -371,14 +375,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// stay on the pages of its artifact, and the artifact.
 struct Loaded {
     model: Arc<Model>,
-    artifact: Arc<ArtifactPages>,
+    artifact: Arc<serialize::Artifact>,
 }
 
 /// An in-process RDBMS session serving deep-learning models.
 pub struct InferenceSession {
     config: SessionConfig,
-    /// The buffer pool, and on it the weight relations of the loaded models:
-    /// built on first relation-centric use, kept for the session's lifetime.
+    /// The buffer pool, and the weight relations queries join against: a
+    /// loaded dense layer's over its stored pages, registered at load, any
+    /// other built on first relation-centric use; all kept for the
+    /// session's lifetime.
     weights: WeightRelations,
     catalog: Catalog,
     governor: MemoryGovernor,
@@ -541,13 +547,17 @@ impl InferenceSession {
 
     /// Load a model into the session: its artifact is streamed into
     /// catalog pages on the scratch file, around the buffer pool, binding
-    /// model and metadata in one catalog as §4.1 advocates. The session adds
-    /// no resident form of a weight ([`serialize::store_model`]): a dense
-    /// weight that a clone the caller kept shares is served from that shared
-    /// cell — whichever of the two packs it packs it for both — and every
-    /// other stays on the pages ([`relserve_nn::Layer::Stored`]), `model`'s
-    /// own copy dropped on return. The packed panels and weight relations
-    /// queries multiply from are built on first use.
+    /// model and metadata in one catalog as §4.1 advocates. Each dense
+    /// weight matrix is stored once, as the blocks of its weight relation at
+    /// the session's block size, and that relation is what a
+    /// relation-centric query of the layer joins against: no query chunks
+    /// or writes a loaded weight. The session adds no resident form of a
+    /// weight ([`serialize::store_model`]): a dense weight that a clone the
+    /// caller kept shares is served to dense executors from that shared cell
+    /// — whichever of the two packs it packs it for both — and every other
+    /// stays on the pages ([`relserve_nn::Layer::Stored`]), `model`'s own
+    /// copy dropped on return. The packed panels dense executors multiply
+    /// from are built on first use.
     pub fn load_model(&self, model: Model) -> Result<()> {
         if self.models.lock().contains_key(model.name()) {
             return Err(Error::AlreadyExists(model.name().to_string()));
@@ -568,15 +578,25 @@ impl InferenceSession {
     }
 
     fn artifact_sink(&self) -> ArtifactWriter {
-        ArtifactPages::writer(self.pool().disk().clone())
+        ArtifactPages::writer(self.pool().disk().clone()).weight_block(self.config.block_size)
     }
 
-    fn register(&self, model: Model, artifact: Arc<ArtifactPages>) -> Result<()> {
+    /// Enter a stored model in the catalog, and each of its dense layers'
+    /// stored weight relation in the session's.
+    fn register(&self, model: Model, artifact: serialize::Artifact) -> Result<()> {
         let name = model.name().to_string();
         let mut models = self.models.lock();
         if models.contains_key(&name) {
             return Err(Error::AlreadyExists(name));
         }
+        let relations = artifact
+            .weight_relations()
+            .map(|(layer, blocks)| {
+                let pool = self.pool().clone();
+                let table = TensorTable::over(pool, format!("{name}.l{layer}.w"), blocks.clone())?;
+                Ok((layer, table))
+            })
+            .collect::<Result<Vec<_>>>()?;
         self.catalog.create(
             &name,
             StoredObject {
@@ -586,7 +606,10 @@ impl InferenceSession {
                 meta: vec![],
             },
         )?;
-        let model = Arc::new(model);
+        for (layer, table) in relations {
+            self.weights.insert(&name, layer, table);
+        }
+        let (model, artifact) = (Arc::new(model), Arc::new(artifact));
         models.insert(name, Loaded { model, artifact });
         Ok(())
     }
@@ -603,8 +626,8 @@ impl InferenceSession {
     }
 
     /// Reload a model from its catalog artifact, every weight back in
-    /// memory and every page verified against its checksum (round-trip
-    /// check, recovery).
+    /// memory — read out of its weight relation's blocks — and every page
+    /// verified against its checksum (round-trip check, recovery).
     pub fn reload_model_from_catalog(&self, name: &str) -> Result<Model> {
         let object = self.catalog.get(name)?;
         if object.kind != ObjectKind::Model {
@@ -622,7 +645,15 @@ impl InferenceSession {
     /// Produce the adaptive plan for a model at a batch size (EXPLAIN).
     pub fn plan(&self, model: &str, batch_size: usize) -> Result<InferencePlan> {
         let model = self.model(model)?;
-        self.optimizer.plan(&model, batch_size)
+        self.plan_loaded(&model, batch_size)
+    }
+
+    /// The adaptive plan of a loaded model, whose relation-centric
+    /// multiplies join the weight relations stored at load.
+    fn plan_loaded(&self, model: &Model, batch_size: usize) -> Result<InferencePlan> {
+        let mut plan = self.optimizer.plan(model, batch_size)?;
+        plan.weight_relations_stored = true;
+        Ok(plan)
     }
 
     /// Extract a dense feature batch from a table's vector column.
@@ -734,7 +765,7 @@ impl InferenceSession {
                 Ok((out, None, no_rel))
             }
             Architecture::Adaptive => {
-                let plan = self.optimizer.plan(model, batch_size)?;
+                let plan = self.plan_loaded(model, batch_size)?;
                 let (out, stats) = hybrid::run(model, batch, &plan, &self.weights, ctx)?;
                 Ok((out, Some(plan), stats.rel_stats))
             }
@@ -924,6 +955,7 @@ mod tests {
     use relserve_nn::init::seeded_rng;
     use relserve_nn::zoo;
     use relserve_relational::{Column, DataType, Value};
+    use relserve_storage::PageId;
 
     fn tiny_config() -> SessionConfig {
         SessionConfig::builder()
@@ -1208,29 +1240,15 @@ mod tests {
         assert!(admitted >= 1);
     }
 
-    /// Pages a relation of `weight` chunked `block` square occupies.
-    fn relation_pages(weight: &Tensor, block: usize) -> u64 {
-        use relserve_relational::TensorTable;
-        use relserve_tensor::BlockingSpec;
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::temp().unwrap()), 64));
-        let _w = TensorTable::from_dense(pool.clone(), "w", weight, BlockingSpec::square(block))
-            .unwrap();
-        pool.disk().num_pages()
-    }
-
     #[test]
     fn weight_relations_are_built_once_and_the_scratch_file_stops_growing() {
         let session = fraud_session(0);
         let model = session.model("Fraud-FC-256").unwrap();
-        let weight_pages: u64 = model
-            .layers()
-            .iter()
-            .map(|layer| {
-                let (n, k) = layer.weight_shape().expect("Fraud-FC-256 is a dense stack");
-                relation_pages(&Tensor::zeros([n, k]), session.config().block_size)
-            })
-            .sum();
-        let pages_at_load = session.pool().disk().num_pages();
+        let layers = model.layers().len() as u64;
+        let disk = session.pool().disk();
+        // Pages allocated and not given back: the artifact's, at load.
+        let live = || disk.num_pages() - disk.free_pages() as u64;
+        let (live_at_load, pages_at_load) = (live(), disk.num_pages());
         let batch = Tensor::from_fn([48, 28], |i| (i % 11) as f32 * 0.1 - 0.5);
         let query = || {
             let outcome = session
@@ -1239,21 +1257,27 @@ mod tests {
             assert!(outcome.rel_stats.bytes_written > 0);
             outcome.predictions().unwrap()
         };
+        // The weight relations were stored at load: the first query joins
+        // against them, and keeps no page — all it allocated were its
+        // temporaries, dropped by now.
         let first = query();
-        let layers = model.layers().len() as u64;
-        assert_eq!(session.stats().weight_relation_builds, layers);
-        let pages_after_first = session.pool().disk().num_pages();
-        // What the first query allocated beyond the weight relations, which
-        // stay: its temporaries, all dropped by now.
-        let temporaries = pages_after_first - pages_at_load - weight_pages;
+        let stats = session.stats();
+        assert_eq!(
+            (stats.weight_relation_builds, stats.weight_relation_reuses),
+            (0, layers)
+        );
+        assert_eq!(live(), live_at_load, "the first query wrote a relation");
+        let pages_after_first = disk.num_pages();
+        let temporaries = pages_after_first - pages_at_load;
         assert!(temporaries > 0);
         for _ in 0..8 {
             assert_eq!(query(), first);
         }
         let stats = session.stats();
-        assert_eq!(stats.weight_relation_builds, layers);
-        assert_eq!(stats.weight_relation_reuses, 8 * layers);
-        let growth = session.pool().disk().num_pages() - pages_after_first;
+        assert_eq!(stats.weight_relation_builds, 0);
+        assert_eq!(stats.weight_relation_reuses, 9 * layers);
+        assert_eq!(live(), live_at_load);
+        let growth = disk.num_pages() - pages_after_first;
         assert!(
             growth <= temporaries,
             "scratch file grew {growth} pages over 8 warm queries; one query's temporaries are {temporaries}"
@@ -1343,14 +1367,22 @@ mod tests {
         assert_eq!(other.stats().artifact_bytes, 0);
     }
 
-    /// Flip `mask` into the byte at `at` of the artifact of `model` on the
-    /// session's scratch file.
-    fn flip_artifact_byte(session: &InferenceSession, model: &str, at: u64, mask: u8) {
+    /// The pages layer `layer` of `model` stores its weight relation on.
+    fn relation_pages(session: &InferenceSession, model: &str, layer: usize) -> Vec<PageId> {
+        let models = session.models.lock();
+        let (_, blocks) = models[model]
+            .artifact
+            .weight_relations()
+            .find(|(l, _)| *l == layer)
+            .expect("a dense layer's relation is stored");
+        blocks.page_ids().collect()
+    }
+
+    /// Flip `mask` into the byte at `at` of page `page` of the session's
+    /// scratch file.
+    fn flip_byte(session: &InferenceSession, page: PageId, at: u64, mask: u8) {
         use std::os::unix::fs::FileExt;
-        let pages = session.catalog.get(model).unwrap().pages;
-        let page = pages[(at / relserve_storage::PAGE_SIZE as u64) as usize];
-        let offset =
-            page.0 * relserve_storage::PAGE_SIZE as u64 + at % relserve_storage::PAGE_SIZE as u64;
+        let offset = page.0 * relserve_storage::PAGE_SIZE as u64 + at;
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -1361,15 +1393,22 @@ mod tests {
         file.write_all_at(&[byte[0] ^ mask], offset).unwrap();
     }
 
+    fn is_checksum(e: &Error) -> bool {
+        matches!(e, Error::Storage(relserve_storage::Error::Checksum { .. }))
+    }
+
     #[test]
     fn a_corrupt_artifact_page_is_a_checksum_error_never_a_wrong_weight() {
         let batch = Tensor::from_fn([6, 28], |i| (i % 5) as f32 * 0.2 - 0.4);
+        let oracle = zoo::fraud_fc_256(&mut seeded_rng(140))
+            .unwrap()
+            .predict(&batch, &relserve_tensor::parallel::Parallelism::serial())
+            .unwrap();
         for arch in [Architecture::UdfCentric, Architecture::RelationCentric] {
             let session = fraud_session(0);
             // A byte inside layer 0's weight payload.
-            flip_artifact_byte(&session, "Fraud-FC-256", 2000, 0x40);
-            let is_checksum =
-                |e: &Error| matches!(e, Error::Storage(relserve_storage::Error::Checksum { .. }));
+            let page = relation_pages(&session, "Fraud-FC-256", 0)[0];
+            flip_byte(&session, page, 2000, 0x40);
             let err = session
                 .infer_batch("Fraud-FC-256", &batch, arch.clone())
                 .unwrap_err();
@@ -1379,21 +1418,43 @@ mod tests {
                 .unwrap_err();
             assert!(is_checksum(&err), "{err}");
             // Nothing was built from the bad page: restored, the next query
-            // builds from the good one and answers as the model does.
-            flip_artifact_byte(&session, "Fraud-FC-256", 2000, 0x40);
+            // reads the good one and answers as the model does.
+            flip_byte(&session, page, 2000, 0x40);
             let stats = session.stats();
             assert_eq!(
                 stats.prepared_weight_builds + stats.weight_relation_builds,
                 0
             );
-            let oracle = zoo::fraud_fc_256(&mut seeded_rng(140)).unwrap();
-            let par = relserve_tensor::parallel::Parallelism::serial();
             let served = session.infer_batch("Fraud-FC-256", &batch, arch).unwrap();
-            assert_eq!(
-                served.predictions().unwrap(),
-                oracle.predict(&batch, &par).unwrap()
-            );
+            assert_eq!(served.predictions().unwrap(), oracle);
         }
+
+        // A weight relation larger than the pool, which warm queries read
+        // back from the scratch file: a page that changed there since is a
+        // checksum error on the miss that reads it.
+        let mut config = tiny_config();
+        config.buffer_pool_bytes = 8 * relserve_storage::PAGE_SIZE;
+        let session = InferenceSession::open(config).unwrap();
+        session
+            .load_model(zoo::fraud_fc_256(&mut seeded_rng(140)).unwrap())
+            .unwrap();
+        let pages = [0, 1].map(|layer| relation_pages(&session, "Fraud-FC-256", layer));
+        let pages = pages.concat();
+        assert!(pages.len() > session.pool().capacity());
+        let query = || session.infer_batch("Fraud-FC-256", &batch, Architecture::RelationCentric);
+        for _ in 0..2 {
+            assert_eq!(query().unwrap().predictions().unwrap(), oracle);
+        }
+        let spilled = *pages
+            .iter()
+            .find(|id| session.pool().resident_among([**id]) == 0)
+            .expect("a relation larger than the pool is partly on disk");
+        flip_byte(&session, spilled, 100, 0x40);
+        let err = query().unwrap_err();
+        assert!(is_checksum(&err), "{err}");
+        flip_byte(&session, spilled, 100, 0x40);
+        assert_eq!(query().unwrap().predictions().unwrap(), oracle);
+        assert_eq!(session.stats().weight_relation_builds, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use relserve_core::exec::{hybrid, pipelined, relation_centric, udf_centric};
 use relserve_core::{Architecture, InferenceSession, RuleBasedOptimizer, SessionConfig};
 use relserve_nn::init::seeded_rng;
 use relserve_nn::quant::quantize_int8;
-use relserve_nn::{Activation, Layer, Model};
+use relserve_nn::{serialize, Activation, Layer, Model};
 use relserve_runtime::{ExecContext, MemoryGovernor};
 use relserve_storage::{BufferPool, DiskManager};
 use relserve_tensor::Tensor;
@@ -66,11 +66,7 @@ fn cached_relation_model(
 /// A session on which `architecture` runs every layer relation-centric:
 /// directly, through the optimizer (a 1-byte operator threshold), or down
 /// the degradation ladder (a database budget no dense layer fits in).
-fn relational_session(
-    path: usize,
-    block: usize,
-    model: &Model,
-) -> (InferenceSession, Architecture) {
+fn open_relational(path: usize, block: usize) -> (InferenceSession, Architecture) {
     let config = SessionConfig::builder()
         .buffer_pool_bytes(2 << 20)
         .block_size(block)
@@ -78,12 +74,22 @@ fn relational_session(
         .memory_threshold_bytes(if path == 1 { 1 } else { 1 << 30 })
         .db_memory_bytes(if path == 2 { 16 } else { 64 << 20 });
     let session = InferenceSession::open(config.build().unwrap()).unwrap();
-    session.load_model(model.clone()).unwrap();
     let architecture = match path {
         0 => Architecture::RelationCentric,
         1 => Architecture::Adaptive,
         _ => Architecture::UdfCentric,
     };
+    (session, architecture)
+}
+
+/// [`open_relational`], with `model` loaded.
+fn relational_session(
+    path: usize,
+    block: usize,
+    model: &Model,
+) -> (InferenceSession, Architecture) {
+    let (session, architecture) = open_relational(path, block);
+    session.load_model(model.clone()).unwrap();
     (session, architecture)
 }
 
@@ -119,18 +125,76 @@ proptest! {
             };
             let built = query(&session, &first);
             let layers = model.layers().len() as u64;
-            prop_assert_eq!(session.stats().weight_relation_builds, layers);
-            prop_assert_eq!(session.stats().weight_relation_reuses, 0);
+            // A dense layer's relation is stored at load; a convolution's
+            // kernel relation is built by the first query.
+            let stored = if kind == 2 { 0 } else { layers };
+            prop_assert_eq!(session.stats().weight_relation_builds, layers - stored);
+            prop_assert_eq!(session.stats().weight_relation_reuses, stored);
             let other_batch = query(&session, &second);
             let again = query(&session, &first);
-            prop_assert_eq!(session.stats().weight_relation_builds, layers);
-            prop_assert_eq!(session.stats().weight_relation_reuses, 2 * layers);
+            prop_assert_eq!(session.stats().weight_relation_builds, layers - stored);
+            prop_assert_eq!(session.stats().weight_relation_reuses, 2 * layers + stored);
             prop_assert!(built.data() == again.data(), "kind {kind} path {path}: cached != first");
             let (fresh, _) = relational_session(path, block, &model);
             prop_assert!(
                 other_batch.data() == query(&fresh, &second).data(),
                 "kind {kind} path {path}: cached != fresh session"
             );
+        }
+    }
+
+    /// A loaded model's dense weights are stored once, as the blocks of
+    /// their weight relations: every relation-centric route joins against
+    /// those pages — whether the model came in through `load_model` or
+    /// streamed in through `load_model_from` — builds no relation, and
+    /// computes exactly what relations chunked from the model in memory do.
+    /// Exported, the session's model is the original's bytes.
+    #[test]
+    fn stored_weight_relations_join_as_relations_built_in_memory(
+        width in 1usize..14,
+        hidden in 1usize..14,
+        rows in 1usize..12,
+        block in 1usize..9,
+        seed in 0u64..1000,
+    ) {
+        for (kind, path, streamed) in (0..2)
+            .flat_map(|kind| (0..3).map(move |path| (kind, path)))
+            .flat_map(|(kind, path)| [false, true].map(|streamed| (kind, path, streamed)))
+        {
+            let case = format!("int8 {} path {path} streamed {streamed}", kind == 1);
+            let (model, _) = cached_relation_model(kind, width, hidden, seed);
+            let x = Tensor::from_fn([rows, width], |i| {
+                (((i as u64 * 17 + seed) % 23) as f32 - 11.0) * 0.09
+            });
+            let (session, architecture) = open_relational(path, block);
+            if streamed {
+                let mut artifact = serialize::to_bytes(&model).unwrap();
+                if kind == 0 {
+                    // A version-1 artifact: one without quantized layers.
+                    artifact[4..8].copy_from_slice(&1u32.to_le_bytes());
+                }
+                session.load_model_from(&artifact[..]).unwrap();
+            } else {
+                session.load_model(model.clone()).unwrap();
+            }
+            let outcome = session.infer_batch(model.name(), &x, architecture).unwrap();
+            prop_assert!(outcome.degraded_to.is_some() == (path == 2), "{}", case);
+            let stored = outcome.output.into_dense().unwrap();
+            let in_memory = weights(64, block);
+            let built = if path == 1 {
+                let plan = RuleBasedOptimizer::new(1).plan(&model, rows).unwrap();
+                hybrid::run(&model, &x, &plan, &in_memory, &ctx(2)).unwrap().0
+            } else {
+                relation_centric::run(&model, &x, &in_memory, &ctx(2)).unwrap().0
+            };
+            prop_assert!(stored.data() == built.into_dense().unwrap().data(), "{}", case);
+            let layers = model.layers().len() as u64;
+            prop_assert_eq!(in_memory.builds(), layers);
+            let stats = session.stats();
+            let relations = (stats.weight_relation_builds, stats.weight_relation_reuses);
+            prop_assert!(relations == (0, layers), "{}: {:?}", case, relations);
+            let exported = serialize::to_bytes(&session.model(model.name()).unwrap()).unwrap();
+            prop_assert!(exported == serialize::to_bytes(&model).unwrap(), "{}", case);
         }
     }
 

@@ -1,7 +1,9 @@
 //! Serving a model larger than the heap allows: Amazon-14k-FC/512, whose
 //! first layer's weights (4.6 MiB) exceed both the buffer pool and the heap
 //! the session may use, is loaded through `load_model_from` from a file
-//! `serialize` wrote, and served relation-centric from its artifact pages.
+//! `serialize` wrote — its weight matrices stored as the blocks of their
+//! weight relations as they stream in — and served relation-centric from
+//! those pages.
 //! A counting allocator holds the session to a live-heap high-water mark
 //! below that layer's bytes above what was live before it opened: no copy
 //! of the matrix — raw, serialized or packed — is ever whole on the heap.
@@ -9,7 +11,7 @@
 //! The same model in memory holds each weight in one form: after its first
 //! forward, the packed panels that replaced the raw matrix; a clone copies
 //! none of it; and a session it is loaded into — encoding its artifact,
-//! chunking its first layer into a weight relation, serving queries — never
+//! storing its first layer as a weight relation, serving queries — never
 //! makes a second copy. That is also what shows no library path reads a
 //! weight through the copy its `Deref` would make.
 //!
@@ -116,7 +118,7 @@ fn a_first_layer_larger_than_the_heap_cap_is_served_from_its_pages() {
     let plan = session.plan(&name, 16).unwrap();
     assert!(
         plan.explain()
-            .contains("[weight relation] <- artifact pages"),
+            .contains("[weight relation] <- catalog pages"),
         "{}",
         plan.explain()
     );
@@ -132,7 +134,11 @@ fn a_first_layer_larger_than_the_heap_cap_is_served_from_its_pages() {
     assert_eq!(served.predictions().unwrap(), oracle);
     assert_eq!(again.predictions().unwrap(), oracle);
     let stats = session.stats();
-    assert_eq!(stats.weight_relation_builds, 1, "layer 0 ran as a relation");
+    assert_eq!(
+        stats.weight_relation_builds, 0,
+        "layer 0 joins its stored relation"
+    );
+    assert_eq!(stats.weight_relation_reuses, 2);
     assert!(stats.artifact_bytes >= first_layer as u64);
     assert!(
         high_water < first_layer,
@@ -171,8 +177,8 @@ fn an_in_memory_model_holds_one_form_of_each_weight() {
     assert!(cloned < 64 * KIB, "a clone allocated {cloned} B");
 
     // A session serves the clone from the shared cells: its artifact is
-    // encoded out of the panels onto pages, its first layer is chunked out
-    // of them into a weight relation a group of rows at a time, and no
+    // encoded out of the panels onto pages — its first layer stored as the
+    // blocks of its weight relation a group of rows at a time — and no
     // query makes a copy of the matrix.
     let session = InferenceSession::open(config()).unwrap();
     session.load_model(clone).unwrap();
@@ -184,7 +190,11 @@ fn an_in_memory_model_holds_one_form_of_each_weight() {
     }
     let high_water = PEAK.load(Ordering::Relaxed) - baseline;
     let stats = session.stats();
-    assert_eq!(stats.weight_relation_builds, 1, "layer 0 ran as a relation");
+    assert_eq!(
+        stats.weight_relation_builds, 0,
+        "layer 0 joins its stored relation"
+    );
+    assert_eq!(stats.weight_relation_reuses, 8);
     assert_eq!(stats.prepared_weight_builds, 2, "the oracle's panels serve");
     assert!(
         high_water < first_layer,

@@ -194,12 +194,15 @@ fn a_layer_that_only_runs_relation_centric_is_never_prepared() {
         assert!(outcome.rel_stats.joins > 0);
     }
     let stats = session.stats();
-    assert_eq!(stats.weight_relation_builds, 1);
+    assert_eq!(
+        stats.weight_relation_reuses, 3,
+        "layer 0 joins its stored relation"
+    );
     assert_eq!(stats.prepared_weight_builds, 1, "layer 1 alone runs dense");
     // Every layer relation-centric: nothing more is packed.
     session
         .infer_batch(model.name(), &x, Architecture::RelationCentric)
         .unwrap();
     assert_eq!(session.stats().prepared_weight_builds, 1);
-    assert_eq!(session.stats().weight_relation_builds, 2);
+    assert_eq!(session.stats().weight_relation_builds, 0);
 }

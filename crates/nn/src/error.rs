@@ -67,3 +67,15 @@ impl From<relserve_storage::Error> for Error {
         Error::Storage(e)
     }
 }
+
+/// A stored weight matrix is read and written through its weight relation:
+/// a page that fails its checksum stays the storage error it is.
+impl From<relserve_relational::Error> for Error {
+    fn from(e: relserve_relational::Error) -> Self {
+        match e {
+            relserve_relational::Error::Storage(e) => Error::Storage(e),
+            relserve_relational::Error::Tensor(e) => Error::Tensor(e),
+            other => Error::Serde(format!("stored weight matrix: {other}")),
+        }
+    }
+}

@@ -89,8 +89,9 @@ pub enum Layer {
     Flatten,
     /// A [`Layer::Dense`] or [`Layer::QuantDense`] whose weight matrix is
     /// not in memory: it stays on the pages of the artifact the model was
-    /// loaded from ([`crate::serialize::store`]), and the layer's packed
-    /// form — or a session's weight relation — is built from there.
+    /// loaded from ([`crate::serialize::store`]), stored as the blocks of
+    /// its weight relation, which a session joins against and the layer's
+    /// packed form is built from.
     Stored {
         /// The weight matrix, logically `[out_features, in_features]`, on
         /// its artifact's pages until packed.

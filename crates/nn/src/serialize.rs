@@ -16,7 +16,9 @@
 //! read — a dense weight matrix a group of rows at a time, out of whichever
 //! form holds it ([`crate::weight`]) — and the decoders read any [`Read`].
 //! [`store`] decodes into a model whose dense weight matrices stay where it
-//! writes the artifact, on pages — how a session loads a model.
+//! writes them, on pages — how a session loads a model. It stores each one
+//! once, as the blocks of its weight relation ([`WeightBlocks`]), and every
+//! other byte of the artifact as a stream beside them ([`Artifact`]).
 //!
 //! Decoding treats its input as untrusted: every read is length-checked and
 //! every size derived from a length field is computed with overflow checks,
@@ -30,8 +32,9 @@ use crate::error::{Error, Result};
 use crate::layer::{Activation, Layer};
 use crate::model::Model;
 use crate::weight::{io_error, Precision, Weight, WeightReader};
-use relserve_storage::{ArtifactPages, ArtifactWriter};
-use relserve_tensor::{Conv2dSpec, QuantizedTensor, Shape, Tensor, ELEM_BYTES};
+use relserve_relational::{WeightBlocks, WeightBlocksWriter};
+use relserve_storage::{ArtifactPages, ArtifactReader, ArtifactWriter, PageId};
+use relserve_tensor::{BlockingSpec, Conv2dSpec, QuantizedTensor, Shape, Tensor, ELEM_BYTES};
 use std::io::{self, Read};
 use std::sync::Arc;
 
@@ -299,13 +302,22 @@ fn read_error(e: io::Error, what: &str) -> Error {
     }
 }
 
+/// A dense layer's weight matrix in an [`Artifact`]: the layer's index, the
+/// offset in the stream its payload goes in front of, and the matrix, stored
+/// as the blocks of its weight relation.
+type StoredWeight = (usize, u64, Weight);
+
 /// Where a decoder puts dense weight matrices.
 enum Sink<'s> {
     /// Into the model, as tensors.
     Memory,
-    /// Onto pages: every byte read is appended to the artifact, and a dense
-    /// weight matrix is left there, a [`Layer::Stored`]'s [`Weight`].
-    Pages(&'s mut ArtifactWriter),
+    /// Onto pages: every other byte read is appended to the artifact's
+    /// stream, and each dense weight matrix is written as the blocks of its
+    /// weight relation beside it, a [`Layer::Stored`]'s [`Weight`].
+    Pages {
+        artifact: &'s mut ArtifactWriter,
+        weights: Vec<StoredWeight>,
+    },
 }
 
 struct Decoder<'s, R> {
@@ -324,16 +336,23 @@ impl<R: Read> Decoder<'_, R> {
         }
     }
 
+    /// Read `buf` from the input and append it to the artifact's stream.
     fn fill(&mut self, buf: &mut [u8], what: &str) -> Result<()> {
+        self.take(buf, what)?;
+        if let Sink::Pages { artifact, .. } = &mut self.sink {
+            artifact.write(buf)?;
+        }
+        Ok(())
+    }
+
+    /// Read `buf` from the input.
+    fn take(&mut self, buf: &mut [u8], what: &str) -> Result<()> {
         self.check(buf.len(), what)?;
         self.input
             .read_exact(buf)
             .map_err(|e| read_error(e, what))?;
         if let Some(left) = &mut self.remaining {
             *left -= buf.len() as u64;
-        }
-        if let Sink::Pages(artifact) = &mut self.sink {
-            artifact.write(buf)?;
         }
         Ok(())
     }
@@ -353,12 +372,14 @@ impl<R: Read> Decoder<'_, R> {
     }
 
     /// Read `n` values of `size` bytes each, handing them to `visit` a
-    /// chunk of whole values at a time.
+    /// chunk of whole values at a time; `stream` says whether they are
+    /// appended to the artifact's stream too.
     fn chunks(
         &mut self,
         n: usize,
         size: usize,
         what: &str,
+        stream: bool,
         mut visit: impl FnMut(&[u8]) -> Result<()>,
     ) -> Result<()> {
         let len = n
@@ -370,7 +391,11 @@ impl<R: Read> Decoder<'_, R> {
         while left > 0 {
             let take = left.min(CHUNK / size);
             let bytes = &mut chunk[..take * size];
-            self.fill(bytes, what)?;
+            if stream {
+                self.fill(bytes, what)?;
+            } else {
+                self.take(bytes, what)?;
+            }
             visit(bytes)?;
             left -= take;
         }
@@ -386,21 +411,36 @@ impl<R: Read> Decoder<'_, R> {
         decode: impl Fn(&[u8]) -> T,
     ) -> Result<Vec<T>> {
         let mut out = Vec::new();
+        self.values_into(&mut out, n, size, what, true, decode)?;
+        Ok(out)
+    }
+
+    /// Append `n` values of `size` bytes each, decoded by `decode`, to
+    /// `out`; `stream` as for [`Decoder::chunks`].
+    fn values_into<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        n: usize,
+        size: usize,
+        what: &str,
+        stream: bool,
+        decode: impl Fn(&[u8]) -> T,
+    ) -> Result<()> {
+        let end = out.len().saturating_add(n);
         if self.remaining.is_some() {
             // Checked against the input before anything is allocated.
             self.check(n.saturating_mul(size), what)?;
             out.reserve_exact(n);
         }
-        self.chunks(n, size, what, |bytes| {
+        self.chunks(n, size, what, stream, |bytes| {
             let take = bytes.len() / size;
-            if out.len() == out.capacity() {
+            if out.len() + take > out.capacity() {
                 // A stream of unknown length: grow with what has arrived.
-                out.reserve_exact(out.len().max(take).min(n - out.len()));
+                out.reserve_exact(out.len().max(take).min(end - out.len()));
             }
             out.extend(bytes.chunks_exact(size).map(&decode));
             Ok(())
-        })?;
-        Ok(out)
+        })
     }
 
     fn f32s(&mut self, n: usize, what: &str) -> Result<Vec<f32>> {
@@ -445,45 +485,82 @@ impl<R: Read> Decoder<'_, R> {
         Ok(Tensor::from_vec(shape, data)?)
     }
 
-    /// The next `shape` weight payload of `precision`, left on the pages —
-    /// or `None` when decoding into memory, for the caller to read.
+    /// The next `shape` weight payload of `precision`, written as the
+    /// blocks of its weight relation beside the artifact's stream as it
+    /// arrives, a group of rows at a time — or `None` when decoding into
+    /// memory, for the caller to read. `layer` is the layer's index.
     fn stored(
         &mut self,
+        layer: usize,
         (rows, cols): (usize, usize),
         precision: Precision,
         what: &str,
     ) -> Result<Option<Weight>> {
-        let Sink::Pages(artifact) = &self.sink else {
+        let Sink::Pages { artifact, .. } = &self.sink else {
             return Ok(None);
         };
-        let (pages, offset) = (artifact.artifact().clone(), artifact.position());
-        let levels = rows
-            .checked_mul(cols)
-            .ok_or_else(|| Error::Serde(format!("{what} {rows}x{cols} overflows")))?;
-        match precision {
-            Precision::F32 => self.chunks(levels, ELEM_BYTES, what, |_| Ok(()))?,
+        let (at, spec) = (
+            artifact.position(),
+            BlockingSpec::square(artifact.block_side()),
+        );
+        let overflow = || Error::Serde(format!("{what} {rows}x{cols} overflows"));
+        let levels = rows.checked_mul(cols).ok_or_else(overflow)?;
+        let bytes = match precision {
+            Precision::F32 => levels.checked_mul(ELEM_BYTES),
+            Precision::Int8 => levels.checked_add(rows * ELEM_BYTES),
+        };
+        self.check(bytes.ok_or_else(overflow)?, what)?;
+        let blocks = match precision {
+            Precision::F32 => {
+                let mut writer = WeightBlocksWriter::f32((rows, cols), spec)?;
+                let mut group = Vec::new();
+                while let g @ 1.. = writer.next_group() {
+                    group.clear();
+                    self.values_into(&mut group, g * cols, ELEM_BYTES, what, false, |b| {
+                        f32::from_le_bytes([b[0], b[1], b[2], b[3]])
+                    })?;
+                    writer.push_f32(&group, self.artifact())?;
+                }
+                writer.finish(self.artifact())?
+            }
             Precision::Int8 => {
+                let mut scales = Vec::new();
+                self.values_into(&mut scales, rows, ELEM_BYTES, what, false, |b| {
+                    f32::from_le_bytes([b[0], b[1], b[2], b[3]])
+                })?;
                 // Checked here, as `QuantizedTensor::from_parts` checks a
                 // weight decoded into memory.
-                self.chunks(rows, ELEM_BYTES, what, |scales| {
-                    let bad = scales.chunks_exact(ELEM_BYTES).any(|b| {
-                        let s = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-                        !s.is_finite() || s <= 0.0
-                    });
-                    if bad {
-                        return Err(Error::Serde(format!(
-                            "{what}: scales must be finite and positive"
-                        )));
-                    }
-                    Ok(())
-                })?;
-                self.chunks(levels, 1, what, |_| Ok(()))?;
+                if scales.iter().any(|s| !s.is_finite() || *s <= 0.0) {
+                    return Err(Error::Serde(format!(
+                        "{what}: scales must be finite and positive"
+                    )));
+                }
+                let mut writer = WeightBlocksWriter::int8(scales, cols, spec);
+                let mut group = Vec::new();
+                while let g @ 1.. = writer.next_group() {
+                    group.clear();
+                    self.values_into(&mut group, g * cols, 1, what, false, |b| b[0] as i8)?;
+                    writer.push_i8(&group, self.artifact())?;
+                }
+                writer.finish(self.artifact())?
             }
+        };
+        let weight = Weight::stored(Arc::new(blocks));
+        if let Sink::Pages { weights, .. } = &mut self.sink {
+            weights.push((layer, at, weight.clone()));
         }
-        Ok(Some(Weight::stored(pages, offset, (rows, cols), precision)))
+        Ok(Some(weight))
     }
 
-    fn layer(&mut self) -> Result<Layer> {
+    /// The artifact a decoder into pages writes.
+    fn artifact(&mut self) -> &mut ArtifactWriter {
+        match &mut self.sink {
+            Sink::Pages { artifact, .. } => artifact,
+            Sink::Memory => unreachable!("only a decoder into pages stores weights"),
+        }
+    }
+
+    fn layer(&mut self, index: usize) -> Result<Layer> {
         Ok(match self.u8("layer tag")? {
             TAG_DENSE => {
                 let activation = activation_from(self.u8("dense activation")?)?;
@@ -493,7 +570,7 @@ impl<R: Read> Decoder<'_, R> {
                         "dense weight must be a matrix, got {shape}"
                     )));
                 };
-                match self.stored((rows, cols), Precision::F32, "dense weight")? {
+                match self.stored(index, (rows, cols), Precision::F32, "dense weight")? {
                     Some(weight) => Layer::Stored {
                         weight,
                         bias: self.tensor("dense bias")?,
@@ -534,7 +611,7 @@ impl<R: Read> Decoder<'_, R> {
                 let activation = activation_from(self.u8("quantized activation")?)?;
                 let rows = self.u32("quantized dims")? as usize;
                 let cols = self.u32("quantized dims")? as usize;
-                match self.stored((rows, cols), Precision::Int8, "quantized weight")? {
+                match self.stored(index, (rows, cols), Precision::Int8, "quantized weight")? {
                     Some(weight) => Layer::Stored {
                         weight,
                         bias: self.tensor("quantized bias")?,
@@ -561,7 +638,7 @@ impl<R: Read> Decoder<'_, R> {
         })
     }
 
-    fn model(mut self) -> Result<Model> {
+    fn model(&mut self) -> Result<Model> {
         if &self.array::<4>("header")? != MAGIC {
             return Err(Error::Serde("bad magic".into()));
         }
@@ -573,8 +650,8 @@ impl<R: Read> Decoder<'_, R> {
         let input_shape = self.shape("input shape")?;
         let count = self.u32("layer count")?;
         let mut layers = Vec::new();
-        for _ in 0..count {
-            layers.push(self.layer()?);
+        for index in 0..count as usize {
+            layers.push(self.layer(index)?);
         }
         let trailing = match self.remaining {
             Some(left) => left > 0,
@@ -615,22 +692,128 @@ pub fn from_reader(reader: impl Read) -> Result<Model> {
 
 /// Deserialize the model an artifact on pages holds, every weight back in
 /// memory (a reload, not a load), verifying every page on the way.
-pub fn from_artifact(artifact: &ArtifactPages) -> Result<Model> {
+pub fn from_artifact(artifact: &Artifact) -> Result<Model> {
     Decoder {
-        input: artifact.reader(0)?,
+        input: artifact.reader()?,
         remaining: Some(artifact.len()),
         sink: Sink::Memory,
     }
     .model()
 }
 
+/// A model's artifact as [`store`] keeps it, on pages: each dense weight
+/// matrix stored once, as the blocks of its weight relation (the session's
+/// block side, the dispatched kernel's panel layout), and every other byte
+/// of the artifact as a stream beside them. Read back, the stream and the
+/// matrices splice into the artifact's bytes. Dropping it, and every model
+/// whose weights are its blocks, gives the pages back.
+pub struct Artifact {
+    pages: Arc<ArtifactPages>,
+    /// In stream order.
+    weights: Vec<StoredWeight>,
+}
+
+impl Artifact {
+    /// Bytes of the artifact it holds.
+    pub fn len(&self) -> u64 {
+        let payloads: usize = self.weights.iter().map(|(_, _, w)| w.storage_bytes()).sum();
+        self.pages.len() + payloads as u64
+    }
+
+    /// Whether it holds no bytes (it never does: an artifact has a header).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every page it occupies: the stream's, then the weight blocks'.
+    pub fn page_ids(&self) -> Vec<PageId> {
+        self.pages.page_ids()
+    }
+
+    /// Bytes its pages take on the scratch file.
+    pub fn bytes_on_disk(&self) -> u64 {
+        self.pages.bytes_on_disk()
+    }
+
+    /// Each dense layer's index and its weight matrix's stored blocks.
+    pub fn weight_relations(&self) -> impl Iterator<Item = (usize, &Arc<WeightBlocks>)> {
+        self.weights
+            .iter()
+            .filter_map(|(layer, _, weight)| Some((*layer, weight.stored_blocks()?)))
+    }
+
+    /// The artifact's bytes, every page verified.
+    fn reader(&self) -> Result<Spliced<'_>> {
+        Ok(Spliced {
+            stream: self.pages.reader(0)?,
+            at: 0,
+            weights: self.weights.iter(),
+            payload: None,
+        })
+    }
+}
+
+impl std::fmt::Debug for Artifact {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Artifact")
+            .field("len", &self.len())
+            .field("weights", &self.weights.len())
+            .finish()
+    }
+}
+
+/// An [`Artifact`]'s bytes: the stream, with each weight matrix's payload
+/// read out of its blocks at its offset.
+struct Spliced<'a> {
+    stream: ArtifactReader<'a>,
+    /// Stream bytes read so far.
+    at: u64,
+    /// The weights still to come.
+    weights: std::slice::Iter<'a, StoredWeight>,
+    /// The payload being read, and its bytes not yet read.
+    payload: Option<(WeightReader<'a>, usize)>,
+}
+
+impl Read for Spliced<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if let Some((payload, left)) = &mut self.payload {
+                if *left > 0 {
+                    let n = out.len().min(*left);
+                    payload.read_exact(&mut out[..n])?;
+                    *left -= n;
+                    return Ok(n);
+                }
+                self.payload = None;
+            }
+            let next = self.weights.as_slice().first();
+            if let Some((_, at, weight)) = next {
+                if *at == self.at {
+                    self.payload = Some((weight.stored_reader(), weight.storage_bytes()));
+                    self.weights.next();
+                    continue;
+                }
+            }
+            let until = next.map_or(self.at + self.stream.remaining(), |(_, at, _)| *at);
+            let n = out.len().min((until - self.at) as usize);
+            self.stream
+                .read_exact(&mut out[..n])
+                .map_err(io::Error::other)?;
+            self.at += n as u64;
+            return Ok(n);
+        }
+    }
+}
+
 /// Decode the artifact `reader` streams into a model whose dense weight
-/// matrices stay on pages: every byte is appended to `sink` as it is read,
-/// and each [`Layer::Dense`] or [`Layer::QuantDense`] becomes a
-/// [`Layer::Stored`] pointing at its weight's payload there. Nothing holds a
-/// whole weight matrix, or the whole artifact, in memory. Returns the model
-/// and the finished artifact; on an error the pages written are given back.
-pub fn store(reader: impl Read, sink: ArtifactWriter) -> Result<(Model, Arc<ArtifactPages>)> {
+/// matrices stay on pages of `sink`: each [`Layer::Dense`] or
+/// [`Layer::QuantDense`] becomes a [`Layer::Stored`] whose matrix is written,
+/// a group of rows at a time as it arrives, as the blocks of its weight
+/// relation in `sink`'s block side ([`ArtifactWriter::weight_block`]); every
+/// other byte is appended to `sink`'s stream. Nothing holds a whole weight
+/// matrix, or the whole artifact, in memory. Returns the model and the
+/// finished artifact; on an error the pages written are given back.
+pub fn store(reader: impl Read, sink: ArtifactWriter) -> Result<(Model, Artifact)> {
     store_from(reader, None, sink)
 }
 
@@ -639,8 +822,9 @@ pub fn store(reader: impl Read, sink: ArtifactWriter) -> Result<(Model, Arc<Arti
 /// whose weight a clone of `model` still shares stays that layer — one cell
 /// serves both, and whichever of the two packs it packs it for both — and
 /// every other dense layer's weight is left on the pages, `model`'s own
-/// form of it dropped with `model`.
-pub fn store_model(model: Model, sink: ArtifactWriter) -> Result<(Model, Arc<ArtifactPages>)> {
+/// form of it dropped with `model`. Either way the artifact stores every
+/// dense weight matrix as its weight relation's blocks.
+pub fn store_model(model: Model, sink: ArtifactWriter) -> Result<(Model, Artifact)> {
     let encoder = encode(&model);
     let len = encoder.len() as u64;
     let (stored, artifact) = store_from(encoder, Some(len), sink)?;
@@ -651,14 +835,21 @@ fn store_from(
     reader: impl Read,
     remaining: Option<u64>,
     mut sink: ArtifactWriter,
-) -> Result<(Model, Arc<ArtifactPages>)> {
-    let model = Decoder {
+) -> Result<(Model, Artifact)> {
+    let mut decoder = Decoder {
         input: reader,
         remaining,
-        sink: Sink::Pages(&mut sink),
-    }
-    .model()?;
-    Ok((model, sink.finish()?))
+        sink: Sink::Pages {
+            artifact: &mut sink,
+            weights: Vec::new(),
+        },
+    };
+    let model = decoder.model()?;
+    let Sink::Pages { weights, .. } = decoder.sink else {
+        unreachable!("decoded into pages")
+    };
+    let pages = sink.finish()?;
+    Ok((model, Artifact { pages, weights }))
 }
 
 #[cfg(test)]

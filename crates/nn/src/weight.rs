@@ -4,9 +4,10 @@
 //! its raw values in memory (a [`Tensor`], or a [`QuantizedTensor`]), the
 //! packed panels or quads the dispatched kernel multiplies from (built on
 //! the layer's first dense run), and — for a model loaded into a session —
-//! the pages of its artifact ([`crate::serialize::store`]), which are on the
-//! scratch file, not resident. A [`Weight`] is one cell, shared by clones,
-//! holding whichever of them exists:
+//! the blocks of its weight relation on the artifact's pages
+//! ([`crate::serialize::store`]), which are on the scratch file, not
+//! resident. A [`Weight`] is one cell, shared by clones, holding whichever
+//! of them exists:
 //!
 //! * **Packing replaces the raw matrix.** The packed form is an exact
 //!   re-layout of it, so once the panels exist the raw values are dropped.
@@ -29,7 +30,7 @@
 //! they need without a copy.
 
 use crate::error::{Error, Result};
-use relserve_storage::{ArtifactPages, ArtifactReader};
+use relserve_relational::{BlockRows, WeightBlocks};
 use relserve_tensor::matmul::{self, PackedB};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantEpilogue};
@@ -116,7 +117,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The shared state of a [`Weight`]. At least one of `raw`, `packed` and
-/// `pages` holds the matrix.
+/// `stored` holds the matrix.
 struct Cell {
     /// The shape the matrix was made with: `[rows, cols]`, unless a tensor
     /// of another rank became a dense weight.
@@ -127,9 +128,9 @@ struct Cell {
     /// The raw values, until packing replaces them. Held while the packed
     /// form is built, so that racing first runs pack once.
     raw: Mutex<Option<Raw>>,
-    /// The artifact and offset of a stored matrix: where it is read from
-    /// for good (the pages are not resident).
-    pages: Option<(Arc<ArtifactPages>, u64)>,
+    /// The blocks of a stored matrix's weight relation: where it is read
+    /// from for good (the pages are not resident).
+    stored: Option<Arc<WeightBlocks>>,
     /// The packed form, once built; shared with cells detached from this one.
     packed: OnceLock<Arc<PreparedWeights>>,
     /// The copy `Deref` handed out.
@@ -143,7 +144,7 @@ impl Cell {
     fn with(
         &self,
         raw: Option<Raw>,
-        pages: Option<(Arc<ArtifactPages>, u64)>,
+        stored: Option<Arc<WeightBlocks>>,
         packed: Option<Arc<PreparedWeights>>,
     ) -> Cell {
         Cell {
@@ -152,7 +153,7 @@ impl Cell {
             cols: self.cols,
             precision: self.precision,
             raw: Mutex::new(raw),
-            pages,
+            stored,
             packed: packed.map_or_else(OnceLock::new, OnceLock::from),
             pinned: OnceLock::new(),
             builds: AtomicUsize::new(self.builds.load(Ordering::Relaxed)),
@@ -181,16 +182,17 @@ impl Cell {
         match (self.raw(), self.packed.get()) {
             (Some(raw), _) => Ok(self.reader_over(Form::Raw(raw))),
             (None, Some(packed)) => Ok(self.reader_over(Form::Packed(packed))),
-            (None, None) => self.pages_reader(),
+            (None, None) => Ok(self.stored_reader()),
         }
     }
 
-    fn pages_reader(&self) -> Result<WeightReader<'_>> {
-        let (artifact, offset) = self
-            .pages
-            .as_ref()
+    /// A reader of a stored matrix's pages.
+    fn stored_reader(&self) -> WeightReader<'_> {
+        let blocks = self
+            .stored
+            .as_deref()
             .expect("a weight is raw, packed or stored");
-        Ok(self.reader_over(Form::Pages(artifact.reader(*offset)?)))
+        self.reader_over(Form::Stored(blocks, blocks.reader()))
     }
 
     fn expect(&self, precision: Precision) -> Result<()> {
@@ -230,19 +232,26 @@ impl Cell {
     }
 
     /// The packed form, built on first use from the raw values (which it
-    /// then replaces) or the pages.
+    /// then replaces) or the stored blocks — f32 panels copied from the
+    /// block panels when they line up.
     fn packed(&self) -> Result<&PreparedWeights> {
         if let Some(packed) = self.packed.get() {
             return Ok(packed);
         }
         let mut raw = lock(&self.raw);
         if self.packed.get().is_none() {
-            let reader = match &*raw {
-                Some(values) => self.reader_over(Form::Raw(values.clone())),
-                None => self.pages_reader()?,
-            };
             // A failed build publishes nothing; the next run tries again.
-            let built = pack(reader)?;
+            let built = match (&*raw, &self.stored) {
+                (Some(values), _) => pack(self.reader_over(Form::Raw(values.clone())))?,
+                (None, Some(blocks)) => {
+                    let nr = matmul::panel_width()?;
+                    match blocks.dense_panels(nr)? {
+                        Some(panels) => PreparedWeights::Panels { nr, panels },
+                        None => pack(self.stored_reader())?,
+                    }
+                }
+                (None, None) => unreachable!("a weight is raw, packed or stored"),
+            };
             self.builds.fetch_add(1, Ordering::Relaxed);
             let _ = self.packed.set(Arc::new(built));
             *raw = None;
@@ -264,7 +273,7 @@ impl Weight {
         (rows, cols): (usize, usize),
         precision: Precision,
         raw: Option<Raw>,
-        pages: Option<(Arc<ArtifactPages>, u64)>,
+        stored: Option<Arc<WeightBlocks>>,
     ) -> Weight {
         Weight {
             cell: Arc::new(Cell {
@@ -273,7 +282,7 @@ impl Weight {
                 cols,
                 precision,
                 raw: Mutex::new(raw),
-                pages,
+                stored,
                 packed: OnceLock::new(),
                 pinned: OnceLock::new(),
                 builds: AtomicUsize::new(0),
@@ -281,22 +290,30 @@ impl Weight {
         }
     }
 
-    /// A `[rows, cols]` matrix of `precision` on `artifact`'s pages, its
-    /// payload starting at `offset`.
-    pub(crate) fn stored(
-        artifact: Arc<ArtifactPages>,
-        offset: u64,
-        (rows, cols): (usize, usize),
-        precision: Precision,
-    ) -> Weight {
-        let shape = Shape::from([rows, cols]);
+    /// The matrix stored as `blocks`.
+    pub(crate) fn stored(blocks: Arc<WeightBlocks>) -> Weight {
+        let (rows, cols) = (blocks.rows(), blocks.cols());
+        let precision = match blocks.is_quantized() {
+            true => Precision::Int8,
+            false => Precision::F32,
+        };
         Weight::new(
-            shape,
+            Shape::from([rows, cols]),
             (rows, cols),
             precision,
             None,
-            Some((artifact, offset)),
+            Some(blocks),
         )
+    }
+
+    /// The blocks of a stored matrix's weight relation.
+    pub(crate) fn stored_blocks(&self) -> Option<&Arc<WeightBlocks>> {
+        self.cell.stored.as_ref()
+    }
+
+    /// A reader of a stored matrix's pages — whatever other form it has.
+    pub(crate) fn stored_reader(&self) -> WeightReader<'_> {
+        self.cell.stored_reader()
     }
 
     /// `(rows, cols)`: `(out_features, in_features)` of its layer.
@@ -402,7 +419,7 @@ impl Weight {
         if Arc::get_mut(&mut self.cell).is_none() {
             let raw = self.cell.raw();
             let packed = self.cell.packed.get().cloned();
-            self.cell = Arc::new(self.cell.with(raw, self.cell.pages.clone(), packed));
+            self.cell = Arc::new(self.cell.with(raw, self.cell.stored.clone(), packed));
         }
     }
 
@@ -410,7 +427,7 @@ impl Weight {
     /// if there is one (shared, not copied), else the values read back from
     /// the pages. A weight in memory is itself.
     pub(crate) fn in_memory(&self) -> Result<Weight> {
-        if self.cell.pages.is_none() {
+        if self.cell.stored.is_none() {
             return Ok(self.clone());
         }
         let packed = self.cell.packed.get().cloned();
@@ -450,7 +467,7 @@ impl Weight {
             drop(pinned);
         }
         cell.packed = OnceLock::new();
-        cell.pages = None;
+        cell.stored = None;
         *cell.builds.get_mut() = 0;
         cell.raw
             .get_mut()
@@ -638,11 +655,12 @@ impl DerefMut for QuantWeight {
 enum Form<'a> {
     Raw(Raw),
     Packed(&'a PreparedWeights),
-    Pages(ArtifactReader<'a>),
+    Stored(&'a WeightBlocks, BlockRows<'a>),
 }
 
 /// Reads a weight matrix in row-major order out of whichever form holds it
-/// — raw values, the packed form, or artifact pages, every page verified —
+/// — raw values, the packed form, or a stored matrix's blocks, every page
+/// verified —
 /// as many values at a time as the caller asks for. An int8 matrix reads its
 /// per-row scales first ([`WeightReader::scales`]), then its levels. As a
 /// [`Read`], it streams the matrix as an artifact holds it.
@@ -700,11 +718,7 @@ impl WeightReader<'_> {
         Ok(match &mut self.form {
             Form::Raw(Raw::Int8(values)) => values.scales().to_vec(),
             Form::Packed(PreparedWeights::Quads { scales, .. }) => scales.clone(),
-            Form::Pages(bytes) => {
-                let mut scales = vec![0.0; self.rows];
-                bytes.read_f32s(&mut scales)?;
-                scales
-            }
+            Form::Stored(blocks, _) => blocks.scales()?,
             _ => unreachable!("the forms of an int8 weight are int8"),
         })
     }
@@ -738,7 +752,7 @@ impl WeightReader<'_> {
                     |j, rows| packed.read_rows(j, rows),
                 );
             }
-            Form::Pages(bytes) => bytes.read_f32s(out)?,
+            Form::Stored(_, rows) => rows.read_f32s(out)?,
             _ => unreachable!("the forms of an f32 weight are f32"),
         }
         Ok(())
@@ -759,7 +773,7 @@ impl WeightReader<'_> {
                     |j, rows| quant::read_quad_rows(quads, k, nr, j, rows),
                 );
             }
-            Form::Pages(bytes) => bytes.read_i8s(out)?,
+            Form::Stored(_, rows) => rows.read_i8s(out)?,
             _ => unreachable!("the forms of an int8 weight are int8"),
         }
         Ok(())

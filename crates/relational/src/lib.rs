@@ -20,6 +20,7 @@ pub mod table;
 pub mod tensor_table;
 pub mod tuple;
 pub mod value;
+pub mod weight_blocks;
 
 pub use error::{Error, Result};
 pub use expr::Expr;
@@ -29,3 +30,4 @@ pub use table::Table;
 pub use tensor_table::TensorTable;
 pub use tuple::Tuple;
 pub use value::Value;
+pub use weight_blocks::{BlockRows, WeightBlocks, WeightBlocksWriter};

@@ -22,6 +22,7 @@
 //! cost no file growth and no write-back once they are gone.
 
 use crate::error::{Error, Result};
+use crate::weight_blocks::{RowEncoder, Rows, WeightBlocks};
 use relserve_storage::{BlobId, BlobStore, BlobWriter, BufferPool, PAGE_SIZE};
 use relserve_tensor::matmul::{self, PackedB};
 use relserve_tensor::parallel::Parallelism;
@@ -36,7 +37,7 @@ use std::sync::{Arc, Mutex};
 /// and the dimensions live in the relation's index, not in the payload, so
 /// a payload is exactly its values (a 512×512 f32 block is exactly 16 pages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockKind {
+pub(crate) enum BlockKind {
     /// Row-major f32, little endian.
     F32,
     /// f32 in the `[panel][col][nr]` layout the matmul kernel of panel width
@@ -82,7 +83,7 @@ thread_local! {
 }
 
 /// Fill `bytes` with the leading `values`, little endian.
-fn put_f32s(bytes: &mut [u8], values: &[f32]) {
+pub(crate) fn put_f32s(bytes: &mut [u8], values: &[f32]) {
     for (dst, v) in bytes.chunks_exact_mut(ELEM_BYTES).zip(values) {
         dst.copy_from_slice(&v.to_le_bytes());
     }
@@ -148,6 +149,10 @@ pub struct TensorTable {
     index: BTreeMap<BlockCoord, BlockMeta>,
     /// Whether this relation stores int8 quantized block payloads.
     quantized: bool,
+    /// The stored matrix whose pages the blocks are, for a relation over
+    /// pages it does not own ([`TensorTable::over`]): kept alive until the
+    /// store has dropped their frames.
+    stored: Option<Arc<WeightBlocks>>,
 }
 
 impl TensorTable {
@@ -167,6 +172,7 @@ impl TensorTable {
             blobs: BlobStore::new(pool),
             index: BTreeMap::new(),
             quantized: false,
+            stored: None,
         }
     }
 
@@ -247,40 +253,12 @@ impl TensorTable {
     pub fn from_weight_rows<E: From<Error>>(
         pool: Arc<BufferPool>,
         name: impl Into<String>,
-        (rows, cols): (usize, usize),
+        shape: (usize, usize),
         spec: BlockingSpec,
-        mut next_rows: impl FnMut(&mut [f32]) -> std::result::Result<(), E>,
+        next_rows: impl FnMut(&mut [f32]) -> std::result::Result<(), E>,
     ) -> std::result::Result<Self, E> {
-        let nr = matmul::panel_width().map_err(Error::from)?;
-        let kind = BlockKind::Packed { nr };
-        let group = (PAGE_SIZE / (spec.block_cols * ELEM_BYTES).max(1))
-            .next_multiple_of(nr)
-            .clamp(nr, spec.block_rows.next_multiple_of(nr));
-        let mut table = Self::create(pool, name, rows, cols, spec);
-        let mut values = vec![0.0; group.min(rows) * cols];
-        let mut panels = Vec::new();
-        table.write_block_rows(
-            kind,
-            group,
-            |r0, g, cb, writer| -> std::result::Result<_, E> {
-                if cb == 0 {
-                    next_rows(&mut values[..g * cols])?;
-                }
-                let (c0, c1) = spec.col_range(cb, cols);
-                matmul::pack_bt(&values[c0..], cols, g, c1 - c0, nr, &mut panels);
-                debug_assert!(
-                    (r0 % spec.block_rows).is_multiple_of(nr),
-                    "a group starts a panel"
-                );
-                writer
-                    .write_with(panels.len() * ELEM_BYTES, |at, page| {
-                        put_f32s(page, &panels[at / ELEM_BYTES..])
-                    })
-                    .map_err(Error::from)?;
-                Ok(())
-            },
-        )?;
-        Ok(table)
+        let encoder = RowEncoder::f32(shape, spec).map_err(E::from)?;
+        Self::from_rows(pool, name, encoder, next_rows, |v| Rows::F32(v))
     }
 
     /// Chunk an int8 quantized matrix into quantized block payloads.
@@ -325,79 +303,92 @@ impl TensorTable {
         scales: &[f32],
         cols: usize,
         spec: BlockingSpec,
-        mut next_rows: impl FnMut(&mut [i8]) -> std::result::Result<(), E>,
+        next_rows: impl FnMut(&mut [i8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<Self, E> {
-        let rows = scales.len();
-        let group = (PAGE_SIZE / spec.block_cols.max(1)).clamp(1, spec.block_rows);
-        let mut table = Self::create(pool, name, rows, cols, spec);
-        let mut levels = vec![0; group.min(rows) * cols];
-        let mut piece = Vec::new();
-        table.write_block_rows(
-            BlockKind::Int8,
-            group,
-            |r0, g, cb, writer| -> std::result::Result<_, E> {
-                if cb == 0 {
-                    next_rows(&mut levels[..g * cols])?;
-                }
-                let (c0, c1) = spec.col_range(cb, cols);
-                piece.clear();
-                if r0 % spec.block_rows == 0 {
-                    // A block's payload starts with the scales of all its rows.
-                    let block_rows = spec.row_range(r0 / spec.block_rows, rows);
-                    piece.resize((block_rows.1 - block_rows.0) * ELEM_BYTES, 0);
-                    put_f32s(&mut piece, &scales[block_rows.0..block_rows.1]);
-                }
-                for row in levels[..g * cols].chunks_exact(cols.max(1)) {
-                    piece.extend(row[c0..c1].iter().map(|q| *q as u8));
-                }
-                writer
-                    .write_with(piece.len(), |at, page| {
-                        page.copy_from_slice(&piece[at..at + page.len()])
-                    })
-                    .map_err(Error::from)?;
-                Ok(())
-            },
-        )?;
+        let encoder = RowEncoder::int8(scales.to_vec(), cols, spec);
+        let mut table = Self::from_rows(pool, name, encoder, next_rows, |v| Rows::I8(v))?;
         table.quantized = true;
         Ok(table)
     }
 
-    /// Write every block of the relation, a block-row at a time and within
-    /// it `group` rows at a time: `append(r0, g, cb, writer)` appends the
-    /// payload of rows `r0..r0 + g` of block `(block-row, cb)` to its blob,
-    /// visiting `cb` ascending for each group. Every payload is checked
-    /// against the length its dimensions and `kind` imply.
-    fn write_block_rows<E: From<Error>>(
-        &mut self,
-        kind: BlockKind,
-        group: usize,
-        mut append: impl FnMut(usize, usize, usize, &mut BlobWriter<'_>) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
-        let (rows, cols, spec) = (self.rows, self.cols, self.spec);
-        for rb in 0..spec.row_blocks(rows) {
-            let (r0, r1) = spec.row_range(rb, rows);
-            let mut writers: Vec<BlobWriter<'_>> = (0..spec.col_blocks(cols))
-                .map(|_| self.blobs.writer())
-                .collect();
-            for g0 in (r0..r1).step_by(group) {
-                let g = group.min(r1 - g0);
-                for (cb, writer) in writers.iter_mut().enumerate() {
-                    append(g0, g, cb, writer)?;
+    /// Write every block of the relation `encoder` lays out, a group of rows
+    /// from `next_rows` at a time, each group's piece of every block of its
+    /// block-row appended to that block's blob. Every payload is checked
+    /// against the length its dimensions and kind imply.
+    fn from_rows<T: Copy + Default, E: From<Error>>(
+        pool: Arc<BufferPool>,
+        name: impl Into<String>,
+        mut encoder: RowEncoder,
+        mut next_rows: impl FnMut(&mut [T]) -> std::result::Result<(), E>,
+        rows_of: impl Fn(&[T]) -> Rows<'_>,
+    ) -> std::result::Result<Self, E> {
+        let layout = encoder.layout;
+        let (rows, cols, spec) = (layout.rows, layout.cols, layout.spec);
+        let mut table = Self::create(pool, name, rows, cols, spec);
+        let mut values = vec![T::default(); encoder.next_group() * cols];
+        let mut writers: Vec<BlobWriter<'_>> = Vec::new();
+        while let g @ 1.. = encoder.next_group() {
+            let rb = encoder.at() / spec.block_rows;
+            let values = &mut values[..g * cols];
+            next_rows(values)?;
+            encoder.encode(rows_of(values), |cb, piece| {
+                if writers.len() == cb {
+                    writers.push(table.blobs.writer());
                 }
+                writers[cb]
+                    .write_with(piece.len(), |at, page| {
+                        page.copy_from_slice(&piece[at..at + page.len()])
+                    })
+                    .map_err(|e| E::from(Error::from(e)))
+            })?;
+            if !encoder.block_row_done() {
+                continue;
             }
-            for (cb, writer) in writers.into_iter().enumerate() {
+            let (r0, r1) = spec.row_range(rb, rows);
+            for (cb, writer) in writers.drain(..).enumerate() {
                 let (c0, c1) = spec.col_range(cb, cols);
                 let meta = BlockMeta {
                     blob: writer.finish().map_err(Error::from)?,
                     rows: r1 - r0,
                     cols: c1 - c0,
-                    kind,
+                    kind: layout.kind,
                 };
-                self.index.insert(BlockCoord { row: rb, col: cb }, meta);
-                self.payload_len(&meta)?;
+                table.index.insert(BlockCoord { row: rb, col: cb }, meta);
+                table.payload_len(&meta)?;
             }
         }
-        Ok(())
+        drop(writers);
+        Ok(table)
+    }
+
+    /// The weight relation of a stored weight matrix, over its pages: its
+    /// blocks are read through `pool` like any relation's, but the relation
+    /// does not own them — dropping it drops their frames, and the pages
+    /// stay with `blocks`, which it keeps alive till then.
+    pub fn over(
+        pool: Arc<BufferPool>,
+        name: impl Into<String>,
+        blocks: Arc<WeightBlocks>,
+    ) -> Result<Self> {
+        let layout = *blocks.layout();
+        let (rows, cols, spec) = (layout.rows, layout.cols, layout.spec);
+        let mut table = Self::create(pool, name, rows, cols, spec);
+        let width = spec.col_blocks(cols);
+        for (i, chain) in blocks.chains().iter().enumerate() {
+            let (rb, cb) = (i / width, i % width);
+            let ((r0, r1), (c0, c1)) = (spec.row_range(rb, rows), spec.col_range(cb, cols));
+            let meta = BlockMeta {
+                blob: table.blobs.adopt(chain.pages.clone(), chain.len),
+                rows: r1 - r0,
+                cols: c1 - c0,
+                kind: layout.kind,
+            };
+            table.index.insert(BlockCoord { row: rb, col: cb }, meta);
+            table.payload_len(&meta)?;
+        }
+        table.quantized = blocks.is_quantized();
+        table.stored = Some(blocks);
+        Ok(table)
     }
 
     /// The relation's name.

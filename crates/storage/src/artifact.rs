@@ -1,56 +1,40 @@
 //! Model artifacts on pages.
 //!
-//! A loaded model's artifact — the `nn::serialize` byte stream — is the
-//! session's one copy of the model's logical weights. It is written once,
-//! a page at a time, straight to pages of the scratch file, and read back
-//! only to build a weight's prepared form or weight relation or to reload
-//! the model. Both directions go around the buffer pool: the artifact takes
-//! no frames from the relations every query joins against.
+//! A loaded model's artifact is the catalog's one stored form of the model,
+//! written once, straight to pages of the scratch file, around the buffer
+//! pool. Its byte stream — the `nn::serialize` stream — is one chain of
+//! pages, except for each dense weight matrix, which is stored once, as the
+//! blocks of its weight relation, on pages of its own that the artifact
+//! also owns ([`ArtifactWriter::write_page`]). A query's block join reads
+//! those pages through the pool; a reload, or a weight's packed form, reads
+//! them around it ([`ArtifactPages::page_reader`]), as it reads the stream.
 //!
-//! Each page's checksum is kept beside its id and checked on every read, so
-//! a page that changed on disk is [`Error::Checksum`], never a wrong weight.
+//! Every page is sealed ([`DiskManager::write_sealed`]), so a page that
+//! changed on disk is [`Error::Checksum`] on any read, never a wrong weight.
 
 use crate::disk::DiskManager;
 use crate::error::{Error, Result};
 use crate::page::{PageId, PAGE_SIZE};
 use std::sync::{Arc, OnceLock};
 
-/// 64-bit checksum of a page image: eight lanes of multiply-rotate rounds
-/// over 8-byte words, folded with distinct rotations. A round is a bijection
-/// of its lane for a fixed word and an injection of the word for a fixed
-/// lane, so a change confined to one word — any single flipped byte — always
-/// changes the sum. One multiply per word keeps it at ~20 GB/s.
-pub(crate) fn checksum(image: &[u8]) -> u64 {
-    const P: u64 = 0x9E37_79B1_85EB_CA87;
-    let mut lanes: [u64; 8] = std::array::from_fn(|i| (i as u64 + 1).wrapping_mul(P));
-    let mut blocks = image.chunks_exact(64);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte word"));
-            *lane = (*lane ^ word).wrapping_mul(P).rotate_left(29);
-        }
-    }
-    let mut sum = lanes.iter().zip(0u32..).fold(0u64, |sum, (lane, i)| {
-        sum.wrapping_add(lane.rotate_left(7 * i + 1))
-    });
-    for &byte in blocks.remainder() {
-        sum = (sum ^ u64::from(byte)).wrapping_mul(P).rotate_left(11);
-    }
-    sum ^ image.len() as u64
-}
+/// Side of the square blocks an artifact's dense weight matrices are stored
+/// in, unless its writer is given another ([`ArtifactWriter::weight_block`]).
+const DEFAULT_WEIGHT_BLOCK: usize = 256;
 
 /// What a finished artifact is made of.
 #[derive(Debug)]
 struct Written {
-    /// Each page of the stream, in order, with the checksum of its image.
-    pages: Vec<(PageId, u64)>,
-    /// Bytes in the stream; the last page is zero-padded past it.
+    /// The pages of the stream, in order.
+    stream: Vec<PageId>,
+    /// Bytes in the stream; its last page is zero-padded past them.
     len: u64,
+    /// The pages written outside the stream: its weight matrices' blocks.
+    blocks: Vec<PageId>,
 }
 
-/// An append-only byte stream on checksummed pages of a [`DiskManager`],
-/// readable once its [`ArtifactWriter`] has finished. Dropping it gives its
-/// pages back to the disk manager's free list.
+/// An append-only byte stream, and pages beside it, on sealed pages of a
+/// [`DiskManager`], readable once its [`ArtifactWriter`] has finished.
+/// Dropping it gives every page back to the disk manager's free list.
 #[derive(Debug)]
 pub struct ArtifactPages {
     disk: Arc<DiskManager>,
@@ -65,9 +49,12 @@ impl ArtifactPages {
                 disk,
                 written: OnceLock::new(),
             }),
-            pages: Vec::new(),
+            stream: Vec::new(),
+            blocks: Vec::new(),
             page: vec![0; PAGE_SIZE].into_boxed_slice(),
             filled: 0,
+            scratch: vec![0; PAGE_SIZE].into_boxed_slice(),
+            block: DEFAULT_WEIGHT_BLOCK,
         }
     }
 
@@ -87,34 +74,49 @@ impl ArtifactPages {
         self.len() == 0
     }
 
-    /// The pages the stream occupies, in order.
+    /// Every page the artifact occupies: the stream's in order, then the
+    /// others in the order they were written.
     pub fn page_ids(&self) -> Vec<PageId> {
-        self.written
-            .get()
-            .map_or_else(Vec::new, |w| w.pages.iter().map(|(id, _)| *id).collect())
+        self.written.get().map_or_else(Vec::new, |w| {
+            w.stream.iter().chain(&w.blocks).copied().collect()
+        })
     }
 
-    /// Bytes the stream's pages take on disk.
+    /// Bytes the artifact's pages take on disk.
     pub fn bytes_on_disk(&self) -> u64 {
-        self.written
-            .get()
-            .map_or(0, |w| (w.pages.len() * PAGE_SIZE) as u64)
+        self.written.get().map_or(0, |w| {
+            ((w.stream.len() + w.blocks.len()) * PAGE_SIZE) as u64
+        })
     }
 
     /// A reader of the stream from byte `offset` on.
     pub fn reader(&self, offset: u64) -> Result<ArtifactReader<'_>> {
         let written = self.written()?;
-        if offset > written.len {
+        self.page_reader(&written.stream, written.len, offset)
+    }
+
+    /// A reader, from byte `offset` on, of `len` bytes laid over `pages` —
+    /// pages of this artifact outside its stream, such as one block of a
+    /// stored weight matrix — read and verified around the buffer pool.
+    pub fn page_reader<'a>(
+        &'a self,
+        pages: &'a [PageId],
+        len: u64,
+        offset: u64,
+    ) -> Result<ArtifactReader<'a>> {
+        self.written()?;
+        if offset > len || len > (pages.len() * PAGE_SIZE) as u64 {
             return Err(Error::Corrupt(format!(
-                "artifact offset {offset} is past its end ({} B)",
-                written.len
+                "artifact read at offset {offset} of {len} B over {} pages",
+                pages.len()
             )));
         }
         Ok(ArtifactReader {
             disk: &self.disk,
-            written,
+            pages,
+            len,
             pos: offset,
-            page: vec![0; PAGE_SIZE].into_boxed_slice(),
+            page: Vec::new(),
             loaded: None,
         })
     }
@@ -123,37 +125,55 @@ impl ArtifactPages {
 impl Drop for ArtifactPages {
     fn drop(&mut self) {
         if let Some(written) = self.written.get() {
-            for (id, _) in &written.pages {
+            for id in written.stream.iter().chain(&written.blocks) {
                 self.disk.free_page(*id);
             }
         }
     }
 }
 
-/// Writes an artifact a page at a time. Dropped unfinished, it gives back
-/// the pages it wrote.
+/// Writes an artifact: its stream a page at a time, and pages beside it.
+/// Dropped unfinished, it gives back every page it wrote.
 #[derive(Debug)]
 pub struct ArtifactWriter {
     artifact: Arc<ArtifactPages>,
-    pages: Vec<(PageId, u64)>,
-    /// The page being filled.
+    stream: Vec<PageId>,
+    blocks: Vec<PageId>,
+    /// The stream page being filled.
     page: Box<[u8]>,
     filled: usize,
+    /// Where a page shorter than [`PAGE_SIZE`] is padded before it is written.
+    scratch: Box<[u8]>,
+    block: usize,
 }
 
 impl ArtifactWriter {
+    /// This writer, storing weight matrices in `side`-square blocks: the
+    /// block side of the relations that will join against them.
+    pub fn weight_block(mut self, side: usize) -> Self {
+        self.block = side.max(1);
+        self
+    }
+
+    /// The side of the square blocks the artifact's weight matrices are
+    /// stored in.
+    pub fn block_side(&self) -> usize {
+        self.block
+    }
+
     /// The artifact being written: a handle to hand out now, readable once
     /// [`ArtifactWriter::finish`] has returned.
     pub fn artifact(&self) -> &Arc<ArtifactPages> {
         &self.artifact
     }
 
-    /// Bytes written so far: the offset the next byte will have.
+    /// Bytes written to the stream so far: the offset its next byte will
+    /// have.
     pub fn position(&self) -> u64 {
-        (self.pages.len() * PAGE_SIZE + self.filled) as u64
+        (self.stream.len() * PAGE_SIZE + self.filled) as u64
     }
 
-    /// Append `bytes`, writing every page they fill.
+    /// Append `bytes` to the stream, writing every page they fill.
     pub fn write(&mut self, mut bytes: &[u8]) -> Result<()> {
         while !bytes.is_empty() {
             let take = bytes.len().min(PAGE_SIZE - self.filled);
@@ -169,65 +189,93 @@ impl ArtifactWriter {
 
     fn flush(&mut self) -> Result<()> {
         self.page[self.filled..].fill(0);
-        let id = self.artifact.disk.allocate_page();
-        let written = self.artifact.disk.write_image(id, &self.page);
-        if let Err(e) = written {
-            self.artifact.disk.free_page(id);
-            return Err(e);
-        }
-        self.pages.push((id, checksum(&self.page)));
+        let id = seal(&self.artifact.disk, &self.page)?;
+        self.stream.push(id);
         self.filled = 0;
         Ok(())
     }
 
-    /// Write the last, partial page and make the artifact readable.
+    /// Write `bytes` (at most a page, zero-padded to one) as a page of the
+    /// artifact outside its stream, and return its id.
+    pub fn write_page(&mut self, bytes: &[u8]) -> Result<PageId> {
+        let image = if bytes.len() == PAGE_SIZE {
+            bytes
+        } else {
+            let (head, tail) = self.scratch.split_at_mut(bytes.len());
+            head.copy_from_slice(bytes);
+            tail.fill(0);
+            &self.scratch
+        };
+        let id = seal(&self.artifact.disk, image)?;
+        self.blocks.push(id);
+        Ok(id)
+    }
+
+    /// Write the stream's last, partial page and make the artifact readable.
     pub fn finish(mut self) -> Result<Arc<ArtifactPages>> {
         let len = self.position();
         if self.filled > 0 {
             self.flush()?;
         }
-        let pages = std::mem::take(&mut self.pages);
+        let written = Written {
+            stream: std::mem::take(&mut self.stream),
+            len,
+            blocks: std::mem::take(&mut self.blocks),
+        };
         self.artifact
             .written
-            .set(Written { pages, len })
+            .set(written)
             .expect("an artifact is finished once");
         Ok(self.artifact.clone())
     }
 }
 
+/// Write `image` to a new sealed page of `disk`, giving the page back if the
+/// write fails.
+fn seal(disk: &DiskManager, image: &[u8]) -> Result<PageId> {
+    let id = disk.allocate_page();
+    if let Err(e) = disk.write_sealed(id, image) {
+        disk.free_page(id);
+        return Err(e);
+    }
+    Ok(id)
+}
+
 impl Drop for ArtifactWriter {
     fn drop(&mut self) {
-        for (id, _) in &self.pages {
+        for id in self.stream.iter().chain(&self.blocks) {
             self.artifact.disk.free_page(*id);
         }
     }
 }
 
-/// Reads an artifact's bytes in order, a verified page at a time.
+/// Reads bytes laid over pages of an artifact in order, a verified page at
+/// a time.
 pub struct ArtifactReader<'a> {
     disk: &'a DiskManager,
-    written: &'a Written,
+    pages: &'a [PageId],
+    len: u64,
     pos: u64,
     /// The image of page `loaded`, checksum verified: the page a read
-    /// starts or ends inside of.
-    page: Box<[u8]>,
+    /// starts or ends inside of (allocated on the first such read).
+    page: Vec<u8>,
     loaded: Option<usize>,
 }
 
 impl ArtifactReader<'_> {
-    /// Bytes left before the end of the stream.
+    /// Bytes left before the end.
     pub fn remaining(&self) -> u64 {
-        self.written.len - self.pos
+        self.len - self.pos
     }
 
-    /// Fill `out` with the next bytes of the stream.
+    /// Fill `out` with the next bytes.
     pub fn read_exact(&mut self, mut out: &mut [u8]) -> Result<()> {
         if out.len() as u64 > self.remaining() {
             return Err(Error::Corrupt(format!(
                 "artifact read of {} B at offset {} runs past its end ({} B)",
                 out.len(),
                 self.pos,
-                self.written.len
+                self.len
             )));
         }
         while !out.is_empty() {
@@ -237,15 +285,13 @@ impl ArtifactReader<'_> {
             if take == PAGE_SIZE && self.loaded != Some(index) {
                 // A whole page lands in `out`: read and verify it there.
                 let (page, rest) = std::mem::take(&mut out).split_at_mut(PAGE_SIZE);
-                self.read_page(index, page)?;
+                self.disk.read_image(self.pages[index], page)?;
                 out = rest;
             } else {
                 if self.loaded != Some(index) {
                     self.loaded = None;
-                    let mut page = std::mem::take(&mut self.page);
-                    let read = self.read_page(index, &mut page);
-                    self.page = page;
-                    read?;
+                    self.page.resize(PAGE_SIZE, 0);
+                    self.disk.read_image(self.pages[index], &mut self.page)?;
                     self.loaded = Some(index);
                 }
                 let (head, rest) = std::mem::take(&mut out).split_at_mut(take);
@@ -284,19 +330,9 @@ impl ArtifactReader<'_> {
             unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), out.len()) };
         self.read_exact(bytes)
     }
-
-    /// Read page `index` of the stream into `image`, verified.
-    fn read_page(&self, index: usize, image: &mut [u8]) -> Result<()> {
-        let (id, sum) = self.written.pages[index];
-        self.disk.read_image(id, image)?;
-        if checksum(image) != sum {
-            return Err(Error::Checksum { page: id.0 });
-        }
-        Ok(())
-    }
 }
 
-/// The stream as a [`std::io::Read`]; a storage error travels inside the
+/// The bytes as a [`std::io::Read`]; a storage error travels inside the
 /// `io::Error` (see [`Error::from_io`]).
 impl std::io::Read for ArtifactReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -310,6 +346,7 @@ impl std::io::Read for ArtifactReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::checksum;
     use std::io::Read;
 
     fn disk() -> Arc<DiskManager> {
@@ -371,6 +408,56 @@ mod tests {
         assert_eq!(d.free_pages(), 2);
         assert!(handle.reader(0).is_err(), "never finished, never readable");
         assert_eq!(d.num_pages(), 2, "the writer reused the freed ids");
+    }
+
+    #[test]
+    fn pages_beside_the_stream_are_the_artifacts_and_read_back_verified() {
+        use std::os::unix::fs::FileExt;
+        let d = disk();
+        let payload = stream(PAGE_SIZE + 300);
+        let mut w = ArtifactPages::writer(d.clone()).weight_block(64);
+        assert_eq!(w.block_side(), 64);
+        w.write(b"head").unwrap();
+        let full = w.write_page(&payload[..PAGE_SIZE]).unwrap();
+        let short = w.write_page(&payload[PAGE_SIZE..]).unwrap();
+        assert_eq!(w.position(), 4, "the stream holds none of it");
+        let artifact = w.finish().unwrap();
+        assert_eq!(artifact.page_ids().len(), 3);
+        assert_eq!(artifact.bytes_on_disk(), 3 * PAGE_SIZE as u64);
+        let chain = [full, short];
+        let mut back = vec![0; payload.len()];
+        let len = payload.len() as u64;
+        artifact
+            .page_reader(&chain, len, 0)
+            .unwrap()
+            .read_exact(&mut back)
+            .unwrap();
+        assert_eq!(back, payload);
+        let mut tail = vec![0; 100];
+        let mut r = artifact.page_reader(&chain, len, len - 100).unwrap();
+        r.read_exact(&mut tail).unwrap();
+        assert_eq!(tail, payload[payload.len() - 100..]);
+        assert!(artifact
+            .page_reader(&chain, 3 * PAGE_SIZE as u64, 0)
+            .is_err());
+        // A flipped byte in the padding of the short page fails its read.
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(d.path())
+            .unwrap();
+        file.write_all_at(&[1], short.0 * PAGE_SIZE as u64 + 400)
+            .unwrap();
+        let err = artifact
+            .page_reader(&chain, len, PAGE_SIZE as u64)
+            .unwrap()
+            .read_exact(&mut [0; 8])
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Checksum { page } if page == short.0),
+            "{err}"
+        );
+        drop(artifact);
+        assert_eq!(d.free_pages(), 3, "every page goes back with the artifact");
     }
 
     #[test]

@@ -19,6 +19,20 @@ pub struct BlobId(pub u64);
 struct BlobMeta {
     pages: Vec<PageId>,
     len: usize,
+    /// Whether the store owns the pages (wrote them through the pool) or
+    /// only reads them ([`BlobStore::adopt`]).
+    owned: bool,
+}
+
+/// Give a removed blob's pages back: an owned blob's to the free list, an
+/// adopted one's frames only.
+fn release(pool: &BufferPool, blobs: impl IntoIterator<Item = BlobMeta>) {
+    let (owned, adopted): (Vec<_>, Vec<_>) = blobs.into_iter().partition(|meta| meta.owned);
+    let pages = |metas: Vec<BlobMeta>| -> Vec<PageId> {
+        metas.into_iter().flat_map(|meta| meta.pages).collect()
+    };
+    pool.discard_pages(&pages(owned));
+    pool.forget_pages(&pages(adopted));
 }
 
 /// Stores arbitrary-size byte blobs as page chains through the buffer pool.
@@ -91,6 +105,27 @@ impl BlobStore {
         writer.finish()
     }
 
+    /// A blob of `len` bytes over `pages` that were written elsewhere —
+    /// sealed pages of an artifact, around the pool — read through the pool
+    /// like any other. The store does not own them: deleting the blob, or
+    /// dropping the store, drops their frames and leaves the pages alone.
+    pub fn adopt(&self, pages: Vec<PageId>, len: usize) -> BlobId {
+        self.register(BlobMeta {
+            pages,
+            len,
+            owned: false,
+        })
+    }
+
+    fn register(&self, meta: BlobMeta) -> BlobId {
+        let mut state = self.state.lock();
+        let id = BlobId(state.next_id);
+        state.next_id += 1;
+        state.bytes_stored += meta.len as u64;
+        state.blobs.insert(id, meta);
+        id
+    }
+
     /// A blob written in several appends; see [`BlobWriter`].
     pub fn writer(&self) -> BlobWriter<'_> {
         BlobWriter {
@@ -153,9 +188,10 @@ impl BlobStore {
     }
 
     /// Remove a blob and give its pages back to the pool's free list,
-    /// unwritten (a page a reader still pins stays behind as dead space).
-    /// The pages' next owner overwrites them, so the caller must not let a
-    /// delete race a read of the same blob.
+    /// unwritten (a page a reader still pins stays behind as dead space) —
+    /// or, for an adopted blob, drop their frames. The pages' next owner
+    /// overwrites them, so the caller must not let a delete race a read of
+    /// the same blob.
     pub fn delete(&self, id: BlobId) -> Result<()> {
         let meta = {
             let mut state = self.state.lock();
@@ -163,7 +199,7 @@ impl BlobStore {
             state.bytes_stored -= meta.len as u64;
             meta
         };
-        self.pool.discard_pages(&meta.pages);
+        release(&self.pool, [meta]);
         Ok(())
     }
 }
@@ -224,19 +260,11 @@ impl BlobWriter<'_> {
         if !self.tail.is_empty() {
             self.flush_tail()?;
         }
-        let pages = std::mem::take(&mut self.pages);
-        let mut state = self.store.state.lock();
-        let id = BlobId(state.next_id);
-        state.next_id += 1;
-        state.bytes_stored += self.len as u64;
-        state.blobs.insert(
-            id,
-            BlobMeta {
-                pages,
-                len: self.len,
-            },
-        );
-        Ok(id)
+        Ok(self.store.register(BlobMeta {
+            pages: std::mem::take(&mut self.pages),
+            len: self.len,
+            owned: true,
+        }))
     }
 }
 
@@ -250,14 +278,8 @@ impl Drop for BlobWriter<'_> {
 /// returns its pages when it goes out of scope.
 impl Drop for BlobStore {
     fn drop(&mut self) {
-        let pages: Vec<PageId> = self
-            .state
-            .get_mut()
-            .blobs
-            .drain()
-            .flat_map(|(_, meta)| meta.pages)
-            .collect();
-        self.pool.discard_pages(&pages);
+        let blobs = self.state.get_mut().blobs.drain().map(|(_, meta)| meta);
+        release(&self.pool, blobs);
     }
 }
 
@@ -409,6 +431,40 @@ mod tests {
         c.write_with(2 * PAGE_SIZE, |_, _| {}).unwrap();
         drop(c);
         assert_eq!(disk.free_pages(), free + 2);
+    }
+
+    #[test]
+    fn an_adopted_blob_is_read_through_the_pool_and_never_freed_by_it() {
+        let s = store(4);
+        let disk = s.pool().disk().clone();
+        let payload: Vec<u8> = (0..PAGE_SIZE + 10).map(|i| (i % 241) as u8).collect();
+        let pages: Vec<PageId> = payload
+            .chunks(PAGE_SIZE)
+            .map(|chunk| {
+                let id = disk.allocate_page();
+                let mut image = vec![0; PAGE_SIZE];
+                image[..chunk.len()].copy_from_slice(chunk);
+                disk.write_sealed(id, &image).unwrap();
+                id
+            })
+            .collect();
+        let id = s.adopt(pages.clone(), payload.len());
+        assert_eq!(s.bytes_stored(), payload.len() as u64);
+        assert_eq!(s.get(id).unwrap(), payload);
+        assert_eq!(s.resident_pages(), 2);
+        // Deleted, its frames go and its pages stay with their owner.
+        s.delete(id).unwrap();
+        assert_eq!((s.resident_pages(), s.pool().resident_pages()), (0, 0));
+        assert_eq!(disk.free_pages(), 0);
+        let again = s.adopt(pages, payload.len());
+        s.get(again).unwrap();
+        drop(s);
+        assert_eq!(
+            disk.free_pages(),
+            0,
+            "nor does dropping the store free them"
+        );
+        assert_eq!(disk.write_count(), 2, "and nothing wrote them back");
     }
 
     #[test]

@@ -312,6 +312,18 @@ impl BufferPool {
         freed
     }
 
+    /// Drop the unpinned frames of `ids` — pages the pool reads but does not
+    /// own, such as an artifact's — without write-back, leaving the pages
+    /// allocated to their owner, whose next write goes around the pool.
+    pub fn forget_pages(&self, ids: &[PageId]) {
+        let mut inner = self.inner.lock();
+        for id in ids {
+            if inner.frames.get(id).is_none_or(|f| f.pin_count == 0) {
+                inner.remove(*id);
+            }
+        }
+    }
+
     fn unpin(&self, id: PageId) {
         let mut inner = self.inner.lock();
         if let Some(frame) = inner.frames.get_mut(&id) {
@@ -679,6 +691,42 @@ mod tests {
         drop(p.fetch(relation[0]).unwrap());
         drop(p.fetch(relation[1]).unwrap());
         assert_eq!(p.disk().read_count(), reads, "a pinned page left the pool");
+    }
+
+    #[test]
+    fn a_sealed_page_is_verified_on_every_miss_and_its_frame_forgotten() {
+        use std::os::unix::fs::FileExt;
+        let p = pool(2);
+        let id = p.disk().allocate_page();
+        p.disk().write_sealed(id, &[5; PAGE_SIZE]).unwrap();
+        assert_eq!(p.fetch(id).unwrap().read().bytes()[0], 5);
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(p.disk().path())
+            .unwrap();
+        let at = id.0 * PAGE_SIZE as u64 + 777;
+        file.write_all_at(&[6], at).unwrap();
+        // Resident, the page is what was read; a miss reads the flip.
+        assert_eq!(p.fetch(id).unwrap().read().bytes()[777], 5);
+        p.forget_pages(&[id]);
+        assert_eq!(p.resident_pages(), 0);
+        assert_eq!(p.disk().free_pages(), 0, "forgetting frees nothing");
+        for fetch in [BufferPool::fetch, BufferPool::fetch_scan] {
+            let err = fetch(&p, id).unwrap_err();
+            assert!(
+                matches!(err, Error::Checksum { page } if page == id.0),
+                "{err}"
+            );
+            assert_eq!(p.resident_pages(), 0, "a failed read leaves no frame");
+        }
+        file.write_all_at(&[5], at).unwrap();
+        assert_eq!(p.fetch_scan(id).unwrap().read().bytes()[777], 5);
+        // A pinned frame is not forgotten.
+        let pinned = p.fetch(id).unwrap();
+        p.forget_pages(&[id]);
+        assert_eq!(p.resident_pages(), 1);
+        drop(pinned);
     }
 
     #[test]

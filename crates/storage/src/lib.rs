@@ -6,7 +6,8 @@
 //! that substrate:
 //!
 //! * [`page`] — fixed 64 KiB pages with a slotted-tuple layout.
-//! * [`disk`] — a file-backed [`disk::DiskManager`] doing positioned I/O.
+//! * [`disk`] — a file-backed [`disk::DiskManager`] doing positioned I/O;
+//!   a sealed page is verified against its checksum on every read.
 //! * [`bufferpool`] — an LRU [`bufferpool::BufferPool`] with pin/unpin RAII
 //!   guards, dirty-page write-back, and hit/miss/eviction statistics. Its
 //!   capacity is expressed in bytes so experiments can set it exactly like
@@ -15,8 +16,9 @@
 //! * [`heap`] — an unordered tuple heap ([`heap::TableHeap`]) over pages.
 //! * [`blob`] — multi-page blobs for payloads larger than a page (tensor
 //!   blocks routinely are).
-//! * [`artifact`] — model artifacts as checksummed pages written and read
-//!   around the buffer pool: a loaded model's one copy of its weights.
+//! * [`artifact`] — model artifacts as sealed pages written around the
+//!   buffer pool: a loaded model's one stored form, its dense weights as
+//!   the blocks of their weight relations.
 //! * [`catalog`] — a minimal name → storage-root catalog; the relational
 //!   layer adds schema semantics on top.
 

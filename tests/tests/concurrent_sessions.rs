@@ -182,21 +182,23 @@ fn dedicated_context_waits_for_full_machine() {
 
 #[test]
 fn racing_first_queries_build_each_weight_relation_once() {
-    // Every thread's first query reaches the session's empty weight-relation
-    // cache at the same moment (the barrier). Exactly one of them may chunk
-    // each layer's weights; the rest must wait for the finished relation —
+    // Every thread's first query reaches the session's weight relations at
+    // the same moment (the barrier): the dense layers' stored at load, the
+    // convolutions' kernel relations not yet built. Exactly one of them may
+    // chunk each kernel; the rest must wait for the finished relation —
     // never join against a half-built one — and all must compute what a
     // lone caller on a session of its own computes, bit for bit.
     const RACERS: usize = 6;
     let mut rng = seeded_rng(92);
-    let model = zoo::fraud_fc_512(&mut rng).unwrap();
-    let layers = model.layers().len() as u64;
-    let x = Tensor::from_fn([40, 28], |i| ((i % 13) as f32 - 6.0) * 0.09);
+    let model = zoo::caching_cnn(&mut rng).unwrap();
+    let name = model.name().to_string();
+    let (layers, convs) = (4, 2);
+    let x = Tensor::from_fn([2, 28, 28, 1], |i| ((i % 13) as f32 - 6.0) * 0.09);
 
     let solo = InferenceSession::open(shared_config()).unwrap();
     solo.load_model(model.clone()).unwrap();
     let oracle = solo
-        .infer_batch("Fraud-FC-512", &x, Architecture::RelationCentric)
+        .infer_batch(&name, &x, Architecture::RelationCentric)
         .unwrap()
         .output
         .into_dense()
@@ -213,7 +215,7 @@ fn racing_first_queries_build_each_weight_relation_once() {
                 scope.spawn(|| {
                     barrier.wait();
                     session
-                        .infer_batch("Fraud-FC-512", &x, Architecture::RelationCentric)
+                        .infer_batch(&name, &x, Architecture::RelationCentric)
                         .unwrap()
                         .output
                         .into_dense()
@@ -227,8 +229,8 @@ fn racing_first_queries_build_each_weight_relation_once() {
         assert_eq!(answer.data(), oracle.data());
     }
     let stats = session.stats();
-    assert_eq!(stats.weight_relation_builds, layers);
-    assert_eq!(stats.weight_relation_reuses, (RACERS as u64 - 1) * layers);
+    assert_eq!(stats.weight_relation_builds, convs);
+    assert_eq!(stats.weight_relation_reuses, RACERS as u64 * layers - convs);
 }
 
 #[test]

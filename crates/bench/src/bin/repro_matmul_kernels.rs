@@ -2,14 +2,17 @@
 //! micro-kernel on **every ISA dispatch path the host supports** (scalar,
 //! AVX2+FMA 4×8, AVX-512 8×16), single-threaded and on the persistent kernel
 //! pool, pack-per-call against prepacked weights (`tiled_bt` / `f32_pre`,
-//! `int8` / `int8_prepacked`), plus vectorized elementwise kernel bandwidth
-//! and the relational block-join speedup. Every row names the micro-kernel that actually ran,
-//! so a reader can tell the FMA path from the scalar fallback. Emits
-//! `BENCH_matmul.json` (selected ISA, one kernel row per dispatch path,
-//! elementwise bandwidth) so regressions are diffable.
+//! `int8` / `int8_prepacked`), the AMX tile unit at the shapes it serves
+//! (`int8_tiles`: 512³ and Encoder-FC's two layers, prepacked, with and
+//! without the activation quantize sweep), plus vectorized elementwise
+//! kernel bandwidth and the relational block-join speedup. Every row names
+//! the micro-kernel that actually ran, so a reader can tell the FMA path
+//! from the scalar fallback. Emits `BENCH_matmul.json` (selected ISA, one
+//! kernel row per dispatch path, elementwise bandwidth) so regressions are
+//! diffable.
 //!
 //! Run with `cargo run --release --bin repro_matmul_kernels`. Hosts without
-//! AVX-512 (or AVX2) simply skip those rows and say so.
+//! AVX-512 (or AVX2, or AMX) simply skip those rows and say so.
 
 use relserve_bench::report::{Cell, ResultTable};
 use relserve_relational::TensorTable;
@@ -91,7 +94,7 @@ fn main() {
     let supported = Isa::supported();
     let best_isa = Isa::best();
     let selected = simd::kernels();
-    for isa in [Isa::Avx2Fma, Isa::Avx512] {
+    for isa in [Isa::Avx2Fma, Isa::Avx512, Isa::Amx] {
         if !isa.available() {
             println!("{isa} unavailable on this host; degrading to best tier \"{best_isa}\"");
         }
@@ -375,6 +378,59 @@ fn main() {
         _ => None,
     };
 
+    // --- The AMX tile unit at the shapes it serves ------------------------
+    // The dense hot path (`qmatmul_prepacked`: quads packed once, the
+    // activations quantized inside the call) at 512³ and at Encoder-FC's
+    // two layers, on one thread. `prepacked_no_quantize` subtracts the same
+    // input's `quantize_activations` sweep, the part that is not the tiles.
+    struct TileRow {
+        name: String,
+        shape: [usize; 3],
+        secs: f64,
+    }
+    let mut tile_rows: Vec<TileRow> = Vec::new();
+    if simd::active_isa() == Isa::Amx {
+        let kern_name = selected.matmul_i8.name;
+        let qnr = quant::quad_panel_width().unwrap();
+        for [tm, tk, tn] in [[n, n, n], [512, 76, 3072], [512, 3072, 768]] {
+            let x = pattern(tm, tk, 5);
+            let wt = QuantizedTensor::quantize(&pattern(tn, tk, 6)).unwrap();
+            let mut quads = Vec::new();
+            quant::pack_quads(wt.data(), tn, tk, qnr, &mut quads);
+            let pre = best_secs(reps, || {
+                quant::qmatmul_prepacked(&x, wt.epilogue(), qnr, &quads, None, &serial).unwrap();
+            });
+            let sweep = best_secs(reps, || {
+                quant::quantize_activations(&x).unwrap();
+            });
+            for (variant, secs) in [("prepacked", pre), ("prepacked_no_quantize", pre - sweep)] {
+                tile_rows.push(TileRow {
+                    name: format!("int8_tiles[{kern_name}] {tm}x{tk}x{tn} {variant}"),
+                    shape: [tm, tk, tn],
+                    secs,
+                });
+            }
+        }
+        let mut ttable = ResultTable::new(&["int8 tile row", "secs", "GOP-equiv/s"]);
+        for row in &tile_rows {
+            let ops = 2.0 * row.shape.iter().product::<usize>() as f64;
+            ttable.row(
+                &row.name,
+                &[
+                    Cell::Text(format!("{:.6}", row.secs)),
+                    Cell::Text(format!("{:.1}", ops / row.secs / 1e9)),
+                ],
+            );
+        }
+        println!("int8 on the AMX tile unit (best of {reps}, 1 thread):");
+        print!("{}", ttable.render());
+    } else {
+        println!(
+            "no int8_tiles rows: the dispatched tier is \"{}\", not amx",
+            simd::active_isa()
+        );
+    }
+
     // --- Elementwise kernel bandwidth -------------------------------------
     // L2-resident working set so the wider tiers are not flattened against
     // the memory wall; traffic counts reads + writes per invocation.
@@ -514,10 +570,27 @@ fn main() {
     let i8_pre_json = int8_pre_vs_f32_avx512
         .map(|s| format!("  \"speedup_int8_prequantized_vs_f32_avx512\": {s:.3},\n"))
         .unwrap_or_default();
+    let tile_json = tile_rows
+        .iter()
+        .map(|r| {
+            let ops = 2.0 * r.shape.iter().product::<usize>() as f64;
+            format!(
+                "    {{\"name\": \"{}\", \"isa\": \"amx\", \"shape\": [{}, {}, {}], \"secs\": {:.6}, \"gops_equiv\": {:.3}}}",
+                r.name,
+                r.shape[0],
+                r.shape[1],
+                r.shape[2],
+                r.secs,
+                ops / r.secs / 1e9
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let json = format!(
         "{{\n  \"host_cores\": {host_cores},\n  \"isa\": \"{}\",\n  \"shape\": [{n}, {n}, {n}],\n  \"flops\": {flops},\n  \"kernels\": [\n{kernel_json}\n  ],\n  \
          \"speedup_tiled_vs_seed\": {:.3},\n  \"speedup_f32_prepacked_vs_per_call\": {:.3},\n{avx512_json}  \
          \"int8_kernels\": [\n{i8_json}\n  ],\n  \
+         \"int8_tiles\": [\n{tile_json}\n  ],\n  \
          \"speedup_int8_vs_f32_best\": {int8_vs_f32_best:.3},\n{i8_avx2_json}{i8_pre_json}  \
          \"elementwise\": [\n{elem_json}\n  ],\n  \
          \"relational_matmul_bt\": {{\"rows\": {rel_rows}, \"block\": {block}, \"kernel_threads\": {rel_threads}, \

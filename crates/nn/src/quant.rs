@@ -253,6 +253,8 @@ mod tests {
     use super::*;
     use crate::init::seeded_rng;
     use crate::layer::Activation;
+    use relserve_tensor::parallel::Parallelism;
+    use relserve_tensor::Isa;
 
     fn model() -> Model {
         let mut rng = seeded_rng(30);
@@ -272,6 +274,62 @@ mod tests {
             .unwrap()
             .push(Layer::dense(128, 16, Activation::Softmax, &mut rng))
             .unwrap()
+    }
+
+    /// `model.forward` with every `QuantDense` multiply forced onto `isa`'s
+    /// int8 kernels (the activations stay on the process's tier).
+    fn forward_on_int8_tier(model: &Model, batch: &Tensor, isa: Isa) -> Tensor {
+        let mut x = batch.clone();
+        for layer in model.layers() {
+            let Layer::QuantDense {
+                weight,
+                bias,
+                activation,
+            } = layer
+            else {
+                unreachable!("a zoo model at int8 is all QuantDense layers")
+            };
+            let z = quant::qmatmul_bt_with_isa(&x, weight, Some(bias.data()), isa).unwrap();
+            x = activation.apply(&z).unwrap();
+        }
+        x
+    }
+
+    /// An `@int8` zoo model answers with the same bits whichever int8 tier
+    /// runs it: the process's (the tile unit where the host has one), the
+    /// VNNI register tile, and the scalar reference. The unoptimized test
+    /// build needs tens of seconds for Encoder-FC's 1.3 G multiply-adds at
+    /// 512 rows on the scalar reference, so that one cell is left to the
+    /// accumulator proptests, which pin every tier to scalar.
+    #[test]
+    fn int8_zoo_forward_is_bit_identical_on_every_int8_tier() {
+        let mut rng = seeded_rng(25);
+        let models = [
+            crate::zoo::encoder_fc(&mut rng).unwrap(),
+            crate::zoo::fraud_fc_256(&mut rng).unwrap(),
+        ];
+        let serial = Parallelism::serial();
+        for model in models {
+            let q = quantize_int8(&model).unwrap().model;
+            let k = model.input_shape().dims()[0];
+            for rows in [1, 37, 512] {
+                let x =
+                    Tensor::from_fn([rows, k], |i| ((i * 37 + rows) as f32 * 0.7311).sin() * 2.0);
+                let got = q.forward(&x, &serial).unwrap();
+                let scalar_affordable = rows * model.num_params() < 1 << 28;
+                for isa in [Isa::Avx512Vnni, Isa::Scalar]
+                    .into_iter()
+                    .filter(|i| i.available() && (*i != Isa::Scalar || scalar_affordable))
+                {
+                    let want = forward_on_int8_tier(&q, &x, isa);
+                    assert!(
+                        got.data() == want.data(),
+                        "{} at {rows} rows vs {isa}",
+                        q.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

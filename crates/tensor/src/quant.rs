@@ -32,9 +32,17 @@
 //!
 //! so the epilogue is `sw[j]·(sa[i]·acc[i][j] + lo[i]·wsum[j]) + bias[j]`,
 //! where `wsum[j]` is the precomputed i32 row sum stored alongside the
-//! quantized weights. The epilogue is evaluated in the same scalar f32
-//! expression order on every tier, so whole-matmul outputs are bit-identical
-//! across ISAs, not just accumulator-exact.
+//! quantized weights. The epilogue is evaluated in the same f32 expression
+//! order on every tier — vectorized, but as separate multiplies and adds —
+//! so whole-matmul outputs are bit-identical across ISAs, not just
+//! accumulator-exact. So is the row quantizer, which refuses a row holding
+//! a NaN or an infinity with a typed error.
+//!
+//! On [`Isa::Amx`] a stripe runs on the tile unit instead of the register
+//! tile: its rows are quantized straight into 64-byte-window rows (the A
+//! tile layout), multiplied in 2×2 blocks of 16×16 i32 tiles over pairs of
+//! quad panels (already the B tile layout), stored as i32 into the output
+//! and dequantized there in place.
 //!
 //! i32 accumulation is exact while `k · 127 · 127 < 2³¹`, i.e. any inner
 //! dimension below ~133 000 — far beyond the block and layer shapes the
@@ -44,7 +52,7 @@ use crate::dense::Tensor;
 use crate::error::{Error, Result};
 use crate::matmul::{row_stripes, stripe_count};
 use crate::parallel::Parallelism;
-use crate::simd::{self, Isa, MatmulKernelI8};
+use crate::simd::{self, DequantCols, Isa, MatmulKernelI8, TileShape, TileUnit, TILE_ROWS};
 use std::cell::RefCell;
 use std::sync::Mutex;
 
@@ -186,10 +194,17 @@ impl QuantizedTensor {
 /// Quantize one row of a weight matrix into `levels` (as long as `row`) on
 /// its own symmetric scale, which is returned — what
 /// [`QuantizedTensor::quantize`] does to every row, for a caller that has
-/// the matrix a few rows at a time. `None` if the row's largest magnitude
-/// is not finite.
+/// the matrix a few rows at a time. `None` if the row holds a NaN or an
+/// infinity.
 pub fn quantize_row(row: &[f32], levels: &mut [i8]) -> Option<f32> {
-    let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    // `f32::max` would skip a NaN; this fold keeps it, and it fails below.
+    let max_abs = row.iter().fold(0.0f32, |m, v| {
+        if v.abs() > m || v.is_nan() {
+            v.abs()
+        } else {
+            m
+        }
+    });
     if !max_abs.is_finite() {
         return None;
     }
@@ -275,16 +290,27 @@ impl QuantizedActivations {
 }
 
 /// Quantize a 2-D f32 activation matrix per row to 7-bit affine levels.
+/// `Error::Quantize` names the first row holding a NaN or an infinity.
 pub fn quantize_activations(a: &Tensor) -> Result<QuantizedActivations> {
     let (rows, cols) = a.shape().as_matrix()?;
-    quantize_rows(a.data(), rows, cols, 0)
+    quantize_rows(&simd::try_kernels()?.matmul_i8, a.data(), rows, cols, 0)
 }
 
-/// Quantize `rows` rows of `cols` values each. A row's levels, scale and
-/// offset depend on that row alone, so a row stripe quantized by itself
-/// holds exactly what the whole matrix's quantization holds for its rows;
-/// `first_row` is the stripe's position in that matrix, for the error.
+/// The error for activation row `r`, which holds a NaN or an infinity.
+fn non_finite_row(r: usize) -> Error {
+    Error::Quantize(format!(
+        "activation row {r} contains non-finite values; cannot quantize"
+    ))
+}
+
+/// Quantize `rows` rows of `cols` values each with `kern`'s row quantizer
+/// (every tier's returns the same levels, scales and offsets). A row's
+/// levels, scale and offset depend on that row alone, so a row stripe
+/// quantized by itself holds exactly what the whole matrix's quantization
+/// holds for its rows; `first_row` is the stripe's position in that matrix,
+/// for the error.
 fn quantize_rows(
+    kern: &MatmulKernelI8,
     ad: &[f32],
     rows: usize,
     cols: usize,
@@ -294,44 +320,10 @@ fn quantize_rows(
     let mut scales = vec![1.0f32; rows];
     let mut offsets = vec![0.0f32; rows];
     for r in 0..rows {
-        let row = &ad[r * cols..(r + 1) * cols];
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        // Plain comparisons, not `f32::min`/`max`: identical result on this
-        // data (NaN loses either way and is caught below), but this form
-        // compiles to bare vminps/vmaxps lanes.
-        for &v in row {
-            lo = if v < lo { v } else { lo };
-            hi = if v > hi { v } else { hi };
-        }
-        if row.is_empty() {
-            (lo, hi) = (0.0, 0.0);
-        }
-        if !lo.is_finite() || !hi.is_finite() {
-            return Err(Error::Quantize(format!(
-                "activation row {} contains non-finite values; cannot quantize",
-                first_row + r
-            )));
-        }
-        let scale = if hi > lo {
-            (hi - lo) / ACT_QMAX as f32
-        } else {
-            1.0
-        };
-        scales[r] = scale;
-        offsets[r] = lo;
-        // Hot loop: one multiply per element (reciprocal, not divide) and a
-        // truncating cast (round-half-up after the +0.5), both of which the
-        // compiler vectorizes — `f32::round` would be a libm call on the
-        // SSE2 baseline and cost more than the whole u8×i8 gemm.
-        let inv = 1.0 / scale;
-        let out_row = &mut data[r * cols..(r + 1) * cols];
-        for (d, &v) in out_row.iter_mut().zip(row) {
-            // (v - lo) * inv ∈ [0, 127 ± ulp]: non-negative, so the cast
-            // truncates toward zero and `+ 0.5` makes it round-half-up.
-            let t = (v - lo) * inv + 0.5;
-            *d = (t as i32).min(ACT_QMAX as i32) as u8;
-        }
+        let span = r * cols..(r + 1) * cols;
+        (scales[r], offsets[r]) = kern
+            .quantize_row(&ad[span.clone()], &mut data[span])
+            .ok_or_else(|| non_finite_row(first_row + r))?;
     }
     Ok(QuantizedActivations {
         rows,
@@ -368,14 +360,14 @@ fn pack_b_i8(levels: &[i8], n: usize, k: usize, nr: usize, out: &mut Vec<i8>) {
 /// Pack rows `i0 .. i0+rows` of the quantized activations into an
 /// interleaved `[kq][mr][4]` u8 quad micro-panel (rows past `rows` and
 /// k past `cols` zero-padded).
-fn pack_a_u8(a: &QuantizedActivations, i0: usize, rows: usize, mr: usize, out: &mut [i8]) {
+fn pack_a_u8(a: &QuantizedActivations, i0: usize, rows: usize, mr: usize, out: &mut [u8]) {
     let k = a.cols;
     let kq = k.div_ceil(4);
     out[..kq * mr * 4].fill(0);
     for r in 0..rows {
         let row = &a.data[(i0 + r) * k..(i0 + r) * k + k];
         for (p, &v) in row.iter().enumerate() {
-            out[(p / 4) * mr * 4 + r * 4 + (p % 4)] = v as i8;
+            out[(p / 4) * mr * 4 + r * 4 + (p % 4)] = v;
         }
     }
 }
@@ -383,9 +375,9 @@ fn pack_a_u8(a: &QuantizedActivations, i0: usize, rows: usize, mr: usize, out: &
 thread_local! {
     /// Reusable i8 B-pack scratch, mirroring the f32 path's `B_SCRATCH`.
     static QB_SCRATCH: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
-    /// Reusable u8 A-pack scratch (stored as i8 for one allocation type;
-    /// activation levels are `0..=127` so the reinterpretation is lossless).
-    static QA_SCRATCH: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
+    /// Reusable u8 A scratch: micro-panels on the register tile, window
+    /// rows on the tile unit.
+    static QA_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Compute rows `i0..i1` of the raw i32 product `acc[i][j] = Σ_p aq·wq`
@@ -436,13 +428,7 @@ fn qgemm_stripe(
                 let rows_here = mr.min(i1 - i);
                 let acc = &mut acc_tile[..mr * nr];
                 acc.fill(0);
-                let ap = &apack[t * mr * 4 * kq..][..mr * 4 * kq];
-                // SAFETY of the cast: u8 levels were stored as i8 losslessly
-                // (all <= 127); reinterpret the scratch back as u8 for the
-                // kernel's unsigned operand.
-                let ap_u8 =
-                    unsafe { std::slice::from_raw_parts(ap.as_ptr() as *const u8, ap.len()) };
-                kern.run(ap_u8, bpanel, kq, acc);
+                kern.run(&apack[t * mr * 4 * kq..][..mr * 4 * kq], bpanel, kq, acc);
                 for r in 0..rows_here {
                     sink(i + r, j0, width, &acc[r * nr..r * nr + width]);
                 }
@@ -460,6 +446,16 @@ enum Acts<'a> {
     /// Row-major f32 `[m, k]`: every row stripe quantizes its own rows, so
     /// the sweep runs on the grant instead of ahead of it.
     Raw { data: &'a [f32], m: usize, k: usize },
+}
+
+impl Acts<'_> {
+    /// `(m, k)`.
+    fn dims(&self) -> (usize, usize) {
+        match *self {
+            Acts::Quantized(a) => (a.rows, a.cols),
+            Acts::Raw { m, k, .. } => (m, k),
+        }
+    }
 }
 
 /// Pack-per-call: pack `w`'s quads into this thread's scratch for `kern`,
@@ -487,10 +483,7 @@ fn qmatmul_impl(
     bias: Option<&[f32]>,
     par: &Parallelism,
 ) -> Result<Tensor> {
-    let (m, k) = match acts {
-        Acts::Quantized(a) => (a.rows, a.cols),
-        Acts::Raw { m, k, .. } => (m, k),
-    };
+    let (m, k) = acts.dims();
     let n = w.scales.len();
     if w.cols != k || w.row_sums.len() != n {
         return Err(Error::ShapeMismatch {
@@ -512,42 +505,19 @@ fn qmatmul_impl(
     if m == 0 || n == 0 {
         return Tensor::from_vec([m, n], c);
     }
+    let cols = DequantCols {
+        scales: w.scales,
+        sums: w.row_sums,
+        bias,
+    };
     // One stripe: rows `row0..` of the output, from activations this stripe
     // quantizes itself unless the caller already has.
     let run_stripe = |row0: usize, out: &mut [f32]| -> Result<()> {
-        let rows = out.len() / n;
-        let own;
-        let (aq, first) = match acts {
-            Acts::Quantized(a) => (a, row0),
-            Acts::Raw { data, .. } => {
-                own = quantize_rows(&data[row0 * k..(row0 + rows) * k], rows, k, row0)?;
-                (&own, 0)
-            }
-        };
-        qgemm_stripe(
-            kern,
-            aq,
-            bpack,
-            first,
-            first + rows,
-            n,
-            |i, j0, width, acc_row| {
-                // The dequantizing epilogue, evaluated in the same scalar f32
-                // expression order on every tier so whole-matmul outputs are
-                // bit-identical across ISAs.
-                let (sa, lo) = (aq.scales[i], aq.offsets[i]);
-                let c_row = &mut out[(i - first) * n + j0..][..width];
-                for (jj, (&acc, cv)) in acc_row.iter().zip(c_row).enumerate() {
-                    let j = j0 + jj;
-                    let mut v = w.scales[j] * (sa * acc as f32 + lo * w.row_sums[j] as f32);
-                    if let Some(b) = bias {
-                        v += b[j];
-                    }
-                    *cv = v;
-                }
-            },
-        );
-        Ok(())
+        if on_tiles(kern, k) {
+            tile_stripe(kern, acts, bpack, cols, row0, out)
+        } else {
+            register_stripe(kern, acts, bpack, cols, row0, out)
+        }
     };
     let threads = stripe_count(par.threads(), m, k, n);
     if threads == 1 {
@@ -557,7 +527,7 @@ fn qmatmul_impl(
         // matrix's quantization would have refused.
         let failed: Mutex<Option<(usize, Error)>> = Mutex::new(None);
         par.run_owned(
-            row_stripes(&mut c, m, n, threads, kern.mr),
+            row_stripes(&mut c, m, n, threads, kern.stripe_rows()),
             |(row0, stripe)| {
                 if let Err(e) = run_stripe(row0, stripe) {
                     let mut failed = failed.lock().expect("stripe error lock");
@@ -574,6 +544,124 @@ fn qmatmul_impl(
     Tensor::from_vec([m, n], c)
 }
 
+/// Whether a multiply with inner dimension `k` runs on the tile unit: on a
+/// tile tier, at any row count (one row padded to a tile still beats the
+/// register tile), unless there is no `k` to multiply over.
+fn on_tiles(kern: &MatmulKernelI8, k: usize) -> bool {
+    kern.has_tiles() && k > 0
+}
+
+/// The register-tile body of one stripe (output rows `row0..`, `out`): its
+/// rows quantized here unless the caller did, multiplied a micro-tile at a
+/// time and dequantized at each tile row's store.
+fn register_stripe(
+    kern: &MatmulKernelI8,
+    acts: Acts<'_>,
+    bpack: &[i8],
+    cols: DequantCols<'_>,
+    row0: usize,
+    out: &mut [f32],
+) -> Result<()> {
+    let n = cols.scales.len();
+    let rows = out.len() / n;
+    let own;
+    let (aq, first) = match acts {
+        Acts::Quantized(a) => (a, row0),
+        Acts::Raw { data, k, .. } => {
+            own = quantize_rows(kern, &data[row0 * k..(row0 + rows) * k], rows, k, row0)?;
+            (&own, 0)
+        }
+    };
+    qgemm_stripe(
+        kern,
+        aq,
+        bpack,
+        first,
+        first + rows,
+        n,
+        |i, j0, width, acc_row| {
+            let c_row = &mut out[(i - first) * n + j0..][..width];
+            let (sa, lo) = (aq.scales[i], aq.offsets[i]);
+            kern.dequantize_row(acc_row, c_row, sa, lo, cols.range(j0, width));
+        },
+    );
+    Ok(())
+}
+
+/// The tile body of one stripe (output rows `row0..`, `out`): its rows laid
+/// out for the tile unit — quantized straight into place unless the caller
+/// quantized them — then multiplied into `out` as i32 and dequantized there
+/// in place once all its panels are done.
+fn tile_stripe(
+    kern: &MatmulKernelI8,
+    acts: Acts<'_>,
+    bpack: &[i8],
+    cols: DequantCols<'_>,
+    row0: usize,
+    out: &mut [f32],
+) -> Result<()> {
+    let n = cols.scales.len();
+    let rows = out.len() / n;
+    let (_, k) = acts.dims();
+    let fill = |r: usize, dst: &mut [u8]| match acts {
+        Acts::Quantized(a) => copy_levels(a, row0 + r, dst),
+        Acts::Raw { data, .. } => kern
+            .quantize_row(&data[(row0 + r) * k..][..k], dst)
+            .ok_or_else(|| non_finite_row(row0 + r)),
+    };
+    with_tile_rows(kern, k, rows, fill, |unit, a, params| {
+        unit.multiply(a, rows, bpack, n, as_i32(out));
+        for (row, &(sa, lo)) in out.chunks_exact_mut(n).zip(params) {
+            kern.dequantize_in_place(row, sa, lo, cols);
+        }
+    })
+}
+
+/// Row `r` of caller-quantized activations copied into `dst`, with its
+/// scale and offset.
+fn copy_levels(a: &QuantizedActivations, r: usize, dst: &mut [u8]) -> Result<(f32, f32)> {
+    dst.copy_from_slice(&a.data[r * a.cols..][..a.cols]);
+    Ok((a.scales[r], a.offsets[r]))
+}
+
+/// A row of f32 slots as i32 slots, for the tile unit to store accumulators
+/// into before they are dequantized in place.
+fn as_i32(row: &mut [f32]) -> &mut [i32] {
+    // SAFETY: f32 and i32 have the same size and alignment, and every bit
+    // pattern is a valid value of both.
+    unsafe { std::slice::from_raw_parts_mut(row.as_mut_ptr().cast(), row.len()) }
+}
+
+/// Lay `rows` activation rows out in this thread's A scratch the way the
+/// tile unit loads them (`fill(r, levels)` writes row `r`'s `k` levels and
+/// returns its scale and offset; the first error stops the layout), then
+/// run `f` with the tile unit configured for `k`, the rows and their
+/// `(scale, offset)`s.
+fn with_tile_rows<R>(
+    kern: &MatmulKernelI8,
+    k: usize,
+    rows: usize,
+    mut fill: impl FnMut(usize, &mut [u8]) -> Result<(f32, f32)>,
+    f: impl FnOnce(&TileUnit<'_>, &[u8], &[(f32, f32)]) -> R,
+) -> Result<R> {
+    let shape = TileShape::new(k);
+    let lda = shape.row_bytes();
+    let padded = rows.div_ceil(TILE_ROWS) * TILE_ROWS;
+    QA_SCRATCH.with(|scratch| {
+        let mut a = scratch.borrow_mut();
+        if a.len() < padded * lda {
+            a.resize(padded * lda, 0);
+        }
+        let mut params = Vec::with_capacity(rows);
+        for (r, row) in a[..rows * lda].chunks_exact_mut(lda).enumerate() {
+            params.push(fill(r, &mut row[..k])?);
+            shape.place(row);
+        }
+        a[rows * lda..padded * lda].fill(0);
+        Ok(f(&kern.tile_unit(&shape), &a[..padded * lda], &params))
+    })
+}
+
 /// Raw i32 accumulation `acc[i][j] = Σ_p aq[i][p]·wq[j][p]` on a forced ISA
 /// tier — the cross-tier exactness surface the oracle tests pin: every
 /// supported tier must return the identical vector.
@@ -586,13 +674,21 @@ pub fn qgemm_i32(a: &QuantizedActivations, w: &QuantizedTensor, isa: Isa) -> Res
             rhs: vec![w.rows, w.cols],
         });
     }
-    let (m, n) = (a.rows, w.rows);
+    let (m, k, n) = (a.rows, a.cols, w.rows);
     let mut acc = vec![0i32; m * n];
     with_scratch_quads(kern, w, |bpack| {
-        qgemm_stripe(kern, a, bpack, 0, m, n, |i, j0, width, acc_row| {
-            acc[i * n + j0..i * n + j0 + width].copy_from_slice(&acc_row[..width]);
-        });
-    });
+        if on_tiles(kern, k) {
+            let fill = |r: usize, dst: &mut [u8]| copy_levels(a, r, dst);
+            with_tile_rows(kern, k, m, fill, |unit, at, _| {
+                unit.multiply(at, m, bpack, n, &mut acc)
+            })
+        } else {
+            qgemm_stripe(kern, a, bpack, 0, m, n, |i, j0, width, acc_row| {
+                acc[i * n + j0..i * n + j0 + width].copy_from_slice(&acc_row[..width]);
+            });
+            Ok(())
+        }
+    })?;
     Ok(acc)
 }
 
@@ -853,7 +949,8 @@ mod tests {
 
     #[test]
     fn a_non_finite_row_is_the_same_typed_error_under_any_grant() {
-        // Enough work for four stripes; bad rows in the second and the last.
+        // Enough work for four stripes; bad rows in the first, the second
+        // and the last.
         let (m, k, n) = (128, 256, 128);
         let mut a = inexact(m, k, 0.7311);
         a.data_mut()[100 * k + 3] = f32::INFINITY;
@@ -865,6 +962,41 @@ mod tests {
             let got = qmatmul_bt_parallel(&a, &w, None, &inline_grant(threads)).unwrap_err();
             assert_eq!(got, expected, "threads={threads}");
         }
+        // A NaN is refused like an infinity, on every tier: the lowest
+        // failing row is now the NaN's.
+        a.data_mut()[17 * k + 200] = f32::NAN;
+        let expected = quantize_activations(&a).unwrap_err();
+        assert!(matches!(&expected, Error::Quantize(msg) if msg.contains("row 17")));
+        for threads in [1, 2, 4, 8] {
+            let got = qmatmul_bt_parallel(&a, &w, None, &inline_grant(threads)).unwrap_err();
+            assert_eq!(got, expected, "threads={threads}");
+        }
+        for isa in Isa::supported() {
+            let got = qmatmul_bt_with_isa(&a, &w, None, isa).unwrap_err();
+            assert_eq!(got, expected, "{isa}");
+        }
+    }
+
+    #[test]
+    fn nan_is_a_quantize_error_not_level_zero() {
+        let row = Tensor::from_vec([1, 4], vec![0.5, f32::NAN, -1.0, 2.0]).unwrap();
+        assert!(matches!(
+            quantize_activations(&row),
+            Err(Error::Quantize(_))
+        ));
+        let ones = QuantizedTensor::quantize(&Tensor::full([3, 4], 1.0)).unwrap();
+        for isa in Isa::supported() {
+            let got = qmatmul_bt_with_isa(&row, &ones, None, isa);
+            assert!(matches!(got, Err(Error::Quantize(_))), "{isa}");
+        }
+        assert!(matches!(
+            qmatmul_bt_parallel(&row, &ones, None, &Parallelism::serial()),
+            Err(Error::Quantize(_))
+        ));
+        assert!(matches!(
+            QuantizedTensor::quantize(&row),
+            Err(Error::Quantize(_))
+        ));
     }
 
     #[test]
@@ -935,6 +1067,114 @@ mod tests {
             assert_eq!(levels, q.data()[r * 13..(r + 1) * 13]);
         }
         assert_eq!(quantize_row(&[1.0, f32::INFINITY], &mut [0; 2]), None);
+        assert_eq!(quantize_row(&[1.0, f32::NAN], &mut [0; 2]), None);
+        assert_eq!(quantize_row(&[f32::NAN, 1.0], &mut [0; 2]), None);
+    }
+
+    /// Rows that stress the row quantizer: ragged lengths (every vector tail
+    /// at both widths), constant rows, −0 beside +0 in either order, ranges
+    /// that overflow or underflow the step, and non-finite values.
+    fn quantizer_rows() -> Vec<Vec<f32>> {
+        let mut rows = Vec::new();
+        for len in 0..=(3 * 16 + 15) {
+            rows.push(
+                (0..len)
+                    .map(|i| ((i * 7 + len) as f32 * 0.7311).sin() * 9.0)
+                    .collect(),
+            );
+            rows.push(vec![-2.5; len]);
+            rows.push(
+                (0..len)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                    .collect(),
+            );
+            rows.push(
+                (0..len)
+                    .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+            );
+            rows.push(
+                (0..len)
+                    .map(|i| (i % 5) as f32 - if i % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+            );
+        }
+        for len in [1, 5, 16, 17, 40] {
+            let at = len / 2;
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut row: Vec<f32> = (0..len).map(|i| i as f32).collect();
+                row[at] = bad;
+                rows.push(row);
+            }
+            // hi − lo overflows to infinity: a zero step reciprocal.
+            rows.push(
+                (0..len)
+                    .map(|i| if i % 2 == 0 { 3.0e38 } else { -3.0e38 })
+                    .collect(),
+            );
+            // hi − lo is subnormal: the step underflows to zero.
+            rows.push(
+                (0..len)
+                    .map(|i| if i % 2 == 0 { 1.0e-45 } else { 0.0 })
+                    .collect(),
+            );
+        }
+        rows
+    }
+
+    #[test]
+    fn every_tier_quantizes_rows_like_the_scalar_tier() {
+        let scalar = &simd::kernels_for(Isa::Scalar).unwrap().matmul_i8;
+        for row in quantizer_rows() {
+            let mut want = vec![0u8; row.len()];
+            let want_params = scalar.quantize_row(&row, &mut want);
+            for isa in Isa::supported() {
+                let kern = &simd::kernels_for(isa).unwrap().matmul_i8;
+                let mut got = vec![0xAAu8; row.len()];
+                let got_params = kern.quantize_row(&row, &mut got);
+                let bits = |p: Option<(f32, f32)>| p.map(|(s, lo)| (s.to_bits(), lo.to_bits()));
+                assert_eq!(bits(got_params), bits(want_params), "{isa} {row:?}");
+                if want_params.is_some() {
+                    assert_eq!(got, want, "{isa} {row:?}");
+                    assert!(got.iter().all(|&q| q <= ACT_QMAX), "{isa}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_dequantizes_like_the_scalar_tier() {
+        let scalar = &simd::kernels_for(Isa::Scalar).unwrap().matmul_i8;
+        for n in 0..=(2 * 16 + 15) {
+            let acc: Vec<i32> = (0..n as i32)
+                .map(|j| (j * 7919 - 60_000) * (j % 3 - 1))
+                .collect();
+            let scales: Vec<f32> = (0..n)
+                .map(|j| 0.001 + (j as f32 * 0.37).cos().abs() * 0.01)
+                .collect();
+            let sums: Vec<i32> = (0..n as i32).map(|j| j * 131 - 900).collect();
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.41).sin()).collect();
+            for bias in [None, Some(&bias[..])] {
+                let cols = DequantCols {
+                    scales: &scales,
+                    sums: &sums,
+                    bias,
+                };
+                let mut want = vec![0.0f32; n];
+                scalar.dequantize_row(&acc, &mut want, 0.0173, -1.25, cols);
+                for isa in Isa::supported() {
+                    let kern = &simd::kernels_for(isa).unwrap().matmul_i8;
+                    let mut got = vec![0.0f32; n];
+                    kern.dequantize_row(&acc, &mut got, 0.0173, -1.25, cols);
+                    let mut in_place: Vec<f32> =
+                        acc.iter().map(|&a| f32::from_bits(a as u32)).collect();
+                    kern.dequantize_in_place(&mut in_place, 0.0173, -1.25, cols);
+                    for (g, w) in got.iter().chain(&in_place).zip(want.iter().cycle()) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{isa} n={n}");
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -957,7 +1197,8 @@ mod tests {
             let (lo, hi) = (cut_a.min(cut_b).min(rows), cut_a.max(cut_b).min(rows));
             let (mut data, mut scales, mut offsets) = (Vec::new(), Vec::new(), Vec::new());
             for (r0, r1) in [(0, lo), (lo, hi), (hi, rows)] {
-                let stripe = quantize_rows(&a.data()[r0 * cols..r1 * cols], r1 - r0, cols, r0).unwrap();
+                let kern = &simd::kernels().matmul_i8;
+                let stripe = quantize_rows(kern, &a.data()[r0 * cols..r1 * cols], r1 - r0, cols, r0).unwrap();
                 data.extend_from_slice(stripe.data());
                 scales.extend_from_slice(stripe.scales());
                 offsets.extend_from_slice(stripe.offsets());
@@ -965,6 +1206,38 @@ mod tests {
             prop_assert!(data == whole.data());
             prop_assert!(scales == whole.scales());
             prop_assert!(offsets == whole.offsets());
+        }
+
+        /// Every route into `qmatmul_impl`, under grants of 1, 2 and 3, is the
+        /// serial multiply — across ragged `k` (partial quads, partial tile
+        /// windows, windows moved to the panel's end), rows that do not fill
+        /// a tile, and columns that do not fill a panel.
+        #[test]
+        fn int8_routes_under_any_grant_are_the_serial_multiply(
+            m in 1usize..80,
+            k in 1usize..200,
+            n in 1usize..70,
+            seed in 0usize..1000,
+        ) {
+            let a = Tensor::from_fn([m, k], |i| ((i * 37 + seed) as f32 * 0.7311).sin() * 3.0);
+            let w = QuantizedTensor::quantize(&inexact(n, k, 0.4177 + seed as f32 * 1e-4)).unwrap();
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.377).cos()).collect();
+            let aq = quantize_activations(&a).unwrap();
+            let serial = qmatmul_prequantized(&aq, &w, Some(&bias), &Parallelism::serial()).unwrap();
+            let nr = quad_panel_width().unwrap();
+            let mut quads = Vec::new();
+            pack_quads(w.data(), n, k, nr, &mut quads);
+            for threads in [1, 2, 3] {
+                let grant = inline_grant(threads);
+                let routes = [
+                    ("per-call", qmatmul_bt_parallel(&a, &w, Some(&bias), &grant).unwrap()),
+                    ("prepacked", qmatmul_prepacked(&a, w.epilogue(), nr, &quads, Some(&bias), &grant).unwrap()),
+                    ("prequantized", qmatmul_prequantized(&aq, &w, Some(&bias), &grant).unwrap()),
+                ];
+                for (route, got) in routes {
+                    prop_assert!(got.data() == serial.data(), "{} {}x{}x{} under {}", route, m, k, n, threads);
+                }
+            }
         }
     }
 

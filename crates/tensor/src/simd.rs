@@ -6,16 +6,18 @@
 //! host offers. This module is the single seam where that decision is made:
 //!
 //! * [`Isa`] names the dispatch tiers: portable [`Isa::Scalar`], 256-bit
-//!   [`Isa::Avx2Fma`], 512-bit [`Isa::Avx512`], and [`Isa::Avx512Vnni`] when
-//!   the host has the int8 dot-product extension.
+//!   [`Isa::Avx2Fma`], 512-bit [`Isa::Avx512`], [`Isa::Avx512Vnni`] when
+//!   the host has the int8 dot-product extension, and [`Isa::Amx`] when it
+//!   also has the AMX tile unit and the kernel lets the process use it.
 //! * [`Kernels`] is a table of function pointers — one f32 matmul
 //!   micro-kernel and one int8 matmul micro-kernel (each with its own tile
-//!   geometry) plus the vectorized elementwise kernels (relu, add-assign,
-//!   axpy, scale, max/sum reductions) the activation and softmax paths use.
+//!   geometry, the int8 one with its row quantizer and dequantizing store)
+//!   plus the vectorized elementwise kernels (relu, add-assign, axpy, scale,
+//!   max/sum reductions) the activation and softmax paths use.
 //! * [`kernels`] resolves the table **once per process**: the best available
 //!   ISA by runtime CPU feature detection, overridable with the
-//!   `RELSERVE_ISA=scalar|avx2|avx512` environment variable for
-//!   reproducibility, testing, and benchmarking. Forcing an ISA the host
+//!   `RELSERVE_ISA=scalar|avx2|avx512|avx512vnni|amx` environment variable
+//!   for reproducibility, testing, and benchmarking. Forcing an ISA the host
 //!   does not support fails with a clear error instead of executing illegal
 //!   instructions.
 //!
@@ -52,6 +54,11 @@ pub enum Isa {
     /// int8 matmul micro-kernel from the `maddubs`+`madd` emulation to a
     /// single fused u8×i8→i32 instruction per quad.
     Avx512Vnni,
+    /// [`Isa::Avx512Vnni`] plus the AMX tile unit (AMX-TILE and AMX-INT8):
+    /// the int8 multiply runs its row stripes in 16×16 i32 tiles with
+    /// `tdpbusd`, from the same 16-wide quad panels. The f32 kernels and the
+    /// int8 panel width are the VNNI tier's.
+    Amx,
 }
 
 impl Isa {
@@ -62,6 +69,7 @@ impl Isa {
             Isa::Avx2Fma => "avx2",
             Isa::Avx512 => "avx512",
             Isa::Avx512Vnni => "avx512vnni",
+            Isa::Amx => "amx",
         }
     }
 
@@ -72,8 +80,9 @@ impl Isa {
             "avx2" => Ok(Isa::Avx2Fma),
             "avx512" => Ok(Isa::Avx512),
             "avx512vnni" | "vnni" => Ok(Isa::Avx512Vnni),
+            "amx" => Ok(Isa::Amx),
             other => Err(Error::Isa(format!(
-                "unknown ISA {other:?} (valid {ISA_ENV} values: scalar, avx2, avx512, avx512vnni)"
+                "unknown ISA {other:?} (valid {ISA_ENV} values: scalar, avx2, avx512, avx512vnni, amx)"
             ))),
         }
     }
@@ -95,6 +104,8 @@ impl Isa {
                     && std::arch::is_x86_feature_detected!("avx512bw")
                     && std::arch::is_x86_feature_detected!("avx512vnni")
             }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Amx => Isa::Avx512Vnni.available() && tile::permitted(),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -102,10 +113,16 @@ impl Isa {
 
     /// Every tier the running CPU supports, narrowest first.
     pub fn supported() -> Vec<Isa> {
-        [Isa::Scalar, Isa::Avx2Fma, Isa::Avx512, Isa::Avx512Vnni]
-            .into_iter()
-            .filter(|isa| isa.available())
-            .collect()
+        [
+            Isa::Scalar,
+            Isa::Avx2Fma,
+            Isa::Avx512,
+            Isa::Avx512Vnni,
+            Isa::Amx,
+        ]
+        .into_iter()
+        .filter(|isa| isa.available())
+        .collect()
     }
 
     /// The widest tier the running CPU supports.
@@ -190,6 +207,13 @@ impl fmt::Debug for MatmulKernel {
 /// sum within i16 (max `127·127·2 = 32258 < 32767`), so the AVX2 tier never
 /// saturates and **all tiers produce bit-identical i32 accumulators** — the
 /// cross-tier exactness the oracle tests pin.
+///
+/// Beside the micro-kernel, each tier carries the two sweeps around it: the
+/// row quantizer that makes those levels and the dequantizing store that
+/// turns accumulators into f32. Both are vectorized where the tier has
+/// vectors and return exactly what the scalar tier returns. On
+/// [`Isa::Amx`] the int8 multiply runs on the tile unit instead; that
+/// tier's micro-kernel is the VNNI one.
 pub struct MatmulKernelI8 {
     /// The tier this kernel requires.
     pub isa: Isa,
@@ -200,6 +224,48 @@ pub struct MatmulKernelI8 {
     /// Human-readable kernel name, e.g. `"vnni vpdpbusd 8x16"`.
     pub name: &'static str,
     micro: unsafe fn(&[u8], &[i8], usize, &mut [i32]),
+    quantize: RowQuantizer,
+    dequantize: RowDequantizer,
+    tiles: bool,
+}
+
+/// A row quantizer: a row's levels into the second slice, its `(scale,
+/// offset)` returned, `None` for a row holding a NaN or an infinity.
+type RowQuantizer = unsafe fn(&[f32], &mut [u8]) -> Option<(f32, f32)>;
+
+/// A dequantizing store of `cols.len()` accumulators into as many f32 slots
+/// (possibly the same memory), given the row's scale and offset.
+type RowDequantizer = unsafe fn(*const i32, *mut f32, f32, f32, DequantCols<'_>);
+
+/// Per output column, what the dequantizing store of `X × Wᵀ` multiplies
+/// and adds: `W`'s row scales and level sums, and the bias, one per column
+/// of a run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DequantCols<'a> {
+    pub scales: &'a [f32],
+    pub sums: &'a [i32],
+    pub bias: Option<&'a [f32]>,
+}
+
+impl<'a> DequantCols<'a> {
+    /// Columns `j0 .. j0 + len`.
+    pub fn range(self, j0: usize, len: usize) -> DequantCols<'a> {
+        DequantCols {
+            scales: &self.scales[j0..j0 + len],
+            sums: &self.sums[j0..j0 + len],
+            bias: self.bias.map(|b| &b[j0..j0 + len]),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.scales.len()
+    }
+
+    fn holds(&self, len: usize) -> bool {
+        self.scales.len() == len
+            && self.sums.len() == len
+            && self.bias.is_none_or(|b| b.len() == len)
+    }
 }
 
 impl MatmulKernelI8 {
@@ -218,6 +284,76 @@ impl MatmulKernelI8 {
         // verifies the ISA is available on this CPU, and the slice bounds the
         // target-feature implementations rely on were just asserted.
         unsafe { (self.micro)(apack, bpanel, kq, acc) }
+    }
+
+    /// Quantize one activation row to 7-bit affine levels in `out`:
+    /// `round((v − lo)/scale)` capped at 127, with `lo` the row minimum and
+    /// `scale = (max − lo)/127` (1 for a constant row). Returns
+    /// `(scale, lo)`, or `None` if the row holds a NaN or an infinity.
+    pub(crate) fn quantize_row(&self, row: &[f32], out: &mut [u8]) -> Option<(f32, f32)> {
+        assert_eq!(row.len(), out.len(), "quantize_row length mismatch");
+        // SAFETY: availability checked at table selection; lengths agree.
+        unsafe { (self.quantize)(row, out) }
+    }
+
+    /// The dequantizing store of one output row:
+    /// `out[j] = scales[j]·(sa·acc[j] + lo·sums[j]) + bias[j]`, evaluated in
+    /// that order with no fused multiply-add on every tier.
+    pub(crate) fn dequantize_row(
+        &self,
+        acc: &[i32],
+        out: &mut [f32],
+        sa: f32,
+        lo: f32,
+        cols: DequantCols<'_>,
+    ) {
+        assert!(
+            acc.len() == out.len() && cols.holds(out.len()),
+            "dequantize_row length mismatch"
+        );
+        // SAFETY: availability checked at table selection; every operand
+        // holds `cols.len()` elements.
+        unsafe { (self.dequantize)(acc.as_ptr(), out.as_mut_ptr(), sa, lo, cols) }
+    }
+
+    /// [`MatmulKernelI8::dequantize_row`] over a row whose slots hold the
+    /// i32 accumulators' bits, as the tile unit stores them.
+    pub(crate) fn dequantize_in_place(
+        &self,
+        row: &mut [f32],
+        sa: f32,
+        lo: f32,
+        cols: DequantCols<'_>,
+    ) {
+        assert!(cols.holds(row.len()), "dequantize_in_place length mismatch");
+        let p = row.as_mut_ptr();
+        // SAFETY: as above; every kernel reads element `j` before it writes
+        // it, so reading and writing the same slots is sound.
+        unsafe { (self.dequantize)(p.cast::<i32>().cast_const(), p, sa, lo, cols) }
+    }
+
+    /// Whether the int8 multiply runs this tier's stripes on the tile
+    /// unit.
+    pub(crate) fn has_tiles(&self) -> bool {
+        self.tiles
+    }
+
+    /// The tile unit, configured for `shape` on this thread.
+    pub(crate) fn tile_unit<'s>(&self, shape: &'s TileShape) -> TileUnit<'s> {
+        assert!(self.tiles, "{} has no tile unit", self.name);
+        // SAFETY: `tiles` is set only on the AMX table, which `kernels_for`
+        // hands out after the CPU and the kernel granted the tile unit.
+        unsafe { TileUnit::configure(shape) }
+    }
+
+    /// Rows a stripe of the int8 multiply is a multiple of (but the last):
+    /// whole micro-tiles, or whole pairs of 16-row tiles on a tile tier.
+    pub(crate) fn stripe_rows(&self) -> usize {
+        if self.tiles {
+            2 * TILE_ROWS
+        } else {
+            self.mr
+        }
     }
 }
 
@@ -329,6 +465,8 @@ pub fn kernels_for(isa: Isa) -> Result<&'static Kernels> {
         Isa::Avx512 => &AVX512,
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512Vnni => &AVX512VNNI,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Amx => &AMX,
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar ISAs report unavailable off x86_64"),
     })
@@ -437,6 +575,73 @@ unsafe fn micro_i8_scalar_4x8(apack: &[u8], bpanel: &[i8], kq: usize, acc: &mut 
     }
 }
 
+/// The affine step of a row with range `lo..=hi` (`empty` rows have range
+/// `0..=0`): `(scale, lo)`, `None` if the row held a NaN (`nan`) or either
+/// end is infinite. Every tier's row quantizer ends its min/max sweep here,
+/// so they agree on the parameters by construction.
+#[inline(always)]
+fn act_params(lo: f32, hi: f32, empty: bool, nan: bool) -> Option<(f32, f32)> {
+    let (lo, hi) = if empty { (0.0, 0.0) } else { (lo, hi) };
+    if nan || !lo.is_finite() || !hi.is_finite() {
+        return None;
+    }
+    let qmax = crate::quant::ACT_QMAX as f32;
+    let scale = if hi > lo { (hi - lo) / qmax } else { 1.0 };
+    // A min/max sweep may meet −0 and +0 in any order; they quantize alike,
+    // and one of them is reported so that every tier reports the same bits.
+    Some((scale, if lo == 0.0 { 0.0 } else { lo }))
+}
+
+/// The level of `v` on a row's affine step: `(v − lo)·inv` is in `0..=127`
+/// (± an ulp), so the truncating cast after `+ 0.5` rounds half up, and the
+/// cap catches the ulp. The vector tiers cap in f32 before converting, which
+/// is the same for every input (a NaN from an overflowing range converts to
+/// level 0 both ways).
+#[inline(always)]
+fn act_level(v: f32, lo: f32, inv: f32) -> u8 {
+    (((v - lo) * inv + 0.5) as i32).min(crate::quant::ACT_QMAX as i32) as u8
+}
+
+/// One dequantized output: `sw·(sa·acc + lo·sum) + b`, in this order.
+#[inline(always)]
+fn dequant_one(acc: i32, sa: f32, lo: f32, sw: f32, sum: i32, bias: Option<f32>) -> f32 {
+    let v = sw * (sa * acc as f32 + lo * sum as f32);
+    match bias {
+        Some(b) => v + b,
+        None => v,
+    }
+}
+
+/// The reference row quantizer: one pass for the range, one for the levels.
+unsafe fn quantize_row_scalar(row: &[f32], out: &mut [u8]) -> Option<(f32, f32)> {
+    let (mut lo, mut hi, mut nan) = (f32::INFINITY, f32::NEG_INFINITY, false);
+    for &v in row {
+        lo = if v < lo { v } else { lo };
+        hi = if v > hi { v } else { hi };
+        nan |= v.is_nan();
+    }
+    let (scale, lo) = act_params(lo, hi, row.is_empty(), nan)?;
+    let inv = 1.0 / scale;
+    for (d, &v) in out.iter_mut().zip(row) {
+        *d = act_level(v, lo, inv);
+    }
+    Some((scale, lo))
+}
+
+/// The reference dequantizing store; `acc` and `out` may be the same slots.
+unsafe fn dequantize_scalar(
+    acc: *const i32,
+    out: *mut f32,
+    sa: f32,
+    lo: f32,
+    cols: DequantCols<'_>,
+) {
+    for j in 0..cols.len() {
+        let b = cols.bias.map(|b| b[j]);
+        *out.add(j) = dequant_one(*acc.add(j), sa, lo, cols.scales[j], cols.sums[j], b);
+    }
+}
+
 static SCALAR: Kernels = Kernels {
     isa: Isa::Scalar,
     matmul: MatmulKernel {
@@ -453,6 +658,9 @@ static SCALAR: Kernels = Kernels {
         nr: 8,
         name: "scalar i8 4x8",
         micro: micro_i8_scalar_4x8,
+        quantize: quantize_row_scalar,
+        dequantize: dequantize_scalar,
+        tiles: false,
     },
     relu: relu_scalar,
     add_assign: add_assign_scalar,
@@ -662,6 +870,93 @@ unsafe fn micro_i8_avx2_4x8(apack: &[u8], bpanel: &[i8], kq: usize, acc: &mut [i
     _mm256_storeu_si256(cp.add(24) as *mut __m256i, c3);
 }
 
+/// AVX2 row quantizer: 8-lane min/max with an unordered-compare NaN mask,
+/// then `(v − lo)·inv + 0.5` (separate multiply and add), capped at 127 in
+/// f32, truncated to i32 and narrowed to bytes by two saturating packs. The
+/// ragged tail runs the scalar expressions, lane for lane the same.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_row_avx2(row: &[f32], out: &mut [u8]) -> Option<(f32, f32)> {
+    use std::arch::x86_64::*;
+    let n = row.len();
+    let p = row.as_ptr();
+    let mut vlo = _mm256_set1_ps(f32::INFINITY);
+    let mut vhi = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut unordered = _mm256_setzero_ps();
+    let mut i = 0;
+    while i + 8 <= n {
+        let v = _mm256_loadu_ps(p.add(i));
+        unordered = _mm256_or_ps(unordered, _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+        vlo = _mm256_min_ps(vlo, v);
+        vhi = _mm256_max_ps(vhi, v);
+        i += 8;
+    }
+    let (mut lanes_lo, mut lanes_hi) = ([0.0f32; 8], [0.0f32; 8]);
+    _mm256_storeu_ps(lanes_lo.as_mut_ptr(), vlo);
+    _mm256_storeu_ps(lanes_hi.as_mut_ptr(), vhi);
+    let mut nan = _mm256_movemask_ps(unordered) != 0;
+    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    for (&l, &h) in lanes_lo.iter().zip(&lanes_hi) {
+        lo = if l < lo { l } else { lo };
+        hi = if h > hi { h } else { hi };
+    }
+    for &v in &row[i..] {
+        lo = if v < lo { v } else { lo };
+        hi = if v > hi { v } else { hi };
+        nan |= v.is_nan();
+    }
+    let (scale, lo) = act_params(lo, hi, n == 0, nan)?;
+    let inv = 1.0 / scale;
+    let (vlo, vinv) = (_mm256_set1_ps(lo), _mm256_set1_ps(inv));
+    let (half, cap) = (
+        _mm256_set1_ps(0.5),
+        _mm256_set1_ps(crate::quant::ACT_QMAX as f32),
+    );
+    let o = out.as_mut_ptr();
+    i = 0;
+    while i + 8 <= n {
+        let t = _mm256_add_ps(
+            _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(p.add(i)), vlo), vinv),
+            half,
+        );
+        // `min(cap, t)`, not `min(t, cap)`: a NaN `t` must reach the convert.
+        let q = _mm256_cvttps_epi32(_mm256_min_ps(cap, t));
+        let words = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+        _mm_storel_epi64(o.add(i).cast(), _mm_packus_epi16(words, words));
+        i += 8;
+    }
+    for (d, &v) in out[i..].iter_mut().zip(&row[i..]) {
+        *d = act_level(v, lo, inv);
+    }
+    Some((scale, lo))
+}
+
+/// AVX2 dequantizing store, 8 columns per step with a scalar tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dequantize_avx2(acc: *const i32, out: *mut f32, sa: f32, lo: f32, cols: DequantCols<'_>) {
+    use std::arch::x86_64::*;
+    let n = cols.len();
+    let (vsa, vlo) = (_mm256_set1_ps(sa), _mm256_set1_ps(lo));
+    let (sw, sums) = (cols.scales.as_ptr(), cols.sums.as_ptr());
+    let mut j = 0;
+    while j + 8 <= n {
+        let a = _mm256_cvtepi32_ps(_mm256_loadu_si256(acc.add(j).cast()));
+        let s = _mm256_cvtepi32_ps(_mm256_loadu_si256(sums.add(j).cast()));
+        let t = _mm256_add_ps(_mm256_mul_ps(vsa, a), _mm256_mul_ps(vlo, s));
+        let mut v = _mm256_mul_ps(_mm256_loadu_ps(sw.add(j)), t);
+        if let Some(b) = cols.bias {
+            v = _mm256_add_ps(v, _mm256_loadu_ps(b.as_ptr().add(j)));
+        }
+        _mm256_storeu_ps(out.add(j), v);
+        j += 8;
+    }
+    for j in j..n {
+        let b = cols.bias.map(|b| b[j]);
+        *out.add(j) = dequant_one(*acc.add(j), sa, lo, cols.scales[j], cols.sums[j], b);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 static AVX2: Kernels = Kernels {
     isa: Isa::Avx2Fma,
@@ -679,6 +974,9 @@ static AVX2: Kernels = Kernels {
         nr: 8,
         name: "avx2 maddubs 4x8",
         micro: micro_i8_avx2_4x8,
+        quantize: quantize_row_avx2,
+        dequantize: dequantize_avx2,
+        tiles: false,
     },
     relu: relu_avx2,
     add_assign: add_assign_avx2,
@@ -893,6 +1191,9 @@ static AVX512: Kernels = Kernels {
         nr: 8,
         name: "avx2 maddubs 4x8",
         micro: micro_i8_avx2_4x8,
+        quantize: quantize_row_avx2,
+        dequantize: dequantize_avx2,
+        tiles: false,
     },
     relu: relu_avx512,
     add_assign: add_assign_avx512,
@@ -953,6 +1254,83 @@ unsafe fn micro_i8_vnni_8x16(apack: &[u8], bpanel: &[i8], kq: usize, acc: &mut [
     _mm512_storeu_si512(cp.add(112).cast(), c7);
 }
 
+/// AVX-512 row quantizer: the AVX2 tier's sweeps at 16 lanes, with a lane
+/// mask for the ragged tail and `vpmovdb` to narrow.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quantize_row_avx512(row: &[f32], out: &mut [u8]) -> Option<(f32, f32)> {
+    use std::arch::x86_64::*;
+    let n = row.len();
+    let p = row.as_ptr();
+    let mut vlo = _mm512_set1_ps(f32::INFINITY);
+    let mut vhi = _mm512_set1_ps(f32::NEG_INFINITY);
+    let mut unordered: __mmask16 = 0;
+    let mut i = 0;
+    while i + 16 <= n {
+        let v = _mm512_loadu_ps(p.add(i));
+        unordered |= _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+        vlo = _mm512_min_ps(vlo, v);
+        vhi = _mm512_max_ps(vhi, v);
+        i += 16;
+    }
+    if i < n {
+        let m = tail_mask16(n - i);
+        let v = _mm512_maskz_loadu_ps(m, p.add(i));
+        unordered |= _mm512_mask_cmp_ps_mask::<_CMP_UNORD_Q>(m, v, v);
+        vlo = _mm512_mask_min_ps(vlo, m, vlo, v);
+        vhi = _mm512_mask_max_ps(vhi, m, vhi, v);
+    }
+    let (lo, hi) = (_mm512_reduce_min_ps(vlo), _mm512_reduce_max_ps(vhi));
+    let (scale, lo) = act_params(lo, hi, n == 0, unordered != 0)?;
+    let inv = 1.0 / scale;
+    let (vlo, vinv) = (_mm512_set1_ps(lo), _mm512_set1_ps(inv));
+    let (half, cap) = (
+        _mm512_set1_ps(0.5),
+        _mm512_set1_ps(crate::quant::ACT_QMAX as f32),
+    );
+    let o = out.as_mut_ptr();
+    i = 0;
+    while i < n {
+        let m = if n - i >= 16 { !0 } else { tail_mask16(n - i) };
+        let v = _mm512_maskz_loadu_ps(m, p.add(i));
+        let t = _mm512_add_ps(_mm512_mul_ps(_mm512_sub_ps(v, vlo), vinv), half);
+        // `min(cap, t)`, not `min(t, cap)`: a NaN `t` must reach the convert.
+        let q = _mm512_cvttps_epi32(_mm512_min_ps(cap, t));
+        _mm512_mask_cvtepi32_storeu_epi8(o.add(i).cast(), m, q);
+        i += 16;
+    }
+    Some((scale, lo))
+}
+
+/// AVX-512 dequantizing store, 16 columns per step, the tail masked.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dequantize_avx512(
+    acc: *const i32,
+    out: *mut f32,
+    sa: f32,
+    lo: f32,
+    cols: DequantCols<'_>,
+) {
+    use std::arch::x86_64::*;
+    let n = cols.len();
+    let (vsa, vlo) = (_mm512_set1_ps(sa), _mm512_set1_ps(lo));
+    let (sw, sums) = (cols.scales.as_ptr(), cols.sums.as_ptr());
+    let mut j = 0;
+    while j < n {
+        let m = if n - j >= 16 { !0 } else { tail_mask16(n - j) };
+        let a = _mm512_cvtepi32_ps(_mm512_maskz_loadu_epi32(m, acc.add(j)));
+        let s = _mm512_cvtepi32_ps(_mm512_maskz_loadu_epi32(m, sums.add(j)));
+        let t = _mm512_add_ps(_mm512_mul_ps(vsa, a), _mm512_mul_ps(vlo, s));
+        let mut v = _mm512_mul_ps(_mm512_maskz_loadu_ps(m, sw.add(j)), t);
+        if let Some(b) = cols.bias {
+            v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(m, b.as_ptr().add(j)));
+        }
+        _mm512_mask_storeu_ps(out.add(j), m, v);
+        j += 16;
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 static AVX512VNNI: Kernels = Kernels {
     isa: Isa::Avx512Vnni,
@@ -970,6 +1348,9 @@ static AVX512VNNI: Kernels = Kernels {
         nr: 16,
         name: "vnni vpdpbusd 8x16",
         micro: micro_i8_vnni_8x16,
+        quantize: quantize_row_avx512,
+        dequantize: dequantize_avx512,
+        tiles: false,
     },
     relu: relu_avx512,
     add_assign: add_assign_avx512,
@@ -978,6 +1359,442 @@ static AVX512VNNI: Kernels = Kernels {
     vmax: max_avx512,
     vsum: sum_avx512,
 };
+
+// ---------------------------------------------------------------------------
+// AMX tier. The VNNI tier's kernels, plus the tile unit: eight 1 KiB tile
+// registers and `tdpbusd`, which multiplies a 16×64 u8 tile by a 16×(16·4)
+// i8 tile into a 16×16 i32 tile — 16 384 multiply-adds per instruction. A
+// 16-wide quad panel `[kq][16][4]` is already the B tile's layout (one
+// 64-byte tile row per quad step), so weights are packed exactly as on the
+// VNNI tier.
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+static AMX: Kernels = Kernels {
+    isa: Isa::Amx,
+    matmul: MatmulKernel {
+        isa: Isa::Avx512,
+        mr: 8,
+        nr: 16,
+        kc: 256,
+        name: "avx512 8x16",
+        micro: micro_avx512_8x16,
+    },
+    matmul_i8: MatmulKernelI8 {
+        isa: Isa::Amx,
+        mr: 8,
+        nr: 16,
+        name: "amx tdpbusd 16x16",
+        micro: micro_i8_vnni_8x16,
+        quantize: quantize_row_avx512,
+        dequantize: dequantize_avx512,
+        tiles: true,
+    },
+    relu: relu_avx512,
+    add_assign: add_assign_avx512,
+    axpy: axpy_avx512,
+    scale: scale_avx512,
+    vmax: max_avx512,
+    vsum: sum_avx512,
+};
+
+/// Rows of an A and a C tile, and i32 columns of a C tile.
+pub(crate) const TILE_ROWS: usize = 16;
+/// Bytes in one tile row: one A window of 16 quads, one B quad step of 16
+/// columns, one C row of 16 i32.
+const TILE_BYTES: usize = 64;
+
+/// How a stripe with inner dimension `k` meets the tile unit.
+///
+/// The k axis is cut into windows of up to 16 quads, one `tdpbusd` each. A
+/// holds a row's levels row-major, `row_bytes()` per row: one 64-byte window
+/// after another, zero past `k`. When `k` spans more than one window and
+/// the quad count is not a multiple of 16, the last window is moved back to
+/// end at the panel's last quad — so its B tile never reads past the panel
+/// — and the A levels it shares with the window before are zero in its
+/// copy. When `k` fits one window, the tiles are configured that short. No
+/// B byte is ever copied.
+#[derive(Debug, Clone)]
+pub(crate) struct TileShape {
+    k: usize,
+    kq: usize,
+    /// Quads per window: 16, or `kq` when `k` fits one window.
+    quads: usize,
+    windows: usize,
+    /// Windows that start at quad `16·w`; any other is the moved last one.
+    aligned: usize,
+    /// Bytes the moved window's own levels sit right of their place in `k`.
+    shift: usize,
+}
+
+impl TileShape {
+    /// The windows of inner dimension `k` (`k > 0`).
+    pub(crate) fn new(k: usize) -> TileShape {
+        assert!(k > 0, "the tile unit needs a non-empty inner dimension");
+        let kq = k.div_ceil(4);
+        let per = TILE_BYTES / 4;
+        let (aligned, tail) = if kq <= per {
+            (1, 0)
+        } else {
+            (kq / per, kq % per)
+        };
+        TileShape {
+            k,
+            kq,
+            quads: kq.min(per),
+            windows: aligned + usize::from(tail > 0),
+            aligned,
+            shift: if tail > 0 { TILE_BYTES - 4 * tail } else { 0 },
+        }
+    }
+
+    /// Bytes per A row.
+    pub(crate) fn row_bytes(&self) -> usize {
+        self.windows * TILE_BYTES
+    }
+
+    /// Lay out a row of `row_bytes()` whose levels are in `row[..k]`: move
+    /// the last window's levels into place and zero everything else.
+    pub(crate) fn place(&self, row: &mut [u8]) {
+        let row = &mut row[..self.row_bytes()];
+        row[self.k..].fill(0);
+        if self.shift > 0 {
+            let start = self.aligned * TILE_BYTES;
+            row.copy_within(start..self.k, start + self.shift);
+            row[start..start + self.shift].fill(0);
+        }
+    }
+
+    /// First quad of window `w` in a B panel.
+    fn b_quad(&self, w: usize) -> usize {
+        if w < self.aligned {
+            w * self.quads
+        } else {
+            self.kq - self.quads
+        }
+    }
+}
+
+/// The tile unit, configured for one [`TileShape`] on this thread:
+/// tiles 0–3 are a 2×2 block of C, 4–5 two A tiles, 6–7 two B tiles.
+/// Dropping it releases the tiles, so a thread that returns to the kernel
+/// pool carries no live tile state.
+pub(crate) struct TileUnit<'s> {
+    shape: &'s TileShape,
+    /// Tile state belongs to the thread that loaded it.
+    _thread: std::marker::PhantomData<*const ()>,
+}
+
+impl<'s> TileUnit<'s> {
+    /// # Safety
+    /// The CPU has AMX-TILE and AMX-INT8, and the process was granted the
+    /// tile data state ([`Isa::Amx`] is available).
+    unsafe fn configure(shape: &'s TileShape) -> TileUnit<'s> {
+        let mut cfg = tile::Config::default();
+        let window = (4 * shape.quads) as u16;
+        for t in 0..4 {
+            cfg.set(t, TILE_ROWS, TILE_BYTES as u16);
+        }
+        for t in 4..6 {
+            cfg.set(t, TILE_ROWS, window);
+        }
+        for t in 6..8 {
+            cfg.set(t, shape.quads, TILE_BYTES as u16);
+        }
+        tile::load_config(&cfg);
+        TileUnit {
+            shape,
+            _thread: std::marker::PhantomData,
+        }
+    }
+
+    /// `c[i][j] = Σ_p a[i][p]·w[j][p]` for `rows` rows: `a` is laid out by
+    /// the shape (`row_bytes()` per row, whole 16-row tiles), `bpack` holds
+    /// the 16-wide quad panels of `n` columns, and `c` is row-major `rows ×
+    /// n`. Whole C tiles are stored straight into `c`; a tile cut by the
+    /// last row or column goes through a scratch tile.
+    pub(crate) fn multiply(&self, a: &[u8], rows: usize, bpack: &[i8], n: usize, c: &mut [i32]) {
+        let shape = self.shape;
+        let lda = shape.row_bytes();
+        let row_tiles = rows.div_ceil(TILE_ROWS);
+        let panels = n.div_ceil(TILE_ROWS);
+        let panel = shape.kq * TILE_BYTES;
+        assert!(
+            a.len() >= row_tiles * TILE_ROWS * lda
+                && bpack.len() >= panels * panel
+                && c.len() >= rows * n,
+            "tile operands smaller than their shapes"
+        );
+        let mut edge = tile::EdgeTile::default();
+        for rt in (0..row_tiles).step_by(2) {
+            let two_rows = rt + 1 < row_tiles;
+            for p in (0..panels).step_by(2) {
+                let two_cols = p + 1 < panels;
+                // SAFETY: the unit is configured for `shape`, so every load
+                // reads `TILE_ROWS` rows of `4·quads` bytes `lda` apart from
+                // `a` (inside the asserted row tiles) and `quads` rows of 64
+                // bytes from a window that ends inside its panel.
+                unsafe {
+                    tile::zero_block();
+                    for w in 0..shape.windows {
+                        let a0 = a.as_ptr().add(rt * TILE_ROWS * lda + w * TILE_BYTES);
+                        let b0 = bpack.as_ptr().add(p * panel + shape.b_quad(w) * TILE_BYTES);
+                        tile::dot_block(a0, lda, b0.cast(), panel, two_rows, two_cols);
+                    }
+                }
+                for (t, dr, dc) in [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)] {
+                    if (dr == 0 || two_rows) && (dc == 0 || two_cols) {
+                        let at = ((rt + dr) * TILE_ROWS, (p + dc) * TILE_ROWS);
+                        // SAFETY: configured unit; `c` holds `rows × n`.
+                        unsafe { tile::store_c(t, c, rows, n, at, &mut edge) };
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Drop for TileUnit<'_> {
+    fn drop(&mut self) {
+        // SAFETY: the unit exists only where the tile unit is usable.
+        unsafe { tile::release() }
+    }
+}
+
+/// The tile unit's instructions. The compiler does not track tile
+/// registers, so each `asm!` names its tiles and the blocks stay in program
+/// order (none is `pure`); loads and stores touch memory the compiler can
+/// see through their pointer operands.
+#[cfg(target_arch = "x86_64")]
+mod tile {
+    use super::{TILE_BYTES, TILE_ROWS};
+    use std::arch::asm;
+    use std::os::raw::c_long;
+    use std::sync::OnceLock;
+
+    extern "C" {
+        fn syscall(number: c_long, ...) -> c_long;
+    }
+
+    /// Whether this process may use the tile unit: the CPU reports AMX-TILE
+    /// (CPUID.(7,0):EDX[24]) and AMX-INT8 (EDX[25]), and Linux granted the
+    /// tile data state (`arch_prctl(ARCH_REQ_XCOMP_PERM,
+    /// XFEATURE_XTILEDATA)`). Asked once per process; the grant covers
+    /// every thread.
+    pub(super) fn permitted() -> bool {
+        static PERMITTED: OnceLock<bool> = OnceLock::new();
+        *PERMITTED.get_or_init(|| {
+            use std::arch::x86_64::{__cpuid_count, __get_cpuid_max};
+            if __get_cpuid_max(0).0 < 7 {
+                return false;
+            }
+            let edx = __cpuid_count(7, 0).edx;
+            edx & (1 << 24) != 0 && edx & (1 << 25) != 0 && request_tile_data()
+        })
+    }
+
+    #[cfg(target_os = "linux")]
+    fn request_tile_data() -> bool {
+        const SYS_ARCH_PRCTL: c_long = 158;
+        const ARCH_REQ_XCOMP_PERM: c_long = 0x1023;
+        const XFEATURE_XTILEDATA: c_long = 18;
+        // SAFETY: arch_prctl with these arguments only changes which
+        // extended states the process may use; it reads no memory of ours.
+        unsafe { syscall(SYS_ARCH_PRCTL, ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA) == 0 }
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn request_tile_data() -> bool {
+        false
+    }
+
+    /// The 64-byte `ldtilecfg` operand, palette 1.
+    #[repr(C, align(64))]
+    pub(super) struct Config {
+        palette: u8,
+        start_row: u8,
+        reserved: [u8; 14],
+        colsb: [u16; 16],
+        rows: [u8; 16],
+    }
+
+    impl Default for Config {
+        fn default() -> Config {
+            Config {
+                palette: 1,
+                start_row: 0,
+                reserved: [0; 14],
+                colsb: [0; 16],
+                rows: [0; 16],
+            }
+        }
+    }
+
+    impl Config {
+        pub(super) fn set(&mut self, tile: usize, rows: usize, bytes: u16) {
+            self.rows[tile] = rows as u8;
+            self.colsb[tile] = bytes;
+        }
+    }
+
+    pub(super) unsafe fn load_config(cfg: &Config) {
+        asm!("ldtilecfg [{}]", in(reg) cfg as *const Config, options(nostack, readonly));
+    }
+
+    pub(super) unsafe fn release() {
+        asm!("tilerelease", options(nostack, nomem));
+    }
+
+    #[inline(always)]
+    unsafe fn load<const T: u8>(src: *const u8, stride: usize) {
+        asm!(
+            "tileloadd tmm{t}, [{src} + {stride}*1]",
+            t = const T,
+            src = in(reg) src,
+            stride = in(reg) stride,
+            options(nostack, readonly),
+        );
+    }
+
+    #[inline(always)]
+    unsafe fn store<const T: u8>(dst: *mut i32, stride: usize) {
+        asm!(
+            "tilestored [{dst} + {stride}*1], tmm{t}",
+            t = const T,
+            dst = in(reg) dst,
+            stride = in(reg) stride,
+            options(nostack),
+        );
+    }
+
+    /// `tmm{C} += tmm{A} (u8) · tmm{B} (i8)`, quad by quad.
+    #[inline(always)]
+    unsafe fn dot<const C: u8, const A: u8, const B: u8>() {
+        asm!("tdpbusd tmm{c}, tmm{a}, tmm{b}", c = const C, a = const A, b = const B, options(nostack, nomem));
+    }
+
+    /// Zero the 2×2 C block.
+    #[inline(always)]
+    pub(super) unsafe fn zero_block() {
+        asm!(
+            "tilezero tmm0",
+            "tilezero tmm1",
+            "tilezero tmm2",
+            "tilezero tmm3",
+            options(nostack, nomem)
+        );
+    }
+
+    /// One window into the C block: A tiles from `a` and `a + 16·lda`, B
+    /// tiles from `b` and `b + panel`; the second row or column of tiles
+    /// only where it exists.
+    #[inline(always)]
+    pub(super) unsafe fn dot_block(
+        a: *const u8,
+        lda: usize,
+        b: *const u8,
+        panel: usize,
+        two_rows: bool,
+        two_cols: bool,
+    ) {
+        load::<4>(a, lda);
+        load::<6>(b, TILE_BYTES);
+        dot::<0, 4, 6>();
+        if two_cols {
+            load::<7>(b.add(panel), TILE_BYTES);
+            dot::<1, 4, 7>();
+        }
+        if two_rows {
+            load::<5>(a.add(TILE_ROWS * lda), lda);
+            dot::<2, 5, 6>();
+            if two_cols {
+                dot::<3, 5, 7>();
+            }
+        }
+    }
+
+    /// One C tile of i32, where a tile cut by the edge of the output is
+    /// stored before the part inside the output is copied out.
+    #[repr(C, align(64))]
+    pub(super) struct EdgeTile([i32; TILE_ROWS * TILE_ROWS]);
+
+    impl Default for EdgeTile {
+        fn default() -> EdgeTile {
+            EdgeTile([0; TILE_ROWS * TILE_ROWS])
+        }
+    }
+
+    /// Store C tile `t` at row `r0`, column `j0` of the row-major `rows ×
+    /// n` output `c`: straight in if the whole tile fits, else through
+    /// `edge`.
+    ///
+    /// # Safety
+    /// The tile unit is configured and `c` holds `rows × n` cells.
+    pub(super) unsafe fn store_c(
+        t: usize,
+        c: &mut [i32],
+        rows: usize,
+        n: usize,
+        (r0, j0): (usize, usize),
+        edge: &mut EdgeTile,
+    ) {
+        let (h, w) = ((rows - r0).min(TILE_ROWS), (n - j0).min(TILE_ROWS));
+        let whole = h == TILE_ROWS && w == TILE_ROWS;
+        let (dst, stride) = if whole {
+            // Rows r0..r0+16, columns j0..j0+16 are inside `c`.
+            (c.as_mut_ptr().add(r0 * n + j0), n * 4)
+        } else {
+            (edge.0.as_mut_ptr(), TILE_BYTES)
+        };
+        match t {
+            0 => store::<0>(dst, stride),
+            1 => store::<1>(dst, stride),
+            2 => store::<2>(dst, stride),
+            _ => store::<3>(dst, stride),
+        }
+        if !whole {
+            for (r, src) in edge.0.chunks_exact(TILE_ROWS).take(h).enumerate() {
+                c[(r0 + r) * n + j0..][..w].copy_from_slice(&src[..w]);
+            }
+        }
+    }
+}
+
+/// Off x86-64 no tier has a tile unit; these are never reached.
+#[cfg(not(target_arch = "x86_64"))]
+mod tile {
+    #[derive(Default)]
+    pub(super) struct Config;
+    impl Config {
+        pub(super) fn set(&mut self, _: usize, _: usize, _: u16) {}
+    }
+    #[derive(Default)]
+    pub(super) struct EdgeTile;
+    pub(super) unsafe fn store_c(
+        _: usize,
+        _: &mut [i32],
+        _: usize,
+        _: usize,
+        _: (usize, usize),
+        _: &mut EdgeTile,
+    ) {
+        unreachable!("no tile unit off x86-64")
+    }
+    pub(super) unsafe fn load_config(_: &Config) {
+        unreachable!("no tile unit off x86-64")
+    }
+    pub(super) unsafe fn release() {}
+    pub(super) unsafe fn zero_block() {}
+    pub(super) unsafe fn dot_block(
+        _: *const u8,
+        _: usize,
+        _: *const u8,
+        _: usize,
+        _: bool,
+        _: bool,
+    ) {
+    }
+}
 
 #[cfg(test)]
 mod tests {

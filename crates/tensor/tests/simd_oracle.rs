@@ -187,6 +187,35 @@ proptest! {
             );
         }
     }
+
+    /// The same exactness over the shapes that cut the tile unit's tiles:
+    /// rows past a 16-row tile, columns past a 16-wide panel, and `k` with
+    /// partial quads, a single short window (`k ≤ 64`), whole windows, and
+    /// a last window moved back to the panel's end.
+    #[test]
+    fn int8_accumulators_identical_across_isas_on_ragged_tiles(
+        m in 1usize..80,
+        k in 1usize..200,
+        n in 1usize..70,
+        seed in 0u32..1000,
+    ) {
+        let a = Tensor::from_fn([m, k], |i| {
+            (((i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 9) % 251) as f32 * 0.03 - 3.7
+        });
+        let w = Tensor::from_fn([n, k], |i| {
+            (((i as u32).wrapping_mul(40503).wrapping_add(seed * 7) >> 7) % 253) as f32 * 0.011 - 1.4
+        });
+        let q = QuantizedTensor::quantize(&w).unwrap();
+        let aq = quant::quantize_activations(&a).unwrap();
+        let reference = quant::qgemm_i32(&aq, &q, Isa::Scalar).unwrap();
+        for isa in isas_under_test() {
+            let got = quant::qgemm_i32(&aq, &q, isa).unwrap();
+            prop_assert!(
+                got == reference,
+                "qgemm_i32[{}] {}x{}x{} diverged from the scalar i32 accumulators", isa, m, k, n
+            );
+        }
+    }
 }
 
 /// Forcing a tier the CPU lacks must fail with a clear [`Error::Isa`], never
@@ -195,7 +224,13 @@ proptest! {
 fn unavailable_or_unknown_isa_fails_cleanly() {
     assert!(Isa::parse("sse9").is_err());
     assert!(Isa::parse("").is_err());
-    for isa in [Isa::Scalar, Isa::Avx2Fma, Isa::Avx512, Isa::Avx512Vnni] {
+    for isa in [
+        Isa::Scalar,
+        Isa::Avx2Fma,
+        Isa::Avx512,
+        Isa::Avx512Vnni,
+        Isa::Amx,
+    ] {
         let got = simd::kernels_for(isa);
         if isa.available() {
             assert_eq!(got.unwrap().isa, isa);
@@ -208,20 +243,27 @@ fn unavailable_or_unknown_isa_fails_cleanly() {
         }
     }
     // The quantized entry points surface the same typed error for an
-    // unavailable VNNI tier instead of executing illegal instructions: the
-    // dispatch check runs before any kernel byte does. (On VNNI hosts this
-    // branch is vacuous and the proptests above exercise the real kernels.)
-    if !Isa::Avx512Vnni.available() {
+    // unavailable VNNI or AMX tier instead of executing illegal
+    // instructions: the dispatch check runs before any kernel byte does. (On
+    // hosts with the tier this branch is vacuous and the proptests above
+    // exercise the real kernels.)
+    for isa in [Isa::Avx512Vnni, Isa::Amx] {
+        if isa.available() {
+            continue;
+        }
         let a = Tensor::from_fn([3, 9], |i| i as f32 * 0.25 - 1.0);
         let w = QuantizedTensor::quantize(&Tensor::from_fn([5, 9], |i| i as f32 * 0.125 - 2.0))
             .unwrap();
-        let err = quant::qmatmul_bt_with_isa(&a, &w, None, Isa::Avx512Vnni)
-            .expect_err("VNNI on a non-VNNI host must be a typed error");
+        let err = quant::qmatmul_bt_with_isa(&a, &w, None, isa)
+            .expect_err("an int8 tier the host lacks must be a typed error");
         assert!(
             matches!(err, relserve_tensor::Error::Isa(_)),
             "expected Error::Isa, got {err:?}"
         );
     }
+    // The tile tier sits above the register tile it needs.
+    assert!(!Isa::Amx.available() || Isa::Avx512Vnni.available());
+    assert_eq!(Isa::parse("amx").unwrap(), Isa::Amx);
 }
 
 /// The softmax entry point — whose row-max/row-sum reductions ride the

@@ -35,7 +35,6 @@ pub mod ir;
 pub mod optimizer;
 pub mod rules;
 pub mod session;
-pub mod shardplan;
 pub mod versions;
 
 pub use error::{Error, Result};
@@ -45,4 +44,3 @@ pub use session::{
     Architecture, FusedOutcome, InferenceOutcome, InferenceSession, SessionConfig,
     SessionConfigBuilder, SessionStats,
 };
-pub use shardplan::{PartitionSpec, ShardRange};

@@ -61,12 +61,6 @@ pub struct FaultConfig {
     /// Probability in `[0, 1]` that an accept burst is delayed one reactor
     /// round (the listener's readiness event is deferred, not lost).
     pub accept_delay_rate: f64,
-    /// Probability in `[0, 1]` that a shard worker kills itself before
-    /// serving its next request — the deterministic kill switch behind the
-    /// distributed tier's worker-loss chaos tests. The worker severs every
-    /// connection and stops, as if the process died; coordinators must
-    /// absorb the shard locally.
-    pub worker_kill_rate: f64,
     /// Stop injecting after this many faults (`None` = unbounded). Lets a
     /// test assert "fails exactly k times, then heals" with rate 1.0.
     pub max_faults: Option<u64>,
@@ -84,7 +78,6 @@ impl FaultConfig {
             sock_stall_rate: 0.0,
             sock_reset_rate: 0.0,
             accept_delay_rate: 0.0,
-            worker_kill_rate: 0.0,
             max_faults: None,
         }
     }
@@ -114,16 +107,6 @@ impl FaultConfig {
             sock_stall_rate: stall,
             sock_reset_rate: reset,
             accept_delay_rate: delay,
-            ..Self::quiet(seed)
-        }
-    }
-
-    /// A suicidal shard worker: before serving each request it dies with
-    /// `kill` probability. Combine with `max_faults: Some(1)` for "exactly
-    /// one worker loss, then stability" chaos tests.
-    pub fn worker_chaos(seed: u64, kill: f64) -> Self {
-        FaultConfig {
-            worker_kill_rate: kill,
             ..Self::quiet(seed)
         }
     }
@@ -285,12 +268,6 @@ impl FaultInjector {
     /// Draw: should the next accept burst be deferred one reactor round?
     pub fn should_delay_accept(&self) -> bool {
         self.draw(self.config.accept_delay_rate)
-    }
-
-    /// Draw: should this shard worker kill itself before serving the next
-    /// request?
-    pub fn should_kill_worker(&self) -> bool {
-        self.draw(self.config.worker_kill_rate)
     }
 }
 
@@ -462,20 +439,6 @@ mod tests {
         assert!(inj.should_reset_write());
         assert!(!inj.should_delay_accept(), "budget of 3 exhausted");
         assert_eq!(inj.injected(), 3);
-    }
-
-    #[test]
-    fn worker_kill_switch_is_deterministic_and_bounded() {
-        let mut config = FaultConfig::worker_chaos(13, 1.0);
-        config.max_faults = Some(1);
-        let inj = FaultInjector::new(config);
-        assert!(inj.should_kill_worker());
-        assert!(!inj.should_kill_worker(), "budget of 1 exhausted");
-        assert_eq!(inj.injected(), 1);
-        // The kill switch leaves every other boundary quiet.
-        assert_eq!(config.wire_failure_rate, 0.0);
-        assert!(!config.has_socket_faults());
-        assert!(!FaultInjector::new(FaultConfig::quiet(13)).should_kill_worker());
     }
 
     #[test]

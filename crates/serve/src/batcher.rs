@@ -26,7 +26,6 @@
 
 use crate::cache::{Lookup, SemanticCache};
 use crate::conn::Conn;
-use crate::shard::ShardCoordinator;
 use crate::stats::ServeCounters;
 use crate::wire::{self, ErrorCode, Response};
 use relserve_core::versions::PressureLadder;
@@ -233,9 +232,6 @@ pub(crate) struct Batcher {
     session: Arc<InferenceSession>,
     /// The semantic result cache fronting this batcher, when enabled.
     cache: Option<Arc<SemanticCache>>,
-    /// Distributed execution: fused batches scatter across a worker fleet
-    /// instead of running in-process, when the server is sharded.
-    shard: Option<Arc<ShardCoordinator>>,
 }
 
 impl Batcher {
@@ -244,7 +240,6 @@ impl Batcher {
         counters: Arc<ServeCounters>,
         session: Arc<InferenceSession>,
         cache: Option<Arc<SemanticCache>>,
-        shard: Option<Arc<ShardCoordinator>>,
     ) -> Arc<Self> {
         Arc::new(Batcher {
             state: Mutex::new(State {
@@ -259,7 +254,6 @@ impl Batcher {
             counters,
             session,
             cache,
-            shard,
         })
     }
 
@@ -566,25 +560,12 @@ impl Batcher {
         let total_rows: usize = live.iter().map(|s| s.rows).sum();
         self.counters.record_batch(total_rows as u64);
 
-        // Sharded servers scatter the fused batch across the worker
-        // fleet; the coordinator falls back to the session's own fused
-        // path itself when the model is unshardable or the fleet is gone.
-        let fused = match self.shard.as_deref() {
-            Some(coordinator) => coordinator.infer_fused(
-                &self.session,
-                &model_used,
-                &parts,
-                self.config.architecture.clone(),
-                &policy,
-            ),
-            None => self.session.infer_fused(
-                &model_used,
-                &parts,
-                self.config.architecture.clone(),
-                &policy,
-            ),
-        };
-        match fused {
+        match self.session.infer_fused(
+            &model_used,
+            &parts,
+            self.config.architecture.clone(),
+            &policy,
+        ) {
             Ok(outcome) => {
                 let mut outbox = Outbox::default();
                 for (sub, preds) in live.iter().zip(outcome.per_request.iter()) {
@@ -828,13 +809,7 @@ mod tests {
     #[test]
     fn lone_request_on_an_idle_executor_runs_alone_at_once() {
         let counters = Arc::new(ServeCounters::default());
-        let batcher = Batcher::new(
-            test_config(64),
-            Arc::clone(&counters),
-            test_session(),
-            None,
-            None,
-        );
+        let batcher = Batcher::new(test_config(64), Arc::clone(&counters), test_session(), None);
         let (tx, rx) = mpsc::channel();
         let runners = spawn_executors(&batcher, 1);
         for id in 1..=3u64 {
@@ -860,7 +835,6 @@ mod tests {
             test_config(8),
             Arc::clone(&counters),
             Arc::clone(&session),
-            None,
             None,
         );
         let (tx, rx) = mpsc::channel();
@@ -893,7 +867,6 @@ mod tests {
             test_config(64),
             Arc::clone(&counters),
             Arc::clone(&session),
-            None,
             None,
         );
         let (tx, rx) = mpsc::channel();
@@ -955,7 +928,7 @@ mod tests {
         let counters = Arc::new(ServeCounters::default());
         let mut config = test_config(64);
         config.backlog_shed_rows[Priority::Standard.rank()] = Some(4);
-        let batcher = Batcher::new(config, Arc::clone(&counters), test_session(), None, None);
+        let batcher = Batcher::new(config, Arc::clone(&counters), test_session(), None);
         let (tx, rx) = mpsc::channel();
         batcher.enqueue([Submission {
             shadow: true,
@@ -984,13 +957,7 @@ mod tests {
     /// wave sheds only what no executor had taken.
     fn lost_wakeup_stress(executors: usize) {
         let counters = Arc::new(ServeCounters::default());
-        let batcher = Batcher::new(
-            test_config(16),
-            Arc::clone(&counters),
-            test_session(),
-            None,
-            None,
-        );
+        let batcher = Batcher::new(test_config(16), Arc::clone(&counters), test_session(), None);
         let runners = spawn_executors(&batcher, executors);
 
         // Each producer owns an id range and a channel, and returns how
@@ -1107,7 +1074,6 @@ mod tests {
             Arc::clone(&counters),
             Arc::clone(&session),
             None,
-            None,
         );
         let (tx, rx) = mpsc::channel();
         for (id, rows) in [(1u64, 3usize), (2, 5), (3, 1)] {
@@ -1146,7 +1112,6 @@ mod tests {
             Arc::clone(&counters),
             Arc::clone(&session),
             None,
-            None,
         );
         let (tx, rx) = mpsc::channel();
         let expired = Instant::now() - Duration::from_millis(5);
@@ -1184,7 +1149,7 @@ mod tests {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
         // No executor runs: submissions stay buffered until the drain.
-        let batcher = Batcher::new(test_config(64), Arc::clone(&counters), session, None, None);
+        let batcher = Batcher::new(test_config(64), Arc::clone(&counters), session, None);
         let (tx, rx) = mpsc::channel();
         batcher.submit(submission(1, 2, None, &tx, &counters));
         batcher.submit(submission(2, 2, None, &tx, &counters));
@@ -1214,7 +1179,7 @@ mod tests {
         let counters = Arc::new(ServeCounters::default());
         let mut config = test_config(64);
         config.backlog_shed_rows[Priority::Standard.rank()] = Some(4);
-        let batcher = Batcher::new(config, Arc::clone(&counters), session, None, None);
+        let batcher = Batcher::new(config, Arc::clone(&counters), session, None);
         let (tx, rx) = mpsc::channel();
         batcher.submit(submission(1, 4, None, &tx, &counters));
         batcher.submit(submission(2, 1, None, &tx, &counters));

@@ -34,9 +34,7 @@
 //! response in between, the underlying error surfaces to the caller.
 
 use crate::error::{Error, Result};
-use crate::wire::{
-    self, HealthState, InferRequest, Request, Response, ShardAssignRequest, ShardExecRequest,
-};
+use crate::wire::{self, HealthState, InferRequest, Request, Response};
 use relserve_runtime::{Priority, RetryPolicy, FAULT_SEED_ENV};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
@@ -82,10 +80,7 @@ pub fn retry_policy_from_env() -> RetryPolicy {
     }
 }
 
-/// What a Health probe reported, as one named snapshot. The wire payload
-/// grew worker-fleet gauges when the shard tier landed; servers predating
-/// it simply report zeros for the new fields (the decoder fills them in),
-/// so a new client can probe an old server.
+/// What a Health probe reported, as one named snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthReport {
     /// Readiness of the server.
@@ -94,11 +89,6 @@ pub struct HealthReport {
     pub live_connections: u64,
     /// Reactor pollers currently past the watchdog staleness threshold.
     pub stalled_pollers: u64,
-    /// Shard workers currently believed live (0 on an unsharded server).
-    pub workers_live: u64,
-    /// Shard executions absorbed locally after worker losses (0 on an
-    /// unsharded server).
-    pub shards_degraded_local: u64,
 }
 
 /// The buffered read/write halves of one live connection.
@@ -262,7 +252,10 @@ impl Client {
 
     /// Send one inference request without waiting for its response;
     /// returns the request id for demultiplexing. Any number of requests
-    /// may be in flight before the first [`wait`](Self::wait).
+    /// may be in flight before the first [`wait`](Self::wait). A request
+    /// whose frame the server would refuse (over
+    /// [`wire::MAX_FRAME_BYTES`]) is an [`Error::Wire`] before any byte is
+    /// sent, and the connection stays usable.
     pub fn send_infer(
         &mut self,
         model: &str,
@@ -388,8 +381,7 @@ impl Client {
     }
 
     /// Probe the server's health: the [`HealthState`] plus every gauge
-    /// the server reported, including the worker-fleet distribution state
-    /// on a sharded server.
+    /// the server reported.
     pub fn health(&mut self) -> Result<HealthReport> {
         let id = self.send_health()?;
         match self.wait(id)? {
@@ -397,100 +389,14 @@ impl Client {
                 state,
                 live_connections,
                 stalled_pollers,
-                workers_live,
-                shards_degraded_local,
                 ..
             } => Ok(HealthReport {
                 state,
                 live_connections,
                 stalled_pollers,
-                workers_live,
-                shards_degraded_local,
             }),
             other => Err(Error::Protocol(format!(
                 "expected health response for id {id}, got {other:?}"
-            ))),
-        }
-    }
-
-    // ---- shard-tier requests (coordinator → worker) ----------------------
-
-    /// Install one decomposed weight slice on a shard worker and wait for
-    /// its acknowledgement.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shard_assign(
-        &mut self,
-        model: &str,
-        shard_id: u32,
-        shard_count: u32,
-        col_start: u32,
-        col_end: u32,
-        out_rows: u32,
-        weight: Vec<f32>,
-    ) -> Result<()> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let payload = wire::encode_request(&Request::ShardAssign(ShardAssignRequest {
-            id,
-            model: model.to_string(),
-            shard_id,
-            shard_count,
-            col_start,
-            col_end,
-            out_rows,
-            weight,
-        }))?;
-        self.track_and_send(id, payload)?;
-        match self.wait(id)? {
-            Response::ShardAssigned {
-                shard_id: acked, ..
-            } if acked == shard_id => Ok(()),
-            other => Err(Error::Protocol(format!(
-                "expected assignment ack for shard {shard_id}, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Send one shard execution without waiting; returns its id so a
-    /// coordinator can scatter to the whole fleet before gathering.
-    pub fn send_shard_exec(
-        &mut self,
-        model: &str,
-        shard_id: u32,
-        rows: u32,
-        cols: u32,
-        data: Vec<f32>,
-    ) -> Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let payload = wire::encode_request(&Request::ShardExec(ShardExecRequest {
-            id,
-            model: model.to_string(),
-            shard_id,
-            rows,
-            cols,
-            data,
-        }))?;
-        self.track_and_send(id, payload)?;
-        Ok(id)
-    }
-
-    /// Probe a shard worker: its [`HealthState`] plus the installed-slice
-    /// and served-execution gauges.
-    pub fn worker_health(&mut self) -> Result<(HealthState, u64, u64)> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let payload = wire::encode_request(&Request::WorkerHealth { id })?;
-        self.track_and_send(id, payload)?;
-        match self.wait(id)? {
-            Response::WorkerHealth {
-                state,
-                shards_assigned,
-                shard_execs,
-                ..
-            } => Ok((state, shards_assigned, shard_execs)),
-            other => Err(Error::Protocol(format!(
-                "expected worker-health response for id {id}, got {other:?}"
             ))),
         }
     }

@@ -22,7 +22,6 @@ pub mod error;
 mod reactor;
 pub mod registry;
 pub mod server;
-pub mod shard;
 pub mod stats;
 pub mod sys;
 pub mod wire;
@@ -34,9 +33,8 @@ pub use client::{
 };
 pub use error::{Error, Result};
 pub use server::{DrainReport, ServeConfig, ServeConfigBuilder, Server, ServerHandle};
-pub use shard::{workers_from_env, ShardCoordinator, WorkerHandle, WORKERS_ENV};
 pub use stats::{
     export_counters, CacheServeStats, ClassServeStats, DrainServeStats, FaultServeStats,
-    LadderModelStats, ReactorServeStats, ServeStats, ShardServeStats,
+    LadderModelStats, ReactorServeStats, ServeStats,
 };
 pub use wire::HealthState;

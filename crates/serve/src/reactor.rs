@@ -721,22 +721,6 @@ fn handle_request(
                 state: ctx.health_state(),
                 live_connections: ctx.live.load(Ordering::SeqCst) as u64,
                 stalled_pollers: counters.reactor.stalled_pollers.load(Ordering::Relaxed),
-                workers_live: counters.shard.workers_live.load(Ordering::Relaxed),
-                shards_degraded_local: counters.shard.shards_degraded_local.load(Ordering::Relaxed),
-            });
-            ConnFlow::Continue
-        }
-        Ok(
-            Request::ShardAssign(wire::ShardAssignRequest { id, .. })
-            | Request::ShardExec(wire::ShardExecRequest { id, .. })
-            | Request::WorkerHealth { id },
-        ) => {
-            // Shard opcodes are worker-side only; a frontend receiving
-            // one is being probed by a confused coordinator.
-            responder.send(&Response::Error {
-                id,
-                code: ErrorCode::Invalid,
-                message: "shard opcodes are served by shard workers, not the frontend".into(),
             });
             ConnFlow::Continue
         }

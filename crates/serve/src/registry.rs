@@ -8,22 +8,21 @@
 //!   server → client frame. Ok statuses and error codes share this space,
 //!   so every value is registered here to keep them collision-free.
 //!
-//! Historically these lived as scattered private literals inside
-//! `wire.rs`; new shard opcodes made a registered, documented space worth
-//! having. `wire.rs` (and everything else) imports from here — adding a
-//! constant anywhere else is a bug, and the exhaustiveness test at the
-//! bottom fails if the tables below drift from the constants.
+//! `wire.rs` (and everything else) imports from here — adding a constant
+//! anywhere else is a bug, and the exhaustiveness test at the bottom fails
+//! if the tables below drift from the constants.
 //!
 //! ## Request opcodes
 //!
-//! | value | name | direction | meaning |
-//! |---|---|---|---|
-//! | 0 | [`OP_INFER`] | client → server | run inference over carried feature rows |
-//! | 1 | [`OP_STATS`] | client → server | snapshot server counters |
-//! | 2 | [`OP_HEALTH`] | client → server | liveness + readiness probe |
-//! | 3 | [`OP_SHARD_ASSIGN`] | coordinator → worker | install a decomposed weight slice |
-//! | 4 | [`OP_SHARD_EXEC`] | coordinator → worker | multiply a feature-column block against an installed slice |
-//! | 5 | [`OP_WORKER_HEALTH`] | coordinator → worker | probe a worker's shard state |
+//! | value | name | meaning |
+//! |---|---|---|
+//! | 0 | [`OP_INFER`] | run inference over carried feature rows |
+//! | 1 | [`OP_STATS`] | snapshot server counters |
+//! | 2 | [`OP_HEALTH`] | liveness + readiness probe |
+//!
+//! Opcodes 3–5 and statuses 9–11 are retired: a peer built against an
+//! older protocol may still send them, so they stay unassigned and decode
+//! as unknown.
 //!
 //! ## Response statuses
 //!
@@ -38,9 +37,6 @@
 //! | 6 | [`STATUS_OK_STATS`] | counter snapshot |
 //! | 7 | [`ERR_DRAINING`] | server draining, no new work |
 //! | 8 | [`STATUS_OK_HEALTH`] | health probe answer |
-//! | 9 | [`STATUS_OK_SHARD_ASSIGN`] | weight slice installed |
-//! | 10 | [`STATUS_OK_PARTIAL`] | partial product for one shard |
-//! | 11 | [`STATUS_OK_WORKER_HEALTH`] | worker health answer |
 
 /// Opcode: run inference over the carried feature rows.
 pub const OP_INFER: u8 = 0;
@@ -48,12 +44,6 @@ pub const OP_INFER: u8 = 0;
 pub const OP_STATS: u8 = 1;
 /// Opcode: liveness + readiness probe (answered inline, even draining).
 pub const OP_HEALTH: u8 = 2;
-/// Opcode: install one decomposed weight slice on a shard worker.
-pub const OP_SHARD_ASSIGN: u8 = 3;
-/// Opcode: execute one feature-column block against an installed slice.
-pub const OP_SHARD_EXEC: u8 = 4;
-/// Opcode: probe a shard worker's health and assignment gauges.
-pub const OP_WORKER_HEALTH: u8 = 5;
 
 /// Status: successful inference response.
 pub const STATUS_OK_INFER: u8 = 0;
@@ -61,12 +51,6 @@ pub const STATUS_OK_INFER: u8 = 0;
 pub const STATUS_OK_STATS: u8 = 6;
 /// Status: health probe response.
 pub const STATUS_OK_HEALTH: u8 = 8;
-/// Status: a shard worker acknowledged a weight-slice assignment.
-pub const STATUS_OK_SHARD_ASSIGN: u8 = 9;
-/// Status: a shard worker returned one partial product.
-pub const STATUS_OK_PARTIAL: u8 = 10;
-/// Status: a shard worker answered a worker-health probe.
-pub const STATUS_OK_WORKER_HEALTH: u8 = 11;
 
 /// Status: shed by admission-queue timeout, depth or backlog shedding.
 pub const ERR_OVERLOADED: u8 = 1;
@@ -82,24 +66,10 @@ pub const ERR_INTERNAL: u8 = 5;
 pub const ERR_DRAINING: u8 = 7;
 
 /// Every registered request opcode, for exhaustiveness checks.
-pub const REQUEST_OPCODES: [u8; 6] = [
-    OP_INFER,
-    OP_STATS,
-    OP_HEALTH,
-    OP_SHARD_ASSIGN,
-    OP_SHARD_EXEC,
-    OP_WORKER_HEALTH,
-];
+pub const REQUEST_OPCODES: [u8; 3] = [OP_INFER, OP_STATS, OP_HEALTH];
 
 /// Every registered ok status, for exhaustiveness checks.
-pub const OK_STATUSES: [u8; 6] = [
-    STATUS_OK_INFER,
-    STATUS_OK_STATS,
-    STATUS_OK_HEALTH,
-    STATUS_OK_SHARD_ASSIGN,
-    STATUS_OK_PARTIAL,
-    STATUS_OK_WORKER_HEALTH,
-];
+pub const OK_STATUSES: [u8; 3] = [STATUS_OK_INFER, STATUS_OK_STATS, STATUS_OK_HEALTH];
 
 /// Every registered error status, for exhaustiveness checks.
 pub const ERROR_STATUSES: [u8; 6] = [
@@ -135,7 +105,7 @@ mod tests {
         // "greater than the last registered one".
         let mut ops = REQUEST_OPCODES.to_vec();
         ops.sort_unstable();
-        assert_eq!(ops, (0..REQUEST_OPCODES.len() as u8).collect::<Vec<_>>());
+        assert_eq!(ops, (0..=2).collect::<Vec<u8>>());
 
         // Every registered error byte round-trips through the typed enum,
         // and every non-registered byte in the combined space does not.

@@ -17,10 +17,8 @@
 
 use crate::batcher::{Batcher, BatcherConfig};
 use crate::cache::{cache_disabled_by_env, CacheConfig, SemanticCache};
-use crate::client::retry_policy_from_env;
 use crate::error::{Error, Result};
 use crate::reactor::{spawn_reactor, PollerShared, ReactorCtx};
-use crate::shard::{workers_from_env, ShardCoordinator};
 use crate::stats::{ServeCounters, ServeStats};
 use crate::sys::{self, set_listen_backlog};
 use crate::wire::HealthState;
@@ -73,10 +71,6 @@ pub struct ServeConfig {
     /// falls back to the `RELSERVE_FAULT_SEED` + `RELSERVE_SOCK_FAULTS`
     /// environment pair, and quiet configs are ignored entirely.
     pub(crate) wire_faults: Option<FaultConfig>,
-    /// Shard-worker fleet for distributed execution; `None` (the default)
-    /// falls back to the [`crate::shard::WORKERS_ENV`] list, and an
-    /// absent list serves single-process.
-    pub(crate) workers: Option<Vec<SocketAddr>>,
 }
 
 impl Default for ServeConfig {
@@ -100,7 +94,6 @@ impl Default for ServeConfig {
             cache: CacheConfig::default(),
             drain_deadline: Duration::from_secs(5),
             wire_faults: None,
-            workers: None,
         }
     }
 }
@@ -223,15 +216,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Shard-worker fleet: fused batches scatter their first-layer
-    /// partial products across these addresses and gather the results
-    /// ([`crate::shard::ShardCoordinator`]). Overrides the
-    /// [`crate::shard::WORKERS_ENV`] environment list.
-    pub fn workers(mut self, workers: Vec<SocketAddr>) -> Self {
-        self.config.workers = Some(workers);
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ServeConfig> {
         let c = &self.config;
@@ -266,15 +250,6 @@ impl ServeConfigBuilder {
                  stop; call shutdown() for that)"
                     .into(),
             ));
-        }
-        if let Some(workers) = &c.workers {
-            if workers.is_empty() {
-                return Err(Error::Config(
-                    "workers list must name at least one address (omit the \
-                     knob to serve single-process)"
-                        .into(),
-                ));
-            }
         }
         if let Some(f) = &c.wire_faults {
             for (name, rate) in [
@@ -320,21 +295,6 @@ impl Server {
                 Arc::clone(&counters),
             ))
         });
-        // Distributed mode: an explicit builder fleet wins; otherwise the
-        // RELSERVE_WORKERS environment list. No list = single-process.
-        let shard = config
-            .workers
-            .clone()
-            .or_else(workers_from_env)
-            .map(|fleet| {
-                ShardCoordinator::with_counters(
-                    fleet,
-                    retry_policy_from_env(),
-                    Arc::clone(&counters.shard),
-                )
-                .map(Arc::new)
-            })
-            .transpose()?;
         let batcher = Batcher::new(
             BatcherConfig {
                 max_batch_rows: config.max_batch_rows.max(1),
@@ -346,7 +306,6 @@ impl Server {
             Arc::clone(&counters),
             Arc::clone(&session),
             cache,
-            shard,
         );
 
         let executors: Vec<JoinHandle<()>> = (0..config.executors.max(1))

@@ -10,7 +10,7 @@ use relserve_core::SessionStats;
 use relserve_runtime::{AdmissionStats, Priority};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Per-class slice of [`ServeStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,30 +125,6 @@ pub struct FaultServeStats {
     pub delayed_accepts: u64,
 }
 
-/// Distributed shard-tier slice of [`ServeStats`] — all zero on an
-/// unsharded server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardServeStats {
-    /// Gauge: workers configured at spawn.
-    pub workers_configured: u64,
-    /// Gauge: workers currently believed live (reachable and serving).
-    pub workers_live: u64,
-    /// Fused batches scattered across the worker fleet.
-    pub scatter_batches: u64,
-    /// Weight-slice assignments acknowledged by workers.
-    pub assigns: u64,
-    /// Shard executions answered by a remote worker.
-    pub shard_execs_remote: u64,
-    /// Shard executions absorbed locally after a worker loss (the
-    /// degradation-to-local path; each also marks `worker_losses`).
-    pub shards_degraded_local: u64,
-    /// Workers declared dead after their retry budget was exhausted.
-    pub worker_losses: u64,
-    /// Fused batches that bypassed the shard tier entirely (model not
-    /// shardable, or no worker was ever live).
-    pub fallback_unsharded: u64,
-}
-
 /// Snapshot of the serving frontend's counters; see
 /// [`ServeCounters::snapshot`]. Plain old data: `Copy`, stable field set,
 /// safe to ship across threads and encode over the wire.
@@ -184,8 +160,6 @@ pub struct ServeStats {
     pub drain: DrainServeStats,
     /// Injected socket faults (all zero outside chaos runs).
     pub faults: FaultServeStats,
-    /// Distributed shard-tier health (all zero on an unsharded server).
-    pub shard: ShardServeStats,
 }
 
 impl ServeStats {
@@ -301,35 +275,6 @@ impl ServeStats {
             "serve.faults.delayed_accepts".to_string(),
             self.faults.delayed_accepts,
         ));
-        out.push((
-            "serve.shard.workers_configured".to_string(),
-            self.shard.workers_configured,
-        ));
-        out.push((
-            "serve.shard.workers_live".to_string(),
-            self.shard.workers_live,
-        ));
-        out.push((
-            "serve.shard.scatter_batches".to_string(),
-            self.shard.scatter_batches,
-        ));
-        out.push(("serve.shard.assigns".to_string(), self.shard.assigns));
-        out.push((
-            "serve.shard.shard_execs_remote".to_string(),
-            self.shard.shard_execs_remote,
-        ));
-        out.push((
-            "serve.shard.shards_degraded_local".to_string(),
-            self.shard.shards_degraded_local,
-        ));
-        out.push((
-            "serve.shard.worker_losses".to_string(),
-            self.shard.worker_losses,
-        ));
-        out.push((
-            "serve.shard.fallback_unsharded".to_string(),
-            self.shard.fallback_unsharded,
-        ));
         for class in Priority::ALL {
             let c = self.class(class);
             out.push((format!("serve.{class}.requests"), c.requests));
@@ -422,38 +367,6 @@ pub(crate) struct FaultCounters {
     pub delayed_accepts: AtomicU64,
 }
 
-#[derive(Default)]
-pub(crate) struct ShardCounters {
-    /// Gauge: workers configured at spawn.
-    pub workers_configured: AtomicU64,
-    /// Gauge: workers currently believed live.
-    pub workers_live: AtomicU64,
-    pub scatter_batches: AtomicU64,
-    pub assigns: AtomicU64,
-    pub shard_execs_remote: AtomicU64,
-    pub shards_degraded_local: AtomicU64,
-    pub worker_losses: AtomicU64,
-    pub fallback_unsharded: AtomicU64,
-}
-
-impl ShardCounters {
-    /// Materialize the shard slice of the snapshot. Also used directly by
-    /// a standalone [`crate::shard::ShardCoordinator`] (which shares the
-    /// server's instance when embedded, or owns a private one otherwise).
-    pub fn snapshot(&self) -> ShardServeStats {
-        ShardServeStats {
-            workers_configured: self.workers_configured.load(Ordering::Relaxed),
-            workers_live: self.workers_live.load(Ordering::Relaxed),
-            scatter_batches: self.scatter_batches.load(Ordering::Relaxed),
-            assigns: self.assigns.load(Ordering::Relaxed),
-            shard_execs_remote: self.shard_execs_remote.load(Ordering::Relaxed),
-            shards_degraded_local: self.shards_degraded_local.load(Ordering::Relaxed),
-            worker_losses: self.worker_losses.load(Ordering::Relaxed),
-            fallback_unsharded: self.fallback_unsharded.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Live atomic counters mutated by the server's threads.
 pub(crate) struct ServeCounters {
     pub connections: AtomicU64,
@@ -475,9 +388,6 @@ pub(crate) struct ServeCounters {
     pub reactor: ReactorCounters,
     pub drain: DrainCounters,
     pub faults: FaultCounters,
-    /// Shared with the [`crate::shard::ShardCoordinator`] when the server
-    /// runs sharded, so scatter-side increments land in this snapshot.
-    pub shard: Arc<ShardCounters>,
 }
 
 impl Default for ServeCounters {
@@ -498,7 +408,6 @@ impl Default for ServeCounters {
             reactor: ReactorCounters::default(),
             drain: DrainCounters::default(),
             faults: FaultCounters::default(),
-            shard: Arc::new(ShardCounters::default()),
         };
         // Until shadow validation has samples, the only honest bound is
         // "could be always wrong".
@@ -613,7 +522,6 @@ impl ServeCounters {
                 write_resets: self.faults.write_resets.load(Ordering::Relaxed),
                 delayed_accepts: self.faults.delayed_accepts.load(Ordering::Relaxed),
             },
-            shard: self.shard.snapshot(),
         }
     }
 }
@@ -725,39 +633,6 @@ mod tests {
             ("serve.faults.delayed_accepts", 0),
             ("serve.reactor.stalled_pollers", 0),
             ("serve.reactor.watchdog_stalls", 1),
-        ] {
-            assert!(
-                pairs.iter().any(|(n, v)| n == name && *v == want),
-                "missing {name}={want}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_counters_are_exported_and_default_zero() {
-        let counters = ServeCounters::default();
-        let snap = counters.snapshot();
-        assert_eq!(snap.shard, ShardServeStats::default());
-        counters
-            .shard
-            .workers_configured
-            .store(2, Ordering::Relaxed);
-        counters.shard.workers_live.store(1, Ordering::Relaxed);
-        counters
-            .shard
-            .shards_degraded_local
-            .fetch_add(3, Ordering::Relaxed);
-        counters.shard.worker_losses.fetch_add(1, Ordering::Relaxed);
-        let pairs = counters.snapshot().counters();
-        for (name, want) in [
-            ("serve.shard.workers_configured", 2),
-            ("serve.shard.workers_live", 1),
-            ("serve.shard.scatter_batches", 0),
-            ("serve.shard.assigns", 0),
-            ("serve.shard.shard_execs_remote", 0),
-            ("serve.shard.shards_degraded_local", 3),
-            ("serve.shard.worker_losses", 1),
-            ("serve.shard.fallback_unsharded", 0),
         ] {
             assert!(
                 pairs.iter().any(|(n, v)| n == name && *v == want),

@@ -20,16 +20,6 @@
 //! | model | string | model name as loaded in the session |
 //! | rows, cols | `u32`, `u32` | feature matrix shape |
 //! | data | `rows × cols × f32` | row-major features |
-//! | *ShardAssign only:* model | string | model this weight slice belongs to |
-//! | shard id, shard count | `u32`, `u32` | position in the partition plan |
-//! | col start, col end | `u32`, `u32` | input-column range of the slice |
-//! | out rows | `u32` | first-layer output width (slice row count) |
-//! | weight | `out_rows × (col_end−col_start) × f32` | row-major slice of `W` |
-//! | *ShardExec only:* model | string | must have a matching ShardAssign |
-//! | shard id | `u32` | which installed slice to multiply against |
-//! | rows, cols | `u32`, `u32` | feature-column-block shape |
-//! | data | `rows × cols × f32` | row-major feature columns |
-//! | *WorkerHealth:* (id only) | | |
 //!
 //! Response payloads (server → client):
 //!
@@ -47,28 +37,21 @@
 //! | *ok-health:* state | `u8` | `0` ok, `1` draining, `2` overloaded (see [`HealthState`]) |
 //! | live connections | `u64` | currently registered connections |
 //! | stalled pollers | `u64` | pollers whose watchdog heartbeat is stale |
-//! | workers live | `u64` | *optional tail:* live shard workers (absent pre-shard servers decode as 0) |
-//! | shards degraded local | `u64` | *optional tail:* shard executions absorbed locally after worker loss |
-//! | *ok-shard-assigned:* shard id | `u32` | echo of the installed slice's id |
-//! | *ok-partial:* shard id | `u32` | which slice produced this partial |
-//! | rows, hidden | `u32`, `u32` | partial-product shape |
-//! | data | `rows × hidden × f32` | row-major `X_i · W_iᵀ` |
-//! | *ok-worker-health:* state | `u8` | worker readiness |
-//! | shards assigned | `u64` | slices installed on the worker |
-//! | shard execs | `u64` | ShardExec requests served |
 //!
 //! Request id `0` is reserved: [`encode_request`] and [`decode_request`]
 //! reject it, and the server uses it for connection-level error responses
 //! that cannot be attributed to any request (an undecodable frame). After
 //! such a response the server closes the connection, since the frame
 //! stream can no longer be trusted.
+//!
+//! No payload is longer than [`MAX_FRAME_BYTES`]: [`read_frame`] refuses a
+//! longer length prefix, and [`encode_request`] refuses to build a request
+//! the server would refuse, so a client never sends one.
 
 use crate::error::{Error, Result};
 use crate::registry::{
     ERR_DEADLINE_EXCEEDED, ERR_DRAINING, ERR_INTERNAL, ERR_INVALID, ERR_NOT_FOUND, ERR_OVERLOADED,
-    OP_HEALTH, OP_INFER, OP_SHARD_ASSIGN, OP_SHARD_EXEC, OP_STATS, OP_WORKER_HEALTH,
-    STATUS_OK_HEALTH, STATUS_OK_INFER, STATUS_OK_PARTIAL, STATUS_OK_SHARD_ASSIGN, STATUS_OK_STATS,
-    STATUS_OK_WORKER_HEALTH,
+    OP_HEALTH, OP_INFER, OP_STATS, STATUS_OK_HEALTH, STATUS_OK_INFER, STATUS_OK_STATS,
 };
 use relserve_runtime::Priority;
 use std::io::{Read, Write};
@@ -176,51 +159,6 @@ pub struct InferRequest {
     pub data: Vec<f32>,
 }
 
-/// A coordinator → worker request to install one decomposed weight slice.
-///
-/// The slice is `W[:, col_start..col_end]` of the model's first dense
-/// layer, shipped row-major as `out_rows × (col_end − col_start)` floats.
-/// Assignments are idempotent: re-assigning the same `(model, shard_id)`
-/// replaces the slice, which is how a coordinator re-seeds a worker that
-/// restarted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardAssignRequest {
-    /// Client-chosen id, echoed in the response.
-    pub id: u64,
-    /// Model whose first dense layer was decomposed.
-    pub model: String,
-    /// Position of this slice in the partition plan.
-    pub shard_id: u32,
-    /// Total shards in the plan (for the worker's sanity checks).
-    pub shard_count: u32,
-    /// First input column (inclusive) of the slice.
-    pub col_start: u32,
-    /// One past the last input column (exclusive) of the slice.
-    pub col_end: u32,
-    /// First-layer output width — the slice's row count.
-    pub out_rows: u32,
-    /// Row-major `out_rows × (col_end − col_start)` weight values.
-    pub weight: Vec<f32>,
-}
-
-/// A coordinator → worker request to multiply a feature-column block
-/// against a previously installed weight slice.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardExecRequest {
-    /// Client-chosen id, echoed in the response.
-    pub id: u64,
-    /// Model whose slice to multiply against.
-    pub model: String,
-    /// Which installed slice to use.
-    pub shard_id: u32,
-    /// Feature rows in the block.
-    pub rows: u32,
-    /// Feature columns in the block (must equal the slice's width).
-    pub cols: u32,
-    /// Row-major `rows × cols` feature values.
-    pub data: Vec<f32>,
-}
-
 /// A decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -234,15 +172,6 @@ pub enum Request {
     /// Probe liveness + readiness. Answered inline by the poller even
     /// while draining, so load balancers can watch a server leave.
     Health {
-        /// Client-chosen id, echoed in the response.
-        id: u64,
-    },
-    /// Install a decomposed weight slice on a shard worker.
-    ShardAssign(ShardAssignRequest),
-    /// Execute a feature-column block against an installed slice.
-    ShardExec(ShardExecRequest),
-    /// Probe a shard worker's health and assignment gauges.
-    WorkerHealth {
         /// Client-chosen id, echoed in the response.
         id: u64,
     },
@@ -296,44 +225,6 @@ pub enum Response {
         live_connections: u64,
         /// Pollers whose watchdog heartbeat has gone stale.
         stalled_pollers: u64,
-        /// Live shard workers behind this server. Encoded as an optional
-        /// payload tail: responses from pre-shard servers simply end
-        /// early and decode as `0`, keeping the old payload decodable.
-        workers_live: u64,
-        /// Shard executions the coordinator absorbed locally after a
-        /// worker was lost (part of the same optional tail).
-        shards_degraded_local: u64,
-    },
-    /// A shard worker acknowledged a ShardAssign.
-    ShardAssigned {
-        /// Echoed request id.
-        id: u64,
-        /// Echo of the installed slice's position in the plan.
-        shard_id: u32,
-    },
-    /// One shard's partial product `X_i · W_iᵀ` for a ShardExec.
-    Partial {
-        /// Echoed request id.
-        id: u64,
-        /// Which slice produced this partial.
-        shard_id: u32,
-        /// Rows of the partial product.
-        rows: u32,
-        /// Columns of the partial product (first-layer output width).
-        hidden: u32,
-        /// Row-major `rows × hidden` partial-product values.
-        data: Vec<f32>,
-    },
-    /// A shard worker's health and assignment gauges.
-    WorkerHealth {
-        /// Echoed request id.
-        id: u64,
-        /// Readiness of the worker.
-        state: HealthState,
-        /// Weight slices currently installed.
-        shards_assigned: u64,
-        /// ShardExec requests served since start.
-        shard_execs: u64,
     },
 }
 
@@ -344,18 +235,30 @@ impl Response {
             Response::Infer { id, .. }
             | Response::Error { id, .. }
             | Response::Stats { id, .. }
-            | Response::Health { id, .. }
-            | Response::ShardAssigned { id, .. }
-            | Response::Partial { id, .. }
-            | Response::WorkerHealth { id, .. } => *id,
+            | Response::Health { id, .. } => *id,
         }
     }
 }
 
 // ---- frame I/O -----------------------------------------------------------
 
-/// Write one frame (length prefix + payload) and flush.
+/// The frame cap both ends enforce: a payload over [`MAX_FRAME_BYTES`] is
+/// never written and never read.
+fn check_frame_len(len: usize) -> Result<()> {
+    if len > MAX_FRAME_BYTES {
+        return Err(Error::Wire(format!(
+            "frame of {len} B exceeds the {MAX_FRAME_BYTES} B cap"
+        )));
+    }
+    Ok(())
+}
+
+/// Write one frame (length prefix + payload) and flush. A payload over
+/// [`MAX_FRAME_BYTES`] is refused with `InvalidInput` before any byte is
+/// written, so the stream stays framed.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    check_frame_len(payload.len())
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
     let len = payload.len() as u32;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
@@ -372,12 +275,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} B exceeds the {MAX_FRAME_BYTES} B cap"),
-        ));
-    }
+    check_frame_len(len)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
@@ -407,7 +306,8 @@ fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<()> {
     Ok(())
 }
 
-/// Append a matrix's values after checking its claimed shape.
+/// Append a matrix's values after checking its claimed shape, and that the
+/// payload still fits in one frame — before anything is reserved.
 fn put_matrix(buf: &mut Vec<u8>, rows: u32, cols: u32, data: &[f32], what: &str) -> Result<()> {
     let expected = rows as usize * cols as usize;
     if data.len() != expected {
@@ -416,6 +316,7 @@ fn put_matrix(buf: &mut Vec<u8>, rows: u32, cols: u32, data: &[f32], what: &str)
             data.len(),
         )));
     }
+    check_frame_len(buf.len() + data.len() * 4)?;
     buf.reserve(data.len() * 4);
     for v in data {
         buf.extend_from_slice(&v.to_le_bytes());
@@ -423,15 +324,13 @@ fn put_matrix(buf: &mut Vec<u8>, rows: u32, cols: u32, data: &[f32], what: &str)
     Ok(())
 }
 
-/// Encode a request payload (no length prefix).
+/// Encode a request payload (no length prefix). A request whose payload
+/// would exceed [`MAX_FRAME_BYTES`] is an [`Error::Wire`].
 pub fn encode_request(req: &Request) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
     if let Request::Infer(InferRequest { id: 0, .. })
     | Request::Stats { id: 0 }
-    | Request::Health { id: 0 }
-    | Request::ShardAssign(ShardAssignRequest { id: 0, .. })
-    | Request::ShardExec(ShardExecRequest { id: 0, .. })
-    | Request::WorkerHealth { id: 0 } = req
+    | Request::Health { id: 0 } = req
     {
         return Err(Error::Wire(
             "request id 0 is reserved for connection-level errors".into(),
@@ -454,42 +353,6 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>> {
         }
         Request::Health { id } => {
             buf.push(OP_HEALTH);
-            put_u64(&mut buf, *id);
-        }
-        Request::ShardAssign(r) => {
-            if r.col_end <= r.col_start {
-                return Err(Error::Wire(format!(
-                    "empty shard column range [{}, {})",
-                    r.col_start, r.col_end
-                )));
-            }
-            buf.push(OP_SHARD_ASSIGN);
-            put_u64(&mut buf, r.id);
-            put_str(&mut buf, &r.model)?;
-            put_u32(&mut buf, r.shard_id);
-            put_u32(&mut buf, r.shard_count);
-            put_u32(&mut buf, r.col_start);
-            put_u32(&mut buf, r.col_end);
-            put_u32(&mut buf, r.out_rows);
-            put_matrix(
-                &mut buf,
-                r.out_rows,
-                r.col_end - r.col_start,
-                &r.weight,
-                "weight",
-            )?;
-        }
-        Request::ShardExec(r) => {
-            buf.push(OP_SHARD_EXEC);
-            put_u64(&mut buf, r.id);
-            put_str(&mut buf, &r.model)?;
-            put_u32(&mut buf, r.shard_id);
-            put_u32(&mut buf, r.rows);
-            put_u32(&mut buf, r.cols);
-            put_matrix(&mut buf, r.rows, r.cols, &r.data, "data")?;
-        }
-        Request::WorkerHealth { id } => {
-            buf.push(OP_WORKER_HEALTH);
             put_u64(&mut buf, *id);
         }
     }
@@ -558,47 +421,12 @@ fn put_response(buf: &mut Vec<u8>, resp: &Response) -> Result<()> {
             state,
             live_connections,
             stalled_pollers,
-            workers_live,
-            shards_degraded_local,
         } => {
             put_u64(buf, *id);
             buf.push(STATUS_OK_HEALTH);
             buf.push(state.as_u8());
             put_u64(buf, *live_connections);
             put_u64(buf, *stalled_pollers);
-            put_u64(buf, *workers_live);
-            put_u64(buf, *shards_degraded_local);
-        }
-        Response::ShardAssigned { id, shard_id } => {
-            put_u64(buf, *id);
-            buf.push(STATUS_OK_SHARD_ASSIGN);
-            put_u32(buf, *shard_id);
-        }
-        Response::Partial {
-            id,
-            shard_id,
-            rows,
-            hidden,
-            data,
-        } => {
-            put_u64(buf, *id);
-            buf.push(STATUS_OK_PARTIAL);
-            put_u32(buf, *shard_id);
-            put_u32(buf, *rows);
-            put_u32(buf, *hidden);
-            put_matrix(buf, *rows, *hidden, data, "partial")?;
-        }
-        Response::WorkerHealth {
-            id,
-            state,
-            shards_assigned,
-            shard_execs,
-        } => {
-            put_u64(buf, *id);
-            buf.push(STATUS_OK_WORKER_HEALTH);
-            buf.push(state.as_u8());
-            put_u64(buf, *shards_assigned);
-            put_u64(buf, *shard_execs);
         }
     }
     Ok(())
@@ -731,64 +559,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
             c.done()?;
             Ok(Request::Health { id })
         }
-        OP_SHARD_ASSIGN => {
-            let id = nonzero_id(c.u64()?)?;
-            let model = c.str()?;
-            if model.is_empty() {
-                return Err(Error::Wire("empty model name".into()));
-            }
-            let shard_id = c.u32()?;
-            let shard_count = c.u32()?;
-            let col_start = c.u32()?;
-            let col_end = c.u32()?;
-            let out_rows = c.u32()?;
-            if col_end <= col_start || shard_id >= shard_count || out_rows == 0 {
-                return Err(Error::Wire(format!(
-                    "degenerate shard assignment {shard_id}/{shard_count} \
-                     cols [{col_start}, {col_end}) out {out_rows}"
-                )));
-            }
-            let weight = c.f32_matrix(out_rows, col_end - col_start, "weight slice")?;
-            c.done()?;
-            Ok(Request::ShardAssign(ShardAssignRequest {
-                id,
-                model,
-                shard_id,
-                shard_count,
-                col_start,
-                col_end,
-                out_rows,
-                weight,
-            }))
-        }
-        OP_SHARD_EXEC => {
-            let id = nonzero_id(c.u64()?)?;
-            let model = c.str()?;
-            if model.is_empty() {
-                return Err(Error::Wire("empty model name".into()));
-            }
-            let shard_id = c.u32()?;
-            let rows = c.u32()?;
-            let cols = c.u32()?;
-            if rows == 0 || cols == 0 {
-                return Err(Error::Wire(format!("degenerate shape {rows}x{cols}")));
-            }
-            let data = c.f32_matrix(rows, cols, "feature block")?;
-            c.done()?;
-            Ok(Request::ShardExec(ShardExecRequest {
-                id,
-                model,
-                shard_id,
-                rows,
-                cols,
-                data,
-            }))
-        }
-        OP_WORKER_HEALTH => {
-            let id = nonzero_id(c.u64()?)?;
-            c.done()?;
-            Ok(Request::WorkerHealth { id })
-        }
         other => Err(Error::Wire(format!("unknown request opcode {other}"))),
     }
 }
@@ -850,56 +620,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
                 .ok_or_else(|| Error::Wire("unknown health state".into()))?;
             let live_connections = c.u64()?;
             let stalled_pollers = c.u64()?;
-            // Worker-fleet gauges are an optional tail: a pre-shard
-            // server's payload ends here and decodes as zeros.
-            let (workers_live, shards_degraded_local) = if c.remaining() == 0 {
-                (0, 0)
-            } else {
-                (c.u64()?, c.u64()?)
-            };
             c.done()?;
             Ok(Response::Health {
                 id,
                 state,
                 live_connections,
                 stalled_pollers,
-                workers_live,
-                shards_degraded_local,
-            })
-        }
-        STATUS_OK_SHARD_ASSIGN => {
-            let shard_id = c.u32()?;
-            c.done()?;
-            Ok(Response::ShardAssigned { id, shard_id })
-        }
-        STATUS_OK_PARTIAL => {
-            let shard_id = c.u32()?;
-            let rows = c.u32()?;
-            let hidden = c.u32()?;
-            if rows == 0 || hidden == 0 {
-                return Err(Error::Wire(format!("degenerate partial {rows}x{hidden}")));
-            }
-            let data = c.f32_matrix(rows, hidden, "partial product")?;
-            c.done()?;
-            Ok(Response::Partial {
-                id,
-                shard_id,
-                rows,
-                hidden,
-                data,
-            })
-        }
-        STATUS_OK_WORKER_HEALTH => {
-            let state = HealthState::from_u8(c.u8()?)
-                .ok_or_else(|| Error::Wire("unknown health state".into()))?;
-            let shards_assigned = c.u64()?;
-            let shard_execs = c.u64()?;
-            c.done()?;
-            Ok(Response::WorkerHealth {
-                id,
-                state,
-                shards_assigned,
-                shard_execs,
             })
         }
         code => {
@@ -915,6 +641,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn infer_request_round_trips() {
@@ -971,9 +698,26 @@ mod tests {
         assert!(read_frame(&mut reader).unwrap().is_none());
     }
 
-    #[test]
-    fn responses_round_trip() {
-        for resp in [
+    /// One request of every kind.
+    fn sample_requests() -> Vec<Request> {
+        vec![
+            Request::Infer(InferRequest {
+                id: 3,
+                class: Priority::Batch,
+                deadline_micros: 77,
+                model: "Fraud-FC-256".into(),
+                rows: 2,
+                cols: 2,
+                data: vec![1.0, -2.5, 0.125, 4.0],
+            }),
+            Request::Stats { id: 5 },
+            Request::Health { id: 6 },
+        ]
+    }
+
+    /// One response of every kind.
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Infer {
                 id: 9,
                 queue_wait_micros: 1234,
@@ -1009,76 +753,23 @@ mod tests {
                 state: HealthState::Draining,
                 live_connections: 17,
                 stalled_pollers: 1,
-                workers_live: 2,
-                shards_degraded_local: 3,
             },
-            Response::ShardAssigned {
-                id: 15,
-                shard_id: 1,
-            },
-            Response::Partial {
-                id: 16,
-                shard_id: 0,
-                rows: 2,
-                hidden: 3,
-                data: vec![0.5, -1.0, 2.0, 0.0, 7.25, -0.0],
-            },
-            Response::WorkerHealth {
-                id: 17,
-                state: HealthState::Ok,
-                shards_assigned: 2,
-                shard_execs: 41,
-            },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
             let bytes = encode_response(&resp).unwrap();
             assert_eq!(decode_response(&bytes).unwrap(), resp);
         }
     }
 
     #[test]
-    fn shard_requests_round_trip() {
-        let assign = Request::ShardAssign(ShardAssignRequest {
-            id: 21,
-            model: "Fraud-FC-256".into(),
-            shard_id: 1,
-            shard_count: 2,
-            col_start: 14,
-            col_end: 28,
-            out_rows: 2,
-            weight: (0..28).map(|v| v as f32 * 0.5).collect(),
-        });
-        let bytes = encode_request(&assign).unwrap();
-        assert_eq!(decode_request(&bytes).unwrap(), assign);
-
-        let exec = Request::ShardExec(ShardExecRequest {
-            id: 22,
-            model: "Fraud-FC-256".into(),
-            shard_id: 1,
-            rows: 3,
-            cols: 14,
-            data: vec![0.25; 42],
-        });
-        let bytes = encode_request(&exec).unwrap();
-        assert_eq!(decode_request(&bytes).unwrap(), exec);
-
-        let health = Request::WorkerHealth { id: 23 };
-        let bytes = encode_request(&health).unwrap();
-        assert_eq!(decode_request(&bytes).unwrap(), health);
-
-        // Id 0 stays reserved for the new opcodes too.
-        assert!(encode_request(&Request::WorkerHealth { id: 0 }).is_err());
-        let mut raw = vec![super::OP_WORKER_HEALTH];
-        raw.extend_from_slice(&0u64.to_le_bytes());
-        assert!(decode_request(&raw).is_err());
-    }
-
-    #[test]
-    fn old_health_payload_still_decodes() {
-        // A pre-shard server ends the health payload after stalled
-        // pollers; the worker-fleet gauges must default to zero.
+    fn health_payload_ends_after_stalled_pollers() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&5u64.to_le_bytes());
-        buf.push(super::STATUS_OK_HEALTH);
+        buf.push(STATUS_OK_HEALTH);
         buf.push(HealthState::Ok.as_u8());
         buf.extend_from_slice(&4u64.to_le_bytes()); // live connections
         buf.extend_from_slice(&0u64.to_le_bytes()); // stalled pollers
@@ -1089,47 +780,35 @@ mod tests {
                 state: HealthState::Ok,
                 live_connections: 4,
                 stalled_pollers: 0,
-                workers_live: 0,
-                shards_degraded_local: 0,
             }
         );
+        // Anything after it is trailing garbage.
+        buf.extend_from_slice(&2u64.to_le_bytes());
+        assert!(matches!(decode_response(&buf), Err(Error::Wire(_))));
     }
 
     #[test]
-    fn hostile_shard_payloads_are_rejected() {
-        // Weight slice claiming 2^31 x 2^31 values in a tiny frame.
-        let mut buf = vec![super::OP_SHARD_ASSIGN];
-        buf.extend_from_slice(&1u64.to_le_bytes()); // id
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        buf.push(b'm'); // model "m"
-        buf.extend_from_slice(&0u32.to_le_bytes()); // shard id
-        buf.extend_from_slice(&1u32.to_le_bytes()); // shard count
-        buf.extend_from_slice(&0u32.to_le_bytes()); // col start
-        buf.extend_from_slice(&(1u32 << 31).to_le_bytes()); // col end
-        buf.extend_from_slice(&(1u32 << 31).to_le_bytes()); // out rows
-        assert!(decode_request(&buf).is_err());
-
-        // Inverted column range is rejected at encode time.
-        let inverted = Request::ShardAssign(ShardAssignRequest {
-            id: 1,
-            model: "m".into(),
-            shard_id: 0,
-            shard_count: 1,
-            col_start: 4,
-            col_end: 4,
-            out_rows: 1,
-            weight: vec![],
-        });
-        assert!(encode_request(&inverted).is_err());
-
-        // Partial response whose data the frame doesn't carry.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.push(super::STATUS_OK_PARTIAL);
-        buf.extend_from_slice(&0u32.to_le_bytes()); // shard id
-        buf.extend_from_slice(&1000u32.to_le_bytes()); // rows
-        buf.extend_from_slice(&1000u32.to_le_bytes()); // hidden
-        assert!(decode_response(&buf).is_err());
+    fn retired_opcodes_and_statuses_are_unknown() {
+        // Opcodes 3..=5 and ok statuses 9..=11 belonged to a removed
+        // protocol extension: a stale peer's frame is "unknown", never a
+        // misparse.
+        for op in 3u8..=5 {
+            let mut buf = vec![op];
+            buf.extend_from_slice(&1u64.to_le_bytes());
+            match decode_request(&buf) {
+                Err(Error::Wire(msg)) => assert!(msg.contains("unknown request opcode"), "{msg}"),
+                other => panic!("opcode {op} decoded as {other:?}"),
+            }
+        }
+        for status in 9u8..=11 {
+            let mut buf = 1u64.to_le_bytes().to_vec();
+            buf.push(status);
+            buf.extend_from_slice(&0u32.to_le_bytes());
+            match decode_response(&buf) {
+                Err(Error::Wire(msg)) => assert!(msg.contains("unknown response status"), "{msg}"),
+                other => panic!("status {status} decoded as {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1268,5 +947,101 @@ mod tests {
         // Oversized frames are rejected without allocating.
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
         assert!(read_frame(&mut &huge[..]).is_err());
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_before_a_byte_is_written() {
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &vec![0u8; MAX_FRAME_BYTES + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing may reach the stream");
+        // encode_request refuses before reserving a buffer for the data;
+        // the zeroed Vec is never touched, so its pages are never faulted.
+        let values = MAX_FRAME_BYTES / 4;
+        let req = Request::Infer(InferRequest {
+            id: 1,
+            class: Priority::Standard,
+            deadline_micros: 0,
+            model: "m".into(),
+            rows: 1,
+            cols: values as u32,
+            data: vec![0.0; values],
+        });
+        assert!(matches!(encode_request(&req), Err(Error::Wire(_))));
+    }
+
+    /// What a decoder may make of any bytes: a value that encodes back to
+    /// exactly those bytes, or a typed wire error.
+    fn canonical_or_wire_error<T: std::fmt::Debug>(
+        bytes: &[u8],
+        decoded: Result<T>,
+        encode: impl Fn(&T) -> Result<Vec<u8>>,
+    ) -> std::result::Result<(), String> {
+        match decoded {
+            Ok(value) => match encode(&value) {
+                Ok(again) => prop_assert!(again == bytes, "{value:?} re-encodes differently"),
+                Err(e) => prop_assert!(false, "{value:?} decoded but does not encode: {e}"),
+            },
+            Err(Error::Wire(_)) => {}
+            Err(other) => prop_assert!(false, "non-wire error {other:?}"),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_request_bytes_never_panic(
+            op in 0u8..8,
+            rest in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            for bytes in [rest.clone(), [vec![op], rest].concat()] {
+                canonical_or_wire_error(&bytes, decode_request(&bytes), encode_request)?;
+            }
+        }
+
+        #[test]
+        fn arbitrary_response_bytes_never_panic(
+            status in 0u8..14,
+            rest in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let mut framed = 7u64.to_le_bytes().to_vec();
+            framed.push(status);
+            framed.extend_from_slice(&rest);
+            for bytes in [rest, framed] {
+                canonical_or_wire_error(&bytes, decode_response(&bytes), encode_response)?;
+            }
+        }
+
+        #[test]
+        fn truncated_and_flipped_requests_never_panic(
+            pick in 0usize..3,
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+        ) {
+            let bytes = encode_request(&sample_requests()[pick]).unwrap();
+            let truncated = &bytes[..cut % (bytes.len() + 1)];
+            canonical_or_wire_error(truncated, decode_request(truncated), encode_request)?;
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= mask;
+            canonical_or_wire_error(&flipped, decode_request(&flipped), encode_request)?;
+        }
+
+        #[test]
+        fn truncated_and_flipped_responses_never_panic(
+            pick in 0usize..6,
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+        ) {
+            let bytes = encode_response(&sample_responses()[pick]).unwrap();
+            let truncated = &bytes[..cut % (bytes.len() + 1)];
+            canonical_or_wire_error(truncated, decode_response(truncated), encode_response)?;
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= mask;
+            canonical_or_wire_error(&flipped, decode_response(&flipped), encode_response)?;
+        }
     }
 }

@@ -9,8 +9,6 @@
 //! * [`flat::FlatIndex`] — exact linear-scan kNN, the recall oracle.
 //! * [`hnsw::HnswIndex`] — hierarchical navigable small world graphs
 //!   (Malkov & Yashunin), the index the §7.2.2 experiment uses.
-//! * [`lsh::LshIndex`] — random-hyperplane locality-sensitive hashing.
-//! * [`ivf::IvfIndex`] — inverted-file index with a k-means coarse quantizer.
 //! * [`cache::InferenceResultCache`] — the approximate result cache itself,
 //!   with hit/miss statistics and Monte-Carlo error-bound estimation for
 //!   SLA-aware cache admission (§5.1).
@@ -19,8 +17,6 @@ pub mod cache;
 pub mod error;
 pub mod flat;
 pub mod hnsw;
-pub mod ivf;
-pub mod lsh;
 
 pub use cache::{
     CacheLookup, CacheStats, ErrorBoundEstimate, ExactResultCache, InferenceResultCache,
@@ -28,8 +24,6 @@ pub use cache::{
 pub use error::{Error, Result};
 pub use flat::FlatIndex;
 pub use hnsw::{HnswIndex, HnswParams};
-pub use ivf::{IvfIndex, IvfParams};
-pub use lsh::{LshIndex, LshParams};
 
 /// A search hit: the stored item's id and its distance to the query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,12 +34,13 @@ pub struct Neighbor {
     pub distance: f32,
 }
 
-/// Common interface over the three index structures.
+/// Common interface over the two index structures: [`flat`], the exact
+/// scan that serves as HNSW's recall oracle, and [`hnsw`].
 pub trait VectorIndex {
     /// Insert a vector under `id`.
     fn insert(&mut self, id: u64, vector: &[f32]) -> Result<()>;
 
-    /// The `k` nearest stored vectors to `query` (approximate for HNSW/LSH).
+    /// The `k` nearest stored vectors to `query` (approximate for HNSW).
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>>;
 
     /// Number of stored vectors.

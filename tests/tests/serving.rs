@@ -590,6 +590,40 @@ fn undecodable_frames_answer_id_zero_and_close_the_connection() {
     server.shutdown();
 }
 
+/// A request whose frame the server would refuse (over the frame cap) is a
+/// typed `Wire` error on the client before any byte is sent: the resilient
+/// client does not heal and replay it, and the same connection goes on
+/// serving the next request.
+#[test]
+fn oversized_requests_are_refused_client_side_and_the_connection_survives() {
+    let server = spawn_server(ServeConfig::default());
+    let mut client =
+        Client::connect_resilient(server.addr(), relserve_serve::retry_policy_from_env()).unwrap();
+    // A zeroed Vec is never touched by the refusal, so this costs no RSS.
+    let values = wire::MAX_FRAME_BYTES / 4;
+    let err = client
+        .send_infer(
+            MODEL,
+            Priority::Standard,
+            None,
+            1,
+            values,
+            vec![0.0; values],
+        )
+        .unwrap_err();
+    assert!(matches!(err, relserve_serve::Error::Wire(_)), "{err:?}");
+    match client
+        .infer(MODEL, Priority::Standard, None, 1, WIDTH, row(0, 0))
+        .unwrap()
+    {
+        Response::Infer { predictions, .. } => assert_eq!(predictions.len(), 1),
+        other => panic!("expected predictions, got {other:?}"),
+    }
+    assert_eq!(client.reconnects(), 0, "nothing was sent that could sever");
+    assert_eq!(server.stats().wire_errors, 0);
+    server.shutdown();
+}
+
 /// Closed connections deregister themselves from the server's live table,
 /// so long-running servers don't leak per-connection state.
 #[test]

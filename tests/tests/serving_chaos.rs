@@ -441,11 +441,6 @@ fn sigterm_routes_to_drain_and_health_reports_it() {
         report.stalled_pollers, 0,
         "fresh pollers must not be stalled"
     );
-    assert_eq!(
-        (report.workers_live, report.shards_degraded_local),
-        (0, 0),
-        "an unsharded server reports an empty fleet"
-    );
 
     server.install_sigterm_drain().unwrap();
     assert!(!server.drain_pending());

@@ -14,10 +14,14 @@
 use relserve_bench::config::scaling_banner;
 use relserve_bench::report::{timed, Cell, ResultTable};
 use relserve_bench::workloads;
-use relserve_core::exec::{pipelined, udf_centric};
+use relserve_core::exec::relation_centric::WeightRelations;
+use relserve_core::exec::{self, pipelined};
+use relserve_core::Representation;
 use relserve_nn::init::seeded_rng;
 use relserve_nn::zoo;
 use relserve_runtime::{ExecContext, MemoryGovernor};
+use relserve_storage::{BufferPool, DiskManager};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
@@ -32,11 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut table = ResultTable::new(&["execution", "latency", "peak activations"]);
 
-    // Baseline: whole-batch UDF execution.
+    // Baseline: whole-batch UDF execution, every layer dense.
     {
         let governor = MemoryGovernor::unlimited("udf");
         let ctx = ExecContext::standalone(2, governor.clone());
-        let (res, elapsed) = timed(|| udf_centric::run(&model, &x, &ctx));
+        let reps = vec![Representation::UdfCentric; model.layers().len()];
+        let pool = BufferPool::new(Arc::new(DiskManager::temp()?), 16);
+        let weights = WeightRelations::new(Arc::new(pool), 64);
+        let (res, elapsed) = timed(|| exec::run(&model, &x, &reps, &weights, &ctx));
         res?;
         table.row(
             "whole-batch UDF",
@@ -50,9 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let governor = MemoryGovernor::unlimited("pipe");
         let ctx = ExecContext::standalone(2, governor.clone());
         let (res, elapsed) = timed(|| pipelined::run(&model, &x, micro, &ctx));
-        let (_, stats) = res?;
+        res?;
         table.row(
-            &format!("pipeline, micro-batch {micro} ({} stages)", stats.stages),
+            &format!(
+                "pipeline, micro-batch {micro} ({} stages)",
+                model.layers().len()
+            ),
             &[
                 Cell::Time(elapsed),
                 Cell::Text(format!("{:.1} MiB", peak_mib(&governor, &model))),

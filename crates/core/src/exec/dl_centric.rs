@@ -9,7 +9,7 @@
 //! transfer time for small models, and external-runtime OOM for large ones.
 
 use crate::error::Result;
-use crate::exec::{batch_dims, layer_transient_bytes, Output};
+use crate::exec::{forward_charged, Output};
 use relserve_nn::Model;
 use relserve_runtime::governor::Reservation;
 use relserve_runtime::{Connector, ExecContext, ExternalRuntime, RetryPolicy};
@@ -61,7 +61,7 @@ pub fn run(
     retry: &RetryPolicy,
 ) -> Result<(Output, DlCentricStats)> {
     let par = ctx.parallelism();
-    let (batch_size, _) = batch_dims(model, batch)?;
+    let batch_size = model.check_input(batch)?;
     let before = connector.stats();
     let mut runtime_retries = 0u64;
 
@@ -75,32 +75,21 @@ pub fn run(
     // Inside the external runtime: parameters + a sliding activation window,
     // each inflated by the framework's memory-overhead factor.
     let _params = reserve_retry(runtime, model.param_bytes(), retry, &mut runtime_retries)?;
-    let mut live = reserve_retry(runtime, received.num_bytes(), retry, &mut runtime_retries)?;
+    let mut window = Some(reserve_retry(
+        runtime,
+        received.num_bytes(),
+        retry,
+        &mut runtime_retries,
+    )?);
     let mut full_dims = vec![batch_size];
     full_dims.extend_from_slice(model.input_shape().dims());
     let mut x = received.reshape(full_dims)?;
-    let mut shape = model.input_shape().clone();
-    for (i, layer) in model.layers().iter().enumerate() {
+    for i in 0..model.layers().len() {
         ctx.check_deadline("dl-centric.layer")?;
-        let out_shape = layer.output_shape(&shape)?;
-        let out_bytes = batch_size * out_shape.num_bytes();
-        let transient = layer_transient_bytes(layer, batch_size, &shape);
-        let _scratch = if transient > 0 {
-            Some(reserve_retry(
-                runtime,
-                transient,
-                retry,
-                &mut runtime_retries,
-            )?)
-        } else {
-            None
-        };
-        let out_res = reserve_retry(runtime, out_bytes, retry, &mut runtime_retries)?;
-        x = model.forward_layer(i, &x, &par)?;
-        live = out_res;
-        shape = out_shape;
+        x = forward_charged(model, i, &x, &par, &mut window, |bytes| {
+            reserve_retry(runtime, bytes, retry, &mut runtime_retries)
+        })?;
     }
-    let _ = live;
 
     // Inbound: predictions return over the same connector.
     ctx.check_deadline("dl-centric.return")?;

@@ -1,4 +1,15 @@
-//! Executors for the three architectures plus the hybrid (adaptive) path.
+//! The one in-database executor, plus the DL-centric and pipelined paths.
+//!
+//! [`run`] is the in-database executor of §2.1's unified IR: one loop over
+//! the model's layers, each executed in the [`Representation`] the caller
+//! assigns it. A UDF-centric layer runs on dense tensors charged to the
+//! database governor; a relation-centric layer runs as block joins through
+//! the buffer pool ([`relation_centric`]). The architectures are
+//! assignments, not engines: UDF-centric is every layer `UdfCentric`,
+//! relation-centric (and the session's degradation ladder) every layer
+//! `RelationCentric`, and adaptive the §7.1 rule's per-layer mix.
+//! [`dl_centric`] ships the batch to an external runtime instead, and
+//! [`pipelined`] streams micro-batches through one stage per layer.
 //!
 //! All executors share one contract: take a model and a dense feature batch
 //! pulled from the RDBMS, return an [`Output`] — dense when the result fits
@@ -6,15 +17,20 @@
 //! relation-centric path could materialize it.
 
 pub mod dl_centric;
-pub mod hybrid;
 pub mod pipelined;
 pub mod relation_centric;
 pub(crate) mod spsc;
-pub mod udf_centric;
 
 use crate::error::{Error, Result};
+use crate::ir::Representation;
+use relation_centric::{exec_layer, Flow, WeightRelations};
+use relserve_nn::{Layer, Model};
+use relserve_relational::tensor_table::TensorOpStats;
 use relserve_relational::TensorTable;
-use relserve_tensor::{ops, Tensor};
+use relserve_runtime::governor::Reservation;
+use relserve_runtime::ExecContext;
+use relserve_tensor::parallel::Parallelism;
+use relserve_tensor::{ops, Shape, Tensor};
 
 /// Result of an inference execution.
 pub enum Output {
@@ -114,38 +130,139 @@ impl std::fmt::Debug for Output {
     }
 }
 
-/// Transient working memory a layer needs beyond its input and output —
-/// today that is the im2col patch matrix of non-pointwise convolutions.
-pub(crate) fn layer_transient_bytes(
-    layer: &relserve_nn::Layer,
-    batch: usize,
-    in_shape: &relserve_tensor::Shape,
-) -> usize {
-    match layer {
-        relserve_nn::Layer::Conv2d { spec, .. } if !spec.is_pointwise() => {
-            let dims = in_shape.dims();
-            match spec.output_dims(dims[0], dims[1]) {
-                Ok((oh, ow)) => batch * oh * ow * spec.patch_len() * relserve_tensor::ELEM_BYTES,
-                Err(_) => 0,
+/// Run `model` over `batch` inside `ctx`'s admitted slice of the machine,
+/// layer `i` in representation `reps[i]`.
+///
+/// A dense (`UdfCentric`) layer holds its parameters, in their storage form,
+/// for the whole call and slides an input/output window over the database
+/// governor ([`forward_charged`]); a layer whose input arrives blocked is
+/// densified under the governor first, and stays relation-centric when that
+/// would OOM. A `RelationCentric` layer joins against its weight relation in
+/// `weights` and reserves nothing: its intermediates live behind the buffer
+/// pool. Kernels and block joins use the context's granted thread budget.
+pub fn run(
+    model: &Model,
+    batch: &Tensor,
+    reps: &[Representation],
+    weights: &WeightRelations,
+    ctx: &ExecContext,
+) -> Result<(Output, TensorOpStats)> {
+    let layers = model.layers().len();
+    if reps.len() != layers {
+        return Err(Error::Invalid(format!(
+            "{} layer representations for `{}`'s {layers} layers",
+            reps.len(),
+            model.name()
+        )));
+    }
+    let governor = ctx.governor();
+    let par = ctx.parallelism();
+    let batch_size = model.check_input(batch)?;
+    let dense = |i: usize| reps[i] != Representation::RelationCentric;
+    let _params = match model.param_bytes_of(dense) {
+        0 => None,
+        bytes => Some(governor.reserve(bytes)?),
+    };
+    // The scanned batch is the first dense window, unless the first layer
+    // chunks it straight into the buffer pool.
+    let mut window = match reps.first() {
+        Some(Representation::RelationCentric) => None,
+        _ => Some(governor.reserve(batch.num_bytes())?),
+    };
+    let mut full_dims = vec![batch_size];
+    full_dims.extend_from_slice(model.input_shape().dims());
+    let mut flow = Flow::Dense(batch.clone().reshape(full_dims)?);
+    let mut stats = TensorOpStats::default();
+    for i in 0..layers {
+        // Cooperative deadline check at every layer boundary: a timed-out
+        // query unwinds here, dropping its context and grant.
+        ctx.check_deadline("exec.layer")?;
+        // A blocked flow entering a dense layer is densified under the
+        // governor; if that would OOM, the layer runs relation-centric.
+        if let (true, Some(bytes)) = (dense(i), flow.blocked_bytes()) {
+            if let Ok(res) = governor.reserve(bytes) {
+                window = Some(res);
+                flow = Flow::Dense(flow.into_dense()?);
             }
         }
-        _ => 0,
+        flow = match flow {
+            Flow::Dense(x) if dense(i) => {
+                Flow::Dense(forward_charged(model, i, &x, &par, &mut window, |bytes| {
+                    Ok(governor.reserve(bytes)?)
+                })?)
+            }
+            flow => {
+                let out = exec_layer(model, i, flow, weights, &par, &mut stats)?;
+                window = None;
+                out
+            }
+        };
     }
+    Ok((flow.into_output(), stats))
 }
 
-/// Validate a batch against a model and return `(batch_size, flat_width)`.
-pub(crate) fn batch_dims(model: &relserve_nn::Model, batch: &Tensor) -> Result<(usize, usize)> {
-    let n = model.check_input(batch).map_err(Error::from)?;
-    let width = model.input_shape().num_elements();
-    Ok((n, width))
+/// Run layer `i` of `model` on the dense `x` under one memory domain's
+/// charge — the database governor for [`run`], the external runtime for
+/// [`dl_centric`]. `reserve` charges bytes to that domain: first the layer's
+/// transient working memory (the im2col patch matrix of a non-pointwise
+/// convolution), then its output, and the output's reservation replaces the
+/// input's as the live `window` once the layer has run. Both input and output
+/// are live during the layer, and a model that does not fit gets the
+/// domain's recoverable OOM (Table 3's UDF-centric and DL-centric columns).
+pub(crate) fn forward_charged(
+    model: &Model,
+    i: usize,
+    x: &Tensor,
+    par: &Parallelism,
+    window: &mut Option<Reservation>,
+    mut reserve: impl FnMut(usize) -> Result<Reservation>,
+) -> Result<Tensor> {
+    let batch = x.shape().dim(0);
+    let in_shape = Shape::from(&x.shape().dims()[1..]);
+    let layer = &model.layers()[i];
+    let out_shape = layer.output_shape(&in_shape)?;
+    let transient = match layer {
+        Layer::Conv2d { spec, .. } if !spec.is_pointwise() => {
+            let pixels = batch * out_shape.dim(0) * out_shape.dim(1);
+            pixels * spec.patch_len() * relserve_tensor::ELEM_BYTES
+        }
+        _ => 0,
+    };
+    let _scratch = match transient {
+        0 => None,
+        bytes => Some(reserve(bytes)?),
+    };
+    let out = reserve(batch * out_shape.num_bytes())?;
+    let y = model.forward_layer(i, x, par)?;
+    *window = Some(out);
+    Ok(y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::RuleBasedOptimizer;
+    use relserve_nn::init::seeded_rng;
+    use relserve_nn::zoo;
+    use relserve_runtime::MemoryGovernor;
     use relserve_storage::{BufferPool, DiskManager};
     use relserve_tensor::BlockingSpec;
     use std::sync::Arc;
+
+    fn weights(frames: usize, block: usize) -> WeightRelations {
+        let disk = Arc::new(DiskManager::temp().unwrap());
+        WeightRelations::new(Arc::new(BufferPool::new(disk, frames)), block)
+    }
+
+    fn ctx(threads: usize, governor: &MemoryGovernor) -> ExecContext {
+        ExecContext::standalone(threads, governor.clone())
+    }
+
+    /// The UDF-centric assignment: every layer dense.
+    fn udf(model: &Model, x: &Tensor, ctx: &ExecContext) -> Result<Output> {
+        let reps = vec![Representation::UdfCentric; model.layers().len()];
+        Ok(run(model, x, &reps, &weights(16, 8), ctx)?.0)
+    }
 
     fn blocked_from(t: &Tensor) -> TensorTable {
         let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::temp().unwrap()), 16));
@@ -185,5 +302,167 @@ mod tests {
         let o = Output::Blocked(blocked_from(&t));
         assert_eq!(o.num_rows(), 6);
         assert_eq!(o.num_cols(), 2);
+    }
+
+    #[test]
+    fn matches_plain_forward() {
+        let mut rng = seeded_rng(70);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::from_fn([16, 28], |i| ((i % 13) as f32 - 6.0) * 0.1);
+        let governor = MemoryGovernor::unlimited("udf");
+        let out = udf(&model, &x, &ctx(2, &governor))
+            .unwrap()
+            .into_dense()
+            .unwrap();
+        let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+        assert!(out.approx_eq(&expect, 1e-5));
+        // All reservations must be released.
+        assert_eq!(governor.in_use(), 0);
+        assert!(governor.peak() > model.param_bytes());
+    }
+
+    #[test]
+    fn oom_when_budget_too_small() {
+        let mut rng = seeded_rng(71);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::zeros([64, 28]);
+        // Budget below even the parameter size.
+        let governor = MemoryGovernor::with_budget("udf", model.param_bytes() / 2);
+        let err = udf(&model, &x, &ctx(1, &governor)).unwrap_err();
+        assert!(err.is_oom(), "{err}");
+        assert_eq!(governor.in_use(), 0, "OOM must not leak reservations");
+    }
+
+    #[test]
+    fn oom_scales_with_batch_size() {
+        // A budget that fits batch 8 but not batch 4096 — the Table 3
+        // pattern where UDF-centric works at small batch and OOMs at large.
+        let mut rng = seeded_rng(72);
+        let model = zoo::fraud_fc_512(&mut rng).unwrap();
+        let budget = model.param_bytes() + 8 * (28 + 512 + 512 + 512 + 2 + 2 + 2) * 4 + 4096;
+        let governor = MemoryGovernor::with_budget("udf", budget);
+        assert!(udf(&model, &Tensor::zeros([8, 28]), &ctx(1, &governor)).is_ok());
+        let err = udf(&model, &Tensor::zeros([4096, 28]), &ctx(1, &governor)).unwrap_err();
+        assert!(err.is_oom());
+    }
+
+    #[test]
+    fn conv_transient_is_charged() {
+        // A 3×3 conv's im2col patch matrix is ~9× the input. With an
+        // unlimited governor, record the true peak, then set the budget just
+        // below it and expect OOM.
+        let mut rng = seeded_rng(73);
+        let model = zoo::caching_cnn(&mut rng).unwrap();
+        let x = Tensor::zeros([4, 28, 28, 1]);
+        let unlimited = MemoryGovernor::unlimited("probe");
+        udf(&model, &x, &ctx(1, &unlimited)).unwrap();
+        let peak = unlimited.peak();
+        let tight = MemoryGovernor::with_budget("udf", peak - 1);
+        assert!(udf(&model, &x, &ctx(1, &tight)).unwrap_err().is_oom());
+        let enough = MemoryGovernor::with_budget("udf", peak);
+        assert!(udf(&model, &x, &ctx(1, &enough)).is_ok());
+    }
+
+    #[test]
+    fn peak_includes_input_and_output_window() {
+        let mut rng = seeded_rng(74);
+        let model = zoo::encoder_fc(&mut rng).unwrap();
+        let batch = 32;
+        let x = Tensor::zeros([batch, 76]);
+        let governor = MemoryGovernor::unlimited("udf");
+        udf(&model, &x, &ctx(1, &governor)).unwrap();
+        // Peak must cover params + the widest in/out window (76→3072 layer).
+        let window = batch * (76 + 3072) * 4;
+        assert!(governor.peak() >= model.param_bytes() + window);
+    }
+
+    #[test]
+    fn a_plan_with_fewer_representations_than_layers_is_refused() {
+        let mut rng = seeded_rng(75);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let governor = MemoryGovernor::unlimited("db");
+        let reps = [Representation::UdfCentric];
+        let x = Tensor::zeros([2, 28]);
+        assert!(run(&model, &x, &reps, &weights(16, 8), &ctx(1, &governor)).is_err());
+    }
+
+    #[test]
+    fn all_udf_plan_matches_forward() {
+        let mut rng = seeded_rng(95);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::from_fn([12, 28], |i| ((i % 7) as f32 - 3.0) * 0.2);
+        let plan = RuleBasedOptimizer::paper_default()
+            .plan(&model, 12)
+            .unwrap();
+        let reps = plan.layer_representations();
+        assert_eq!(reps, vec![Representation::UdfCentric; 2]);
+        let governor = MemoryGovernor::unlimited("db");
+        let (out, stats) = run(&model, &x, &reps, &weights(16, 8), &ctx(1, &governor)).unwrap();
+        assert_eq!(stats.joins, 0);
+        let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+        assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-4));
+        assert_eq!(governor.in_use(), 0);
+    }
+
+    #[test]
+    fn mixed_plan_matches_forward() {
+        let mut rng = seeded_rng(96);
+        let model = zoo::encoder_fc(&mut rng).unwrap();
+        let x = Tensor::from_fn([6, 76], |i| ((i % 13) as f32 - 6.0) * 0.05);
+        // A threshold between the two layers' estimates forces layer 0
+        // (76→3072) relational and layer 1 (3072→768) UDF, or vice versa.
+        let opt = RuleBasedOptimizer::new(9_000_000);
+        let reps = opt.plan(&model, 6).unwrap().layer_representations();
+        assert!(
+            reps.contains(&Representation::RelationCentric)
+                || reps.contains(&Representation::UdfCentric)
+        );
+        let governor = MemoryGovernor::unlimited("db");
+        let (out, _) = run(&model, &x, &reps, &weights(128, 64), &ctx(1, &governor)).unwrap();
+        let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+        assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-2));
+    }
+
+    #[test]
+    fn forced_relational_plan_matches_forward() {
+        let mut rng = seeded_rng(97);
+        let model = zoo::fraud_fc_512(&mut rng).unwrap();
+        let x = Tensor::from_fn([9, 28], |i| (i % 5) as f32 * 0.1);
+        // Zero threshold: everything relational.
+        let reps = RuleBasedOptimizer::new(0)
+            .plan(&model, 9)
+            .unwrap()
+            .layer_representations();
+        assert_eq!(reps, vec![Representation::RelationCentric; 2]);
+        let governor = MemoryGovernor::with_budget("db", 64 * 1024); // tiny
+        let (out, stats) = run(&model, &x, &reps, &weights(64, 16), &ctx(1, &governor)).unwrap();
+        assert!(stats.joins >= 2);
+        assert_eq!(governor.peak(), 0, "relation-centric reserves nothing");
+        let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+        assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-3));
+    }
+
+    #[test]
+    fn fallback_keeps_layer_blocked_when_densify_would_oom() {
+        let mut rng = seeded_rng(98);
+        let model = zoo::fraud_fc_512(&mut rng).unwrap();
+        let batch = 256;
+        let x = Tensor::from_fn([batch, 28], |i| (i % 3) as f32 * 0.2);
+        // Plan: layer 0 relational (big hidden activation), layer 1 UDF.
+        let first_est = (batch * 28 + 28 * 512 + batch * 512) * 4;
+        let opt = RuleBasedOptimizer::new(first_est - 1);
+        let reps = opt.plan(&model, batch).unwrap().layer_representations();
+        assert_eq!(
+            reps,
+            [Representation::RelationCentric, Representation::UdfCentric]
+        );
+        // Governor too small to densify the 256×512 hidden activation, so
+        // layer 1 must fall back to relation-centric execution: the result
+        // is still a block relation.
+        let governor = MemoryGovernor::with_budget("db", 16 * 1024);
+        let (out, _) = run(&model, &x, &reps, &weights(128, 32), &ctx(1, &governor)).unwrap();
+        assert!(matches!(out, Output::Blocked(_)), "{out:?}");
+        let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+        assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-3));
     }
 }

@@ -37,15 +37,6 @@ use relserve_tensor::{Shape, Tensor};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Statistics of one pipelined execution.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PipelineStats {
-    /// Number of micro-batches streamed.
-    pub micro_batches: usize,
-    /// Number of stages (layers).
-    pub stages: usize,
-}
-
 /// What flows along a pipeline link: an indexed micro-batch, or the error
 /// that killed its lineage.
 type Msg = std::result::Result<(usize, Tensor), relserve_nn::Error>;
@@ -207,12 +198,7 @@ impl Pipeline<'_> {
 /// micro-batches, inside `ctx`'s admitted slice of the machine: the context's
 /// granted kernel threads drive the stages cooperatively, and each stage's
 /// kernels use the per-stage share of the context's thread plan (§3.1).
-pub fn run(
-    model: &Model,
-    batch: &Tensor,
-    micro_batch: usize,
-    ctx: &ExecContext,
-) -> Result<(Output, PipelineStats)> {
+pub fn run(model: &Model, batch: &Tensor, micro_batch: usize, ctx: &ExecContext) -> Result<Output> {
     if micro_batch == 0 {
         return Err(Error::Invalid("micro_batch must be positive".into()));
     }
@@ -222,13 +208,7 @@ pub fn run(
     let flat = batch.clone().reshape([batch_size, width])?;
     let layers = model.layers();
     if layers.is_empty() {
-        return Ok((
-            Output::Dense(flat),
-            PipelineStats {
-                micro_batches: 0,
-                stages: 0,
-            },
-        ));
+        return Ok(Output::Dense(flat));
     }
 
     // Memory accounting: parameters + one micro-batch activation window per
@@ -305,13 +285,7 @@ pub fn run(
         let part = part.ok_or_else(|| Error::Invalid("pipeline dropped a micro-batch".into()))?;
         result = result.vconcat(&part)?;
     }
-    Ok((
-        Output::Dense(result),
-        PipelineStats {
-            micro_batches: num_micro,
-            stages: layers.len(),
-        },
-    ))
+    Ok(Output::Dense(result))
 }
 
 #[cfg(test)]
@@ -331,9 +305,7 @@ mod tests {
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([37, 28], |i| ((i % 11) as f32 - 5.0) * 0.2);
         let governor = MemoryGovernor::unlimited("pipe");
-        let (out, stats) = run(&model, &x, 8, &ctx(1, &governor)).unwrap();
-        assert_eq!(stats.micro_batches, 5); // ceil(37/8)
-        assert_eq!(stats.stages, 2);
+        let out = run(&model, &x, 8, &ctx(1, &governor)).unwrap();
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-4));
         assert_eq!(governor.in_use(), 0);
@@ -347,9 +319,8 @@ mod tests {
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([53, 28], |i| ((i % 13) as f32 - 6.0) * 0.15);
         let governor = MemoryGovernor::unlimited("pipe");
-        let (par_out, stats) = run(&model, &x, 4, &ctx(4, &governor)).unwrap();
-        assert_eq!(stats.micro_batches, 14);
-        let (ser_out, _) = run(&model, &x, 4, &ctx(1, &governor)).unwrap();
+        let par_out = run(&model, &x, 4, &ctx(4, &governor)).unwrap();
+        let ser_out = run(&model, &x, 4, &ctx(1, &governor)).unwrap();
         assert!(par_out
             .into_dense()
             .unwrap()
@@ -363,7 +334,7 @@ mod tests {
         let model = zoo::caching_cnn(&mut rng).unwrap();
         let x = Tensor::from_fn([6, 28, 28, 1], |i| ((i % 7) as f32) * 0.1);
         let governor = MemoryGovernor::unlimited("pipe");
-        let (out, _) = run(&model, &x, 2, &ctx(1, &governor)).unwrap();
+        let out = run(&model, &x, 2, &ctx(1, &governor)).unwrap();
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         let (r, c) = expect.shape().as_matrix().unwrap();
         assert!(out
@@ -378,8 +349,7 @@ mod tests {
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([5, 28], |i| i as f32 * 0.01);
         let governor = MemoryGovernor::unlimited("pipe");
-        let (out, stats) = run(&model, &x, 100, &ctx(1, &governor)).unwrap();
-        assert_eq!(stats.micro_batches, 1);
+        let out = run(&model, &x, 100, &ctx(1, &governor)).unwrap();
         assert_eq!(out.num_rows(), 5);
     }
 
@@ -392,7 +362,11 @@ mod tests {
         let batch = 512;
         let x = Tensor::zeros([batch, 76]);
         let full = MemoryGovernor::unlimited("full");
-        crate::exec::udf_centric::run(&model, &x, &ctx(1, &full)).unwrap();
+        let reps = vec![crate::ir::Representation::UdfCentric; model.layers().len()];
+        let disk = std::sync::Arc::new(relserve_storage::DiskManager::temp().unwrap());
+        let pool = std::sync::Arc::new(relserve_storage::BufferPool::new(disk, 16));
+        let weights = crate::exec::relation_centric::WeightRelations::new(pool, 8);
+        crate::exec::run(&model, &x, &reps, &weights, &ctx(1, &full)).unwrap();
         let pipe = MemoryGovernor::unlimited("pipe");
         run(&model, &x, 16, &ctx(1, &pipe)).unwrap();
         assert!(

@@ -47,9 +47,9 @@ type WeightSlot = Arc<Mutex<Option<Arc<TensorTable>>>>;
 /// without write-back. Concurrent queries share one `Arc<TensorTable>`; the
 /// block join only reads it.
 ///
-/// The handle also carries the pool and block size every executor needs, so
-/// `relation_centric::run`, `hybrid::run` and the degradation ladder take
-/// this one argument.
+/// The handle also carries the pool and block size a relation-centric layer
+/// needs, so the in-database executor ([`crate::exec::run`]) takes this one
+/// argument.
 pub struct WeightRelations {
     pool: Arc<BufferPool>,
     block: usize,
@@ -171,8 +171,8 @@ impl std::fmt::Debug for WeightRelations {
     }
 }
 
-/// The data flowing between layers during relation-centric execution.
-pub enum Flow {
+/// The data flowing between layers of the in-database executor.
+pub(crate) enum Flow {
     /// Still dense in memory (the initial scanned batch, or small results).
     Dense(Tensor),
     /// A block relation with one row per logical example.
@@ -192,6 +192,37 @@ pub enum Flow {
 }
 
 impl Flow {
+    /// Bytes the flow would take densified, or `None` if it already is.
+    pub(crate) fn blocked_bytes(&self) -> Option<usize> {
+        match self {
+            Flow::Dense(_) => None,
+            Flow::Rows(table) | Flow::Pixels { table, .. } => {
+                Some(table.rows() * table.cols() * relserve_tensor::ELEM_BYTES)
+            }
+        }
+    }
+
+    /// Materialize the flow as one dense tensor: `[n, h, w, c]` for pixels.
+    pub(crate) fn into_dense(self) -> Result<Tensor> {
+        Ok(match self {
+            Flow::Dense(t) => t,
+            Flow::Rows(table) => table.to_dense()?,
+            Flow::Pixels { table, n, h, w } => {
+                let c = table.cols();
+                table.to_dense()?.reshape([n, h, w, c])?
+            }
+        })
+    }
+
+    /// The executor's result: a dense flow stays dense, a blocked one is
+    /// returned as its relation.
+    pub(crate) fn into_output(self) -> super::Output {
+        match self {
+            Flow::Dense(t) => super::Output::Dense(t),
+            Flow::Rows(table) | Flow::Pixels { table, .. } => super::Output::Blocked(table),
+        }
+    }
+
     fn describe(&self) -> String {
         match self {
             Flow::Dense(t) => format!("dense{}", t.shape()),
@@ -365,17 +396,6 @@ fn apply_activation_blocked(
     Ok(out)
 }
 
-fn densify(flow: Flow) -> Result<Tensor> {
-    Ok(match flow {
-        Flow::Dense(t) => t,
-        Flow::Rows(table) => table.to_dense()?,
-        Flow::Pixels { table, n, h, w } => {
-            let c = table.cols();
-            table.to_dense()?.reshape([n, h, w, c])?
-        }
-    })
-}
-
 fn rows_table(flow: Flow, weights: &WeightRelations, tag: &str) -> Result<TensorTable> {
     Ok(match flow {
         Flow::Rows(t) => t,
@@ -473,7 +493,7 @@ pub(crate) fn exec_layer(
             spec,
             activation,
         } => {
-            let input = densify(flow)?;
+            let input = flow.into_dense()?;
             let dims = input.shape().dims().to_vec();
             if dims.len() != 4 {
                 return Err(Error::Invalid(format!(
@@ -565,36 +585,6 @@ pub(crate) fn exec_layer(
     }
 }
 
-/// Run a whole model relation-centrically inside `ctx`'s admitted slice of
-/// the machine: each layer's block join fans out on the shared kernel pool,
-/// at most the context's granted kernel threads wide, against the layer's
-/// weight relation in `weights`.
-pub fn run(
-    model: &Model,
-    batch: &Tensor,
-    weights: &WeightRelations,
-    ctx: &relserve_runtime::ExecContext,
-) -> Result<(super::Output, TensorOpStats)> {
-    let par = ctx.parallelism();
-    let batch_size = model.check_input(batch)?;
-    let mut full_dims = vec![batch_size];
-    full_dims.extend_from_slice(model.input_shape().dims());
-    let mut flow = Flow::Dense(batch.clone().reshape(full_dims)?);
-    let mut stats = TensorOpStats::default();
-    for i in 0..model.layers().len() {
-        // Cooperative deadline check at every block-relation boundary: a
-        // timed-out query unwinds here, dropping its context and grant.
-        ctx.check_deadline("relation-centric.layer")?;
-        flow = exec_layer(model, i, flow, weights, &par, &mut stats)?;
-    }
-    let output = match flow {
-        Flow::Dense(t) => super::Output::Dense(t),
-        Flow::Rows(t) => super::Output::Blocked(t),
-        Flow::Pixels { table, .. } => super::Output::Blocked(table),
-    };
-    Ok((output, stats))
-}
-
 impl std::fmt::Debug for Flow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Flow::{}", self.describe())
@@ -626,6 +616,17 @@ mod tests {
         )
     }
 
+    /// The relation-centric assignment: every layer a block join.
+    fn run_rc(
+        model: &Model,
+        x: &Tensor,
+        weights: &WeightRelations,
+        ctx: &relserve_runtime::ExecContext,
+    ) -> Result<(crate::exec::Output, TensorOpStats)> {
+        let reps = vec![crate::ir::Representation::RelationCentric; model.layers().len()];
+        crate::exec::run(model, x, &reps, weights, ctx)
+    }
+
     fn serial() -> Parallelism {
         Parallelism::serial()
     }
@@ -635,7 +636,7 @@ mod tests {
         let mut rng = seeded_rng(80);
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([10, 28], |i| ((i % 11) as f32 - 5.0) * 0.2);
-        let (out, stats) = run(&model, &x, &weights(64, 16), &ctx(2)).unwrap();
+        let (out, stats) = run_rc(&model, &x, &weights(64, 16), &ctx(2)).unwrap();
         let got = out.into_dense().unwrap();
         let expect = model.forward(&x, &serial()).unwrap();
         assert!(got.approx_eq(&expect, 1e-3));
@@ -647,7 +648,7 @@ mod tests {
         let mut rng = seeded_rng(81);
         let model = zoo::landcover(250, &mut rng).unwrap(); // 10x10x3 → 8 kernels
         let x = Tensor::from_fn([2, 10, 10, 3], |i| ((i % 9) as f32 - 4.0) * 0.1);
-        let (out, _) = run(&model, &x, &weights(64, 16), &ctx(2)).unwrap();
+        let (out, _) = run_rc(&model, &x, &weights(64, 16), &ctx(2)).unwrap();
         let got = out.into_dense().unwrap();
         let expect = model
             .forward(&x, &serial())
@@ -662,7 +663,7 @@ mod tests {
         let mut rng = seeded_rng(82);
         let model = zoo::caching_cnn(&mut rng).unwrap();
         let x = Tensor::from_fn([2, 28, 28, 1], |i| ((i % 7) as f32) * 0.1);
-        let (out, _) = run(&model, &x, &weights(256, 32), &ctx(2)).unwrap();
+        let (out, _) = run_rc(&model, &x, &weights(256, 32), &ctx(2)).unwrap();
         let got = out.into_dense().unwrap();
         let expect = model.forward(&x, &serial()).unwrap();
         assert!(
@@ -712,7 +713,7 @@ mod tests {
         let model = zoo::fraud_fc_512(&mut rng).unwrap();
         let x = Tensor::from_fn([64, 28], |i| (i % 5) as f32 * 0.1);
         let w = weights(4, 8); // 256 KiB pool; weights alone are ~57 KiB + activations
-        let (out, _) = run(&model, &x, &w, &ctx(2)).unwrap();
+        let (out, _) = run_rc(&model, &x, &w, &ctx(2)).unwrap();
         let expect = model.forward(&x, &serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-3));
         assert!(w.pool().stats().evictions > 0, "expected spilling");
@@ -739,13 +740,13 @@ mod tests {
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([5, 28], |i| (i % 7) as f32 * 0.1);
         let w = weights(64, 16);
-        let first = run(&model, &x, &w, &ctx(2))
+        let first = run_rc(&model, &x, &w, &ctx(2))
             .unwrap()
             .0
             .into_dense()
             .unwrap();
         assert_eq!((w.builds(), w.reuses()), (2, 0));
-        let second = run(&model, &x, &w, &ctx(1))
+        let second = run_rc(&model, &x, &w, &ctx(1))
             .unwrap()
             .0
             .into_dense()

@@ -7,16 +7,19 @@
 //! * **DL-centric** — ship features over the connector to a decoupled DL
 //!   runtime and ship predictions back ([`exec::dl_centric`]).
 //! * **UDF-centric** — run the whole model as one in-database UDF under the
-//!   database memory governor ([`exec::udf_centric`]).
+//!   database memory governor.
 //! * **Relation-centric** — lower each tensor operator onto tensor-block
 //!   relations: matmul becomes a join + aggregation that spills through the
 //!   buffer pool ([`exec::relation_centric`]).
 //!
-//! The [`optimizer::RuleBasedOptimizer`] implements §7.1's adaptive rule:
+//! The two in-database architectures are assignments of one executor,
+//! [`exec::run`], which runs each layer in the [`Representation`] it is
+//! given: every layer UDF-centric, or every layer relation-centric. The
+//! [`optimizer::RuleBasedOptimizer`] implements §7.1's adaptive rule:
 //! estimate each operator's memory as `input + params + output` and choose
 //! relation-centric iff the estimate exceeds the configured threshold,
-//! otherwise UDF-centric. [`exec::hybrid`] executes the resulting mixed
-//! plan. [`session::InferenceSession`] is the user-facing facade that wires
+//! otherwise UDF-centric; the plan's per-layer mix is a third assignment of
+//! the same executor. [`session::InferenceSession`] is the user-facing facade that wires
 //! tables, models, governors and the optimizer together.
 //!
 //! Around that core sit the paper's §2–§5 techniques:

@@ -9,8 +9,8 @@
 use crate::cache::CachedModel;
 use crate::error::{Error, Result};
 use crate::exec::relation_centric::WeightRelations;
-use crate::exec::{dl_centric, hybrid, pipelined, relation_centric, udf_centric, Output};
-use crate::ir::InferencePlan;
+use crate::exec::{self, dl_centric, pipelined, Output};
+use crate::ir::{InferencePlan, Representation};
 use crate::optimizer::RuleBasedOptimizer;
 use parking_lot::Mutex;
 use relserve_nn::serialize;
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 /// Session-wide configuration (every knob of the paper's experiments).
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
-    /// Database memory budget for dense (UDF-centric/hybrid) execution.
+    /// Database memory budget for dense-executed (UDF-centric) layers.
     pub db_memory_bytes: usize,
     /// Buffer-pool size (the paper's "20 GB buffer pool" knob, scaled).
     pub buffer_pool_bytes: usize,
@@ -93,7 +93,7 @@ pub struct SessionConfigBuilder {
 }
 
 impl SessionConfigBuilder {
-    /// Database memory budget for dense (UDF-centric/hybrid) execution.
+    /// Database memory budget for dense-executed (UDF-centric) layers.
     pub fn db_memory_bytes(mut self, bytes: usize) -> Self {
         self.config.db_memory_bytes = bytes;
         self
@@ -718,10 +718,22 @@ impl InferenceSession {
     ) -> Result<(Output, Option<InferencePlan>, TensorOpStats)> {
         let no_rel = TensorOpStats::default();
         match architecture {
-            Architecture::UdfCentric => Ok((udf_centric::run(model, batch, ctx)?, None, no_rel)),
-            Architecture::RelationCentric => {
-                let (out, stats) = relation_centric::run(model, batch, &self.weights, ctx)?;
-                Ok((out, None, stats))
+            // The in-database architectures are per-layer assignments of
+            // the one executor.
+            Architecture::UdfCentric | Architecture::RelationCentric | Architecture::Adaptive => {
+                let layers = model.layers().len();
+                let (reps, plan) = match architecture {
+                    Architecture::Adaptive => {
+                        let plan = self.plan_loaded(model, batch_size)?;
+                        (plan.layer_representations(), Some(plan))
+                    }
+                    Architecture::RelationCentric => {
+                        (vec![Representation::RelationCentric; layers], None)
+                    }
+                    _ => (vec![Representation::UdfCentric; layers], None),
+                };
+                let (out, rel_stats) = exec::run(model, batch, &reps, &self.weights, ctx)?;
+                Ok((out, plan, rel_stats))
             }
             Architecture::DlCentric(profile) => {
                 let runtime =
@@ -760,15 +772,11 @@ impl InferenceSession {
                     .fetch_add(stats.runtime_retries, Ordering::Relaxed);
                 Ok((out, None, no_rel))
             }
-            Architecture::Pipelined { micro_batch } => {
-                let (out, _) = pipelined::run(model, batch, *micro_batch, ctx)?;
-                Ok((out, None, no_rel))
-            }
-            Architecture::Adaptive => {
-                let plan = self.plan_loaded(model, batch_size)?;
-                let (out, stats) = hybrid::run(model, batch, &plan, &self.weights, ctx)?;
-                Ok((out, Some(plan), stats.rel_stats))
-            }
+            Architecture::Pipelined { micro_batch } => Ok((
+                pipelined::run(model, batch, *micro_batch, ctx)?,
+                None,
+                no_rel,
+            )),
         }
     }
 
@@ -831,7 +839,8 @@ impl InferenceSession {
                 // and connectors whose wire is down. The deadline still
                 // applies — a timed-out query must not burn a second pass.
                 ctx.check_deadline("degrade.relation-centric")?;
-                let (out, rel_stats) = relation_centric::run(&model, batch, &self.weights, &ctx)?;
+                let reps = vec![Representation::RelationCentric; model.layers().len()];
+                let (out, rel_stats) = exec::run(&model, batch, &reps, &self.weights, &ctx)?;
                 self.counters.degradations.fetch_add(1, Ordering::Relaxed);
                 (out, None, rel_stats, Some("relation-centric"))
             }

@@ -7,13 +7,16 @@
 
 use proptest::prelude::*;
 use relserve_core::exec::relation_centric::WeightRelations;
-use relserve_core::exec::{hybrid, pipelined, relation_centric, udf_centric};
-use relserve_core::{Architecture, InferenceSession, RuleBasedOptimizer, SessionConfig};
+use relserve_core::exec::{self, pipelined, Output};
+use relserve_core::{
+    Architecture, InferenceSession, Representation, RuleBasedOptimizer, SessionConfig,
+};
 use relserve_nn::init::seeded_rng;
 use relserve_nn::quant::quantize_int8;
 use relserve_nn::{serialize, Activation, Layer, Model};
 use relserve_runtime::{ExecContext, MemoryGovernor};
 use relserve_storage::{BufferPool, DiskManager};
+use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::Tensor;
 use std::sync::Arc;
 
@@ -35,6 +38,83 @@ fn random_ffnn(features: usize, hiddens: &[usize], classes: usize, seed: u64) ->
     model
         .push(Layer::dense(prev, classes, Activation::Softmax, &mut rng))
         .unwrap()
+}
+
+/// A random small CNN over `[5, 5, channels]` images: a pointwise conv, a
+/// 3×3 conv, a flatten and a softmax head — every layer kind, and both conv
+/// routes of the relation-centric path.
+fn random_cnn(channels: usize, mid: usize, kernels: usize, classes: usize, seed: u64) -> Model {
+    let mut rng = seeded_rng(seed);
+    Model::new("prop-cnn", [5, 5, channels])
+        .push(Layer::conv2d(
+            channels,
+            mid,
+            1,
+            1,
+            Activation::Relu,
+            &mut rng,
+        ))
+        .unwrap()
+        .push(Layer::conv2d(
+            mid,
+            kernels,
+            3,
+            3,
+            Activation::Tanh,
+            &mut rng,
+        ))
+        .unwrap()
+        .push(Layer::Flatten)
+        .unwrap()
+        .push(Layer::dense(
+            3 * 3 * kernels,
+            classes,
+            Activation::Softmax,
+            &mut rng,
+        ))
+        .unwrap()
+}
+
+/// Layer `i` runs relation-centric iff bit `i` of `mask` is set.
+fn assignment(model: &Model, mask: u32) -> Vec<Representation> {
+    (0..model.layers().len())
+        .map(|i| match mask >> i & 1 {
+            1 => Representation::RelationCentric,
+            _ => Representation::UdfCentric,
+        })
+        .collect()
+}
+
+/// The one executor under `reps`, on an unlimited governor: the output
+/// and the governor's peak.
+fn run_assigned(
+    model: &Model,
+    x: &Tensor,
+    reps: &[Representation],
+    block: usize,
+) -> (Tensor, usize) {
+    let governor = MemoryGovernor::unlimited("prop");
+    let ctx = ExecContext::standalone(2, governor.clone());
+    let (out, _) = exec::run(model, x, reps, &weights(64, block), &ctx).unwrap();
+    (out.into_dense().unwrap(), governor.peak())
+}
+
+/// The UDF-centric assignment: every layer dense.
+fn udf(model: &Model, x: &Tensor) -> Tensor {
+    let reps = vec![Representation::UdfCentric; model.layers().len()];
+    exec::run(model, x, &reps, &weights(16, 8), &ctx(1))
+        .unwrap()
+        .0
+        .into_dense()
+        .unwrap()
+}
+
+/// The relation-centric assignment: every layer a block join.
+fn relational(model: &Model, x: &Tensor, weights: &WeightRelations, threads: usize) -> Output {
+    let reps = vec![Representation::RelationCentric; model.layers().len()];
+    exec::run(model, x, &reps, weights, &ctx(threads))
+        .unwrap()
+        .0
 }
 
 /// Fresh (empty) weight relations over a scratch pool of `frames` frames.
@@ -182,10 +262,10 @@ proptest! {
             let stored = outcome.output.into_dense().unwrap();
             let in_memory = weights(64, block);
             let built = if path == 1 {
-                let plan = RuleBasedOptimizer::new(1).plan(&model, rows).unwrap();
-                hybrid::run(&model, &x, &plan, &in_memory, &ctx(2)).unwrap().0
+                let reps = RuleBasedOptimizer::new(1).plan(&model, rows).unwrap().layer_representations();
+                exec::run(&model, &x, &reps, &in_memory, &ctx(2)).unwrap().0
             } else {
-                relation_centric::run(&model, &x, &in_memory, &ctx(2)).unwrap().0
+                relational(&model, &x, &in_memory, 2)
             };
             prop_assert!(stored.data() == built.into_dense().unwrap().data(), "{}", case);
             let layers = model.layers().len() as u64;
@@ -195,6 +275,50 @@ proptest! {
             prop_assert!(relations == (0, layers), "{}: {:?}", case, relations);
             let exported = serialize::to_bytes(&session.model(model.name()).unwrap()).unwrap();
             prop_assert!(exported == serialize::to_bytes(&model).unwrap(), "{}", case);
+        }
+    }
+
+    /// Representation is a per-layer choice of one executor, never a change
+    /// of function: any assignment — including relation-centric/UDF
+    /// sandwiches the threshold rule never emits — matches the all-UDF run,
+    /// which is exactly `Model::forward`, and the all-relation-centric run
+    /// reserves nothing from the database governor.
+    #[test]
+    fn any_assignment_computes_the_same_function(
+        features in 1usize..12,
+        hiddens in proptest::collection::vec(1usize..12, 1..4),
+        channels in 1usize..4,
+        mid in 1usize..5,
+        kernels in 1usize..4,
+        classes in 2usize..5,
+        batch in 1usize..7,
+        block in 1usize..9,
+        mask in any::<u32>(),
+        seed in 0u64..1000,
+    ) {
+        let ffnn = random_ffnn(features, &hiddens, classes, seed);
+        let cnn = random_cnn(channels, mid, kernels, classes, seed);
+        for model in [&ffnn, &cnn] {
+            let mut dims = vec![batch];
+            dims.extend_from_slice(model.input_shape().dims());
+            let x = Tensor::from_fn(dims, |i| (((i as u64 * 29 + seed) % 31) as f32 - 15.0) * 0.06);
+            let layers = model.layers().len();
+            let (all_udf, _) = run_assigned(model, &x, &assignment(model, 0), block);
+            let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+            prop_assert!(all_udf.data() == expect.data(), "{}: all-UDF != Model::forward", model.name());
+            let (_, peak) = run_assigned(model, &x, &assignment(model, u32::MAX), block);
+            prop_assert!(peak == 0, "{}: relation-centric reserved {} bytes", model.name(), peak);
+            let reps = assignment(model, mask);
+            let (mixed, _) = run_assigned(model, &x, &reps, block);
+            let mixed = mixed.reshape(all_udf.shape().clone()).unwrap();
+            prop_assert!(
+                mixed.approx_eq(&all_udf, 1e-3),
+                "{} under {:?} ({} layers): max diff {}",
+                model.name(),
+                reps,
+                layers,
+                mixed.max_abs_diff(&all_udf).unwrap()
+            );
         }
     }
 
@@ -209,12 +333,8 @@ proptest! {
     ) {
         let model = random_ffnn(features, &[hidden], classes, seed);
         let x = Tensor::from_fn([batch, features], |i| (((i as u64 + seed) * 37 % 19) as f32 - 9.0) * 0.1);
-        let dense = udf_centric::run(&model, &x, &ctx(1))
-            .unwrap()
-            .into_dense()
-            .unwrap();
-        let (rel, _) = relation_centric::run(&model, &x, &weights(64, block), &ctx(2)).unwrap();
-        let rel = rel.into_dense().unwrap();
+        let dense = udf(&model, &x);
+        let rel = relational(&model, &x, &weights(64, block), 2).into_dense().unwrap();
         prop_assert!(dense.approx_eq(&rel, 1e-3), "max diff {}", dense.max_abs_diff(&rel).unwrap());
     }
 
@@ -228,14 +348,12 @@ proptest! {
     ) {
         let model = random_ffnn(features, &[hidden], 3, seed);
         let x = Tensor::from_fn([batch, features], |i| (((i as u64 * 13 + seed) % 23) as f32 - 11.0) * 0.05);
-        let dense = udf_centric::run(&model, &x, &ctx(1))
-            .unwrap()
-            .into_dense()
-            .unwrap();
-        let plan = RuleBasedOptimizer::new(1usize << threshold_exp)
+        let dense = udf(&model, &x);
+        let reps = RuleBasedOptimizer::new(1usize << threshold_exp)
             .plan(&model, batch)
-            .unwrap();
-        let (out, _) = hybrid::run(&model, &x, &plan, &weights(64, 8), &ctx(1)).unwrap();
+            .unwrap()
+            .layer_representations();
+        let (out, _) = exec::run(&model, &x, &reps, &weights(64, 8), &ctx(1)).unwrap();
         let out = out.into_dense().unwrap();
         prop_assert!(dense.approx_eq(&out, 1e-3));
     }
@@ -250,12 +368,8 @@ proptest! {
     ) {
         let model = random_ffnn(features, &[hidden], 2, seed);
         let x = Tensor::from_fn([batch, features], |i| (((i as u64 * 7 + seed) % 17) as f32 - 8.0) * 0.1);
-        let dense = udf_centric::run(&model, &x, &ctx(1))
-            .unwrap()
-            .into_dense()
-            .unwrap();
-        let (out, _) = pipelined::run(&model, &x, micro, &ctx(1)).unwrap();
-        let out = out.into_dense().unwrap();
+        let dense = udf(&model, &x);
+        let out = pipelined::run(&model, &x, micro, &ctx(1)).unwrap().into_dense().unwrap();
         prop_assert!(dense.approx_eq(&out, 1e-4));
     }
 
@@ -267,11 +381,8 @@ proptest! {
     ) {
         let model = random_ffnn(8, &[h1, h2], 4, seed);
         let x = Tensor::from_fn([9, 8], |i| ((i * 11 % 13) as f32 - 6.0) * 0.1);
-        let dense = udf_centric::run(&model, &x, &ctx(1))
-            .unwrap()
-            .into_dense()
-            .unwrap();
-        let (rel, _) = relation_centric::run(&model, &x, &weights(64, 4), &ctx(3)).unwrap();
+        let dense = udf(&model, &x);
+        let rel = relational(&model, &x, &weights(64, 4), 3);
         prop_assert!(dense.approx_eq(&rel.into_dense().unwrap(), 1e-3));
     }
 }

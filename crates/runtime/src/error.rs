@@ -44,7 +44,7 @@ pub enum Error {
     /// cooperatively detected mid-execution at a block/stage boundary.
     DeadlineExceeded {
         /// Where the deadline was detected, e.g. `"admission-queue"` or
-        /// `"relation-centric.layer"`.
+        /// `"exec.layer"` (a layer boundary of the in-database executor).
         phase: String,
     },
     /// A transient (retryable) fault on the cross-system boundary: a flaky

@@ -1,8 +1,11 @@
 //! Matmul kernel comparison: seed `ikj` stripe kernel vs the register-tiled
 //! micro-kernel on **every ISA dispatch path the host supports** (scalar,
-//! AVX2+FMA 4×8, AVX-512 8×16), single-threaded and on the persistent kernel
+//! AVX2+FMA 4×8, AVX-512 12×32), single-threaded and on the persistent kernel
 //! pool, pack-per-call against prepacked weights (`tiled_bt` / `f32_pre`,
-//! `int8` / `int8_prepacked`), the AMX tile unit at the shapes it serves
+//! `int8` / `int8_prepacked`), the f32 prepacked multiply at the shapes the
+//! in-database workloads serve (`f32_served`: Encoder-FC's two layers, the
+//! `large_spill` block-join pair, Fraud-FC's first layer, each with the
+//! layer's fused epilogue), the AMX tile unit at the shapes it serves
 //! (`int8_tiles`: 512³ and Encoder-FC's two layers, prepacked, with and
 //! without the activation quantize sweep), plus vectorized elementwise
 //! kernel bandwidth and the relational block-join speedup. Every row names
@@ -18,7 +21,7 @@ use relserve_bench::report::{Cell, ResultTable};
 use relserve_relational::TensorTable;
 use relserve_runtime::KernelPool;
 use relserve_storage::{BufferPool, DiskManager};
-use relserve_tensor::matmul as mm;
+use relserve_tensor::matmul::{self as mm, Epilogue};
 use relserve_tensor::quant::{self, QuantizedTensor};
 use relserve_tensor::simd::{self, Isa};
 use relserve_tensor::{BlockingSpec, Tensor};
@@ -186,14 +189,14 @@ fn main() {
     });
     let mut prepacked = None;
     let pre_secs = best_secs(reps, || {
-        prepacked = Some(mm::matmul_prepacked(&a, &packed, &serial).unwrap());
+        prepacked = Some(mm::matmul_prepacked(&a, &packed, Epilogue::None, &serial).unwrap());
     });
     assert!(
         per_call.unwrap().data() == prepacked.unwrap().data(),
         "prepacked and pack-per-call differ"
     );
     let pre_pooled_secs = best_secs(reps, || {
-        mm::matmul_prepacked(&a, &packed, &pooled).unwrap();
+        mm::matmul_prepacked(&a, &packed, Epilogue::None, &pooled).unwrap();
     });
     for (name, threads, secs) in [
         ("tiled_bt", 1, bt_secs),
@@ -238,7 +241,9 @@ fn main() {
     let avx512_vs_avx2 = match (secs_for(Isa::Avx2Fma), secs_for(Isa::Avx512)) {
         (Some(avx2), Some(avx512)) => {
             println!(
-                "avx512 8x16 vs avx2 4x8 (1 thread): {:.2}x ({:.2} vs {:.2} GFLOP/s)",
+                "{} vs {} (1 thread): {:.2}x ({:.2} vs {:.2} GFLOP/s)",
+                simd::kernels_for(Isa::Avx512).unwrap().matmul.name,
+                simd::kernels_for(Isa::Avx2Fma).unwrap().matmul.name,
                 avx2 / avx512,
                 gflops(avx512),
                 gflops(avx2)
@@ -247,6 +252,73 @@ fn main() {
         }
         _ => None,
     };
+
+    // --- The f32 prepacked multiply at the shapes the workloads serve ----
+    // What a dense layer runs (`DenseWeight::multiply`: panels packed once,
+    // bias and ReLU fused into the last tile store) at Encoder-FC's two
+    // layers over a 512-row batch, serial and on the pool as relbench's
+    // `batch_compute` grants it; the `large_spill` relation-centric block
+    // join's pair (a 64-row activation block by a 512×512 weight block, no
+    // epilogue, serial as the join runs it); and Fraud-FC's first layer at
+    // a 64-row serving batch.
+    struct ServedRow {
+        name: String,
+        shape: [usize; 3],
+        threads: usize,
+        secs: f64,
+    }
+    let mut served_rows: Vec<ServedRow> = Vec::new();
+    for ([sm, sk, sn], label, pools) in [
+        ([512, 76, 3072], "bias+relu", true),
+        ([512, 3072, 768], "bias", true),
+        ([64, 512, 512], "none", false),
+        ([64, 28, 256], "bias+relu", false),
+    ] {
+        let x = pattern(sm, sk, 7);
+        let w = pattern(sn, sk, 8);
+        let bias = pattern(1, sn, 9);
+        let mut panels = Vec::new();
+        mm::pack_bt(w.data(), sk, sn, sk, nr, &mut panels);
+        let packed = mm::PackedB::new(sk, sn, nr, &panels).unwrap();
+        let epilogue = match label {
+            "bias+relu" => Epilogue::BiasRelu(bias.data()),
+            "bias" => Epilogue::Bias(bias.data()),
+            _ => Epilogue::None,
+        };
+        let grants: &[_] = if pools {
+            &[(1, &serial), (pool_threads, &pooled)]
+        } else {
+            &[(1, &serial)]
+        };
+        for &(threads, grant) in grants {
+            let secs = best_secs(reps, || {
+                mm::matmul_prepacked(&x, &packed, epilogue, grant).unwrap();
+            });
+            served_rows.push(ServedRow {
+                name: format!(
+                    "f32_served[{}] {sm}x{sk}x{sn} {label}",
+                    selected.matmul.name
+                ),
+                shape: [sm, sk, sn],
+                threads,
+                secs,
+            });
+        }
+    }
+    let mut stable = ResultTable::new(&["f32 served row", "threads", "secs", "GFLOP/s"]);
+    for row in &served_rows {
+        let ops = 2.0 * row.shape.iter().product::<usize>() as f64;
+        stable.row(
+            &row.name,
+            &[
+                Cell::Text(row.threads.to_string()),
+                Cell::Text(format!("{:.6}", row.secs)),
+                Cell::Text(format!("{:.1}", ops / row.secs / 1e9)),
+            ],
+        );
+    }
+    println!("f32 prepacked at the served shapes (best of {reps}):");
+    print!("{}", stable.render());
 
     // --- Int8 quantized kernels at 512^3 ----------------------------------
     // Same GFLOP-equivalent count as the f32 rows (one u8×i8 MAC ≡ one FMA),
@@ -570,6 +642,24 @@ fn main() {
     let i8_pre_json = int8_pre_vs_f32_avx512
         .map(|s| format!("  \"speedup_int8_prequantized_vs_f32_avx512\": {s:.3},\n"))
         .unwrap_or_default();
+    let served_json = served_rows
+        .iter()
+        .map(|r| {
+            let ops = 2.0 * r.shape.iter().product::<usize>() as f64;
+            format!(
+                "    {{\"name\": \"{}\", \"isa\": \"{}\", \"shape\": [{}, {}, {}], \"threads\": {}, \"secs\": {:.6}, \"gflops\": {:.3}}}",
+                r.name,
+                selected.isa.token(),
+                r.shape[0],
+                r.shape[1],
+                r.shape[2],
+                r.threads,
+                r.secs,
+                ops / r.secs / 1e9
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let tile_json = tile_rows
         .iter()
         .map(|r| {
@@ -589,6 +679,7 @@ fn main() {
     let json = format!(
         "{{\n  \"host_cores\": {host_cores},\n  \"isa\": \"{}\",\n  \"shape\": [{n}, {n}, {n}],\n  \"flops\": {flops},\n  \"kernels\": [\n{kernel_json}\n  ],\n  \
          \"speedup_tiled_vs_seed\": {:.3},\n  \"speedup_f32_prepacked_vs_per_call\": {:.3},\n{avx512_json}  \
+         \"f32_served\": [\n{served_json}\n  ],\n  \
          \"int8_kernels\": [\n{i8_json}\n  ],\n  \
          \"int8_tiles\": [\n{tile_json}\n  ],\n  \
          \"speedup_int8_vs_f32_best\": {int8_vs_f32_best:.3},\n{i8_avx2_json}{i8_pre_json}  \

@@ -295,9 +295,7 @@ impl Layer {
     /// first run — for every clone that shares the weight.
     pub fn forward(&self, input: &Tensor, par: &Parallelism) -> Result<Tensor> {
         if let Some((weight, bias, activation)) = self.dense_parts() {
-            let mut z = weight.multiply(input, bias, par)?;
-            activation.apply_inplace(&mut z)?;
-            return Ok(z);
+            return weight.multiply(input, bias, activation, par);
         }
         match self {
             Layer::Conv2d {

@@ -110,7 +110,7 @@ impl Trainer {
                         Some(w) => {
                             ops::add_bias(&matmul::matmul_bt_parallel(&x, &w, &self.par)?, bias)?
                         }
-                        None => weight.0.multiply(&x, bias, &self.par)?,
+                        None => weight.0.multiply(&x, bias, Activation::None, &self.par)?,
                     };
                     let a = activation.apply(&z)?;
                     caches.push(Cache::Dense {

@@ -30,11 +30,12 @@
 //! they need without a copy.
 
 use crate::error::{Error, Result};
+use crate::layer::Activation;
 use relserve_relational::{BlockRows, WeightBlocks};
-use relserve_tensor::matmul::{self, PackedB};
+use relserve_tensor::matmul::{self, Epilogue, PackedB};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantEpilogue};
-use relserve_tensor::{ops, QuantizedTensor, Shape, Tensor, ELEM_BYTES};
+use relserve_tensor::{QuantizedTensor, Shape, Tensor, ELEM_BYTES};
 use std::fmt;
 use std::io::{self, Read};
 use std::ops::{Deref, DerefMut};
@@ -363,20 +364,28 @@ impl Weight {
         )
     }
 
-    /// `input × Wᵀ + bias`, from the packed form (packed here on first use).
+    /// `activation(input × Wᵀ + bias)`, from the packed form (packed here on
+    /// first use). An f32 weight adds the bias, and applies a ReLU, in the
+    /// multiply's own tile store; other activations run after it.
     pub(crate) fn multiply(
         &self,
         input: &Tensor,
         bias: &Tensor,
+        activation: Activation,
         par: &Parallelism,
     ) -> Result<Tensor> {
         let (n, k) = self.shape();
-        Ok(match self.cell.packed()? {
+        let (mut z, rest) = match self.cell.packed()? {
             PreparedWeights::Panels { nr, panels } => {
                 let packed = PackedB::new(k, n, *nr, panels)?;
-                let mut z = matmul::matmul_prepacked(input, &packed, par)?;
-                ops::add_bias_inplace(&mut z, bias)?;
-                z
+                let (epilogue, rest) = match activation {
+                    Activation::Relu => (Epilogue::BiasRelu(bias.data()), Activation::None),
+                    other => (Epilogue::Bias(bias.data()), other),
+                };
+                (
+                    matmul::matmul_prepacked(input, &packed, epilogue, par)?,
+                    rest,
+                )
             }
             PreparedWeights::Quads {
                 nr,
@@ -393,9 +402,12 @@ impl Weight {
                     scales,
                     row_sums,
                 };
-                quant::qmatmul_prepacked(input, w, *nr, quads, Some(bias.data()), par)?
+                let z = quant::qmatmul_prepacked(input, w, *nr, quads, Some(bias.data()), par)?;
+                (z, activation)
             }
-        })
+        };
+        rest.apply_inplace(&mut z)?;
+        Ok(z)
     }
 
     /// The raw values of an f32 weight that holds them (an edited one, until
@@ -841,12 +853,11 @@ fn pack(mut reader: WeightReader<'_>) -> Result<PreparedWeights> {
             let nr = matmul::panel_width()?;
             let group = group_rows(k).next_multiple_of(nr);
             let mut panels = Vec::with_capacity(PackedB::len_for(k, n, nr));
-            let (mut rows, mut panel) = (vec![0.0; group.min(n) * k], Vec::new());
+            let mut rows = vec![0.0; group.min(n) * k];
             for j0 in (0..n).step_by(group) {
                 let g = group.min(n - j0);
                 reader.f32_rows(&mut rows[..g * k])?;
-                matmul::pack_bt(&rows, k, g, k, nr, &mut panel);
-                panels.extend_from_slice(&panel);
+                matmul::pack_bt(&rows, k, g, k, nr, &mut panels);
             }
             PreparedWeights::Panels { nr, panels }
         }

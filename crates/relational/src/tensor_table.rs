@@ -24,7 +24,7 @@
 use crate::error::{Error, Result};
 use crate::weight_blocks::{RowEncoder, Rows, WeightBlocks};
 use relserve_storage::{BlobId, BlobStore, BlobWriter, BufferPool, PAGE_SIZE};
-use relserve_tensor::matmul::{self, PackedB};
+use relserve_tensor::matmul::{self, Epilogue, PackedB};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantizedActivations, QuantizedTensor};
 use relserve_tensor::{BlockCoord, BlockedTensor, BlockingSpec, Tensor, ELEM_BYTES};
@@ -873,7 +873,8 @@ impl TensorTable {
                 let mut panels = scratch.borrow_mut();
                 self.read_f32s(meta, &mut panels)?;
                 let b = PackedB::new(meta.cols, meta.rows, nr, &panels)?;
-                let product = matmul::matmul_prepacked(a, &b, &Parallelism::serial())?;
+                let product =
+                    matmul::matmul_prepacked(a, &b, Epilogue::None, &Parallelism::serial())?;
                 Ok::<_, Error>((product, meta.payload_len() as u64))
             })?,
             (PreparedBlock::F32(a), _) => {

@@ -175,6 +175,7 @@ impl RowEncoder {
             self.piece.clear();
             match (kind, rows) {
                 (BlockKind::Packed { nr }, Rows::F32(values)) => {
+                    self.panels.clear();
                     matmul::pack_bt(&values[c0..], cols, g, c1 - c0, nr, &mut self.panels);
                     self.piece.resize(self.panels.len() * ELEM_BYTES, 0);
                     put_f32s(&mut self.piece, &self.panels);

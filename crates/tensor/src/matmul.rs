@@ -16,7 +16,7 @@
 //!
 //! The tile geometry (`MR`/`NR`/`KC`) is **not** fixed by this module: it is
 //! a property of the micro-kernel the [`crate::simd`] dispatch layer selects
-//! at first use (scalar 4×8, AVX2+FMA 4×8, or AVX-512 8×16), and the packing
+//! at first use (scalar 4×8, AVX2+FMA 4×8, or AVX-512 12×32), and the packing
 //! and blocking driver here shapes its panels to whatever geometry the
 //! dispatched [`simd::MatmulKernel`] declares. `RELSERVE_ISA` forces a
 //! specific tier process-wide; [`matmul_with_isa`] / [`matmul_bt_with_isa`]
@@ -24,7 +24,10 @@
 //!
 //! A constant `B` need not be packed per call: [`pack_bt`] writes the panels
 //! once and [`matmul_prepacked`] multiplies from them ([`PackedB`]) — what a
-//! loaded model's dense layers and the weight relations do. Every other
+//! loaded model's dense layers and the weight relations do. It also takes the
+//! dense layer's [`Epilogue`] — bias, or bias and ReLU — and applies it in
+//! the last k-block's tile store, so the layer makes no extra pass over its
+//! output. Every other
 //! entry point below is "pack `B` into a per-thread scratch, then run the
 //! same driver on the panels", so the two routes cannot differ by a bit;
 //! they are for a `B` that is not a constant.
@@ -156,10 +159,10 @@ const GROUP: usize = 8;
 /// width `nr`: panel `jp` holds columns `jp*nr ..`, laid out `[p][nr]` so the
 /// micro-kernel streams it linearly. Ragged right edges are padded with
 /// zeros, which contribute nothing to the accumulators and let the kernel
-/// skip edge branches. Every slot of `out` is written: what it held is
-/// irrelevant.
-fn pack_b(b: &View<'_>, k: usize, n: usize, nr: usize, out: &mut Vec<f32>) {
-    out.resize(n.div_ceil(nr) * k * nr, 0.0);
+/// skip edge branches. `out` holds [`PackedB::len_for`]`(k, n, nr)` slots,
+/// and every one is written: what it held is irrelevant.
+fn pack_b(b: &View<'_>, k: usize, n: usize, nr: usize, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), PackedB::len_for(k, n, nr));
     if k == 0 {
         return;
     }
@@ -230,15 +233,87 @@ thread_local! {
     static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
+/// What a multiply does to each output element after its last partial
+/// product: nothing, `+ bias[j]` on column `j`, or that and then ReLU.
+///
+/// [`matmul_prepacked`] applies it in the tile store of the last k-block,
+/// while the tile is in cache, and the small-product shortcut after its dot
+/// products. Either way an element is `max((c + tile) + bias[j], 0)` in that
+/// order, which is bit for bit what [`crate::ops::add_bias_inplace`] and
+/// [`crate::ops::relu_inplace`] give on every tier: the additions are the
+/// same IEEE additions, and an element is never `-0.0` (it starts at `+0.0`
+/// and only ever has values added to it), so no tier's `max` can tell its
+/// zeros apart; a NaN goes to `0` on every tier.
+#[derive(Debug, Clone, Copy)]
+pub enum Epilogue<'a> {
+    /// The product as it is.
+    None,
+    /// `+ bias[j]` on column `j`.
+    Bias(&'a [f32]),
+    /// `max(· + bias[j], 0)` on column `j`.
+    BiasRelu(&'a [f32]),
+}
+
+impl Epilogue<'_> {
+    fn bias(&self) -> Option<&[f32]> {
+        match *self {
+            Epilogue::None => None,
+            Epilogue::Bias(b) | Epilogue::BiasRelu(b) => Some(b),
+        }
+    }
+
+    /// Add `tile` into `row` — columns `j0 ..` of one output row — and
+    /// finish each element.
+    #[inline(always)]
+    fn store(&self, row: &mut [f32], tile: &[f32], j0: usize) {
+        match *self {
+            Epilogue::None => {
+                for (c, t) in row.iter_mut().zip(tile) {
+                    *c += *t;
+                }
+            }
+            Epilogue::Bias(b) => {
+                for ((c, t), b) in row.iter_mut().zip(tile).zip(&b[j0..]) {
+                    *c = *c + *t + *b;
+                }
+            }
+            Epilogue::BiasRelu(b) => {
+                for ((c, t), b) in row.iter_mut().zip(tile).zip(&b[j0..]) {
+                    *c = (*c + *t + *b).max(0.0);
+                }
+            }
+        }
+    }
+
+    /// Finish every element of a whole output row in place.
+    fn apply(&self, row: &mut [f32]) {
+        match *self {
+            Epilogue::None => {}
+            Epilogue::Bias(b) => {
+                for (c, b) in row.iter_mut().zip(b) {
+                    *c += *b;
+                }
+            }
+            Epilogue::BiasRelu(b) => {
+                for (c, b) in row.iter_mut().zip(b) {
+                    *c = (*c + *b).max(0.0);
+                }
+            }
+        }
+    }
+}
+
 /// Compute rows `i0..i1` of `C += A × B` from pre-packed `B` panels using
-/// `kern`'s micro-kernel and tile geometry.
+/// `kern`'s micro-kernel and tile geometry, finishing each element with
+/// `epilogue` as the last k-block stores it.
 ///
 /// Loop order is `(k-block, pack A tiles, panel, tile)`: within one k-block
 /// every A micro-panel is packed once, then each B panel (≈`nr·kc` floats,
 /// L1-resident) is reused across all row tiles of the stripe before moving
 /// on. `cd` is the stripe's slice of C, `stripe_rows × n`, and accumulates
-/// one partial product per k-block.
-#[allow(clippy::too_many_arguments)] // a stripe is (kernel, A, packed B, C-slice, row range, k, n)
+/// one partial product per k-block: the tile starts from zero each block, so
+/// an element is the same sequential FMA chain whatever the tile geometry.
+#[allow(clippy::too_many_arguments)] // a stripe is (kernel, A, packed B, C-slice, row range, k, n, epilogue)
 fn tiled_stripe(
     kern: &MatmulKernel,
     a: &View<'_>,
@@ -248,6 +323,7 @@ fn tiled_stripe(
     i1: usize,
     k: usize,
     n: usize,
+    epilogue: Epilogue<'_>,
 ) {
     let rows = i1 - i0;
     if rows == 0 || n == 0 || k == 0 {
@@ -266,6 +342,7 @@ fn tiled_stripe(
         for p0 in (0..k).step_by(kern.kc) {
             let p1 = (p0 + kern.kc).min(k);
             let kc = p1 - p0;
+            let finish = if p1 == k { epilogue } else { Epilogue::None };
             for t in 0..tiles {
                 let i = i0 + t * mr;
                 let rows = mr.min(i1 - i);
@@ -291,9 +368,7 @@ fn tiled_stripe(
                     kern.run(&apack[t * mr * kc..][..mr * kc], bpanel, kc, acc);
                     for r in 0..rows {
                         let c_row = &mut cd[(i - i0 + r) * n + j0..][..width];
-                        for (cv, av) in c_row.iter_mut().zip(&acc[r * nr..r * nr + width]) {
-                            *cv += *av;
-                        }
+                        finish.store(c_row, &acc[r * nr..r * nr + width], j0);
                     }
                 }
             }
@@ -301,8 +376,11 @@ fn tiled_stripe(
     });
 }
 
-/// The one kernel driver: row stripes of `C = A × B` over packed `B` panels,
-/// run serially or on the grant.
+/// The one kernel driver: row stripes of `epilogue(A × B)` over packed `B`
+/// panels, run serially or on the grant. An empty product is returned as
+/// zeros; [`matmul_prepacked`], the one caller with an epilogue, sends those
+/// to the small-product shortcut.
+#[allow(clippy::too_many_arguments)] // (kernel, A, packed B, m, k, n, grant, epilogue)
 fn run_packed(
     kern: &MatmulKernel,
     a: View<'_>,
@@ -311,6 +389,7 @@ fn run_packed(
     k: usize,
     n: usize,
     par: &Parallelism,
+    epilogue: Epilogue<'_>,
 ) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
     if m == 0 || n == 0 || k == 0 {
@@ -318,13 +397,13 @@ fn run_packed(
     }
     let threads = stripe_count(par.threads(), m, k, n);
     if threads == 1 {
-        tiled_stripe(kern, &a, bpack, &mut c, 0, m, k, n);
+        tiled_stripe(kern, &a, bpack, &mut c, 0, m, k, n, epilogue);
         return c;
     }
     let stripes = row_stripes(&mut c, m, n, threads, kern.mr);
     par.run_owned(stripes, |(row0, stripe)| {
         let rows = stripe.len() / n;
-        tiled_stripe(kern, &a, bpack, stripe, row0, row0 + rows, k, n);
+        tiled_stripe(kern, &a, bpack, stripe, row0, row0 + rows, k, n, epilogue);
     });
     c
 }
@@ -341,8 +420,9 @@ fn matmul_packed(
 ) -> Vec<f32> {
     B_SCRATCH.with(|scratch| {
         let mut bpack = scratch.borrow_mut();
+        bpack.resize(PackedB::len_for(k, n, kern.nr), 0.0);
         pack_b(&b, k, n, kern.nr, &mut bpack);
-        run_packed(kern, a, &bpack, m, k, n, par)
+        run_packed(kern, a, &bpack, m, k, n, par, Epilogue::None)
     })
 }
 
@@ -419,7 +499,9 @@ pub fn panel_width() -> Result<usize> {
 
 /// Pack `Bᵀ` into panels of width `nr`, where `b` holds `n` stored rows of
 /// `k` values, `ld` apart (`ld > k` packs a column window of a wider
-/// matrix). `out` is resized to [`PackedB::len_for`]`(k, n, nr)`.
+/// matrix). The [`PackedB::len_for`]`(k, n, nr)` values are appended to
+/// `out`, so a matrix packed a group of whole panels at a time is its
+/// panels in order, with no copy.
 pub fn pack_bt(b: &[f32], ld: usize, n: usize, k: usize, nr: usize, out: &mut Vec<f32>) {
     assert!(
         nr > 0 && k <= ld && (n == 0 || (n - 1) * ld + k <= b.len()),
@@ -431,16 +513,26 @@ pub fn pack_bt(b: &[f32], ld: usize, n: usize, k: usize, nr: usize, out: &mut Ve
         trans: true,
         ld,
     };
-    pack_b(&view, k, n, nr, out);
+    let start = out.len();
+    out.resize(start + PackedB::len_for(k, n, nr), 0.0);
+    pack_b(&view, k, n, nr, &mut out[start..]);
 }
 
-/// `A[m,k] × B` from prepacked panels of `B`, on the dispatched kernel.
+/// `epilogue(A[m,k] × B)` from prepacked panels of `B`, on the dispatched
+/// kernel.
 ///
-/// Bit-identical to [`matmul_bt_parallel`] on the `[n, k]` matrix the panels
-/// were packed from, under any grant — including that function's
-/// small-product shortcut, which here reads the same values out of the
-/// panels in the same order.
-pub fn matmul_prepacked(a: &Tensor, b: &PackedB<'_>, par: &Parallelism) -> Result<Tensor> {
+/// With [`Epilogue::None`], bit-identical to [`matmul_bt_parallel`] on the
+/// `[n, k]` matrix the panels were packed from, under any grant — including
+/// that function's small-product shortcut, which here reads the same values
+/// out of the panels in the same order. With a bias (and ReLU), identical to
+/// that product followed by [`crate::ops::add_bias_inplace`] (and
+/// [`crate::ops::relu_inplace`]), without their passes over the output.
+pub fn matmul_prepacked(
+    a: &Tensor,
+    b: &PackedB<'_>,
+    epilogue: Epilogue<'_>,
+    par: &Parallelism,
+) -> Result<Tensor> {
     let kern = &simd::try_kernels()?.matmul;
     if b.nr != kern.nr {
         return Err(Error::Isa(format!(
@@ -457,10 +549,22 @@ pub fn matmul_prepacked(a: &Tensor, b: &PackedB<'_>, par: &Parallelism) -> Resul
         });
     }
     let n = b.n;
+    if let Some(bias) = epilogue.bias().filter(|bias| bias.len() != n) {
+        return Err(Error::ShapeMismatch {
+            op: "matmul_prepacked epilogue",
+            lhs: vec![m, n],
+            rhs: vec![bias.len()],
+        });
+    }
     let c = if m * k * n < PACK_THRESHOLD {
-        small_product(a.data(), m, k, n, |j, p| b.at(p, j))
+        let mut c = small_product(a.data(), m, k, n, |j, p| b.at(p, j));
+        if n > 0 {
+            c.chunks_exact_mut(n).for_each(|row| epilogue.apply(row));
+        }
+        c
     } else {
-        run_packed(kern, View::plain(a.data(), k), b.panels, m, k, n, par)
+        let a = View::plain(a.data(), k);
+        run_packed(kern, a, b.panels, m, k, n, par, epilogue)
     };
     Tensor::from_vec([m, n], c)
 }
@@ -760,7 +864,7 @@ mod tests {
 
     #[test]
     fn prepacked_equals_pack_per_call_on_every_tier() {
-        // Ragged `n % nr` for nr 8 and 16, `k` past one cache block with a
+        // Ragged `n % nr` for nr 8 and 32, `k` past one cache block with a
         // tail, one shape small enough for a single stripe whatever the grant.
         for (m, k, n) in [(70, 300, 53), (64, 512, 512), (9, 37, 19), (130, 257, 129)] {
             let (a, w) = (inexact([m, k], 0.7311), inexact([n, k], 0.4177));
@@ -780,7 +884,8 @@ mod tests {
                         n,
                         &grant,
                     );
-                    let pre = run_packed(kern, View::plain(a.data(), k), &panels, m, k, n, &grant);
+                    let a = View::plain(a.data(), k);
+                    let pre = run_packed(kern, a, &panels, m, k, n, &grant, Epilogue::None);
                     assert!(per_call == pre, "{isa} {m}x{k}x{n} threads={threads}");
                 }
             }
@@ -806,7 +911,7 @@ mod tests {
             for threads in [1, 2, 16] {
                 let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
                 let expect = matmul_bt_parallel(&a, &w, &grant).unwrap();
-                let got = matmul_prepacked(&a, &packed, &grant).unwrap();
+                let got = matmul_prepacked(&a, &packed, Epilogue::None, &grant).unwrap();
                 assert!(expect.data() == got.data(), "{m}x{k}x{n} threads={threads}");
             }
         }
@@ -824,9 +929,19 @@ mod tests {
     }
 
     #[test]
+    fn pack_bt_appends_groups_of_whole_panels() {
+        let w = inexact([2 * 8 + 3, 7], 0.4177);
+        let (mut whole, mut groups) = (Vec::new(), Vec::new());
+        pack_bt(w.data(), 7, 19, 7, 8, &mut whole);
+        pack_bt(w.data(), 7, 16, 7, 8, &mut groups);
+        pack_bt(&w.data()[16 * 7..], 7, 3, 7, 8, &mut groups);
+        assert_eq!(whole, groups);
+    }
+
+    #[test]
     fn packed_panels_read_back_as_the_rows_they_were_packed_from() {
         // Ragged panels (n % nr != 0) at every panel width a kernel uses.
-        for nr in [4, 8, 16] {
+        for nr in [4, 8, 16, 32] {
             let (n, k) = (2 * nr + 3, 7);
             let w = Tensor::from_fn([n, k], |i| i as f32 * 0.5 - 9.0);
             let mut panels = Vec::new();
@@ -851,17 +966,23 @@ mod tests {
         assert!(PackedB::new(6, 5, 0, &[]).is_err());
         let packed = PackedB::new(6, 5, nr, &panels).unwrap();
         let serial = Parallelism::serial();
-        assert!(matmul_prepacked(&Tensor::zeros([2, 6]), &packed, &serial).is_ok());
+        assert!(matmul_prepacked(&Tensor::zeros([2, 6]), &packed, Epilogue::None, &serial).is_ok());
         // Inner dimension, and a panel width the dispatched kernel does not use.
         assert!(matches!(
-            matmul_prepacked(&Tensor::zeros([2, 7]), &packed, &serial),
+            matmul_prepacked(&Tensor::zeros([2, 7]), &packed, Epilogue::None, &serial),
             Err(Error::ShapeMismatch { .. })
         ));
         let other = vec![0.0; PackedB::len_for(6, 5, nr + 1)];
         let foreign = PackedB::new(6, 5, nr + 1, &other).unwrap();
         assert!(matches!(
-            matmul_prepacked(&Tensor::zeros([2, 6]), &foreign, &serial),
+            matmul_prepacked(&Tensor::zeros([2, 6]), &foreign, Epilogue::None, &serial),
             Err(Error::Isa(_))
+        ));
+        // A bias that is not one value per output column.
+        let short = Epilogue::BiasRelu(&[0.0; 4]);
+        assert!(matches!(
+            matmul_prepacked(&Tensor::zeros([2, 6]), &packed, short, &serial),
+            Err(Error::ShapeMismatch { .. })
         ));
     }
 

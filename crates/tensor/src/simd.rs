@@ -34,10 +34,12 @@ use std::sync::OnceLock;
 /// Environment variable that forces the dispatch tier for the whole process.
 pub const ISA_ENV: &str = "RELSERVE_ISA";
 
-/// Largest micro-tile height any kernel uses; sizing for stack accumulators.
-pub const MAX_MR: usize = 8;
-/// Largest micro-tile width any kernel uses; sizing for stack accumulators.
-pub const MAX_NR: usize = 16;
+/// Largest micro-tile height any kernel uses (the AVX-512 f32 tile's 12);
+/// sizing for stack accumulators.
+pub const MAX_MR: usize = 12;
+/// Largest micro-tile width any kernel uses (the AVX-512 f32 tile's 32);
+/// sizing for stack accumulators.
+pub const MAX_NR: usize = 32;
 
 /// An instruction-set tier the kernel layer can dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -144,8 +146,10 @@ impl fmt::Display for Isa {
 /// `bpanel` a `[kc][nr]` B panel, and `acc` a row-major `mr×nr` accumulator.
 /// `mr`/`nr`/`kc` are *per-kernel* parameters — the packing and blocking
 /// driver in [`crate::matmul`] shapes its panels to whatever geometry the
-/// dispatched kernel declares, so an 8×16 `zmm` tile and a 4×8 `ymm` tile
-/// coexist behind one seam.
+/// dispatched kernel declares, so a 12×32 `zmm` tile and a 4×8 `ymm` tile
+/// coexist behind one seam. Every element of the tile is one sequential
+/// chain of fused multiply-adds over `p`, starting from what `acc` held, so
+/// the FMA tiers agree to the bit whatever their geometry.
 pub struct MatmulKernel {
     /// The tier this kernel requires.
     pub isa: Isa,
@@ -156,7 +160,7 @@ pub struct MatmulKernel {
     /// k-dimension cache block: packed panels of this depth stay L1/L2
     /// resident.
     pub kc: usize,
-    /// Human-readable kernel name, e.g. `"avx512 8x16"`; benchmarks print it
+    /// Human-readable kernel name, e.g. `"avx512 12x32"`; benchmarks print it
     /// so a reader can tell which micro-kernel actually ran.
     pub name: &'static str,
     micro: unsafe fn(&[f32], &[f32], usize, &mut [f32]),
@@ -987,53 +991,54 @@ static AVX2: Kernels = Kernels {
 };
 
 // ---------------------------------------------------------------------------
-// AVX-512 tier. 512-bit lanes: the matmul tile widens to 8×16 — eight zmm
-// accumulator registers, one 16-float B load per k step, eight broadcast
-// FMAs against it. Elementwise kernels run 16 lanes per step and use lane
-// masks for ragged tails instead of scalar epilogues.
+// AVX-512 tier. 512-bit lanes: the matmul tile widens to 12×32 — 24 zmm
+// accumulator registers, two 16-float B loads per k step, twelve broadcast
+// rows each feeding two FMAs. Elementwise kernels run 16 lanes per step and
+// use lane masks for ragged tails instead of scalar epilogues.
 // ---------------------------------------------------------------------------
 
-/// AVX-512 8×16 micro-kernel: accumulator row `r` is one 512-bit register,
-/// so the whole `8×16` tile occupies eight of the 32 architectural `zmm`
-/// registers and every `p` step issues eight fused multiply-adds against a
-/// single 16-lane B load. Twice the AVX2 tile in both FLOPs per B load and
-/// per-step FMA count.
+/// AVX-512 12×32 micro-kernel: accumulator row `r` is two 512-bit registers
+/// (columns 0..16 and 16..32), so the whole tile occupies 24 of the 32
+/// architectural `zmm` registers, leaving two for the B row and room for
+/// the broadcasts. Each `p` step loads one 32-float B row and issues 24
+/// fused multiply-adds against twelve broadcast A values: 24 independent
+/// accumulator chains cover the FMA latency of two 512-bit ports (4 cycles
+/// × 2 ports = 8 in flight) three times over, and 14 loads feed 24 FMAs.
+/// Each element is one sequential FMA chain over `p`, so the tile agrees
+/// with the AVX2 4×8 kernel bit for bit.
+///
+/// # Safety
+/// The CPU has AVX-512F, and `apack`, `bpanel` and `acc` hold at least
+/// `12·kc`, `32·kc` and 384 values: [`kernels_for`] checks the first,
+/// [`MatmulKernel::run`] the second.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512_8x16(apack: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32]) {
+unsafe fn micro_avx512_12x32(apack: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32]) {
     use std::arch::x86_64::*;
-    debug_assert!(apack.len() >= kc * 8 && bpanel.len() >= kc * 16 && acc.len() >= 128);
+    debug_assert!(apack.len() >= kc * 12 && bpanel.len() >= kc * 32 && acc.len() >= 384);
     let cp = acc.as_mut_ptr();
-    let mut c0 = _mm512_loadu_ps(cp);
-    let mut c1 = _mm512_loadu_ps(cp.add(16));
-    let mut c2 = _mm512_loadu_ps(cp.add(32));
-    let mut c3 = _mm512_loadu_ps(cp.add(48));
-    let mut c4 = _mm512_loadu_ps(cp.add(64));
-    let mut c5 = _mm512_loadu_ps(cp.add(80));
-    let mut c6 = _mm512_loadu_ps(cp.add(96));
-    let mut c7 = _mm512_loadu_ps(cp.add(112));
+    let mut lo = [_mm512_setzero_ps(); 12];
+    let mut hi = [_mm512_setzero_ps(); 12];
+    for r in 0..12 {
+        lo[r] = _mm512_loadu_ps(cp.add(r * 32));
+        hi[r] = _mm512_loadu_ps(cp.add(r * 32 + 16));
+    }
     let ap = apack.as_ptr();
     let bp = bpanel.as_ptr();
     for p in 0..kc {
-        let b = _mm512_loadu_ps(bp.add(p * 16));
-        let a = ap.add(p * 8);
-        c0 = _mm512_fmadd_ps(_mm512_set1_ps(*a), b, c0);
-        c1 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(1)), b, c1);
-        c2 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(2)), b, c2);
-        c3 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(3)), b, c3);
-        c4 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(4)), b, c4);
-        c5 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(5)), b, c5);
-        c6 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(6)), b, c6);
-        c7 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(7)), b, c7);
+        let b0 = _mm512_loadu_ps(bp.add(p * 32));
+        let b1 = _mm512_loadu_ps(bp.add(p * 32 + 16));
+        let a = ap.add(p * 12);
+        for r in 0..12 {
+            let ar = _mm512_set1_ps(*a.add(r));
+            lo[r] = _mm512_fmadd_ps(ar, b0, lo[r]);
+            hi[r] = _mm512_fmadd_ps(ar, b1, hi[r]);
+        }
     }
-    _mm512_storeu_ps(cp, c0);
-    _mm512_storeu_ps(cp.add(16), c1);
-    _mm512_storeu_ps(cp.add(32), c2);
-    _mm512_storeu_ps(cp.add(48), c3);
-    _mm512_storeu_ps(cp.add(64), c4);
-    _mm512_storeu_ps(cp.add(80), c5);
-    _mm512_storeu_ps(cp.add(96), c6);
-    _mm512_storeu_ps(cp.add(112), c7);
+    for r in 0..12 {
+        _mm512_storeu_ps(cp.add(r * 32), lo[r]);
+        _mm512_storeu_ps(cp.add(r * 32 + 16), hi[r]);
+    }
 }
 
 /// Lane mask selecting the `rem` low lanes (`rem` in `1..=15`).
@@ -1175,11 +1180,11 @@ static AVX512: Kernels = Kernels {
     isa: Isa::Avx512,
     matmul: MatmulKernel {
         isa: Isa::Avx512,
-        mr: 8,
-        nr: 16,
+        mr: 12,
+        nr: 32,
         kc: 256,
-        name: "avx512 8x16",
-        micro: micro_avx512_8x16,
+        name: "avx512 12x32",
+        micro: micro_avx512_12x32,
     },
     // Plain AVX-512F does not imply VNNI, and there is no profitable 512-bit
     // int8 path without it (avx512bw `vpmaddubsw` CPUs without VNNI are
@@ -1336,11 +1341,11 @@ static AVX512VNNI: Kernels = Kernels {
     isa: Isa::Avx512Vnni,
     matmul: MatmulKernel {
         isa: Isa::Avx512,
-        mr: 8,
-        nr: 16,
+        mr: 12,
+        nr: 32,
         kc: 256,
-        name: "avx512 8x16",
-        micro: micro_avx512_8x16,
+        name: "avx512 12x32",
+        micro: micro_avx512_12x32,
     },
     matmul_i8: MatmulKernelI8 {
         isa: Isa::Avx512Vnni,
@@ -1374,11 +1379,11 @@ static AMX: Kernels = Kernels {
     isa: Isa::Amx,
     matmul: MatmulKernel {
         isa: Isa::Avx512,
-        mr: 8,
-        nr: 16,
+        mr: 12,
+        nr: 32,
         kc: 256,
-        name: "avx512 8x16",
-        micro: micro_avx512_8x16,
+        name: "avx512 12x32",
+        micro: micro_avx512_12x32,
     },
     matmul_i8: MatmulKernelI8 {
         isa: Isa::Amx,

@@ -8,7 +8,11 @@
 //! the override is actually in force — otherwise all supported tiers run.
 
 use proptest::prelude::*;
-use relserve_tensor::matmul::{matmul_bt_with_isa, matmul_naive, matmul_with_isa};
+use relserve_tensor::matmul::{
+    self, matmul_bt_parallel, matmul_bt_with_isa, matmul_naive, matmul_prepacked, matmul_with_isa,
+    Epilogue, PackedB,
+};
+use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantizedTensor};
 use relserve_tensor::simd::{self, Isa, ISA_ENV};
 use relserve_tensor::Tensor;
@@ -29,6 +33,27 @@ fn isas_under_test() -> Vec<Isa> {
         }
         _ => Isa::supported(),
     }
+}
+
+/// The supported tiers whose f32 micro-kernel is a fused multiply-add chain:
+/// all but scalar, whose kernel rounds the product before the sum.
+fn fma_isas() -> Vec<Isa> {
+    Isa::supported()
+        .into_iter()
+        .filter(|isa| *isa != Isa::Scalar)
+        .collect()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Values whose products and sums round, so that two summation orders do
+/// not agree by accident; `seed` shifts the phase.
+fn inexact(rows: usize, cols: usize, step: f32, seed: u32) -> Tensor {
+    Tensor::from_fn([rows, cols], |i| {
+        ((i as f32 + seed as f32 * 0.37) * step).sin()
+    })
 }
 
 /// `|got - want| <= rtol * max(1, |want|)` elementwise.
@@ -81,6 +106,95 @@ proptest! {
         for isa in isas_under_test() {
             let got = matmul_bt_with_isa(&a, &bt, isa).unwrap();
             assert_close(&got, &oracle, 1e-4, &format!("matmul_bt[{isa}] {m}x{k}x{n}"));
+        }
+    }
+
+    /// The f32 FMA tiers agree **bit for bit**, whatever their tile
+    /// geometry: every output element is one sequential fused multiply-add
+    /// chain per k-block, started from zero and added into `C` block by
+    /// block, on avx2 4×8 and on the avx512 12×32 of the avx512, avx512vnni
+    /// and amx tables alike. Shapes cross the MR, NR and KC (256) edges; the
+    /// prepacked path (the dispatched tier) equals the per-call pack, and
+    /// on an FMA tier equals every other FMA tier too.
+    #[test]
+    fn f32_fma_tiers_are_bit_identical(
+        m in 1usize..40,
+        k in 1usize..600,
+        n in 1usize..80,
+        seed in 0u32..1000,
+    ) {
+        let a = inexact(m, k, 0.7311, seed);
+        let b = inexact(k, n, 0.4177, seed);
+        let bt = inexact(n, k, 0.5923, seed);
+        let tiers = fma_isas();
+        if let Some((first, rest)) = tiers.split_first() {
+            let plain = bits(&matmul_with_isa(&a, &b, *first).unwrap());
+            let trans = bits(&matmul_bt_with_isa(&a, &bt, *first).unwrap());
+            for isa in rest {
+                prop_assert!(
+                    bits(&matmul_with_isa(&a, &b, *isa).unwrap()) == plain,
+                    "matmul[{}] != matmul[{}] at {}x{}x{}", isa, first, m, k, n
+                );
+                prop_assert!(
+                    bits(&matmul_bt_with_isa(&a, &bt, *isa).unwrap()) == trans,
+                    "matmul_bt[{}] != matmul_bt[{}] at {}x{}x{}", isa, first, m, k, n
+                );
+            }
+        }
+        let nr = matmul::panel_width().unwrap();
+        let mut panels = Vec::new();
+        matmul::pack_bt(bt.data(), k, n, k, nr, &mut panels);
+        let packed = PackedB::new(k, n, nr, &panels).unwrap();
+        let serial = Parallelism::serial();
+        let pre = bits(&matmul_prepacked(&a, &packed, Epilogue::None, &serial).unwrap());
+        prop_assert!(pre == bits(&matmul_bt_parallel(&a, &bt, &serial).unwrap()));
+        // Past the small-product shortcut the prepacked path is the packed
+        // driver, so it equals the forced packed path of its own tier.
+        if m * k * n >= 1 << 13 {
+            let active = simd::active_isa();
+            let forced = bits(&matmul_bt_with_isa(&a, &bt, active).unwrap());
+            prop_assert!(pre == forced, "prepacked != matmul_bt[{}] at {}x{}x{}", active, m, k, n);
+        }
+    }
+
+    /// The epilogue `matmul_prepacked` applies in its tile store is the
+    /// product followed by `add_bias_inplace` and `relu_inplace`, bit for
+    /// bit, and the same product followed by any supported tier's own
+    /// bias-add and ReLU kernels.
+    #[test]
+    fn fused_epilogue_is_bias_add_then_relu(
+        m in 1usize..40,
+        k in 1usize..600,
+        n in 1usize..80,
+        seed in 0u32..1000,
+    ) {
+        let a = inexact(m, k, 0.7311, seed);
+        let bt = inexact(n, k, 0.5923, seed);
+        let bias = inexact(1, n, 0.913, seed);
+        let nr = matmul::panel_width().unwrap();
+        let mut panels = Vec::new();
+        matmul::pack_bt(bt.data(), k, n, k, nr, &mut panels);
+        let packed = PackedB::new(k, n, nr, &panels).unwrap();
+        let serial = Parallelism::serial();
+        let product = matmul_prepacked(&a, &packed, Epilogue::None, &serial).unwrap();
+        let mut biased = product.clone();
+        relserve_tensor::ops::add_bias_inplace(&mut biased, &bias).unwrap();
+        let mut relu = biased.clone();
+        relserve_tensor::ops::relu_inplace(&mut relu);
+        let fused_bias = matmul_prepacked(&a, &packed, Epilogue::Bias(bias.data()), &serial).unwrap();
+        let fused_relu =
+            matmul_prepacked(&a, &packed, Epilogue::BiasRelu(bias.data()), &serial).unwrap();
+        prop_assert!(bits(&fused_bias) == bits(&biased), "bias at {}x{}x{}", m, k, n);
+        prop_assert!(bits(&fused_relu) == bits(&relu), "relu at {}x{}x{}", m, k, n);
+        for isa in Isa::supported() {
+            let kern = simd::kernels_for(isa).unwrap();
+            let mut unfused = product.data().to_vec();
+            for row in unfused.chunks_exact_mut(n) {
+                kern.add_assign(row, bias.data());
+                kern.relu(row);
+            }
+            let want: Vec<u32> = unfused.iter().map(|v| v.to_bits()).collect();
+            prop_assert!(bits(&fused_relu) == want, "relu[{}] at {}x{}x{}", isa, m, k, n);
         }
     }
 

@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use relserve_bench::workloads;
 use relserve_relational::TensorTable;
 use relserve_storage::{BufferPool, DiskManager};
+use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::BlockingSpec;
 use std::sync::Arc;
 
@@ -31,7 +32,10 @@ fn bench_block_size(c: &mut Criterion) {
                         TensorTable::from_dense(pool, "w", &w, BlockingSpec::square(blk)).unwrap();
                     (xt, wt)
                 },
-                |(xt, wt)| xt.matmul_bt(&wt, "c").unwrap(),
+                |(xt, wt)| {
+                    xt.matmul_bt_parallel(&wt, "c", &Parallelism::serial())
+                        .unwrap()
+                },
             )
         });
     }

@@ -14,14 +14,6 @@ pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Schema of a `(id: Int, features: Vector)` feature table.
-pub fn feature_schema() -> Schema {
-    Schema::new(vec![
-        Column::new("id", DataType::Int),
-        Column::new("features", DataType::Vector),
-    ])
-}
-
 /// Schema of a `(key: Float, features: Vector)` similarity-join table.
 pub fn keyed_feature_schema() -> Schema {
     Schema::new(vec![
@@ -36,13 +28,8 @@ pub fn fraud_rows(n: usize, seed: u64) -> Vec<Tuple> {
     dense_feature_rows(n, 28, seed)
 }
 
-/// Encoder input rows: 76 features (Table 1's Encoder-FC).
-pub fn encoder_rows(n: usize, seed: u64) -> Vec<Tuple> {
-    dense_feature_rows(n, 76, seed)
-}
-
 /// Dense feature rows of arbitrary width.
-pub fn dense_feature_rows(n: usize, width: usize, seed: u64) -> Vec<Tuple> {
+fn dense_feature_rows(n: usize, width: usize, seed: u64) -> Vec<Tuple> {
     let mut r = rng(seed);
     (0..n)
         .map(|i| {
@@ -162,7 +149,7 @@ pub fn synthetic_digits(n: usize, dim: usize, spread: f32, seed: u64) -> (Tensor
 /// Train/test split drawn from the **same** class centroids (the centroids
 /// are the "true" digit shapes; train and test differ only in noise).
 /// Returns `(train_x, train_y, test_x, test_y)`.
-pub fn synthetic_digits_split(
+fn synthetic_digits_split(
     train_n: usize,
     test_n: usize,
     dim: usize,
@@ -265,32 +252,6 @@ pub fn synthetic_digits_decoupled(
     (train_x, train_y, test_x, test_y)
 }
 
-/// 28×28×1 MNIST-like digit images for the §7.2.2 CNN (clustered in pixel
-/// space, same construction as [`synthetic_digits_split`]).
-pub fn synthetic_digit_images_split(
-    train_n: usize,
-    test_n: usize,
-    spread: f32,
-    seed: u64,
-) -> (Tensor, Vec<usize>, Tensor, Vec<usize>) {
-    let (train_x, train_y, test_x, test_y) =
-        synthetic_digits_split(train_n, test_n, 28 * 28, spread, seed);
-    (
-        train_x
-            .reshape([train_n, 28, 28, 1])
-            .expect("same elements"),
-        train_y,
-        test_x.reshape([test_n, 28, 28, 1]).expect("same elements"),
-        test_y,
-    )
-}
-
-/// Single-set variant of [`synthetic_digit_images_split`].
-pub fn synthetic_digit_images(n: usize, spread: f32, seed: u64) -> (Tensor, Vec<usize>) {
-    let (x, y, _, _) = synthetic_digit_images_split(n, 0, spread, seed);
-    (x, y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,12 +338,5 @@ mod tests {
         let diff = dist(0, 1); // class 0 vs class 1
         assert!(same < diff, "same {same} diff {diff}");
         assert_eq!(y[0], y[10]);
-    }
-
-    #[test]
-    fn digit_images_have_nhwc_shape() {
-        let (x, y) = synthetic_digit_images(6, 0.2, 11);
-        assert_eq!(x.shape().dims(), &[6, 28, 28, 1]);
-        assert_eq!(y.len(), 6);
     }
 }

@@ -73,15 +73,6 @@ impl Error {
         )
     }
 
-    /// True when a kernel-pool task panicked and the payload was captured
-    /// as a typed error instead of aborting a serving thread.
-    pub fn is_kernel_panic(&self) -> bool {
-        matches!(
-            self,
-            Error::Runtime(relserve_runtime::Error::KernelPanicked { .. })
-        )
-    }
-
     /// True when the failure is recoverable by re-executing the query
     /// relation-centric (the degradation ladder's trigger): a governor OOM
     /// or an exhausted transient retry. Deadline/overload errors are *not*

@@ -59,15 +59,6 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Largest single-operator memory estimate in the plan.
-    pub fn peak_estimate_bytes(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|o| o.estimated_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Whether any operator was assigned the given representation.
     pub fn uses(&self, representation: Representation) -> bool {
         self.ops.iter().any(|o| o.representation == representation)
@@ -159,13 +150,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    #[test]
-    fn peak_is_max_over_ops() {
-        let p = plan_with(&[Representation::UdfCentric]);
-        let max = p.ops.iter().map(|o| o.estimated_bytes).max().unwrap();
-        assert_eq!(p.peak_estimate_bytes(), max);
     }
 
     #[test]

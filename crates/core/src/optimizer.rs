@@ -7,16 +7,11 @@
 //! the relation-centric representation, otherwise, it will choose the
 //! UDF-centric representation."
 //!
-//! That rule is implemented verbatim here, plus the ahead-of-time planning
-//! hook (§2.2): [`RuleBasedOptimizer::plan_for_batches`] generates plans for
-//! several candidate batch sizes at model-load time so runtime dispatch is a
-//! lookup.
+//! That rule is implemented verbatim here.
 
 use crate::error::Result;
 use crate::ir::{InferencePlan, OpAssignment, Representation};
 use relserve_nn::Model;
-use relserve_runtime::{DeviceModel, PlacementDecision};
-use std::collections::BTreeMap;
 
 /// Per-operator representation chooser with a single memory threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,38 +60,6 @@ impl RuleBasedOptimizer {
             ops: assignments,
             weight_relations_stored: false,
         })
-    }
-
-    /// Device placement (§3.2): for every operator of a plan, run the
-    /// producer-transfer-consumer estimate and decide CPU vs (modeled) GPU.
-    /// Small operators stay on the CPU because host↔device transfer would
-    /// dominate — the decision-forest observation the paper cites.
-    pub fn place_devices(plan: &InferencePlan, devices: &DeviceModel) -> Vec<PlacementDecision> {
-        plan.ops
-            .iter()
-            .map(|op| {
-                devices.place(
-                    op.op.flops(),
-                    (op.op.input_shape.num_bytes() + op.op.param_bytes) as f64,
-                    op.op.output_shape.num_bytes() as f64,
-                )
-            })
-            .collect()
-    }
-
-    /// Ahead-of-time compilation (§2.2): plan several batch sizes at model
-    /// load; at runtime the session picks the plan for the smallest
-    /// pre-planned batch ≥ the actual batch.
-    pub fn plan_for_batches(
-        &self,
-        model: &Model,
-        batch_sizes: &[usize],
-    ) -> Result<BTreeMap<usize, InferencePlan>> {
-        let mut plans = BTreeMap::new();
-        for &b in batch_sizes {
-            plans.insert(b, self.plan(model, b)?);
-        }
-        Ok(plans)
     }
 }
 
@@ -160,40 +123,6 @@ mod tests {
         let large = opt.plan(&model, 200_000).unwrap();
         assert!(!small.uses(Representation::RelationCentric));
         assert!(large.uses(Representation::RelationCentric));
-    }
-
-    #[test]
-    fn device_placement_scales_with_operator_size() {
-        use relserve_runtime::DeviceKind;
-        let mut rng = seeded_rng(66);
-        let opt = RuleBasedOptimizer::paper_default();
-        let devices = DeviceModel::default_testbed();
-        // Tiny fraud model at batch 1: every op stays on CPU.
-        let small_model = zoo::fraud_fc_256(&mut rng).unwrap();
-        let small = opt.plan(&small_model, 1).unwrap();
-        for d in RuleBasedOptimizer::place_devices(&small, &devices) {
-            assert_eq!(d.device, DeviceKind::Cpu);
-        }
-        // Encoder at batch 100k: the big matmuls are worth the transfer.
-        let big_model = zoo::encoder_fc(&mut rng).unwrap();
-        let big = opt.plan(&big_model, 100_000).unwrap();
-        let placements = RuleBasedOptimizer::place_devices(&big, &devices);
-        assert!(
-            placements.iter().any(|d| d.device == DeviceKind::Gpu),
-            "no op offloaded at batch 100k"
-        );
-    }
-
-    #[test]
-    fn aot_plans_cover_requested_batches() {
-        let mut rng = seeded_rng(64);
-        let model = zoo::fraud_fc_256(&mut rng).unwrap();
-        let plans = RuleBasedOptimizer::paper_default()
-            .plan_for_batches(&model, &[1, 100, 10_000])
-            .unwrap();
-        assert_eq!(plans.len(), 3);
-        assert!(plans.contains_key(&100));
-        assert_eq!(plans[&10_000].batch_size, 10_000);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 use crate::error::{Error, Result};
 use relserve_nn::{Activation, Layer, Model, Precision};
 use relserve_relational::ops::{Operator, SimilarityJoin};
-use relserve_relational::{Expr, Table, Tuple, Value};
+use relserve_relational::{Table, Tuple, Value};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{matmul, ops, Tensor};
 
 /// Split a dense layer's weight `W: [out, in]` by input columns into
 /// `W1: [out, split]` and `W2: [out, in - split]`.
-pub fn decompose_weight(weight: &Tensor, split: usize) -> Result<(Tensor, Tensor)> {
+fn decompose_weight(weight: &Tensor, split: usize) -> Result<(Tensor, Tensor)> {
     let (out, inf) = weight.shape().as_matrix()?;
     if split == 0 || split >= inf {
         return Err(Error::Invalid(format!("split {split} outside (0, {inf})")));
@@ -89,8 +89,8 @@ pub fn run_join_then_infer(
     let mut join = SimilarityJoin::new(
         Box::new(left),
         Box::new(right),
-        Expr::col(q.d1_join_col),
-        Expr::col(q.d2_join_col),
+        q.d1_join_col,
+        q.d2_join_col,
         q.epsilon,
     )
     .map_err(Error::Relational)?;
@@ -210,14 +210,8 @@ pub fn run_pushdown_infer(
 
     let left = relserve_relational::ops::SeqScan::new(&p1);
     let right = relserve_relational::ops::SeqScan::new(&p2);
-    let mut join = SimilarityJoin::new(
-        Box::new(left),
-        Box::new(right),
-        Expr::col(0),
-        Expr::col(0),
-        q.epsilon,
-    )
-    .map_err(Error::Relational)?;
+    let mut join = SimilarityJoin::new(Box::new(left), Box::new(right), 0, 0, q.epsilon)
+        .map_err(Error::Relational)?;
 
     // Combine partials: hidden = act(p1 + p2 + bias), then the tail layers.
     let mut hidden_rows: Vec<f32> = Vec::new();

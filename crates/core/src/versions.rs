@@ -108,16 +108,6 @@ impl PressureLadder {
         Ok(PressureLadder { rungs, step_depth })
     }
 
-    /// The rung names, most accurate first.
-    pub fn rungs(&self) -> &[String] {
-        &self.rungs
-    }
-
-    /// The SLA queue-depth threshold per step.
-    pub fn step_depth(&self) -> usize {
-        self.step_depth
-    }
-
     /// The model version to serve at `queue_depth` rows of backlog, with
     /// its rung index (0 = original). Depth below `step_depth` keeps rung
     /// 0; every full `step_depth` of backlog steps one rung down, clamped

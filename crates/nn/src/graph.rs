@@ -86,7 +86,7 @@ impl LinalgOp {
         self.input_shape.num_bytes() + self.param_bytes + self.output_shape.num_bytes()
     }
 
-    /// Approximate FLOP count, used by the device-placement model (§3.2).
+    /// Approximate FLOP count.
     pub fn flops(&self) -> f64 {
         match &self.kind {
             OpKind::MatMul { m, k, n } | OpKind::MatMulI8 { m, k, n } => {

@@ -31,7 +31,7 @@ pub fn xavier_uniform(
 }
 
 /// Approximate `N(mean, std)` samples via Irwin–Hall.
-pub fn gaussian(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut StdRng) -> Tensor {
+fn gaussian(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut StdRng) -> Tensor {
     let shape = shape.into();
     let n = shape.num_elements();
     let mut data = Vec::with_capacity(n);

@@ -217,7 +217,7 @@ pub fn quantize_int8(model: &Model) -> Result<ModelVersion> {
 }
 
 /// Magnitude-pruned version: sparse storage as (index, value) pairs.
-pub fn prune_magnitude(model: &Model, fraction: f32) -> Result<ModelVersion> {
+fn prune_magnitude(model: &Model, fraction: f32) -> Result<ModelVersion> {
     let fraction = fraction.clamp(0.0, 1.0);
     let pruned = map_params(model, |t| prune_tensor(t, fraction))?.with_name(format!(
         "{}@prune{:.0}",

@@ -173,7 +173,7 @@ impl Trainer {
     }
 
     /// One SGD step on a mini-batch; returns the batch's mean cross-entropy.
-    pub fn train_batch(&self, model: &mut Model, batch: &Tensor, labels: &[usize]) -> Result<f32> {
+    fn train_batch(&self, model: &mut Model, batch: &Tensor, labels: &[usize]) -> Result<f32> {
         let Some(Layer::Dense {
             activation: Activation::Softmax,
             ..

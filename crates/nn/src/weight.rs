@@ -349,11 +349,6 @@ impl Weight {
         self.cell.to_tensor()
     }
 
-    /// The matrix of an int8 weight, read into a quantized tensor of its own.
-    pub fn to_quantized(&self) -> Result<QuantizedTensor> {
-        self.cell.to_quantized()
-    }
-
     /// How many times the matrix has been packed — on its first dense run,
     /// by whichever model sharing the cell ran it first — and the bytes the
     /// packed form takes (0 before that).

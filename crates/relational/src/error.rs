@@ -5,7 +5,7 @@ use std::fmt;
 /// Result alias for the relational crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors from schema validation, expression evaluation, and operators.
+/// Errors from schema validation, value access, and operators.
 #[derive(Debug)]
 pub enum Error {
     /// Underlying storage failure.
@@ -16,7 +16,7 @@ pub enum Error {
     SchemaMismatch(String),
     /// A referenced column does not exist.
     UnknownColumn(String),
-    /// An expression was applied to values of the wrong type.
+    /// A value was read as the wrong type.
     TypeError(String),
     /// Tuple bytes failed to decode.
     Codec(String),

@@ -1,20 +1,18 @@
 //! Relational algebra runtime for `relserve`.
 //!
 //! This crate is the query-processing half of the envisioned RDBMS: typed
-//! schemas and tuples over the paged storage engine, a Volcano-style
-//! pull-based operator tree (scan, filter, project, hash join, similarity
-//! join, hash aggregation), and — the part specific to the paper — **tensor
-//! relations**: tables whose tuples are tensor blocks, plus the relational
-//! lowering of matrix multiplication into a join followed by an aggregation
-//! over those blocks (§7.1).
+//! schemas and tuples over the paged storage engine, the two pull-based
+//! operators §7.2.1's decomposition runs (scan and similarity join), and —
+//! the part specific to the paper — **tensor relations**: tables whose
+//! tuples are tensor blocks, plus the relational lowering of matrix
+//! multiplication into a join followed by an aggregation over those blocks
+//! (§7.1).
 //!
 //! Everything executes through the buffer pool, so both ordinary tables and
 //! tensor relations spill to disk transparently when they outgrow memory.
 
 pub mod error;
-pub mod expr;
 pub mod ops;
-pub mod query;
 pub mod schema;
 pub mod table;
 pub mod tensor_table;
@@ -23,8 +21,6 @@ pub mod value;
 pub mod weight_blocks;
 
 pub use error::{Error, Result};
-pub use expr::Expr;
-pub use query::Query;
 pub use schema::{Column, DataType, Schema};
 pub use table::Table;
 pub use tensor_table::TensorTable;

@@ -1,32 +1,20 @@
 //! Pull-based (Volcano-style) relational operators.
 //!
 //! Operators form a tree; calling [`Operator::next`] on the root pulls one
-//! tuple at a time through the pipeline. The set implemented here is exactly
-//! what the paper's experiments need: sequential scan, filter, projection,
-//! hash equi-join, similarity join (§7.2.1), hash aggregation (the
-//! "join followed by an aggregation" that matmul lowers to at tuple level),
-//! plus sort and limit for top-k result queries.
+//! tuple at a time through the pipeline. The set is what the §7.2.1
+//! decomposition experiment (`core::rules`) runs: scans and the similarity
+//! join. Matrix multiplication is not lowered at tuple level; it is
+//! [`crate::TensorTable`]'s block join.
 
-mod aggregate;
-mod filter;
-mod hash_join;
-mod project;
 mod scan;
 mod sim_join;
-mod sort;
 
-pub use aggregate::{AggFunc, AggSpec, HashAggregate};
-pub use filter::Filter;
-pub use hash_join::HashJoin;
-pub use project::Project;
 pub use scan::{MemScan, SeqScan};
 pub use sim_join::SimilarityJoin;
-pub use sort::{Limit, Sort, SortOrder};
 
 use crate::error::Result;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
 
 /// A pull-based relational operator.
 pub trait Operator {
@@ -46,22 +34,11 @@ pub fn collect(op: &mut dyn Operator) -> Result<Vec<Tuple>> {
     Ok(out)
 }
 
-/// Encode a list of key values into a hashable byte key.
-///
-/// Floats are keyed by their bit pattern, so `-0.0` and `0.0` are distinct
-/// keys — acceptable for the synthetic workloads, documented here.
-pub(crate) fn hash_key(values: &[Value]) -> Vec<u8> {
-    let mut key = Vec::with_capacity(values.len() * 9);
-    for v in values {
-        v.encode(&mut key);
-    }
-    key
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
     use crate::schema::{Column, DataType};
+    use crate::value::Value;
 
     /// An `(id: Int, score: Float)` schema used across operator tests.
     pub fn id_score_schema() -> Schema {

@@ -8,7 +8,6 @@
 
 use super::Operator;
 use crate::error::Result;
-use crate::expr::Expr;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::HashMap;
@@ -16,8 +15,8 @@ use std::collections::HashMap;
 /// Band join: emits `left ++ right` when the two float keys differ by ≤ ε.
 pub struct SimilarityJoin<'a> {
     left: Box<dyn Operator + 'a>,
-    left_key: Expr,
-    right_key: Expr,
+    left_key: usize,
+    right_key: usize,
     epsilon: f32,
     schema: Schema,
     build: Option<HashMap<i64, Vec<(f32, Tuple)>>>,
@@ -28,12 +27,13 @@ pub struct SimilarityJoin<'a> {
 }
 
 impl<'a> SimilarityJoin<'a> {
-    /// Join on `|left_key - right_key| <= epsilon`.
+    /// Join on `|left[left_key] - right[right_key]| <= epsilon`, where the
+    /// keys are indices of float columns.
     pub fn new(
         left: Box<dyn Operator + 'a>,
         right: Box<dyn Operator + 'a>,
-        left_key: Expr,
-        right_key: Expr,
+        left_key: usize,
+        right_key: usize,
         epsilon: f32,
     ) -> Result<Self> {
         if epsilon <= 0.0 || !epsilon.is_finite() {
@@ -64,7 +64,7 @@ impl<'a> SimilarityJoin<'a> {
         let mut right = self.right.take().expect("build called once");
         let mut table: HashMap<i64, Vec<(f32, Tuple)>> = HashMap::new();
         while let Some(t) = right.next()? {
-            let key = self.right_key.eval(&t)?.as_float()?;
+            let key = t.value(self.right_key)?.as_float()?;
             table.entry(self.bucket(key)).or_default().push((key, t));
         }
         self.build = Some(table);
@@ -93,7 +93,7 @@ impl Operator for SimilarityJoin<'_> {
             let Some(left) = self.left.next()? else {
                 return Ok(None);
             };
-            let key = self.left_key.eval(&left)?.as_float()?;
+            let key = left.value(self.left_key)?.as_float()?;
             let bucket = self.bucket(key);
             let mut matches = Vec::new();
             let build = self.build.as_ref().expect("built above");
@@ -133,8 +133,7 @@ mod tests {
     fn run_join(left: &[(i64, f32)], right: &[(i64, f32)], eps: f32) -> Vec<(i64, i64)> {
         let l = MemScan::new(id_score_schema(), rows(left));
         let r = MemScan::new(id_score_schema(), rows(right));
-        let mut j =
-            SimilarityJoin::new(Box::new(l), Box::new(r), Expr::col(1), Expr::col(1), eps).unwrap();
+        let mut j = SimilarityJoin::new(Box::new(l), Box::new(r), 1, 1, eps).unwrap();
         collect(&mut j)
             .unwrap()
             .iter()
@@ -195,18 +194,9 @@ mod tests {
     fn invalid_epsilon_rejected() {
         let l = MemScan::new(id_score_schema(), vec![]);
         let r = MemScan::new(id_score_schema(), vec![]);
-        assert!(
-            SimilarityJoin::new(Box::new(l), Box::new(r), Expr::col(1), Expr::col(1), 0.0).is_err()
-        );
+        assert!(SimilarityJoin::new(Box::new(l), Box::new(r), 1, 1, 0.0).is_err());
         let l = MemScan::new(id_score_schema(), vec![]);
         let r = MemScan::new(id_score_schema(), vec![]);
-        assert!(SimilarityJoin::new(
-            Box::new(l),
-            Box::new(r),
-            Expr::col(1),
-            Expr::col(1),
-            f32::NAN
-        )
-        .is_err());
+        assert!(SimilarityJoin::new(Box::new(l), Box::new(r), 1, 1, f32::NAN).is_err());
     }
 }

@@ -54,11 +54,6 @@ impl Schema {
         self.columns.len()
     }
 
-    /// The columns in order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Column at `i`.
     pub fn column(&self, i: usize) -> Result<&Column> {
         self.columns
@@ -109,15 +104,6 @@ impl Schema {
         }
         Schema { columns }
     }
-
-    /// Schema consisting of the given columns of `self`, in order.
-    pub fn project(&self, indices: &[usize]) -> Result<Schema> {
-        let mut columns = Vec::with_capacity(indices.len());
-        for &i in indices {
-            columns.push(self.column(i)?.clone());
-        }
-        Ok(Schema { columns })
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +149,5 @@ mod tests {
         assert_eq!(j.arity(), 5);
         assert_eq!(j.column(3).unwrap().name, "r.id");
         assert_eq!(j.column(4).unwrap().name, "label");
-    }
-
-    #[test]
-    fn project_selects_columns() {
-        let s = sample();
-        let p = s.project(&[2, 0]).unwrap();
-        assert_eq!(p.column(0).unwrap().name, "features");
-        assert_eq!(p.column(1).unwrap().name, "id");
-        assert!(s.project(&[9]).is_err());
     }
 }

@@ -176,19 +176,6 @@ impl TensorTable {
         }
     }
 
-    /// Materialize an in-memory blocked tensor into a tensor relation.
-    pub fn from_blocked(
-        pool: Arc<BufferPool>,
-        name: impl Into<String>,
-        blocked: &BlockedTensor,
-    ) -> Result<Self> {
-        let mut table = Self::create(pool, name, blocked.rows(), blocked.cols(), blocked.spec());
-        for (coord, block) in blocked.iter_blocks() {
-            table.insert_block(coord, block)?;
-        }
-        Ok(table)
-    }
-
     /// Chunk a dense matrix and store it, one block at a time: each block's
     /// payload is encoded straight from the matrix rows it covers, so no
     /// second copy of the matrix is ever materialized.
@@ -574,12 +561,6 @@ impl TensorTable {
         Ok(Tensor::from_vec([rows, cols], values)?)
     }
 
-    /// Fetch the int8 quantized block at `coord`; errors if the stored
-    /// payload is an f32 block.
-    pub fn get_qblock(&self, coord: BlockCoord) -> Result<QuantizedTensor> {
-        self.read_qblock(self.meta_for(coord)?)
-    }
-
     /// Reassemble the full dense matrix (allocates it whole; only for
     /// results known to fit, e.g. final logits).
     pub fn to_dense(&self) -> Result<Tensor> {
@@ -590,98 +571,12 @@ impl TensorTable {
         Ok(blocked.to_dense()?)
     }
 
-    /// Relation-centric `C = A × B`: join on `a.col_blk == b.row_blk`,
-    /// aggregate partial products by output coordinate.
-    ///
-    /// Streams one block-row of `A` at a time; peak memory is one block-row
-    /// of output partials plus two operand blocks.
-    pub fn matmul(
-        &self,
-        other: &TensorTable,
-        out_name: impl Into<String>,
-    ) -> Result<(TensorTable, TensorOpStats)> {
-        if self.cols != other.rows {
-            return Err(Error::Tensor(relserve_tensor::Error::ShapeMismatch {
-                op: "relational matmul",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![other.rows, other.cols],
-            }));
-        }
-        if self.spec.block_cols != other.spec.block_rows {
-            return Err(Error::Plan(format!(
-                "inner blockings differ: {} vs {}",
-                self.spec.block_cols, other.spec.block_rows
-            )));
-        }
-        let out_spec = BlockingSpec {
-            block_rows: self.spec.block_rows,
-            block_cols: other.spec.block_cols,
-        };
-        let mut out = TensorTable::create(
-            self.pool().clone(),
-            out_name,
-            self.rows,
-            other.cols,
-            out_spec,
-        );
-        let mut stats = TensorOpStats::default();
-        // Join index over B: inner coordinate → B coords sharing it.
-        let mut b_by_row: BTreeMap<usize, Vec<BlockCoord>> = BTreeMap::new();
-        for coord in other.coords() {
-            b_by_row.entry(coord.row).or_default().push(coord);
-        }
-        self.for_each_block_row(|block_row, a_blocks| {
-            let mut partials: BTreeMap<usize, Tensor> = BTreeMap::new();
-            for (a_coord, a_block) in a_blocks {
-                stats.bytes_read += a_block.num_bytes() as u64;
-                let Some(b_coords) = b_by_row.get(&a_coord.col) else {
-                    continue;
-                };
-                for b_coord in b_coords {
-                    let b_block = other.get_block(*b_coord)?;
-                    stats.bytes_read += b_block.num_bytes() as u64;
-                    let partial = matmul::matmul(a_block, &b_block)?;
-                    stats.joins += 1;
-                    match partials.get_mut(&b_coord.col) {
-                        Some(sum) => relserve_tensor::ops::axpy(sum, &partial, 1.0)?,
-                        None => {
-                            partials.insert(b_coord.col, partial);
-                        }
-                    }
-                }
-            }
-            for (out_col, block) in partials {
-                stats.blocks_out += 1;
-                stats.bytes_written += block.num_bytes() as u64;
-                out.insert_block(
-                    BlockCoord {
-                        row: block_row,
-                        col: out_col,
-                    },
-                    &block,
-                )?;
-            }
-            Ok(())
-        })?;
-        Ok((out, stats))
-    }
-
     /// Relation-centric `C = A × Bᵀ` with `B` stored `[n, k]` — join on the
     /// shared `k` block coordinate (`a.col_blk == b.col_blk`), aggregate by
-    /// `(a.row_blk, b.row_blk)`. Single-threaded; see
-    /// [`TensorTable::matmul_bt_parallel`].
-    pub fn matmul_bt(
-        &self,
-        other: &TensorTable,
-        out_name: impl Into<String>,
-    ) -> Result<(TensorTable, TensorOpStats)> {
-        self.matmul_bt_parallel(other, out_name, &Parallelism::serial())
-    }
-
-    /// Parallel relation-centric `C = A × Bᵀ`, striped over **output
-    /// cells**: the `(a.row_blk, b.row_blk)` grid is cut into up to
-    /// `par.threads()` contiguous runs and the runs execute as tasks on the
-    /// caller's kernel-pool grant, so even a batch of one block-row fans out
+    /// `(a.row_blk, b.row_blk)` — striped over **output cells**: that grid
+    /// is cut into up to `par.threads()` contiguous runs and the runs execute
+    /// as tasks on the caller's kernel-pool grant (a serial grant runs them
+    /// in order on the caller), so even a batch of one block-row fans out
     /// across the weight relation's block-rows. Each worker owns a disjoint
     /// set of output blocks and walks `k` ascending for each, so every
     /// output block is accumulated in the same order whatever the thread
@@ -703,18 +598,8 @@ impl TensorTable {
     }
 
     /// Relation-centric **quantized** `C = X × Wᵀ` with `W` stored as int8
-    /// block payloads (see [`TensorTable::from_quantized`]). Single-threaded
-    /// form of [`TensorTable::matmul_bt_quant_parallel`].
-    pub fn matmul_bt_quant(
-        &self,
-        other: &TensorTable,
-        out_name: impl Into<String>,
-    ) -> Result<(TensorTable, TensorOpStats)> {
-        self.matmul_bt_quant_parallel(other, out_name, &Parallelism::serial())
-    }
-
-    /// Parallel relation-centric quantized `C = X × Wᵀ`: the same block join
-    /// as [`TensorTable::matmul_bt_parallel`], but each weight block is
+    /// block payloads (see [`TensorTable::from_quantized`]): the same block
+    /// join as [`TensorTable::matmul_bt_parallel`], but each weight block is
     /// read as its stored i8 payload (≈4× fewer bytes through the buffer
     /// pool) and multiplied by the int8 micro-kernels. Each activation block
     /// is quantized to 7-bit levels **once per worker sweep** and reused
@@ -730,7 +615,7 @@ impl TensorTable {
     ) -> Result<(TensorTable, TensorOpStats)> {
         if !other.quantized {
             return Err(Error::Plan(format!(
-                "matmul_bt_quant requires an int8 weight relation, but {:?} stores f32 blocks",
+                "the int8 join requires an int8 weight relation, but {:?} stores f32 blocks",
                 other.name
             )));
         }
@@ -960,29 +845,6 @@ impl TensorTable {
         }
         Ok(out)
     }
-
-    /// Visit blocks grouped by block-row, in order, fetching each block once.
-    fn for_each_block_row(
-        &self,
-        mut f: impl FnMut(usize, &[(BlockCoord, Tensor)]) -> Result<()>,
-    ) -> Result<()> {
-        let mut current_row = None;
-        let mut group: Vec<(BlockCoord, Tensor)> = Vec::new();
-        for coord in self.index.keys().copied() {
-            if current_row != Some(coord.row) {
-                if let Some(row) = current_row {
-                    f(row, &group)?;
-                    group.clear();
-                }
-                current_row = Some(coord.row);
-            }
-            group.push((coord, self.get_block(coord)?));
-        }
-        if let Some(row) = current_row {
-            f(row, &group)?;
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for TensorTable {
@@ -1011,6 +873,11 @@ mod tests {
         Tensor::from_fn([rows, cols], |i| ((i * 29 + salt * 13) % 19) as f32 - 9.0)
     }
 
+    /// `C = A × Bᵀ` on a serial grant.
+    fn join(a: &TensorTable, b: &TensorTable) -> Result<(TensorTable, TensorOpStats)> {
+        a.matmul_bt_parallel(b, "C", &Parallelism::serial())
+    }
+
     #[test]
     fn dense_roundtrip() {
         let t = pattern(10, 7, 1);
@@ -1024,7 +891,7 @@ mod tests {
         let t = pattern(6, 6, 2);
         let spec = BlockingSpec::square(3);
         let blocked = BlockedTensor::from_dense(&t, spec).unwrap();
-        let table = TensorTable::from_blocked(pool(16), "t", &blocked).unwrap();
+        let table = TensorTable::from_dense(pool(16), "t", &t, spec).unwrap();
         for (coord, block) in blocked.iter_blocks() {
             assert_eq!(&table.get_block(coord).unwrap(), block);
         }
@@ -1033,6 +900,8 @@ mod tests {
 
     #[test]
     fn relational_matmul_matches_dense() {
+        // `A × B` is the join against `B` stored transposed, `[n, k]`; the
+        // two relations block their shared `k` alike and their rows apart.
         let a = pattern(7, 9, 3);
         let b = pattern(9, 5, 4);
         let p = pool(32);
@@ -1048,15 +917,15 @@ mod tests {
         .unwrap();
         let bt = TensorTable::from_dense(
             p,
-            "B",
-            &b,
+            "Bt",
+            &b.transpose().unwrap(),
             BlockingSpec {
-                block_rows: 4,
-                block_cols: 2,
+                block_rows: 2,
+                block_cols: 4,
             },
         )
         .unwrap();
-        let (c, stats) = at.matmul(&bt, "C").unwrap();
+        let (c, stats) = join(&at, &bt).unwrap();
         let expect = relserve_tensor::matmul::matmul(&a, &b).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-3));
         assert!(stats.joins > 0);
@@ -1070,7 +939,7 @@ mod tests {
         let p = pool(32);
         let xt = TensorTable::from_dense(p.clone(), "X", &x, BlockingSpec::square(4)).unwrap();
         let wt = TensorTable::from_dense(p, "W", &w, BlockingSpec::square(4)).unwrap();
-        let (c, _) = xt.matmul_bt(&wt, "C").unwrap();
+        let (c, _) = join(&xt, &wt).unwrap();
         let expect = relserve_tensor::matmul::matmul_bt(&x, &w).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-3));
     }
@@ -1147,7 +1016,7 @@ mod tests {
         let xt = TensorTable::from_dense(p.clone(), "X", x, spec).unwrap();
         let plain = TensorTable::from_dense(p.clone(), "W", w, spec).unwrap();
         let packed = TensorTable::from_weights(p, "Wp", w, spec).unwrap();
-        let (expect, plain_stats) = xt.matmul_bt(&plain, "C").unwrap();
+        let (expect, plain_stats) = join(&xt, &plain).unwrap();
         let expect = expect.to_dense().unwrap();
         for threads in [1, 2, 16] {
             let grant = Parallelism::new(
@@ -1183,12 +1052,14 @@ mod tests {
         assert_eq!(packed.to_dense().unwrap(), w);
         let corner = packed.get_block(BlockCoord { row: 1, col: 2 }).unwrap();
         assert_eq!(corner, w.slice2(32, 45, 64, 70).unwrap());
-        // Its blocks are not int8 blocks, and it joins as the rhs of `A × B`.
-        assert!(packed.get_qblock(BlockCoord { row: 0, col: 0 }).is_err());
+        // Its blocks are not int8 blocks, and it joins as the rhs of `A × Wᵀ`.
         let a =
-            TensorTable::from_dense(packed.pool().clone(), "A", &pattern(7, 45, 48), spec).unwrap();
-        let (c, _) = a.matmul(&packed, "C").unwrap();
-        let expect = relserve_tensor::matmul::matmul(&pattern(7, 45, 48), &w).unwrap();
+            TensorTable::from_dense(packed.pool().clone(), "A", &pattern(7, 70, 48), spec).unwrap();
+        assert!(a
+            .matmul_bt_quant_parallel(&packed, "C", &Parallelism::serial())
+            .is_err());
+        let (c, _) = join(&a, &packed).unwrap();
+        let expect = relserve_tensor::matmul::matmul_bt(&pattern(7, 70, 48), &w).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-2));
     }
 
@@ -1214,9 +1085,8 @@ mod tests {
         let q = QuantizedTensor::quantize(&w).unwrap();
         let qt = TensorTable::from_quantized(p.clone(), "Wq", &q, spec).unwrap();
         assert_eq!(qt.to_dense().unwrap(), q.dequantize());
-        let corner = qt.get_qblock(BlockCoord { row: 4, col: 9 }).unwrap();
-        assert_eq!((corner.rows(), corner.cols()), (6, 5));
-        assert_eq!(corner.scales(), &q.scales()[64..70]);
+        let corner = qt.get_block(BlockCoord { row: 4, col: 9 }).unwrap();
+        assert_eq!(corner, q.dequantize().slice2(64, 70, 144, 149).unwrap());
         // A source that fails part-way fails the build, which gives back
         // every page it wrote.
         drop((packed, qt));
@@ -1260,7 +1130,7 @@ mod tests {
         table.index.get_mut(&coord).unwrap().cols = 5;
         assert!(matches!(table.get_block(coord), Err(Error::Codec(_))));
         table.index.get_mut(&coord).unwrap().kind = BlockKind::Int8;
-        assert!(matches!(table.get_qblock(coord), Err(Error::Codec(_))));
+        assert!(matches!(table.get_block(coord), Err(Error::Codec(_))));
     }
 
     #[test]
@@ -1297,8 +1167,8 @@ mod tests {
         let p = pool(4); // 4 frames = 256 KiB; operands are 16 KiB each + outputs
         let at = TensorTable::from_dense(p.clone(), "A", &a, BlockingSpec::square(16)).unwrap();
         let bt = TensorTable::from_dense(p.clone(), "B", &b, BlockingSpec::square(16)).unwrap();
-        let (c, _) = at.matmul(&bt, "C").unwrap();
-        let expect = relserve_tensor::matmul::matmul(&a, &b).unwrap();
+        let (c, _) = join(&at, &bt).unwrap();
+        let expect = relserve_tensor::matmul::matmul_bt(&a, &b).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-2));
         assert!(p.stats().evictions > 0);
     }
@@ -1341,12 +1211,12 @@ mod tests {
         let a = TensorTable::from_dense(p.clone(), "A", &pattern(4, 4, 1), BlockingSpec::square(2))
             .unwrap();
         let bad_shape =
-            TensorTable::from_dense(p.clone(), "B", &pattern(5, 4, 2), BlockingSpec::square(2))
+            TensorTable::from_dense(p.clone(), "B", &pattern(4, 5, 2), BlockingSpec::square(2))
                 .unwrap();
-        assert!(a.matmul(&bad_shape, "C").is_err());
+        assert!(join(&a, &bad_shape).is_err());
         let bad_blocking =
             TensorTable::from_dense(p, "B2", &pattern(4, 4, 3), BlockingSpec::square(3)).unwrap();
-        assert!(a.matmul(&bad_blocking, "C").is_err());
+        assert!(join(&a, &bad_blocking).is_err());
     }
 
     #[test]
@@ -1392,10 +1262,17 @@ mod tests {
         // get_block transparently dequantizes; blocks match the chunks of
         // the full dequantized matrix exactly (scales slice with rows).
         assert!(table.to_dense().unwrap().approx_eq(&q.dequantize(), 0.0));
-        // get_qblock hands back the raw i8 block; on an f32 table it errors.
-        let qb = table.get_qblock(BlockCoord { row: 0, col: 0 }).unwrap();
-        assert_eq!(qb.rows(), 4);
-        assert!(f32_table.get_qblock(BlockCoord { row: 0, col: 0 }).is_err());
+        let qb = table.get_block(BlockCoord { row: 0, col: 0 }).unwrap();
+        assert_eq!(qb, q.dequantize().slice2(0, 4, 0, 4).unwrap());
+        // The int8 join reads the raw i8 blocks; an f32 table has none.
+        let x = TensorTable::from_dense(pool(16), "x", &pattern(2, 7, 23), BlockingSpec::square(4))
+            .unwrap();
+        assert!(x
+            .matmul_bt_quant_parallel(&table, "C", &Parallelism::serial())
+            .is_ok());
+        assert!(x
+            .matmul_bt_quant_parallel(&f32_table, "C", &Parallelism::serial())
+            .is_err());
     }
 
     #[test]
@@ -1406,7 +1283,9 @@ mod tests {
         let xt = TensorTable::from_dense(p.clone(), "X", &x, BlockingSpec::square(4)).unwrap();
         let q = QuantizedTensor::quantize(&w).unwrap();
         let wt = TensorTable::from_quantized(p, "Wq", &q, BlockingSpec::square(4)).unwrap();
-        let (c, stats) = xt.matmul_bt_quant(&wt, "C").unwrap();
+        let (c, stats) = xt
+            .matmul_bt_quant_parallel(&wt, "C", &Parallelism::serial())
+            .unwrap();
         // The quantized join must track the f32 product of the same data to
         // within quantization error (weights snap to 127 levels per row,
         // activations to 127 levels per block row).
@@ -1433,7 +1312,9 @@ mod tests {
         let w = pattern(3, 6, 2);
         let xt = TensorTable::from_dense(p.clone(), "X", &x, BlockingSpec::square(2)).unwrap();
         let wt = TensorTable::from_dense(p, "W", &w, BlockingSpec::square(2)).unwrap();
-        assert!(xt.matmul_bt_quant(&wt, "C").is_err());
+        assert!(xt
+            .matmul_bt_quant_parallel(&wt, "C", &Parallelism::serial())
+            .is_err());
     }
 
     #[test]

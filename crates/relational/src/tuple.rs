@@ -34,24 +34,10 @@ impl Tuple {
             .ok_or_else(|| Error::UnknownColumn(format!("#{i}")))
     }
 
-    /// Consume into the value list.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Concatenate two tuples (join output).
     pub fn join(mut self, right: &Tuple) -> Tuple {
         self.values.extend(right.values.iter().cloned());
         self
-    }
-
-    /// Keep only the given columns, in the given order.
-    pub fn project(&self, indices: &[usize]) -> Result<Tuple> {
-        let mut values = Vec::with_capacity(indices.len());
-        for &i in indices {
-            values.push(self.value(i)?.clone());
-        }
-        Ok(Tuple { values })
     }
 
     /// Encoded size in bytes.
@@ -144,14 +130,6 @@ mod tests {
         let r = Tuple::new(vec![Value::Int(2), Value::Int(3)]);
         let j = l.join(&r);
         assert_eq!(j.values(), &[Value::Int(1), Value::Int(2), Value::Int(3)]);
-    }
-
-    #[test]
-    fn project_reorders() {
-        let t = Tuple::new(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
-        let p = t.project(&[2, 0]).unwrap();
-        assert_eq!(p.values(), &[Value::Int(3), Value::Int(1)]);
-        assert!(t.project(&[5]).is_err());
     }
 
     fn value_strategy() -> impl Strategy<Value = Value> {

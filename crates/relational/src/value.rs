@@ -60,27 +60,11 @@ impl Value {
         }
     }
 
-    /// Extract a text reference.
-    pub fn as_text(&self) -> Result<&str> {
-        match self {
-            Value::Text(s) => Ok(s),
-            other => Err(Error::TypeError(format!("{other:?} is not text"))),
-        }
-    }
-
     /// Extract a vector reference.
     pub fn as_vector(&self) -> Result<&[f32]> {
         match self {
             Value::Vector(v) => Ok(v),
             other => Err(Error::TypeError(format!("{other:?} is not a vector"))),
-        }
-    }
-
-    /// Extract a blob reference.
-    pub fn as_blob(&self) -> Result<&[u8]> {
-        match self {
-            Value::Blob(b) => Ok(b),
-            other => Err(Error::TypeError(format!("{other:?} is not a blob"))),
         }
     }
 

@@ -179,7 +179,7 @@ impl Connector {
     /// With an injector attached, the wire may drop the shipment —
     /// [`Error::Transient`] — after the time was paid but *before* any
     /// volume counters move, so retried shipments are never double-counted.
-    pub fn ship(&mut self, batch: &Tensor) -> Result<Tensor> {
+    fn ship(&mut self, batch: &Tensor) -> Result<Tensor> {
         let (rows, _) = batch.shape().as_matrix()?;
         let payload = self.encode(batch)?;
         let wire = self.profile.wire_time(payload.len(), rows);

@@ -59,7 +59,7 @@ impl StripeRunner for CountingRunner {
 
 /// Everything one query needs to execute inside its admitted share of the
 /// machine; see the module docs. Created by
-/// [`ThreadCoordinator::context`] / [`ThreadCoordinator::context_dedicated`]
+/// [`ThreadCoordinator::context`] / [`ThreadCoordinator::context_dedicated_with`]
 /// and threaded by value through the execution backends.
 pub struct ExecContext {
     plan: ThreadPlan,
@@ -206,14 +206,9 @@ impl ThreadCoordinator {
         ))
     }
 
-    /// An execution context for a dedicated (external) DL runtime: the
-    /// kernels may use every granted core, with no DB workers competing.
-    pub fn context_dedicated(&self, governor: MemoryGovernor) -> Result<ExecContext> {
-        self.context_dedicated_with(governor, &AdmissionPolicy::default())
-    }
-
-    /// [`ThreadCoordinator::context_dedicated`] under an explicit
-    /// [`AdmissionPolicy`].
+    /// An execution context for a dedicated (external) DL runtime, admitted
+    /// under `policy`: the kernels may use every granted core, with no DB
+    /// workers competing.
     pub fn context_dedicated_with(
         &self,
         governor: MemoryGovernor,
@@ -261,7 +256,9 @@ mod tests {
         assert!(c.granted_threads() <= c.cores());
         drop(other);
         drop(ctx);
-        let full = c.context_dedicated(gov()).unwrap();
+        let full = c
+            .context_dedicated_with(gov(), &AdmissionPolicy::default())
+            .unwrap();
         assert_eq!(full.kernel_threads(), 4);
     }
 

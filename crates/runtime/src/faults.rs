@@ -115,7 +115,7 @@ impl FaultConfig {
     /// wire and runtime, low enough that bounded retry almost always heals,
     /// high enough that the retry and degradation paths actually run.
     /// Socket faults stay off unless [`SOCK_FAULTS_ENV`] adds them.
-    pub fn ambient(seed: u64) -> Self {
+    fn ambient(seed: u64) -> Self {
         FaultConfig {
             wire_failure_rate: 0.05,
             runtime_failure_rate: 0.02,
@@ -134,7 +134,7 @@ impl FaultConfig {
 
     /// Parse [`SOCK_FAULTS_ENV`]'s value into `(tear, stall, reset,
     /// delay)` rates; `None` when the value is absent or unparsable.
-    pub fn socket_rates_from_env() -> Option<(f64, f64, f64, f64)> {
+    fn socket_rates_from_env() -> Option<(f64, f64, f64, f64)> {
         let raw = std::env::var(SOCK_FAULTS_ENV).ok()?;
         let parts: Vec<f64> = raw
             .split(',')
@@ -274,7 +274,7 @@ impl FaultInjector {
 /// One SplitMix64 step over caller-owned state — the same generator the
 /// injector uses, exposed so jitter streams (client backoff, tests) stay
 /// deterministic without sharing the injector's lock.
-pub fn splitmix64_next(state: &mut u64) -> u64 {
+fn splitmix64_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -283,7 +283,7 @@ pub fn splitmix64_next(state: &mut u64) -> u64 {
 }
 
 /// One SplitMix64 draw mapped to `[0, 1)`.
-pub fn splitmix64_f64(state: &mut u64) -> f64 {
+fn splitmix64_f64(state: &mut u64) -> f64 {
     (splitmix64_next(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 

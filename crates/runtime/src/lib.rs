@@ -15,8 +15,6 @@
 //! * [`KernelPool`] — the persistent worker pool those kernel threads live
 //!   on: long-lived threads claim stripe tasks from a shared injector, so
 //!   per-invocation thread spawn/join cost disappears from the kernel path.
-//! * [`DeviceModel`] — the producer-transfer-consumer latency estimator used
-//!   for CPU/GPU placement decisions (§3.2).
 //! * [`Connector`] — the simulated cross-system boundary (ConnectorX in the
 //!   paper): rows are genuinely serialized, shipped over a bandwidth/latency
 //!   model, and deserialized on the other side.
@@ -28,7 +26,6 @@
 
 pub mod connector;
 pub mod context;
-pub mod device;
 pub mod error;
 pub mod external;
 pub mod faults;
@@ -39,13 +36,9 @@ pub mod tuning;
 
 pub use connector::{Connector, ConnectorStats, TransferProfile};
 pub use context::{ContextStats, ExecContext};
-pub use device::{Device, DeviceKind, DeviceModel, PlacementDecision};
 pub use error::{Error, Result};
 pub use external::{ExternalRuntime, RuntimeProfile};
-pub use faults::{
-    splitmix64_f64, splitmix64_next, FaultConfig, FaultInjector, RetryPolicy, FAULT_SEED_ENV,
-    SOCK_FAULTS_ENV,
-};
+pub use faults::{FaultConfig, FaultInjector, RetryPolicy, FAULT_SEED_ENV, SOCK_FAULTS_ENV};
 pub use governor::{MemoryGovernor, Reservation};
 pub use pool::{KernelPool, PoolCounters, PoolHandle};
 pub use threads::{

@@ -256,7 +256,7 @@ impl KernelPool {
     /// first captured panic payload comes back as
     /// [`Error::KernelPanicked`], so one poisoned query surfaces a typed
     /// error instead of aborting a serving thread.
-    pub fn run_batch(
+    fn run_batch(
         &self,
         n_tasks: usize,
         task: &(dyn Fn(usize) + Sync),
@@ -311,12 +311,7 @@ impl KernelPool {
     /// [`StripeRunner`] seam (whose signature cannot carry errors):
     /// re-raises a captured task panic on the submitting thread. Callers
     /// that can propagate typed errors should use `run_batch`.
-    pub fn run_stripes_budgeted(
-        &self,
-        n_tasks: usize,
-        task: &(dyn Fn(usize) + Sync),
-        budget: usize,
-    ) {
+    fn run_stripes_budgeted(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync), budget: usize) {
         if let Err(e) = self.run_batch(n_tasks, task, budget) {
             panic!("{e}");
         }

@@ -88,7 +88,7 @@ impl Priority {
     /// The per-class default queue patience used by
     /// [`AdmissionPolicy::for_class`]: interactive queries fail fast,
     /// batch queries wait out long saturation before shedding.
-    pub fn default_queue_timeout(self) -> Duration {
+    fn default_queue_timeout(self) -> Duration {
         match self {
             Priority::Interactive => Duration::from_secs(2),
             Priority::Standard => Duration::from_secs(30),
@@ -175,19 +175,6 @@ impl AdmissionPolicy {
             priority: class,
             ..Self::default()
         }
-    }
-
-    /// This policy moved into `class`'s queue band (keeps every other knob).
-    pub fn in_class(mut self, class: Priority) -> Self {
-        self.priority = class;
-        self
-    }
-
-    /// This policy with depth-based door shedding (see
-    /// [`AdmissionPolicy::shed_queue_depth`]).
-    pub fn with_shed_depth(mut self, depth: usize) -> Self {
-        self.shed_queue_depth = Some(depth);
-        self
     }
 }
 
@@ -326,7 +313,7 @@ impl ThreadCoordinator {
     }
 
     /// A coordinator sized from the current machine.
-    pub fn from_host() -> Self {
+    fn from_host() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
@@ -520,18 +507,6 @@ impl ThreadCoordinator {
             .expect("admission ledger lock")
             .queue
             .len()
-    }
-
-    /// Queries currently waiting in the admission queue, broken down by
-    /// class (indexed by [`Priority::rank`]). SLA-driven serving layers
-    /// watch these depths to step queries down to cheaper model versions.
-    pub fn queue_depths(&self) -> [usize; 3] {
-        let state = self.admission.state.lock().expect("admission ledger lock");
-        let mut depths = [0usize; 3];
-        for (rank, _) in state.queue.iter() {
-            depths[*rank] += 1;
-        }
-        depths
     }
 
     /// Admission counters (admitted / shed / deadline-expired) across every
@@ -802,7 +777,6 @@ mod tests {
                 std::thread::yield_now();
             }
         }
-        assert_eq!(c.queue_depths(), [1, 1, 2]);
         drop(held);
         for w in waiters {
             w.join().unwrap();
@@ -833,7 +807,10 @@ mod tests {
         }
         // A batch query with depth 1 sheds instantly (2 tickets ahead)…
         let start = Instant::now();
-        let batch = AdmissionPolicy::for_class(Priority::Batch).with_shed_depth(1);
+        let batch = AdmissionPolicy {
+            shed_queue_depth: Some(1),
+            ..AdmissionPolicy::for_class(Priority::Batch)
+        };
         let err = c.admit_with(1, &batch).unwrap_err();
         assert!(matches!(err, Error::Overloaded { .. }), "{err:?}");
         assert!(
@@ -842,7 +819,10 @@ mod tests {
         );
         // …while an interactive query with the same depth knob is ahead of
         // both standard waiters, so it queues (and is admitted first).
-        let inter = AdmissionPolicy::for_class(Priority::Interactive).with_shed_depth(1);
+        let inter = AdmissionPolicy {
+            shed_queue_depth: Some(1),
+            ..AdmissionPolicy::for_class(Priority::Interactive)
+        };
         drop(held);
         let g = c.admit_with(1, &inter).unwrap();
         drop(g);

@@ -33,7 +33,7 @@ pub struct TuningReport {
 /// Enumerate the candidate plans for `coordinator`'s machine: every
 /// DB-worker count from 1 to the core count, each paired with its
 /// non-oversubscribing kernel-thread share.
-pub fn candidate_plans(coordinator: &ThreadCoordinator) -> Vec<ThreadPlan> {
+fn candidate_plans(coordinator: &ThreadCoordinator) -> Vec<ThreadPlan> {
     (1..=coordinator.cores())
         .map(|db| coordinator.plan_for(db))
         .collect()

@@ -50,7 +50,7 @@ pub fn cache_disabled_by_env() -> bool {
 
 /// Whether a [`CACHE_ENV`] value means "off" (factored out so the parsing
 /// is testable without mutating the process environment).
-pub fn cache_env_disables(value: &str) -> bool {
+fn cache_env_disables(value: &str) -> bool {
     matches!(
         value.trim().to_ascii_lowercase().as_str(),
         "off" | "0" | "false" | "disabled"

@@ -131,9 +131,6 @@ pub struct Client {
     reconnects: u64,
 }
 
-/// Former name of [`Client`], kept so existing imports keep compiling.
-pub type ServeClient = Client;
-
 impl Client {
     /// Connect to a serving frontend. The returned client fails fast: any
     /// socket error surfaces immediately, with no reconnection.
@@ -290,7 +287,7 @@ impl Client {
     }
 
     /// Send a `Health` probe without waiting; returns its id.
-    pub fn send_health(&mut self) -> Result<u64> {
+    fn send_health(&mut self) -> Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
         let payload = wire::encode_request(&Request::Health { id })?;

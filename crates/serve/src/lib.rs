@@ -28,8 +28,8 @@ pub mod wire;
 
 pub use cache::{cache_disabled_by_env, CacheConfig, CacheTolerance, CACHE_ENV};
 pub use client::{
-    retry_policy_from_env, Client, HealthReport, ServeClient, CLIENT_BACKOFF_MS_ENV,
-    CLIENT_JITTER_ENV, CLIENT_RETRIES_ENV,
+    retry_policy_from_env, Client, HealthReport, CLIENT_BACKOFF_MS_ENV, CLIENT_JITTER_ENV,
+    CLIENT_RETRIES_ENV,
 };
 pub use error::{Error, Result};
 pub use server::{DrainReport, ServeConfig, ServeConfigBuilder, Server, ServerHandle};

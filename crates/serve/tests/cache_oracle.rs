@@ -17,6 +17,7 @@ use relserve_runtime::{Priority, TransferProfile};
 use relserve_serve::wire::Response;
 use relserve_serve::{CacheConfig, CacheTolerance, Client, ServeConfig, Server, ServerHandle};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const MODEL: &str = "Fraud-FC-256";
 const WIDTH: usize = 28;
@@ -138,9 +139,23 @@ proptest! {
     }
 }
 
+/// The server's `serve.cache.insertions` counter.
+fn cache_insertions(client: &mut Client) -> u64 {
+    client
+        .stats()
+        .unwrap()
+        .into_iter()
+        .find(|(name, _)| name == "serve.cache.insertions")
+        .map_or(0, |(_, value)| value)
+}
+
 /// Under exact tolerance every repeated request is a cache hit, observable
 /// on the wire via the `cached` flag — unless `RELSERVE_CACHE=off`, in
 /// which case the flag must *never* be set (the kill switch truly kills).
+///
+/// The batcher writes a response before it admits the result to the cache,
+/// so the repeats wait until the server reports the first insertion; after
+/// that, every one of them must be a hit.
 #[test]
 fn cached_flag_tracks_kill_switch() {
     let server = spawn(CacheConfig {
@@ -150,22 +165,35 @@ fn cached_flag_tracks_kill_switch() {
     });
     let mut client = Client::connect(server.addr()).unwrap();
     let data = pool_row(0, 7);
-    let mut cached_seen = 0u32;
-    for _ in 0..6 {
-        match client
-            .infer(MODEL, Priority::Interactive, None, 1, WIDTH, data.clone())
-            .unwrap()
-        {
-            Response::Infer { cached, .. } => cached_seen += u32::from(cached),
-            other => panic!("unexpected response {other:?}"),
+    let infer = |client: &mut Client| match client
+        .infer(MODEL, Priority::Interactive, None, 1, WIDTH, data.clone())
+        .unwrap()
+    {
+        Response::Infer { cached, .. } => cached,
+        other => panic!("unexpected response {other:?}"),
+    };
+    let first = infer(&mut client);
+    let disabled = relserve_serve::cache_disabled_by_env();
+    if !disabled {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cache_insertions(&mut client) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the first result was never admitted to the cache"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
-    if relserve_serve::cache_disabled_by_env() {
-        assert_eq!(cached_seen, 0, "kill switch must suppress every cache hit");
-    } else {
+    let repeats_cached = (0..5).filter(|_| infer(&mut client)).count();
+    if disabled {
         assert!(
-            cached_seen >= 4,
-            "expected repeats to hit the cache, saw {cached_seen}/6"
+            !first && repeats_cached == 0,
+            "kill switch must suppress every cache hit"
+        );
+    } else {
+        assert_eq!(
+            repeats_cached, 5,
+            "every repeat after the first insertion must hit the cache"
         );
     }
     server.shutdown();

@@ -77,14 +77,6 @@ impl Catalog {
             .ok_or_else(|| Error::ObjectNotFound(name.to_string()))
     }
 
-    /// Remove an object.
-    pub fn drop_object(&self, name: &str) -> Result<StoredObject> {
-        self.objects
-            .write()
-            .remove(name)
-            .ok_or_else(|| Error::ObjectNotFound(name.to_string()))
-    }
-
     /// Whether `name` exists.
     pub fn contains(&self, name: &str) -> bool {
         self.objects.read().contains_key(name)
@@ -140,15 +132,6 @@ mod tests {
         c.create("t", table(1)).unwrap();
         c.update("t", table(99)).unwrap();
         assert_eq!(c.get("t").unwrap().cardinality, 99);
-    }
-
-    #[test]
-    fn drop_removes() {
-        let c = Catalog::new();
-        c.create("t", table(1)).unwrap();
-        c.drop_object("t").unwrap();
-        assert!(!c.contains("t"));
-        assert!(c.drop_object("t").is_err());
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Page {
     }
 
     /// Bytes available for one more tuple (including its slot entry).
-    pub fn free_space(&self) -> usize {
+    fn free_space(&self) -> usize {
         let slots_end = HEADER + self.slot_count() as usize * SLOT;
         (self.free_ptr() as usize).saturating_sub(slots_end)
     }
@@ -195,11 +195,6 @@ impl Page {
         (0..self.slot_count())
             .filter(|&i| self.slot(i).1 > 0)
             .count()
-    }
-
-    /// Total slots, live or deleted.
-    pub fn num_slots(&self) -> u32 {
-        self.slot_count()
     }
 
     /// Insert a tuple; returns its slot index.
@@ -310,7 +305,7 @@ mod tests {
         assert!(p.tuple(s0).is_err());
         assert_eq!(p.tuple(s1).unwrap(), b"b");
         assert_eq!(p.live_tuples(), 1);
-        assert_eq!(p.num_slots(), 2);
+        assert_eq!(p.slot_count(), 2);
         // Double delete fails.
         assert!(p.delete_tuple(s0).is_err());
     }

@@ -159,7 +159,7 @@ impl BlockedTensor {
     }
 
     /// Expected dimensions of the block at `coord` (edge blocks are smaller).
-    pub fn block_dims(&self, coord: BlockCoord) -> (usize, usize) {
+    fn block_dims(&self, coord: BlockCoord) -> (usize, usize) {
         let r0 = coord.row * self.spec.block_rows;
         let c0 = coord.col * self.spec.block_cols;
         (
@@ -193,11 +193,6 @@ impl BlockedTensor {
     /// Iterate blocks in `(row, col)` order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockCoord, &Tensor)> {
         self.blocks.iter().map(|(c, t)| (*c, t))
-    }
-
-    /// Consume into the block list, `(row, col)` ordered.
-    pub fn into_blocks(self) -> Vec<(BlockCoord, Tensor)> {
-        self.blocks.into_iter().collect()
     }
 
     /// Payload bytes across all materialized blocks.
@@ -271,14 +266,6 @@ impl BlockedTensor {
             out.insert_block(coord, block)?;
         }
         Ok(out)
-    }
-
-    /// Apply a function to every materialized block in place (e.g. relu in
-    /// the relation-centric pipeline).
-    pub fn map_blocks_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for block in self.blocks.values_mut() {
-            crate::ops::map_inplace(block, &f);
-        }
     }
 }
 
@@ -392,15 +379,6 @@ mod tests {
         let b = BlockedTensor::from_dense(&t, BlockingSpec::square(4)).unwrap();
         assert_eq!(b.max_block_bytes(), 4 * 4 * crate::ELEM_BYTES);
         assert_eq!(b.num_bytes(), t.num_bytes());
-    }
-
-    #[test]
-    fn map_blocks_matches_dense_map() {
-        let t = pattern(5, 5, 9);
-        let mut b = BlockedTensor::from_dense(&t, BlockingSpec::square(2)).unwrap();
-        b.map_blocks_inplace(|x| x.max(0.0));
-        let expect = crate::ops::relu(&t);
-        assert!(b.to_dense().unwrap().approx_eq(&expect, 1e-6));
     }
 
     proptest! {

@@ -78,7 +78,7 @@ impl Conv2dSpec {
     }
 
     /// Validate a kernel tensor against this spec.
-    pub fn check_kernel(&self, kernel: &Tensor) -> Result<()> {
+    fn check_kernel(&self, kernel: &Tensor) -> Result<()> {
         let want = [self.out_channels, self.kh, self.kw, self.in_channels];
         if kernel.shape().dims() != want {
             return Err(Error::ShapeMismatch {

@@ -98,11 +98,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor and return its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a flat (row-major) index.
     pub fn at(&self, flat: usize) -> Result<f32> {
         self.data.get(flat).copied().ok_or(Error::IndexOutOfBounds {

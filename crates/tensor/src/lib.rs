@@ -10,8 +10,6 @@
 //!   tensor blocks*, the relation-centric data model: each block is addressed
 //!   by a `(row_block, col_block)` coordinate and can live in a relational
 //!   table, spill to disk through the buffer pool, or be joined/aggregated.
-//! * [`sparse::CsrMatrix`] — compressed-sparse-row matrices for the
-//!   extreme-classification inputs (Amazon-14k rows are ~0.5 % dense).
 //! * [`simd`] — the ISA dispatch seam: scalar / AVX2+FMA / AVX-512
 //!   micro-kernels and vectorized elementwise kernels, selected once per
 //!   process (overridable via `RELSERVE_ISA`).
@@ -32,7 +30,6 @@ pub mod parallel;
 pub mod quant;
 pub mod shape;
 pub mod simd;
-pub mod sparse;
 
 pub use blocked::{BlockCoord, BlockedTensor, BlockingSpec};
 pub use conv::{im2col, spatial_rewrite_1x1, Conv2dSpec};
@@ -41,7 +38,6 @@ pub use error::{Error, Result};
 pub use quant::{QuantEpilogue, QuantizedActivations, QuantizedTensor};
 pub use shape::Shape;
 pub use simd::Isa;
-pub use sparse::CsrMatrix;
 
 /// Size of one `f32` element in bytes; used by memory estimators everywhere.
 pub const ELEM_BYTES: usize = std::mem::size_of::<f32>();

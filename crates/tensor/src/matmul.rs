@@ -32,14 +32,10 @@
 //! same driver on the panels", so the two routes cannot differ by a bit;
 //! they are for a `B` that is not a constant.
 //!
-//! Transposed-operand entry points avoid materializing transposes by packing
-//! straight out of the stored layout:
-//!
-//! * [`matmul_bt`] / [`matmul_bt_parallel`] — `A × Bᵀ` with `B` stored
-//!   `[n, k]`, the natural layout for `X × Wᵀ` inference (weights are stored
-//!   `[out_features, in_features]`).
-//! * [`matmul_at`] — `Aᵀ × B` with `A` stored `[k, m]`, the natural layout
-//!   for weight-gradient products `δᵀ × X` in training.
+//! [`matmul_bt`] / [`matmul_bt_parallel`] — `A × Bᵀ` with `B` stored
+//! `[n, k]`, the natural layout for `X × Wᵀ` inference (weights are stored
+//! `[out_features, in_features]`) — pack `B` straight out of that layout, so
+//! no transpose is ever materialized.
 
 use crate::dense::Tensor;
 use crate::error::{Error, Result};
@@ -120,9 +116,8 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec([m, n], c)
 }
 
-/// A logical `rows × cols` matrix view over row-major storage that may hold
-/// the data transposed; packing routines read through it so the kernels never
-/// materialize a transpose.
+/// A logical `B` over row-major storage that may hold the data transposed;
+/// [`pack_b`] reads through it so the kernels never materialize a transpose.
 #[derive(Clone, Copy)]
 struct View<'a> {
     data: &'a [f32],
@@ -199,24 +194,16 @@ fn pack_b(b: &View<'_>, k: usize, n: usize, nr: usize, out: &mut [f32]) {
     }
 }
 
-/// Pack rows `i0 .. i0+rows` of logical `A[m,k]`, k-range `p0..p1`, into an
-/// interleaved `[p][mr]` micro-panel of the kernel's tile height `mr` (rows
-/// past `rows` zero-padded).
-fn pack_a(a: &View<'_>, i0: usize, rows: usize, p0: usize, p1: usize, mr: usize, out: &mut [f32]) {
+/// Pack the first `rows` rows of row-major `a` (rows `k` apart), k-range
+/// `p0..p1`, into an interleaved `[p][mr]` micro-panel of the kernel's tile
+/// height `mr` (rows past `rows` zero-padded).
+fn pack_a(a: &[f32], k: usize, rows: usize, p0: usize, p1: usize, mr: usize, out: &mut [f32]) {
     let kc = p1 - p0;
     out[..kc * mr].fill(0.0);
-    if a.trans {
-        // Stored [k, m]: each stored row p holds one k-slice across all rows.
-        for (pi, p) in (p0..p1).enumerate() {
-            let slice = &a.data[p * a.ld + i0..p * a.ld + i0 + rows];
-            out[pi * mr..pi * mr + rows].copy_from_slice(slice);
-        }
-    } else {
-        for r in 0..rows {
-            let row = &a.data[(i0 + r) * a.ld..];
-            for pi in 0..kc {
-                out[pi * mr + r] = row[p0 + pi];
-            }
+    for r in 0..rows {
+        let row = &a[r * k..];
+        for pi in 0..kc {
+            out[pi * mr + r] = row[p0 + pi];
         }
     }
 }
@@ -303,9 +290,9 @@ impl Epilogue<'_> {
     }
 }
 
-/// Compute rows `i0..i1` of `C += A × B` from pre-packed `B` panels using
-/// `kern`'s micro-kernel and tile geometry, finishing each element with
-/// `epilogue` as the last k-block stores it.
+/// Compute rows `i0..i1` of `C += A × B` (`A` row-major `[m, k]`) from
+/// pre-packed `B` panels using `kern`'s micro-kernel and tile geometry,
+/// finishing each element with `epilogue` as the last k-block stores it.
 ///
 /// Loop order is `(k-block, pack A tiles, panel, tile)`: within one k-block
 /// every A micro-panel is packed once, then each B panel (≈`nr·kc` floats,
@@ -316,7 +303,7 @@ impl Epilogue<'_> {
 #[allow(clippy::too_many_arguments)] // a stripe is (kernel, A, packed B, C-slice, row range, k, n, epilogue)
 fn tiled_stripe(
     kern: &MatmulKernel,
-    a: &View<'_>,
+    a: &[f32],
     bpack: &[f32],
     cd: &mut [f32],
     i0: usize,
@@ -347,8 +334,8 @@ fn tiled_stripe(
                 let i = i0 + t * mr;
                 let rows = mr.min(i1 - i);
                 pack_a(
-                    a,
-                    i,
+                    &a[i * k..],
+                    k,
                     rows,
                     p0,
                     p1,
@@ -383,7 +370,7 @@ fn tiled_stripe(
 #[allow(clippy::too_many_arguments)] // (kernel, A, packed B, m, k, n, grant, epilogue)
 fn run_packed(
     kern: &MatmulKernel,
-    a: View<'_>,
+    a: &[f32],
     bpack: &[f32],
     m: usize,
     k: usize,
@@ -397,13 +384,13 @@ fn run_packed(
     }
     let threads = stripe_count(par.threads(), m, k, n);
     if threads == 1 {
-        tiled_stripe(kern, &a, bpack, &mut c, 0, m, k, n, epilogue);
+        tiled_stripe(kern, a, bpack, &mut c, 0, m, k, n, epilogue);
         return c;
     }
     let stripes = row_stripes(&mut c, m, n, threads, kern.mr);
     par.run_owned(stripes, |(row0, stripe)| {
         let rows = stripe.len() / n;
-        tiled_stripe(kern, &a, bpack, stripe, row0, row0 + rows, k, n, epilogue);
+        tiled_stripe(kern, a, bpack, stripe, row0, row0 + rows, k, n, epilogue);
     });
     c
 }
@@ -411,7 +398,7 @@ fn run_packed(
 /// Pack-per-call: pack `B` into this thread's scratch, then [`run_packed`].
 fn matmul_packed(
     kern: &MatmulKernel,
-    a: View<'_>,
+    a: &[f32],
     b: View<'_>,
     m: usize,
     k: usize,
@@ -563,8 +550,7 @@ pub fn matmul_prepacked(
         }
         c
     } else {
-        let a = View::plain(a.data(), k);
-        run_packed(kern, a, b.panels, m, k, n, par, epilogue)
+        run_packed(kern, a.data(), b.panels, m, k, n, par, epilogue)
     };
     Tensor::from_vec([m, n], c)
 }
@@ -606,7 +592,7 @@ pub fn matmul_with_isa(a: &Tensor, b: &Tensor, isa: Isa) -> Result<Tensor> {
     let (m, k, n) = matrix_dims(a, b, "matmul_with_isa")?;
     let c = matmul_packed(
         kern,
-        View::plain(a.data(), k),
+        a.data(),
         View::plain(b.data(), n),
         m,
         k,
@@ -624,15 +610,7 @@ pub fn matmul_with_isa(a: &Tensor, b: &Tensor, isa: Isa) -> Result<Tensor> {
 pub fn matmul_parallel(a: &Tensor, b: &Tensor, par: &Parallelism) -> Result<Tensor> {
     let kern = &simd::try_kernels()?.matmul;
     let (m, k, n) = matrix_dims(a, b, "matmul_parallel")?;
-    let c = matmul_packed(
-        kern,
-        View::plain(a.data(), k),
-        View::plain(b.data(), n),
-        m,
-        k,
-        n,
-        par,
-    );
+    let c = matmul_packed(kern, a.data(), View::plain(b.data(), n), m, k, n, par);
     Tensor::from_vec([m, n], c)
 }
 
@@ -658,7 +636,7 @@ pub fn matmul_bt_with_isa(a: &Tensor, b: &Tensor, isa: Isa) -> Result<Tensor> {
     }
     let c = matmul_packed(
         kern,
-        View::plain(a.data(), k1),
+        a.data(),
         View::transposed(b.data(), k1),
         m,
         k1,
@@ -691,47 +669,7 @@ pub fn matmul_bt_parallel(a: &Tensor, b: &Tensor, par: &Parallelism) -> Result<T
         return Tensor::from_vec([m, n], c);
     }
     let kern = &simd::try_kernels()?.matmul;
-    let c = matmul_packed(
-        kern,
-        View::plain(a.data(), k),
-        View::transposed(b.data(), k),
-        m,
-        k,
-        n,
-        par,
-    );
-    Tensor::from_vec([m, n], c)
-}
-
-/// `Aᵀ × B` where `A` is stored `[k, m]` — the training-gradient layout
-/// (`δᵀ × X` with activations stored batch-major). Packs `A` micro-panels
-/// straight from the `[k, m]` storage instead of materializing `Aᵀ`.
-pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_at_parallel(a, b, &Parallelism::serial())
-}
-
-/// Multi-threaded `Aᵀ × B` with `A` stored `[k, m]`.
-pub fn matmul_at_parallel(a: &Tensor, b: &Tensor, par: &Parallelism) -> Result<Tensor> {
-    let (k1, m) = a.shape().as_matrix()?;
-    let (k2, n) = b.shape().as_matrix()?;
-    if k1 != k2 {
-        return Err(Error::ShapeMismatch {
-            op: "matmul_at",
-            lhs: a.shape().dims().to_vec(),
-            rhs: b.shape().dims().to_vec(),
-        });
-    }
-    let k = k1;
-    let kern = &simd::try_kernels()?.matmul;
-    let c = matmul_packed(
-        kern,
-        View::transposed(a.data(), m),
-        View::plain(b.data(), n),
-        m,
-        k,
-        n,
-        par,
-    );
+    let c = matmul_packed(kern, a.data(), View::transposed(b.data(), k), m, k, n, par);
     Tensor::from_vec([m, n], c)
 }
 
@@ -787,15 +725,6 @@ mod tests {
         let expect = matmul_naive(&a, &w.transpose().unwrap()).unwrap();
         let got = matmul_bt(&a, &w).unwrap();
         assert!(expect.approx_eq(&got, 1e-3));
-    }
-
-    #[test]
-    fn matmul_at_equals_explicit_transpose() {
-        let a = Tensor::from_fn([6, 5], |i| (i % 11) as f32 * 0.5 - 2.0);
-        let b = Tensor::from_fn([6, 7], |i| (i % 13) as f32 * 0.25 - 1.0);
-        let expect = matmul_naive(&a.transpose().unwrap(), &b).unwrap();
-        let got = matmul_at(&a, &b).unwrap();
-        assert!(expect.approx_eq(&got, 1e-4));
     }
 
     #[test]
@@ -877,15 +806,14 @@ mod tests {
                     let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
                     let per_call = matmul_packed(
                         kern,
-                        View::plain(a.data(), k),
+                        a.data(),
                         View::transposed(w.data(), k),
                         m,
                         k,
                         n,
                         &grant,
                     );
-                    let a = View::plain(a.data(), k);
-                    let pre = run_packed(kern, a, &panels, m, k, n, &grant, Epilogue::None);
+                    let pre = run_packed(kern, a.data(), &panels, m, k, n, &grant, Epilogue::None);
                     assert!(per_call == pre, "{isa} {m}x{k}x{n} threads={threads}");
                 }
             }
@@ -1064,13 +992,6 @@ mod tests {
         fn parallel_matches_naive(a in tensor_strategy(7, 4), b in tensor_strategy(4, 9)) {
             let fast = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
             let slow = matmul_naive(&a, &b).unwrap();
-            prop_assert!(fast.approx_eq(&slow, 1e-3));
-        }
-
-        #[test]
-        fn at_matches_naive(a in tensor_strategy(6, 5), b in tensor_strategy(6, 4)) {
-            let fast = matmul_at(&a, &b).unwrap();
-            let slow = matmul_naive(&a.transpose().unwrap(), &b).unwrap();
             prop_assert!(fast.approx_eq(&slow, 1e-3));
         }
 

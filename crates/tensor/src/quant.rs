@@ -62,7 +62,7 @@ pub const ACT_QMAX: u8 = 127;
 
 /// Maximum weight magnitude level (symmetric i8, `-127..=127`; -128 unused
 /// to keep the range symmetric).
-pub const WEIGHT_QMAX: i8 = 127;
+const WEIGHT_QMAX: i8 = 127;
 
 /// An i8 matrix with per-row symmetric scales — the storage form of a
 /// quantized weight tensor `[out_features, in_features]`, where each output

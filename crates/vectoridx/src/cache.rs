@@ -114,62 +114,6 @@ pub enum CacheLookup {
     Miss,
 }
 
-/// An **exact** inference-result cache keyed on the bit pattern of the
-/// feature vector — the §5.1 alternative "to use the exact inference result
-/// caching leveraging the hashing indexing". Zero accuracy loss, but only
-/// byte-identical repeat requests hit.
-#[derive(Debug, Default)]
-pub struct ExactResultCache {
-    entries: std::collections::HashMap<Vec<u32>, Vec<f32>>,
-    stats: CacheStats,
-}
-
-impl ExactResultCache {
-    /// An empty exact cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn key(features: &[f32]) -> Vec<u32> {
-        features.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Insert a `(features → prediction)` pair (replaces any previous value).
-    pub fn insert(&mut self, features: &[f32], prediction: Vec<f32>) {
-        self.entries.insert(Self::key(features), prediction);
-        self.stats.insertions += 1;
-    }
-
-    /// Look up a bit-exact match.
-    pub fn lookup(&mut self, features: &[f32]) -> Option<&[f32]> {
-        match self.entries.get(&Self::key(features)) {
-            Some(hit) => {
-                self.stats.hits += 1;
-                Some(hit.as_slice())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-}
-
 /// One cached `(key → prediction)` pair plus its bookkeeping.
 struct Entry {
     key: Vec<f32>,
@@ -253,7 +197,7 @@ impl InferenceResultCache {
     /// Cap the cache at `max_entries` live entries and/or `max_bytes`
     /// accounted bytes; inserts past a cap evict the least-recently-used
     /// entries first. Shrinking a cap evicts immediately.
-    pub fn set_capacity(&mut self, max_entries: Option<usize>, max_bytes: Option<usize>) {
+    fn set_capacity(&mut self, max_entries: Option<usize>, max_bytes: Option<usize>) {
         self.max_entries = max_entries;
         self.max_bytes = max_bytes;
         if let Some(cap) = max_entries {
@@ -468,7 +412,7 @@ impl InferenceResultCache {
     /// Evict least-recently-used entries until at least `bytes` of
     /// accounted memory have been reclaimed (or the cache is empty);
     /// returns the bytes actually freed.
-    pub fn evict_to_free(&mut self, bytes: usize) -> usize {
+    fn evict_to_free(&mut self, bytes: usize) -> usize {
         let mut freed = 0usize;
         while freed < bytes && self.live > 0 {
             // Evict in chunks so one deep deficit doesn't re-sort per entry.
@@ -507,7 +451,7 @@ impl InferenceResultCache {
 
     /// Iterate the live `(key, prediction)` pairs (insertion order, with
     /// evicted entries skipped).
-    pub fn iter_live(&self) -> impl Iterator<Item = (&[f32], &[f32])> {
+    fn iter_live(&self) -> impl Iterator<Item = (&[f32], &[f32])> {
         self.entries
             .iter()
             .filter(|e| e.live)
@@ -792,36 +736,6 @@ mod tests {
         let bound = cache.estimate_error_bound(10, 0.01, |_| vec![1.0]).unwrap();
         assert_eq!(bound.error_rate, 1.0);
         assert_eq!(bound.samples, 0);
-    }
-
-    #[test]
-    fn exact_cache_hits_only_identical_keys() {
-        let mut cache = ExactResultCache::new();
-        cache.insert(&[1.0, 2.0], vec![0.9]);
-        assert_eq!(cache.lookup(&[1.0, 2.0]), Some(&[0.9f32][..]));
-        // Even a 1-ulp difference misses — exactness is the contract.
-        assert!(cache.lookup(&[1.0 + f32::EPSILON, 2.0]).is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
-    }
-
-    #[test]
-    fn exact_cache_negative_zero_is_distinct() {
-        // Bit-pattern keying: -0.0 and 0.0 are different requests. Documented
-        // behaviour (the approximate cache treats them as distance 0 instead).
-        let mut cache = ExactResultCache::new();
-        cache.insert(&[0.0], vec![1.0]);
-        assert!(cache.lookup(&[-0.0]).is_none());
-        assert!(cache.lookup(&[0.0]).is_some());
-    }
-
-    #[test]
-    fn exact_cache_replaces_on_reinsert() {
-        let mut cache = ExactResultCache::new();
-        cache.insert(&[3.0], vec![0.1]);
-        cache.insert(&[3.0], vec![0.2]);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&[3.0]), Some(&[0.2f32][..]));
     }
 
     #[test]

@@ -18,9 +18,7 @@ pub mod error;
 pub mod flat;
 pub mod hnsw;
 
-pub use cache::{
-    CacheLookup, CacheStats, ErrorBoundEstimate, ExactResultCache, InferenceResultCache,
-};
+pub use cache::{CacheLookup, CacheStats, ErrorBoundEstimate, InferenceResultCache};
 pub use error::{Error, Result};
 pub use flat::FlatIndex;
 pub use hnsw::{HnswIndex, HnswParams};

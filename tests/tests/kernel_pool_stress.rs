@@ -79,7 +79,9 @@ fn pooled_relational_matmul_bt_matches_serial_across_thread_counts() {
     let bp = bufpool();
     let xt = TensorTable::from_dense(bp.clone(), "X", &x, BlockingSpec::square(8)).unwrap();
     let wt = TensorTable::from_dense(bp, "W", &w, BlockingSpec::square(8)).unwrap();
-    let (serial, serial_stats) = xt.matmul_bt(&wt, "C0").unwrap();
+    let (serial, serial_stats) = xt
+        .matmul_bt_parallel(&wt, "C0", &Parallelism::serial())
+        .unwrap();
     let serial = serial.to_dense().unwrap();
     for &t in &THREADS {
         let (out, stats) = xt
@@ -158,7 +160,7 @@ proptest! {
         let bp = bufpool();
         let xt = TensorTable::from_dense(bp.clone(), "X", &x, BlockingSpec::square(block)).unwrap();
         let wt = TensorTable::from_dense(bp, "W", &w, BlockingSpec::square(block)).unwrap();
-        let (serial, _) = xt.matmul_bt(&wt, "S").unwrap();
+        let (serial, _) = xt.matmul_bt_parallel(&wt, "S", &Parallelism::serial()).unwrap();
         let (out, _) = xt.matmul_bt_parallel(&wt, "P", &par(THREADS[t_idx])).unwrap();
         prop_assert!(
             serial.to_dense().unwrap().approx_eq(&out.to_dense().unwrap(), 1e-4)

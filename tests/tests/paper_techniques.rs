@@ -198,9 +198,13 @@ fn relational_tensor_pipeline_through_tiny_pool() {
     let xt = relserve_relational::TensorTable::from_dense(p.clone(), "x", &x, spec).unwrap();
     let w1t = relserve_relational::TensorTable::from_dense(p.clone(), "w1", &w1, spec).unwrap();
     let w2t = relserve_relational::TensorTable::from_dense(p.clone(), "w2", &w2, spec).unwrap();
-    let (h, _) = xt.matmul_bt(&w1t, "h").unwrap();
+    let (h, _) = xt
+        .matmul_bt_parallel(&w1t, "h", &Parallelism::serial())
+        .unwrap();
     let h = h.map("h.relu", |v| v.max(0.0)).unwrap();
-    let (y, _) = h.matmul_bt(&w2t, "y").unwrap();
+    let (y, _) = h
+        .matmul_bt_parallel(&w2t, "y", &Parallelism::serial())
+        .unwrap();
     // Oracle on dense tensors.
     let expect = {
         let h = relserve_tensor::ops::relu(&relserve_tensor::matmul::matmul_bt(&x, &w1).unwrap());

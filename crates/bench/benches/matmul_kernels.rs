@@ -6,6 +6,7 @@ use relserve_relational::TensorTable;
 use relserve_runtime::KernelPool;
 use relserve_storage::{BufferPool, DiskManager};
 use relserve_tensor::matmul as mm;
+use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{BlockingSpec, Tensor};
 use std::sync::Arc;
 
@@ -30,13 +31,13 @@ fn bench_dense(c: &mut Criterion) {
     let a = pattern(n, n, 1);
     let b = pattern(n, n, 2);
     group.bench_function(BenchmarkId::new("tiled_serial", n), |bench| {
-        bench.iter(|| mm::matmul(&a, &b).unwrap())
+        bench.iter(|| mm::matmul_parallel(&a, &b, &Parallelism::serial()).unwrap())
     });
     group.bench_function(BenchmarkId::new("tiled_pooled", threads), |bench| {
         bench.iter(|| mm::matmul_parallel(&a, &b, &par).unwrap())
     });
     group.bench_function(BenchmarkId::new("bt_packed", n), |bench| {
-        bench.iter(|| mm::matmul_bt(&a, &b).unwrap())
+        bench.iter(|| mm::matmul_bt_parallel(&a, &b, &Parallelism::serial()).unwrap())
     });
     group.finish();
 }

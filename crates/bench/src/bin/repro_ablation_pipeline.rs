@@ -16,7 +16,7 @@ use relserve_bench::report::{timed, Cell, ResultTable};
 use relserve_bench::workloads;
 use relserve_core::exec::relation_centric::WeightRelations;
 use relserve_core::exec::{self, pipelined};
-use relserve_core::Representation;
+use relserve_core::{InferencePlan, Representation};
 use relserve_nn::init::seeded_rng;
 use relserve_nn::zoo;
 use relserve_runtime::{ExecContext, MemoryGovernor};
@@ -40,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let governor = MemoryGovernor::unlimited("udf");
         let ctx = ExecContext::standalone(2, governor.clone());
-        let reps = vec![Representation::UdfCentric; model.layers().len()];
+        let plan = InferencePlan::uniform(&model, batch, Representation::UdfCentric)?;
         let pool = BufferPool::new(Arc::new(DiskManager::temp()?), 16);
         let weights = WeightRelations::new(Arc::new(pool), 64);
-        let (res, elapsed) = timed(|| exec::run(&model, &x, &reps, &weights, &ctx));
+        let (res, elapsed) = timed(|| exec::run(&model, &x, &plan, &weights, &ctx));
         res?;
         table.row(
             "whole-batch UDF",

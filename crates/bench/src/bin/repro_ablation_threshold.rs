@@ -1,6 +1,6 @@
 //! Ablation A1: sweep the §7.1 memory-limit threshold and watch the
-//! optimizer shift operators between UDF-centric and relation-centric —
-//! and what that does to latency.
+//! optimizer shift layers between UDF-centric and relation-centric — and
+//! what that does to latency.
 //!
 //! ```sh
 //! cargo run --release -p relserve-bench --bin repro_ablation_threshold
@@ -22,15 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // "load" stores each dense layer's weights as the blocks of its weight
     // relation; "cold" is a fresh session's first query, which reads its
-    // relation-centric operators' relations into an empty pool and packs the
+    // relation-centric layers' relations into an empty pool and packs the
     // weights of its dense ones; "warm" is the median of WARM_QUERIES repeats
     // on the same session (one query is too few to tell two thresholds apart
     // on a shared host).
     const WARM_QUERIES: usize = 9;
     let mut table = ResultTable::new(&[
         "threshold",
-        "relational ops",
-        "udf ops",
+        "relational layers",
+        "udf layers",
         "load",
         "latency (cold)",
         "latency (warm)",
@@ -78,10 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{}", table.render());
     println!(
-        "expected shape: raising the threshold monotonically moves operators from\n\
+        "expected shape: raising the threshold monotonically moves layers from\n\
          relation-centric to UDF-centric. Chunking the weights into relations\n\
          happens in `load`, whatever the threshold; cold latency adds an empty\n\
-         pool and packing for the dense operators, which a warm session no longer\n\
+         pool and packing for the dense layers, which a warm session no longer\n\
          pays (warm = median of 9 queries)."
     );
     Ok(())

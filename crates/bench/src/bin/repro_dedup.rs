@@ -14,6 +14,7 @@ use relserve_bench::config::scaling_banner;
 use relserve_bench::report::{Cell, ResultTable};
 use relserve_bench::workloads;
 use relserve_core::dedup::{dedup_blocks, error_bound};
+use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{matmul, BlockedTensor, BlockingSpec, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let x = workloads::feature_batch(32, side, 18);
-    let exact = matmul::matmul(&x, &weight.to_dense()?)?;
+    let exact = matmul::matmul_parallel(&x, &weight.to_dense()?, &Parallelism::serial())?;
 
     let mut table = ResultTable::new(&[
         "tolerance",
@@ -53,7 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for tol in [0.0f32, 1e-5, 1e-4, 1e-3, 1e-2] {
         let (deduped, stats) = dedup_blocks(&weight, tol)?;
-        let approx = matmul::matmul(&x, &deduped.to_blocked()?.to_dense()?)?;
+        let approx = matmul::matmul_parallel(
+            &x,
+            &deduped.to_blocked()?.to_dense()?,
+            &Parallelism::serial(),
+        )?;
         let dev = exact.max_abs_diff(&approx)?;
         table.row(
             &format!("{tol:.0e}"),

@@ -22,6 +22,7 @@ use relserve_relational::TensorTable;
 use relserve_runtime::KernelPool;
 use relserve_storage::{BufferPool, DiskManager};
 use relserve_tensor::matmul::{self as mm, Epilogue};
+use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantizedTensor};
 use relserve_tensor::simd::{self, Isa};
 use relserve_tensor::{BlockingSpec, Tensor};
@@ -148,10 +149,10 @@ fn main() {
         });
     }
 
-    // The auto-dispatched paths: what `matmul` / `matmul_parallel` actually
-    // run, labeled with the micro-kernel the seam selected.
+    // The auto-dispatched paths: what `matmul_parallel` actually runs,
+    // labeled with the micro-kernel the seam selected.
     let tiled_secs = best_secs(reps, || {
-        out = Some(mm::matmul(&a, &b).unwrap());
+        out = Some(mm::matmul_parallel(&a, &b, &Parallelism::serial()).unwrap());
     });
     rows.push(KernelRow {
         name: format!("tiled_auto[{}]", selected.matmul.name),
@@ -178,7 +179,7 @@ fn main() {
     // `W` inside every call, as every dense layer did before its weights
     // were prepared; `f32_pre` multiplies from panels packed once, which is
     // what `Model::forward_layer` runs. Same driver, same bits.
-    let serial = relserve_tensor::parallel::Parallelism::serial();
+    let serial = Parallelism::serial();
     let nr = mm::panel_width().unwrap();
     let mut panels = Vec::new();
     mm::pack_bt(b.data(), n, n, n, nr, &mut panels);

@@ -1,5 +1,5 @@
 //! Reproduce Tables 1–2: the model inventory, with parameter counts and the
-//! §7.1 memory estimate of each model's largest operator.
+//! §7.1 memory estimate of the largest layer in each model's plan.
 //!
 //! ```sh
 //! cargo run --release -p relserve-bench --bin repro_models
@@ -8,6 +8,7 @@
 use relserve_bench::config::{scaling_banner, AMAZON_SCALE, LANDCOVER_SCALE};
 use relserve_bench::report::Cell;
 use relserve_bench::report::ResultTable;
+use relserve_core::RuleBasedOptimizer;
 use relserve_nn::init::seeded_rng;
 use relserve_nn::zoo;
 
@@ -30,13 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "input",
         "output",
         "params",
-        "max op est @ batch 1000",
+        "max layer est @ batch 1000",
     ]);
     for model in &models {
-        let graph = model.to_graph(1000)?;
-        let max_est = graph
+        let plan = RuleBasedOptimizer::paper_default().plan(model, 1000)?;
+        let max_est = plan
+            .ops
             .iter()
-            .map(|op| op.memory_requirement_bytes())
+            .map(|node| node.estimated_bytes)
             .max()
             .unwrap_or(0);
         table.row(

@@ -1,13 +1,13 @@
 //! The one in-database executor, plus the DL-centric and pipelined paths.
 //!
-//! [`run`] is the in-database executor of §2.1's unified IR: one loop over
-//! the model's layers, each executed in the [`Representation`] the caller
-//! assigns it. A UDF-centric layer runs on dense tensors charged to the
-//! database governor; a relation-centric layer runs as block joins through
-//! the buffer pool ([`relation_centric`]). The architectures are
-//! assignments, not engines: UDF-centric is every layer `UdfCentric`,
-//! relation-centric (and the session's degradation ladder) every layer
-//! `RelationCentric`, and adaptive the §7.1 rule's per-layer mix.
+//! [`run`] is the in-database executor of §2.1's unified IR: it walks an
+//! [`InferencePlan`], one node per model layer, running each layer in its
+//! node's [`Representation`]. A UDF-centric layer runs on dense tensors
+//! charged to the database governor; a relation-centric layer runs as block
+//! joins through the buffer pool ([`relation_centric`]). The architectures
+//! are plans, not engines: UDF-centric is the uniform `UdfCentric` plan,
+//! relation-centric (and the session's degradation ladder) the uniform
+//! `RelationCentric` plan, and adaptive the §7.1 rule's per-layer mix.
 //! [`dl_centric`] ships the batch to an external runtime instead, and
 //! [`pipelined`] streams micro-batches through one stage per layer.
 //!
@@ -22,7 +22,7 @@ pub mod relation_centric;
 pub(crate) mod spsc;
 
 use crate::error::{Error, Result};
-use crate::ir::Representation;
+use crate::ir::{InferencePlan, Representation};
 use relation_centric::{exec_layer, Flow, WeightRelations};
 use relserve_nn::{Layer, Model};
 use relserve_relational::tensor_table::TensorOpStats;
@@ -131,7 +131,7 @@ impl std::fmt::Debug for Output {
 }
 
 /// Run `model` over `batch` inside `ctx`'s admitted slice of the machine,
-/// layer `i` in representation `reps[i]`.
+/// layer `i` in the representation of `plan.ops[i]`.
 ///
 /// A dense (`UdfCentric`) layer holds its parameters, in their storage form,
 /// for the whole call and slides an input/output window over the database
@@ -143,30 +143,30 @@ impl std::fmt::Debug for Output {
 pub fn run(
     model: &Model,
     batch: &Tensor,
-    reps: &[Representation],
+    plan: &InferencePlan,
     weights: &WeightRelations,
     ctx: &ExecContext,
 ) -> Result<(Output, TensorOpStats)> {
     let layers = model.layers().len();
-    if reps.len() != layers {
+    if plan.ops.len() != layers {
         return Err(Error::Invalid(format!(
-            "{} layer representations for `{}`'s {layers} layers",
-            reps.len(),
+            "a plan of {} nodes for `{}`'s {layers} layers",
+            plan.ops.len(),
             model.name()
         )));
     }
     let governor = ctx.governor();
     let par = ctx.parallelism();
     let batch_size = model.check_input(batch)?;
-    let dense = |i: usize| reps[i] != Representation::RelationCentric;
+    let dense = |i: usize| plan.ops[i].representation == Representation::UdfCentric;
     let _params = match model.param_bytes_of(dense) {
         0 => None,
         bytes => Some(governor.reserve(bytes)?),
     };
     // The scanned batch is the first dense window, unless the first layer
     // chunks it straight into the buffer pool.
-    let mut window = match reps.first() {
-        Some(Representation::RelationCentric) => None,
+    let mut window = match plan.ops.first() {
+        Some(node) if node.representation == Representation::RelationCentric => None,
         _ => Some(governor.reserve(batch.num_bytes())?),
     };
     let mut full_dims = vec![batch_size];
@@ -258,10 +258,11 @@ mod tests {
         ExecContext::standalone(threads, governor.clone())
     }
 
-    /// The UDF-centric assignment: every layer dense.
+    /// The UDF-centric plan: every layer dense.
     fn udf(model: &Model, x: &Tensor, ctx: &ExecContext) -> Result<Output> {
-        let reps = vec![Representation::UdfCentric; model.layers().len()];
-        Ok(run(model, x, &reps, &weights(16, 8), ctx)?.0)
+        let rows = x.shape().dim(0);
+        let plan = InferencePlan::uniform(model, rows, Representation::UdfCentric)?;
+        Ok(run(model, x, &plan, &weights(16, 8), ctx)?.0)
     }
 
     fn blocked_from(t: &Tensor) -> TensorTable {
@@ -377,13 +378,51 @@ mod tests {
     }
 
     #[test]
-    fn a_plan_with_fewer_representations_than_layers_is_refused() {
-        let mut rng = seeded_rng(75);
-        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+    fn a_plan_whose_node_count_differs_from_the_layer_count_is_refused() {
+        let model = zoo::fraud_fc_256(&mut seeded_rng(75)).unwrap();
         let governor = MemoryGovernor::unlimited("db");
-        let reps = [Representation::UdfCentric];
         let x = Tensor::zeros([2, 28]);
-        assert!(run(&model, &x, &reps, &weights(16, 8), &ctx(1, &governor)).is_err());
+        let uniform = InferencePlan::uniform(&model, 2, Representation::UdfCentric).unwrap();
+        for nodes in [0, 1, 3] {
+            let mut plan = uniform.clone();
+            plan.ops.resize(nodes, uniform.ops[0].clone());
+            let err = run(&model, &x, &plan, &weights(16, 8), &ctx(1, &governor)).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{nodes} nodes: {err}");
+        }
+        assert_eq!(governor.peak(), 0, "a refused plan reserves nothing");
+    }
+
+    #[test]
+    fn the_estimate_is_what_a_dense_run_charges() {
+        // An all-UDF run holds every parameter and slides an input/output
+        // window: its peak is the parameters plus the widest layer's
+        // `estimate − params`, exactly.
+        let rng = &mut seeded_rng(76);
+        let ffnns = [
+            zoo::fraud_fc_256(rng).unwrap(),
+            zoo::fraud_fc_512(rng).unwrap(),
+            zoo::encoder_fc(rng).unwrap(),
+            zoo::amazon_14k_fc(1024, rng).unwrap(),
+            zoo::bosch_ffnn(rng).unwrap(),
+            zoo::caching_ffnn(rng).unwrap(),
+        ];
+        let int8 = |m| relserve_nn::quant::quantize_int8(m).unwrap().model;
+        for model in ffnns.iter().flat_map(|m| [m.clone(), int8(m)]) {
+            for rows in [1, 64, 512] {
+                let plan =
+                    InferencePlan::uniform(&model, rows, Representation::UdfCentric).unwrap();
+                let params = |i: usize| model.layers()[i].param_bytes();
+                let window = plan
+                    .ops
+                    .iter()
+                    .map(|n| n.estimated_bytes - params(n.layer_index));
+                let governor = MemoryGovernor::unlimited("db");
+                let x = Tensor::zeros([rows, model.input_shape().num_elements()]);
+                run(&model, &x, &plan, &weights(16, 8), &ctx(2, &governor)).unwrap();
+                let expect = model.param_bytes() + window.max().unwrap();
+                assert_eq!(governor.peak(), expect, "{} @ {rows}", model.name());
+            }
+        }
     }
 
     #[test]
@@ -394,10 +433,12 @@ mod tests {
         let plan = RuleBasedOptimizer::paper_default()
             .plan(&model, 12)
             .unwrap();
-        let reps = plan.layer_representations();
-        assert_eq!(reps, vec![Representation::UdfCentric; 2]);
+        assert_eq!(
+            plan.layer_representations(),
+            [Representation::UdfCentric; 2]
+        );
         let governor = MemoryGovernor::unlimited("db");
-        let (out, stats) = run(&model, &x, &reps, &weights(16, 8), &ctx(1, &governor)).unwrap();
+        let (out, stats) = run(&model, &x, &plan, &weights(16, 8), &ctx(1, &governor)).unwrap();
         assert_eq!(stats.joins, 0);
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-4));
@@ -412,13 +453,14 @@ mod tests {
         // A threshold between the two layers' estimates forces layer 0
         // (76→3072) relational and layer 1 (3072→768) UDF, or vice versa.
         let opt = RuleBasedOptimizer::new(9_000_000);
-        let reps = opt.plan(&model, 6).unwrap().layer_representations();
+        let plan = opt.plan(&model, 6).unwrap();
+        let reps = plan.layer_representations();
         assert!(
             reps.contains(&Representation::RelationCentric)
                 || reps.contains(&Representation::UdfCentric)
         );
         let governor = MemoryGovernor::unlimited("db");
-        let (out, _) = run(&model, &x, &reps, &weights(128, 64), &ctx(1, &governor)).unwrap();
+        let (out, _) = run(&model, &x, &plan, &weights(128, 64), &ctx(1, &governor)).unwrap();
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-2));
     }
@@ -429,13 +471,13 @@ mod tests {
         let model = zoo::fraud_fc_512(&mut rng).unwrap();
         let x = Tensor::from_fn([9, 28], |i| (i % 5) as f32 * 0.1);
         // Zero threshold: everything relational.
-        let reps = RuleBasedOptimizer::new(0)
-            .plan(&model, 9)
-            .unwrap()
-            .layer_representations();
-        assert_eq!(reps, vec![Representation::RelationCentric; 2]);
+        let plan = RuleBasedOptimizer::new(0).plan(&model, 9).unwrap();
+        assert_eq!(
+            plan.layer_representations(),
+            [Representation::RelationCentric; 2]
+        );
         let governor = MemoryGovernor::with_budget("db", 64 * 1024); // tiny
-        let (out, stats) = run(&model, &x, &reps, &weights(64, 16), &ctx(1, &governor)).unwrap();
+        let (out, stats) = run(&model, &x, &plan, &weights(64, 16), &ctx(1, &governor)).unwrap();
         assert!(stats.joins >= 2);
         assert_eq!(governor.peak(), 0, "relation-centric reserves nothing");
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
@@ -451,16 +493,16 @@ mod tests {
         // Plan: layer 0 relational (big hidden activation), layer 1 UDF.
         let first_est = (batch * 28 + 28 * 512 + batch * 512) * 4;
         let opt = RuleBasedOptimizer::new(first_est - 1);
-        let reps = opt.plan(&model, batch).unwrap().layer_representations();
+        let plan = opt.plan(&model, batch).unwrap();
         assert_eq!(
-            reps,
+            plan.layer_representations(),
             [Representation::RelationCentric, Representation::UdfCentric]
         );
         // Governor too small to densify the 256×512 hidden activation, so
         // layer 1 must fall back to relation-centric execution: the result
         // is still a block relation.
         let governor = MemoryGovernor::with_budget("db", 16 * 1024);
-        let (out, _) = run(&model, &x, &reps, &weights(128, 32), &ctx(1, &governor)).unwrap();
+        let (out, _) = run(&model, &x, &plan, &weights(128, 32), &ctx(1, &governor)).unwrap();
         assert!(matches!(out, Output::Blocked(_)), "{out:?}");
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-3));

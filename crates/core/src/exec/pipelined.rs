@@ -291,6 +291,7 @@ pub fn run(model: &Model, batch: &Tensor, micro_batch: usize, ctx: &ExecContext)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::{InferencePlan, Representation};
     use relserve_nn::init::seeded_rng;
     use relserve_nn::zoo;
     use relserve_runtime::MemoryGovernor;
@@ -362,11 +363,11 @@ mod tests {
         let batch = 512;
         let x = Tensor::zeros([batch, 76]);
         let full = MemoryGovernor::unlimited("full");
-        let reps = vec![crate::ir::Representation::UdfCentric; model.layers().len()];
+        let plan = InferencePlan::uniform(&model, batch, Representation::UdfCentric).unwrap();
         let disk = std::sync::Arc::new(relserve_storage::DiskManager::temp().unwrap());
         let pool = std::sync::Arc::new(relserve_storage::BufferPool::new(disk, 16));
         let weights = crate::exec::relation_centric::WeightRelations::new(pool, 8);
-        crate::exec::run(&model, &x, &reps, &weights, &ctx(1, &full)).unwrap();
+        crate::exec::run(&model, &x, &plan, &weights, &ctx(1, &full)).unwrap();
         let pipe = MemoryGovernor::unlimited("pipe");
         run(&model, &x, 16, &ctx(1, &pipe)).unwrap();
         assert!(

@@ -594,6 +594,7 @@ impl std::fmt::Debug for Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::{InferencePlan, Representation};
     use relserve_nn::init::seeded_rng;
     use relserve_nn::zoo;
     use relserve_storage::DiskManager;
@@ -623,8 +624,9 @@ mod tests {
         weights: &WeightRelations,
         ctx: &relserve_runtime::ExecContext,
     ) -> Result<(crate::exec::Output, TensorOpStats)> {
-        let reps = vec![crate::ir::Representation::RelationCentric; model.layers().len()];
-        crate::exec::run(model, x, &reps, weights, ctx)
+        let plan =
+            InferencePlan::uniform(model, x.shape().dim(0), Representation::RelationCentric)?;
+        crate::exec::run(model, x, &plan, weights, ctx)
     }
 
     fn serial() -> Parallelism {

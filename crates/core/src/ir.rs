@@ -1,18 +1,16 @@
 //! The unified intermediate representation (§2.1).
 //!
-//! An inference query's model portion lowers to a linear-algebra graph
-//! (`relserve_nn::graph`); the unified IR annotates every node of that graph
-//! with the *representation* the optimizer chose for it. Any subgraph can
-//! thus be scheduled DL-centric, UDF-centric, or relation-centric — the
-//! flexibility the paper argues for.
+//! An inference query's model portion is a plan of one node per layer, each
+//! tagged with the *representation* it runs in (UDF-centric or
+//! relation-centric) and the §7.1 estimate that chose it; a layer's bias and
+//! activation run in its multiply's store. [`crate::exec::run`] walks it.
 
-use relserve_nn::{LinalgOp, OpKind};
+use crate::error::Result;
+use relserve_nn::{Layer, Model};
 
-/// Which architecture executes an operator.
+/// Which in-database representation executes a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Representation {
-    /// Offloaded to the external DL runtime over the connector.
-    DlCentric,
     /// Executed as an in-database UDF on dense tensors.
     UdfCentric,
     /// Lowered to join + aggregation over tensor-block relations.
@@ -22,35 +20,43 @@ pub enum Representation {
 impl std::fmt::Display for Representation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Representation::DlCentric => write!(f, "dl-centric"),
             Representation::UdfCentric => write!(f, "udf-centric"),
             Representation::RelationCentric => write!(f, "relation-centric"),
         }
     }
 }
 
-/// One IR node: a linear-algebra operator plus its chosen representation.
-#[derive(Debug, Clone)]
-pub struct OpAssignment {
-    /// The lowered operator.
-    pub op: LinalgOp,
-    /// The representation the optimizer selected.
+/// One plan node: a model layer and the representation it runs in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanNode {
+    /// Index of the model layer.
+    pub layer_index: usize,
+    /// The layer's [`Layer::kind`].
+    pub kind: &'static str,
+    /// Short label for plans and logs.
+    pub label: String,
+    /// The representation the layer runs in.
     pub representation: Representation,
-    /// The §7.1 memory estimate that drove the decision, in bytes.
+    /// Whether the layer's weight matrix is on the artifact's pages
+    /// ([`Layer::Stored`]), where its packed form is built from.
+    pub params_stored: bool,
+    /// The §7.1 estimate: `batch × input bytes + parameter bytes + batch ×
+    /// output bytes` (0 for a flatten, which is free in a strided tensor).
     pub estimated_bytes: usize,
 }
 
-/// A fully-annotated inference plan for one model at one batch size.
-#[derive(Debug, Clone)]
+/// An inference plan for one model at one batch size.
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferencePlan {
     /// Name of the planned model.
     pub model_name: String,
     /// Batch size the plan was generated for.
     pub batch_size: usize,
-    /// Memory threshold (bytes) used by the rule.
-    pub memory_threshold: usize,
-    /// Per-operator assignments, in execution order.
-    pub ops: Vec<OpAssignment>,
+    /// Memory threshold (bytes) of the §7.1 rule that assigned the
+    /// representations; `None` for a uniform plan.
+    pub memory_threshold: Option<usize>,
+    /// One node per model layer, in execution order.
+    pub ops: Vec<PlanNode>,
     /// Whether the model's dense layers have weight relations stored on
     /// catalog pages — a model loaded into a session — which a
     /// relation-centric multiply joins against whatever form the layer's
@@ -59,66 +65,92 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Whether any operator was assigned the given representation.
-    pub fn uses(&self, representation: Representation) -> bool {
-        self.ops.iter().any(|o| o.representation == representation)
-    }
-
-    /// Per-layer representation: a layer runs relation-centric if *any* of
-    /// its ops does (a layer's matmul and bias/activation stay together).
-    pub fn layer_representations(&self) -> Vec<Representation> {
-        let num_layers = self
-            .ops
-            .iter()
-            .map(|o| o.op.layer_index + 1)
-            .max()
-            .unwrap_or(0);
-        let mut reps = vec![Representation::UdfCentric; num_layers];
-        for op in &self.ops {
-            if op.representation == Representation::RelationCentric {
-                reps[op.op.layer_index] = Representation::RelationCentric;
-            }
+    /// One node per layer of `model` at `batch_size`, in the representation
+    /// `choose` picks from the node's §7.1 estimate.
+    pub(crate) fn build(
+        model: &Model,
+        batch_size: usize,
+        memory_threshold: Option<usize>,
+        choose: impl Fn(usize) -> Representation,
+    ) -> Result<Self> {
+        let mut shape = model.input_shape().clone();
+        let mut ops = Vec::with_capacity(model.layers().len());
+        for (layer_index, layer) in model.layers().iter().enumerate() {
+            let out_shape = layer.output_shape(&shape)?;
+            let estimated_bytes = match layer {
+                Layer::Flatten => 0,
+                _ => batch_size * (shape.num_bytes() + out_shape.num_bytes()) + layer.param_bytes(),
+            };
+            ops.push(PlanNode {
+                layer_index,
+                kind: layer.kind(),
+                label: format!("{} {shape} -> {out_shape}", layer.kind()),
+                representation: choose(estimated_bytes),
+                params_stored: matches!(layer, Layer::Stored { .. }),
+                estimated_bytes,
+            });
+            shape = out_shape;
         }
-        reps
+        Ok(InferencePlan {
+            model_name: model.name().to_string(),
+            batch_size,
+            memory_threshold,
+            ops,
+            weight_relations_stored: false,
+        })
     }
 
-    /// EXPLAIN-style rendering of the plan. An operator that multiplies by
-    /// model weights also says what it multiplies from — the model's prepared
+    /// The plan that runs every layer of `model` in `representation`: the
+    /// UDF-centric and relation-centric architectures, and the degradation
+    /// ladder's relation-centric re-run.
+    pub fn uniform(
+        model: &Model,
+        batch_size: usize,
+        representation: Representation,
+    ) -> Result<Self> {
+        Self::build(model, batch_size, None, |_| representation)
+    }
+
+    /// The representation of each layer, in order.
+    pub fn layer_representations(&self) -> Vec<Representation> {
+        self.ops.iter().map(|node| node.representation).collect()
+    }
+
+    /// EXPLAIN-style rendering of the plan. A layer that multiplies by model
+    /// weights also says what it multiplies from — the model's prepared
     /// (packed once) weights, the session's weight relation, or an operand it
     /// packs on every call — and what that operand is read from: a loaded
     /// model's weight relation is its catalog pages, prepared weights are
     /// packed from artifact pages or from weights in memory.
     pub fn explain(&self) -> String {
+        let rule = self
+            .memory_threshold
+            .map_or("uniform".into(), |bytes| format!("threshold {bytes} B"));
         let mut out = format!(
-            "InferencePlan for `{}` (batch {}, threshold {} B)\n",
-            self.model_name, self.batch_size, self.memory_threshold
+            "InferencePlan for `{}` (batch {}, {rule})\n",
+            self.model_name, self.batch_size
         );
-        let layers = self.layer_representations();
-        for (i, op) in self.ops.iter().enumerate() {
-            let relational = layers[op.op.layer_index] == Representation::RelationCentric;
-            let weights = match (&op.op.kind, relational) {
-                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. } | OpKind::Conv2d { .. }, true) => {
-                    "  [weight relation]"
-                }
-                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, false) => "  [prepared weights]",
-                (OpKind::Conv2d { .. }, false) => "  [packs per call]",
-                _ => "",
+        for node in &self.ops {
+            let relational = node.representation == Representation::RelationCentric;
+            let multiply = matches!(node.kind, "dense" | "quant_dense");
+            let conv = node.kind == "conv2d";
+            let weights = match (multiply || conv, relational) {
+                (true, true) => "  [weight relation]",
+                (true, false) if multiply => "  [prepared weights]",
+                (true, false) => "  [packs per call]",
+                (false, _) => "",
             };
-            let stored = op.op.params_stored || (relational && self.weight_relations_stored);
-            let built_from = match (&op.op.kind, stored) {
-                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, true) if relational => {
-                    " <- catalog pages"
-                }
-                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, true) => " <- artifact pages",
-                (OpKind::MatMul { .. } | OpKind::MatMulI8 { .. }, false) => " <- weights in memory",
-                (OpKind::Conv2d { .. }, _) if relational => " <- kernel in memory",
-                _ => "",
+            let stored = node.params_stored || (relational && self.weight_relations_stored);
+            let built_from = match (multiply, stored) {
+                (true, true) if relational => " <- catalog pages",
+                (true, true) => " <- artifact pages",
+                (true, false) => " <- weights in memory",
+                (false, _) if conv && relational => " <- kernel in memory",
+                (false, _) => "",
             };
             out.push_str(&format!(
-                "  #{i:<2} {:<34} {:>14} B  -> {}{weights}{built_from}\n",
-                op.op.label(),
-                op.estimated_bytes,
-                op.representation
+                "  #{:<2} {:<34} {:>14} B  -> {}{weights}{built_from}\n",
+                node.layer_index, node.label, node.estimated_bytes, node.representation
             ));
         }
         out
@@ -128,114 +160,79 @@ impl InferencePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::RuleBasedOptimizer;
     use relserve_nn::init::seeded_rng;
     use relserve_nn::zoo;
 
-    fn plan_with(reps: &[Representation]) -> InferencePlan {
-        let mut rng = seeded_rng(50);
-        let model = zoo::fraud_fc_256(&mut rng).unwrap();
-        let ops = model.to_graph(4).unwrap();
-        InferencePlan {
-            model_name: "m".into(),
-            batch_size: 4,
-            memory_threshold: 1024,
-            weight_relations_stored: false,
-            ops: ops
-                .into_iter()
-                .enumerate()
-                .map(|(i, op)| OpAssignment {
-                    estimated_bytes: op.memory_requirement_bytes(),
-                    representation: reps[i % reps.len()],
-                    op,
-                })
-                .collect(),
-        }
+    fn fraud(rows: usize) -> InferencePlan {
+        let model = zoo::fraud_fc_256(&mut seeded_rng(50)).unwrap();
+        InferencePlan::uniform(&model, rows, Representation::UdfCentric).unwrap()
     }
 
     #[test]
-    fn uses_detects_representations() {
-        let p = plan_with(&[Representation::UdfCentric]);
-        assert!(p.uses(Representation::UdfCentric));
-        assert!(!p.uses(Representation::RelationCentric));
-    }
-
-    #[test]
-    fn layer_representation_is_sticky_relation_centric() {
-        // If any op of a layer is relation-centric, the layer is.
-        let mut p = plan_with(&[Representation::UdfCentric]);
-        p.ops[0].representation = Representation::RelationCentric; // layer 0 matmul
-        let reps = p.layer_representations();
-        assert_eq!(reps[0], Representation::RelationCentric);
-        assert_eq!(reps[1], Representation::UdfCentric);
+    fn each_layer_is_one_node_estimated_input_params_output() {
+        // 1000 rows through 28→256: the matmul's m×k + k×n + m×n plus the
+        // bias it stores into, × 4 B.
+        let expect = (1000 * 28 + 28 * 256 + 256 + 1000 * 256) * 4;
+        assert_eq!(fraud(1000).ops[0].estimated_bytes, expect);
+        // An int8 layer counts its weight's storage bytes.
+        let model = zoo::encoder_fc(&mut seeded_rng(51)).unwrap();
+        let q = relserve_nn::quant::quantize_int8(&model).unwrap().model;
+        let plan = InferencePlan::uniform(&q, 64, Representation::UdfCentric).unwrap();
+        let window = 64 * (76 + 3072) * 4;
+        assert_eq!(
+            plan.ops[0].estimated_bytes,
+            window + q.layers()[0].param_bytes()
+        );
+        assert_eq!(plan.ops[0].label, "quant_dense [76] -> [3072]");
+        // A flatten is free in a strided tensor.
+        let cnn = zoo::caching_cnn(&mut seeded_rng(52)).unwrap();
+        let plan = InferencePlan::uniform(&cnn, 4, Representation::RelationCentric).unwrap();
+        assert_eq!(plan.ops.len(), 5);
+        assert_eq!(plan.ops[2].label, "flatten [24x24x16] -> [9216]");
+        assert_eq!(plan.ops[2].estimated_bytes, 0);
     }
 
     #[test]
     fn explain_lists_every_op() {
-        let p = plan_with(&[Representation::UdfCentric]);
+        let p = fraud(4);
         let text = p.explain();
         assert_eq!(text.lines().count(), p.ops.len() + 1);
-        assert!(text.contains("matmul"));
+        assert!(text.contains("dense [28] -> [256]"));
         assert!(text.contains("udf-centric"));
+        assert!(text.contains("uniform"));
     }
 
     #[test]
     fn explain_names_what_each_multiply_reads_its_weights_from() {
-        let mut p = plan_with(&[Representation::UdfCentric]);
+        let mut p = fraud(4);
         let dense = p.explain();
-        let matmuls = p
-            .ops
-            .iter()
-            .filter(|o| matches!(o.op.kind, OpKind::MatMul { .. }))
-            .count();
-        assert_eq!(dense.matches("[prepared weights]").count(), matmuls);
+        assert_eq!(dense.matches("[prepared weights]").count(), 2);
         assert!(!dense.contains("[weight relation]"));
-        // A layer runs relation-centric as a whole, whichever op tipped it.
-        let bias_of_layer_0 = p
-            .ops
-            .iter()
-            .position(|o| o.op.layer_index == 0 && matches!(o.op.kind, OpKind::AddBias { .. }))
-            .unwrap();
-        p.ops[bias_of_layer_0].representation = Representation::RelationCentric;
+        p.ops[0].representation = Representation::RelationCentric;
         let mixed = p.explain();
         assert_eq!(mixed.matches("[weight relation]").count(), 1);
-        assert_eq!(mixed.matches("[prepared weights]").count(), matmuls - 1);
+        assert_eq!(mixed.matches("[prepared weights]").count(), 1);
         // A convolution's im2col product is not a constant: it packs per call.
-        let cnn = relserve_nn::zoo::caching_cnn(&mut seeded_rng(51)).unwrap();
-        let conv_plan = crate::optimizer::RuleBasedOptimizer::paper_default()
-            .plan(&cnn, 2)
-            .unwrap();
+        let cnn = zoo::caching_cnn(&mut seeded_rng(51)).unwrap();
+        let conv_plan = RuleBasedOptimizer::paper_default().plan(&cnn, 2).unwrap();
         assert!(conv_plan.explain().contains("[packs per call]"));
         // Each weight operand says what it is built from.
-        assert_eq!(mixed.matches(" <- weights in memory").count(), matmuls);
+        let count = |text: &str, tag: &str| text.matches(tag).count();
+        assert_eq!(count(&mixed, " <- weights in memory"), 2);
         let mut stored = p.clone();
-        for op in &mut stored.ops {
-            op.op.params_stored = matches!(op.op.kind, OpKind::MatMul { .. });
+        for node in &mut stored.ops {
+            node.params_stored = true;
         }
         let stored = stored.explain();
-        assert_eq!(
-            stored.matches("[weight relation] <- catalog pages").count(),
-            1
-        );
-        assert_eq!(
-            stored
-                .matches("[prepared weights] <- artifact pages")
-                .count(),
-            matmuls - 1
-        );
+        assert_eq!(count(&stored, "[weight relation] <- catalog pages"), 1);
+        assert_eq!(count(&stored, "[prepared weights] <- artifact pages"), 1);
         // A loaded model whose layers share the caller's weights in memory:
         // its relation-centric multiply still joins the catalog pages.
         let mut loaded = p.clone();
         loaded.weight_relations_stored = true;
         let loaded = loaded.explain();
-        assert_eq!(
-            loaded.matches("[weight relation] <- catalog pages").count(),
-            1
-        );
-        assert_eq!(
-            loaded
-                .matches("[prepared weights] <- weights in memory")
-                .count(),
-            matmuls - 1
-        );
+        assert_eq!(count(&loaded, "[weight relation] <- catalog pages"), 1);
+        assert_eq!(count(&loaded, "[prepared weights] <- weights in memory"), 1);
     }
 }

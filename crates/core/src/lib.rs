@@ -12,14 +12,14 @@
 //!   relations: matmul becomes a join + aggregation that spills through the
 //!   buffer pool ([`exec::relation_centric`]).
 //!
-//! The two in-database architectures are assignments of one executor,
-//! [`exec::run`], which runs each layer in the [`Representation`] it is
-//! given: every layer UDF-centric, or every layer relation-centric. The
-//! [`optimizer::RuleBasedOptimizer`] implements §7.1's adaptive rule:
-//! estimate each operator's memory as `input + params + output` and choose
-//! relation-centric iff the estimate exceeds the configured threshold,
-//! otherwise UDF-centric; the plan's per-layer mix is a third assignment of
-//! the same executor. [`session::InferenceSession`] is the user-facing facade that wires
+//! The two in-database architectures are plans of one executor,
+//! [`exec::run`], which walks an [`InferencePlan`] of one node per layer and
+//! runs each layer in its node's [`Representation`]: every layer UDF-centric,
+//! or every layer relation-centric. The [`optimizer::RuleBasedOptimizer`]
+//! implements §7.1's adaptive rule: estimate each layer's memory as
+//! `input + params + output` and choose relation-centric iff the estimate
+//! exceeds the configured threshold, otherwise UDF-centric; its per-layer
+//! mix is a third plan of the same executor. [`session::InferenceSession`] is the user-facing facade that wires
 //! tables, models, governors and the optimizer together.
 //!
 //! Around that core sit the paper's §2–§5 techniques:
@@ -41,7 +41,7 @@ pub mod session;
 pub mod versions;
 
 pub use error::{Error, Result};
-pub use ir::{InferencePlan, OpAssignment, Representation};
+pub use ir::{InferencePlan, PlanNode, Representation};
 pub use optimizer::RuleBasedOptimizer;
 pub use session::{
     Architecture, FusedOutcome, InferenceOutcome, InferenceSession, SessionConfig,

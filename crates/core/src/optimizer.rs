@@ -10,13 +10,13 @@
 //! That rule is implemented verbatim here.
 
 use crate::error::Result;
-use crate::ir::{InferencePlan, OpAssignment, Representation};
+use crate::ir::{InferencePlan, Representation};
 use relserve_nn::Model;
 
-/// Per-operator representation chooser with a single memory threshold.
+/// Per-layer representation chooser with a single memory threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleBasedOptimizer {
-    /// Operators whose `input + params + output` estimate exceeds this run
+    /// Layers whose `input + params + output` estimate exceeds this run
     /// relation-centric. The paper's experiments use 2 GiB.
     pub memory_threshold_bytes: usize,
 }
@@ -34,31 +34,17 @@ impl RuleBasedOptimizer {
         Self::new(2 * 1024 * 1024 * 1024)
     }
 
-    /// Plan one model at one batch size.
+    /// Plan one model at one batch size: one node per layer, relation-centric
+    /// iff the layer's `input + params + output` estimate exceeds the
+    /// threshold.
     pub fn plan(&self, model: &Model, batch_size: usize) -> Result<InferencePlan> {
-        let ops = model.to_graph(batch_size)?;
-        let assignments = ops
-            .into_iter()
-            .map(|op| {
-                let estimated_bytes = op.memory_requirement_bytes();
-                let representation = if estimated_bytes > self.memory_threshold_bytes {
-                    Representation::RelationCentric
-                } else {
-                    Representation::UdfCentric
-                };
-                OpAssignment {
-                    op,
-                    representation,
-                    estimated_bytes,
-                }
-            })
-            .collect();
-        Ok(InferencePlan {
-            model_name: model.name().to_string(),
-            batch_size,
-            memory_threshold: self.memory_threshold_bytes,
-            ops: assignments,
-            weight_relations_stored: false,
+        let threshold = self.memory_threshold_bytes;
+        InferencePlan::build(model, batch_size, Some(threshold), |estimate| {
+            if estimate > threshold {
+                Representation::RelationCentric
+            } else {
+                Representation::UdfCentric
+            }
         })
     }
 }
@@ -76,8 +62,10 @@ mod tests {
         let plan = RuleBasedOptimizer::paper_default()
             .plan(&model, 1000)
             .unwrap();
-        assert!(plan.uses(Representation::UdfCentric));
-        assert!(!plan.uses(Representation::RelationCentric));
+        assert_eq!(
+            plan.layer_representations(),
+            [Representation::UdfCentric; 2]
+        );
     }
 
     #[test]
@@ -85,16 +73,21 @@ mod tests {
         let mut rng = seeded_rng(61);
         // Amazon-scaled: first weight matrix alone exceeds a small threshold.
         let model = zoo::amazon_14k_fc(100, &mut rng).unwrap();
-        let opt = RuleBasedOptimizer::new(4 * 1024 * 1024); // 4 MiB
+        // 8 MiB: between layer 1's ~5.3 MB (a 4 MB input window) and
+        // layer 0's ~52 MB.
+        let opt = RuleBasedOptimizer::new(8 * 1024 * 1024);
         let plan = opt.plan(&model, 1000).unwrap();
-        // First matmul (5975 features × 1024 hidden) must be relation-centric.
-        assert_eq!(plan.ops[0].representation, Representation::RelationCentric);
-        assert!(plan.uses(Representation::UdfCentric)); // small tail ops stay UDF
+        // Layer 0 (5975 features × 1024 hidden) must be relation-centric;
+        // the small output layer stays UDF.
+        assert_eq!(
+            plan.layer_representations(),
+            [Representation::RelationCentric, Representation::UdfCentric]
+        );
     }
 
     #[test]
     fn threshold_is_monotone() {
-        // Raising the threshold can only move ops relation→udf, never back.
+        // Raising the threshold can only move layers relation→udf, never back.
         let mut rng = seeded_rng(62);
         let model = zoo::encoder_fc(&mut rng).unwrap();
         let batch = 512;
@@ -115,22 +108,26 @@ mod tests {
 
     #[test]
     fn batch_size_flips_the_decision() {
-        // The same operator can fit at batch 10 and exceed at batch 100k.
+        // The same layer can fit at batch 10 and exceed at batch 200k.
         let mut rng = seeded_rng(63);
         let model = zoo::fraud_fc_512(&mut rng).unwrap();
         let opt = RuleBasedOptimizer::new(1 << 21); // 2 MiB
         let small = opt.plan(&model, 10).unwrap();
         let large = opt.plan(&model, 200_000).unwrap();
-        assert!(!small.uses(Representation::RelationCentric));
-        assert!(large.uses(Representation::RelationCentric));
+        let relational = |p: &InferencePlan| {
+            p.layer_representations()
+                .contains(&Representation::RelationCentric)
+        };
+        assert!(!relational(&small));
+        assert!(relational(&large));
     }
 
     #[test]
     fn paper_threshold_reproduces_section_7_1_arithmetic() {
         // At the paper's 2 GiB threshold, paper-scale Amazon-14k-FC at
-        // batch 1000 must exceed the threshold on its first matmul: the
-        // §7.1 estimate is (m·k + k·n + m·n) × 4 B with m=1000, k=597,540,
-        // n=1024, dominated by the 2.28 GiB weight matrix. (Checked
+        // batch 1000 must exceed the threshold on its first layer: the
+        // §7.1 estimate is (m·k + k·n + m·n) × 4 B (plus the bias) with
+        // m=1000, k=597,540, n=1024, dominated by the 2.28 GiB weight matrix. (Checked
         // arithmetically — materializing the real weights needs ~2.4 GB.)
         let (m, k, n) = (1000usize, 597_540usize, 1024usize);
         let estimate = (m * k + k * n + m * n) * relserve_tensor::ELEM_BYTES;

@@ -183,8 +183,8 @@ impl SessionConfigBuilder {
 #[non_exhaustive]
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Architecture {
-    /// The §7.1 rule decides per operator (the paper's recommended mode,
-    /// and the default).
+    /// The §7.1 rule decides per layer (the paper's recommended mode, and
+    /// the default).
     #[default]
     Adaptive,
     /// Force everything through the in-database UDF path.
@@ -221,7 +221,9 @@ pub struct InferenceOutcome {
     pub elapsed: Duration,
     /// Which architecture the query was submitted under.
     pub architecture: String,
-    /// The plan, when the adaptive optimizer produced one.
+    /// The plan that ran, for an in-database query: the adaptive
+    /// optimizer's, the uniform plan of a forced architecture, or the
+    /// uniform relation-centric plan the degradation ladder re-ran.
     pub plan: Option<InferencePlan>,
     /// The fallback architecture that actually produced the output, when the
     /// primary attempt failed recoverably and the degradation ladder ran.
@@ -645,13 +647,25 @@ impl InferenceSession {
     /// Produce the adaptive plan for a model at a batch size (EXPLAIN).
     pub fn plan(&self, model: &str, batch_size: usize) -> Result<InferencePlan> {
         let model = self.model(model)?;
-        self.plan_loaded(&model, batch_size)
+        self.plan_loaded(&model, batch_size, &Architecture::Adaptive)
     }
 
-    /// The adaptive plan of a loaded model, whose relation-centric
-    /// multiplies join the weight relations stored at load.
-    fn plan_loaded(&self, model: &Model, batch_size: usize) -> Result<InferencePlan> {
-        let mut plan = self.optimizer.plan(model, batch_size)?;
+    /// The plan an in-database `architecture` runs a loaded model under,
+    /// whose relation-centric multiplies join the weight relations stored at
+    /// load: every layer in the forced representation, or the adaptive
+    /// optimizer's per-layer mix.
+    fn plan_loaded(
+        &self,
+        model: &Model,
+        batch_size: usize,
+        architecture: &Architecture,
+    ) -> Result<InferencePlan> {
+        let uniform = |representation| InferencePlan::uniform(model, batch_size, representation);
+        let mut plan = match architecture {
+            Architecture::UdfCentric => uniform(Representation::UdfCentric)?,
+            Architecture::RelationCentric => uniform(Representation::RelationCentric)?,
+            _ => self.optimizer.plan(model, batch_size)?,
+        };
         plan.weight_relations_stored = true;
         Ok(plan)
     }
@@ -718,22 +732,11 @@ impl InferenceSession {
     ) -> Result<(Output, Option<InferencePlan>, TensorOpStats)> {
         let no_rel = TensorOpStats::default();
         match architecture {
-            // The in-database architectures are per-layer assignments of
-            // the one executor.
+            // The in-database architectures are plans of the one executor.
             Architecture::UdfCentric | Architecture::RelationCentric | Architecture::Adaptive => {
-                let layers = model.layers().len();
-                let (reps, plan) = match architecture {
-                    Architecture::Adaptive => {
-                        let plan = self.plan_loaded(model, batch_size)?;
-                        (plan.layer_representations(), Some(plan))
-                    }
-                    Architecture::RelationCentric => {
-                        (vec![Representation::RelationCentric; layers], None)
-                    }
-                    _ => (vec![Representation::UdfCentric; layers], None),
-                };
-                let (out, rel_stats) = exec::run(model, batch, &reps, &self.weights, ctx)?;
-                Ok((out, plan, rel_stats))
+                let plan = self.plan_loaded(model, batch_size, architecture)?;
+                let (out, rel_stats) = exec::run(model, batch, &plan, &self.weights, ctx)?;
+                Ok((out, Some(plan), rel_stats))
             }
             Architecture::DlCentric(profile) => {
                 let runtime =
@@ -839,10 +842,10 @@ impl InferenceSession {
                 // and connectors whose wire is down. The deadline still
                 // applies — a timed-out query must not burn a second pass.
                 ctx.check_deadline("degrade.relation-centric")?;
-                let reps = vec![Representation::RelationCentric; model.layers().len()];
-                let (out, rel_stats) = exec::run(&model, batch, &reps, &self.weights, &ctx)?;
+                let plan = self.plan_loaded(&model, batch_size, &Architecture::RelationCentric)?;
+                let (out, rel_stats) = exec::run(&model, batch, &plan, &self.weights, &ctx)?;
                 self.counters.degradations.fetch_add(1, Ordering::Relaxed);
-                (out, None, rel_stats, Some("relation-centric"))
+                (out, Some(plan), rel_stats, Some("relation-centric"))
             }
             Err(err) => return Err(err),
         };
@@ -1038,6 +1041,52 @@ mod tests {
         let plan = outcome.plan.expect("adaptive plans");
         assert_eq!(plan.batch_size, 10);
         assert!(!plan.ops.is_empty());
+    }
+
+    #[test]
+    fn every_in_database_outcome_reports_the_plan_that_ran() {
+        use Representation::{RelationCentric as Rc, UdfCentric as Udf};
+        // Between Fraud-FC-256's layer estimates at 64 rows (102,400 and
+        // 68,104 B): layer 0 runs relation-centric, layer 1 dense.
+        let mut config = tiny_config();
+        config.memory_threshold_bytes = 80_000;
+        let session = InferenceSession::open(config).unwrap();
+        session
+            .load_model(zoo::fraud_fc_256(&mut seeded_rng(142)).unwrap())
+            .unwrap();
+        let name = "Fraud-FC-256";
+        let batch = Tensor::from_fn([64, 28], |i| (i % 7) as f32 * 0.1);
+        let ran = |arch| {
+            session
+                .infer_batch(name, &batch, arch)
+                .unwrap()
+                .plan
+                .unwrap()
+        };
+        let adaptive = ran(Architecture::Adaptive);
+        assert_eq!(adaptive, session.plan(name, 64).unwrap());
+        assert_eq!(adaptive.layer_representations(), [Rc, Udf]);
+        let uniform = |session: &InferenceSession, name, rep| {
+            let model = session.model(name).unwrap();
+            InferencePlan::uniform(&model, 64, rep).unwrap().ops
+        };
+        assert_eq!(
+            ran(Architecture::UdfCentric).ops,
+            uniform(&session, name, Udf)
+        );
+        assert_eq!(
+            ran(Architecture::RelationCentric).ops,
+            uniform(&session, name, Rc)
+        );
+        // A degraded query reports the all-relation-centric plan it re-ran.
+        let starved = starved_session(true);
+        let degraded = starved.infer_batch("Fraud-FC-512", &batch, Architecture::Adaptive);
+        let degraded = degraded.unwrap();
+        assert_eq!(degraded.degraded_to, Some("relation-centric"));
+        assert_eq!(
+            degraded.plan.unwrap().ops,
+            uniform(&starved, "Fraud-FC-512", Rc)
+        );
     }
 
     fn starved_session(degradation: bool) -> InferenceSession {

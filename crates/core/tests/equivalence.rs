@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use relserve_core::exec::relation_centric::WeightRelations;
 use relserve_core::exec::{self, pipelined, Output};
 use relserve_core::{
-    Architecture, InferenceSession, Representation, RuleBasedOptimizer, SessionConfig,
+    Architecture, InferencePlan, InferenceSession, Representation, RuleBasedOptimizer,
+    SessionConfig,
 };
 use relserve_nn::init::seeded_rng;
 use relserve_nn::quant::quantize_int8;
@@ -75,44 +76,46 @@ fn random_cnn(channels: usize, mid: usize, kernels: usize, classes: usize, seed:
         .unwrap()
 }
 
-/// Layer `i` runs relation-centric iff bit `i` of `mask` is set.
-fn assignment(model: &Model, mask: u32) -> Vec<Representation> {
-    (0..model.layers().len())
-        .map(|i| match mask >> i & 1 {
-            1 => Representation::RelationCentric,
-            _ => Representation::UdfCentric,
-        })
-        .collect()
+/// The plan that runs every layer of `model` over `x` in `representation`.
+fn uniform(model: &Model, x: &Tensor, representation: Representation) -> InferencePlan {
+    InferencePlan::uniform(model, x.shape().dim(0), representation).unwrap()
 }
 
-/// The one executor under `reps`, on an unlimited governor: the output
-/// and the governor's peak.
-fn run_assigned(
-    model: &Model,
-    x: &Tensor,
-    reps: &[Representation],
-    block: usize,
-) -> (Tensor, usize) {
+/// The plan over `x` whose layer `i` runs relation-centric iff bit `i` of
+/// `mask` is set.
+fn assignment(model: &Model, x: &Tensor, mask: u32) -> InferencePlan {
+    let mut plan = uniform(model, x, Representation::UdfCentric);
+    for (i, node) in plan.ops.iter_mut().enumerate() {
+        if mask >> i & 1 == 1 {
+            node.representation = Representation::RelationCentric;
+        }
+    }
+    plan
+}
+
+/// The one executor under `plan`, on an unlimited governor: the output and
+/// the governor's peak.
+fn run_assigned(model: &Model, x: &Tensor, plan: &InferencePlan, block: usize) -> (Tensor, usize) {
     let governor = MemoryGovernor::unlimited("prop");
     let ctx = ExecContext::standalone(2, governor.clone());
-    let (out, _) = exec::run(model, x, reps, &weights(64, block), &ctx).unwrap();
+    let (out, _) = exec::run(model, x, plan, &weights(64, block), &ctx).unwrap();
     (out.into_dense().unwrap(), governor.peak())
 }
 
-/// The UDF-centric assignment: every layer dense.
+/// The UDF-centric plan: every layer dense.
 fn udf(model: &Model, x: &Tensor) -> Tensor {
-    let reps = vec![Representation::UdfCentric; model.layers().len()];
-    exec::run(model, x, &reps, &weights(16, 8), &ctx(1))
+    let plan = uniform(model, x, Representation::UdfCentric);
+    exec::run(model, x, &plan, &weights(16, 8), &ctx(1))
         .unwrap()
         .0
         .into_dense()
         .unwrap()
 }
 
-/// The relation-centric assignment: every layer a block join.
+/// The relation-centric plan: every layer a block join.
 fn relational(model: &Model, x: &Tensor, weights: &WeightRelations, threads: usize) -> Output {
-    let reps = vec![Representation::RelationCentric; model.layers().len()];
-    exec::run(model, x, &reps, weights, &ctx(threads))
+    let plan = uniform(model, x, Representation::RelationCentric);
+    exec::run(model, x, &plan, weights, &ctx(threads))
         .unwrap()
         .0
 }
@@ -262,8 +265,8 @@ proptest! {
             let stored = outcome.output.into_dense().unwrap();
             let in_memory = weights(64, block);
             let built = if path == 1 {
-                let reps = RuleBasedOptimizer::new(1).plan(&model, rows).unwrap().layer_representations();
-                exec::run(&model, &x, &reps, &in_memory, &ctx(2)).unwrap().0
+                let plan = RuleBasedOptimizer::new(1).plan(&model, rows).unwrap();
+                exec::run(&model, &x, &plan, &in_memory, &ctx(2)).unwrap().0
             } else {
                 relational(&model, &x, &in_memory, 2)
             };
@@ -303,19 +306,19 @@ proptest! {
             dims.extend_from_slice(model.input_shape().dims());
             let x = Tensor::from_fn(dims, |i| (((i as u64 * 29 + seed) % 31) as f32 - 15.0) * 0.06);
             let layers = model.layers().len();
-            let (all_udf, _) = run_assigned(model, &x, &assignment(model, 0), block);
+            let (all_udf, _) = run_assigned(model, &x, &assignment(model, &x, 0), block);
             let expect = model.forward(&x, &Parallelism::serial()).unwrap();
             prop_assert!(all_udf.data() == expect.data(), "{}: all-UDF != Model::forward", model.name());
-            let (_, peak) = run_assigned(model, &x, &assignment(model, u32::MAX), block);
+            let (_, peak) = run_assigned(model, &x, &assignment(model, &x, u32::MAX), block);
             prop_assert!(peak == 0, "{}: relation-centric reserved {} bytes", model.name(), peak);
-            let reps = assignment(model, mask);
-            let (mixed, _) = run_assigned(model, &x, &reps, block);
+            let plan = assignment(model, &x, mask);
+            let (mixed, _) = run_assigned(model, &x, &plan, block);
             let mixed = mixed.reshape(all_udf.shape().clone()).unwrap();
             prop_assert!(
                 mixed.approx_eq(&all_udf, 1e-3),
                 "{} under {:?} ({} layers): max diff {}",
                 model.name(),
-                reps,
+                plan.layer_representations(),
                 layers,
                 mixed.max_abs_diff(&all_udf).unwrap()
             );
@@ -349,11 +352,10 @@ proptest! {
         let model = random_ffnn(features, &[hidden], 3, seed);
         let x = Tensor::from_fn([batch, features], |i| (((i as u64 * 13 + seed) % 23) as f32 - 11.0) * 0.05);
         let dense = udf(&model, &x);
-        let reps = RuleBasedOptimizer::new(1usize << threshold_exp)
+        let plan = RuleBasedOptimizer::new(1usize << threshold_exp)
             .plan(&model, batch)
-            .unwrap()
-            .layer_representations();
-        let (out, _) = exec::run(&model, &x, &reps, &weights(64, 8), &ctx(1)).unwrap();
+            .unwrap();
+        let (out, _) = exec::run(&model, &x, &plan, &weights(64, 8), &ctx(1)).unwrap();
         let out = out.into_dense().unwrap();
         prop_assert!(dense.approx_eq(&out, 1e-3));
     }

@@ -1,15 +1,11 @@
 //! Neural-network library for `relserve`.
 //!
 //! Models here are what the paper loads *into* the RDBMS: feed-forward and
-//! convolutional networks expressed as a sequence of layers, lowerable to a
-//! linear-algebra graph IR (§2.1) whose per-operator memory requirements the
-//! adaptive optimizer inspects (§7.1).
+//! convolutional networks expressed as a sequence of layers, whose shapes
+//! and parameter bytes the adaptive optimizer reads per layer (§7.1).
 //!
 //! * [`model`] — [`model::Model`]: a sequential layer stack with forward
-//!   inference and parameter accounting.
-//! * [`graph`] — the linear-algebra graph IR: one [`graph::LinalgOp`] per
-//!   primitive operator, with shape inference and the paper's
-//!   `bytes(inputs) + bytes(outputs)` memory estimate.
+//!   inference, shape inference and parameter accounting.
 //! * [`train`] — SGD with backprop (dense and conv via im2col/col2im), the
 //!   §6.1 training extension; used to produce the genuinely trained models
 //!   the §7.2.2 caching experiment needs.
@@ -25,7 +21,6 @@
 //!   model whose weight matrices stay on the artifact's pages.
 
 pub mod error;
-pub mod graph;
 pub mod init;
 pub mod layer;
 pub mod model;
@@ -36,7 +31,6 @@ pub mod weight;
 pub mod zoo;
 
 pub use error::{Error, Result};
-pub use graph::{LinalgOp, OpKind};
 pub use layer::{Activation, Layer};
 pub use model::Model;
 pub use train::Trainer;

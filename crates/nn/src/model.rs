@@ -1,7 +1,6 @@
 //! Sequential models.
 
 use crate::error::{Error, Result};
-use crate::graph::LinalgOp;
 use crate::layer::Layer;
 use crate::weight::Weight;
 use relserve_tensor::parallel::Parallelism;
@@ -226,12 +225,6 @@ impl Model {
         let (rows, cols) = logits.shape().as_matrix()?;
         let flat = logits.reshape([rows, cols])?;
         Ok(ops::argmax_rows(&flat)?)
-    }
-
-    /// Lower the model into its linear-algebra graph IR for `batch_size`
-    /// (the representation the adaptive optimizer walks, §7.1).
-    pub fn to_graph(&self, batch_size: usize) -> Result<Vec<LinalgOp>> {
-        crate::graph::lower(self, batch_size)
     }
 }
 

@@ -240,12 +240,13 @@ impl Trainer {
                         activation_backward(*activation, &z, &a, &upstream)?
                     };
                     // dW[out,in] = dzᵀ[out,batch] × input[batch,in]
-                    let dw = matmul::matmul(&dz.transpose()?, &input)?;
+                    let dw =
+                        matmul::matmul_parallel(&dz.transpose()?, &input, &Parallelism::serial())?;
                     let db = ops::col_sums(&dz)?;
                     // The layer's own raw values (an edit: see `layers_mut`).
                     let weight: &mut Tensor = weight;
                     // dx[batch,in] = dz[batch,out] × W[out,in]
-                    upstream = matmul::matmul(&dz, weight)?;
+                    upstream = matmul::matmul_parallel(&dz, weight, &Parallelism::serial())?;
                     ops::axpy(weight, &dw, -lr)?;
                     ops::axpy(bias, &db, -lr)?;
                 }
@@ -273,10 +274,11 @@ impl Trainer {
                         .clone()
                         .reshape([spec.out_channels, spec.patch_len()])?;
                     // dK[oc,patch] = dzᵀ[oc,rows] × cols[rows,patch]
-                    let dk = matmul::matmul(&dz.transpose()?, &cols)?;
+                    let dk =
+                        matmul::matmul_parallel(&dz.transpose()?, &cols, &Parallelism::serial())?;
                     let db = ops::col_sums(&dz)?;
                     // dcols[rows,patch] = dz[rows,oc] × Kflat[oc,patch]
-                    let dcols = matmul::matmul(&dz, &kflat)?;
+                    let dcols = matmul::matmul_parallel(&dz, &kflat, &Parallelism::serial())?;
                     upstream = conv::col2im(&dcols, spec, n, h, w)?;
                     let dk_shaped =
                         dk.reshape([spec.out_channels, spec.kh, spec.kw, spec.in_channels])?;

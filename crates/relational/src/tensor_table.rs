@@ -125,7 +125,7 @@ impl TensorOpStats {
 /// differ in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairKernel {
-    /// f32 blocks through `matmul_bt` (an int8 weight block dequantizes).
+    /// f32 blocks through `matmul_bt_parallel` (an int8 weight block dequantizes).
     F32,
     /// Stored i8 weight blocks through the int8 micro-kernels.
     Int8,
@@ -764,7 +764,10 @@ impl TensorTable {
             })?,
             (PreparedBlock::F32(a), _) => {
                 let b = self.get_block(coord)?;
-                (matmul::matmul_bt(a, &b)?, b.num_bytes() as u64)
+                (
+                    matmul::matmul_bt_parallel(a, &b, &Parallelism::serial())?,
+                    b.num_bytes() as u64,
+                )
             }
             (PreparedBlock::Int8(aq), _) => {
                 let b = self.read_qblock(meta)?;
@@ -926,7 +929,8 @@ mod tests {
         )
         .unwrap();
         let (c, stats) = join(&at, &bt).unwrap();
-        let expect = relserve_tensor::matmul::matmul(&a, &b).unwrap();
+        let expect =
+            relserve_tensor::matmul::matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-3));
         assert!(stats.joins > 0);
         assert_eq!(stats.blocks_out as usize, c.num_blocks());
@@ -940,7 +944,8 @@ mod tests {
         let xt = TensorTable::from_dense(p.clone(), "X", &x, BlockingSpec::square(4)).unwrap();
         let wt = TensorTable::from_dense(p, "W", &w, BlockingSpec::square(4)).unwrap();
         let (c, _) = join(&xt, &wt).unwrap();
-        let expect = relserve_tensor::matmul::matmul_bt(&x, &w).unwrap();
+        let expect =
+            relserve_tensor::matmul::matmul_bt_parallel(&x, &w, &Parallelism::serial()).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-3));
     }
 
@@ -1059,7 +1064,12 @@ mod tests {
             .matmul_bt_quant_parallel(&packed, "C", &Parallelism::serial())
             .is_err());
         let (c, _) = join(&a, &packed).unwrap();
-        let expect = relserve_tensor::matmul::matmul_bt(&pattern(7, 70, 48), &w).unwrap();
+        let expect = relserve_tensor::matmul::matmul_bt_parallel(
+            &pattern(7, 70, 48),
+            &w,
+            &Parallelism::serial(),
+        )
+        .unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-2));
     }
 
@@ -1168,7 +1178,8 @@ mod tests {
         let at = TensorTable::from_dense(p.clone(), "A", &a, BlockingSpec::square(16)).unwrap();
         let bt = TensorTable::from_dense(p.clone(), "B", &b, BlockingSpec::square(16)).unwrap();
         let (c, _) = join(&at, &bt).unwrap();
-        let expect = relserve_tensor::matmul::matmul_bt(&a, &b).unwrap();
+        let expect =
+            relserve_tensor::matmul::matmul_bt_parallel(&a, &b, &Parallelism::serial()).unwrap();
         assert!(c.to_dense().unwrap().approx_eq(&expect, 1e-2));
         assert!(p.stats().evictions > 0);
     }
@@ -1289,7 +1300,8 @@ mod tests {
         // The quantized join must track the f32 product of the same data to
         // within quantization error (weights snap to 127 levels per row,
         // activations to 127 levels per block row).
-        let expect = relserve_tensor::matmul::matmul_bt(&x, &w).unwrap();
+        let expect =
+            relserve_tensor::matmul::matmul_bt_parallel(&x, &w, &Parallelism::serial()).unwrap();
         let got = c.to_dense().unwrap();
         let scale = expect.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
         assert!(

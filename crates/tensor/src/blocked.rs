@@ -13,6 +13,7 @@
 
 use crate::dense::Tensor;
 use crate::error::{Error, Result};
+use crate::parallel::Parallelism;
 use std::collections::BTreeMap;
 
 /// How a matrix is carved into blocks.
@@ -249,7 +250,8 @@ impl BlockedTensor {
                 let Some(bblock) = other.blocks.get(&bcoord) else {
                     continue; // implicit zero block contributes nothing
                 };
-                let partial = crate::matmul::matmul(ablock, bblock)?;
+                let partial =
+                    crate::matmul::matmul_parallel(ablock, bblock, &Parallelism::serial())?;
                 let out_coord = BlockCoord {
                     row: ac.row,
                     col: bc,
@@ -331,7 +333,7 @@ mod tests {
         )
         .unwrap();
         let blocked = ab.matmul(&bb).unwrap().to_dense().unwrap();
-        let dense = crate::matmul::matmul(&a, &bm).unwrap();
+        let dense = crate::matmul::matmul_parallel(&a, &bm, &Parallelism::serial()).unwrap();
         assert!(blocked.approx_eq(&dense, 1e-3));
     }
 
@@ -406,7 +408,7 @@ mod tests {
             let ab = BlockedTensor::from_dense(&a, BlockingSpec { block_rows: blk, block_cols: blk }).unwrap();
             let bb = BlockedTensor::from_dense(&b, BlockingSpec { block_rows: blk, block_cols: blk }).unwrap();
             let blocked = ab.matmul(&bb).unwrap().to_dense().unwrap();
-            let dense = crate::matmul::matmul(&a, &b).unwrap();
+            let dense = crate::matmul::matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
             prop_assert!(blocked.approx_eq(&dense, 1e-2));
         }
     }

@@ -1,13 +1,13 @@
 //! Matrix multiplication kernels.
 //!
-//! One contract (`C = A × B`), three tiers:
+//! One contract (`C = A × B`), two tiers:
 //!
 //! * [`matmul_naive`] — reference triple loop, used by tests as an oracle.
-//! * [`matmul`] — single-threaded register-tiled kernel: `B` is packed once
+//! * [`matmul_parallel`] — the register-tiled kernel: `B` is packed once
 //!   into zero-padded column panels of width `NR`, `A` into row micro-panels
 //!   of height `MR`, and a `MR×NR` accumulator tile lives in registers
-//!   across the whole `k` sweep of a cache block. No per-element branches.
-//! * [`matmul_parallel`] — the tiled kernel sharded over disjoint row stripes
+//!   across the whole `k` sweep of a cache block, with no per-element
+//!   branches. It is sharded over disjoint row stripes
 //!   submitted through the caller's [`crate::parallel::Parallelism`] grant
 //!   (a query-scoped handle onto the runtime's persistent kernel pool); the
 //!   grant carries the thread budget so the unified resource manager (§3 of
@@ -32,7 +32,7 @@
 //! same driver on the panels", so the two routes cannot differ by a bit;
 //! they are for a `B` that is not a constant.
 //!
-//! [`matmul_bt`] / [`matmul_bt_parallel`] — `A × Bᵀ` with `B` stored
+//! [`matmul_bt_parallel`] — `A × Bᵀ` with `B` stored
 //! `[n, k]`, the natural layout for `X × Wᵀ` inference (weights are stored
 //! `[out_features, in_features]`) — pack `B` straight out of that layout, so
 //! no transpose is ever materialized.
@@ -578,11 +578,6 @@ fn small_product(
     c
 }
 
-/// Single-threaded register-tiled `A × B`.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_parallel(a, b, &Parallelism::serial())
-}
-
 /// Single-threaded `A × B` forced onto a specific ISA dispatch path.
 ///
 /// Bypasses the process-wide selection so tests and benchmarks can exercise
@@ -612,11 +607,6 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor, par: &Parallelism) -> Result<Tens
     let (m, k, n) = matrix_dims(a, b, "matmul_parallel")?;
     let c = matmul_packed(kern, a.data(), View::plain(b.data(), n), m, k, n, par);
     Tensor::from_vec([m, n], c)
-}
-
-/// `A[m,k] × Bᵀ` where `B` is stored `[n, k]` — the inference layout.
-pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_bt_parallel(a, b, &Parallelism::serial())
 }
 
 /// Single-threaded `A × Bᵀ` (`B` stored `[n, k]`) forced onto a specific ISA
@@ -688,15 +678,15 @@ mod tests {
     fn identity_is_neutral() {
         let a = Tensor::from_fn([3, 3], |i| i as f32);
         let i = Tensor::eye(3);
-        assert_eq!(matmul(&a, &i).unwrap(), a);
-        assert_eq!(matmul(&i, &a).unwrap(), a);
+        assert_eq!(matmul_parallel(&a, &i, &Parallelism::serial()).unwrap(), a);
+        assert_eq!(matmul_parallel(&i, &a, &Parallelism::serial()).unwrap(), a);
     }
 
     #[test]
     fn known_product() {
         let a = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
         let b = Tensor::from_vec([3, 2], vec![7., 8., 9., 10., 11., 12.]).unwrap();
-        let c = matmul(&a, &b).unwrap();
+        let c = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
@@ -704,7 +694,7 @@ mod tests {
     fn rejects_inner_dim_mismatch() {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([4, 2]);
-        assert!(matmul(&a, &b).is_err());
+        assert!(matmul_parallel(&a, &b, &Parallelism::serial()).is_err());
         assert!(matmul_naive(&a, &b).is_err());
     }
 
@@ -712,8 +702,8 @@ mod tests {
     fn matmul_bt_equals_explicit_transpose() {
         let a = Tensor::from_fn([4, 6], |i| (i % 7) as f32 - 3.0);
         let w = Tensor::from_fn([5, 6], |i| (i % 5) as f32 * 0.5);
-        let expect = matmul(&a, &w.transpose().unwrap()).unwrap();
-        let got = matmul_bt(&a, &w).unwrap();
+        let expect = matmul_parallel(&a, &w.transpose().unwrap(), &Parallelism::serial()).unwrap();
+        let got = matmul_bt_parallel(&a, &w, &Parallelism::serial()).unwrap();
         assert!(expect.approx_eq(&got, 1e-4));
     }
 
@@ -723,7 +713,7 @@ mod tests {
         let a = Tensor::from_fn([21, 37], |i| ((i * 13) % 17) as f32 * 0.25 - 2.0);
         let w = Tensor::from_fn([19, 37], |i| ((i * 7) % 23) as f32 * 0.125 - 1.0);
         let expect = matmul_naive(&a, &w.transpose().unwrap()).unwrap();
-        let got = matmul_bt(&a, &w).unwrap();
+        let got = matmul_bt_parallel(&a, &w, &Parallelism::serial()).unwrap();
         assert!(expect.approx_eq(&got, 1e-3));
     }
 
@@ -732,7 +722,7 @@ mod tests {
         // Big enough for four stripes, ragged on every edge.
         let a = Tensor::from_fn([131, 129], |i| ((i * 31) % 11) as f32 - 5.0);
         let b = Tensor::from_fn([129, 257], |i| ((i * 17) % 9) as f32 - 4.0);
-        let serial = matmul(&a, &b).unwrap();
+        let serial = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
         for threads in [1, 2, 3, 8, 64] {
             // An inline runner still exercises the stripe partitioning.
             let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
@@ -771,7 +761,7 @@ mod tests {
         for (m, k, n) in [(64, 28, 256), (64, 256, 2), (300, 28, 256), (131, 129, 257)] {
             let a = Tensor::from_fn([m, k], |i| ((i * 29) % 31) as f32 * 0.125 - 1.5);
             let w = Tensor::from_fn([n, k], |i| ((i * 37) % 41) as f32 * 0.0625 - 1.0);
-            let serial = matmul_bt(&a, &w).unwrap();
+            let serial = matmul_bt_parallel(&a, &w, &Parallelism::serial()).unwrap();
             for threads in [2, 3, 8] {
                 let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), threads);
                 let striped = matmul_bt_parallel(&a, &w, &grant).unwrap();
@@ -918,7 +908,7 @@ mod tests {
     fn parallel_bt_matches_serial() {
         let a = Tensor::from_fn([9, 5], |i| i as f32 * 0.25);
         let w = Tensor::from_fn([4, 5], |i| (i as f32).sin());
-        let serial = matmul_bt(&a, &w).unwrap();
+        let serial = matmul_bt_parallel(&a, &w, &Parallelism::serial()).unwrap();
         let grant = Parallelism::new(std::sync::Arc::new(SerialRunner), 4);
         let par = matmul_bt_parallel(&a, &w, &grant).unwrap();
         assert!(serial.approx_eq(&par, 1e-4));
@@ -928,7 +918,7 @@ mod tests {
     fn single_row_and_column() {
         let a = Tensor::from_vec([1, 3], vec![1., 2., 3.]).unwrap();
         let b = Tensor::from_vec([3, 1], vec![4., 5., 6.]).unwrap();
-        let c = matmul(&a, &b).unwrap();
+        let c = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
         assert_eq!(c.data(), &[32.0]);
     }
 
@@ -940,7 +930,7 @@ mod tests {
             let a = Tensor::from_fn([m, k], |i| ((i * 29) % 31) as f32 * 0.125 - 1.5);
             let b = Tensor::from_fn([k, n], |i| ((i * 37) % 41) as f32 * 0.0625 - 1.0);
             let slow = matmul_naive(&a, &b).unwrap();
-            let fast = matmul(&a, &b).unwrap();
+            let fast = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
             assert!(fast.approx_eq(&slow, 1e-3), "shape ({m},{k},{n})");
             for isa in Isa::supported() {
                 let forced = matmul_with_isa(&a, &b, isa).unwrap();
@@ -958,7 +948,7 @@ mod tests {
         let a = Tensor::from_fn([5, k], |i| (((i * 11) % 7) as f32 - 3.0) * 0.25);
         let b = Tensor::from_fn([k, 6], |i| (((i * 13) % 5) as f32 - 2.0) * 0.5);
         let slow = matmul_naive(&a, &b).unwrap();
-        let fast = matmul(&a, &b).unwrap();
+        let fast = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
         assert!(fast.approx_eq(&slow, 1e-2));
         for isa in Isa::supported() {
             let forced = matmul_with_isa(&a, &b, isa).unwrap();
@@ -983,7 +973,7 @@ mod tests {
     proptest! {
         #[test]
         fn blocked_matches_naive(a in tensor_strategy(5, 8), b in tensor_strategy(8, 6)) {
-            let fast = matmul(&a, &b).unwrap();
+            let fast = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
             let slow = matmul_naive(&a, &b).unwrap();
             prop_assert!(fast.approx_eq(&slow, 1e-3));
         }
@@ -1005,10 +995,10 @@ mod tests {
             // The §2.2 decomposition identity: [A1 | A2] × [B1; B2] = A1×B1 + A2×B2.
             let a = a1.hconcat(&a2).unwrap();
             let b = b1.vconcat(&b2).unwrap();
-            let whole = matmul(&a, &b).unwrap();
+            let whole = matmul_parallel(&a, &b, &Parallelism::serial()).unwrap();
             let parts = crate::ops::add(
-                &matmul(&a1, &b1).unwrap(),
-                &matmul(&a2, &b2).unwrap(),
+                &matmul_parallel(&a1, &b1, &Parallelism::serial()).unwrap(),
+                &matmul_parallel(&a2, &b2, &Parallelism::serial()).unwrap(),
             ).unwrap();
             prop_assert!(whole.approx_eq(&parts, 1e-2));
         }

@@ -846,7 +846,7 @@ pub fn qmatmul_prepacked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::matmul_bt;
+    use crate::matmul::matmul_bt_parallel;
     use crate::parallel::{SerialRunner, StripeRunner};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1291,7 +1291,8 @@ mod tests {
         let aq = quantize_activations(&a).unwrap();
         // Oracle: plain f32 matmul over the *dequantized* operands — the
         // int8 path must agree up to f32 rounding, not quantization error.
-        let oracle = matmul_bt(&aq.dequantize(), &w.dequantize()).unwrap();
+        let oracle =
+            matmul_bt_parallel(&aq.dequantize(), &w.dequantize(), &Parallelism::serial()).unwrap();
         for isa in Isa::supported() {
             let got = qmatmul_bt_with_isa(&a, &w, None, isa).unwrap();
             assert!(
@@ -1372,7 +1373,8 @@ mod tests {
         let a = test_matrix(4, 7, 3);
         let w = QuantizedTensor::quantize(&test_matrix(5, 7, 1)).unwrap();
         let aq = quantize_activations(&a).unwrap();
-        let oracle = matmul_bt(&aq.dequantize(), &w.dequantize()).unwrap();
+        let oracle =
+            matmul_bt_parallel(&aq.dequantize(), &w.dequantize(), &Parallelism::serial()).unwrap();
         for isa in Isa::supported() {
             let got = qmatmul_bt_with_isa(&a, &w, None, isa).unwrap();
             assert!(got.approx_eq(&oracle, 1e-3), "{isa}");

@@ -144,10 +144,18 @@ fn dedup_preserves_inference_within_bound() {
     let (deduped, stats) = dedup_blocks(&blocked, 1e-4).unwrap();
     assert!(stats.blocks_after < stats.blocks_before);
     let x = Tensor::from_fn([8, 64], |i| ((i % 13) as f32) * 0.1);
-    let exact = relserve_tensor::matmul::matmul(&x, &blocked.to_dense().unwrap()).unwrap();
-    let approx =
-        relserve_tensor::matmul::matmul(&x, &deduped.to_blocked().unwrap().to_dense().unwrap())
-            .unwrap();
+    let exact = relserve_tensor::matmul::matmul_parallel(
+        &x,
+        &blocked.to_dense().unwrap(),
+        &Parallelism::serial(),
+    )
+    .unwrap();
+    let approx = relserve_tensor::matmul::matmul_parallel(
+        &x,
+        &deduped.to_blocked().unwrap().to_dense().unwrap(),
+        &Parallelism::serial(),
+    )
+    .unwrap();
     // 64 summands × per-element bound 2e-4 × |x|≤1.2 — loose envelope.
     assert!(exact.max_abs_diff(&approx).unwrap() < 64.0 * 2e-4 * 1.3);
 }
@@ -207,8 +215,10 @@ fn relational_tensor_pipeline_through_tiny_pool() {
         .unwrap();
     // Oracle on dense tensors.
     let expect = {
-        let h = relserve_tensor::ops::relu(&relserve_tensor::matmul::matmul_bt(&x, &w1).unwrap());
-        relserve_tensor::matmul::matmul_bt(&h, &w2).unwrap()
+        let h = relserve_tensor::ops::relu(
+            &relserve_tensor::matmul::matmul_bt_parallel(&x, &w1, &Parallelism::serial()).unwrap(),
+        );
+        relserve_tensor::matmul::matmul_bt_parallel(&h, &w2, &Parallelism::serial()).unwrap()
     };
     assert!(y.to_dense().unwrap().approx_eq(&expect, 1e-2));
     assert!(p.stats().evictions > 0, "1 MiB pool must have spilled");

@@ -1,11 +1,13 @@
 //! Ablation A5 (§5.2): DL-style pipelining inside the UDF-centric
 //! architecture — micro-batch size vs latency and peak activation memory.
 //!
-//! The paper contrasts DL-framework pipelining (streaming stages, bounded
-//! per-device memory, no shuffles) with RDBMS data parallelism. This sweep
-//! shows the trade-off directly: small micro-batches minimize the activation
-//! window (the pipeline's "device memory") at the cost of per-stage
-//! scheduling overhead.
+//! The paper contrasts DL-framework pipelining (streaming micro-batches,
+//! bounded per-device memory, no shuffles) with RDBMS data parallelism. The
+//! pipelined plan is the UDF-centric plan run in morsels of `micro` rows:
+//! the granted kernel threads claim morsels and carry each through every
+//! layer. This sweep shows the trade-off directly: small micro-batches
+//! shrink the activation window (the pipeline's "device memory") at the
+//! cost of smaller, less efficient multiplies.
 //!
 //! ```sh
 //! cargo run --release -p relserve-bench --bin repro_ablation_pipeline
@@ -14,8 +16,8 @@
 use relserve_bench::config::scaling_banner;
 use relserve_bench::report::{timed, Cell, ResultTable};
 use relserve_bench::workloads;
+use relserve_core::exec;
 use relserve_core::exec::relation_centric::WeightRelations;
-use relserve_core::exec::{self, pipelined};
 use relserve_core::{InferencePlan, Representation};
 use relserve_nn::init::seeded_rng;
 use relserve_nn::zoo;
@@ -35,14 +37,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Caching-FFNN (5 layers), batch {batch}\n");
 
     let mut table = ResultTable::new(&["execution", "latency", "peak activations"]);
+    let pool = BufferPool::new(Arc::new(DiskManager::temp()?), 16);
+    let weights = WeightRelations::new(Arc::new(pool), 64);
 
     // Baseline: whole-batch UDF execution, every layer dense.
     {
         let governor = MemoryGovernor::unlimited("udf");
         let ctx = ExecContext::standalone(2, governor.clone());
         let plan = InferencePlan::uniform(&model, batch, Representation::UdfCentric)?;
-        let pool = BufferPool::new(Arc::new(DiskManager::temp()?), 16);
-        let weights = WeightRelations::new(Arc::new(pool), 64);
         let (res, elapsed) = timed(|| exec::run(&model, &x, &plan, &weights, &ctx));
         res?;
         table.row(
@@ -56,13 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for micro in [32usize, 128, 512] {
         let governor = MemoryGovernor::unlimited("pipe");
         let ctx = ExecContext::standalone(2, governor.clone());
-        let (res, elapsed) = timed(|| pipelined::run(&model, &x, micro, &ctx));
+        let plan = InferencePlan {
+            morsel_rows: micro,
+            ..InferencePlan::uniform(&model, batch, Representation::UdfCentric)?
+        };
+        let (res, elapsed) = timed(|| exec::run(&model, &x, &plan, &weights, &ctx));
         res?;
         table.row(
-            &format!(
-                "pipeline, micro-batch {micro} ({} stages)",
-                model.layers().len()
-            ),
+            &format!("morsels of {micro} rows ({} workers)", ctx.kernel_threads()),
             &[
                 Cell::Time(elapsed),
                 Cell::Text(format!("{:.1} MiB", peak_mib(&governor, &model))),
@@ -72,9 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", table.render());
     println!(
         "expected shape (§5.2): pipelining bounds activation memory by the\n\
-         micro-batch window instead of the whole batch, while stage\n\
-         parallelism keeps latency competitive — the DL-framework trade-off\n\
-         the paper wants inside the RDBMS."
+         output plus one micro-batch window per worker instead of the whole\n\
+         batch, while the workers keep latency competitive — the\n\
+         DL-framework trade-off the paper wants inside the RDBMS."
     );
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! The one in-database executor, plus the DL-centric and pipelined paths.
+//! The one in-database executor, plus the DL-centric path.
 //!
 //! [`run`] is the in-database executor of §2.1's unified IR: it walks an
 //! [`InferencePlan`], one node per model layer, running each layer in its
@@ -7,9 +7,10 @@
 //! joins through the buffer pool ([`relation_centric`]). The architectures
 //! are plans, not engines: UDF-centric is the uniform `UdfCentric` plan,
 //! relation-centric (and the session's degradation ladder) the uniform
-//! `RelationCentric` plan, and adaptive the §7.1 rule's per-layer mix.
-//! [`dl_centric`] ships the batch to an external runtime instead, and
-//! [`pipelined`] streams micro-batches through one stage per layer.
+//! `RelationCentric` plan, adaptive the §7.1 rule's per-layer mix, and
+//! pipelined (§5.2) the uniform `UdfCentric` plan cut into morsels of
+//! `micro_batch` rows that the granted kernel threads claim.
+//! [`dl_centric`] ships the batch to an external runtime instead.
 //!
 //! All executors share one contract: take a model and a dense feature batch
 //! pulled from the RDBMS, return an [`Output`] — dense when the result fits
@@ -17,12 +18,11 @@
 //! relation-centric path could materialize it.
 
 pub mod dl_centric;
-pub mod pipelined;
 pub mod relation_centric;
-pub(crate) mod spsc;
 
 use crate::error::{Error, Result};
 use crate::ir::{InferencePlan, Representation};
+use parking_lot::Mutex;
 use relation_centric::{exec_layer, Flow, WeightRelations};
 use relserve_nn::{Layer, Model};
 use relserve_relational::tensor_table::TensorOpStats;
@@ -31,6 +31,7 @@ use relserve_runtime::governor::Reservation;
 use relserve_runtime::ExecContext;
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{ops, Shape, Tensor};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of an inference execution.
 pub enum Output {
@@ -140,6 +141,10 @@ impl std::fmt::Debug for Output {
 /// would OOM. A `RelationCentric` layer joins against its weight relation in
 /// `weights` and reserves nothing: its intermediates live behind the buffer
 /// pool. Kernels and block joins use the context's granted thread budget.
+///
+/// A plan whose `morsel_rows` is below the batch's rows runs every layer
+/// dense, morsel by morsel ([`run_morsels`]); one with a relation-centric
+/// node, or with `morsel_rows == 0`, is refused.
 pub fn run(
     model: &Model,
     batch: &Tensor,
@@ -155,14 +160,28 @@ pub fn run(
             model.name()
         )));
     }
-    let governor = ctx.governor();
-    let par = ctx.parallelism();
+    if plan.morsel_rows == 0 {
+        return Err(Error::Invalid("a plan of 0-row morsels".into()));
+    }
     let batch_size = model.check_input(batch)?;
     let dense = |i: usize| plan.ops[i].representation == Representation::UdfCentric;
+    let morsels = plan.morsel_rows < batch_size;
+    if morsels && !(0..layers).all(dense) {
+        return Err(Error::Invalid(format!(
+            "`{}`: a plan cut into morsels runs every layer udf-centric",
+            model.name()
+        )));
+    }
+    let governor = ctx.governor();
     let _params = match model.param_bytes_of(dense) {
         0 => None,
         bytes => Some(governor.reserve(bytes)?),
     };
+    if morsels {
+        let out = run_morsels(model, batch, plan.morsel_rows, ctx)?;
+        return Ok((Output::Dense(out), TensorOpStats::default()));
+    }
+    let par = ctx.parallelism();
     // The scanned batch is the first dense window, unless the first layer
     // chunks it straight into the buffer pool.
     let mut window = match plan.ops.first() {
@@ -199,6 +218,63 @@ pub fn run(
         };
     }
     Ok((flow.into_output(), stats))
+}
+
+/// Run every layer of `model` dense over `batch`, cut into morsels of
+/// `morsel_rows` rows: the context's granted kernel threads claim morsels,
+/// and each worker carries its morsel through every layer on a serial grant,
+/// sliding its own input/output window over the governor as [`run`] does
+/// for the whole batch. The assembled output is charged once; the batch is
+/// the caller's. The first error is kept, and the other workers stop at
+/// their next layer boundary.
+fn run_morsels(
+    model: &Model,
+    batch: &Tensor,
+    morsel_rows: usize,
+    ctx: &ExecContext,
+) -> Result<Tensor> {
+    let governor = ctx.governor();
+    let rows = batch.shape().dim(0);
+    let in_shape = model.input_shape();
+    let out_shape = model.output_shape()?;
+    let (width, out_width) = (in_shape.num_elements(), out_shape.num_elements());
+    let _output = governor.reserve(rows * out_shape.num_bytes())?;
+    let mut data = vec![0.0; rows * out_width];
+    let failed = AtomicBool::new(false);
+    let first_error = Mutex::new(None);
+    let serial = Parallelism::serial();
+    let parts = data.chunks_mut(morsel_rows * out_width).enumerate();
+    ctx.parallelism()
+        .run_owned(parts.collect(), |(m, out): (usize, &mut [f32])| {
+            let (r0, r1) = (m * morsel_rows, (m * morsel_rows + morsel_rows).min(rows));
+            let mut morsel = || -> Result<()> {
+                let mut window = Some(governor.reserve((r1 - r0) * in_shape.num_bytes())?);
+                let mut dims = vec![r1 - r0];
+                dims.extend_from_slice(in_shape.dims());
+                let mut x = Tensor::from_vec(dims, batch.data()[r0 * width..r1 * width].to_vec())?;
+                for i in 0..model.layers().len() {
+                    if failed.load(Ordering::Relaxed) {
+                        return Ok(());
+                    }
+                    ctx.check_deadline("exec.layer")?;
+                    x = forward_charged(model, i, &x, &serial, &mut window, |bytes| {
+                        Ok(governor.reserve(bytes)?)
+                    })?;
+                }
+                out.copy_from_slice(x.data());
+                Ok(())
+            };
+            if let Err(err) = morsel() {
+                first_error.lock().get_or_insert(err);
+                failed.store(true, Ordering::Relaxed);
+            }
+        });
+    if let Some(err) = first_error.into_inner() {
+        return Err(err);
+    }
+    let mut dims = vec![rows];
+    dims.extend_from_slice(out_shape.dims());
+    Ok(Tensor::from_vec(dims, data)?)
 }
 
 /// Run layer `i` of `model` on the dense `x` under one memory domain's
@@ -263,6 +339,16 @@ mod tests {
         let rows = x.shape().dim(0);
         let plan = InferencePlan::uniform(model, rows, Representation::UdfCentric)?;
         Ok(run(model, x, &plan, &weights(16, 8), ctx)?.0)
+    }
+
+    /// The pipelined plan: every layer dense, in morsels of `morsel_rows`.
+    fn morsels(model: &Model, x: &Tensor, morsel_rows: usize, ctx: &ExecContext) -> Result<Tensor> {
+        let rows = x.shape().dim(0);
+        let plan = InferencePlan {
+            morsel_rows,
+            ..InferencePlan::uniform(model, rows, Representation::UdfCentric)?
+        };
+        run(model, x, &plan, &weights(16, 8), ctx)?.0.into_dense()
     }
 
     fn blocked_from(t: &Tensor) -> TensorTable {
@@ -506,5 +592,152 @@ mod tests {
         assert!(matches!(out, Output::Blocked(_)), "{out:?}");
         let expect = model.forward(&x, &Parallelism::serial()).unwrap();
         assert!(out.into_dense().unwrap().approx_eq(&expect, 1e-3));
+    }
+
+    #[test]
+    fn morsels_match_plain_forward_ffnn() {
+        let mut rng = seeded_rng(150);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::from_fn([37, 28], |i| ((i % 11) as f32 - 5.0) * 0.2);
+        let governor = MemoryGovernor::unlimited("morsels");
+        let out = morsels(&model, &x, 8, &ctx(1, &governor)).unwrap();
+        let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+        assert!(out.approx_eq(&expect, 1e-4));
+        assert_eq!(governor.in_use(), 0);
+    }
+
+    #[test]
+    fn morsels_match_plain_forward_cnn() {
+        let mut rng = seeded_rng(151);
+        let model = zoo::caching_cnn(&mut rng).unwrap();
+        let x = Tensor::from_fn([6, 28, 28, 1], |i| ((i % 7) as f32) * 0.1);
+        let governor = MemoryGovernor::unlimited("morsels");
+        let out = morsels(&model, &x, 2, &ctx(1, &governor)).unwrap();
+        let expect = model.forward(&x, &Parallelism::serial()).unwrap();
+        assert!(out.approx_eq(&expect, 1e-4));
+        assert_eq!(governor.in_use(), 0);
+    }
+
+    #[test]
+    fn morsel_workers_match_one_worker() {
+        // Four granted threads claim the morsels on the shared pool; each
+        // morsel computes what it computes on one thread, bit for bit.
+        let mut rng = seeded_rng(156);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::from_fn([53, 28], |i| ((i % 13) as f32 - 6.0) * 0.15);
+        let governor = MemoryGovernor::unlimited("morsels");
+        let four = morsels(&model, &x, 4, &ctx(4, &governor)).unwrap();
+        let one = morsels(&model, &x, 4, &ctx(1, &governor)).unwrap();
+        assert!(four.data() == one.data());
+        assert_eq!(governor.in_use(), 0);
+    }
+
+    #[test]
+    fn a_morsel_larger_than_the_batch_runs_the_whole_batch() {
+        let mut rng = seeded_rng(152);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::from_fn([5, 28], |i| i as f32 * 0.01);
+        let governor = MemoryGovernor::unlimited("morsels");
+        let out = morsels(&model, &x, 100, &ctx(1, &governor)).unwrap();
+        assert!(
+            out.data()
+                == udf(&model, &x, &ctx(1, &governor))
+                    .unwrap()
+                    .into_dense()
+                    .unwrap()
+                    .data()
+        );
+    }
+
+    #[test]
+    fn morsel_peak_is_params_output_and_one_window() {
+        // On one thread one morsel is in flight: the peak is the parameters,
+        // the assembled output and a full morsel's widest in/out window —
+        // far below the whole batch's.
+        let mut rng = seeded_rng(153);
+        let model = zoo::encoder_fc(&mut rng).unwrap();
+        let (rows, morsel_rows) = (50, 16);
+        let x = Tensor::zeros([rows, 76]);
+        let governor = MemoryGovernor::unlimited("morsels");
+        morsels(&model, &x, morsel_rows, &ctx(1, &governor)).unwrap();
+        let mut shape = model.input_shape().clone();
+        let mut widest = 0;
+        for layer in model.layers() {
+            let out = layer.output_shape(&shape).unwrap();
+            widest = widest.max(shape.num_bytes() + out.num_bytes());
+            shape = out;
+        }
+        let output = rows * shape.num_bytes();
+        let expect = model.param_bytes() + output + morsel_rows * widest;
+        assert_eq!(governor.peak(), expect);
+        let whole = MemoryGovernor::unlimited("whole");
+        udf(&model, &x, &ctx(1, &whole)).unwrap();
+        assert!(governor.peak() < whole.peak());
+    }
+
+    #[test]
+    fn morsel_oom_is_recoverable() {
+        let mut rng = seeded_rng(154);
+        let model = zoo::fraud_fc_512(&mut rng).unwrap();
+        let x = Tensor::zeros([64, 28]);
+        // Below the parameters, and room for parameters and output but not
+        // one morsel's window while two workers run.
+        let output = 64 * 2 * 4;
+        for budget in [model.param_bytes() - 1, model.param_bytes() + output + 1024] {
+            let governor = MemoryGovernor::with_budget("morsels", budget);
+            let err = morsels(&model, &x, 8, &ctx(2, &governor)).unwrap_err();
+            assert!(err.is_oom(), "{err}");
+            assert_eq!(governor.in_use(), 0, "OOM must not leak reservations");
+        }
+    }
+
+    #[test]
+    fn expired_deadline_stops_every_morsel_worker() {
+        use relserve_runtime::{AdmissionPolicy, ThreadCoordinator};
+        let mut rng = seeded_rng(157);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::zeros([64, 28]);
+        let c = ThreadCoordinator::new(2);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(2);
+        let ctx = c
+            .context_with(
+                1,
+                MemoryGovernor::unlimited("morsels"),
+                &AdmissionPolicy::with_deadline(deadline),
+            )
+            .unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let err = morsels(&model, &x, 4, &ctx).unwrap_err();
+        assert!(err.is_deadline_exceeded(), "{err}");
+        // The grant was released when the context dropped with the error.
+        drop(ctx);
+        assert_eq!(c.granted_threads(), 0);
+    }
+
+    #[test]
+    fn zero_morsel_rows_are_refused() {
+        let mut rng = seeded_rng(155);
+        let model = zoo::fraud_fc_256(&mut rng).unwrap();
+        let x = Tensor::zeros([4, 28]);
+        let governor = MemoryGovernor::unlimited("morsels");
+        let err = morsels(&model, &x, 0, &ctx(1, &governor)).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert_eq!(governor.peak(), 0, "a refused plan reserves nothing");
+    }
+
+    #[test]
+    fn a_morsel_plan_with_a_relation_centric_node_is_refused() {
+        let model = zoo::fraud_fc_512(&mut seeded_rng(158)).unwrap();
+        let x = Tensor::zeros([9, 28]);
+        let governor = MemoryGovernor::unlimited("morsels");
+        let mut plan = InferencePlan::uniform(&model, 9, Representation::UdfCentric).unwrap();
+        plan.ops[1].representation = Representation::RelationCentric;
+        plan.morsel_rows = 4;
+        let err = run(&model, &x, &plan, &weights(16, 8), &ctx(1, &governor)).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert_eq!(governor.peak(), 0, "a refused plan reserves nothing");
+        // One morsel of the whole batch is today's mixed plan.
+        plan.morsel_rows = 9;
+        assert!(run(&model, &x, &plan, &weights(16, 8), &ctx(1, &governor)).is_ok());
     }
 }

@@ -57,6 +57,10 @@ pub struct InferencePlan {
     pub memory_threshold: Option<usize>,
     /// One node per model layer, in execution order.
     pub ops: Vec<PlanNode>,
+    /// Rows of the batch one worker carries through every layer at a time
+    /// (§5.2's micro-batch): `batch_size` for every plan but the pipelined
+    /// one, so the whole batch is one morsel.
+    pub morsel_rows: usize,
     /// Whether the model's dense layers have weight relations stored on
     /// catalog pages — a model loaded into a session — which a
     /// relation-centric multiply joins against whatever form the layer's
@@ -96,6 +100,7 @@ impl InferencePlan {
             batch_size,
             memory_threshold,
             ops,
+            morsel_rows: batch_size,
             weight_relations_stored: false,
         })
     }
@@ -121,11 +126,15 @@ impl InferencePlan {
     /// (packed once) weights, the session's weight relation, or an operand it
     /// packs on every call — and what that operand is read from: a loaded
     /// model's weight relation is its catalog pages, prepared weights are
-    /// packed from artifact pages or from weights in memory.
+    /// packed from artifact pages or from weights in memory. A plan that
+    /// cuts its batch into morsels says how many rows each carries.
     pub fn explain(&self) -> String {
-        let rule = self
+        let mut rule = self
             .memory_threshold
             .map_or("uniform".into(), |bytes| format!("threshold {bytes} B"));
+        if self.morsel_rows < self.batch_size {
+            rule.push_str(&format!(", morsels of {} rows", self.morsel_rows));
+        }
         let mut out = format!(
             "InferencePlan for `{}` (batch {}, {rule})\n",
             self.model_name, self.batch_size
@@ -201,6 +210,16 @@ mod tests {
         assert!(text.contains("dense [28] -> [256]"));
         assert!(text.contains("udf-centric"));
         assert!(text.contains("uniform"));
+        assert!(!text.contains("morsels"));
+        let mut morsels = p.clone();
+        morsels.morsel_rows = 3;
+        let text = morsels.explain();
+        assert!(
+            text.starts_with(
+                "InferencePlan for `Fraud-FC-256` (batch 4, uniform, morsels of 3 rows)"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

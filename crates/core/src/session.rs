@@ -9,7 +9,7 @@
 use crate::cache::CachedModel;
 use crate::error::{Error, Result};
 use crate::exec::relation_centric::WeightRelations;
-use crate::exec::{self, dl_centric, pipelined, Output};
+use crate::exec::{self, dl_centric, Output};
 use crate::ir::{InferencePlan, Representation};
 use crate::optimizer::RuleBasedOptimizer;
 use parking_lot::Mutex;
@@ -193,10 +193,11 @@ pub enum Architecture {
     RelationCentric,
     /// Offload to an external runtime with the given profile.
     DlCentric(RuntimeProfile),
-    /// Stream micro-batches through per-layer stages (§5.2) inside the
-    /// database process.
+    /// Micro-batch pipelining (§5.2) inside the database process: the
+    /// UDF-centric plan run in morsels of `micro_batch` rows, which the
+    /// granted kernel threads claim and carry through every layer.
     Pipelined {
-        /// Rows per micro-batch.
+        /// Rows per micro-batch (the plan's `morsel_rows`).
         micro_batch: usize,
     },
 }
@@ -652,8 +653,9 @@ impl InferenceSession {
 
     /// The plan an in-database `architecture` runs a loaded model under,
     /// whose relation-centric multiplies join the weight relations stored at
-    /// load: every layer in the forced representation, or the adaptive
-    /// optimizer's per-layer mix.
+    /// load: every layer in the forced representation (pipelined's cut into
+    /// morsels of `micro_batch` rows), or the adaptive optimizer's per-layer
+    /// mix.
     fn plan_loaded(
         &self,
         model: &Model,
@@ -663,6 +665,10 @@ impl InferenceSession {
         let uniform = |representation| InferencePlan::uniform(model, batch_size, representation);
         let mut plan = match architecture {
             Architecture::UdfCentric => uniform(Representation::UdfCentric)?,
+            Architecture::Pipelined { micro_batch } => InferencePlan {
+                morsel_rows: *micro_batch,
+                ..uniform(Representation::UdfCentric)?
+            },
             Architecture::RelationCentric => uniform(Representation::RelationCentric)?,
             _ => self.optimizer.plan(model, batch_size)?,
         };
@@ -699,23 +705,12 @@ impl InferenceSession {
 
     /// Admit `architecture`'s context shape under `policy`: dedicated for
     /// DL-centric (kernels may use every granted core, no DB workers
-    /// competing), one DB worker per stage for pipelined (§3.1: stage
-    /// threads × stages must not oversubscribe cores), one DB worker
-    /// otherwise.
-    fn admit(
-        &self,
-        architecture: &Architecture,
-        model: &Model,
-        policy: &AdmissionPolicy,
-    ) -> Result<ExecContext> {
+    /// competing), one DB worker for the in-database plans.
+    fn admit(&self, architecture: &Architecture, policy: &AdmissionPolicy) -> Result<ExecContext> {
         let governor = self.governor.clone();
         Ok(match architecture {
             Architecture::DlCentric(_) => {
                 self.coordinator.context_dedicated_with(governor, policy)?
-            }
-            Architecture::Pipelined { .. } => {
-                let stages = model.layers().len().max(1);
-                self.coordinator.context_with(stages, governor, policy)?
             }
             _ => self.coordinator.context_with(1, governor, policy)?,
         })
@@ -730,10 +725,12 @@ impl InferenceSession {
         batch_size: usize,
         ctx: &ExecContext,
     ) -> Result<(Output, Option<InferencePlan>, TensorOpStats)> {
-        let no_rel = TensorOpStats::default();
         match architecture {
             // The in-database architectures are plans of the one executor.
-            Architecture::UdfCentric | Architecture::RelationCentric | Architecture::Adaptive => {
+            Architecture::UdfCentric
+            | Architecture::RelationCentric
+            | Architecture::Adaptive
+            | Architecture::Pipelined { .. } => {
                 let plan = self.plan_loaded(model, batch_size, architecture)?;
                 let (out, rel_stats) = exec::run(model, batch, &plan, &self.weights, ctx)?;
                 Ok((out, Some(plan), rel_stats))
@@ -773,13 +770,8 @@ impl InferenceSession {
                 self.counters
                     .runtime_retries
                     .fetch_add(stats.runtime_retries, Ordering::Relaxed);
-                Ok((out, None, no_rel))
+                Ok((out, None, TensorOpStats::default()))
             }
-            Architecture::Pipelined { micro_batch } => Ok((
-                pipelined::run(model, batch, *micro_batch, ctx)?,
-                None,
-                no_rel,
-            )),
         }
     }
 
@@ -798,7 +790,7 @@ impl InferenceSession {
     /// FIFO for admission for at most `policy.queue_timeout` (shedding with
     /// [`relserve_runtime::Error::Overloaded`] when the machine stays
     /// saturated), and `policy.deadline` is enforced both in the queue and
-    /// cooperatively at every executor block/stage boundary.
+    /// cooperatively at every executor block/layer boundary.
     ///
     /// The query runs inside its own admitted execution context; the grant
     /// returns to the coordinator when the outcome (or error) is produced.
@@ -819,7 +811,7 @@ impl InferenceSession {
         let batch_size = model.check_input(batch)?;
         let started = Instant::now();
         let label = architecture.to_string();
-        let ctx = self.admit(&architecture, &model, policy)?;
+        let ctx = self.admit(&architecture, policy)?;
         let primary = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.run_primary(&model, batch, &architecture, batch_size, &ctx)
         }))
@@ -1078,6 +1070,12 @@ mod tests {
             ran(Architecture::RelationCentric).ops,
             uniform(&session, name, Rc)
         );
+        // Pipelined runs the UDF-centric plan in morsels of its micro-batch.
+        let pipelined = ran(Architecture::Pipelined { micro_batch: 16 });
+        assert_eq!(pipelined.ops, uniform(&session, name, Udf));
+        assert_eq!(pipelined.morsel_rows, 16);
+        assert!(pipelined.explain().contains("morsels of 16 rows"));
+        assert_eq!(ran(Architecture::UdfCentric).morsel_rows, 64);
         // A degraded query reports the all-relation-centric plan it re-ran.
         let starved = starved_session(true);
         let degraded = starved.infer_batch("Fraud-FC-512", &batch, Architecture::Adaptive);

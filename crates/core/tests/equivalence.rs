@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use relserve_core::exec::relation_centric::WeightRelations;
-use relserve_core::exec::{self, pipelined, Output};
+use relserve_core::exec::{self, Output};
 use relserve_core::{
     Architecture, InferencePlan, InferenceSession, Representation, RuleBasedOptimizer,
     SessionConfig,
@@ -368,11 +368,23 @@ proptest! {
         micro in 1usize..12,
         seed in 0u64..1000,
     ) {
+        // Each morsel is its row slice through the same layers, so the
+        // pipelined plan answers what a forward of each slice answers.
         let model = random_ffnn(features, &[hidden], 2, seed);
         let x = Tensor::from_fn([batch, features], |i| (((i as u64 * 7 + seed) % 17) as f32 - 8.0) * 0.1);
-        let dense = udf(&model, &x);
-        let out = pipelined::run(&model, &x, micro, &ctx(1)).unwrap().into_dense().unwrap();
-        prop_assert!(dense.approx_eq(&out, 1e-4));
+        let plan = InferencePlan {
+            morsel_rows: micro,
+            ..uniform(&model, &x, Representation::UdfCentric)
+        };
+        let (out, _) = exec::run(&model, &x, &plan, &weights(64, 8), &ctx(2)).unwrap();
+        let piecewise: Vec<f32> = (0..batch)
+            .step_by(micro)
+            .flat_map(|r0| {
+                let slice = x.slice2(r0, (r0 + micro).min(batch), 0, features).unwrap();
+                model.forward(&slice, &Parallelism::serial()).unwrap().data().to_vec()
+            })
+            .collect();
+        prop_assert!(out.into_dense().unwrap().data() == &piecewise[..]);
     }
 
     #[test]

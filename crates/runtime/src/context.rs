@@ -102,7 +102,7 @@ impl ExecContext {
         self.deadline
     }
 
-    /// Cooperative deadline check, called by executors at block/stage
+    /// Cooperative deadline check, called by executors at block/layer
     /// boundaries: [`Error::DeadlineExceeded`] once the query's deadline
     /// has passed, naming `phase` as the detection point. Returning the
     /// error unwinds the executor, dropping this context and releasing the
@@ -138,14 +138,7 @@ impl ExecContext {
     /// tensor kernels. Submissions are budgeted: a batch occupies at most
     /// [`ExecContext::kernel_threads`] pool threads.
     pub fn parallelism(&self) -> Parallelism {
-        self.parallelism_with(self.kernel_threads())
-    }
-
-    /// A sub-grant of at most `threads` kernel threads (still capped by the
-    /// admitted budget) — used by executors that subdivide their budget
-    /// across concurrently running pipeline stages.
-    pub fn parallelism_with(&self, threads: usize) -> Parallelism {
-        let threads = threads.clamp(1, self.kernel_threads());
+        let threads = self.kernel_threads();
         let runner = CountingRunner {
             handle: PoolHandle::new(Arc::clone(&self.pool), threads),
             stats: Arc::clone(&self.stats),
@@ -344,7 +337,7 @@ mod tests {
         let hold = c.admit(3).unwrap();
         let ctx = c.context(1, gov()).unwrap();
         assert_eq!(ctx.kernel_threads(), 1, "only one core remained");
-        assert_eq!(ctx.parallelism_with(64).threads(), 1);
+        assert_eq!(ctx.parallelism().threads(), 1);
         drop(hold);
     }
 

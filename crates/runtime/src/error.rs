@@ -41,7 +41,7 @@ pub enum Error {
         queue_timeout: Duration,
     },
     /// The query's deadline passed — while queued for admission or
-    /// cooperatively detected mid-execution at a block/stage boundary.
+    /// cooperatively detected mid-execution at a block/layer boundary.
     DeadlineExceeded {
         /// Where the deadline was detected, e.g. `"admission-queue"` or
         /// `"exec.layer"` (a layer boundary of the in-database executor).

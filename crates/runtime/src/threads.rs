@@ -124,7 +124,7 @@ pub struct AdmissionPolicy {
     pub min_threads: usize,
     /// Absolute deadline for the whole query. Expiring in the queue yields
     /// [`Error::DeadlineExceeded`]; executors also check it cooperatively at
-    /// block/stage boundaries mid-flight.
+    /// block/layer boundaries mid-flight.
     pub deadline: Option<Instant>,
     /// The queue band this query waits in. Defaults to
     /// [`Priority::Standard`]; a single-class workload is strict FIFO.

@@ -82,8 +82,9 @@ impl Parallelism {
     }
 
     /// A copy of this grant capped at `threads` (never raised above the
-    /// current budget, never below 1). Used when a caller subdivides its
-    /// budget across pipeline stages.
+    /// current budget, never below 1). Used when a caller needs fewer
+    /// threads than its grant, as the `TensorTable` join does when it has
+    /// fewer output cells than threads.
     pub fn with_threads(&self, threads: usize) -> Self {
         Parallelism {
             runner: self.runner.clone(),

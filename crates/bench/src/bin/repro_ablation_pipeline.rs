@@ -23,6 +23,7 @@ use relserve_nn::init::seeded_rng;
 use relserve_nn::zoo;
 use relserve_runtime::{ExecContext, MemoryGovernor};
 use relserve_storage::{BufferPool, DiskManager};
+use relserve_tensor::parallel::Parallelism;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,6 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = ResultTable::new(&["execution", "latency", "peak activations"]);
     let pool = BufferPool::new(Arc::new(DiskManager::temp()?), 16);
     let weights = WeightRelations::new(Arc::new(pool), 64);
+    // An untimed forward first: a model's first dense run of a layer packs
+    // its weights, and every row below multiplies from the packed form.
+    model.forward(&x, &Parallelism::serial())?;
 
     // Baseline: whole-batch UDF execution, every layer dense.
     {

@@ -94,8 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "expected shape (paper Fig. 2): in-database serving wins because the\n\
          DL-centric path pays serialization + wire time; the margin is widest\n\
          for the smallest (Fraud) models. Encoder-FC is compute-dominated, so\n\
-         with this repo's equal-kernels substitution its reduction is only a\n\
-         few percent (within noise) — see EXPERIMENTS.md."
+         with this repo's equal-kernels substitution its reduction is the\n\
+         smallest of the three — see EXPERIMENTS.md."
     );
     Ok(())
 }

@@ -31,6 +31,7 @@ use relserve_runtime::governor::Reservation;
 use relserve_runtime::ExecContext;
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{ops, Shape, Tensor};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of an inference execution.
@@ -183,14 +184,20 @@ pub fn run(
     }
     let par = ctx.parallelism();
     // The scanned batch is the first dense window, unless the first layer
-    // chunks it straight into the buffer pool.
+    // joins it where it is.
     let mut window = match plan.ops.first() {
         Some(node) if node.representation == Representation::RelationCentric => None,
         _ => Some(governor.reserve(batch.num_bytes())?),
     };
     let mut full_dims = vec![batch_size];
     full_dims.extend_from_slice(model.input_shape().dims());
-    let mut flow = Flow::Dense(batch.clone().reshape(full_dims)?);
+    // The batch flows in borrowed; only a flat batch for a spatial model is
+    // reshaped, into a copy.
+    let mut flow = Flow::Dense(if batch.shape().dims() == full_dims.as_slice() {
+        Cow::Borrowed(batch)
+    } else {
+        Cow::Owned(batch.clone().reshape(full_dims)?)
+    });
     let mut stats = TensorOpStats::default();
     for i in 0..layers {
         // Cooperative deadline check at every layer boundary: a timed-out
@@ -205,11 +212,14 @@ pub fn run(
             }
         }
         flow = match flow {
-            Flow::Dense(x) if dense(i) => {
-                Flow::Dense(forward_charged(model, i, &x, &par, &mut window, |bytes| {
-                    Ok(governor.reserve(bytes)?)
-                })?)
-            }
+            Flow::Dense(x) if dense(i) => Flow::Dense(Cow::Owned(forward_charged(
+                model,
+                i,
+                &x,
+                &par,
+                &mut window,
+                |bytes| Ok(governor.reserve(bytes)?),
+            )?)),
             flow => {
                 let out = exec_layer(model, i, flow, weights, &par, &mut stats)?;
                 window = None;

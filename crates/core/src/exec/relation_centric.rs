@@ -7,20 +7,24 @@
 //! query), matmul becomes a join + aggregation
 //! streaming through the buffer pool, pointwise convolutions are first
 //! spatially rewritten into a matmul (`F × Kᵀ`), and general convolutions
-//! build their im2col patch relation one image at a time. Activations map over blocks; softmax gathers one
-//! block-row at a time (it needs whole rows). Because every intermediate
-//! lives behind the buffer pool, working memory is bounded by block-row
-//! stripes — not tensor sizes — which is exactly why this path survives the
-//! Table 3 workloads that OOM everywhere else.
+//! build their im2col patch relation one image at a time. A dense input —
+//! the scanned batch, or a pointwise conv's rewritten pixels — is joined
+//! where it is, never written into the pool. The bias and an element-wise
+//! activation are applied to each output block as the join finishes it;
+//! softmax gathers one block-row at a time (it needs whole rows). Because
+//! every intermediate lives behind the buffer pool, working memory is
+//! bounded by block-row stripes — not tensor sizes — which is exactly why
+//! this path survives the Table 3 workloads that OOM everywhere else.
 
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
 use relserve_nn::{Activation, Layer, Model, Precision, Weight};
-use relserve_relational::tensor_table::TensorOpStats;
+use relserve_relational::tensor_table::{Activations, TensorOpStats};
 use relserve_relational::TensorTable;
 use relserve_storage::BufferPool;
 use relserve_tensor::parallel::Parallelism;
-use relserve_tensor::{conv, BlockCoord, BlockingSpec, Tensor};
+use relserve_tensor::{conv, ops, BlockCoord, BlockingSpec, Tensor};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -172,9 +176,10 @@ impl std::fmt::Debug for WeightRelations {
 }
 
 /// The data flowing between layers of the in-database executor.
-pub(crate) enum Flow {
-    /// Still dense in memory (the initial scanned batch, or small results).
-    Dense(Tensor),
+pub(crate) enum Flow<'a> {
+    /// Still dense in memory: the caller's scanned batch, borrowed, or a
+    /// dense layer's result.
+    Dense(Cow<'a, Tensor>),
     /// A block relation with one row per logical example.
     Rows(TensorTable),
     /// A block relation with one row per *pixel* (conv output), remembering
@@ -191,7 +196,7 @@ pub(crate) enum Flow {
     },
 }
 
-impl Flow {
+impl<'a> Flow<'a> {
     /// Bytes the flow would take densified, or `None` if it already is.
     pub(crate) fn blocked_bytes(&self) -> Option<usize> {
         match self {
@@ -203,13 +208,14 @@ impl Flow {
     }
 
     /// Materialize the flow as one dense tensor: `[n, h, w, c]` for pixels.
-    pub(crate) fn into_dense(self) -> Result<Tensor> {
+    /// A dense flow stays what it is, borrowed or owned.
+    pub(crate) fn into_dense(self) -> Result<Cow<'a, Tensor>> {
         Ok(match self {
             Flow::Dense(t) => t,
-            Flow::Rows(table) => table.to_dense()?,
+            Flow::Rows(table) => Cow::Owned(table.to_dense()?),
             Flow::Pixels { table, n, h, w } => {
                 let c = table.cols();
-                table.to_dense()?.reshape([n, h, w, c])?
+                Cow::Owned(table.to_dense()?.reshape([n, h, w, c])?)
             }
         })
     }
@@ -218,7 +224,7 @@ impl Flow {
     /// returned as its relation.
     pub(crate) fn into_output(self) -> super::Output {
         match self {
-            Flow::Dense(t) => super::Output::Dense(t),
+            Flow::Dense(t) => super::Output::Dense(t.into_owned()),
             Flow::Rows(table) | Flow::Pixels { table, .. } => super::Output::Blocked(table),
         }
     }
@@ -372,44 +378,48 @@ pub(crate) fn softmax_blocked(table: &TensorTable, name: &str) -> Result<TensorT
     Ok(out)
 }
 
-fn apply_activation_blocked(
-    table: TensorTable,
-    act: Activation,
+/// What a layer's join does to each output block as it finishes it: `+
+/// bias` (a pointwise conv's rode along in its rewritten kernel), then the
+/// activation if it is element-wise — the same operations, in the same
+/// order, as the layer's dense forward. Softmax needs whole rows, and runs
+/// after the join ([`softmax_pass`]).
+fn finish_block(
+    bias: Option<&Tensor>,
+    activation: Activation,
+) -> impl Fn(usize, &mut Tensor) -> relserve_relational::Result<()> + Sync + '_ {
+    move |c0, block| {
+        if let Some(bias) = bias {
+            let (_, width) = block.shape().as_matrix()?;
+            let slice = Tensor::from_vec([width], bias.data()[c0..c0 + width].to_vec())?;
+            ops::add_bias_inplace(block, &slice)?;
+        }
+        match activation {
+            Activation::Relu => ops::relu_inplace(block),
+            Activation::Sigmoid => ops::sigmoid_inplace(block),
+            Activation::Tanh => ops::map_inplace(block, f32::tanh),
+            Activation::None | Activation::Softmax => {}
+        }
+        Ok(())
+    }
+}
+
+/// A softmax layer's pass over its finished product; any other activation
+/// was applied as the join flushed each block.
+fn softmax_pass(
+    product: TensorTable,
+    activation: Activation,
     tag: &str,
     stats: &mut TensorOpStats,
 ) -> Result<TensorTable> {
-    let out = match act {
-        Activation::None => return Ok(table),
-        // Slice-level map so each block runs the dispatched SIMD relu rather
-        // than a per-element closure.
-        Activation::Relu => table.map_blocks(format!("{tag}.relu"), |xs| {
-            relserve_tensor::simd::kernels().relu(xs)
-        })?,
-        Activation::Sigmoid => table.map(format!("{tag}.sigmoid"), |x| 1.0 / (1.0 + (-x).exp()))?,
-        Activation::Tanh => table.map(format!("{tag}.tanh"), f32::tanh)?,
-        Activation::Softmax => softmax_blocked(&table, &format!("{tag}.softmax"))?,
-    };
-    // The activation read every input block and wrote every output block.
+    if activation != Activation::Softmax {
+        return Ok(product);
+    }
+    let out = softmax_blocked(&product, &format!("{tag}.softmax"))?;
+    // The pass read every input block and wrote every output block.
     stats.blocks_out += out.num_blocks() as u64;
-    stats.bytes_read += table.bytes_stored();
+    stats.bytes_read += product.bytes_stored();
     stats.bytes_written += out.bytes_stored();
     Ok(out)
-}
-
-fn rows_table(flow: Flow, weights: &WeightRelations, tag: &str) -> Result<TensorTable> {
-    Ok(match flow {
-        Flow::Rows(t) => t,
-        Flow::Dense(t) => {
-            let (rows, cols) = t.shape().as_matrix()?;
-            let flat = t.reshape([rows, cols])?;
-            TensorTable::from_dense(weights.pool.clone(), tag, &flat, weights.spec())?
-        }
-        Flow::Pixels { .. } => {
-            return Err(Error::Invalid(
-                "dense layer cannot consume pixel-major conv output; add a Flatten layer".into(),
-            ))
-        }
-    })
 }
 
 /// The weight relation of a dense layer's matrix, chunked from wherever the
@@ -442,14 +452,14 @@ fn weight_relation(
 /// weight relation comes from `weights` — stored at load, or chunked on the
 /// first such execution (the runtime chunking overhead Table 3 attributes to
 /// this path) and looked up ever after.
-pub(crate) fn exec_layer(
+pub(crate) fn exec_layer<'a>(
     model: &Model,
     index: usize,
-    flow: Flow,
+    flow: Flow<'a>,
     weights: &WeightRelations,
     par: &Parallelism,
     stats: &mut TensorOpStats,
-) -> Result<Flow> {
+) -> Result<Flow<'a>> {
     let tag = &format!("l{index}");
     let pool = &weights.pool;
     let spec_sq = weights.spec();
@@ -463,7 +473,15 @@ pub(crate) fn exec_layer(
         | Layer::Stored {
             bias, activation, ..
         }) => {
-            let x = rows_table(flow, weights, &format!("{tag}.x"))?;
+            let x =
+                match &flow {
+                    Flow::Dense(t) => Activations::Dense(t),
+                    Flow::Rows(table) => Activations::Blocks(table),
+                    Flow::Pixels { .. } => return Err(Error::Invalid(
+                        "dense layer cannot consume pixel-major conv output; add a Flatten layer"
+                            .into(),
+                    )),
+                };
             let weight = layer
                 .weight()
                 .ok_or_else(|| Error::Invalid("dense weight is not a matrix".into()))?;
@@ -473,19 +491,10 @@ pub(crate) fn exec_layer(
             // An int8 relation holds genuine i8 blocks — each carries its own
             // per-row scales, so the buffer pool moves ~4× fewer bytes than
             // the f32 path.
-            let (product, op_stats) = if w.is_quantized() {
-                x.matmul_bt_quant_parallel(&w, format!("{tag}.xw"), par)?
-            } else {
-                x.matmul_bt_parallel(&w, format!("{tag}.xw"), par)?
-            };
+            let finish = finish_block(Some(bias), *activation);
+            let (product, op_stats) = w.join_layer(x, format!("{tag}.xw"), par, &finish)?;
             stats.merge(op_stats);
-            let biased = product.add_bias(format!("{tag}.b"), bias)?;
-            Ok(Flow::Rows(apply_activation_blocked(
-                biased,
-                *activation,
-                tag,
-                stats,
-            )?))
+            Ok(Flow::Rows(softmax_pass(product, *activation, tag, stats)?))
         }
         Layer::Conv2d {
             kernel,
@@ -503,10 +512,12 @@ pub(crate) fn exec_layer(
             let (n, h, w) = (dims[0], dims[1], dims[2]);
             let (oh, ow) = spec.output_dims(h, w)?;
             let fold_bias = spec.is_pointwise();
-            let f_table = if fold_bias {
-                // Spatial rewriting (§7.1): F = pixels+bias column, conv ≡ F×Kᵀ.
-                let f = conv::spatial_rewrite_1x1(&input)?;
-                TensorTable::from_dense(pool.clone(), format!("{tag}.F"), &f, spec_sq)?
+            let (pixels, patches);
+            let x = if fold_bias {
+                // Spatial rewriting (§7.1): F = pixels+bias column, conv ≡ F×Kᵀ,
+                // joined where it is.
+                pixels = conv::spatial_rewrite_1x1(&input)?;
+                Activations::Dense(&pixels)
             } else {
                 // Stream the im2col patch relation one image at a time.
                 let mut builder = RowStreamBuilder::new(
@@ -522,12 +533,13 @@ pub(crate) fn exec_layer(
                     let cols = conv::im2col(&image, spec)?;
                     builder.push_rows(cols.data())?;
                 }
-                builder.finish()?
+                patches = builder.finish()?;
+                Activations::Blocks(&patches)
             };
             // The kernel relation K: the rewritten kernel (bias folded into
             // its last column) for a pointwise conv, the flattened one
             // otherwise. It depends on the layer alone.
-            let k_shape = (spec.out_channels, f_table.cols());
+            let k_shape = (spec.out_channels, spec.patch_len() + usize::from(fold_bias));
             let k_table = weights.get_or_build(model.name(), index, k_shape, |name| {
                 let k_dense = if fold_bias {
                     conv::rewrite_kernel_1x1(kernel, bias)?
@@ -543,17 +555,13 @@ pub(crate) fn exec_layer(
                     spec_sq,
                 )?)
             })?;
-            let (product, op_stats) =
-                f_table.matmul_bt_parallel(&k_table, format!("{tag}.FK"), par)?;
+            // A pointwise conv's bias rode along in its rewritten kernel's
+            // last column.
+            let finish = finish_block((!fold_bias).then_some(bias), *activation);
+            let (product, op_stats) = k_table.join_layer(x, format!("{tag}.FK"), par, &finish)?;
             stats.merge(op_stats);
-            let biased = if fold_bias {
-                product // bias rode along in the rewritten kernel's last column
-            } else {
-                product.add_bias(format!("{tag}.b"), bias)?
-            };
-            let activated = apply_activation_blocked(biased, *activation, tag, stats)?;
             Ok(Flow::Pixels {
-                table: activated,
+                table: softmax_pass(product, *activation, tag, stats)?,
                 n,
                 h: oh,
                 w: ow,
@@ -578,14 +586,16 @@ pub(crate) fn exec_layer(
                 let dims = t.shape().dims().to_vec();
                 let batch = dims[0];
                 let rest: usize = dims[1..].iter().product();
-                Ok(Flow::Dense(t.reshape([batch, rest])?))
+                Ok(Flow::Dense(Cow::Owned(
+                    t.into_owned().reshape([batch, rest])?,
+                )))
             }
             rows @ Flow::Rows(_) => Ok(rows),
         },
     }
 }
 
-impl std::fmt::Debug for Flow {
+impl std::fmt::Debug for Flow<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Flow::{}", self.describe())
     }
@@ -729,7 +739,15 @@ mod tests {
         let x = Tensor::from_fn([1, 5, 5, 3], |i| i as f32 * 0.01);
         let w = weights(32, 4);
         let mut stats = TensorOpStats::default();
-        let flow = exec_layer(&conv_model, 0, Flow::Dense(x), &w, &serial(), &mut stats).unwrap();
+        let flow = exec_layer(
+            &conv_model,
+            0,
+            Flow::Dense(Cow::Owned(x)),
+            &w,
+            &serial(),
+            &mut stats,
+        )
+        .unwrap();
         let dense_model = Model::new("dense-only", [4])
             .push(relserve_nn::Layer::dense(4, 2, Activation::None, &mut rng))
             .unwrap();

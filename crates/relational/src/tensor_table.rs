@@ -22,13 +22,12 @@
 //! cost no file growth and no write-back once they are gone.
 
 use crate::error::{Error, Result};
-use crate::weight_blocks::{RowEncoder, Rows, WeightBlocks};
+use crate::weight_blocks::{packed_len, panel_starts, RowEncoder, Rows, WeightBlocks};
 use relserve_storage::{BlobId, BlobStore, BlobWriter, BufferPool, PAGE_SIZE};
 use relserve_tensor::matmul::{self, Epilogue, PackedB};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantizedActivations, QuantizedTensor};
 use relserve_tensor::{BlockCoord, BlockedTensor, BlockingSpec, Tensor, ELEM_BYTES};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -42,7 +41,9 @@ pub(crate) enum BlockKind {
     F32,
     /// f32 in the `[panel][col][nr]` layout the matmul kernel of panel width
     /// `nr` multiplies from, the block standing as `Bᵀ` in `X × Wᵀ` (see
-    /// [`PackedB`]): what [`TensorTable::from_weights`] stores.
+    /// [`PackedB`]), each panel placed so that the kernel reads it where it
+    /// is stored (see `weight_blocks::panel_offset`): what
+    /// [`TensorTable::from_weights`] stores.
     Packed { nr: usize },
     /// `[scales f32 × rows][levels i8 × rows·cols]`; row sums are derived on
     /// decode, not stored.
@@ -63,7 +64,7 @@ impl BlockKind {
     fn payload_len(self, rows: usize, cols: usize) -> usize {
         match self {
             BlockKind::F32 => rows * cols * ELEM_BYTES,
-            BlockKind::Packed { nr } => PackedB::len_for(cols, rows, nr) * ELEM_BYTES,
+            BlockKind::Packed { nr } => packed_len(rows, cols, nr),
             BlockKind::Int8 => rows * cols + rows * ELEM_BYTES,
         }
     }
@@ -75,11 +76,27 @@ impl BlockMeta {
     }
 }
 
-thread_local! {
-    /// The packed weight block this thread is multiplying from: join workers
-    /// are persistent kernel-pool threads, so each copies block after block
-    /// into the same megabyte instead of allocating one per block pair.
-    static PANELS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+// A packed payload is read in place as the f32 values it stores, little
+// endian.
+const _: () = assert!(
+    cfg!(target_endian = "little"),
+    "stored f32 payloads are multiplied in place as little-endian values"
+);
+
+/// A pinned page's payload bytes as the f32 values they encode, where they
+/// are: a frame of the pool's mapping is page-aligned, a heap image is
+/// aligned by the allocator.
+fn as_f32s(bytes: &[u8]) -> Result<&[f32]> {
+    // SAFETY: every bit pattern is an f32, and `align_to` only puts whole,
+    // aligned values in the middle part.
+    let (head, values, tail) = unsafe { bytes.align_to::<f32>() };
+    if !head.is_empty() || !tail.is_empty() {
+        return Err(Error::Codec(format!(
+            "a {} B page image is not a run of aligned f32 values",
+            bytes.len()
+        )));
+    }
+    Ok(values)
 }
 
 /// Fill `bytes` with the leading `values`, little endian.
@@ -104,10 +121,17 @@ pub struct TensorOpStats {
     pub joins: u64,
     /// Output blocks aggregated and written.
     pub blocks_out: u64,
-    /// Block payload bytes read from the store.
+    /// Operand bytes the operation read: block payloads from the store, and
+    /// activation blocks of a dense batch joined in place.
     pub bytes_read: u64,
     /// Block payload bytes written to the store.
     pub bytes_written: u64,
+    /// Operand bytes copied before a kernel read them: an activation block
+    /// gathered out of its pages (or out of a dense batch, for a kernel that
+    /// cannot read it in place), a weight block decoded out of its pages. 0
+    /// for an f32 join of a dense batch against a packed relation, which
+    /// multiplies both where they are.
+    pub bytes_copied: u64,
 }
 
 impl TensorOpStats {
@@ -117,6 +141,44 @@ impl TensorOpStats {
         self.blocks_out += other.blocks_out;
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
+        self.bytes_copied += other.bytes_copied;
+    }
+}
+
+/// The activation side `X` of a block join `X × Wᵀ`.
+#[derive(Debug, Clone, Copy)]
+pub enum Activations<'a> {
+    /// A relation of activation blocks, read through the buffer pool.
+    Blocks(&'a TensorTable),
+    /// A dense row-major `[rows, k]` matrix, blocked square at the weight
+    /// relation's inner block size and read where it is: a batch joined in
+    /// place is never written into the pool.
+    Dense(&'a Tensor),
+}
+
+/// What a join does to each output block once its sum is complete, before
+/// it stores it, given the block's first column in the output: a layer's
+/// bias and element-wise activation, applied at flush instead of in passes
+/// over the stored product.
+pub type Finish<'a> = &'a (dyn Fn(usize, &mut Tensor) -> Result<()> + Sync);
+
+/// The activation side of one join, resolved: where its blocks come from,
+/// how they are cut, and whether the kernel reads a dense one in place.
+struct Lhs<'a> {
+    x: Activations<'a>,
+    rows: usize,
+    cols: usize,
+    spec: BlockingSpec,
+    in_place: bool,
+}
+
+impl Lhs<'_> {
+    fn row_blocks(&self) -> usize {
+        self.spec.row_blocks(self.rows)
+    }
+
+    fn col_blocks(&self) -> usize {
+        self.spec.col_blocks(self.cols)
     }
 }
 
@@ -134,7 +196,15 @@ enum PairKernel {
 /// An activation block as its [`PairKernel`] consumes it. The int8 form is
 /// quantized to 7-bit levels **once** and reused across every weight block
 /// sharing its `k` coordinate.
-enum PreparedBlock {
+enum PreparedBlock<'a> {
+    /// `rows` rows of a block's width, `ld` apart: a window of a dense
+    /// batch, multiplied where it is.
+    Window {
+        data: &'a [f32],
+        rows: usize,
+        ld: usize,
+    },
+    /// A block gathered out of its pages.
     F32(Tensor),
     Int8(QuantizedActivations),
 }
@@ -461,6 +531,28 @@ impl TensorTable {
         })
     }
 
+    /// Run `f` on a packed block as it lies in its pinned pages: the pages
+    /// stay pinned, and their images locked for reading, until `f` returns.
+    fn with_packed<R>(
+        &self,
+        meta: &BlockMeta,
+        nr: usize,
+        f: impl FnOnce(&PackedB<'_>) -> Result<R>,
+    ) -> Result<R> {
+        let mut left = self.payload_len(meta)?;
+        let guards = self.blobs.pin(meta.blob)?;
+        // Dropped before `guards`: the images are unlocked, then unpinned.
+        let images: Vec<_> = guards.iter().map(|guard| guard.read()).collect();
+        let mut pages = Vec::with_capacity(images.len());
+        for image in &images {
+            let take = left.min(PAGE_SIZE);
+            pages.push(as_f32s(&image.bytes()[..take])?);
+            left -= take;
+        }
+        let starts = panel_starts(meta.rows, meta.cols, nr);
+        f(&PackedB::paged(meta.cols, meta.rows, nr, &pages, &starts)?)
+    }
+
     fn read_qblock(&self, meta: &BlockMeta) -> Result<QuantizedTensor> {
         if meta.kind != BlockKind::Int8 {
             return Err(Error::Codec(
@@ -550,12 +642,11 @@ impl TensorTable {
             BlockKind::Int8 => return Ok(self.read_qblock(meta)?.dequantize()),
             BlockKind::F32 => self.read_f32s(meta, &mut values)?,
             BlockKind::Packed { nr } => {
-                let mut panels = Vec::new();
-                self.read_f32s(meta, &mut panels)?;
-                let packed = PackedB::new(cols, rows, nr, &panels)?;
-                values = (0..rows * cols)
-                    .map(|i| packed.at(i % cols, i / cols))
-                    .collect();
+                values.resize(rows * cols, 0.0);
+                self.with_packed(meta, nr, |packed| {
+                    packed.read_rows(0, &mut values);
+                    Ok(())
+                })?;
             }
         }
         Ok(Tensor::from_vec([rows, cols], values)?)
@@ -585,6 +676,12 @@ impl TensorTable {
     /// output table's insert lock when flushing finished blocks. Peak memory
     /// is at most one block-row of partials per worker.
     ///
+    /// A packed weight block is multiplied where it lies, in its pinned
+    /// frames: each worker pins one block at a time, and a pool that cannot
+    /// hold one block per worker — besides a page to read an activation
+    /// block through and one to write an output page in — runs fewer
+    /// stripes.
+    ///
     /// The returned stats describe the join's logical work and do not depend
     /// on the striping: an activation block that two workers both fetch,
     /// because the cut fell inside its block-row, is counted once.
@@ -594,7 +691,13 @@ impl TensorTable {
         out_name: impl Into<String>,
         par: &Parallelism,
     ) -> Result<(TensorTable, TensorOpStats)> {
-        self.block_join(other, out_name.into(), par, PairKernel::F32)
+        other.block_join(
+            Activations::Blocks(self),
+            out_name.into(),
+            par,
+            PairKernel::F32,
+            &|_, _| Ok(()),
+        )
     }
 
     /// Relation-centric **quantized** `C = X × Wᵀ` with `W` stored as int8
@@ -619,44 +722,95 @@ impl TensorTable {
                 other.name
             )));
         }
-        self.block_join(other, out_name.into(), par, PairKernel::Int8)
+        other.block_join(
+            Activations::Blocks(self),
+            out_name.into(),
+            par,
+            PairKernel::Int8,
+            &|_, _| Ok(()),
+        )
     }
 
-    /// The one parallel `A × Bᵀ` block join behind both public forms.
+    /// A dense layer over this weight relation: `finish(X × selfᵀ)`, block
+    /// by block, on the kernel of the relation's precision (the int8 join
+    /// of [`TensorTable::matmul_bt_quant_parallel`] for int8 blocks, the f32
+    /// join otherwise). `finish` — the layer's bias and element-wise
+    /// activation — runs on each output block as its sum completes, so the
+    /// product is stored once, finished.
+    pub fn join_layer(
+        &self,
+        x: Activations<'_>,
+        out_name: impl Into<String>,
+        par: &Parallelism,
+        finish: Finish<'_>,
+    ) -> Result<(TensorTable, TensorOpStats)> {
+        let kernel = if self.quantized {
+            PairKernel::Int8
+        } else {
+            PairKernel::F32
+        };
+        self.block_join(x, out_name.into(), par, kernel, finish)
+    }
+
+    /// The one parallel `X × selfᵀ` block join behind the public forms.
     fn block_join(
         &self,
-        other: &TensorTable,
+        x: Activations<'_>,
         out_name: String,
         par: &Parallelism,
         kernel: PairKernel,
+        finish: Finish<'_>,
     ) -> Result<(TensorTable, TensorOpStats)> {
-        if self.cols != other.cols {
+        // The f32 kernel reads a dense batch where it is, against panels.
+        let in_place = kernel == PairKernel::F32
+            && self
+                .index
+                .values()
+                .all(|meta| matches!(meta.kind, BlockKind::Packed { .. }));
+        let lhs = match x {
+            Activations::Blocks(table) => Lhs {
+                x,
+                rows: table.rows,
+                cols: table.cols,
+                spec: table.spec,
+                in_place,
+            },
+            Activations::Dense(dense) => {
+                let (rows, cols) = dense.shape().as_matrix()?;
+                Lhs {
+                    x,
+                    rows,
+                    cols,
+                    spec: BlockingSpec::square(self.spec.block_cols),
+                    in_place,
+                }
+            }
+        };
+        if lhs.cols != self.cols {
             return Err(Error::Tensor(relserve_tensor::Error::ShapeMismatch {
                 op: "relational matmul_bt",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![other.rows, other.cols],
+                lhs: vec![lhs.rows, lhs.cols],
+                rhs: vec![self.rows, self.cols],
             }));
         }
-        if self.spec.block_cols != other.spec.block_cols {
+        if lhs.spec.block_cols != self.spec.block_cols {
             return Err(Error::Plan(format!(
                 "inner blockings differ: {} vs {}",
-                self.spec.block_cols, other.spec.block_cols
+                lhs.spec.block_cols, self.spec.block_cols
             )));
         }
         let out_spec = BlockingSpec {
-            block_rows: self.spec.block_rows,
-            block_cols: other.spec.block_rows,
+            block_rows: lhs.spec.block_rows,
+            block_cols: self.spec.block_rows,
         };
-        let mut out = TensorTable::create(
-            self.pool().clone(),
-            out_name,
-            self.rows,
-            other.rows,
-            out_spec,
-        );
+        let mut out =
+            TensorTable::create(self.pool().clone(), out_name, lhs.rows, self.rows, out_spec);
         // Output cell `i` is block `(i / b_rows, i % b_rows)` of `C`.
-        let cells = self.row_blocks() * other.row_blocks();
-        let threads = par.threads().clamp(1, cells.max(1));
+        let cells = lhs.row_blocks() * self.row_blocks();
+        let threads = par
+            .threads()
+            .min(self.pinnable_workers(kernel))
+            .clamp(1, cells.max(1));
         let per_stripe = cells.div_ceil(threads).max(1);
         let stripes = cells.div_ceil(per_stripe);
         let out_lock = Mutex::new(&mut out);
@@ -664,7 +818,7 @@ impl TensorTable {
             (0..stripes).map(|_| Mutex::new(None)).collect();
         par.with_threads(threads).run_stripes(stripes, &|t| {
             let run = t * per_stripe..((t + 1) * per_stripe).min(cells);
-            let res = self.join_cells(other, run, kernel, &out_lock);
+            let res = self.join_cells(&lhs, run, kernel, finish, &out_lock);
             *results[t].lock().expect("stripe result lock") = Some(res);
         });
         let mut stats = TensorOpStats::default();
@@ -678,19 +832,39 @@ impl TensorTable {
         Ok((out, stats))
     }
 
-    /// One worker's share of the block join: compute and flush the output
-    /// cells in `run`, returning this worker's stats accumulator. Cells of
-    /// one activation block-row are swept together, so each activation
-    /// block is fetched (and, for int8, quantized) once per sweep.
+    /// Workers the pool can give a pinned packed block each, besides a
+    /// frame to read an activation page through and one to write an output
+    /// page in; unbounded when `kernel` pins nothing.
+    fn pinnable_workers(&self, kernel: PairKernel) -> usize {
+        let block_pages = self
+            .index
+            .values()
+            .filter(|meta| {
+                kernel == PairKernel::F32 && matches!(meta.kind, BlockKind::Packed { .. })
+            })
+            .map(|meta| meta.payload_len().div_ceil(PAGE_SIZE))
+            .max();
+        match block_pages {
+            Some(pages @ 1..) => (self.pool().capacity().saturating_sub(2) / pages).max(1),
+            _ => usize::MAX,
+        }
+    }
+
+    /// One worker's share of the block join: compute, finish and flush the
+    /// output cells in `run`, returning this worker's stats accumulator.
+    /// Cells of one activation block-row are swept together, so each
+    /// activation block is fetched (and, for int8, quantized) once per
+    /// sweep.
     fn join_cells(
         &self,
-        other: &TensorTable,
+        lhs: &Lhs<'_>,
         run: Range<usize>,
         kernel: PairKernel,
+        finish: Finish<'_>,
         out: &Mutex<&mut TensorTable>,
     ) -> Result<TensorOpStats> {
         let mut stats = TensorOpStats::default();
-        let b_rows = other.row_blocks();
+        let b_rows = self.row_blocks();
         let mut cell = run.start;
         while cell < run.end {
             let a_row = cell / b_rows;
@@ -699,28 +873,25 @@ impl TensorTable {
             cell += b_hi - b_lo;
             let mut partials: Vec<Option<Tensor>> = (b_lo..b_hi).map(|_| None).collect();
             // `k` ascending: the accumulation order of every output block.
-            for k in 0..self.col_blocks() {
+            for k in 0..lhs.col_blocks() {
                 let a_coord = BlockCoord { row: a_row, col: k };
-                if !self.index.contains_key(&a_coord) {
+                let Some((a_block, copied)) = self.activation_block(lhs, a_coord, kernel)? else {
                     continue;
-                }
-                let a_block = self.get_block(a_coord)?;
+                };
                 // Charged to the sweep that starts the block-row, so that the
                 // stats do not depend on where the striping cut it.
                 if b_lo == 0 {
-                    stats.bytes_read += a_block.num_bytes() as u64;
+                    let (r0, r1) = lhs.spec.row_range(a_row, lhs.rows);
+                    let (c0, c1) = lhs.spec.col_range(k, lhs.cols);
+                    stats.bytes_read += ((r1 - r0) * (c1 - c0) * ELEM_BYTES) as u64;
+                    stats.bytes_copied += copied;
                 }
-                let lhs = match kernel {
-                    PairKernel::F32 => PreparedBlock::F32(a_block),
-                    PairKernel::Int8 => PreparedBlock::Int8(quant::quantize_activations(&a_block)?),
-                };
                 for (sum, b_row) in partials.iter_mut().zip(b_lo..b_hi) {
                     let b_coord = BlockCoord { row: b_row, col: k };
-                    if !other.index.contains_key(&b_coord) {
+                    if !self.index.contains_key(&b_coord) {
                         continue;
                     }
-                    let (partial, weight_bytes) = other.multiply_pair(&lhs, b_coord)?;
-                    stats.bytes_read += weight_bytes;
+                    let partial = self.multiply_pair(&a_block, b_coord, &mut stats)?;
                     stats.joins += 1;
                     match sum {
                         Some(sum) => relserve_tensor::ops::axpy(sum, &partial, 1.0)?,
@@ -728,9 +899,14 @@ impl TensorTable {
                     }
                 }
             }
-            let mut guard = out.lock().expect("output table lock");
+            let mut finished = Vec::with_capacity(partials.len());
             for (block, b_row) in partials.into_iter().zip(b_lo..b_hi) {
-                let Some(block) = block else { continue };
+                let Some(mut block) = block else { continue };
+                finish(b_row * self.spec.block_rows, &mut block)?;
+                finished.push((b_row, block));
+            }
+            let mut guard = out.lock().expect("output table lock");
+            for (b_row, block) in finished {
                 stats.blocks_out += 1;
                 stats.bytes_written += block.num_bytes() as u64;
                 guard.insert_block(
@@ -745,38 +921,105 @@ impl TensorTable {
         Ok(stats)
     }
 
-    /// `lhs × selfᵀ[coord]` for one weight block of this relation, plus the
-    /// payload bytes the weight block cost to read — for the int8 kernel the
-    /// bytes the i8 payload actually occupies, which is the 4× traffic
-    /// reduction the step-down buys. A packed f32 block goes from its pages
-    /// to the kernel with one copy and no repacking; the product is the same
-    /// to the bit as for the row-major block of the same values.
-    fn multiply_pair(&self, lhs: &PreparedBlock, coord: BlockCoord) -> Result<(Tensor, u64)> {
+    /// Activation block `coord` as `kernel` consumes it against this weight
+    /// relation, and the bytes gathering it copied; `None` where the
+    /// activation relation has no block.
+    fn activation_block<'a>(
+        &self,
+        lhs: &Lhs<'a>,
+        coord: BlockCoord,
+        kernel: PairKernel,
+    ) -> Result<Option<(PreparedBlock<'a>, u64)>> {
+        let block = match lhs.x {
+            Activations::Blocks(table) => {
+                if !table.index.contains_key(&coord) {
+                    return Ok(None);
+                }
+                table.get_block(coord)?
+            }
+            Activations::Dense(dense) => {
+                let (r0, r1) = lhs.spec.row_range(coord.row, lhs.rows);
+                let (c0, c1) = lhs.spec.col_range(coord.col, lhs.cols);
+                let window = PreparedBlock::Window {
+                    data: &dense.data()[r0 * lhs.cols + c0..],
+                    rows: r1 - r0,
+                    ld: lhs.cols,
+                };
+                if lhs.in_place {
+                    return Ok(Some((window, 0)));
+                }
+                dense.slice2(r0, r1, c0, c1)?
+            }
+        };
+        let copied = block.num_bytes() as u64;
+        Ok(Some((
+            match kernel {
+                PairKernel::F32 => PreparedBlock::F32(block),
+                PairKernel::Int8 => PreparedBlock::Int8(quant::quantize_activations(&block)?),
+            },
+            copied,
+        )))
+    }
+
+    /// `lhs × selfᵀ[coord]` for one weight block of this relation, charging
+    /// the payload bytes it cost to read — for the int8 kernel the bytes the
+    /// i8 payload actually occupies, which is the 4× traffic reduction the
+    /// step-down buys — and those it copied. A packed f32 block goes to the
+    /// kernel where it lies in its pinned frames, with no copy and no
+    /// repacking; the product is the same to the bit as for the row-major
+    /// block of the same values.
+    fn multiply_pair(
+        &self,
+        lhs: &PreparedBlock<'_>,
+        coord: BlockCoord,
+        stats: &mut TensorOpStats,
+    ) -> Result<Tensor> {
         let meta = self.meta_for(coord)?;
-        Ok(match (lhs, meta.kind) {
-            (PreparedBlock::F32(a), BlockKind::Packed { nr }) => PANELS.with(|scratch| {
-                let mut panels = scratch.borrow_mut();
-                self.read_f32s(meta, &mut panels)?;
-                let b = PackedB::new(meta.cols, meta.rows, nr, &panels)?;
-                let product =
-                    matmul::matmul_prepacked(a, &b, Epilogue::None, &Parallelism::serial())?;
-                Ok::<_, Error>((product, meta.payload_len() as u64))
-            })?,
+        let serial = Parallelism::serial();
+        let (product, read, copied) = match (lhs, meta.kind) {
+            (PreparedBlock::Window { .. } | PreparedBlock::F32(_), BlockKind::Packed { nr }) => {
+                let (data, rows, ld) = match lhs {
+                    PreparedBlock::Window { data, rows, ld } => (*data, *rows, *ld),
+                    PreparedBlock::F32(a) => {
+                        let (rows, cols) = a.shape().as_matrix()?;
+                        (a.data(), rows, cols)
+                    }
+                    PreparedBlock::Int8(_) => unreachable!("matched above"),
+                };
+                let product = self.with_packed(meta, nr, |b| {
+                    Ok(matmul::matmul_prepacked_window(
+                        data,
+                        ld,
+                        rows,
+                        b,
+                        Epilogue::None,
+                        &serial,
+                    )?)
+                })?;
+                let panels = PackedB::len_for(meta.cols, meta.rows, nr) * ELEM_BYTES;
+                (product, panels as u64, 0)
+            }
             (PreparedBlock::F32(a), _) => {
                 let b = self.get_block(coord)?;
-                (
-                    matmul::matmul_bt_parallel(a, &b, &Parallelism::serial())?,
-                    b.num_bytes() as u64,
-                )
+                let bytes = b.num_bytes() as u64;
+                (matmul::matmul_bt_parallel(a, &b, &serial)?, bytes, bytes)
             }
             (PreparedBlock::Int8(aq), _) => {
                 let b = self.read_qblock(meta)?;
+                let bytes = b.storage_bytes() as u64;
                 (
-                    quant::qmatmul_prequantized(aq, &b, None, &Parallelism::serial())?,
-                    b.storage_bytes() as u64,
+                    quant::qmatmul_prequantized(aq, &b, None, &serial)?,
+                    bytes,
+                    bytes,
                 )
             }
-        })
+            (PreparedBlock::Window { .. }, _) => {
+                unreachable!("a window is only kept for packed weights")
+            }
+        };
+        stats.bytes_read += read;
+        stats.bytes_copied += copied;
+        Ok(product)
     }
 
     /// Apply `f` to every stored block, producing a new relation (the
@@ -793,58 +1036,6 @@ impl TensorTable {
             let mut block = self.get_block(coord)?;
             relserve_tensor::ops::map_inplace(&mut block, &f);
             out.insert_block(coord, &block)?;
-        }
-        Ok(out)
-    }
-
-    /// Apply a slice-level kernel to every stored block, producing a new
-    /// relation. Unlike [`TensorTable::map`], `f` sees each block payload as
-    /// one contiguous slice, so callers can hand it a vectorized kernel from
-    /// the `relserve_tensor::simd` dispatch table (e.g. the SIMD relu)
-    /// instead of a per-element closure.
-    pub fn map_blocks(
-        &self,
-        out_name: impl Into<String>,
-        f: impl Fn(&mut [f32]),
-    ) -> Result<TensorTable> {
-        let mut out = TensorTable::create(
-            self.pool().clone(),
-            out_name,
-            self.rows,
-            self.cols,
-            self.spec,
-        );
-        for coord in self.coords() {
-            let mut block = self.get_block(coord)?;
-            f(block.data_mut());
-            out.insert_block(coord, &block)?;
-        }
-        Ok(out)
-    }
-
-    /// Add a bias row-vector (length = logical cols) to every row, blockwise.
-    pub fn add_bias(&self, out_name: impl Into<String>, bias: &Tensor) -> Result<TensorTable> {
-        if bias.len() != self.cols {
-            return Err(Error::Tensor(relserve_tensor::Error::ShapeMismatch {
-                op: "relational add_bias",
-                lhs: vec![self.rows, self.cols],
-                rhs: bias.shape().dims().to_vec(),
-            }));
-        }
-        let mut out = TensorTable::create(
-            self.pool().clone(),
-            out_name,
-            self.rows,
-            self.cols,
-            self.spec,
-        );
-        for coord in self.coords() {
-            let block = self.get_block(coord)?;
-            let c0 = coord.col * self.spec.block_cols;
-            let (_, bw) = block.shape().as_matrix()?;
-            let bias_slice = Tensor::from_vec([bw], bias.data()[c0..c0 + bw].to_vec())?;
-            let with_bias = relserve_tensor::ops::add_bias(&block, &bias_slice)?;
-            out.insert_block(coord, &with_bias)?;
         }
         Ok(out)
     }
@@ -1239,16 +1430,131 @@ mod tests {
         assert!(relu.to_dense().unwrap().approx_eq(&expect, 0.0));
     }
 
+    /// A grant of `threads` on a real kernel pool, so that workers pin
+    /// their weight blocks at the same time.
+    fn pooled(threads: usize) -> Parallelism {
+        Parallelism::new(
+            Arc::new(relserve_runtime::KernelPool::new(threads)),
+            threads,
+        )
+    }
+
     #[test]
-    fn add_bias_blockwise() {
-        let t = pattern(4, 6, 10);
-        let bias = Tensor::from_fn([6], |i| i as f32);
-        let table = TensorTable::from_dense(pool(8), "t", &t, BlockingSpec::square(2)).unwrap();
-        let out = table.add_bias("b", &bias).unwrap();
-        let expect = relserve_tensor::ops::add_bias(&t, &bias).unwrap();
-        assert!(out.to_dense().unwrap().approx_eq(&expect, 0.0));
-        // Wrong-length bias is rejected.
-        assert!(table.add_bias("bad", &Tensor::zeros([5])).is_err());
+    fn a_dense_batch_joins_in_place_against_a_packed_relation_and_copies_nothing() {
+        // A 120-wide last column block, whose panels do not tile a page,
+        // and a ragged last weight block-row.
+        let (x, w) = (inexact(64, 632, 0.73), inexact(600, 632, 0.41));
+        let spec = BlockingSpec::square(512);
+        let p = pool(64);
+        let packed = TensorTable::from_weights(p.clone(), "W", &w, spec).unwrap();
+        let xt = TensorTable::from_dense(p.clone(), "X", &x, spec).unwrap();
+        let (expect, table_stats) = join(&xt, &packed).unwrap();
+        let expect = expect.to_dense().unwrap();
+        let none = |_: usize, _: &mut Tensor| Ok(());
+        for par in [Parallelism::serial(), pooled(2)] {
+            let (c, stats) = packed
+                .join_layer(Activations::Dense(&x), "C", &par, &none)
+                .unwrap();
+            assert!(c.to_dense().unwrap().data() == expect.data());
+            assert_eq!(stats.bytes_copied, 0, "{stats:?}");
+            // The same logical work as joining the batch's relation, which
+            // gathers each activation block out of its pages.
+            assert_eq!(
+                table_stats.bytes_copied,
+                x.num_bytes() as u64,
+                "{table_stats:?}"
+            );
+            assert_eq!(
+                stats,
+                TensorOpStats {
+                    bytes_copied: 0,
+                    ..table_stats
+                }
+            );
+        }
+        assert_eq!(p.pinned_pages(), 0);
+        // Against row-major or int8 blocks the batch's blocks are copied out
+        // for the kernel, once each.
+        let plain = TensorTable::from_dense(p.clone(), "Wr", &w, spec).unwrap();
+        let (c, stats) = plain
+            .join_layer(Activations::Dense(&x), "C", &Parallelism::serial(), &none)
+            .unwrap();
+        assert!(c.to_dense().unwrap().data() == expect.data());
+        assert_eq!(stats.bytes_copied, (x.num_bytes() + w.num_bytes()) as u64);
+        let q = QuantizedTensor::quantize(&w).unwrap();
+        let wq = TensorTable::from_quantized(p, "Wq", &q, spec).unwrap();
+        let (c, _) = wq
+            .join_layer(Activations::Dense(&x), "C", &Parallelism::serial(), &none)
+            .unwrap();
+        let (expect_q, _) = xt
+            .matmul_bt_quant_parallel(&wq, "C", &Parallelism::serial())
+            .unwrap();
+        assert!(c.to_dense().unwrap().data() == expect_q.to_dense().unwrap().data());
+    }
+
+    #[test]
+    fn a_layer_join_finishes_each_block_before_storing_it() {
+        // `+ bias` then ReLU at flush, bit for bit the passes over the
+        // stored product they replace.
+        let (x, w) = (inexact(13, 70, 0.73), inexact(45, 70, 0.41));
+        let bias = Tensor::from_fn([45], |i| (i as f32 * 0.3).cos());
+        let spec = BlockingSpec::square(16);
+        let p = pool(64);
+        let packed = TensorTable::from_weights(p.clone(), "W", &w, spec).unwrap();
+        let xt = TensorTable::from_dense(p, "X", &x, spec).unwrap();
+        let (product, _) = join(&xt, &packed).unwrap();
+        let mut expect = product.to_dense().unwrap();
+        relserve_tensor::ops::add_bias_inplace(&mut expect, &bias).unwrap();
+        relserve_tensor::ops::relu_inplace(&mut expect);
+        let finish = |c0: usize, block: &mut Tensor| {
+            let (_, width) = block.shape().as_matrix()?;
+            let slice = Tensor::from_vec([width], bias.data()[c0..c0 + width].to_vec())?;
+            relserve_tensor::ops::add_bias_inplace(block, &slice)?;
+            relserve_tensor::ops::relu_inplace(block);
+            Ok(())
+        };
+        for x in [Activations::Dense(&x), Activations::Blocks(&xt)] {
+            let (c, stats) = packed.join_layer(x, "C", &pooled(2), &finish).unwrap();
+            assert!(c.to_dense().unwrap().data() == expect.data());
+            assert_eq!(stats.blocks_out as usize, c.num_blocks());
+        }
+    }
+
+    #[test]
+    fn a_pool_that_pins_one_block_runs_one_stripe_and_completes() {
+        let (x, w) = (inexact(20, 300, 0.73), inexact(600, 300, 0.41));
+        let spec = BlockingSpec::square(256);
+        let p = pool(64);
+        let packed = TensorTable::from_weights(p.clone(), "W", &w, spec).unwrap();
+        let xt = TensorTable::from_dense(p.clone(), "X", &x, spec).unwrap();
+        let (expect, expect_stats) = join(&xt, &packed).unwrap();
+        let expect = expect.to_dense().unwrap();
+        let block_pages = packed
+            .index
+            .values()
+            .map(|meta| meta.payload_len().div_ceil(PAGE_SIZE))
+            .max()
+            .unwrap();
+        // The relation's pages, around a pool that holds one block of them
+        // and two frames more.
+        let small = Arc::new(BufferPool::new(p.disk().clone(), block_pages + 2));
+        let mut tight = TensorTable::create(small.clone(), "Wt", 600, 300, spec);
+        p.flush_all().unwrap();
+        for (coord, meta) in &packed.index {
+            let pages = packed.blobs.pin(meta.blob).unwrap();
+            let ids = pages.iter().map(|page| page.id()).collect();
+            drop(pages);
+            let blob = tight.blobs.adopt(ids, meta.payload_len());
+            tight.index.insert(*coord, BlockMeta { blob, ..*meta });
+        }
+        for x in [Activations::Dense(&x), Activations::Blocks(&xt)] {
+            let (c, stats) = tight
+                .join_layer(x, "C", &pooled(2), &|_, _| Ok(()))
+                .unwrap();
+            assert!(c.to_dense().unwrap().data() == expect.data());
+            assert_eq!(stats.joins, expect_stats.joins);
+            assert_eq!(small.pinned_pages(), 0);
+        }
     }
 
     #[test]

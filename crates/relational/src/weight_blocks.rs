@@ -91,6 +91,51 @@ impl Layout {
     }
 }
 
+/// Byte offset of panel `jp` in the payload of a packed block whose panels
+/// are `panel` bytes each: the panels follow one another, except that one
+/// that does not fit in the rest of its page starts the next page. So a
+/// panel of at most a page lies in one page, a longer one starts a page, and
+/// the block join multiplies every panel where it is stored, in its pinned
+/// frames: no `[kc][nr]` slice the kernel reads at once straddles two pages
+/// (a slice is 8 or 32 KiB, which divides a page). Full 512- and 256-wide
+/// blocks tile their pages exactly at every panel width, and are padded
+/// nowhere.
+pub(crate) fn panel_offset(jp: usize, panel: usize) -> usize {
+    match panel {
+        0 => 0,
+        panel if panel <= PAGE_SIZE => {
+            let per_page = PAGE_SIZE / panel;
+            jp / per_page * PAGE_SIZE + jp % per_page * panel
+        }
+        panel => jp * panel.next_multiple_of(PAGE_SIZE),
+    }
+}
+
+/// Bytes of a packed `rows × cols` block of panel width `nr`.
+pub(crate) fn packed_len(rows: usize, cols: usize, nr: usize) -> usize {
+    let panel = cols * nr * ELEM_BYTES;
+    match rows.div_ceil(nr) {
+        0 => 0,
+        panels => panel_offset(panels - 1, panel) + panel,
+    }
+}
+
+/// Float offsets of the panels of a packed `rows × cols` block of panel
+/// width `nr`: the map [`PackedB::paged`] reads the block's pages by.
+pub(crate) fn panel_starts(rows: usize, cols: usize, nr: usize) -> Vec<usize> {
+    let panel = cols * nr * ELEM_BYTES;
+    (0..rows.div_ceil(nr))
+        .map(|jp| panel_offset(jp, panel) / ELEM_BYTES)
+        .collect()
+}
+
+/// Read panel `jp` of a packed block, `out.len()` floats, from a reader of
+/// the block's payload.
+fn read_panel(reader: &mut ArtifactReader<'_>, jp: usize, out: &mut [f32]) -> Result<()> {
+    reader.seek(panel_offset(jp, out.len() * ELEM_BYTES) as u64)?;
+    Ok(reader.read_f32s(out)?)
+}
+
 /// Encodes a weight matrix, a group of rows at a time, into the payloads of
 /// its relation's blocks: each group adds one piece to every block of its
 /// block-row.
@@ -177,8 +222,21 @@ impl RowEncoder {
                 (BlockKind::Packed { nr }, Rows::F32(values)) => {
                     self.panels.clear();
                     matmul::pack_bt(&values[c0..], cols, g, c1 - c0, nr, &mut self.panels);
-                    self.piece.resize(self.panels.len() * ELEM_BYTES, 0);
-                    put_f32s(&mut self.piece, &self.panels);
+                    // A group is whole panels: its first is `first` of the
+                    // block, and the piece runs from where the last group's
+                    // ended, padding included.
+                    let panel = (c1 - c0) * nr * ELEM_BYTES;
+                    let first = (r0 % spec.block_rows) / nr;
+                    let mut end = match first {
+                        0 => 0,
+                        jp => panel_offset(jp - 1, panel) + panel,
+                    };
+                    for (jp, values) in (first..).zip(self.panels.chunks_exact((c1 - c0) * nr)) {
+                        let start = self.piece.len() + panel_offset(jp, panel) - end;
+                        self.piece.resize(start + panel, 0);
+                        put_f32s(&mut self.piece[start..], values);
+                        end = panel_offset(jp, panel) + panel;
+                    }
                 }
                 (BlockKind::Int8, Rows::I8(levels)) => {
                     if r0.is_multiple_of(spec.block_rows) {
@@ -445,12 +503,12 @@ impl WeightBlocks {
         for rb in 0..spec.row_blocks(rows) {
             let (r0, r1) = spec.row_range(rb, rows);
             let mut readers = self.block_row(rb)?;
-            for _ in 0..(r1 - r0).div_ceil(nr) {
+            for jp in 0..(r1 - r0).div_ceil(nr) {
                 for (cb, reader) in readers.iter_mut().enumerate() {
                     let (c0, c1) = spec.col_range(cb, cols);
                     let start = panels.len();
                     panels.resize(start + (c1 - c0) * nr, 0.0);
-                    reader.read_f32s(&mut panels[start..])?;
+                    read_panel(reader, jp, &mut panels[start..])?;
                 }
             }
         }
@@ -534,10 +592,14 @@ impl BlockRows<'_> {
         match kind {
             BlockKind::Packed { nr } => {
                 self.stage_f32.resize(g * cols, 0.0);
+                let first = (self.at % spec.block_rows) / nr;
                 for (cb, reader) in self.readers.iter_mut().enumerate() {
                     let (c0, c1) = spec.col_range(cb, cols);
+                    let panel = (c1 - c0) * nr;
                     self.panels.resize(PackedB::len_for(c1 - c0, g, nr), 0.0);
-                    reader.read_f32s(&mut self.panels)?;
+                    for (jp, out) in (first..).zip(self.panels.chunks_exact_mut(panel)) {
+                        read_panel(reader, jp, out)?;
+                    }
                     let packed = PackedB::new(c1 - c0, g, nr, &self.panels)?;
                     for (j, row) in self.stage_f32.chunks_exact_mut(cols).enumerate() {
                         packed.read_row(j, 0, &mut row[c0..c1]);
@@ -570,10 +632,12 @@ impl BlockRows<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor_table::Activations;
     use crate::TensorTable;
     use relserve_storage::{BufferPool, DiskManager};
     use relserve_tensor::parallel::Parallelism;
     use relserve_tensor::{QuantizedTensor, Tensor};
+    use std::os::unix::fs::FileExt;
 
     fn inexact(rows: usize, cols: usize, step: f32) -> Tensor {
         Tensor::from_fn([rows, cols], |i| (i as f32 * step).sin())
@@ -710,6 +774,82 @@ mod tests {
             drop(blocks);
             assert_eq!(disk.free_pages(), free + pages.len());
         }
+    }
+
+    #[test]
+    fn no_panel_straddles_a_page_and_full_blocks_are_not_padded() {
+        for nr in [8, 32] {
+            for cols in [1, 7, 120, 143, 256, 512, 1024, 3000] {
+                let panel = cols * nr * ELEM_BYTES;
+                let rows = 40 * nr + 3;
+                let starts = panel_starts(rows, cols, nr);
+                for (jp, start) in starts.iter().map(|s| s * ELEM_BYTES).enumerate() {
+                    assert_eq!(start, panel_offset(jp, panel));
+                    let at = start % PAGE_SIZE;
+                    assert!(
+                        at + panel <= PAGE_SIZE || at == 0,
+                        "nr={nr} cols={cols} jp={jp}"
+                    );
+                    // The kernel's slices of a longer panel stay in a page.
+                    let slice = 256 * nr * ELEM_BYTES;
+                    assert!(at + panel.min(slice) <= PAGE_SIZE);
+                    assert!(jp == 0 || start >= panel_offset(jp - 1, panel) + panel);
+                }
+                let last = panel_offset(starts.len() - 1, panel) + panel;
+                assert_eq!(packed_len(rows, cols, nr), last);
+                if PAGE_SIZE.is_multiple_of(panel) || panel.is_multiple_of(PAGE_SIZE) {
+                    assert_eq!(last, PackedB::len_for(cols, rows, nr) * ELEM_BYTES);
+                }
+            }
+        }
+        // A ragged block's padded panels read back as the matrix, whole and
+        // as the dense kernel's panels.
+        let disk = Arc::new(DiskManager::temp().unwrap());
+        let nr = matmul::panel_width().unwrap();
+        let w = inexact(600, 632, 0.41);
+        let blocks = stored(&disk, &w, false, 512);
+        assert!(blocks.chains()[1].len > PackedB::len_for(120, 512, nr) * ELEM_BYTES);
+        let mut back = vec![0.0; w.len()];
+        blocks.reader().read_f32s(&mut back).unwrap();
+        assert_eq!(back, w.data());
+        let mut expect = Vec::new();
+        matmul::pack_bt(w.data(), 632, 600, 632, nr, &mut expect);
+        assert!(blocks.dense_panels(nr).unwrap().as_deref() == Some(&expect[..]));
+    }
+
+    #[test]
+    fn a_corrupt_page_fails_the_join_and_leaves_no_page_pinned() {
+        let disk = Arc::new(DiskManager::temp().unwrap());
+        let pool = Arc::new(BufferPool::new(disk.clone(), 64));
+        let (x, w) = (inexact(16, 632, 0.73), inexact(600, 632, 0.41));
+        let blocks = Arc::new(stored(&disk, &w, false, 256));
+        let view = TensorTable::over(pool.clone(), "W", blocks.clone()).unwrap();
+        let grant = Parallelism::new(Arc::new(relserve_runtime::KernelPool::new(2)), 2);
+        let none = |_: usize, _: &mut Tensor| Ok(());
+        let join = || view.join_layer(Activations::Dense(&x), "C", &grant, &none);
+        let expect = join().unwrap().0.to_dense().unwrap();
+        // A page of the last weight block, flipped on disk while out of the
+        // pool: a worker meets it after others have multiplied theirs.
+        let page = *blocks.chains().last().unwrap().pages.last().unwrap();
+        pool.forget_pages(&[page]);
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(disk.path())
+            .unwrap();
+        let at = page.0 * PAGE_SIZE as u64 + 100;
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, at).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x40], at).unwrap();
+        let err = join().unwrap_err();
+        assert!(
+            matches!(err, Error::Storage(relserve_storage::Error::Checksum { page: p }) if p == page.0),
+            "{err}"
+        );
+        assert_eq!(pool.pinned_pages(), 0);
+        file.write_all_at(&byte, at).unwrap();
+        assert!(join().unwrap().0.to_dense().unwrap().data() == expect.data());
+        assert_eq!(pool.pinned_pages(), 0);
     }
 
     #[test]

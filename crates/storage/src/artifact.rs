@@ -268,6 +268,18 @@ impl ArtifactReader<'_> {
         self.len - self.pos
     }
 
+    /// Move to byte `offset` of what the reader reads.
+    pub fn seek(&mut self, offset: u64) -> Result<()> {
+        if offset > self.len {
+            return Err(Error::Corrupt(format!(
+                "artifact seek to offset {offset} past its end ({} B)",
+                self.len
+            )));
+        }
+        self.pos = offset;
+        Ok(())
+    }
+
     /// Fill `out` with the next bytes.
     pub fn read_exact(&mut self, mut out: &mut [u8]) -> Result<()> {
         if out.len() as u64 > self.remaining() {

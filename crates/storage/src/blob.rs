@@ -4,7 +4,7 @@
 //! four pages. Blob pages bypass the slotted layout — the whole page image is
 //! payload — and the store keeps the page chain and byte length per blob.
 
-use crate::bufferpool::BufferPool;
+use crate::bufferpool::{BufferPool, PageGuard};
 use crate::error::{Error, Result};
 use crate::page::{PageId, PAGE_SIZE};
 use parking_lot::Mutex;
@@ -146,6 +146,37 @@ impl BlobStore {
         Ok(out)
     }
 
+    /// Pin every page of a blob, in order: while the guards live, the
+    /// payload stays where it is in the pool's frames, to be read in place
+    /// (every page but the last holds [`PAGE_SIZE`] bytes of it). A page
+    /// that cannot be fetched fails the call, and the pages pinned before
+    /// it are let go.
+    pub fn pin(&self, id: BlobId) -> Result<Vec<PageGuard>> {
+        let (meta, scan) = self.meta(id)?;
+        meta.pages
+            .iter()
+            .map(|pid| self.fetch(*pid, scan))
+            .collect()
+    }
+
+    /// A blob's pages, and whether they are read as a scan (see
+    /// [`BufferPool::fetch_scan`]): a store the pool cannot hold is read
+    /// start to end again and again — a weight relation, once per query.
+    fn meta(&self, id: BlobId) -> Result<(BlobMeta, bool)> {
+        let state = self.state.lock();
+        let meta = state.blobs.get(&id).ok_or(Error::BlobNotFound(id.0))?;
+        let pool_bytes = (self.pool.capacity() * PAGE_SIZE) as u64;
+        Ok((meta.clone(), state.bytes_stored > pool_bytes))
+    }
+
+    fn fetch(&self, pid: PageId, scan: bool) -> Result<PageGuard> {
+        if scan {
+            self.pool.fetch_scan(pid)
+        } else {
+            self.pool.fetch(pid)
+        }
+    }
+
     /// Hand a blob's payload to `visit` one page-sized chunk at a time, in
     /// order, straight out of the pinned pages: every chunk but the last is
     /// [`PAGE_SIZE`] bytes. Lets a decoder build its result without first
@@ -155,22 +186,11 @@ impl BlobStore {
         id: BlobId,
         mut visit: impl FnMut(&[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        let (meta, scan) = {
-            let state = self.state.lock();
-            let meta = state.blobs.get(&id).ok_or(Error::BlobNotFound(id.0))?;
-            // A store the pool cannot hold is read start to end again and
-            // again (a weight relation, once per query): see `fetch_scan`.
-            let pool_bytes = (self.pool.capacity() * PAGE_SIZE) as u64;
-            (meta.clone(), state.bytes_stored > pool_bytes)
-        };
+        let (meta, scan) = self.meta(id)?;
         let mut remaining = meta.len;
         for pid in &meta.pages {
             let take = remaining.min(PAGE_SIZE);
-            let guard = if scan {
-                self.pool.fetch_scan(*pid)?
-            } else {
-                self.pool.fetch(*pid)?
-            };
+            let guard = self.fetch(*pid, scan)?;
             visit(&guard.read().bytes()[..take])?;
             remaining -= take;
         }

@@ -162,6 +162,12 @@ impl BufferPool {
         self.inner.lock().frames.len()
     }
 
+    /// Resident pages somebody pins right now.
+    pub fn pinned_pages(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.frames.values().filter(|f| f.pin_count > 0).count()
+    }
+
     /// How many of `ids` are resident right now.
     pub fn resident_among(&self, ids: impl IntoIterator<Item = PageId>) -> usize {
         let inner = self.inner.lock();

@@ -34,7 +34,7 @@ pub mod page;
 
 pub use artifact::{ArtifactPages, ArtifactReader, ArtifactWriter};
 pub use blob::{BlobId, BlobStore, BlobWriter};
-pub use bufferpool::{BufferPool, PoolStats};
+pub use bufferpool::{BufferPool, PageGuard, PoolStats};
 pub use catalog::{Catalog, StoredObject};
 pub use disk::DiskManager;
 pub use error::{Error, Result};

@@ -194,14 +194,14 @@ fn pack_b(b: &View<'_>, k: usize, n: usize, nr: usize, out: &mut [f32]) {
     }
 }
 
-/// Pack the first `rows` rows of row-major `a` (rows `k` apart), k-range
+/// Pack the first `rows` rows of row-major `a` (rows `lda` apart), k-range
 /// `p0..p1`, into an interleaved `[p][mr]` micro-panel of the kernel's tile
 /// height `mr` (rows past `rows` zero-padded).
-fn pack_a(a: &[f32], k: usize, rows: usize, p0: usize, p1: usize, mr: usize, out: &mut [f32]) {
+fn pack_a(a: &[f32], lda: usize, rows: usize, p0: usize, p1: usize, mr: usize, out: &mut [f32]) {
     let kc = p1 - p0;
     out[..kc * mr].fill(0.0);
     for r in 0..rows {
-        let row = &a[r * k..];
+        let row = &a[r * lda..];
         for pi in 0..kc {
             out[pi * mr + r] = row[p0 + pi];
         }
@@ -290,9 +290,10 @@ impl Epilogue<'_> {
     }
 }
 
-/// Compute rows `i0..i1` of `C += A × B` (`A` row-major `[m, k]`) from
-/// pre-packed `B` panels using `kern`'s micro-kernel and tile geometry,
-/// finishing each element with `epilogue` as the last k-block stores it.
+/// Compute rows `i0..i1` of `C += A × B` (`A` row-major `[m, k]`, rows `lda`
+/// apart) from pre-packed `B` panels using `kern`'s micro-kernel and tile
+/// geometry, finishing each element with `epilogue` as the last k-block
+/// stores it.
 ///
 /// Loop order is `(k-block, pack A tiles, panel, tile)`: within one k-block
 /// every A micro-panel is packed once, then each B panel (≈`nr·kc` floats,
@@ -300,18 +301,18 @@ impl Epilogue<'_> {
 /// on. `cd` is the stripe's slice of C, `stripe_rows × n`, and accumulates
 /// one partial product per k-block: the tile starts from zero each block, so
 /// an element is the same sequential FMA chain whatever the tile geometry.
-#[allow(clippy::too_many_arguments)] // a stripe is (kernel, A, packed B, C-slice, row range, k, n, epilogue)
+#[allow(clippy::too_many_arguments)] // a stripe is (kernel, A, lda, packed B, C-slice, row range, epilogue)
 fn tiled_stripe(
     kern: &MatmulKernel,
     a: &[f32],
-    bpack: &[f32],
+    lda: usize,
+    b: &PackedB<'_>,
     cd: &mut [f32],
     i0: usize,
     i1: usize,
-    k: usize,
-    n: usize,
     epilogue: Epilogue<'_>,
 ) {
+    let (k, n) = (b.k, b.n);
     let rows = i1 - i0;
     if rows == 0 || n == 0 || k == 0 {
         return;
@@ -334,8 +335,8 @@ fn tiled_stripe(
                 let i = i0 + t * mr;
                 let rows = mr.min(i1 - i);
                 pack_a(
-                    &a[i * k..],
-                    k,
+                    &a[i * lda..],
+                    lda,
                     rows,
                     p0,
                     p1,
@@ -344,7 +345,7 @@ fn tiled_stripe(
                 );
             }
             for jp in 0..panels {
-                let bpanel = &bpack[jp * k * nr + p0 * nr..][..kc * nr];
+                let bpanel = b.run(b.start(jp) + p0 * nr, kc * nr);
                 let j0 = jp * nr;
                 let width = nr.min(n - j0);
                 for t in 0..tiles {
@@ -364,33 +365,30 @@ fn tiled_stripe(
 }
 
 /// The one kernel driver: row stripes of `epilogue(A × B)` over packed `B`
-/// panels, run serially or on the grant. An empty product is returned as
-/// zeros; [`matmul_prepacked`], the one caller with an epilogue, sends those
-/// to the small-product shortcut.
-#[allow(clippy::too_many_arguments)] // (kernel, A, packed B, m, k, n, grant, epilogue)
+/// panels, `A`'s `m` rows `lda` apart, run serially or on the grant. An
+/// empty product is returned as zeros; [`matmul_prepacked`], the one caller
+/// with an epilogue, sends those to the small-product shortcut.
 fn run_packed(
     kern: &MatmulKernel,
-    a: &[f32],
-    bpack: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    (a, lda, m): (&[f32], usize, usize),
+    b: &PackedB<'_>,
     par: &Parallelism,
     epilogue: Epilogue<'_>,
 ) -> Vec<f32> {
+    let (k, n) = (b.k, b.n);
     let mut c = vec![0.0f32; m * n];
     if m == 0 || n == 0 || k == 0 {
         return c;
     }
     let threads = stripe_count(par.threads(), m, k, n);
     if threads == 1 {
-        tiled_stripe(kern, a, bpack, &mut c, 0, m, k, n, epilogue);
+        tiled_stripe(kern, a, lda, b, &mut c, 0, m, epilogue);
         return c;
     }
     let stripes = row_stripes(&mut c, m, n, threads, kern.mr);
     par.run_owned(stripes, |(row0, stripe)| {
         let rows = stripe.len() / n;
-        tiled_stripe(kern, a, bpack, stripe, row0, row0 + rows, k, n, epilogue);
+        tiled_stripe(kern, a, lda, b, stripe, row0, row0 + rows, epilogue);
     });
     c
 }
@@ -409,7 +407,13 @@ fn matmul_packed(
         let mut bpack = scratch.borrow_mut();
         bpack.resize(PackedB::len_for(k, n, kern.nr), 0.0);
         pack_b(&b, k, n, kern.nr, &mut bpack);
-        run_packed(kern, a, &bpack, m, k, n, par, Epilogue::None)
+        let panels = PackedB {
+            k,
+            n,
+            nr: kern.nr,
+            panels: Panels::Flat(&bpack),
+        };
+        run_packed(kern, (a, k, m), &panels, par, Epilogue::None)
     })
 }
 
@@ -417,12 +421,31 @@ fn matmul_packed(
 /// `nr` multiplies from — `[panel][p][nr]`, the ragged last panel padded
 /// with zeros — so that a constant operand is packed once, by [`pack_bt`],
 /// instead of on every call.
+///
+/// The panels are one slice ([`PackedB::new`]), or lie where they were
+/// stored, across the pages of a block payload ([`PackedB::paged`]): the
+/// kernel reads each `[kc][nr]` slice of a panel where it is, so a weight
+/// block pinned in the buffer pool is multiplied without a copy.
 #[derive(Debug, Clone, Copy)]
 pub struct PackedB<'a> {
     k: usize,
     n: usize,
     nr: usize,
-    panels: &'a [f32],
+    panels: Panels<'a>,
+}
+
+/// Where the panels of a [`PackedB`] are.
+#[derive(Debug, Clone, Copy)]
+enum Panels<'a> {
+    /// Panel `jp` at `jp · k · nr` of one slice.
+    Flat(&'a [f32]),
+    /// A payload laid over `pages` of `page` values each (the last may be
+    /// shorter); panel `jp` starts at payload offset `starts[jp]`.
+    Paged {
+        pages: &'a [&'a [f32]],
+        page: usize,
+        starts: &'a [usize],
+    },
 }
 
 impl<'a> PackedB<'a> {
@@ -440,21 +463,93 @@ impl<'a> PackedB<'a> {
                 actual: panels.len(),
             });
         }
-        Ok(PackedB { k, n, nr, panels })
+        Ok(PackedB {
+            k,
+            n,
+            nr,
+            panels: Panels::Flat(panels),
+        })
+    }
+
+    /// View a payload laid over `pages` — every page but the last as long
+    /// as the first — as a packed `k × n` matrix of panel width `nr` whose
+    /// panel `jp` starts at payload offset `starts[jp]`. A panel lies in one
+    /// page, or starts one and runs on into the next.
+    pub fn paged(
+        k: usize,
+        n: usize,
+        nr: usize,
+        pages: &'a [&'a [f32]],
+        starts: &'a [usize],
+    ) -> Result<Self> {
+        let page = pages.first().map_or(0, |p| p.len());
+        let total = pages.iter().map(|p| p.len()).sum::<usize>();
+        let short = pages.iter().rev().skip(1).any(|p| p.len() != page);
+        let panel = k * nr;
+        let misplaced = starts.iter().any(|&s| {
+            s + panel > total || (s % page.max(1) + panel > page && s % page.max(1) != 0)
+        });
+        if nr == 0 || starts.len() != n.div_ceil(nr) || short || misplaced {
+            return Err(Error::BufferSizeMismatch {
+                expected: Self::len_for(k, n, nr.max(1)),
+                actual: total,
+            });
+        }
+        Ok(PackedB {
+            k,
+            n,
+            nr,
+            panels: Panels::Paged {
+                pages,
+                page,
+                starts,
+            },
+        })
+    }
+
+    /// Where panel `jp` starts.
+    fn start(&self, jp: usize) -> usize {
+        match self.panels {
+            Panels::Flat(_) => jp * self.k * self.nr,
+            Panels::Paged { starts, .. } => starts[jp],
+        }
+    }
+
+    /// The `len` values at offset `at`, which lie in one page.
+    fn run(&self, at: usize, len: usize) -> &'a [f32] {
+        match self.panels {
+            Panels::Flat(panels) => &panels[at..at + len],
+            Panels::Paged { pages, page, .. } => &pages[at / page][at % page..][..len],
+        }
+    }
+
+    /// Whether every `[kc][nr]` slice the kernel reads lies in one page.
+    fn slices_fit(&self, kc: usize) -> bool {
+        let Panels::Paged { page, starts, .. } = self.panels else {
+            return true;
+        };
+        starts.iter().all(|&s| {
+            (0..self.k)
+                .step_by(kc.max(1))
+                .all(|p0| (s + p0 * self.nr) % page + kc.min(self.k - p0) * self.nr <= page)
+        })
     }
 
     /// `B[p, j]` — the `p`-th value of row `j` of the `[n, k]` matrix the
     /// panels were packed from.
     pub fn at(&self, p: usize, j: usize) -> f32 {
-        self.panels[(j / self.nr * self.k + p) * self.nr + j % self.nr]
+        let at = self.start(j / self.nr) + p * self.nr + j % self.nr;
+        match self.panels {
+            Panels::Flat(panels) => panels[at],
+            Panels::Paged { pages, page, .. } => pages[at / page][at % page],
+        }
     }
 
     /// Values `p0 .. p0 + out.len()` of row `j` of that matrix: what
     /// [`PackedB::at`] reads, a run at a time.
     pub fn read_row(&self, j: usize, p0: usize, out: &mut [f32]) {
-        let base = (j / self.nr * self.k + p0) * self.nr + j % self.nr;
         for (i, v) in out.iter_mut().enumerate() {
-            *v = self.panels[base + i * self.nr];
+            *v = self.at(p0 + i, j);
         }
     }
 
@@ -466,10 +561,8 @@ impl<'a> PackedB<'a> {
         for panel in j0 / nr..j1.div_ceil(nr) {
             let lanes = (j0.max(panel * nr) - panel * nr)..(j1.min(panel * nr + nr) - panel * nr);
             let rows = (panel * nr + lanes.start - j0) * k;
-            for (p, col) in self.panels[panel * k * nr..(panel + 1) * k * nr]
-                .chunks_exact(nr)
-                .enumerate()
-            {
+            for p in 0..k {
+                let col = self.run(self.start(panel) + p * nr, nr);
                 for (r, lane) in lanes.clone().enumerate() {
                     out[rows + r * k + p] = col[lane];
                 }
@@ -520,13 +613,6 @@ pub fn matmul_prepacked(
     epilogue: Epilogue<'_>,
     par: &Parallelism,
 ) -> Result<Tensor> {
-    let kern = &simd::try_kernels()?.matmul;
-    if b.nr != kern.nr {
-        return Err(Error::Isa(format!(
-            "panels packed {} wide, but the dispatched kernel ({}) multiplies from {}",
-            b.nr, kern.name, kern.nr
-        )));
-    }
     let (m, k) = a.shape().as_matrix()?;
     if k != b.k {
         return Err(Error::ShapeMismatch {
@@ -535,7 +621,40 @@ pub fn matmul_prepacked(
             rhs: vec![b.k, b.n],
         });
     }
-    let n = b.n;
+    matmul_prepacked_window(a.data(), k, m, b, epilogue, par)
+}
+
+/// [`matmul_prepacked`] of the `m × k` window of a row-major matrix whose
+/// first row starts at `a[0]` and whose rows are `lda` values apart (`k` is
+/// `B`'s): a block of columns of a wider matrix multiplies where it is.
+pub fn matmul_prepacked_window(
+    a: &[f32],
+    lda: usize,
+    m: usize,
+    b: &PackedB<'_>,
+    epilogue: Epilogue<'_>,
+    par: &Parallelism,
+) -> Result<Tensor> {
+    let kern = &simd::try_kernels()?.matmul;
+    if b.nr != kern.nr {
+        return Err(Error::Isa(format!(
+            "panels packed {} wide, but the dispatched kernel ({}) multiplies from {}",
+            b.nr, kern.name, kern.nr
+        )));
+    }
+    let (k, n) = (b.k, b.n);
+    if m > 0 && (lda < k || (m - 1) * lda + k > a.len()) {
+        return Err(Error::BufferSizeMismatch {
+            expected: (m - 1) * lda.max(k) + k,
+            actual: a.len(),
+        });
+    }
+    if !b.slices_fit(kern.kc) {
+        return Err(Error::Isa(format!(
+            "a {}-deep slice of a stored panel straddles a page",
+            kern.kc
+        )));
+    }
     if let Some(bias) = epilogue.bias().filter(|bias| bias.len() != n) {
         return Err(Error::ShapeMismatch {
             op: "matmul_prepacked epilogue",
@@ -544,21 +663,30 @@ pub fn matmul_prepacked(
         });
     }
     let c = if m * k * n < PACK_THRESHOLD {
-        let mut c = small_product(a.data(), m, k, n, |j, p| b.at(p, j));
+        // One closure per form, so that the shortcut's inner loop indexes
+        // flat panels directly.
+        let mut c = match b.panels {
+            Panels::Flat(panels) => small_product(a, lda, m, k, n, |j, p| {
+                panels[(j / b.nr * k + p) * b.nr + j % b.nr]
+            }),
+            Panels::Paged { .. } => small_product(a, lda, m, k, n, |j, p| b.at(p, j)),
+        };
         if n > 0 {
             c.chunks_exact_mut(n).for_each(|row| epilogue.apply(row));
         }
         c
     } else {
-        run_packed(kern, a.data(), b.panels, m, k, n, par, epilogue)
+        run_packed(kern, (a, lda, m), b, par, epilogue)
     };
     Tensor::from_vec([m, n], c)
 }
 
 /// `A × Bᵀ` by plain dot products, `p` ascending, for products too small to
-/// repay packing; `b(j, p)` is the `p`-th value of `B`'s stored row `j`.
+/// repay packing; `A`'s rows are `lda` apart, and `b(j, p)` is the `p`-th
+/// value of `B`'s stored row `j`.
 fn small_product(
     a: &[f32],
+    lda: usize,
     m: usize,
     k: usize,
     n: usize,
@@ -566,7 +694,7 @@ fn small_product(
 ) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
     for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
+        let a_row = &a[i * lda..i * lda + k];
         for j in 0..n {
             let mut acc = 0.0f32;
             for (p, x) in a_row.iter().enumerate() {
@@ -655,7 +783,7 @@ pub fn matmul_bt_parallel(a: &Tensor, b: &Tensor, par: &Parallelism) -> Result<T
     let k = k1;
     if m * k * n < PACK_THRESHOLD {
         let bd = b.data();
-        let c = small_product(a.data(), m, k, n, |j, p| bd[j * k + p]);
+        let c = small_product(a.data(), k, m, k, n, |j, p| bd[j * k + p]);
         return Tensor::from_vec([m, n], c);
     }
     let kern = &simd::try_kernels()?.matmul;
@@ -803,7 +931,8 @@ mod tests {
                         n,
                         &grant,
                     );
-                    let pre = run_packed(kern, a.data(), &panels, m, k, n, &grant, Epilogue::None);
+                    let packed = PackedB::new(k, n, kern.nr, &panels).unwrap();
+                    let pre = run_packed(kern, (a.data(), k, m), &packed, &grant, Epilogue::None);
                     assert!(per_call == pre, "{isa} {m}x{k}x{n} threads={threads}");
                 }
             }
@@ -833,6 +962,71 @@ mod tests {
                 assert!(expect.data() == got.data(), "{m}x{k}x{n} threads={threads}");
             }
         }
+    }
+
+    /// `panels` (panel `jp` at `jp · len`) laid over pages of `page` values:
+    /// a panel that does not fit in the rest of its page starts the next.
+    fn paginate(panels: &[f32], len: usize, page: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
+        let (mut payload, mut starts) = (Vec::new(), Vec::new());
+        for panel in panels.chunks_exact(len) {
+            let at = payload.len() % page;
+            if at != 0 && at + len > page {
+                payload.resize(payload.len() + page - at, f32::NAN);
+            }
+            starts.push(payload.len());
+            payload.extend_from_slice(panel);
+        }
+        (payload.chunks(page).map(<[f32]>::to_vec).collect(), starts)
+    }
+
+    #[test]
+    fn paged_panels_multiply_where_they_lie_as_flat_ones_do() {
+        let nr = panel_width().unwrap();
+        let serial = Parallelism::serial();
+        // Panels that share pages with padding between, and panels longer
+        // than a page; both sides of PACK_THRESHOLD.
+        for (m, k, n, page) in [
+            (64, 120, 100, 16 * nr * 16),
+            (12, 600, 70, 256 * nr),
+            (3, 5, 4, 2 * 5 * nr),
+        ] {
+            // A is columns 7.. of a wider matrix.
+            let wide = inexact([m, k + 9], 0.7311);
+            let a = wide.slice2(0, m, 7, 7 + k).unwrap();
+            let w = inexact([n, k], 0.4177);
+            let mut panels = Vec::new();
+            pack_bt(w.data(), k, n, k, nr, &mut panels);
+            let flat = PackedB::new(k, n, nr, &panels).unwrap();
+            let (pages, starts) = paginate(&panels, k * nr, page);
+            let pages: Vec<&[f32]> = pages.iter().map(Vec::as_slice).collect();
+            let paged = PackedB::paged(k, n, nr, &pages, &starts).unwrap();
+            for epilogue in [Epilogue::None, Epilogue::BiasRelu(&w.data()[..n])] {
+                let expect = matmul_prepacked(&a, &flat, epilogue, &serial).unwrap();
+                let got =
+                    matmul_prepacked_window(&wide.data()[7..], k + 9, m, &paged, epilogue, &serial)
+                        .unwrap();
+                assert!(expect.data() == got.data(), "{m}x{k}x{n}");
+            }
+            let mut rows = vec![0.0; n * k];
+            paged.read_rows(0, &mut rows);
+            assert_eq!(rows, w.data());
+        }
+        // A panel that straddles a page, and a panel that spans pages but
+        // whose kernel slices would straddle them, are refused.
+        let (k, n) = (10, 2 * nr);
+        let panels = vec![1.0; 2 * k * nr];
+        let (a, b) = panels.split_at(k * nr * 3 / 2);
+        assert!(PackedB::paged(k, n, nr, &[a, b], &[0, k * nr]).is_err());
+        let (k, n, page) = (300, nr, 256 * nr + 1);
+        let panels = vec![1.0; k * nr];
+        let (a, b) = panels.split_at(page);
+        let pages = [a, b];
+        let spans = PackedB::paged(k, n, nr, &pages, &[0]).unwrap();
+        let a = Tensor::zeros([20, k]);
+        assert!(matches!(
+            matmul_prepacked(&a, &spans, Epilogue::None, &serial),
+            Err(Error::Isa(_))
+        ));
     }
 
     #[test]

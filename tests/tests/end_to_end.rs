@@ -99,10 +99,12 @@ fn table3_oom_pattern_reproduces_at_test_scale() {
     let model = zoo::amazon_14k_fc(512, &mut rng).unwrap(); // 1167 features
     let features = model.input_shape().num_elements();
     let name = model.name().to_string();
-    // Footprints: params ≈ (1167·1024 + 1024·28)·4 ≈ 4.9 MB.
+    // Footprints: params ≈ (1167·1024 + 1024·28)·4 ≈ 4.9 MB. The pool is
+    // smaller than the first layer's weights and its 1500-row output (6 MB)
+    // together, which is all the relation-centric layer puts in it.
     let config = SessionConfig::builder()
         .db_memory_bytes(8 << 20)
-        .buffer_pool_bytes(16 << 20)
+        .buffer_pool_bytes(8 << 20)
         .memory_threshold_bytes(2 << 20)
         .block_size(128)
         .cores(2)

@@ -1,50 +1,78 @@
-//! Criterion bench for §7.2.1: join-then-infer vs decomposition push-down.
+//! Criterion bench for §7.2.1: one session join query, join-then-infer
+//! (forced UDF-centric) vs the adaptive plan's decomposition push-down. The
+//! plans' outputs are checked against each other first.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use relserve_bench::workloads;
-use relserve_core::rules::{run_join_then_infer, run_pushdown_infer, JoinedInference};
+use relserve_core::{Architecture, InferenceSession, JoinQuery, JoinSide, SessionConfig};
 use relserve_nn::init::seeded_rng;
 use relserve_nn::zoo;
-use relserve_relational::Table;
-use relserve_runtime::KernelPool;
-use relserve_storage::{BufferPool, DiskManager};
-use std::sync::Arc;
+use relserve_runtime::AdmissionPolicy;
 
 fn bench_decomp(c: &mut Criterion) {
-    let pool = Arc::new(BufferPool::with_budget_bytes(
-        Arc::new(DiskManager::temp().unwrap()),
-        128 << 20,
-    ));
+    let config = SessionConfig::builder()
+        .buffer_pool_bytes(128 << 20)
+        .cores(2)
+        .build()
+        .unwrap();
+    let session = InferenceSession::open(config).unwrap();
     let (rows1, rows2) = workloads::bosch_split_tables(2_000, 968, 4, 36);
-    let d1 = Table::create(pool.clone(), "d1", workloads::keyed_feature_schema());
-    let d2 = Table::create(pool, "d2", workloads::keyed_feature_schema());
-    for r in &rows1 {
-        d1.insert(r).unwrap();
+    for (name, rows) in [("d1", &rows1), ("d2", &rows2)] {
+        session
+            .create_table(name, workloads::keyed_feature_schema())
+            .unwrap();
+        session.insert(name, rows).unwrap();
     }
-    for r in &rows2 {
-        d2.insert(r).unwrap();
-    }
-    let mut rng = seeded_rng(37);
-    let model = zoo::bosch_ffnn(&mut rng).unwrap();
-    let q = JoinedInference {
-        d1: &d1,
-        d2: &d2,
-        d1_join_col: 0,
-        d2_join_col: 0,
-        d1_features: 1,
-        d2_features: 1,
+    session
+        .load_model(zoo::bosch_ffnn(&mut seeded_rng(37)).unwrap())
+        .unwrap();
+    let query = JoinQuery {
+        left: JoinSide {
+            table: "d1",
+            key: "key",
+            features: "features",
+        },
+        right: JoinSide {
+            table: "d2",
+            key: "key",
+            features: "features",
+        },
         epsilon: 0.15,
     };
+    let run = |architecture| {
+        session
+            .infer_join(
+                "Bosch-FFNN",
+                &query,
+                architecture,
+                &AdmissionPolicy::default(),
+            )
+            .unwrap()
+    };
+    let pushed = run(Architecture::Adaptive);
+    let plan = pushed.plan.as_ref().unwrap();
+    assert_eq!(plan.pushdown, Some(484));
+    println!("{}", plan.explain());
+    let baseline = run(Architecture::UdfCentric).output.into_dense().unwrap();
+    let pushed = pushed.output.into_dense().unwrap();
+    assert_eq!(baseline.shape(), pushed.shape());
+    let max_diff = baseline.max_abs_diff(&pushed).unwrap();
+    assert!(max_diff <= 1e-5, "plans diverged: {max_diff}");
 
-    let par = Arc::new(KernelPool::new(2)).parallelism(2);
+    // Each plan timed end to end, and the median of five runs' join and
+    // forward alone (the outcome's elapsed, which starts once the tables are
+    // read).
     let mut group = c.benchmark_group("decomp_pushdown");
     group.sample_size(10);
-    group.bench_function("join_then_infer", |b| {
-        b.iter(|| run_join_then_infer(&q, &model, &par).unwrap())
-    });
-    group.bench_function("pushdown_infer", |b| {
-        b.iter(|| run_pushdown_infer(&q, &model, &par).unwrap())
-    });
+    for (name, architecture) in [
+        ("join_then_infer", Architecture::UdfCentric),
+        ("pushdown_infer", Architecture::Adaptive),
+    ] {
+        group.bench_function(name, |b| b.iter(|| run(architecture.clone())));
+        let mut spans: Vec<_> = (0..5).map(|_| run(architecture.clone()).elapsed).collect();
+        spans.sort();
+        println!("{name}: join + forward {:?} (median of 5)", spans[2]);
+    }
     group.finish();
 }
 

@@ -133,7 +133,11 @@ impl std::fmt::Debug for Output {
 }
 
 /// Run `model` over `batch` inside `ctx`'s admitted slice of the machine,
-/// layer `i` in the representation of `plan.ops[i]`.
+/// each of `plan.ops` running its layer in the node's representation. The
+/// nodes are the model's layers from the first node's `layer_index` on: a
+/// plan may start past layer 0 (the rest of a join query's plan once
+/// §7.2.1's push-down has run layer 0), and `batch` is then that layer's
+/// input.
 ///
 /// A dense (`UdfCentric`) layer holds its parameters, in their storage form,
 /// for the whole call and slides an input/output window over the database
@@ -142,6 +146,7 @@ impl std::fmt::Debug for Output {
 /// would OOM. A `RelationCentric` layer joins against its weight relation in
 /// `weights` and reserves nothing: its intermediates live behind the buffer
 /// pool. Kernels and block joins use the context's granted thread budget.
+/// The deadline is checked before each layer, not inside one.
 ///
 /// A plan whose `morsel_rows` is below the batch's rows runs every layer
 /// dense, morsel by morsel ([`run_morsels`]); one with a relation-centric
@@ -154,9 +159,16 @@ pub fn run(
     ctx: &ExecContext,
 ) -> Result<(Output, TensorOpStats)> {
     let layers = model.layers().len();
-    if plan.ops.len() != layers {
+    let first = plan.ops.first().map_or(0, |node| node.layer_index);
+    if plan.ops.is_empty()
+        || plan
+            .ops
+            .iter()
+            .map(|node| node.layer_index)
+            .ne(first..layers)
+    {
         return Err(Error::Invalid(format!(
-            "a plan of {} nodes for `{}`'s {layers} layers",
+            "a plan of {} nodes from layer {first} for `{}`'s {layers} layers",
             plan.ops.len(),
             model.name()
         )));
@@ -164,10 +176,24 @@ pub fn run(
     if plan.morsel_rows == 0 {
         return Err(Error::Invalid("a plan of 0-row morsels".into()));
     }
-    let batch_size = model.check_input(batch)?;
-    let dense = |i: usize| plan.ops[i].representation == Representation::UdfCentric;
+    let in_shape = input_shape_of(model, first)?;
+    let batch_size = match batch.shape().dims() {
+        [rows, example @ ..]
+            if example == in_shape.dims() || example == [in_shape.num_elements()] =>
+        {
+            *rows
+        }
+        dims => {
+            return Err(Error::Nn(relserve_nn::Error::InputMismatch {
+                expected: in_shape.dims().to_vec(),
+                actual: dims.to_vec(),
+            }))
+        }
+    };
+    let dense =
+        |i: usize| i >= first && plan.ops[i - first].representation == Representation::UdfCentric;
     let morsels = plan.morsel_rows < batch_size;
-    if morsels && !(0..layers).all(dense) {
+    if morsels && !(first..layers).all(dense) {
         return Err(Error::Invalid(format!(
             "`{}`: a plan cut into morsels runs every layer udf-centric",
             model.name()
@@ -179,18 +205,18 @@ pub fn run(
         bytes => Some(governor.reserve(bytes)?),
     };
     if morsels {
-        let out = run_morsels(model, batch, plan.morsel_rows, ctx)?;
+        let out = run_morsels(model, first, batch, plan.morsel_rows, ctx)?;
         return Ok((Output::Dense(out), TensorOpStats::default()));
     }
     let par = ctx.parallelism();
-    // The scanned batch is the first dense window, unless the first layer
-    // joins it where it is.
-    let mut window = match plan.ops.first() {
-        Some(node) if node.representation == Representation::RelationCentric => None,
-        _ => Some(governor.reserve(batch.num_bytes())?),
+    // The batch is the first dense window, unless the first layer joins it
+    // where it is.
+    let mut window = match dense(first) {
+        true => Some(governor.reserve(batch.num_bytes())?),
+        false => None,
     };
     let mut full_dims = vec![batch_size];
-    full_dims.extend_from_slice(model.input_shape().dims());
+    full_dims.extend_from_slice(in_shape.dims());
     // The batch flows in borrowed; only a flat batch for a spatial model is
     // reshaped, into a copy.
     let mut flow = Flow::Dense(if batch.shape().dims() == full_dims.as_slice() {
@@ -199,7 +225,7 @@ pub fn run(
         Cow::Owned(batch.clone().reshape(full_dims)?)
     });
     let mut stats = TensorOpStats::default();
-    for i in 0..layers {
+    for i in first..layers {
         // Cooperative deadline check at every layer boundary: a timed-out
         // query unwinds here, dropping its context and grant.
         ctx.check_deadline("exec.layer")?;
@@ -230,7 +256,16 @@ pub fn run(
     Ok((flow.into_output(), stats))
 }
 
-/// Run every layer of `model` dense over `batch`, cut into morsels of
+/// The per-example shape layer `first` of `model` takes.
+fn input_shape_of(model: &Model, first: usize) -> Result<Shape> {
+    let mut shape = model.input_shape().clone();
+    for layer in &model.layers()[..first] {
+        shape = layer.output_shape(&shape)?;
+    }
+    Ok(shape)
+}
+
+/// Run layers `first..` of `model` dense over `batch`, cut into morsels of
 /// `morsel_rows` rows: the context's granted kernel threads claim morsels,
 /// and each worker carries its morsel through every layer on a serial grant,
 /// sliding its own input/output window over the governor as [`run`] does
@@ -239,13 +274,14 @@ pub fn run(
 /// their next layer boundary.
 fn run_morsels(
     model: &Model,
+    first: usize,
     batch: &Tensor,
     morsel_rows: usize,
     ctx: &ExecContext,
 ) -> Result<Tensor> {
     let governor = ctx.governor();
     let rows = batch.shape().dim(0);
-    let in_shape = model.input_shape();
+    let in_shape = input_shape_of(model, first)?;
     let out_shape = model.output_shape()?;
     let (width, out_width) = (in_shape.num_elements(), out_shape.num_elements());
     let _output = governor.reserve(rows * out_shape.num_bytes())?;
@@ -262,7 +298,7 @@ fn run_morsels(
                 let mut dims = vec![r1 - r0];
                 dims.extend_from_slice(in_shape.dims());
                 let mut x = Tensor::from_vec(dims, batch.data()[r0 * width..r1 * width].to_vec())?;
-                for i in 0..model.layers().len() {
+                for i in first..model.layers().len() {
                     if failed.load(Ordering::Relaxed) {
                         return Ok(());
                     }
@@ -486,6 +522,30 @@ mod tests {
             assert!(matches!(err, Error::Invalid(_)), "{nodes} nodes: {err}");
         }
         assert_eq!(governor.peak(), 0, "a refused plan reserves nothing");
+    }
+
+    #[test]
+    fn a_plan_starting_past_layer_0_runs_the_rest_of_the_model() {
+        let model = zoo::encoder_fc(&mut seeded_rng(77)).unwrap();
+        let x = Tensor::from_fn([5, 76], |i| ((i % 9) as f32 - 4.0) * 0.1);
+        let par = Parallelism::serial();
+        let hidden = model.forward_layer(0, &x, &par).unwrap();
+        let mut plan = InferencePlan::uniform(&model, 5, Representation::UdfCentric).unwrap();
+        plan.ops.remove(0);
+        let governor = MemoryGovernor::unlimited("db");
+        let (out, _) = run(&model, &hidden, &plan, &weights(16, 8), &ctx(1, &governor)).unwrap();
+        assert_eq!(out.into_dense().unwrap(), model.forward(&x, &par).unwrap());
+        // The batch is layer 1's input, and a plan skipping a middle layer
+        // is refused.
+        let err = run(&model, &x, &plan, &weights(16, 8), &ctx(1, &governor)).unwrap_err();
+        assert!(
+            matches!(err, Error::Nn(relserve_nn::Error::InputMismatch { .. })),
+            "{err}"
+        );
+        let mut gap = InferencePlan::uniform(&model, 5, Representation::UdfCentric).unwrap();
+        gap.ops.remove(1);
+        let err = run(&model, &x, &gap, &weights(16, 8), &ctx(1, &governor)).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
     }
 
     #[test]

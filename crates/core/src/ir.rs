@@ -66,6 +66,12 @@ pub struct InferencePlan {
     /// relation-centric multiply joins against whatever form the layer's
     /// weight has in memory.
     pub weight_relations_stored: bool,
+    /// §7.2.1's push-down of a join query `D1 ⋈ D2`: the input column of
+    /// layer 0 where `D2`'s features start. Each side then multiplies by its
+    /// column slice of layer 0's weight before the join, and the joined
+    /// partials are summed into layer 0's output; node 0's estimate is that
+    /// layer's. `None` for every other plan.
+    pub pushdown: Option<usize>,
 }
 
 impl InferencePlan {
@@ -102,6 +108,7 @@ impl InferencePlan {
             ops,
             morsel_rows: batch_size,
             weight_relations_stored: false,
+            pushdown: None,
         })
     }
 
@@ -127,13 +134,19 @@ impl InferencePlan {
     /// packs on every call — and what that operand is read from: a loaded
     /// model's weight relation is its catalog pages, prepared weights are
     /// packed from artifact pages or from weights in memory. A plan that
-    /// cuts its batch into morsels says how many rows each carries.
+    /// cuts its batch into morsels says how many rows each carries, and a
+    /// join query's push-down where it splits layer 0's input.
     pub fn explain(&self) -> String {
         let mut rule = self
             .memory_threshold
             .map_or("uniform".into(), |bytes| format!("threshold {bytes} B"));
         if self.morsel_rows < self.batch_size {
             rule.push_str(&format!(", morsels of {} rows", self.morsel_rows));
+        }
+        if let Some(split) = self.pushdown {
+            rule.push_str(&format!(
+                ", layer 0 pushed below the join at column {split}"
+            ));
         }
         let mut out = format!(
             "InferencePlan for `{}` (batch {}, {rule})\n",
@@ -143,9 +156,11 @@ impl InferencePlan {
             let relational = node.representation == Representation::RelationCentric;
             let multiply = matches!(node.kind, "dense" | "quant_dense");
             let conv = node.kind == "conv2d";
+            // A pushed-down layer's weight slices are packed per query.
+            let sliced = self.pushdown.is_some() && node.layer_index == 0;
             let weights = match (multiply || conv, relational) {
                 (true, true) => "  [weight relation]",
-                (true, false) if multiply => "  [prepared weights]",
+                (true, false) if multiply && !sliced => "  [prepared weights]",
                 (true, false) => "  [packs per call]",
                 (false, _) => "",
             };
@@ -220,6 +235,18 @@ mod tests {
             ),
             "{text}"
         );
+        // A join query's push-down says where it splits layer 0's input, and
+        // that layer 0 multiplies weight slices packed per call.
+        let mut pushed = p.clone();
+        pushed.pushdown = Some(20);
+        let text = pushed.explain();
+        assert!(
+            text.contains(", layer 0 pushed below the join at column 20)"),
+            "{text}"
+        );
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[1].contains("[packs per call]"), "{text}");
+        assert!(lines[2].contains("[prepared weights]"), "{text}");
     }
 
     #[test]

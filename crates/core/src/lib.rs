@@ -22,8 +22,12 @@
 //! mix is a third plan of the same executor. [`session::InferenceSession`] is the user-facing facade that wires
 //! tables, models, governors and the optimizer together.
 //!
+//! A join query's model runs in the same executor:
+//! [`InferenceSession::infer_join`] band-joins two tables, and its adaptive
+//! plan pushes a dense first layer below the join (§2.2's model
+//! decomposition, §7.2.1).
+//!
 //! Around that core sit the paper's §2–§5 techniques:
-//! [`rules`] (model decomposition & push-down through joins),
 //! [`dedup`] (accuracy-aware tensor-block deduplication),
 //! [`versions`] (SLA-driven selection among compressed model versions), and
 //! [`cache`] (the HNSW inference-result cache with Monte-Carlo error bounds).
@@ -36,7 +40,6 @@ pub mod error;
 pub mod exec;
 pub mod ir;
 pub mod optimizer;
-pub mod rules;
 pub mod session;
 pub mod versions;
 
@@ -44,6 +47,6 @@ pub use error::{Error, Result};
 pub use ir::{InferencePlan, PlanNode, Representation};
 pub use optimizer::RuleBasedOptimizer;
 pub use session::{
-    Architecture, FusedOutcome, InferenceOutcome, InferenceSession, SessionConfig,
-    SessionConfigBuilder, SessionStats,
+    Architecture, FusedOutcome, InferenceOutcome, InferenceSession, JoinQuery, JoinSide,
+    SessionConfig, SessionConfigBuilder, SessionStats,
 };

@@ -12,6 +12,7 @@
 use crate::error::Result;
 use crate::ir::{InferencePlan, Representation};
 use relserve_nn::Model;
+use relserve_tensor::ELEM_BYTES;
 
 /// Per-layer representation chooser with a single memory threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +47,43 @@ impl RuleBasedOptimizer {
                 Representation::UdfCentric
             }
         })
+    }
+
+    /// Plan a join query's model over its `pairs` joined rows, whose two
+    /// sides are `(rows, feature width)`: [`Self::plan`], with §7.2.1's
+    /// push-down of layer 0 when that layer is f32 dense, narrower than half
+    /// the joined features (`2·hidden < f1 + f2`, so the join moves fewer
+    /// bytes), and what the push-down holds is within the threshold. The
+    /// pushed-down node runs udf-centric and carries that estimate: each
+    /// side's run holds its weight slice, a zero bias, its features and its
+    /// partials; the left partials stay while the right side runs, and both
+    /// while their sums are made.
+    pub(crate) fn plan_join(
+        &self,
+        model: &Model,
+        pairs: usize,
+        [(n1, f1), (n2, f2)]: [(usize, usize); 2],
+    ) -> Result<InferencePlan> {
+        let mut plan = self.plan(model, pairs)?;
+        let (Some(layer), Some(node)) = (model.layers().first(), plan.ops.first_mut()) else {
+            return Ok(plan);
+        };
+        let Some((hidden, inputs)) = layer.weight_shape().filter(|_| layer.kind() == "dense")
+        else {
+            return Ok(plan);
+        };
+        let side = |rows: usize, width: usize| hidden * (width + 1) + rows * (width + hidden);
+        let floats = side(n1, f1)
+            .max(n1 * hidden + side(n2, f2))
+            .max((n1 + n2 + pairs) * hidden);
+        let estimate = floats * ELEM_BYTES;
+        if f1 + f2 == inputs && 2 * hidden < inputs && estimate <= self.memory_threshold_bytes {
+            node.representation = Representation::UdfCentric;
+            node.estimated_bytes = estimate;
+            node.label = format!("{} [{f1}+{f2}] -> [{hidden}]", node.kind);
+            plan.pushdown = Some(f1);
+        }
+        Ok(plan)
     }
 }
 
@@ -120,6 +158,49 @@ mod tests {
         };
         assert!(!relational(&small));
         assert!(relational(&large));
+    }
+
+    #[test]
+    fn a_join_plan_pushes_down_only_a_narrowing_f32_dense_first_layer() {
+        let rng = &mut seeded_rng(64);
+        let bosch = zoo::bosch_ffnn(rng).unwrap();
+        let opt = RuleBasedOptimizer::paper_default();
+        let sides = [(100, 484), (80, 484)];
+        let plan = opt.plan_join(&bosch, 300, sides).unwrap();
+        assert_eq!(plan.pushdown, Some(484));
+        assert_eq!(plan.ops[0].representation, Representation::UdfCentric);
+        // Node 0 holds the larger of: the left side's run, the right side's
+        // beside the left partials, and both partials with the summed output.
+        let left = 256 * 485 + 100 * (484 + 256);
+        let right = 100 * 256 + 256 * 485 + 80 * (484 + 256);
+        let sums = (100 + 80 + 300) * 256;
+        assert_eq!(plan.ops[0].estimated_bytes, left.max(right).max(sums) * 4);
+        // The rest of the plan is the plain plan's.
+        let plain = opt.plan(&bosch, 300).unwrap();
+        assert_eq!(plan.ops[1..], plain.ops[1..]);
+        // Widths that do not make up the input, a first layer at least half
+        // as wide as its input, an int8 one, and a push-down over the
+        // threshold all keep the plain plan.
+        assert_eq!(
+            opt.plan_join(&bosch, 300, [(100, 484), (80, 483)]).unwrap(),
+            plain
+        );
+        let widening = zoo::fraud_fc_256(rng).unwrap();
+        let sides = [(10, 14), (10, 14)];
+        assert_eq!(
+            opt.plan_join(&widening, 20, sides).unwrap(),
+            opt.plan(&widening, 20).unwrap()
+        );
+        let int8 = relserve_nn::quant::quantize_int8(&bosch).unwrap().model;
+        let halves = [(100, 484), (80, 484)];
+        assert_eq!(opt.plan_join(&int8, 300, halves).unwrap().pushdown, None);
+        let tight = RuleBasedOptimizer::new(plan.ops[0].estimated_bytes - 1);
+        assert_eq!(
+            tight
+                .plan_join(&bosch, 300, [(100, 484), (80, 484)])
+                .unwrap(),
+            tight.plan(&bosch, 300).unwrap()
+        );
     }
 
     #[test]

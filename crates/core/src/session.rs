@@ -14,17 +14,19 @@ use crate::ir::{InferencePlan, Representation};
 use crate::optimizer::RuleBasedOptimizer;
 use parking_lot::Mutex;
 use relserve_nn::serialize;
-use relserve_nn::Model;
+use relserve_nn::{Activation, Layer, Model};
 use relserve_relational::tensor_table::TensorOpStats;
-use relserve_relational::{Schema, Table, TensorTable, Tuple};
+use relserve_relational::{band_join, Schema, Table, TensorTable, Tuple};
 use relserve_runtime::{
     AdmissionPolicy, Connector, ExecContext, ExternalRuntime, FaultInjector, KernelPool,
     MemoryGovernor, RetryPolicy, RuntimeProfile, ThreadCoordinator, TransferProfile,
 };
 use relserve_storage::catalog::{ObjectKind, StoredObject};
 use relserve_storage::{ArtifactPages, ArtifactWriter, BufferPool, Catalog, DiskManager};
+use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::Tensor;
 use relserve_vectoridx::HnswParams;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -214,11 +216,42 @@ impl std::fmt::Display for Architecture {
     }
 }
 
+/// One side of a [`JoinQuery`]: a session table, its float key column and
+/// its feature-vector column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JoinSide<'a> {
+    /// The table's name.
+    pub table: &'a str,
+    /// Its float column the join compares.
+    pub key: &'a str,
+    /// Its vector column the side contributes to each joined row.
+    pub features: &'a str,
+}
+
+/// An inference query over a similarity join (§7.2.1): the model runs over
+/// every pair of `left` and `right` rows whose keys differ by at most
+/// `epsilon`, each joined row's features the left row's, then the right's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JoinQuery<'a> {
+    /// The side whose features come first.
+    pub left: JoinSide<'a>,
+    /// The side whose features come second.
+    pub right: JoinSide<'a>,
+    /// The band of the join: `|left key - right key| ≤ epsilon`.
+    pub epsilon: f32,
+}
+
+/// What one in-database or DL-centric attempt produced: the output, the plan
+/// that ran (in-database only) and its relation-centric work.
+type Ran = (Output, Option<InferencePlan>, TensorOpStats);
+
 /// Result of one inference query.
 pub struct InferenceOutcome {
     /// The model output (dense or blocked).
     pub output: Output,
-    /// Wall-clock execution time.
+    /// Wall-clock execution time, from admission to the output; a join
+    /// query's starts once its tables are read, and so covers the join and
+    /// the inference, like a batch query's after `features` read its table.
     pub elapsed: Duration,
     /// Which architecture the query was submitted under.
     pub architecture: String,
@@ -372,6 +405,38 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
+}
+
+/// A `[pairs, width]` tensor whose row for each joined pair `(i, j)` of
+/// `pairs` is written by `fill(row, i, j)`; each of `par`'s threads fills a
+/// run of pairs.
+fn joined_rows(
+    pairs: &[(usize, usize)],
+    width: usize,
+    par: &Parallelism,
+    fill: impl Fn(&mut [f32], usize, usize) + Sync,
+) -> Tensor {
+    let mut out = Tensor::zeros([pairs.len(), width]);
+    let run = pairs.len().div_ceil(par.threads()).max(1);
+    let runs = out
+        .data_mut()
+        .chunks_mut(run * width)
+        .zip(pairs.chunks(run));
+    par.run_owned(runs.collect(), |(out, pairs)| {
+        for (row, &(i, j)) in out.chunks_exact_mut(width).zip(pairs) {
+            fill(row, i, j);
+        }
+    });
+    out
+}
+
+/// The joined rows `left[i] ++ right[j]` of `pairs`, as one batch.
+fn gather(left: &Tensor, right: &Tensor, pairs: &[(usize, usize)], par: &Parallelism) -> Tensor {
+    let (f1, f2) = (left.shape().dim(1), right.shape().dim(1));
+    joined_rows(pairs, f1 + f2, par, |row, i, j| {
+        row[..f1].copy_from_slice(&left.data()[i * f1..(i + 1) * f1]);
+        row[f1..].copy_from_slice(&right.data()[j * f2..(j + 1) * f2]);
+    })
 }
 
 /// A loaded model: the session's copy of it, whose dense weight matrices
@@ -678,13 +743,29 @@ impl InferenceSession {
 
     /// Extract a dense feature batch from a table's vector column.
     pub fn features(&self, table: &str, vector_col: &str) -> Result<Tensor> {
+        Ok(self.scan(table, None, vector_col)?.1)
+    }
+
+    /// Read `table`'s `vector_col` into a `[rows, width]` batch, and beside
+    /// it, row by row, the float column `key_col` when one is named.
+    fn scan(
+        &self,
+        table: &str,
+        key_col: Option<&str>,
+        vector_col: &str,
+    ) -> Result<(Vec<f32>, Tensor)> {
         let table = self.table(table)?;
         let col = table.schema().index_of(vector_col)?;
+        let key_col = key_col.map(|c| table.schema().index_of(c)).transpose()?;
+        let mut keys = Vec::new();
         let mut data: Vec<f32> = Vec::new();
         let mut rows = 0usize;
         let mut width = 0usize;
         for row in table.scan() {
             let row = row.map_err(Error::Relational)?;
+            if let Some(k) = key_col {
+                keys.push(row.value(k)?.as_float()?);
+            }
             let v = row.value(col)?.as_vector().map_err(Error::Relational)?;
             if rows == 0 {
                 width = v.len();
@@ -700,7 +781,7 @@ impl InferenceSession {
         if rows == 0 {
             return Err(Error::Invalid(format!("table `{}` is empty", table.name())));
         }
-        Ok(Tensor::from_vec([rows, width], data)?)
+        Ok((keys, Tensor::from_vec([rows, width], data)?))
     }
 
     /// Admit `architecture`'s context shape under `policy`: dedicated for
@@ -724,7 +805,7 @@ impl InferenceSession {
         architecture: &Architecture,
         batch_size: usize,
         ctx: &ExecContext,
-    ) -> Result<(Output, Option<InferencePlan>, TensorOpStats)> {
+    ) -> Result<Ran> {
         match architecture {
             // The in-database architectures are plans of the one executor.
             Architecture::UdfCentric
@@ -790,7 +871,7 @@ impl InferenceSession {
     /// FIFO for admission for at most `policy.queue_timeout` (shedding with
     /// [`relserve_runtime::Error::Overloaded`] when the machine stays
     /// saturated), and `policy.deadline` is enforced both in the queue and
-    /// cooperatively at every executor block/layer boundary.
+    /// cooperatively before every layer the executor runs (not inside one).
     ///
     /// The query runs inside its own admitted execution context; the grant
     /// returns to the coordinator when the outcome (or error) is produced.
@@ -810,17 +891,33 @@ impl InferenceSession {
         let model = self.model(model_name)?;
         let batch_size = model.check_input(batch)?;
         let started = Instant::now();
-        let label = architecture.to_string();
         let ctx = self.admit(&architecture, policy)?;
-        let primary = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_primary(&model, batch, &architecture, batch_size, &ctx)
-        }))
-        .unwrap_or_else(|payload| {
-            self.counters.kernel_panics.fetch_add(1, Ordering::Relaxed);
-            Err(Error::Runtime(relserve_runtime::Error::KernelPanicked {
-                message: panic_message(payload.as_ref()),
-            }))
-        });
+        let primary = || self.run_primary(&model, batch, &architecture, batch_size, &ctx);
+        self.execute(&model, architecture.clone(), &ctx, started, primary, || {
+            Cow::Borrowed(batch)
+        })
+    }
+
+    /// Run `primary` inside `ctx`, a kernel panic caught as a typed error.
+    /// When it fails recoverably and degradation is on, the degradation
+    /// ladder re-runs the model relation-centric over `batch()` under the
+    /// same grant.
+    fn execute<'b>(
+        &self,
+        model: &Model,
+        architecture: Architecture,
+        ctx: &ExecContext,
+        started: Instant,
+        primary: impl FnOnce() -> Result<Ran>,
+        batch: impl FnOnce() -> Cow<'b, Tensor>,
+    ) -> Result<InferenceOutcome> {
+        let primary = std::panic::catch_unwind(std::panic::AssertUnwindSafe(primary))
+            .unwrap_or_else(|payload| {
+                self.counters.kernel_panics.fetch_add(1, Ordering::Relaxed);
+                Err(Error::Runtime(relserve_runtime::Error::KernelPanicked {
+                    message: panic_message(payload.as_ref()),
+                }))
+            });
         let (output, plan, rel_stats, degraded_to) = match primary {
             Ok((out, plan, rel_stats)) => (out, plan, rel_stats, None),
             Err(err)
@@ -834,8 +931,10 @@ impl InferenceSession {
                 // and connectors whose wire is down. The deadline still
                 // applies — a timed-out query must not burn a second pass.
                 ctx.check_deadline("degrade.relation-centric")?;
-                let plan = self.plan_loaded(&model, batch_size, &Architecture::RelationCentric)?;
-                let (out, rel_stats) = exec::run(&model, batch, &plan, &self.weights, &ctx)?;
+                let batch = batch();
+                let rows = batch.shape().dim(0);
+                let plan = self.plan_loaded(model, rows, &Architecture::RelationCentric)?;
+                let (out, rel_stats) = exec::run(model, &batch, &plan, &self.weights, ctx)?;
                 self.counters.degradations.fetch_add(1, Ordering::Relaxed);
                 (out, Some(plan), rel_stats, Some("relation-centric"))
             }
@@ -844,11 +943,136 @@ impl InferenceSession {
         Ok(InferenceOutcome {
             output,
             elapsed: started.elapsed(),
-            architecture: label,
+            architecture: architecture.to_string(),
             plan,
             degraded_to,
             rel_stats,
         })
+    }
+
+    /// Run a loaded model over a similarity join of two session tables
+    /// (§7.2.1) under `policy`, as [`InferenceSession::infer_batch_with`]
+    /// runs a batch: one admitted context reads both sides, band-joins their
+    /// keys ([`band_join`]) and runs the model, and the deadline is checked
+    /// after the reads, after the join, and before every layer. A forced
+    /// architecture runs the joined rows gathered into one batch. `Adaptive`
+    /// may push layer 0 below the join ([`InferencePlan::pushdown`]): each
+    /// side multiplies by its column slice of layer 0's weight through
+    /// [`exec::run`], the partials of each joined pair are summed, biased and
+    /// activated, and `exec::run` runs the rest of the plan. Feature widths
+    /// that do not make up the model's input are a typed
+    /// [`relserve_nn::Error::InputMismatch`].
+    pub fn infer_join(
+        &self,
+        model_name: &str,
+        query: &JoinQuery,
+        architecture: Architecture,
+        policy: &AdmissionPolicy,
+    ) -> Result<InferenceOutcome> {
+        let model = self.model(model_name)?;
+        let ctx = self.admit(&architecture, policy)?;
+        let side = |side: JoinSide| self.scan(side.table, Some(side.key), side.features);
+        let (left_keys, left) = side(query.left)?;
+        let (right_keys, right) = side(query.right)?;
+        ctx.check_deadline("join.scan")?;
+        let started = Instant::now();
+        let pairs = band_join(&left_keys, &right_keys, query.epsilon)?;
+        ctx.check_deadline("join.band")?;
+        if pairs.is_empty() {
+            return Err(Error::Invalid("the join has no rows".into()));
+        }
+        let sides = [&left, &right].map(|side| (side.shape().dim(0), side.shape().dim(1)));
+        let par = ctx.parallelism();
+        let plan = match architecture {
+            Architecture::Adaptive => Some(self.optimizer.plan_join(&model, pairs.len(), sides)?),
+            _ => None,
+        };
+        match plan.filter(|plan| plan.pushdown.is_some()) {
+            Some(mut plan) => {
+                plan.weight_relations_stored = true;
+                let primary = || self.run_pushdown(&model, plan, &left, &right, &pairs, &ctx);
+                self.execute(&model, architecture, &ctx, started, primary, || {
+                    Cow::Owned(gather(&left, &right, &pairs, &par))
+                })
+            }
+            None => {
+                let batch = gather(&left, &right, &pairs, &par);
+                let primary = || self.run_primary(&model, &batch, &architecture, pairs.len(), &ctx);
+                self.execute(&model, architecture.clone(), &ctx, started, primary, || {
+                    Cow::Borrowed(&batch)
+                })
+            }
+        }
+    }
+
+    /// Run a join query's push-down `plan` over its sides and the joined
+    /// `pairs` of their rows. The left partials stay charged while the right
+    /// side runs, both while their sums are made (node 0's estimate).
+    fn run_pushdown(
+        &self,
+        model: &Model,
+        plan: InferencePlan,
+        left: &Tensor,
+        right: &Tensor,
+        pairs: &[(usize, usize)],
+        ctx: &ExecContext,
+    ) -> Result<Ran> {
+        let Some((weight, bias, activation)) = model.layers()[0].dense_parts() else {
+            return Err(Error::Invalid(
+                "a push-down of a layer without weights".into(),
+            ));
+        };
+        let (weight, hidden) = (weight.to_tensor()?, bias.len());
+        let governor = ctx.governor();
+        let partials = |x: &Tensor, col0: usize| -> Result<(Tensor, _)> {
+            let cols = col0..col0 + x.shape().dim(1);
+            let slice = weight.slice2(0, hidden, cols.start, cols.end)?;
+            let name = format!("{}.l0[{cols:?}]", model.name());
+            let one = Model::new(name, [cols.len()]).push(Layer::Dense {
+                weight: slice.into(),
+                bias: Tensor::zeros([hidden]),
+                activation: Activation::None,
+            })?;
+            let rows = x.shape().dim(0);
+            let plan = InferencePlan::uniform(&one, rows, Representation::UdfCentric)?;
+            let partial = exec::run(&one, x, &plan, &self.weights, ctx)?
+                .0
+                .into_dense()?;
+            let charge = governor.reserve(partial.num_bytes())?;
+            Ok((partial, charge))
+        };
+        let hidden_out = {
+            let (p1, _p1) = partials(left, 0)?;
+            let (p2, _p2) = partials(right, left.shape().dim(1))?;
+            let _out = governor.reserve(pairs.len() * hidden * relserve_tensor::ELEM_BYTES)?;
+            // A ReLU is applied in the sums' store, as the dense kernel's
+            // epilogue applies it; another activation after them.
+            let relu = activation == Activation::Relu;
+            let mut out = joined_rows(pairs, hidden, &ctx.parallelism(), |row, i, j| {
+                let a = &p1.data()[i * hidden..(i + 1) * hidden];
+                let b = &p2.data()[j * hidden..(j + 1) * hidden];
+                for (((y, a), b), c) in row.iter_mut().zip(a).zip(b).zip(bias.data()) {
+                    *y = if relu {
+                        (a + b + c).max(0.0)
+                    } else {
+                        a + b + c
+                    };
+                }
+            });
+            if !relu {
+                activation.apply_inplace(&mut out)?;
+            }
+            out
+        };
+        let rest = InferencePlan {
+            ops: plan.ops[1..].to_vec(),
+            ..plan.clone()
+        };
+        let (output, rel_stats) = match rest.ops.is_empty() {
+            true => (Output::Dense(hidden_out), TensorOpStats::default()),
+            false => exec::run(model, &hidden_out, &rest, &self.weights, ctx)?,
+        };
+        Ok((output, Some(plan), rel_stats))
     }
 
     /// Execute several coalesced single- or multi-row requests as one fused
@@ -1635,6 +1859,286 @@ mod tests {
             Architecture::DlCentric(RuntimeProfile::tensorflow_like()).to_string(),
             "dl-centric(tensorflow-like)"
         );
+    }
+
+    /// A session holding `model`, with a threshold that leaves every plan
+    /// udf-centric, and no tables yet.
+    fn join_session(model: Model) -> InferenceSession {
+        let mut config = tiny_config();
+        config.memory_threshold_bytes = 1 << 30;
+        let session = InferenceSession::open(config).unwrap();
+        session.load_model(model).unwrap();
+        session
+    }
+
+    /// A `(key, features)` table of `n` rows, `width` features each, keys
+    /// `key_of(i)`; returns its keys and features.
+    fn keyed_table(
+        session: &InferenceSession,
+        name: &str,
+        n: usize,
+        width: usize,
+        key_of: impl Fn(usize) -> f32,
+        seed: u64,
+    ) -> (Vec<f32>, Tensor) {
+        use rand::Rng;
+        let schema = Schema::new(vec![
+            Column::new("key", DataType::Float),
+            Column::new("features", DataType::Vector),
+        ]);
+        session.create_table(name, schema).unwrap();
+        let mut rng = seeded_rng(seed);
+        let features = Tensor::from_fn([n, width], |_| rng.gen_range(-1.0f32..1.0));
+        let keys: Vec<f32> = (0..n).map(key_of).collect();
+        let rows: Vec<Tuple> = (0..n)
+            .map(|i| {
+                let row = features.row(i).unwrap().to_vec();
+                Tuple::new(vec![Value::Float(keys[i]), Value::Vector(row)])
+            })
+            .collect();
+        session.insert(name, &rows).unwrap();
+        (keys, features)
+    }
+
+    fn join_query(epsilon: f32) -> JoinQuery<'static> {
+        JoinQuery {
+            left: JoinSide {
+                table: "d1",
+                key: "key",
+                features: "features",
+            },
+            right: JoinSide {
+                table: "d2",
+                key: "key",
+                features: "features",
+            },
+            epsilon,
+        }
+    }
+
+    fn infer_join(
+        session: &InferenceSession,
+        model: &str,
+        architecture: Architecture,
+    ) -> Result<InferenceOutcome> {
+        session.infer_join(
+            model,
+            &join_query(0.25),
+            architecture,
+            &AdmissionPolicy::default(),
+        )
+    }
+
+    /// Run the join query adaptive, check that it pushed layer 0 below the
+    /// join, and that its governor peak is its plan's estimate: node 0's —
+    /// what the push-down holds — or, if larger, the rest of the plan's
+    /// parameters and widest window, as a dense run holds them.
+    fn pushed_down(session: &InferenceSession, name: &str) -> InferenceOutcome {
+        session.governor().reset_peak();
+        let outcome = infer_join(session, name, Architecture::Adaptive).unwrap();
+        let plan = outcome.plan.as_ref().unwrap();
+        assert!(plan.pushdown.is_some(), "{}", plan.explain());
+        let model = session.model(name).unwrap();
+        let params = |i: usize| model.layers()[i].param_bytes();
+        let rest = &plan.ops[1..];
+        let window = rest
+            .iter()
+            .map(|n| n.estimated_bytes - params(n.layer_index));
+        let rest_peak =
+            rest.iter().map(|n| params(n.layer_index)).sum::<usize>() + window.max().unwrap_or(0);
+        let estimate = plan.ops[0].estimated_bytes.max(rest_peak);
+        assert!(session.governor().peak() <= estimate);
+        assert_eq!(session.governor().peak(), estimate);
+        assert_eq!(session.governor().in_use(), 0);
+        outcome
+    }
+
+    /// A 12-feature model whose 4-wide first layer the adaptive plan pushes
+    /// below a join of 7 + 5 features.
+    fn narrowing_model(seed: u64) -> Model {
+        use relserve_nn::{Activation, Layer};
+        let mut rng = seeded_rng(seed);
+        Model::new("narrowing", [12])
+            .push(Layer::dense(12, 4, Activation::Relu, &mut rng))
+            .unwrap()
+            .push(Layer::dense(4, 2, Activation::Softmax, &mut rng))
+            .unwrap()
+    }
+
+    #[test]
+    fn join_then_infer_is_forward_over_the_gathered_rows() {
+        let model = narrowing_model(110);
+        let session = join_session(model.clone());
+        // Keys 0, 0.5, 1, ... on the left, 0, 1, 2, ... on the right: every
+        // left row joins one or two right rows (ε = 0.25 keeps 0.5 apart).
+        let (k1, x1) = keyed_table(&session, "d1", 30, 7, |i| i as f32 * 0.5, 1);
+        let (k2, x2) = keyed_table(&session, "d2", 20, 5, |i| i as f32, 2);
+        let pairs = band_join(&k1, &k2, 0.25).unwrap();
+        let mut data = Vec::new();
+        for &(i, j) in &pairs {
+            data.extend_from_slice(x1.row(i).unwrap());
+            data.extend_from_slice(x2.row(j).unwrap());
+        }
+        let batch = Tensor::from_vec([pairs.len(), 12], data).unwrap();
+        let expect = model.forward(&batch, &Parallelism::serial()).unwrap();
+        let outcome = infer_join(&session, "narrowing", Architecture::UdfCentric).unwrap();
+        let plan = outcome.plan.clone().unwrap();
+        assert_eq!((plan.batch_size, plan.pushdown), (pairs.len(), None));
+        assert_eq!(outcome.output.into_dense().unwrap(), expect);
+    }
+
+    #[test]
+    fn pushdown_matches_join_then_infer() {
+        // The correctness heart of §7.2.1: both plans give the same
+        // predictions, up to float reassociation. Keys 0, 1, 2, ... on both
+        // sides: each row joins its twin.
+        let session = join_session(narrowing_model(111));
+        keyed_table(&session, "d1", 30, 7, |i| i as f32, 1);
+        keyed_table(&session, "d2", 30, 5, |i| i as f32, 2);
+        let pushed = pushed_down(&session, "narrowing");
+        let baseline = infer_join(&session, "narrowing", Architecture::UdfCentric).unwrap();
+        let plan = pushed.plan.clone().unwrap();
+        assert_eq!(plan.pushdown, Some(7));
+        assert!(plan
+            .explain()
+            .contains("layer 0 pushed below the join at column 7"));
+        assert_eq!(plan.ops[0].label, "dense [7+5] -> [4]");
+        let (a, b) = (
+            baseline.output.into_dense().unwrap(),
+            pushed.output.into_dense().unwrap(),
+        );
+        assert_eq!(a.shape().dims(), &[30, 2]);
+        assert!(
+            a.approx_eq(&b, 1e-5),
+            "max diff {}",
+            a.max_abs_diff(&b).unwrap()
+        );
+    }
+
+    #[test]
+    fn pushdown_handles_one_to_many_joins() {
+        use relserve_nn::{Activation, Layer};
+        let mut rng = seeded_rng(112);
+        let model = Model::new("m", [8])
+            .push(Layer::dense(8, 3, Activation::Relu, &mut rng))
+            .unwrap()
+            .push(Layer::dense(3, 2, Activation::Softmax, &mut rng))
+            .unwrap();
+        let session = join_session(model);
+        // Two right rows share each key: every left row joins both.
+        keyed_table(&session, "d1", 10, 5, |i| i as f32, 3);
+        keyed_table(&session, "d2", 20, 3, |i| (i / 2) as f32, 4);
+        let pushed = pushed_down(&session, "m");
+        let baseline = infer_join(&session, "m", Architecture::UdfCentric).unwrap();
+        assert_eq!(pushed.plan.as_ref().unwrap().pushdown, Some(5));
+        let (a, b) = (
+            baseline.output.into_dense().unwrap(),
+            pushed.output.into_dense().unwrap(),
+        );
+        assert_eq!(a.shape().dims(), &[20, 2]);
+        assert!(
+            a.approx_eq(&b, 1e-5),
+            "max diff {}",
+            a.max_abs_diff(&b).unwrap()
+        );
+    }
+
+    #[test]
+    fn mismatched_feature_widths_are_refused() {
+        let session = join_session(narrowing_model(113));
+        keyed_table(&session, "d1", 5, 7, |i| i as f32, 5);
+        keyed_table(&session, "d2", 5, 6, |i| i as f32, 6); // 7 + 6 ≠ 12
+        for architecture in [Architecture::Adaptive, Architecture::UdfCentric] {
+            let err = infer_join(&session, "narrowing", architecture).unwrap_err();
+            assert!(
+                matches!(err, Error::Nn(relserve_nn::Error::InputMismatch { .. })),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            session.governor().peak(),
+            0,
+            "a refused query reserves nothing"
+        );
+    }
+
+    #[test]
+    fn a_non_dense_first_layer_is_not_pushed_down() {
+        use relserve_nn::{Activation, Layer};
+        let mut rng = seeded_rng(114);
+        let model = Model::new("conv", [4, 4, 1])
+            .push(Layer::conv2d(1, 2, 1, 1, Activation::None, &mut rng))
+            .unwrap();
+        let session = join_session(model);
+        keyed_table(&session, "d1", 5, 8, |i| i as f32, 7);
+        keyed_table(&session, "d2", 5, 8, |i| i as f32, 8);
+        let adaptive = infer_join(&session, "conv", Architecture::Adaptive).unwrap();
+        assert_eq!(adaptive.plan.as_ref().unwrap().pushdown, None);
+        let forced = infer_join(&session, "conv", Architecture::UdfCentric).unwrap();
+        let (a, b) = (
+            adaptive.output.into_dense().unwrap(),
+            forced.output.into_dense().unwrap(),
+        );
+        assert_eq!(a.shape().dims(), &[5, 4, 4, 2]);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn an_int8_models_plan_has_no_pushdown() {
+        let model = relserve_nn::quant::quantize_int8(&narrowing_model(115))
+            .unwrap()
+            .model;
+        let name = model.name().to_string();
+        let session = join_session(model);
+        keyed_table(&session, "d1", 12, 7, |i| i as f32, 9);
+        keyed_table(&session, "d2", 12, 5, |i| i as f32, 10);
+        let adaptive = infer_join(&session, &name, Architecture::Adaptive).unwrap();
+        let plan = adaptive.plan.as_ref().unwrap();
+        assert_eq!(plan.pushdown, None);
+        assert_eq!(plan.ops[0].kind, "quant_dense");
+        let forced = infer_join(&session, &name, Architecture::UdfCentric).unwrap();
+        assert_eq!(
+            adaptive.output.into_dense().unwrap(),
+            forced.output.into_dense().unwrap()
+        );
+    }
+
+    #[test]
+    fn a_bosch_shaped_pushdown_peaks_at_its_plans_estimate() {
+        // Unequal sides, a one-to-many join and the paper's 968/256/2 model:
+        // the partials outweigh neither side's run nor the summed output.
+        let session = join_session(zoo::bosch_ffnn(&mut seeded_rng(116)).unwrap());
+        keyed_table(&session, "d1", 40, 484, |i| (i / 2) as f32, 11);
+        keyed_table(&session, "d2", 30, 484, |i| (i / 3) as f32, 12);
+        let outcome = pushed_down(&session, "Bosch-FFNN");
+        assert_eq!(outcome.output.num_rows(), 60);
+    }
+
+    #[test]
+    fn a_join_query_past_its_deadline_fails_before_its_first_layer() {
+        use relserve_runtime::Error as RtError;
+        let session = join_session(narrowing_model(117));
+        // Reading 8 000 rows a side takes milliseconds (debug and release);
+        // admission, microseconds.
+        keyed_table(&session, "d1", 8000, 7, |i| i as f32, 13);
+        keyed_table(&session, "d2", 8000, 5, |i| i as f32, 14);
+        // The deadline passes while the sides are read: the query stops at
+        // the join's checks, before any layer reserves a byte.
+        let mut phases = Vec::new();
+        for architecture in [Architecture::Adaptive, Architecture::UdfCentric] {
+            let policy =
+                AdmissionPolicy::with_deadline(Instant::now() + Duration::from_micros(500));
+            let err = session
+                .infer_join("narrowing", &join_query(0.25), architecture, &policy)
+                .unwrap_err();
+            match err {
+                Error::Runtime(RtError::DeadlineExceeded { phase }) => phases.push(phase),
+                err => panic!("{err}"),
+            }
+        }
+        assert!(phases.iter().all(|p| p != "exec.layer"), "{phases:?}");
+        assert!(phases.iter().any(|p| p.starts_with("join.")), "{phases:?}");
+        assert_eq!(session.governor().peak(), 0, "no layer ran");
     }
 
     #[test]

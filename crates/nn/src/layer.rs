@@ -164,7 +164,7 @@ impl Layer {
 
     /// A dense layer's weight matrix with its bias and activation; `None`
     /// for a layer without one.
-    pub(crate) fn dense_parts(&self) -> Option<(&Weight, &Tensor, Activation)> {
+    pub fn dense_parts(&self) -> Option<(&Weight, &Tensor, Activation)> {
         match self {
             Layer::Dense {
                 bias, activation, ..

@@ -1,8 +1,8 @@
 //! Relational algebra runtime for `relserve`.
 //!
 //! This crate is the query-processing half of the envisioned RDBMS: typed
-//! schemas and tuples over the paged storage engine, the two pull-based
-//! operators §7.2.1's decomposition runs (scan and similarity join), and —
+//! schemas and tuples over the paged storage engine, the band join on float
+//! keys that §7.2.1's decomposition query joins its two tables with, and —
 //! the part specific to the paper — **tensor relations**: tables whose
 //! tuples are tensor blocks, plus the relational lowering of matrix
 //! multiplication into a join followed by an aggregation over those blocks
@@ -11,8 +11,8 @@
 //! Everything executes through the buffer pool, so both ordinary tables and
 //! tensor relations spill to disk transparently when they outgrow memory.
 
+pub mod band_join;
 pub mod error;
-pub mod ops;
 pub mod schema;
 pub mod table;
 pub mod tensor_table;
@@ -20,6 +20,7 @@ pub mod tuple;
 pub mod value;
 pub mod weight_blocks;
 
+pub use band_join::band_join;
 pub use error::{Error, Result};
 pub use schema::{Column, DataType, Schema};
 pub use table::Table;

@@ -90,20 +90,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Schema of `self ++ other` (join output), prefixing clashing names.
-    pub fn join(&self, other: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        for c in &other.columns {
-            let name = if columns.iter().any(|e| e.name == c.name) {
-                format!("r.{}", c.name)
-            } else {
-                c.name.clone()
-            };
-            columns.push(Column::new(name, c.dtype));
-        }
-        Schema { columns }
-    }
 }
 
 #[cfg(test)]
@@ -136,18 +122,5 @@ mod tests {
         assert!(s
             .check(&[Value::Float(1.0), Value::Float(2.0), Value::Vector(vec![])])
             .is_err());
-    }
-
-    #[test]
-    fn join_prefixes_duplicates() {
-        let a = sample();
-        let b = Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("label", DataType::Int),
-        ]);
-        let j = a.join(&b);
-        assert_eq!(j.arity(), 5);
-        assert_eq!(j.column(3).unwrap().name, "r.id");
-        assert_eq!(j.column(4).unwrap().name, "label");
     }
 }

@@ -34,12 +34,6 @@ impl Tuple {
             .ok_or_else(|| Error::UnknownColumn(format!("#{i}")))
     }
 
-    /// Concatenate two tuples (join output).
-    pub fn join(mut self, right: &Tuple) -> Tuple {
-        self.values.extend(right.values.iter().cloned());
-        self
-    }
-
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         2 + self.values.iter().map(Value::encoded_len).sum::<usize>()
@@ -122,14 +116,6 @@ mod tests {
         let bad = Tuple::new(vec![Value::Float(1.0)]).encode();
         assert!(Tuple::decode_checked(&good, &schema).is_ok());
         assert!(Tuple::decode_checked(&bad, &schema).is_err());
-    }
-
-    #[test]
-    fn join_concatenates() {
-        let l = Tuple::new(vec![Value::Int(1)]);
-        let r = Tuple::new(vec![Value::Int(2), Value::Int(3)]);
-        let j = l.join(&r);
-        assert_eq!(j.values(), &[Value::Int(1), Value::Int(2), Value::Int(3)]);
     }
 
     fn value_strategy() -> impl Strategy<Value = Value> {

@@ -42,15 +42,6 @@ impl Value {
         }
     }
 
-    /// Extract an integer, coercing floats with integral values.
-    pub fn as_int(&self) -> Result<i64> {
-        match self {
-            Value::Int(v) => Ok(*v),
-            Value::Float(v) if v.fract() == 0.0 => Ok(*v as i64),
-            other => Err(Error::TypeError(format!("{other:?} is not an integer"))),
-        }
-    }
-
     /// Extract a float, coercing integers.
     pub fn as_float(&self) -> Result<f32> {
         match self {
@@ -241,8 +232,6 @@ mod tests {
 
     #[test]
     fn coercions() {
-        assert_eq!(Value::Float(4.0).as_int().unwrap(), 4);
-        assert!(Value::Float(4.5).as_int().is_err());
         assert_eq!(Value::Int(3).as_float().unwrap(), 3.0);
         assert!(Value::Text("x".into()).as_float().is_err());
         assert_eq!(Value::Vector(vec![1.0]).as_vector().unwrap(), &[1.0]);

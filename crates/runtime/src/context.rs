@@ -102,9 +102,11 @@ impl ExecContext {
         self.deadline
     }
 
-    /// Cooperative deadline check, called by executors at block/layer
-    /// boundaries: [`Error::DeadlineExceeded`] once the query's deadline
-    /// has passed, naming `phase` as the detection point. Returning the
+    /// Cooperative deadline check, called by executors between the steps
+    /// of a query — before each layer, and between a join query's scan,
+    /// join and inference — never inside one layer or block join:
+    /// [`Error::DeadlineExceeded`] once the query's deadline has passed,
+    /// naming `phase` as the detection point. Returning the
     /// error unwinds the executor, dropping this context and releasing the
     /// grant mid-flight — a timed-out query stops consuming the machine.
     pub fn check_deadline(&self, phase: &str) -> Result<()> {
@@ -310,10 +312,8 @@ mod tests {
             .context_with(1, gov(), &AdmissionPolicy::with_deadline(soon))
             .unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let err = ctx.check_deadline("relation-centric.block").unwrap_err();
-        assert!(
-            matches!(err, Error::DeadlineExceeded { ref phase } if phase == "relation-centric.block")
-        );
+        let err = ctx.check_deadline("exec.layer").unwrap_err();
+        assert!(matches!(err, Error::DeadlineExceeded { ref phase } if phase == "exec.layer"));
     }
 
     #[test]

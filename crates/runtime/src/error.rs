@@ -41,10 +41,12 @@ pub enum Error {
         queue_timeout: Duration,
     },
     /// The query's deadline passed — while queued for admission or
-    /// cooperatively detected mid-execution at a block/layer boundary.
+    /// cooperatively detected mid-execution between two steps of the query
+    /// (layers; a join query's scan, join and inference).
     DeadlineExceeded {
-        /// Where the deadline was detected, e.g. `"admission-queue"` or
-        /// `"exec.layer"` (a layer boundary of the in-database executor).
+        /// Where the deadline was detected, e.g. `"admission-queue"`,
+        /// `"exec.layer"` (before a layer of the in-database executor) or
+        /// `"join.scan"` (a join query's tables read).
         phase: String,
     },
     /// A transient (retryable) fault on the cross-system boundary: a flaky

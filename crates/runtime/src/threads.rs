@@ -123,8 +123,8 @@ pub struct AdmissionPolicy {
     /// layout degenerates below a floor.
     pub min_threads: usize,
     /// Absolute deadline for the whole query. Expiring in the queue yields
-    /// [`Error::DeadlineExceeded`]; executors also check it cooperatively at
-    /// block/layer boundaries mid-flight.
+    /// [`Error::DeadlineExceeded`]; executors also check it cooperatively
+    /// mid-flight, before each layer (not inside a layer's block join).
     pub deadline: Option<Instant>,
     /// The queue band this query waits in. Defaults to
     /// [`Priority::Standard`]; a single-class workload is strict FIFO.

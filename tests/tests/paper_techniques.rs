@@ -5,64 +5,76 @@
 use rand::Rng;
 use relserve_core::cache::CachedModel;
 use relserve_core::dedup::dedup_blocks;
-use relserve_core::rules::{run_join_then_infer, run_pushdown_infer, JoinedInference};
 use relserve_core::versions::{Sla, VersionCatalog};
+use relserve_core::{Architecture, InferenceSession, JoinQuery, JoinSide, SessionConfig};
 use relserve_nn::init::seeded_rng;
 use relserve_nn::{zoo, Activation, Layer, Model, Trainer};
-use relserve_relational::{Column, DataType, Schema, Table, Tuple, Value};
-use relserve_runtime::KernelPool;
+use relserve_relational::{Column, DataType, Schema, Tuple, Value};
+use relserve_runtime::AdmissionPolicy;
 use relserve_storage::{BufferPool, DiskManager};
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{BlockedTensor, BlockingSpec, Tensor};
 use relserve_vectoridx::HnswParams;
 use std::sync::Arc;
 
-fn pool() -> Arc<BufferPool> {
-    Arc::new(BufferPool::with_budget_bytes(
-        Arc::new(DiskManager::temp().unwrap()),
-        32 << 20,
-    ))
-}
-
-fn keyed_table(name: &str, n: usize, width: usize, seed: u64, pool: Arc<BufferPool>) -> Table {
+#[test]
+fn decomposition_pushdown_full_bosch_shape() {
+    // Paper dimensions (968 = 484 + 484, hidden 256) at reduced cardinality:
+    // the adaptive plan of a session join query pushes layer 0 below the
+    // join and answers as the join-then-infer plan does.
+    let session = InferenceSession::open(SessionConfig::default()).unwrap();
     let schema = Schema::new(vec![
         Column::new("key", DataType::Float),
         Column::new("features", DataType::Vector),
     ]);
-    let table = Table::create(pool, name, schema);
-    let mut rng = seeded_rng(seed);
-    for i in 0..n {
-        let f: Vec<f32> = (0..width).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        table
-            .insert(&Tuple::new(vec![Value::Float(i as f32), Value::Vector(f)]))
-            .unwrap();
+    for (name, seed) in [("d1", 1), ("d2", 2)] {
+        session.create_table(name, schema.clone()).unwrap();
+        let mut rng = seeded_rng(seed);
+        let rows: Vec<Tuple> = (0..300)
+            .map(|i| {
+                let f: Vec<f32> = (0..484).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                Tuple::new(vec![Value::Float(i as f32), Value::Vector(f)])
+            })
+            .collect();
+        session.insert(name, &rows).unwrap();
     }
-    table
-}
-
-#[test]
-fn decomposition_pushdown_full_bosch_shape() {
-    // Paper dimensions (968 = 484 + 484, hidden 256) at reduced cardinality.
-    let p = pool();
-    let d1 = keyed_table("d1", 300, 484, 1, p.clone());
-    let d2 = keyed_table("d2", 300, 484, 2, p);
-    let mut rng = seeded_rng(3);
-    let model = zoo::bosch_ffnn(&mut rng).unwrap();
-    let q = JoinedInference {
-        d1: &d1,
-        d2: &d2,
-        d1_join_col: 0,
-        d2_join_col: 0,
-        d1_features: 1,
-        d2_features: 1,
+    session
+        .load_model(zoo::bosch_ffnn(&mut seeded_rng(3)).unwrap())
+        .unwrap();
+    let query = JoinQuery {
+        left: JoinSide {
+            table: "d1",
+            key: "key",
+            features: "features",
+        },
+        right: JoinSide {
+            table: "d2",
+            key: "key",
+            features: "features",
+        },
         epsilon: 0.2,
     };
-    let par = Arc::new(KernelPool::new(2)).parallelism(2);
-    let baseline = run_join_then_infer(&q, &model, &par).unwrap();
-    let pushed = run_pushdown_infer(&q, &model, &par).unwrap();
+    let run = |architecture| {
+        session
+            .infer_join(
+                "Bosch-FFNN",
+                &query,
+                architecture,
+                &AdmissionPolicy::default(),
+            )
+            .unwrap()
+    };
+    let pushed = run(Architecture::Adaptive);
+    let plan = pushed.plan.as_ref().unwrap();
+    assert_eq!(plan.pushdown, Some(484));
+    assert!(
+        session.governor().peak() <= plan.ops[0].estimated_bytes.max(plan.ops[1].estimated_bytes)
+    );
+    let baseline = run(Architecture::UdfCentric).output.into_dense().unwrap();
+    let pushed = pushed.output.into_dense().unwrap();
     assert_eq!(baseline.shape().dims(), &[300, 2]);
     assert!(
-        baseline.approx_eq(&pushed, 1e-3),
+        baseline.approx_eq(&pushed, 1e-5),
         "max diff {}",
         baseline.max_abs_diff(&pushed).unwrap()
     );

@@ -8,7 +8,9 @@
 //! layer's fused epilogue), the AMX tile unit at the shapes it serves
 //! (`int8_tiles`: 512³ and Encoder-FC's two layers, prepacked, with and
 //! without the activation quantize sweep), plus vectorized elementwise
-//! kernel bandwidth and the relational block-join speedup. Every row names
+//! kernel bandwidth, the relational block-join speedup, and the f32 ceilings
+//! the served rows are read against (the micro-kernel alone on a hot panel,
+//! and the FMA peak on 1 and 2 threads). Every row names
 //! the micro-kernel that actually ran, so a reader can tell the FMA path
 //! from the scalar fallback. Emits `BENCH_matmul.json` (selected ISA, one
 //! kernel row per dispatch path, elementwise bandwidth) so regressions are
@@ -67,6 +69,58 @@ fn pattern(rows: usize, cols: usize, salt: usize) -> Tensor {
     Tensor::from_fn([rows, cols], |i| {
         (((i * 29 + salt * 13) % 37) as f32 - 18.0) * 0.1
     })
+}
+
+/// Best-of-`reps` GFLOP/s of `threads` threads each running 24 independent
+/// AVX-512 FMA chains, summed; `None` without AVX-512F.
+fn fma_peak_gflops(threads: usize, reps: usize) -> Option<f64> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            return None;
+        }
+        const STEPS: usize = 2_000_000;
+        let secs = best_secs(reps, || {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    // SAFETY: AVX-512F was detected above.
+                    scope.spawn(|| std::hint::black_box(unsafe { fma_chains(STEPS) }));
+                }
+            });
+        });
+        Some((threads * STEPS * 24 * 16 * 2) as f64 / secs / 1e9)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (threads, reps);
+        None
+    }
+}
+
+/// `steps` rounds of 24 independent `zmm` fused multiply-adds.
+///
+/// # Safety
+/// The CPU has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn fma_chains(steps: usize) -> f32 {
+    use std::arch::x86_64::*;
+    // Two rows of 12, as the 12×32 tile holds them: one array of 24 gets
+    // part of it spilled to the stack.
+    let mut lo = [_mm512_set1_ps(0.5); 12];
+    let mut hi = [_mm512_set1_ps(0.25); 12];
+    let (a, b) = (_mm512_set1_ps(0.999_9), _mm512_set1_ps(1e-4));
+    for _ in 0..steps {
+        for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
+            *l = _mm512_fmadd_ps(*l, a, b);
+            *h = _mm512_fmadd_ps(*h, a, b);
+        }
+    }
+    let mut sum = _mm512_setzero_ps();
+    for (l, h) in lo.iter().zip(&hi) {
+        sum = _mm512_add_ps(sum, _mm512_add_ps(*l, *h));
+    }
+    _mm512_reduce_add_ps(sum)
 }
 
 /// One benched matmul kernel row.
@@ -320,6 +374,70 @@ fn main() {
     }
     println!("f32 prepacked at the served shapes (best of {reps}):");
     print!("{}", stable.render());
+
+    // --- What the f32 driver could reach -----------------------------------
+    // The dispatched micro-kernel alone, on one hot A micro-panel and one B
+    // panel of `kc` 256, storing into one C tile; and the FMA peak, 24
+    // independent `zmm` FMA chains per thread, on 1 and 2 threads. The two
+    // vCPUs of a hyperthreaded core share one FMA rate, so the 2-thread
+    // peak, not twice the 1-thread one, bounds the pooled rows.
+    let kern = &selected.matmul;
+    let (mr, kr, kc) = (kern.mr, kern.nr, kern.kc);
+    let apanel = pattern(1, mr * kc, 10);
+    let bpanel = pattern(1, kr * kc, 11);
+    let mut ctile = vec![0.0f32; mr * kr];
+    let calls = 20_000usize;
+    let micro_secs = best_secs(reps, || {
+        for _ in 0..calls {
+            let tile = simd::CTile {
+                c: &mut ctile,
+                ldc: kr,
+                rows: mr,
+                width: kr,
+            };
+            kern.run(apanel.data(), bpanel.data(), kc, tile, Epilogue::None);
+        }
+    });
+    let micro_gflops = 2.0 * (mr * kr * kc * calls) as f64 / micro_secs / 1e9;
+    let (peak1, peak2) = (fma_peak_gflops(1, reps), fma_peak_gflops(2, reps));
+    let served_gflops = |shape: [usize; 3], threads: usize| {
+        served_rows
+            .iter()
+            .find(|r| r.shape == shape && r.threads == threads)
+            .map_or(0.0, |r| {
+                2.0 * r.shape.iter().product::<usize>() as f64 / r.secs / 1e9
+            })
+    };
+    let encoder_1 = served_gflops([512, 3072, 768], 1);
+    let encoder_pooled = served_gflops([512, 3072, 768], pool_threads);
+    let mut ctable = ResultTable::new(&["f32 ceiling", "threads", "GFLOP/s"]);
+    let mut ceiling = |name: &str, threads: usize, gflops: f64| {
+        ctable.row(
+            name,
+            &[
+                Cell::Text(threads.to_string()),
+                Cell::Text(format!("{gflops:.1}")),
+            ],
+        );
+    };
+    ceiling(
+        &format!("micro-kernel alone [{}]", kern.name),
+        1,
+        micro_gflops,
+    );
+    if let (Some(p1), Some(p2)) = (peak1, peak2) {
+        ceiling("FMA peak (24 zmm chains)", 1, p1);
+        ceiling("FMA peak (24 zmm chains)", 2, p2);
+    } else {
+        println!("FMA peak: needs AVX-512F; skipped");
+    }
+    println!("f32 ceilings (best of {reps}):");
+    print!("{}", ctable.render());
+    println!(
+        "driver efficiency: 512x3072x768 serial / micro-kernel alone {:.2}; pooled ({pool_threads} threads) / 2-thread FMA peak {}",
+        encoder_1 / micro_gflops,
+        peak2.map_or("n/a".into(), |p| format!("{:.2}", encoder_pooled / p)),
+    );
 
     // --- Int8 quantized kernels at 512^3 ----------------------------------
     // Same GFLOP-equivalent count as the f32 rows (one u8×i8 MAC ≡ one FMA),
@@ -681,6 +799,8 @@ fn main() {
         "{{\n  \"host_cores\": {host_cores},\n  \"isa\": \"{}\",\n  \"shape\": [{n}, {n}, {n}],\n  \"flops\": {flops},\n  \"kernels\": [\n{kernel_json}\n  ],\n  \
          \"speedup_tiled_vs_seed\": {:.3},\n  \"speedup_f32_prepacked_vs_per_call\": {:.3},\n{avx512_json}  \
          \"f32_served\": [\n{served_json}\n  ],\n  \
+         \"f32_ceiling\": {{\"micro_kernel_gflops\": {micro_gflops:.3}, \"fma_peak_gflops_1t\": {}, \"fma_peak_gflops_2t\": {}, \
+         \"served_512x3072x768_vs_micro_kernel\": {:.3}}},\n  \
          \"int8_kernels\": [\n{i8_json}\n  ],\n  \
          \"int8_tiles\": [\n{tile_json}\n  ],\n  \
          \"speedup_int8_vs_f32_best\": {int8_vs_f32_best:.3},\n{i8_avx2_json}{i8_pre_json}  \
@@ -691,6 +811,9 @@ fn main() {
         selected.isa.token(),
         seed_secs / tiled_secs,
         bt_secs / pre_secs,
+        peak1.map_or("null".into(), |p| format!("{p:.3}")),
+        peak2.map_or("null".into(), |p| format!("{p:.3}")),
+        encoder_1 / micro_gflops,
         rel_serial / rel_pooled,
         counters.tasks_run,
         counters.steals,

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "max layer est @ batch 1000",
     ]);
     for model in &models {
-        let plan = RuleBasedOptimizer::paper_default().plan(model, 1000)?;
+        let plan = RuleBasedOptimizer::paper_default().plan(model, 1000, 1)?;
         let max_est = plan
             .ops
             .iter()

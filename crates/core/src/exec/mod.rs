@@ -32,7 +32,7 @@ use relserve_runtime::ExecContext;
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::{ops, Shape, Tensor};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Result of an inference execution.
 pub enum Output {
@@ -270,8 +270,9 @@ fn input_shape_of(model: &Model, first: usize) -> Result<Shape> {
 /// and each worker carries its morsel through every layer on a serial grant,
 /// sliding its own input/output window over the governor as [`run`] does
 /// for the whole batch. The assembled output is charged once; the batch is
-/// the caller's. The first error is kept, and the other workers stop at
-/// their next layer boundary.
+/// the caller's. A failed morsel stops the later morsels at their next
+/// layer boundary, and the error of the first failed morsel is returned,
+/// a non-finite activation row in it named by its row in the batch.
 fn run_morsels(
     model: &Model,
     first: usize,
@@ -286,7 +287,7 @@ fn run_morsels(
     let (width, out_width) = (in_shape.num_elements(), out_shape.num_elements());
     let _output = governor.reserve(rows * out_shape.num_bytes())?;
     let mut data = vec![0.0; rows * out_width];
-    let failed = AtomicBool::new(false);
+    let failed = AtomicUsize::new(usize::MAX);
     let first_error = Mutex::new(None);
     let serial = Parallelism::serial();
     let parts = data.chunks_mut(morsel_rows * out_width).enumerate();
@@ -299,7 +300,7 @@ fn run_morsels(
                 dims.extend_from_slice(in_shape.dims());
                 let mut x = Tensor::from_vec(dims, batch.data()[r0 * width..r1 * width].to_vec())?;
                 for i in first..model.layers().len() {
-                    if failed.load(Ordering::Relaxed) {
+                    if failed.load(Ordering::Relaxed) < m {
                         return Ok(());
                     }
                     ctx.check_deadline("exec.layer")?;
@@ -311,16 +312,31 @@ fn run_morsels(
                 Ok(())
             };
             if let Err(err) = morsel() {
-                first_error.lock().get_or_insert(err);
-                failed.store(true, Ordering::Relaxed);
+                failed.fetch_min(m, Ordering::Relaxed);
+                let mut first = first_error.lock();
+                if first.as_ref().is_none_or(|&(f, _)| m < f) {
+                    *first = Some((m, at_batch_row(err, r0)));
+                }
             }
         });
-    if let Some(err) = first_error.into_inner() {
+    if let Some((_, err)) = first_error.into_inner() {
         return Err(err);
     }
     let mut dims = vec![rows];
     dims.extend_from_slice(out_shape.dims());
     Ok(Tensor::from_vec(dims, data)?)
+}
+
+/// `err` of a morsel whose first row is batch row `r0`, a non-finite
+/// activation row renumbered as the batch's row.
+fn at_batch_row(err: Error, r0: usize) -> Error {
+    use relserve_tensor::Error::NonFiniteRow;
+    match err {
+        Error::Nn(relserve_nn::Error::Tensor(NonFiniteRow(r))) => {
+            Error::Nn(relserve_nn::Error::Tensor(NonFiniteRow(r0 + r)))
+        }
+        err => err,
+    }
 }
 
 /// Run layer `i` of `model` on the dense `x` under one memory domain's
@@ -587,7 +603,7 @@ mod tests {
         let model = zoo::fraud_fc_256(&mut rng).unwrap();
         let x = Tensor::from_fn([12, 28], |i| ((i % 7) as f32 - 3.0) * 0.2);
         let plan = RuleBasedOptimizer::paper_default()
-            .plan(&model, 12)
+            .plan(&model, 12, 1)
             .unwrap();
         assert_eq!(
             plan.layer_representations(),
@@ -609,7 +625,7 @@ mod tests {
         // A threshold between the two layers' estimates forces layer 0
         // (76→3072) relational and layer 1 (3072→768) UDF, or vice versa.
         let opt = RuleBasedOptimizer::new(9_000_000);
-        let plan = opt.plan(&model, 6).unwrap();
+        let plan = opt.plan(&model, 6, 1).unwrap();
         let reps = plan.layer_representations();
         assert!(
             reps.contains(&Representation::RelationCentric)
@@ -627,7 +643,7 @@ mod tests {
         let model = zoo::fraud_fc_512(&mut rng).unwrap();
         let x = Tensor::from_fn([9, 28], |i| (i % 5) as f32 * 0.1);
         // Zero threshold: everything relational.
-        let plan = RuleBasedOptimizer::new(0).plan(&model, 9).unwrap();
+        let plan = RuleBasedOptimizer::new(0).plan(&model, 9, 1).unwrap();
         assert_eq!(
             plan.layer_representations(),
             [Representation::RelationCentric; 2]
@@ -649,7 +665,7 @@ mod tests {
         // Plan: layer 0 relational (big hidden activation), layer 1 UDF.
         let first_est = (batch * 28 + 28 * 512 + batch * 512) * 4;
         let opt = RuleBasedOptimizer::new(first_est - 1);
-        let plan = opt.plan(&model, batch).unwrap();
+        let plan = opt.plan(&model, batch, 1).unwrap();
         assert_eq!(
             plan.layer_representations(),
             [Representation::RelationCentric, Representation::UdfCentric]

@@ -261,7 +261,9 @@ mod tests {
         assert_eq!(mixed.matches("[prepared weights]").count(), 1);
         // A convolution's im2col product is not a constant: it packs per call.
         let cnn = zoo::caching_cnn(&mut seeded_rng(51)).unwrap();
-        let conv_plan = RuleBasedOptimizer::paper_default().plan(&cnn, 2).unwrap();
+        let conv_plan = RuleBasedOptimizer::paper_default()
+            .plan(&cnn, 2, 1)
+            .unwrap();
         assert!(conv_plan.explain().contains("[packs per call]"));
         // Each weight operand says what it is built from.
         let count = |text: &str, tag: &str| text.matches(tag).count();

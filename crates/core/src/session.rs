@@ -711,21 +711,25 @@ impl InferenceSession {
     }
 
     /// Produce the adaptive plan for a model at a batch size (EXPLAIN).
+    /// The plan is made for the kernel threads an uncontended query is
+    /// granted; a query plans for the threads it was granted.
     pub fn plan(&self, model: &str, batch_size: usize) -> Result<InferencePlan> {
         let model = self.model(model)?;
-        self.plan_loaded(&model, batch_size, &Architecture::Adaptive)
+        let threads = self.coordinator.plan_for(1).kernel_threads;
+        self.plan_loaded(&model, batch_size, &Architecture::Adaptive, threads)
     }
 
     /// The plan an in-database `architecture` runs a loaded model under,
     /// whose relation-centric multiplies join the weight relations stored at
     /// load: every layer in the forced representation (pipelined's cut into
     /// morsels of `micro_batch` rows), or the adaptive optimizer's per-layer
-    /// mix.
+    /// mix for `threads` kernel threads.
     fn plan_loaded(
         &self,
         model: &Model,
         batch_size: usize,
         architecture: &Architecture,
+        threads: usize,
     ) -> Result<InferencePlan> {
         let uniform = |representation| InferencePlan::uniform(model, batch_size, representation);
         let mut plan = match architecture {
@@ -735,7 +739,7 @@ impl InferenceSession {
                 ..uniform(Representation::UdfCentric)?
             },
             Architecture::RelationCentric => uniform(Representation::RelationCentric)?,
-            _ => self.optimizer.plan(model, batch_size)?,
+            _ => self.optimizer.plan(model, batch_size, threads)?,
         };
         plan.weight_relations_stored = true;
         Ok(plan)
@@ -812,7 +816,8 @@ impl InferenceSession {
             | Architecture::RelationCentric
             | Architecture::Adaptive
             | Architecture::Pipelined { .. } => {
-                let plan = self.plan_loaded(model, batch_size, architecture)?;
+                let plan =
+                    self.plan_loaded(model, batch_size, architecture, ctx.kernel_threads())?;
                 let (out, rel_stats) = exec::run(model, batch, &plan, &self.weights, ctx)?;
                 Ok((out, Some(plan), rel_stats))
             }
@@ -933,7 +938,7 @@ impl InferenceSession {
                 ctx.check_deadline("degrade.relation-centric")?;
                 let batch = batch();
                 let rows = batch.shape().dim(0);
-                let plan = self.plan_loaded(model, rows, &Architecture::RelationCentric)?;
+                let plan = self.plan_loaded(model, rows, &Architecture::RelationCentric, 1)?;
                 let (out, rel_stats) = exec::run(model, &batch, &plan, &self.weights, ctx)?;
                 self.counters.degradations.fetch_add(1, Ordering::Relaxed);
                 (out, Some(plan), rel_stats, Some("relation-centric"))
@@ -984,7 +989,12 @@ impl InferenceSession {
         let sides = [&left, &right].map(|side| (side.shape().dim(0), side.shape().dim(1)));
         let par = ctx.parallelism();
         let plan = match architecture {
-            Architecture::Adaptive => Some(self.optimizer.plan_join(&model, pairs.len(), sides)?),
+            Architecture::Adaptive => {
+                Some(
+                    self.optimizer
+                        .plan_join(&model, pairs.len(), sides, ctx.kernel_threads())?,
+                )
+            }
             _ => None,
         };
         match plan.filter(|plan| plan.pushdown.is_some()) {

@@ -14,7 +14,7 @@ use relserve_core::{
 };
 use relserve_nn::init::seeded_rng;
 use relserve_nn::quant::quantize_int8;
-use relserve_nn::{serialize, Activation, Layer, Model};
+use relserve_nn::{serialize, zoo, Activation, Layer, Model};
 use relserve_runtime::{ExecContext, MemoryGovernor};
 use relserve_storage::{BufferPool, DiskManager};
 use relserve_tensor::parallel::Parallelism;
@@ -265,7 +265,7 @@ proptest! {
             let stored = outcome.output.into_dense().unwrap();
             let in_memory = weights(64, block);
             let built = if path == 1 {
-                let plan = RuleBasedOptimizer::new(1).plan(&model, rows).unwrap();
+                let plan = RuleBasedOptimizer::new(1).plan(&model, rows, 1).unwrap();
                 exec::run(&model, &x, &plan, &in_memory, &ctx(2)).unwrap().0
             } else {
                 relational(&model, &x, &in_memory, 2)
@@ -353,7 +353,7 @@ proptest! {
         let x = Tensor::from_fn([batch, features], |i| (((i as u64 * 13 + seed) % 23) as f32 - 11.0) * 0.05);
         let dense = udf(&model, &x);
         let plan = RuleBasedOptimizer::new(1usize << threshold_exp)
-            .plan(&model, batch)
+            .plan(&model, batch, 1)
             .unwrap();
         let (out, _) = exec::run(&model, &x, &plan, &weights(64, 8), &ctx(1)).unwrap();
         let out = out.into_dense().unwrap();
@@ -398,5 +398,97 @@ proptest! {
         let dense = udf(&model, &x);
         let rel = relational(&model, &x, &weights(64, 4), 3);
         prop_assert!(dense.approx_eq(&rel.into_dense().unwrap(), 1e-3));
+    }
+}
+
+/// The adaptive plan's default morsels never change a bit. For every zoo
+/// model of dense layers and its `@int8` twin, at the largest batch the
+/// rule keeps whole below the first it cuts, at that first, and at a larger
+/// one, the plan's output on two kernel threads is `==` the same plan's run
+/// as one morsel. The rule cuts only where every f32 layer packs at the
+/// smallest morsel's rows: `Pack-Edge`'s 512 → 2 layer is the one that
+/// decides, as its smallest morsel reaches 8 rows (8·512·2 is
+/// `PACK_THRESHOLD`) after the work rule already holds.
+#[test]
+fn default_morsels_are_bit_identical_to_the_whole_batch() {
+    let rng = &mut seeded_rng(0x42);
+    let edge = Model::new("Pack-Edge", [512])
+        .push(Layer::dense(512, 512, Activation::Relu, rng))
+        .unwrap()
+        .push(Layer::dense(512, 2, Activation::Softmax, rng))
+        .unwrap();
+    let models = [
+        zoo::fraud_fc_256(rng).unwrap(),
+        zoo::fraud_fc_512(rng).unwrap(),
+        zoo::encoder_fc(rng).unwrap(),
+        zoo::amazon_14k_fc(512, rng).unwrap(),
+        zoo::bosch_ffnn(rng).unwrap(),
+        zoo::caching_ffnn(rng).unwrap(),
+        edge,
+    ];
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for f32_model in models {
+        let int8 = quantize_int8(&f32_model).unwrap().model;
+        for model in [f32_model, int8] {
+            let plan = |rows: usize| {
+                RuleBasedOptimizer::paper_default()
+                    .plan(&model, rows, 2)
+                    .unwrap()
+            };
+            let first = (1..=2048)
+                .find(|&rows| plan(rows).morsel_rows < rows)
+                .unwrap_or_else(|| panic!("`{}` is never cut", model.name()));
+            for rows in [first - 1, first, 3 * first + 5] {
+                let cut = plan(rows);
+                assert_eq!(cut.morsel_rows < rows, rows >= first, "{}", model.name());
+                let width = model.input_shape().num_elements();
+                let x = Tensor::from_fn([rows, width], |i| ((i * 37 % 101) as f32 - 50.0) * 0.02);
+                let whole = InferencePlan {
+                    morsel_rows: rows,
+                    ..cut.clone()
+                };
+                let (got, _) = run_assigned(&model, &x, &cut, 64);
+                let (want, _) = run_assigned(&model, &x, &whole, 64);
+                assert!(
+                    bits(&got) == bits(&want),
+                    "`{}` at {rows} rows in morsels of {}",
+                    model.name(),
+                    cut.morsel_rows
+                );
+            }
+        }
+    }
+}
+
+/// A non-finite activation fails a query cut into morsels with the error of
+/// the whole batch: the row it names is the batch's row, not its row in the
+/// morsel, and of two bad rows in different morsels, the first.
+#[test]
+fn a_non_finite_row_in_a_later_morsel_is_named_by_its_batch_row() {
+    let rng = &mut seeded_rng(0x43);
+    let model = quantize_int8(&zoo::encoder_fc(rng).unwrap()).unwrap().model;
+    let rows = 512;
+    let cut = RuleBasedOptimizer::paper_default()
+        .plan(&model, rows, 2)
+        .unwrap();
+    assert!(cut.morsel_rows <= 150, "{} rows", cut.morsel_rows);
+    let mut x = Tensor::from_fn([rows, 76], |i| ((i * 37 % 101) as f32 - 50.0) * 0.02);
+    x.data_mut()[300 * 76 + 5] = f32::NAN;
+    x.data_mut()[470 * 76 + 1] = f32::INFINITY;
+    let whole = InferencePlan {
+        morsel_rows: rows,
+        ..cut.clone()
+    };
+    let fail = |plan: &InferencePlan| {
+        let ctx = ExecContext::standalone(2, MemoryGovernor::unlimited("nan"));
+        match exec::run(&model, &x, plan, &weights(64, 8), &ctx) {
+            Err(err) => err.to_string(),
+            Ok(_) => panic!("a NaN row was quantized"),
+        }
+    };
+    let want = fail(&whole);
+    assert!(want.contains("activation row 300 "), "{want}");
+    for _ in 0..8 {
+        assert_eq!(fail(&cut), want);
     }
 }

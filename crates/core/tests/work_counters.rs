@@ -9,6 +9,7 @@
 
 use relserve_core::{Architecture, InferenceSession, SessionConfig};
 use relserve_nn::init::seeded_rng;
+use relserve_nn::quant::quantize_int8;
 use relserve_nn::{zoo, Model};
 use relserve_runtime::{AdmissionPolicy, TransferProfile};
 use relserve_tensor::parallel::Parallelism;
@@ -106,4 +107,56 @@ fn a_deadline_that_runs_out_in_a_relation_centric_layer_leaves_no_page_pinned() 
         budget *= 2;
     }
     assert!(mid_layer > 0, "no deadline ran out after the join began");
+}
+
+/// Kernel-pool forks of one warm query, from the pool's counters. An
+/// all-dense adaptive plan cut into morsels runs them in one fork: the int8
+/// Encoder-FC at 512 rows forks once, not once per layer. Its f32 twin
+/// stays whole (cut, it would read its 10 MB of weights twice more than
+/// the whole batch does) and forks once per layer. A serving-sized
+/// Fraud-FC query is too small to fork at all. The relation-centric Amazon plan is never cut,
+/// and forks once, as it did before plans were cut: its layer 0 block join
+/// forks, and its 16-row layer 1 is too small to.
+#[test]
+fn a_warm_query_forks_once_per_morsel_wave() {
+    let rng = &mut seeded_rng(0xF0);
+    let dense = InferenceSession::open(
+        SessionConfig::builder()
+            .cores(2)
+            .transfer(TransferProfile::instant())
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let forks = |session: &InferenceSession, name: &str, batch: &Tensor| {
+        let run = || {
+            session
+                .infer_batch(name, batch, Architecture::Adaptive)
+                .unwrap()
+        };
+        run();
+        let before = session.coordinator().kernel_pool().counters().forks;
+        run();
+        session.coordinator().kernel_pool().counters().forks - before
+    };
+    let encoder = zoo::encoder_fc(rng).unwrap();
+    let int8 = quantize_int8(&encoder).unwrap().model;
+    dense.load_model(encoder).unwrap();
+    dense.load_model(int8).unwrap();
+    let batch = Tensor::from_fn([512, 76], |i| ((i * 31 % 97) as f32 - 48.0) * 0.01);
+    assert!(dense.plan("Encoder-FC@int8", 512).unwrap().morsel_rows < 512);
+    assert_eq!(forks(&dense, "Encoder-FC@int8", &batch), 1);
+    assert_eq!(dense.plan("Encoder-FC", 512).unwrap().morsel_rows, 512);
+    assert_eq!(forks(&dense, "Encoder-FC", &batch), 2);
+    let fraud = zoo::fraud_fc_256(rng).unwrap();
+    dense.load_model(fraud).unwrap();
+    for rows in [1, 27, 64] {
+        let batch = Tensor::from_fn([rows, 28], |i| ((i * 31 % 97) as f32 - 48.0) * 0.01);
+        assert_eq!(forks(&dense, "Fraud-FC-256", &batch), 0, "{rows} rows");
+    }
+    let (model, batch) = model_and_batch();
+    let spill = session();
+    spill.load_model(model.clone()).unwrap();
+    assert_eq!(spill.plan(model.name(), 16).unwrap().morsel_rows, 16);
+    assert_eq!(forks(&spill, model.name(), &batch), 1);
 }

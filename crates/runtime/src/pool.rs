@@ -101,6 +101,9 @@ impl Batch {
 /// Monotonic scheduling counters, readable at any time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
+    /// Batches submitted — one per fork of a multiply's stripes or of a
+    /// plan's morsels.
+    pub forks: usize,
     /// Stripe tasks executed, by anyone.
     pub tasks_run: usize,
     /// Tasks executed by a pool worker rather than the submitting thread.
@@ -111,6 +114,7 @@ pub struct PoolCounters {
 
 #[derive(Default)]
 struct Counters {
+    forks: AtomicUsize,
     tasks_run: AtomicUsize,
     steals: AtomicUsize,
     parks: AtomicUsize,
@@ -231,6 +235,7 @@ impl KernelPool {
     pub fn counters(&self) -> PoolCounters {
         let c = &self.shared.counters;
         PoolCounters {
+            forks: c.forks.load(Ordering::Relaxed),
             tasks_run: c.tasks_run.load(Ordering::Relaxed),
             steals: c.steals.load(Ordering::Relaxed),
             parks: c.parks.load(Ordering::Relaxed),
@@ -265,6 +270,7 @@ impl KernelPool {
         if n_tasks == 0 {
             return Ok(());
         }
+        self.shared.counters.forks.fetch_add(1, Ordering::Relaxed);
         // SAFETY: see `TaskPtr` — we block on batch completion below, so the
         // borrow outlives every dereference.
         let erased: &'static (dyn Fn(usize) + Sync) =
@@ -440,6 +446,7 @@ mod tests {
             run_sum(&pool, 8);
         }
         let c = pool.counters();
+        assert_eq!(c.forks, 16, "one fork per batch");
         assert_eq!(c.tasks_run, 16 * 8);
         assert!(c.steals <= c.tasks_run);
     }

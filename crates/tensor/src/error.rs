@@ -55,9 +55,12 @@ pub enum Error {
     /// SIMD dispatch selection failed: an unknown `RELSERVE_ISA` token, or a
     /// tier the running CPU cannot execute.
     Isa(String),
-    /// Int8 quantization failed: non-finite inputs, or stored quantized
+    /// Int8 quantization failed: non-finite weights, or stored quantized
     /// parts that are internally inconsistent.
     Quantize(String),
+    /// An activation row to quantize holds a NaN or an infinity; the value
+    /// is the row's index in the quantized matrix.
+    NonFiniteRow(usize),
 }
 
 impl fmt::Display for Error {
@@ -84,6 +87,10 @@ impl fmt::Display for Error {
             Error::InvalidConv(msg) => write!(f, "invalid convolution: {msg}"),
             Error::Isa(msg) => write!(f, "isa dispatch: {msg}"),
             Error::Quantize(msg) => write!(f, "quantize: {msg}"),
+            Error::NonFiniteRow(r) => write!(
+                f,
+                "quantize: activation row {r} contains non-finite values; cannot quantize"
+            ),
         }
     }
 }

@@ -40,19 +40,21 @@
 use crate::dense::Tensor;
 use crate::error::{Error, Result};
 use crate::parallel::Parallelism;
-use crate::simd::{self, Isa, MatmulKernel};
+use crate::simd::{self, CTile, Isa, MatmulKernel};
 use std::cell::RefCell;
 
 /// Minimum `m·k·n` before the packed kernel beats plain dot products; below
-/// it packing overhead dominates the O(m·k·n) arithmetic.
-const PACK_THRESHOLD: usize = 1 << 13;
+/// it packing overhead dominates the O(m·k·n) arithmetic. The shortcut's
+/// dot products sum in another order than the tiles' k-blocks, so a caller
+/// that cuts a batch keeps each piece on the side of this the whole takes.
+pub const PACK_THRESHOLD: usize = 1 << 13;
 
 /// Minimum `m·k·n` per row stripe before handing stripes to the kernel pool
 /// beats running them here: a hand-off wakes a sleeping worker, which costs
 /// what ~1M multiply-adds cost. Serving-sized multiplies (Fraud-FC at up
 /// to 128 rows) stay on the calling thread; Encoder-FC at 512 rows and
 /// Amazon-14k-FC/64 at 64 rows still get a stripe per granted thread.
-const MIN_STRIPE_WORK: usize = 1 << 20;
+pub const MIN_STRIPE_WORK: usize = 1 << 20;
 
 /// Row stripes for an `m×k×n` multiply under a grant of `threads`: at most
 /// one per thread and per row, and none smaller than [`MIN_STRIPE_WORK`].
@@ -196,15 +198,15 @@ fn pack_b(b: &View<'_>, k: usize, n: usize, nr: usize, out: &mut [f32]) {
 
 /// Pack the first `rows` rows of row-major `a` (rows `lda` apart), k-range
 /// `p0..p1`, into an interleaved `[p][mr]` micro-panel of the kernel's tile
-/// height `mr` (rows past `rows` zero-padded).
+/// height `mr`, one contiguous `mr`-row per `p`, its rows past `rows`
+/// zero-padded.
 fn pack_a(a: &[f32], lda: usize, rows: usize, p0: usize, p1: usize, mr: usize, out: &mut [f32]) {
-    let kc = p1 - p0;
-    out[..kc * mr].fill(0.0);
-    for r in 0..rows {
-        let row = &a[r * lda..];
-        for pi in 0..kc {
-            out[pi * mr + r] = row[p0 + pi];
+    for (pi, dst) in out[..(p1 - p0) * mr].chunks_exact_mut(mr).enumerate() {
+        let (live, pad) = dst.split_at_mut(rows);
+        for (r, v) in live.iter_mut().enumerate() {
+            *v = a[r * lda + p0 + pi];
         }
+        pad.fill(0.0);
     }
 }
 
@@ -241,50 +243,38 @@ pub enum Epilogue<'a> {
     BiasRelu(&'a [f32]),
 }
 
-impl Epilogue<'_> {
-    fn bias(&self) -> Option<&[f32]> {
+impl<'a> Epilogue<'a> {
+    pub(crate) fn bias(&self) -> Option<&'a [f32]> {
         match *self {
             Epilogue::None => None,
             Epilogue::Bias(b) | Epilogue::BiasRelu(b) => Some(b),
         }
     }
 
-    /// Add `tile` into `row` — columns `j0 ..` of one output row — and
-    /// finish each element.
+    /// The same epilogue for the columns from `j0` on.
+    fn at_column(self, j0: usize) -> Self {
+        match self {
+            Epilogue::None => Epilogue::None,
+            Epilogue::Bias(b) => Epilogue::Bias(&b[j0..]),
+            Epilogue::BiasRelu(b) => Epilogue::BiasRelu(&b[j0..]),
+        }
+    }
+
+    /// Finish `v`, the element of column `j`.
     #[inline(always)]
-    fn store(&self, row: &mut [f32], tile: &[f32], j0: usize) {
+    pub(crate) fn finish(&self, v: f32, j: usize) -> f32 {
         match *self {
-            Epilogue::None => {
-                for (c, t) in row.iter_mut().zip(tile) {
-                    *c += *t;
-                }
-            }
-            Epilogue::Bias(b) => {
-                for ((c, t), b) in row.iter_mut().zip(tile).zip(&b[j0..]) {
-                    *c = *c + *t + *b;
-                }
-            }
-            Epilogue::BiasRelu(b) => {
-                for ((c, t), b) in row.iter_mut().zip(tile).zip(&b[j0..]) {
-                    *c = (*c + *t + *b).max(0.0);
-                }
-            }
+            Epilogue::None => v,
+            Epilogue::Bias(b) => v + b[j],
+            Epilogue::BiasRelu(b) => (v + b[j]).max(0.0),
         }
     }
 
     /// Finish every element of a whole output row in place.
     fn apply(&self, row: &mut [f32]) {
-        match *self {
-            Epilogue::None => {}
-            Epilogue::Bias(b) => {
-                for (c, b) in row.iter_mut().zip(b) {
-                    *c += *b;
-                }
-            }
-            Epilogue::BiasRelu(b) => {
-                for (c, b) in row.iter_mut().zip(b) {
-                    *c = (*c + *b).max(0.0);
-                }
+        if !matches!(self, Epilogue::None) {
+            for (j, c) in row.iter_mut().enumerate() {
+                *c = self.finish(*c, j);
             }
         }
     }
@@ -299,8 +289,9 @@ impl Epilogue<'_> {
 /// every A micro-panel is packed once, then each B panel (≈`nr·kc` floats,
 /// L1-resident) is reused across all row tiles of the stripe before moving
 /// on. `cd` is the stripe's slice of C, `stripe_rows × n`, and accumulates
-/// one partial product per k-block: the tile starts from zero each block, so
-/// an element is the same sequential FMA chain whatever the tile geometry.
+/// one partial product per k-block: the micro-kernel starts its chains from
+/// zero each block and adds them into its tile of `cd` itself, so an element
+/// is the same sequential FMA chain whatever the tile geometry.
 #[allow(clippy::too_many_arguments)] // a stripe is (kernel, A, lda, packed B, C-slice, row range, epilogue)
 fn tiled_stripe(
     kern: &MatmulKernel,
@@ -320,7 +311,6 @@ fn tiled_stripe(
     let (mr, nr) = (kern.mr, kern.nr);
     let tiles = rows.div_ceil(mr);
     let panels = n.div_ceil(nr);
-    let mut acc_tile = [0.0f32; simd::MAX_MR * simd::MAX_NR];
     A_SCRATCH.with(|scratch| {
         let mut apack = scratch.borrow_mut();
         let need = tiles * mr * kern.kc.min(k);
@@ -348,16 +338,16 @@ fn tiled_stripe(
                 let bpanel = b.run(b.start(jp) + p0 * nr, kc * nr);
                 let j0 = jp * nr;
                 let width = nr.min(n - j0);
+                let finish = finish.at_column(j0);
                 for t in 0..tiles {
-                    let i = i0 + t * mr;
-                    let rows = mr.min(i1 - i);
-                    let acc = &mut acc_tile[..mr * nr];
-                    acc.fill(0.0);
-                    kern.run(&apack[t * mr * kc..][..mr * kc], bpanel, kc, acc);
-                    for r in 0..rows {
-                        let c_row = &mut cd[(i - i0 + r) * n + j0..][..width];
-                        finish.store(c_row, &acc[r * nr..r * nr + width], j0);
-                    }
+                    let r0 = t * mr;
+                    let tile = CTile {
+                        c: &mut cd[r0 * n + j0..],
+                        ldc: n,
+                        rows: mr.min(rows - r0),
+                        width,
+                    };
+                    kern.run(&apack[r0 * kc..][..mr * kc], bpanel, kc, tile, finish);
                 }
             }
         }
@@ -575,6 +565,11 @@ impl<'a> PackedB<'a> {
 /// dispatched kernel's `nr`.
 pub fn panel_width() -> Result<usize> {
     Ok(simd::try_kernels()?.matmul.nr)
+}
+
+/// The tile height the dispatched f32 kernel multiplies in: its `mr`.
+pub fn tile_height() -> Result<usize> {
+    Ok(simd::try_kernels()?.matmul.mr)
 }
 
 /// Pack `Bᵀ` into panels of width `nr`, where `b` holds `n` stored rows of

@@ -290,17 +290,10 @@ impl QuantizedActivations {
 }
 
 /// Quantize a 2-D f32 activation matrix per row to 7-bit affine levels.
-/// `Error::Quantize` names the first row holding a NaN or an infinity.
+/// `Error::NonFiniteRow` names the first row holding a NaN or an infinity.
 pub fn quantize_activations(a: &Tensor) -> Result<QuantizedActivations> {
     let (rows, cols) = a.shape().as_matrix()?;
     quantize_rows(&simd::try_kernels()?.matmul_i8, a.data(), rows, cols, 0)
-}
-
-/// The error for activation row `r`, which holds a NaN or an infinity.
-fn non_finite_row(r: usize) -> Error {
-    Error::Quantize(format!(
-        "activation row {r} contains non-finite values; cannot quantize"
-    ))
 }
 
 /// Quantize `rows` rows of `cols` values each with `kern`'s row quantizer
@@ -323,7 +316,7 @@ fn quantize_rows(
         let span = r * cols..(r + 1) * cols;
         (scales[r], offsets[r]) = kern
             .quantize_row(&ad[span.clone()], &mut data[span])
-            .ok_or_else(|| non_finite_row(first_row + r))?;
+            .ok_or_else(|| Error::NonFiniteRow(first_row + r))?;
     }
     Ok(QuantizedActivations {
         rows,
@@ -607,7 +600,7 @@ fn tile_stripe(
         Acts::Quantized(a) => copy_levels(a, row0 + r, dst),
         Acts::Raw { data, .. } => kern
             .quantize_row(&data[(row0 + r) * k..][..k], dst)
-            .ok_or_else(|| non_finite_row(row0 + r)),
+            .ok_or_else(|| Error::NonFiniteRow(row0 + r)),
     };
     with_tile_rows(kern, k, rows, fill, |unit, a, params| {
         unit.multiply(a, rows, bpack, n, as_i32(out));
@@ -957,7 +950,7 @@ mod tests {
         a.data_mut()[41 * k + 7] = f32::NEG_INFINITY;
         let w = QuantizedTensor::quantize(&inexact(n, k, 0.4177)).unwrap();
         let expected = quantize_activations(&a).unwrap_err();
-        assert!(matches!(&expected, Error::Quantize(msg) if msg.contains("row 41")));
+        assert_eq!(expected, Error::NonFiniteRow(41));
         for threads in [1, 2, 4, 8] {
             let got = qmatmul_bt_parallel(&a, &w, None, &inline_grant(threads)).unwrap_err();
             assert_eq!(got, expected, "threads={threads}");
@@ -966,7 +959,7 @@ mod tests {
         // failing row is now the NaN's.
         a.data_mut()[17 * k + 200] = f32::NAN;
         let expected = quantize_activations(&a).unwrap_err();
-        assert!(matches!(&expected, Error::Quantize(msg) if msg.contains("row 17")));
+        assert_eq!(expected, Error::NonFiniteRow(17));
         for threads in [1, 2, 4, 8] {
             let got = qmatmul_bt_parallel(&a, &w, None, &inline_grant(threads)).unwrap_err();
             assert_eq!(got, expected, "threads={threads}");
@@ -982,16 +975,16 @@ mod tests {
         let row = Tensor::from_vec([1, 4], vec![0.5, f32::NAN, -1.0, 2.0]).unwrap();
         assert!(matches!(
             quantize_activations(&row),
-            Err(Error::Quantize(_))
+            Err(Error::NonFiniteRow(0))
         ));
         let ones = QuantizedTensor::quantize(&Tensor::full([3, 4], 1.0)).unwrap();
         for isa in Isa::supported() {
             let got = qmatmul_bt_with_isa(&row, &ones, None, isa);
-            assert!(matches!(got, Err(Error::Quantize(_))), "{isa}");
+            assert!(matches!(got, Err(Error::NonFiniteRow(0))), "{isa}");
         }
         assert!(matches!(
             qmatmul_bt_parallel(&row, &ones, None, &Parallelism::serial()),
-            Err(Error::Quantize(_))
+            Err(Error::NonFiniteRow(0))
         ));
         assert!(matches!(
             QuantizedTensor::quantize(&row),

@@ -28,6 +28,7 @@
 //! that need a *specific* path use [`kernels_for`] directly.
 
 use crate::error::{Error, Result};
+use crate::matmul::Epilogue;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -141,15 +142,18 @@ impl fmt::Display for Isa {
 
 /// One register-tiled matmul micro-kernel and its tile geometry.
 ///
-/// The micro-kernel computes `acc[r][c] += apack[p][r] * bpanel[p][c]` over
-/// `kc` steps, where `apack` is an interleaved `[kc][mr]` A micro-panel,
-/// `bpanel` a `[kc][nr]` B panel, and `acc` a row-major `mr×nr` accumulator.
-/// `mr`/`nr`/`kc` are *per-kernel* parameters — the packing and blocking
-/// driver in [`crate::matmul`] shapes its panels to whatever geometry the
-/// dispatched kernel declares, so a 12×32 `zmm` tile and a 4×8 `ymm` tile
-/// coexist behind one seam. Every element of the tile is one sequential
-/// chain of fused multiply-adds over `p`, starting from what `acc` held, so
-/// the FMA tiers agree to the bit whatever their geometry.
+/// The micro-kernel multiplies an interleaved `[kc][mr]` A micro-panel by a
+/// `[kc][nr]` B panel in registers and stores the product itself: it starts
+/// its accumulators at zero, runs one chain over `p` per element, then adds
+/// each accumulator into its element of `C` with masked vector loads and
+/// stores and finishes it with the [`Epilogue`] — bias, then ReLU — in
+/// registers. `mr`/`nr`/`kc` are *per-kernel* parameters — the packing and
+/// blocking driver in [`crate::matmul`] shapes its panels to whatever
+/// geometry the dispatched kernel declares, so a 12×32 `zmm` tile and a 4×8
+/// `ymm` tile coexist behind one seam. The FMA tiers' chains are sequential
+/// fused multiply-adds from zero, so they agree to the bit whatever their
+/// geometry; a tile of fewer live rows or columns than the kernel's runs a
+/// narrower variant of the same chains.
 pub struct MatmulKernel {
     /// The tier this kernel requires.
     pub isa: Isa,
@@ -163,24 +167,52 @@ pub struct MatmulKernel {
     /// Human-readable kernel name, e.g. `"avx512 12x32"`; benchmarks print it
     /// so a reader can tell which micro-kernel actually ran.
     pub name: &'static str,
-    micro: unsafe fn(&[f32], &[f32], usize, &mut [f32]),
+    micro: unsafe fn(&[f32], &[f32], usize, CTile<'_>, Epilogue<'_>),
+}
+
+/// The live corner of one micro-tile in `C`: `rows × width` elements, row
+/// `r` at `c[r * ldc ..][.. width]`.
+#[derive(Debug)]
+pub struct CTile<'c> {
+    /// `C` from the tile's first element on.
+    pub c: &'c mut [f32],
+    /// Distance between the tile's rows in `c`.
+    pub ldc: usize,
+    /// Live rows, `1..=mr`.
+    pub rows: usize,
+    /// Live columns, `1..=nr`.
+    pub width: usize,
 }
 
 impl MatmulKernel {
-    /// Run the micro-kernel: `acc[r*nr + c] += Σ_p apack[p*mr + r] *
-    /// bpanel[p*nr + c]` for `p < kc`.
+    /// Run the micro-kernel on one tile: element `(r, j)` of `tile` becomes
+    /// `epilogue(tile[r][j] + Σ_p apack[p*mr + r] * bpanel[p*nr + j])` for
+    /// `p < kc`, the sum one chain started from zero and the epilogue's bias
+    /// indexed from the tile's first column.
     #[inline(always)]
-    pub fn run(&self, apack: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32]) {
+    pub fn run(
+        &self,
+        apack: &[f32],
+        bpanel: &[f32],
+        kc: usize,
+        tile: CTile<'_>,
+        epilogue: Epilogue<'_>,
+    ) {
+        let (rows, width) = (tile.rows, tile.width);
         assert!(
             apack.len() >= kc * self.mr
                 && bpanel.len() >= kc * self.nr
-                && acc.len() >= self.mr * self.nr,
+                && (1..=self.mr).contains(&rows)
+                && (1..=self.nr).contains(&width)
+                && width <= tile.ldc
+                && tile.c.len() >= (rows - 1) * tile.ldc + width
+                && epilogue.bias().is_none_or(|b| b.len() >= width),
             "micro-kernel operands smaller than the declared tile geometry"
         );
         // SAFETY: kernels are only reachable through `kernels_for`, which
         // verifies the ISA is available on this CPU, and the slice bounds the
         // target-feature implementations rely on were just asserted.
-        unsafe { (self.micro)(apack, bpanel, kc, acc) }
+        unsafe { (self.micro)(apack, bpanel, kc, tile, epilogue) }
     }
 }
 
@@ -509,10 +541,17 @@ pub fn active_isa() -> Isa {
 // fallback every other tier is property-tested against.
 // ---------------------------------------------------------------------------
 
-/// 4×8 scalar micro-kernel. `unsafe` only to share the dispatch-table
-/// signature; it has no safety requirements beyond the asserted bounds.
-unsafe fn micro_scalar_4x8(apack: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32]) {
-    let acc: &mut [f32; 32] = (&mut acc[..32]).try_into().unwrap();
+/// 4×8 scalar micro-kernel, a separate multiply and add per step.
+/// `unsafe` only to share the dispatch-table signature; it has no safety
+/// requirements beyond the asserted bounds.
+unsafe fn micro_scalar_4x8(
+    apack: &[f32],
+    bpanel: &[f32],
+    kc: usize,
+    tile: CTile<'_>,
+    epilogue: Epilogue<'_>,
+) {
+    let mut acc = [0.0f32; 32];
     for p in 0..kc {
         let a: &[f32; 4] = apack[p * 4..p * 4 + 4].try_into().unwrap();
         let b: &[f32; 8] = bpanel[p * 8..p * 8 + 8].try_into().unwrap();
@@ -521,6 +560,12 @@ unsafe fn micro_scalar_4x8(apack: &[f32], bpanel: &[f32], kc: usize, acc: &mut [
             for c in 0..8 {
                 acc[r * 8 + c] += ar * b[c];
             }
+        }
+    }
+    for (r, sums) in acc.chunks_exact(8).take(tile.rows).enumerate() {
+        let row = &mut tile.c[r * tile.ldc..][..tile.width];
+        for (j, (c, t)) in row.iter_mut().zip(sums).enumerate() {
+            *c = epilogue.finish(*c + *t, j);
         }
     }
 }
@@ -683,31 +728,56 @@ static SCALAR: Kernels = Kernels {
 
 /// AVX2+FMA 4×8 micro-kernel: each accumulator row is one 256-bit register,
 /// so the whole tile lives in four `ymm` registers and every `p` step issues
-/// four fused multiply-adds against a single B load.
+/// four fused multiply-adds against a single B load. The live rows are then
+/// added into `C` through a lane mask of the live columns, and finished.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_avx2_4x8(apack: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32]) {
+unsafe fn micro_avx2_4x8(
+    apack: &[f32],
+    bpanel: &[f32],
+    kc: usize,
+    tile: CTile<'_>,
+    epilogue: Epilogue<'_>,
+) {
     use std::arch::x86_64::*;
-    debug_assert!(apack.len() >= kc * 4 && bpanel.len() >= kc * 8 && acc.len() >= 32);
-    let cp = acc.as_mut_ptr();
-    let mut c0 = _mm256_loadu_ps(cp);
-    let mut c1 = _mm256_loadu_ps(cp.add(8));
-    let mut c2 = _mm256_loadu_ps(cp.add(16));
-    let mut c3 = _mm256_loadu_ps(cp.add(24));
+    debug_assert!(apack.len() >= kc * 4 && bpanel.len() >= kc * 8);
+    let mut acc = [_mm256_setzero_ps(); 4];
     let ap = apack.as_ptr();
     let bp = bpanel.as_ptr();
     for p in 0..kc {
         let b = _mm256_loadu_ps(bp.add(p * 8));
         let a = ap.add(p * 4);
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(*a), b, c0);
-        c1 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(1)), b, c1);
-        c2 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(2)), b, c2);
-        c3 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(3)), b, c3);
+        for (r, c) in acc.iter_mut().enumerate() {
+            *c = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(r)), b, *c);
+        }
     }
-    _mm256_storeu_ps(cp, c0);
-    _mm256_storeu_ps(cp.add(8), c1);
-    _mm256_storeu_ps(cp.add(16), c2);
-    _mm256_storeu_ps(cp.add(24), c3);
+    let live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(tile.width as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    let zero = _mm256_setzero_ps();
+    // A match, not a closure, keeps the intrinsic in this target-feature
+    // function.
+    #[allow(clippy::manual_map)]
+    let bias = match epilogue.bias() {
+        Some(b) => Some(_mm256_maskload_ps(b.as_ptr(), live)),
+        None => None,
+    };
+    let relu = matches!(epilogue, Epilogue::BiasRelu(_));
+    let c = tile.c.as_mut_ptr();
+    for (r, sums) in acc.iter().enumerate() {
+        if r < tile.rows {
+            let row = c.add(r * tile.ldc);
+            let mut v = _mm256_add_ps(_mm256_maskload_ps(row, live), *sums);
+            if let Some(b) = bias {
+                v = _mm256_add_ps(v, b);
+            }
+            if relu {
+                v = _mm256_max_ps(v, zero);
+            }
+            _mm256_maskstore_ps(row, live, v);
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1007,38 +1077,109 @@ static AVX2: Kernels = Kernels {
 /// Each element is one sequential FMA chain over `p`, so the tile agrees
 /// with the AVX2 4×8 kernel bit for bit.
 ///
+/// A tile of at most 16 live columns (a narrow output layer) runs only the
+/// low half, 12 accumulators and one B load per step: the chains of the
+/// live elements are the same.
+///
 /// # Safety
-/// The CPU has AVX-512F, and `apack`, `bpanel` and `acc` hold at least
-/// `12·kc`, `32·kc` and 384 values: [`kernels_for`] checks the first,
-/// [`MatmulKernel::run`] the second.
+/// The CPU has AVX-512F, and the operands hold what
+/// [`MatmulKernel::run`] asserts.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512_12x32(apack: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32]) {
+unsafe fn micro_avx512_12x32(
+    apack: &[f32],
+    bpanel: &[f32],
+    kc: usize,
+    tile: CTile<'_>,
+    epilogue: Epilogue<'_>,
+) {
+    debug_assert!(apack.len() >= kc * 12 && bpanel.len() >= kc * 32);
+    let (ap, bp) = (apack.as_ptr(), bpanel.as_ptr());
+    match tile.width > 16 {
+        true => tile_avx512::<true>(ap, bp, kc, tile, epilogue),
+        false => tile_avx512::<false>(ap, bp, kc, tile, epilogue),
+    }
+}
+
+/// [`micro_avx512_12x32`]'s chains, both column halves when `WIDE` and the
+/// low one otherwise, stored into the tile's live corner.
+///
+/// # Safety
+/// As [`micro_avx512_12x32`]; `tile.width <= 16` unless `WIDE`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const WIDE: bool>(
+    ap: *const f32,
+    bp: *const f32,
+    kc: usize,
+    tile: CTile<'_>,
+    epilogue: Epilogue<'_>,
+) {
     use std::arch::x86_64::*;
-    debug_assert!(apack.len() >= kc * 12 && bpanel.len() >= kc * 32 && acc.len() >= 384);
-    let cp = acc.as_mut_ptr();
     let mut lo = [_mm512_setzero_ps(); 12];
     let mut hi = [_mm512_setzero_ps(); 12];
-    for r in 0..12 {
-        lo[r] = _mm512_loadu_ps(cp.add(r * 32));
-        hi[r] = _mm512_loadu_ps(cp.add(r * 32 + 16));
-    }
-    let ap = apack.as_ptr();
-    let bp = bpanel.as_ptr();
     for p in 0..kc {
-        let b0 = _mm512_loadu_ps(bp.add(p * 32));
-        let b1 = _mm512_loadu_ps(bp.add(p * 32 + 16));
         let a = ap.add(p * 12);
-        for r in 0..12 {
-            let ar = _mm512_set1_ps(*a.add(r));
-            lo[r] = _mm512_fmadd_ps(ar, b0, lo[r]);
-            hi[r] = _mm512_fmadd_ps(ar, b1, hi[r]);
+        let b0 = _mm512_loadu_ps(bp.add(p * 32));
+        if WIDE {
+            let b1 = _mm512_loadu_ps(bp.add(p * 32 + 16));
+            for r in 0..12 {
+                let ar = _mm512_set1_ps(*a.add(r));
+                lo[r] = _mm512_fmadd_ps(ar, b0, lo[r]);
+                hi[r] = _mm512_fmadd_ps(ar, b1, hi[r]);
+            }
+        } else {
+            for (r, acc) in lo.iter_mut().enumerate() {
+                *acc = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(r)), b0, *acc);
+            }
         }
     }
-    for r in 0..12 {
-        _mm512_storeu_ps(cp.add(r * 32), lo[r]);
-        _mm512_storeu_ps(cp.add(r * 32 + 16), hi[r]);
+    let lanes = |w: usize| -> __mmask16 { (((1u32 << w.min(16)) - 1) & 0xffff) as __mmask16 };
+    let (m_lo, m_hi) = (lanes(tile.width), lanes(tile.width.saturating_sub(16)));
+    // A match, not a closure, keeps the intrinsics in this target-feature
+    // function.
+    #[allow(clippy::manual_map)]
+    let bias = match epilogue.bias() {
+        Some(b) => Some((
+            _mm512_maskz_loadu_ps(m_lo, b.as_ptr()),
+            _mm512_maskz_loadu_ps(m_hi, b.as_ptr().wrapping_add(16)),
+        )),
+        None => None,
+    };
+    let relu = matches!(epilogue, Epilogue::BiasRelu(_));
+    let c = tile.c.as_mut_ptr();
+    for r in 0..tile.rows {
+        let row = c.add(r * tile.ldc);
+        store_avx512(row, m_lo, lo[r], bias.map(|b| b.0), relu);
+        if WIDE {
+            store_avx512(row.add(16), m_hi, hi[r], bias.map(|b| b.1), relu);
+        }
     }
+}
+
+/// Add `sums` into the `mask` lanes at `c`, then `+ bias` and ReLU.
+///
+/// # Safety
+/// The CPU has AVX-512F, and the `mask` lanes at `c` are `C`'s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn store_avx512(
+    c: *mut f32,
+    mask: std::arch::x86_64::__mmask16,
+    sums: std::arch::x86_64::__m512,
+    bias: Option<std::arch::x86_64::__m512>,
+    relu: bool,
+) {
+    use std::arch::x86_64::*;
+    let mut v = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, c), sums);
+    if let Some(b) = bias {
+        v = _mm512_add_ps(v, b);
+    }
+    if relu {
+        v = _mm512_max_ps(v, _mm512_setzero_ps());
+    }
+    _mm512_mask_storeu_ps(c, mask, v);
 }
 
 /// Lane mask selecting the `rem` low lanes (`rem` in `1..=15`).

@@ -14,7 +14,7 @@ use relserve_tensor::matmul::{
 };
 use relserve_tensor::parallel::Parallelism;
 use relserve_tensor::quant::{self, QuantizedTensor};
-use relserve_tensor::simd::{self, Isa, ISA_ENV};
+use relserve_tensor::simd::{self, CTile, Isa, ISA_ENV};
 use relserve_tensor::Tensor;
 
 /// The tiers this process may exercise: the forced one when [`ISA_ENV`] is
@@ -119,7 +119,7 @@ proptest! {
     #[test]
     fn f32_fma_tiers_are_bit_identical(
         m in 1usize..40,
-        k in 1usize..600,
+        k in 1usize..900,
         n in 1usize..80,
         seed in 0u32..1000,
     ) {
@@ -164,7 +164,7 @@ proptest! {
     #[test]
     fn fused_epilogue_is_bias_add_then_relu(
         m in 1usize..40,
-        k in 1usize..600,
+        k in 1usize..900,
         n in 1usize..80,
         seed in 0u32..1000,
     ) {
@@ -328,6 +328,77 @@ proptest! {
                 got == reference,
                 "qgemm_i32[{}] {}x{}x{} diverged from the scalar i32 accumulators", isa, m, k, n
             );
+        }
+    }
+}
+
+/// Every f32 micro-kernel stores its own tile. For every live-row count
+/// `1..=mr` and width `1..=nr` (the narrow ≤ 16 and the 4- and 8-row
+/// variants of the 12×32 tile included), into a strided `C` (`ldc > nr`),
+/// at depths of one step, a few, and a whole cache block, under every
+/// epilogue: element `(r, j)` of the live corner becomes
+/// `finish(c + chain)`, the chain a sequential fused multiply-add from zero
+/// (a separate multiply and add on the scalar tier), and no other element
+/// of `C` is written.
+#[test]
+fn micro_kernels_store_their_own_tile_on_every_tier() {
+    for isa in isas_under_test() {
+        let kern = &simd::kernels_for(isa).unwrap().matmul;
+        let (mr, nr) = (kern.mr, kern.nr);
+        let ldc = nr + 5;
+        let wave = |len: usize, step: f32| -> Vec<f32> {
+            (0..len).map(|i| (i as f32 * step).sin()).collect()
+        };
+        let bias = wave(nr, 0.913);
+        let c0 = wave(mr * ldc, 0.37);
+        for kc in [1, 7, kern.kc] {
+            let (apack, bpanel) = (wave(kc * mr, 0.7311), wave(kc * nr, 0.4177));
+            let chain = |r: usize, j: usize| {
+                (0..kc).fold(0.0f32, |acc, p| {
+                    let (a, b) = (apack[p * mr + r], bpanel[p * nr + j]);
+                    match isa {
+                        Isa::Scalar => acc + a * b,
+                        _ => a.mul_add(b, acc),
+                    }
+                })
+            };
+            let chains: Vec<f32> = (0..mr * nr).map(|i| chain(i / nr, i % nr)).collect();
+            for rows in 1..=mr {
+                for width in 1..=nr {
+                    for epilogue in [
+                        Epilogue::None,
+                        Epilogue::Bias(&bias[..width]),
+                        Epilogue::BiasRelu(&bias[..width]),
+                    ] {
+                        let mut c = c0.clone();
+                        let tile = CTile {
+                            c: &mut c,
+                            ldc,
+                            rows,
+                            width,
+                        };
+                        kern.run(&apack, &bpanel, kc, tile, epilogue);
+                        for (i, (got, old)) in c.iter().zip(&c0).enumerate() {
+                            let (r, j) = (i / ldc, i % ldc);
+                            let want = if r < rows && j < width {
+                                let v = old + chains[r * nr + j];
+                                match epilogue {
+                                    Epilogue::None => v,
+                                    Epilogue::Bias(b) => v + b[j],
+                                    Epilogue::BiasRelu(b) => (v + b[j]).max(0.0),
+                                }
+                            } else {
+                                *old
+                            };
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{isa} kc={kc} rows={rows} width={width} {epilogue:?} at ({r}, {j})"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
